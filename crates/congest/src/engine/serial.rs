@@ -1,6 +1,6 @@
-//! The single-threaded reference engine: the PR-3 allocation-free edge-slot
-//! round loop, verbatim. The sharded engine is validated against this one
-//! (see `tests/determinism.rs` in this crate and in `lcs_dist`).
+//! The single-threaded reference engine: the allocation-free edge-slot
+//! round loop. The sharded engine is validated against this one (see
+//! `tests/determinism.rs` in this crate and in `lcs_dist`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -14,7 +14,7 @@ use crate::{
     SimOutcome, SimStats,
 };
 
-use super::{build_contexts, record_run, RoundEngine, Topology};
+use super::{build_contexts, record_run, Calendar, RoundEngine, Topology};
 
 /// The serial round engine (unit struct: it has no tuning knobs).
 pub(crate) struct SerialEngine;
@@ -207,23 +207,23 @@ where
     let mut trace: Vec<RoundTrace> = Vec::new();
     let mut net: Network<P::Message> = Network::new(graph);
     let mut scratch: Vec<Incoming<P::Message>> = Vec::new();
+    let mut outbox: Vec<Outgoing<P::Message>> = Vec::new();
     // Timed wake-ups from NodeProtocol::next_wake, keyed by round.
     // Stale entries (a node woken earlier by a message) cause a spurious
     // poll, which the next_wake contract makes harmless.
-    let mut wakes: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>> =
-        std::collections::BinaryHeap::new();
+    let mut wakes = Calendar::new();
 
     // Initialization: nodes may already emit messages; every node that
     // reports pending work is scheduled for round 1 (or its requested
     // wake round).
     for (idx, (state, ctx)) in nodes.iter_mut().zip(&contexts).enumerate() {
-        let outgoing = state.init(ctx);
-        for out in outgoing {
+        state.init(ctx, &mut outbox);
+        for out in outbox.drain(..) {
             net.post(config, ctx, out, 0, &mut stats)?;
         }
         if !state.is_done() {
             match state.next_wake(0) {
-                Some(r) if r > 1 => wakes.push(std::cmp::Reverse((r, idx as u32))),
+                Some(r) if r > 1 => wakes.push(r, idx as u32),
                 _ => net.queue(idx),
             }
         }
@@ -245,13 +245,7 @@ where
         }
         round += 1;
 
-        while let Some(&std::cmp::Reverse((due, idx))) = wakes.peek() {
-            if due > round {
-                break;
-            }
-            wakes.pop();
-            net.queue(idx as usize);
-        }
+        wakes.fire(round, |idx| net.queue(idx));
         let (delivered, bits) = net.begin_round();
         if config.trace {
             trace.push(RoundTrace {
@@ -266,15 +260,13 @@ where
             let idx = vi as usize;
             let ctx = &contexts[idx];
             net.drain_into(idx, ctx, &mut scratch);
-            let outgoing = nodes[idx].on_round(ctx, round, &scratch);
-            for out in outgoing {
+            nodes[idx].on_round(ctx, round, &scratch, &mut outbox);
+            for out in outbox.drain(..) {
                 net.post(config, ctx, out, round, &mut stats)?;
             }
             if !nodes[idx].is_done() {
                 match nodes[idx].next_wake(round) {
-                    Some(r) if r > round + 1 => {
-                        wakes.push(std::cmp::Reverse((r, idx as u32)));
-                    }
+                    Some(r) if r > round + 1 => wakes.push(r, idx as u32),
                     _ => net.queue(idx),
                 }
             }
@@ -419,30 +411,6 @@ impl<M: MessageBits + Clone> FaultNet<M> {
     }
 }
 
-/// Maps a node's `next_wake` answer through its poll schedule: stragglers
-/// can only be polled on their poll rounds, so the effective wake round is
-/// the first poll round at or after the requested one (a late wake is
-/// exactly the straggler fault; the protocol layer budgets for it).
-fn fault_wake<P: NodeProtocol>(
-    fs: &FaultState,
-    wakes: &mut BinaryHeap<Reverse<(u64, u32)>>,
-    net_queue: &mut dyn FnMut(usize),
-    state: &P,
-    idx: usize,
-    round: u64,
-) {
-    let target = match state.next_wake(round) {
-        Some(r) => r.max(round + 1),
-        None => round + 1,
-    };
-    let due = fs.next_poll(idx, target);
-    if due > round + 1 {
-        wakes.push(Reverse((due, idx as u32)));
-    } else {
-        net_queue(idx);
-    }
-}
-
 /// The serial round loop under an active [`crate::FaultPlan`]: the same
 /// schedule as the fault-free loop, with deliveries routed through the
 /// [`FaultNet`] delivery queue, crashed nodes skipped (their mail
@@ -476,37 +444,27 @@ where
     let mut trace: Vec<RoundTrace> = Vec::new();
     let mut counters = FaultCounters::default();
     let mut net: FaultNet<P::Message> = FaultNet::new(graph);
-    let mut wakes: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+    let mut outbox: Vec<Outgoing<P::Message>> = Vec::new();
+    let mut wakes = Calendar::new();
 
     for (idx, (state, ctx)) in nodes.iter_mut().zip(&contexts).enumerate() {
         if fs.crashed_at(idx, 0) {
             continue;
         }
-        let outgoing = state.init(ctx);
-        for out in outgoing {
+        state.init(ctx, &mut outbox);
+        for out in outbox.drain(..) {
             net.post(config, fs, &mut counters, ctx, out, 0, &mut stats)?;
         }
         if !state.is_done() {
-            let queued = &mut net.queued;
-            let worklist = &mut net.worklist_next;
-            fault_wake(
-                fs,
-                &mut wakes,
-                &mut |i| {
-                    if !queued[i] {
-                        queued[i] = true;
-                        worklist.push(i as u32);
-                    }
-                },
-                state,
-                idx,
-                0,
-            );
+            match fs.wake_round(idx, state.next_wake(0), 0) {
+                due if due > 1 => wakes.push(due, idx as u32),
+                _ => net.queue(idx),
+            }
         }
     }
     if let Some(r) = restart_round {
         for &v in fs.crash_nodes() {
-            wakes.push(Reverse((r, v)));
+            wakes.push(r, v);
         }
     }
 
@@ -520,13 +478,7 @@ where
         }
         round += 1;
 
-        while let Some(&Reverse((due, idx))) = wakes.peek() {
-            if due > round {
-                break;
-            }
-            wakes.pop();
-            net.queue(idx as usize);
-        }
+        wakes.fire(round, |idx| net.queue(idx));
         counters.queue_peak = counters.queue_peak.max(net.heap.len() as u64);
         let mut delivered: u64 = 0;
         let mut bits: u64 = 0;
@@ -585,37 +537,22 @@ where
                 }
                 net.inboxes[idx].clear();
                 polls += 1;
-                let outgoing = nodes[idx].init(ctx);
-                for out in outgoing {
-                    net.post(config, fs, &mut counters, ctx, out, round, &mut stats)?;
-                }
+                nodes[idx].init(ctx, &mut outbox);
             } else {
-                let incoming = std::mem::take(&mut net.inboxes[idx]);
+                let mut incoming = std::mem::take(&mut net.inboxes[idx]);
                 polls += 1;
-                let outgoing = nodes[idx].on_round(ctx, round, &incoming);
-                let mut incoming = incoming;
+                nodes[idx].on_round(ctx, round, &incoming, &mut outbox);
                 incoming.clear();
                 net.inboxes[idx] = incoming;
-                for out in outgoing {
-                    net.post(config, fs, &mut counters, ctx, out, round, &mut stats)?;
-                }
+            }
+            for out in outbox.drain(..) {
+                net.post(config, fs, &mut counters, ctx, out, round, &mut stats)?;
             }
             if !nodes[idx].is_done() {
-                let queued = &mut net.queued;
-                let worklist_next = &mut net.worklist_next;
-                fault_wake(
-                    fs,
-                    &mut wakes,
-                    &mut |i| {
-                        if !queued[i] {
-                            queued[i] = true;
-                            worklist_next.push(i as u32);
-                        }
-                    },
-                    &nodes[idx],
-                    idx,
-                    round,
-                );
+                match fs.wake_round(idx, nodes[idx].next_wake(round), round) {
+                    due if due > round + 1 => wakes.push(due, idx as u32),
+                    _ => net.queue(idx),
+                }
             }
         }
         net.worklist_cur = worklist;

@@ -9,8 +9,8 @@
 //! Each shard privately owns, for its range: the protocol states, both
 //! edge-slot mailbox buffers, inbox counters, worklists, its duplicate-send
 //! stamps (sender-position indexed — a directed edge has exactly one
-//! sender, so stamps never leave the sender's shard), and its timer heap of
-//! `next_wake` entries.
+//! sender, so stamps never leave the sender's shard), its [`Calendar`] of
+//! `next_wake` entries, and the reused outbox its protocols send into.
 //!
 //! # Cross-shard staging and the barrier merge
 //!
@@ -18,11 +18,12 @@
 //! destination staging buffer instead of written to the mailbox. At the end
 //! of each round's work phase every shard flushes its staging buffers into
 //! the destinations' mutex-guarded inbound queues; at the start of the next
-//! round each shard drains its own queue into its `next` mailbox before
-//! swapping buffers. Every slot is written at most once per round (the
-//! sender-side stamp guarantees it), and recipients' worklists are sorted
-//! before polling, so the drain order — the only thing scheduling can vary
-//! — is unobservable. This is what makes `SimStats`, traces, states, and
+//! round each shard swaps its own queue out against an empty buffer it
+//! keeps for the purpose (so no round allocates a fresh queue) and drains
+//! it into its `next` mailbox before swapping buffers. Every slot is
+//! written at most once per round (the sender-side stamp guarantees it),
+//! and recipients' worklists are sorted before polling, so the drain order
+//! — the only thing scheduling can vary — is unobservable. This is what makes `SimStats`, traces, states, and
 //! errors byte-identical to the serial engine for every shard count.
 //!
 //! # Round protocol
@@ -50,7 +51,7 @@ use crate::{
     SimOutcome, SimStats,
 };
 
-use super::{build_contexts, record_run, serial, RoundEngine, Topology};
+use super::{build_contexts, record_run, serial, Calendar, RoundEngine, Topology};
 
 /// The sharded engine: `threads` workers, one contiguous node shard each.
 pub(crate) struct ShardedEngine {
@@ -160,9 +161,12 @@ struct Shard<P: NodeProtocol> {
     queued: Vec<bool>,
     worklist_cur: Vec<u32>,
     worklist_next: Vec<u32>,
-    wakes: BinaryHeap<Reverse<(u64, u32)>>,
+    wakes: Calendar,
     /// Outbound staging, one buffer per destination shard.
     staging: Vec<Vec<Staged<P::Message>>>,
+    /// An empty buffer (capacity kept) traded for the shared inbound
+    /// queue at every merge.
+    inbound: Vec<Staged<P::Message>>,
     in_flight_next: u64,
     bits_next: u64,
     last_delivered: u64,
@@ -184,6 +188,8 @@ struct Shard<P: NodeProtocol> {
     /// letting a worker unwind through a barrier would deadlock the rest).
     panic: Option<Box<dyn std::any::Any + Send>>,
     scratch: Vec<Incoming<P::Message>>,
+    /// The protocol outbox, reused for every poll of this shard.
+    outbox: Vec<Outgoing<P::Message>>,
     /// Fault-mode state; `None` exactly when the run has no active plan.
     fault: Option<ShardFault<P>>,
 }
@@ -253,22 +259,42 @@ impl<P: NodeProtocol> Shard<P> {
         Ok(())
     }
 
-    /// Drains this shard's inbound queue (messages staged by other shards
-    /// in the previous phase) into the next-round mailbox.
+    /// Queues every node whose timed wake-up is due at `round`.
+    fn fire_wakes(&mut self, round: u64) {
+        let node_lo = self.node_lo;
+        let (queued, worklist) = (&mut self.queued, &mut self.worklist_next);
+        self.wakes.fire(round, |node| {
+            if !queued[node - node_lo] {
+                queued[node - node_lo] = true;
+                worklist.push(node as u32);
+            }
+        });
+    }
+
+    /// Takes this shard's inbound queue (messages staged by other shards in
+    /// the previous phase), leaving the empty `inbound` buffer in its place
+    /// for later flushes. Callers drain the queue and keep it as the next
+    /// `inbound`, so the queues trade buffers instead of allocating.
+    fn take_inbound(&mut self, phase: u64, shared: &Shared<P::Message>) -> Vec<Staged<P::Message>> {
+        let mut queue = std::mem::take(&mut self.inbound);
+        let mut inbox = shared.inboxes[(phase % 2) as usize][self.id]
+            .lock()
+            .expect("no worker panics while holding an inbox lock");
+        std::mem::swap(&mut *inbox, &mut queue);
+        queue
+    }
+
+    /// Drains this shard's inbound queue into the next-round mailbox.
     fn merge_inbound(&mut self, phase: u64, shared: &Shared<P::Message>) {
-        let staged = {
-            let mut inbox = shared.inboxes[(phase % 2) as usize][self.id]
-                .lock()
-                .expect("no worker panics while holding an inbox lock");
-            std::mem::take(&mut *inbox)
-        };
-        for st in staged {
+        let mut staged = self.take_inbound(phase, shared);
+        for st in staged.drain(..) {
             self.next[st.slot as usize - self.slot_lo] = Some(st.msg);
             self.inbox_next[st.to as usize - self.node_lo] += 1;
             self.in_flight_next += 1;
             self.bits_next += st.bits;
             self.queue_local(st.to as usize);
         }
+        self.inbound = staged;
     }
 
     /// Flushes the outbound staging buffers into the destinations' inbound
@@ -333,11 +359,12 @@ impl<P: NodeProtocol> Shard<P> {
         map: &ShardMap,
         contexts: &[NodeContext<'_>],
     ) {
+        let mut outbox = std::mem::take(&mut self.outbox);
         for local in 0..self.nodes.len() {
             let idx = self.node_lo + local;
             let ctx = &contexts[idx];
-            let outgoing = self.nodes[local].init(ctx);
-            for out in outgoing {
+            self.nodes[local].init(ctx, &mut outbox);
+            for out in outbox.drain(..) {
                 if let Err(err) = self.post(config, topo, map, ctx, out, 0) {
                     self.error = Some(err);
                     return;
@@ -345,11 +372,12 @@ impl<P: NodeProtocol> Shard<P> {
             }
             if !self.nodes[local].is_done() {
                 match self.nodes[local].next_wake(0) {
-                    Some(r) if r > 1 => self.wakes.push(Reverse((r, idx as u32))),
+                    Some(r) if r > 1 => self.wakes.push(r, idx as u32),
                     _ => self.queue_local(idx),
                 }
             }
         }
+        self.outbox = outbox;
     }
 
     /// Phase `round ≥ 1`: merge inbound mail, pop due timers, flip buffers,
@@ -364,15 +392,10 @@ impl<P: NodeProtocol> Shard<P> {
         shared: &Shared<P::Message>,
     ) {
         self.merge_inbound(round, shared);
-        while let Some(&Reverse((due, idx))) = self.wakes.peek() {
-            if due > round {
-                break;
-            }
-            self.wakes.pop();
-            self.queue_local(idx as usize);
-        }
+        self.fire_wakes(round);
         self.begin_round();
         let worklist = std::mem::take(&mut self.worklist_cur);
+        let mut outbox = std::mem::take(&mut self.outbox);
         self.polls += worklist.len() as u64;
         'nodes: for &vi in &worklist {
             let idx = vi as usize;
@@ -380,9 +403,9 @@ impl<P: NodeProtocol> Shard<P> {
             let ctx = &contexts[idx];
             self.drain_into(idx, topo, ctx);
             let scratch = std::mem::take(&mut self.scratch);
-            let outgoing = self.nodes[local].on_round(ctx, round, &scratch);
+            self.nodes[local].on_round(ctx, round, &scratch, &mut outbox);
             self.scratch = scratch;
-            for out in outgoing {
+            for out in outbox.drain(..) {
                 if let Err(err) = self.post(config, topo, map, ctx, out, round) {
                     self.error = Some(err);
                     break 'nodes;
@@ -390,12 +413,13 @@ impl<P: NodeProtocol> Shard<P> {
             }
             if !self.nodes[local].is_done() {
                 match self.nodes[local].next_wake(round) {
-                    Some(r) if r > round + 1 => self.wakes.push(Reverse((r, idx as u32))),
+                    Some(r) if r > round + 1 => self.wakes.push(r, idx as u32),
                     _ => self.queue_local(idx),
                 }
             }
         }
         self.worklist_cur = worklist;
+        self.outbox = outbox;
     }
 
     /// Fault-mode post: identical validation and send accounting to
@@ -506,14 +530,9 @@ impl<P: NodeProtocol> Shard<P> {
     /// shard's delivery heap (their due rounds are still in the future, so
     /// ordering is preserved).
     fn merge_inbound_faulty(&mut self, phase: u64, shared: &Shared<P::Message>) {
-        let staged = {
-            let mut inbox = shared.inboxes[(phase % 2) as usize][self.id]
-                .lock()
-                .expect("no worker panics while holding an inbox lock");
-            std::mem::take(&mut *inbox)
-        };
+        let mut staged = self.take_inbound(phase, shared);
         let fault = self.fault.as_mut().expect("fault mode is on");
-        for st in staged {
+        for st in staged.drain(..) {
             fault.heap.push(Reverse(Delayed {
                 due: st.due,
                 slot: st.slot,
@@ -523,6 +542,7 @@ impl<P: NodeProtocol> Shard<P> {
                 msg: st.msg,
             }));
         }
+        self.inbound = staged;
     }
 
     /// Fault-mode phase 0: `init` every non-crashed node of the shard in
@@ -536,37 +556,33 @@ impl<P: NodeProtocol> Shard<P> {
         fs: &FaultState,
         contexts: &[NodeContext<'_>],
     ) {
+        let mut outbox = std::mem::take(&mut self.outbox);
         for local in 0..self.nodes.len() {
             let idx = self.node_lo + local;
             if fs.crashed_at(idx, 0) {
                 continue;
             }
             let ctx = &contexts[idx];
-            let outgoing = self.nodes[local].init(ctx);
-            for out in outgoing {
+            self.nodes[local].init(ctx, &mut outbox);
+            for out in outbox.drain(..) {
                 if let Err(err) = self.post_faulty(config, topo, map, fs, ctx, out, 0) {
                     self.error = Some(err);
                     return;
                 }
             }
             if !self.nodes[local].is_done() {
-                let target = match self.nodes[local].next_wake(0) {
-                    Some(r) => r.max(1),
-                    None => 1,
-                };
-                let due = fs.next_poll(idx, target);
-                if due > 1 {
-                    self.wakes.push(Reverse((due, idx as u32)));
-                } else {
-                    self.queue_local(idx);
+                match fs.wake_round(idx, self.nodes[local].next_wake(0), 0) {
+                    due if due > 1 => self.wakes.push(due, idx as u32),
+                    _ => self.queue_local(idx),
                 }
             }
         }
+        self.outbox = outbox;
         if let Some(r) = fs.restart_local_round() {
             for &v in fs.crash_nodes() {
                 let idx = v as usize;
                 if idx >= self.node_lo && idx < self.node_lo + self.nodes.len() {
-                    self.wakes.push(Reverse((r, v)));
+                    self.wakes.push(r, v);
                 }
             }
         }
@@ -588,13 +604,7 @@ impl<P: NodeProtocol> Shard<P> {
         shared: &Shared<P::Message>,
     ) {
         self.merge_inbound_faulty(round, shared);
-        while let Some(&Reverse((due, idx))) = self.wakes.peek() {
-            if due > round {
-                break;
-            }
-            self.wakes.pop();
-            self.queue_local(idx as usize);
-        }
+        self.fire_wakes(round);
         let mut delivered: u64 = 0;
         let mut bits: u64 = 0;
         {
@@ -636,6 +646,7 @@ impl<P: NodeProtocol> Shard<P> {
         self.last_delivered = delivered;
         self.last_bits = bits;
         let worklist = std::mem::take(&mut self.worklist_cur);
+        let mut outbox = std::mem::take(&mut self.outbox);
         let restart_round = fs.restart_local_round();
         'nodes: for &vi in &worklist {
             let idx = vi as usize;
@@ -658,42 +669,30 @@ impl<P: NodeProtocol> Shard<P> {
                 }
                 fault.inboxes[local].clear();
                 self.polls += 1;
-                let outgoing = self.nodes[local].init(ctx);
-                for out in outgoing {
-                    if let Err(err) = self.post_faulty(config, topo, map, fs, ctx, out, round) {
-                        self.error = Some(err);
-                        break 'nodes;
-                    }
-                }
+                self.nodes[local].init(ctx, &mut outbox);
             } else {
                 let fault = self.fault.as_mut().expect("fault mode is on");
-                let incoming = std::mem::take(&mut fault.inboxes[local]);
+                let mut incoming = std::mem::take(&mut fault.inboxes[local]);
                 self.polls += 1;
-                let outgoing = self.nodes[local].on_round(ctx, round, &incoming);
-                let mut incoming = incoming;
+                self.nodes[local].on_round(ctx, round, &incoming, &mut outbox);
                 incoming.clear();
                 self.fault.as_mut().expect("fault mode is on").inboxes[local] = incoming;
-                for out in outgoing {
-                    if let Err(err) = self.post_faulty(config, topo, map, fs, ctx, out, round) {
-                        self.error = Some(err);
-                        break 'nodes;
-                    }
+            }
+            for out in outbox.drain(..) {
+                if let Err(err) = self.post_faulty(config, topo, map, fs, ctx, out, round) {
+                    self.error = Some(err);
+                    break 'nodes;
                 }
             }
             if !self.nodes[local].is_done() {
-                let target = match self.nodes[local].next_wake(round) {
-                    Some(r) => r.max(round + 1),
-                    None => round + 1,
-                };
-                let due = fs.next_poll(idx, target);
-                if due > round + 1 {
-                    self.wakes.push(Reverse((due, idx as u32)));
-                } else {
-                    self.queue_local(idx);
+                match fs.wake_round(idx, self.nodes[local].next_wake(round), round) {
+                    due if due > round + 1 => self.wakes.push(due, idx as u32),
+                    _ => self.queue_local(idx),
                 }
             }
         }
         self.worklist_cur = worklist;
+        self.outbox = outbox;
     }
 
     /// The worker loop: execute phases until the coordinator says stop.
@@ -828,8 +827,9 @@ where
             queued: vec![false; range.len()],
             worklist_cur: Vec::new(),
             worklist_next: Vec::new(),
-            wakes: BinaryHeap::new(),
+            wakes: Calendar::new(),
             staging: (0..shard_count).map(|_| Vec::new()).collect(),
+            inbound: Vec::new(),
             in_flight_next: 0,
             bits_next: 0,
             last_delivered: 0,
@@ -842,6 +842,7 @@ where
             error: None,
             panic: None,
             scratch: Vec::new(),
+            outbox: Vec::new(),
             fault,
         });
     }

@@ -320,6 +320,16 @@ impl FaultState {
         }
     }
 
+    /// The round at which a node that is not done must next be polled,
+    /// having just been polled at `round`: its `next_wake` answer (`None`
+    /// meaning the next round) aligned to its poll schedule. Stragglers can
+    /// only be polled on their poll rounds, so a late wake is exactly the
+    /// straggler fault; the protocol layer budgets for it.
+    pub(crate) fn wake_round(&self, node: usize, wake: Option<u64>, round: u64) -> u64 {
+        let target = wake.map_or(round + 1, |r| r.max(round + 1));
+        self.next_poll(node, target)
+    }
+
     /// Whether the delivery into `slot` (recipient-side directed-edge
     /// index) during local round `round` is lost.
     pub(crate) fn lose(&self, slot: u64, round: u64) -> bool {

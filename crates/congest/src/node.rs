@@ -117,21 +117,29 @@ pub struct Incoming<M> {
 /// *scheduled*, passing the messages delivered to the node in that round.
 /// Execution stops when every node reports [`NodeProtocol::is_done`] and no
 /// messages are in flight.
+///
+/// **Outbox contract:** both calls send by pushing onto `out`, a buffer the
+/// engine owns and reuses for every poll. It arrives empty; after the call
+/// the engine validates and posts its messages in push order and leaves it
+/// empty again, so a protocol never allocates to send.
 pub trait NodeProtocol {
     /// The message type exchanged by this protocol.
     type Message: Clone + crate::MessageBits;
 
-    /// Called once before round 1; may already send messages.
-    fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<Self::Message>>;
+    /// Called once before round 1; may already send messages by pushing
+    /// them onto `out` (empty on entry, posted in push order).
+    fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<Self::Message>>);
 
     /// Called once per scheduled round with all messages delivered this
-    /// round.
+    /// round; sends by pushing onto `out` (empty on entry, posted in push
+    /// order).
     fn on_round(
         &mut self,
         ctx: &NodeContext<'_>,
         round: u64,
         incoming: &[Incoming<Self::Message>],
-    ) -> Vec<Outgoing<Self::Message>>;
+        out: &mut Vec<Outgoing<Self::Message>>,
+    );
 
     /// Whether this node has reached a quiescent state. A quiescent node may
     /// still be woken again by incoming messages in later rounds.

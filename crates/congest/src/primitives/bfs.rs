@@ -84,15 +84,10 @@ impl DistributedBfs {
 impl NodeProtocol for DistributedBfs {
     type Message = u32;
 
-    fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<u32>> {
+    fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<u32>>) {
         if ctx.node == self.root {
             self.must_announce = false;
-            ctx.neighbor_ids()
-                .iter()
-                .map(|&v| Outgoing::new(v, 0))
-                .collect()
-        } else {
-            Vec::new()
+            out.extend(ctx.neighbor_ids().iter().map(|&v| Outgoing::new(v, 0)));
         }
     }
 
@@ -101,7 +96,8 @@ impl NodeProtocol for DistributedBfs {
         ctx: &NodeContext<'_>,
         _round: u64,
         incoming: &[Incoming<u32>],
-    ) -> Vec<Outgoing<u32>> {
+        out: &mut Vec<Outgoing<u32>>,
+    ) {
         if self.depth.is_none() {
             // Adopt the first (and therefore smallest-level) announcement;
             // ties are broken by the smallest sender id for determinism.
@@ -114,14 +110,13 @@ impl NodeProtocol for DistributedBfs {
         if self.must_announce {
             self.must_announce = false;
             let level = self.depth.expect("announcing nodes have joined");
-            return ctx
-                .neighbor_ids()
-                .iter()
-                .filter(|&&v| Some(v) != self.parent)
-                .map(|&v| Outgoing::new(v, level))
-                .collect();
+            out.extend(
+                ctx.neighbor_ids()
+                    .iter()
+                    .filter(|&&v| Some(v) != self.parent)
+                    .map(|&v| Outgoing::new(v, level)),
+            );
         }
-        Vec::new()
     }
 
     fn is_done(&self) -> bool {

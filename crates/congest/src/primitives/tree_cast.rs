@@ -48,8 +48,8 @@ struct ConvergecastNode {
 impl NodeProtocol for ConvergecastNode {
     type Message = u64;
 
-    fn init(&mut self, _ctx: &NodeContext) -> Vec<Outgoing<u64>> {
-        self.maybe_send()
+    fn init(&mut self, _ctx: &NodeContext, out: &mut Vec<Outgoing<u64>>) {
+        self.maybe_send(out);
     }
 
     fn on_round(
@@ -57,12 +57,13 @@ impl NodeProtocol for ConvergecastNode {
         _ctx: &NodeContext,
         _round: u64,
         incoming: &[Incoming<u64>],
-    ) -> Vec<Outgoing<u64>> {
+        out: &mut Vec<Outgoing<u64>>,
+    ) {
         for msg in incoming {
             self.accumulator = self.op.combine(self.accumulator, msg.msg);
             self.pending_children -= 1;
         }
-        self.maybe_send()
+        self.maybe_send(out);
     }
 
     fn is_done(&self) -> bool {
@@ -71,14 +72,13 @@ impl NodeProtocol for ConvergecastNode {
 }
 
 impl ConvergecastNode {
-    fn maybe_send(&mut self) -> Vec<Outgoing<u64>> {
+    fn maybe_send(&mut self, out: &mut Vec<Outgoing<u64>>) {
         if self.pending_children == 0 && !self.sent {
             if let Some(parent) = self.parent {
                 self.sent = true;
-                return vec![Outgoing::new(parent, self.accumulator)];
+                out.push(Outgoing::new(parent, self.accumulator));
             }
         }
-        Vec::new()
     }
 }
 
@@ -139,8 +139,8 @@ struct BroadcastNode {
 impl NodeProtocol for BroadcastNode {
     type Message = u64;
 
-    fn init(&mut self, _ctx: &NodeContext) -> Vec<Outgoing<u64>> {
-        self.maybe_forward()
+    fn init(&mut self, _ctx: &NodeContext, out: &mut Vec<Outgoing<u64>>) {
+        self.maybe_forward(out);
     }
 
     fn on_round(
@@ -148,11 +148,12 @@ impl NodeProtocol for BroadcastNode {
         _ctx: &NodeContext,
         _round: u64,
         incoming: &[Incoming<u64>],
-    ) -> Vec<Outgoing<u64>> {
+        out: &mut Vec<Outgoing<u64>>,
+    ) {
         if let Some(first) = incoming.first() {
             self.received.get_or_insert(first.msg);
         }
-        self.maybe_forward()
+        self.maybe_forward(out);
     }
 
     fn is_done(&self) -> bool {
@@ -161,16 +162,10 @@ impl NodeProtocol for BroadcastNode {
 }
 
 impl BroadcastNode {
-    fn maybe_forward(&mut self) -> Vec<Outgoing<u64>> {
-        match (self.received, self.forwarded) {
-            (Some(value), false) => {
-                self.forwarded = true;
-                self.children
-                    .iter()
-                    .map(|&c| Outgoing::new(c, value))
-                    .collect()
-            }
-            _ => Vec::new(),
+    fn maybe_forward(&mut self, out: &mut Vec<Outgoing<u64>>) {
+        if let (Some(value), false) = (self.received, self.forwarded) {
+            self.forwarded = true;
+            out.extend(self.children.iter().map(|&c| Outgoing::new(c, value)));
         }
     }
 }

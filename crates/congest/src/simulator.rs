@@ -327,12 +327,9 @@ mod tests {
     impl NodeProtocol for FloodOnce {
         type Message = ();
 
-        fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<()>> {
+        fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<()>>) {
             self.started = true;
-            ctx.neighbor_ids()
-                .iter()
-                .map(|&v| Outgoing::new(v, ()))
-                .collect()
+            out.extend(ctx.neighbor_ids().iter().map(|&v| Outgoing::new(v, ())));
         }
 
         fn on_round(
@@ -340,9 +337,9 @@ mod tests {
             _ctx: &NodeContext<'_>,
             _round: u64,
             incoming: &[Incoming<()>],
-        ) -> Vec<Outgoing<()>> {
+            _out: &mut Vec<Outgoing<()>>,
+        ) {
             self.received += incoming.len();
-            Vec::new()
         }
 
         fn is_done(&self) -> bool {
@@ -422,11 +419,9 @@ mod tests {
     impl NodeProtocol for BadSender {
         type Message = ();
 
-        fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<()>> {
+        fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<()>>) {
             if ctx.node == NodeId::new(0) {
-                vec![Outgoing::new(NodeId::new(3), ())]
-            } else {
-                Vec::new()
+                out.push(Outgoing::new(NodeId::new(3), ()));
             }
         }
 
@@ -435,8 +430,8 @@ mod tests {
             _: &NodeContext<'_>,
             _: u64,
             _: &[Incoming<()>],
-        ) -> Vec<Outgoing<()>> {
-            Vec::new()
+            _: &mut Vec<Outgoing<()>>,
+        ) {
         }
 
         fn is_done(&self) -> bool {
@@ -469,12 +464,13 @@ mod tests {
     impl NodeProtocol for BigTalker {
         type Message = (u64, u64);
 
-        fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<(u64, u64)>> {
-            ctx.neighbor_ids()
-                .iter()
-                .take(1)
-                .map(|&v| Outgoing::new(v, (0, 0)))
-                .collect()
+        fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<(u64, u64)>>) {
+            out.extend(
+                ctx.neighbor_ids()
+                    .iter()
+                    .take(1)
+                    .map(|&v| Outgoing::new(v, (0, 0))),
+            );
         }
 
         fn on_round(
@@ -482,8 +478,8 @@ mod tests {
             _: &NodeContext<'_>,
             _: u64,
             _: &[Incoming<(u64, u64)>],
-        ) -> Vec<Outgoing<(u64, u64)>> {
-            Vec::new()
+            _: &mut Vec<Outgoing<(u64, u64)>>,
+        ) {
         }
 
         fn is_done(&self) -> bool {
@@ -519,17 +515,15 @@ mod tests {
     impl NodeProtocol for Restless {
         type Message = ();
 
-        fn init(&mut self, _: &NodeContext<'_>) -> Vec<Outgoing<()>> {
-            Vec::new()
-        }
+        fn init(&mut self, _: &NodeContext<'_>, _: &mut Vec<Outgoing<()>>) {}
 
         fn on_round(
             &mut self,
             _: &NodeContext<'_>,
             _: u64,
             _: &[Incoming<()>],
-        ) -> Vec<Outgoing<()>> {
-            Vec::new()
+            _: &mut Vec<Outgoing<()>>,
+        ) {
         }
 
         fn is_done(&self) -> bool {
@@ -558,14 +552,10 @@ mod tests {
         struct DoubleSender;
         impl NodeProtocol for DoubleSender {
             type Message = ();
-            fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<()>> {
+            fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<()>>) {
                 if ctx.node == NodeId::new(0) {
-                    vec![
-                        Outgoing::new(NodeId::new(1), ()),
-                        Outgoing::new(NodeId::new(1), ()),
-                    ]
-                } else {
-                    Vec::new()
+                    out.push(Outgoing::new(NodeId::new(1), ()));
+                    out.push(Outgoing::new(NodeId::new(1), ()));
                 }
             }
             fn on_round(
@@ -573,8 +563,8 @@ mod tests {
                 _: &NodeContext<'_>,
                 _: u64,
                 _: &[Incoming<()>],
-            ) -> Vec<Outgoing<()>> {
-                Vec::new()
+                _: &mut Vec<Outgoing<()>>,
+            ) {
             }
             fn is_done(&self) -> bool {
                 true
@@ -600,15 +590,10 @@ mod tests {
         }
         impl NodeProtocol for CountPolls {
             type Message = ();
-            fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<()>> {
+            fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<()>>) {
                 // Node 0 pings its neighbors once, in round 3's mail.
                 if ctx.node == NodeId::new(0) {
-                    ctx.neighbor_ids()
-                        .iter()
-                        .map(|&v| Outgoing::new(v, ()))
-                        .collect()
-                } else {
-                    Vec::new()
+                    out.extend(ctx.neighbor_ids().iter().map(|&v| Outgoing::new(v, ())));
                 }
             }
             fn on_round(
@@ -616,12 +601,12 @@ mod tests {
                 _: &NodeContext<'_>,
                 _: u64,
                 incoming: &[Incoming<()>],
-            ) -> Vec<Outgoing<()>> {
+                _: &mut Vec<Outgoing<()>>,
+            ) {
                 self.polls += 1;
                 if !incoming.is_empty() {
                     self.woken = true;
                 }
-                Vec::new()
             }
             fn is_done(&self) -> bool {
                 true
@@ -716,22 +701,19 @@ mod tests {
         }
         impl NodeProtocol for Panicky {
             type Message = ();
-            fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<()>> {
-                ctx.neighbor_ids()
-                    .iter()
-                    .map(|&v| Outgoing::new(v, ()))
-                    .collect()
+            fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<()>>) {
+                out.extend(ctx.neighbor_ids().iter().map(|&v| Outgoing::new(v, ())));
             }
             fn on_round(
                 &mut self,
                 _: &NodeContext<'_>,
                 _: u64,
                 _: &[Incoming<()>],
-            ) -> Vec<Outgoing<()>> {
+                _: &mut Vec<Outgoing<()>>,
+            ) {
                 if self.id == 5 {
                     panic!("protocol invariant violated at node {}", self.id);
                 }
-                Vec::new()
             }
             fn is_done(&self) -> bool {
                 true

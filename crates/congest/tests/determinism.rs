@@ -53,15 +53,14 @@ impl DelayedRelay {
 impl NodeProtocol for DelayedRelay {
     type Message = (u32, u32);
 
-    fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<(u32, u32)>> {
+    fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<(u32, u32)>>) {
         // Every third node seeds a wave towards all neighbors.
         if self.id.is_multiple_of(3) {
-            ctx.neighbor_ids()
-                .iter()
-                .map(|&v| Outgoing::new(v, (self.id as u32, 0)))
-                .collect()
-        } else {
-            Vec::new()
+            out.extend(
+                ctx.neighbor_ids()
+                    .iter()
+                    .map(|&v| Outgoing::new(v, (self.id as u32, 0))),
+            );
         }
     }
 
@@ -70,7 +69,8 @@ impl NodeProtocol for DelayedRelay {
         ctx: &NodeContext<'_>,
         round: u64,
         incoming: &[Incoming<(u32, u32)>],
-    ) -> Vec<Outgoing<(u32, u32)>> {
+        out: &mut Vec<Outgoing<(u32, u32)>>,
+    ) {
         for msg in incoming {
             self.received += 1;
             self.checksum = self
@@ -92,11 +92,10 @@ impl NodeProtocol for DelayedRelay {
                 // depend on the timing, which is what we want to pin.
                 let k = (self.id + hops as usize) % ctx.degree().max(1);
                 if ctx.degree() > 0 {
-                    return vec![Outgoing::new(ctx.neighbor_ids()[k], (self.id as u32, hops))];
+                    out.push(Outgoing::new(ctx.neighbor_ids()[k], (self.id as u32, hops)));
                 }
             }
         }
-        Vec::new()
     }
 
     fn is_done(&self) -> bool {

@@ -50,14 +50,13 @@ impl DelayedRelay {
 impl NodeProtocol for DelayedRelay {
     type Message = (u32, u32);
 
-    fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<(u32, u32)>> {
+    fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<(u32, u32)>>) {
         if self.id.is_multiple_of(3) {
-            ctx.neighbor_ids()
-                .iter()
-                .map(|&v| Outgoing::new(v, (self.id as u32, 0)))
-                .collect()
-        } else {
-            Vec::new()
+            out.extend(
+                ctx.neighbor_ids()
+                    .iter()
+                    .map(|&v| Outgoing::new(v, (self.id as u32, 0))),
+            );
         }
     }
 
@@ -66,7 +65,8 @@ impl NodeProtocol for DelayedRelay {
         ctx: &NodeContext<'_>,
         round: u64,
         incoming: &[Incoming<(u32, u32)>],
-    ) -> Vec<Outgoing<(u32, u32)>> {
+        out: &mut Vec<Outgoing<(u32, u32)>>,
+    ) {
         for msg in incoming {
             self.received += 1;
             self.checksum = self
@@ -84,11 +84,10 @@ impl NodeProtocol for DelayedRelay {
                 self.relays_left = self.relays_left.saturating_sub(1);
                 let k = (self.id + hops as usize) % ctx.degree().max(1);
                 if ctx.degree() > 0 {
-                    return vec![Outgoing::new(ctx.neighbor_ids()[k], (self.id as u32, hops))];
+                    out.push(Outgoing::new(ctx.neighbor_ids()[k], (self.id as u32, hops)));
                 }
             }
         }
-        Vec::new()
     }
 
     fn is_done(&self) -> bool {

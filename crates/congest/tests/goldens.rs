@@ -46,14 +46,9 @@ fn golden_traced_flood_on_path() {
     }
     impl NodeProtocol for Flood {
         type Message = u32;
-        fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<u32>> {
+        fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<u32>>) {
             if ctx.node == self.root {
-                ctx.neighbor_ids()
-                    .iter()
-                    .map(|&v| Outgoing::new(v, 0))
-                    .collect()
-            } else {
-                Vec::new()
+                out.extend(ctx.neighbor_ids().iter().map(|&v| Outgoing::new(v, 0)));
             }
         }
         fn on_round(
@@ -61,7 +56,8 @@ fn golden_traced_flood_on_path() {
             ctx: &NodeContext<'_>,
             _round: u64,
             incoming: &[Incoming<u32>],
-        ) -> Vec<Outgoing<u32>> {
+            out: &mut Vec<Outgoing<u32>>,
+        ) {
             if self.level.is_none() {
                 if let Some(m) = incoming.iter().min_by_key(|m| (m.msg, m.from)) {
                     self.level = Some(m.msg + 1);
@@ -71,13 +67,8 @@ fn golden_traced_flood_on_path() {
             if self.announce {
                 self.announce = false;
                 let level = self.level.expect("announcing nodes have joined");
-                return ctx
-                    .neighbor_ids()
-                    .iter()
-                    .map(|&v| Outgoing::new(v, level))
-                    .collect();
+                out.extend(ctx.neighbor_ids().iter().map(|&v| Outgoing::new(v, level)));
             }
-            Vec::new()
         }
         fn is_done(&self) -> bool {
             self.level.is_some() && !self.announce

@@ -32,14 +32,13 @@ struct Wave {
 impl NodeProtocol for Wave {
     type Message = u32;
 
-    fn init(&mut self, ctx: &NodeContext<'_>) -> Vec<Outgoing<u32>> {
+    fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<u32>>) {
         if self.id.is_multiple_of(2) {
-            ctx.neighbor_ids()
-                .iter()
-                .map(|&v| Outgoing::new(v, self.id as u32))
-                .collect()
-        } else {
-            Vec::new()
+            out.extend(
+                ctx.neighbor_ids()
+                    .iter()
+                    .map(|&v| Outgoing::new(v, self.id as u32)),
+            );
         }
     }
 
@@ -48,7 +47,8 @@ impl NodeProtocol for Wave {
         ctx: &NodeContext<'_>,
         round: u64,
         incoming: &[Incoming<u32>],
-    ) -> Vec<Outgoing<u32>> {
+        out: &mut Vec<Outgoing<u32>>,
+    ) {
         if !self.relayed && self.pending.is_none() {
             if let Some(msg) = incoming.first() {
                 self.pending = Some((round + 1 + (self.id as u64 % 3), msg.msg));
@@ -60,11 +60,10 @@ impl NodeProtocol for Wave {
                 self.relayed = true;
                 if ctx.degree() > 0 {
                     let k = self.id % ctx.degree();
-                    return vec![Outgoing::new(ctx.neighbor_ids()[k], token)];
+                    out.push(Outgoing::new(ctx.neighbor_ids()[k], token));
                 }
             }
         }
-        Vec::new()
     }
 
     fn is_done(&self) -> bool {

@@ -29,6 +29,9 @@
 //! into a [`NodeProtocol`] and runs it in the CONGEST simulator with the
 //! per-edge bandwidth enforced on every message.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use lcs_congest::{
     bits_for_count, Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing, SimConfig,
     SimOutcome, Simulator,
@@ -92,22 +95,34 @@ impl<V: Clone, C: Clone> MessageBits for EngineMsg<V, C> {
     }
 }
 
-/// Per-membership state of the current superstep's convergecast/broadcast.
+/// Per-membership state of the current superstep's convergecast/broadcast,
+/// reset in place at every superstep.
 #[derive(Debug, Clone)]
 struct Run<V> {
     pending: usize,
     acc: Option<V>,
     sent_up: bool,
     agreed: Option<V>,
-    /// `(child, relative delivery round)` of this superstep's upward
-    /// messages — the broadcast sends down over the same edges at the
-    /// mirrored rounds. In fault mode it doubles as the heard-from set
+    /// Fault mode only: the children heard from this superstep, the set
     /// that deduplicates duplicated upward copies.
-    child_rel: Vec<(NodeId, u64)>,
+    heard: Vec<NodeId>,
     /// Fault mode only: which children have received their first downward
     /// copy (indexed like `Membership::children`; empty in fault-free
     /// runs, where the time-reversed mirror schedule is used instead).
     downs_sent: Vec<bool>,
+}
+
+impl<V> Run<V> {
+    fn new() -> Self {
+        Run {
+            pending: 0,
+            acc: None,
+            sent_up: false,
+            agreed: None,
+            heard: Vec::new(),
+            downs_sent: Vec::new(),
+        }
+    }
 }
 
 /// How many supersteps to run and whether block values are broadcast back
@@ -144,10 +159,17 @@ pub(crate) fn engine_rounds(l: u64, spec: EngineSpec) -> u64 {
 }
 
 /// The engine as a per-node CONGEST protocol.
+///
+/// Apart from the reset at each window boundary, a fault-free poll costs
+/// the same however many blocks the node serves: the next block to forward
+/// comes off the `ready` heap, the mirrored broadcast sends come off the
+/// `downs` stack, and nothing scans the memberships. The node's
+/// [`NodeInfo`] is borrowed from the family, and its per-superstep state
+/// is reset in place.
 #[derive(Debug)]
-pub(crate) struct EngineNode<P: NodeProgram> {
+pub(crate) struct EngineNode<'f, P: NodeProgram> {
     program: P,
-    info: NodeInfo,
+    info: &'f NodeInfo,
     l: u64,
     window: u64,
     steps: u64,
@@ -157,6 +179,15 @@ pub(crate) struct EngineNode<P: NodeProgram> {
     cross_msg_bits: usize,
     step: u64,
     runs: Vec<Run<P::Val>>,
+    /// Memberships ready to forward upward this superstep (not the block
+    /// root, every in-block child heard, not yet sent), keyed by the
+    /// Lemma 2 priority `(root_depth, block)` plus the membership index.
+    ready: BinaryHeap<Reverse<(u32, u32, u32)>>,
+    /// Fault-free broadcast schedule: `(send round, membership, child)`
+    /// for each upward delivery of this superstep, pushed in arrival
+    /// order. Arrival rounds only grow, so the mirrored send rounds only
+    /// shrink and the top of the stack is always the next send.
+    downs: Vec<(u64, u32, NodeId)>,
     finished: bool,
     /// Fault mode: tolerate delayed/lost/duplicated deliveries. `l` is the
     /// latency-stretched schedule length, the window layout changes to
@@ -169,7 +200,10 @@ pub(crate) struct EngineNode<P: NodeProgram> {
     cross_span: u64,
 }
 
-impl<P: NodeProgram> EngineNode<P> {
+/// The simulator-owned outbox an [`EngineNode`] sends into.
+type Outbox<P> = Vec<Outgoing<EngineMsg<<P as NodeProgram>::Val, <P as NodeProgram>::Cross>>>;
+
+impl<P: NodeProgram> EngineNode<'_, P> {
     /// The plugged-in program, for result extraction after the run.
     pub fn program(&self) -> &P {
         &self.program
@@ -179,53 +213,67 @@ impl<P: NodeProgram> EngineNode<P> {
         self.step * self.window
     }
 
+    /// Index of the membership of `block`. Memberships are built in
+    /// ascending block order, so this is a binary search.
+    fn membership_of(&self, block: u32) -> usize {
+        self.info
+            .memberships
+            .binary_search_by_key(&(block as usize), |m| m.block)
+            .expect("tree messages only arrive within a block")
+    }
+
     fn start_superstep(&mut self) {
         let step = self.step;
-        let faulty = self.faulty;
-        self.runs.clear();
-        for (i, m) in self.info.memberships.iter().enumerate() {
-            let contribution = self.program.contribution(&self.info, m, step);
-            self.runs.push(Run {
-                pending: m.children.len(),
-                acc: Some(contribution),
-                sent_up: false,
-                agreed: None,
-                child_rel: Vec::new(),
-                downs_sent: if faulty {
-                    vec![false; m.children.len()]
+        let info = self.info;
+        if self.runs.len() != info.memberships.len() {
+            self.runs = info.memberships.iter().map(|_| Run::new()).collect();
+        }
+        self.ready.clear();
+        self.downs.clear();
+        for (i, m) in info.memberships.iter().enumerate() {
+            let contribution = self.program.contribution(info, m, step);
+            let run = &mut self.runs[i];
+            run.pending = m.children.len();
+            run.acc = Some(contribution);
+            run.sent_up = false;
+            run.agreed = None;
+            run.heard.clear();
+            run.downs_sent.clear();
+            if self.faulty {
+                run.downs_sent.resize(m.children.len(), false);
+            }
+            if m.children.is_empty() {
+                if m.is_root {
+                    // Childless roots agree immediately.
+                    let val = run.acc.clone().expect("contribution just set");
+                    run.agreed = Some(val.clone());
+                    self.program.on_agreed(info, m, &val, step);
                 } else {
-                    Vec::new()
-                },
-            });
-            // Childless roots agree immediately.
-            if m.is_root && m.children.is_empty() {
-                let val = self.runs[i].acc.clone().expect("contribution just set");
-                self.runs[i].agreed = Some(val.clone());
-                self.program.on_agreed(&self.info, m, &val, step);
+                    self.ready
+                        .push(Reverse((m.root_depth, m.block as u32, i as u32)));
+                }
             }
         }
     }
 
     fn handle_up(&mut self, from: NodeId, block: u32, val: P::Val, round: u64) {
         let step = self.step;
-        let idx = self
-            .info
-            .memberships
-            .iter()
-            .position(|m| m.block == block as usize)
-            .expect("upward messages only arrive within a block");
-        let rel = round - self.base();
+        let info = self.info;
+        let idx = self.membership_of(block);
+        let base = self.base();
+        let rel = round - base;
         if self.faulty {
             // Duplicated copies and spurious ups (e.g. from a restarted
             // child re-running its protocol) are dropped instead of
             // tripping the fault-free invariants below.
             let run = &self.runs[idx];
-            if run.pending == 0 || run.child_rel.iter().any(|&(c, _)| c == from) {
+            if run.pending == 0 || run.heard.contains(&from) {
                 return;
             }
         } else {
             debug_assert!(rel >= 1 && rel <= self.l, "up delivery outside conv slot");
         }
+        let m = &info.memberships[idx];
         let run = &mut self.runs[idx];
         let acc = run.acc.take().expect("superstep started");
         run.acc = Some(self.program.combine(step, &acc, &val));
@@ -233,103 +281,121 @@ impl<P: NodeProgram> EngineNode<P> {
             .pending
             .checked_sub(1)
             .expect("no more child messages than children");
-        run.child_rel.push((from, rel));
-        let m = &self.info.memberships[idx];
-        if m.is_root && run.pending == 0 {
-            let agreed = run.acc.clone().expect("set above");
-            run.agreed = Some(agreed.clone());
-            self.program.on_agreed(&self.info, m, &agreed, step);
+        if self.faulty {
+            run.heard.push(from);
+        } else if self.broadcast_down {
+            self.downs.push((base + 2 * self.l - rel, idx as u32, from));
+        }
+        if run.pending == 0 {
+            if m.is_root {
+                let agreed = run.acc.clone().expect("set above");
+                run.agreed = Some(agreed.clone());
+                self.program.on_agreed(info, m, &agreed, step);
+            } else {
+                self.ready
+                    .push(Reverse((m.root_depth, m.block as u32, idx as u32)));
+            }
         }
     }
 
     fn handle_down(&mut self, block: u32, val: P::Val) {
-        let idx = self
-            .info
-            .memberships
-            .iter()
-            .position(|m| m.block == block as usize)
-            .expect("downward messages only arrive within a block");
+        let idx = self.membership_of(block);
         if self.faulty && self.runs[idx].agreed.is_some() {
             return; // duplicated or resent copy — already agreed
         }
         let step = self.step;
         self.runs[idx].agreed = Some(val.clone());
         self.program
-            .on_agreed(&self.info, &self.info.memberships[idx], &val, step);
+            .on_agreed(self.info, &self.info.memberships[idx], &val, step);
     }
 
-    fn emissions(&mut self, round: u64) -> Vec<Outgoing<EngineMsg<P::Val, P::Cross>>> {
-        let mut out = Vec::new();
-        let base = self.base();
+    /// Forwards the highest-priority ready block to its parent, if any (the
+    /// Lemma 2 greedy rule: shallowest block root, ties by block index).
+    fn send_up(&mut self, out: &mut Outbox<P>) {
+        let Some(Reverse((_, block, i))) = self.ready.pop() else {
+            return;
+        };
+        let i = i as usize;
+        let parent = self.info.memberships[i]
+            .parent
+            .expect("non-root memberships have parents");
+        let run = &mut self.runs[i];
+        run.sent_up = true;
+        let val = run.acc.clone().expect("superstep started");
+        out.push(Outgoing::new(
+            parent,
+            EngineMsg {
+                payload: Payload::Up { block, val },
+                bits: self.up_bits,
+                step: self.step as u32,
+            },
+        ));
+    }
 
-        // Convergecast slot: forward the highest-priority ready block.
-        if round >= base && round < base + self.l {
-            let pick = self
-                .info
-                .memberships
-                .iter()
-                .enumerate()
-                .filter(|(i, m)| !m.is_root && !self.runs[*i].sent_up && self.runs[*i].pending == 0)
-                .min_by_key(|(_, m)| (m.root_depth, m.block));
-            if let Some((i, m)) = pick {
-                let parent = m.parent.expect("non-root memberships have parents");
-                let val = self.runs[i].acc.clone().expect("superstep started");
-                let block = m.block as u32;
-                self.runs[i].sent_up = true;
+    /// The cross messages of superstep `step` to every same-part neighbor.
+    fn send_crosses(&mut self, out: &mut Outbox<P>) {
+        let info = self.info;
+        let step = self.step;
+        for &(to, _) in &info.part_neighbors {
+            if let Some(msg) = self.program.cross_message(info, to, step) {
                 out.push(Outgoing::new(
-                    parent,
+                    to,
                     EngineMsg {
-                        payload: Payload::Up { block, val },
-                        bits: self.up_bits,
-                        step: self.step as u32,
+                        payload: Payload::Cross(msg),
+                        bits: self.cross_msg_bits,
+                        step: step as u32,
                     },
                 ));
             }
         }
+    }
 
-        // Broadcast slot: mirror this superstep's upward deliveries.
-        if self.broadcast_down && self.l > 0 && round >= base + self.l && round < base + 2 * self.l
-        {
-            for (i, m) in self.info.memberships.iter().enumerate() {
-                for &(child, rel) in &self.runs[i].child_rel {
-                    if round == base + 2 * self.l - rel {
-                        let val = self.runs[i].agreed.clone().unwrap_or_else(|| {
-                            panic!("broadcast window overflow in block {}", m.block)
-                        });
-                        out.push(Outgoing::new(
-                            child,
-                            EngineMsg {
-                                payload: Payload::Down {
-                                    block: m.block as u32,
-                                    val,
-                                },
-                                bits: self.up_bits,
-                                step: self.step as u32,
-                            },
-                        ));
-                    }
-                }
-            }
+    fn emissions(&mut self, round: u64, out: &mut Outbox<P>) {
+        let base = self.base();
+
+        // Convergecast slot: forward the highest-priority ready block.
+        if round >= base && round < base + self.l {
+            self.send_up(out);
         }
+
+        // Broadcast slot: mirror this superstep's upward deliveries. The
+        // sends due now sit on top of the stack in arrival order; they go
+        // out in membership order, then arrival order.
+        let due = self
+            .downs
+            .iter()
+            .rposition(|&(at, ..)| at > round)
+            .map_or(0, |p| p + 1);
+        let sends = &mut self.downs[due..];
+        debug_assert!(
+            sends.iter().all(|&(at, ..)| at == round),
+            "mirror send skipped"
+        );
+        sends.sort_by_key(|&(_, i, _)| i);
+        for &(_, i, child) in sends.iter() {
+            let m = &self.info.memberships[i as usize];
+            let val = self.runs[i as usize]
+                .agreed
+                .clone()
+                .unwrap_or_else(|| panic!("broadcast window overflow in block {}", m.block));
+            out.push(Outgoing::new(
+                child,
+                EngineMsg {
+                    payload: Payload::Down {
+                        block: m.block as u32,
+                        val,
+                    },
+                    bits: self.up_bits,
+                    step: self.step as u32,
+                },
+            ));
+        }
+        self.downs.truncate(due);
 
         // Cross round: the supergraph step, skipped after the last superstep.
         if self.broadcast_down && round == base + 2 * self.l && self.step + 1 < self.steps {
-            let step = self.step;
-            for &(to, _) in &self.info.part_neighbors.clone() {
-                if let Some(msg) = self.program.cross_message(&self.info, to, step) {
-                    out.push(Outgoing::new(
-                        to,
-                        EngineMsg {
-                            payload: Payload::Cross(msg),
-                            bits: self.cross_msg_bits,
-                            step: self.step as u32,
-                        },
-                    ));
-                }
-            }
+            self.send_crosses(out);
         }
-
-        out
     }
 
     /// Fault-mode emissions: the window is laid out as
@@ -343,50 +409,29 @@ impl<P: NodeProgram> EngineNode<P> {
     /// Crosses are sent at every poll of the cross slot; the guard band
     /// absorbs the worst per-hop delay `(1 + latency) + (period - 1) ≤ s`,
     /// so every delivery lands before the next window boundary.
-    fn emissions_faulty(&mut self, round: u64) -> Vec<Outgoing<EngineMsg<P::Val, P::Cross>>> {
-        let mut out = Vec::new();
+    fn emissions_faulty(&mut self, round: u64, out: &mut Outbox<P>) {
         let base = self.base();
         let tree_end = base + 2 * self.l;
         let step_tag = self.step as u32;
+        let info = self.info;
+        // Every tree message of this poll is in `out` (which arrives
+        // empty), so it doubles as the set of edges already used.
+        let used = |out: &Outbox<P>, to: NodeId| out.iter().any(|o| o.to == to);
 
         if round >= base && round < tree_end {
-            let mut used: Vec<NodeId> = Vec::new();
             // First-time Up: one per poll, by the greedy priority rule.
-            let pick = self
-                .info
-                .memberships
-                .iter()
-                .enumerate()
-                .filter(|(i, m)| !m.is_root && !self.runs[*i].sent_up && self.runs[*i].pending == 0)
-                .min_by_key(|(_, m)| (m.root_depth, m.block));
-            if let Some((i, m)) = pick {
-                let parent = m.parent.expect("non-root memberships have parents");
-                let val = self.runs[i].acc.clone().expect("superstep started");
-                let block = m.block as u32;
-                self.runs[i].sent_up = true;
-                used.push(parent);
-                out.push(Outgoing::new(
-                    parent,
-                    EngineMsg {
-                        payload: Payload::Up { block, val },
-                        bits: self.up_bits,
-                        step: step_tag,
-                    },
-                ));
-            }
+            self.send_up(out);
             // First-time Downs: at most one per child edge per poll.
             if self.broadcast_down {
-                for i in 0..self.info.memberships.len() {
+                for (i, m) in info.memberships.iter().enumerate() {
                     if self.runs[i].agreed.is_none() {
                         continue;
                     }
-                    let m = &self.info.memberships[i];
                     for (ci, &child) in m.children.iter().enumerate() {
-                        if self.runs[i].downs_sent[ci] || used.contains(&child) {
+                        if self.runs[i].downs_sent[ci] || used(out, child) {
                             continue;
                         }
                         self.runs[i].downs_sent[ci] = true;
-                        used.push(child);
                         let val = self.runs[i].agreed.clone().expect("checked above");
                         out.push(Outgoing::new(
                             child,
@@ -404,16 +449,15 @@ impl<P: NodeProgram> EngineNode<P> {
             }
             // Resends on whatever edges are still free, rotated across
             // memberships so no block starves a shared edge.
-            let k = self.info.memberships.len();
+            let k = info.memberships.len();
             if k > 0 {
                 let start = (round as usize) % k;
                 for d in 0..k {
                     let i = (start + d) % k;
-                    let m = &self.info.memberships[i];
+                    let m = &info.memberships[i];
                     if !m.is_root && self.runs[i].sent_up && self.runs[i].pending == 0 {
                         let parent = m.parent.expect("non-root memberships have parents");
-                        if !used.contains(&parent) {
-                            used.push(parent);
+                        if !used(out, parent) {
                             let val = self.runs[i].acc.clone().expect("superstep started");
                             out.push(Outgoing::new(
                                 parent,
@@ -430,8 +474,7 @@ impl<P: NodeProgram> EngineNode<P> {
                     }
                     if self.broadcast_down && self.runs[i].agreed.is_some() {
                         for (ci, &child) in m.children.iter().enumerate() {
-                            if self.runs[i].downs_sent[ci] && !used.contains(&child) {
-                                used.push(child);
+                            if self.runs[i].downs_sent[ci] && !used(out, child) {
                                 let val = self.runs[i].agreed.clone().expect("checked above");
                                 out.push(Outgoing::new(
                                     child,
@@ -458,39 +501,25 @@ impl<P: NodeProgram> EngineNode<P> {
             && round < tree_end + CROSS_REDUNDANCY * self.cross_span
             && self.step + 1 < self.steps
         {
-            let step = self.step;
-            for &(to, _) in &self.info.part_neighbors.clone() {
-                if let Some(msg) = self.program.cross_message(&self.info, to, step) {
-                    out.push(Outgoing::new(
-                        to,
-                        EngineMsg {
-                            payload: Payload::Cross(msg),
-                            bits: self.cross_msg_bits,
-                            step: step_tag,
-                        },
-                    ));
-                }
-            }
+            self.send_crosses(out);
         }
-
-        out
     }
 }
 
-impl<P: NodeProgram> NodeProtocol for EngineNode<P> {
+impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
     type Message = EngineMsg<P::Val, P::Cross>;
 
-    fn init(&mut self, _ctx: &NodeContext) -> Vec<Outgoing<Self::Message>> {
+    fn init(&mut self, _ctx: &NodeContext, out: &mut Vec<Outgoing<Self::Message>>) {
         if self.steps == 0 {
             self.finished = true;
-            return Vec::new();
+            return;
         }
         self.start_superstep();
         self.finished = self.total_rounds == 0;
         if self.faulty {
-            self.emissions_faulty(0)
+            self.emissions_faulty(0, out);
         } else {
-            self.emissions(0)
+            self.emissions(0, out);
         }
     }
 
@@ -499,10 +528,12 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<P> {
         _ctx: &NodeContext,
         round: u64,
         incoming: &[Incoming<Self::Message>],
-    ) -> Vec<Outgoing<Self::Message>> {
+        out: &mut Vec<Outgoing<Self::Message>>,
+    ) {
         if self.steps == 0 {
-            return Vec::new();
+            return;
         }
+        let info = self.info;
         if self.faulty {
             // Catch up on window boundaries first (deliveries always land
             // strictly before their window's boundary, so nothing here can
@@ -523,41 +554,47 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<P> {
                         self.handle_up(msg.from, *block, val.clone(), round)
                     }
                     Payload::Down { block, val } => self.handle_down(*block, val.clone()),
-                    Payload::Cross(c) => {
-                        self.program.on_cross(&self.info, msg.from, c.clone(), step)
-                    }
+                    Payload::Cross(c) => self.program.on_cross(info, msg.from, c.clone(), step),
                 }
             }
             if round >= self.total_rounds {
                 self.finished = true;
             }
-            return self.emissions_faulty(round);
+            self.emissions_faulty(round, out);
+            return;
         }
-        // Deliver tree-cast messages of the current superstep; stash the
-        // cross messages, which arrive exactly at window boundaries.
-        let mut crosses: Vec<(NodeId, P::Cross)> = Vec::new();
+        // Deliver tree-cast messages of the current superstep; the cross
+        // messages arrive exactly at window boundaries.
         for msg in incoming {
             match &msg.msg.payload {
                 Payload::Up { block, val } => self.handle_up(msg.from, *block, val.clone(), round),
                 Payload::Down { block, val } => self.handle_down(*block, val.clone()),
-                Payload::Cross(c) => crosses.push((msg.from, c.clone())),
+                Payload::Cross(_) => {}
             }
         }
-        // Window boundary: fold in the crosses, then open the next window.
+        // Window boundary: fold in the crosses (in arrival order), then
+        // open the next window.
         if self.step + 1 < self.steps && round == (self.step + 1) * self.window {
             let step = self.step;
-            for (from, c) in crosses {
-                self.program.on_cross(&self.info, from, c, step);
+            for msg in incoming {
+                if let Payload::Cross(c) = &msg.msg.payload {
+                    self.program.on_cross(info, msg.from, c.clone(), step);
+                }
             }
             self.step += 1;
             self.start_superstep();
         } else {
-            debug_assert!(crosses.is_empty(), "cross message outside a boundary round");
+            debug_assert!(
+                !incoming
+                    .iter()
+                    .any(|msg| matches!(msg.msg.payload, Payload::Cross(_))),
+                "cross message outside a boundary round"
+            );
         }
         if round >= self.total_rounds {
             self.finished = true;
         }
-        self.emissions(round)
+        self.emissions(round, out);
     }
 
     fn is_done(&self) -> bool {
@@ -612,27 +649,18 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<P> {
         }
         // A ready block must be forwarded under the greedy priority rule as
         // soon as the next round: stay on the per-round schedule.
-        let ready = self
-            .info
-            .memberships
-            .iter()
-            .enumerate()
-            .any(|(i, m)| !m.is_root && !self.runs[i].sent_up && self.runs[i].pending == 0);
-        if ready {
+        if !self.ready.is_empty() {
             return None;
         }
         let base = self.base();
         // The finish flip is the fallback: every unfinished node must be
         // polled once at `total_rounds` to quiesce.
         let mut wake = self.total_rounds.max(now + 1);
-        if self.broadcast_down && self.l > 0 {
-            for run in &self.runs {
-                for &(_, rel) in &run.child_rel {
-                    let r = base + 2 * self.l - rel;
-                    if r > now {
-                        wake = wake.min(r);
-                    }
-                }
+        // The earliest pending mirrored send (every earlier one went out
+        // when it was due).
+        if let Some(&(at, ..)) = self.downs.last() {
+            if at > now {
+                wake = wake.min(at);
             }
         }
         if self.broadcast_down && self.step + 1 < self.steps && !self.info.part_neighbors.is_empty()
@@ -660,14 +688,14 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<P> {
 /// protocols must never inherit the generic `64·n + 1024` cap silently.
 /// Pass `config` to override (e.g. to enable tracing or change bandwidth);
 /// an explicit `max_rounds` in the override is respected.
-pub(crate) fn run_engine<P, F>(
+pub(crate) fn run_engine<'f, P, F>(
     graph: &Graph,
-    family: &BlockFamily,
+    family: &'f BlockFamily,
     spec: EngineSpec,
     config: Option<SimConfig>,
     obs: &Obs,
     mut make: F,
-) -> Result<SimOutcome<EngineNode<P>>>
+) -> Result<SimOutcome<EngineNode<'f, P>>>
 where
     P: NodeProgram,
     F: FnMut(&NodeInfo) -> P,
@@ -714,8 +742,8 @@ where
     };
     let sim = Simulator::new(graph, cfg).with_recorder(obs.clone());
     let outcome = sim.run(|ctx| {
-        let info = family.info(ctx.node).clone();
-        let program = make(&info);
+        let info = family.info(ctx.node);
+        let program = make(info);
         let up_bits = 2 + block_bits + step_bits + program.val_bits();
         let cross_msg_bits = 2 + step_bits + program.cross_bits();
         EngineNode {
@@ -730,6 +758,8 @@ where
             cross_msg_bits,
             step: 0,
             runs: Vec::new(),
+            ready: BinaryHeap::new(),
+            downs: Vec::new(),
             finished: false,
             faulty,
             cross_span,

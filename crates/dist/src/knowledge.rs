@@ -45,7 +45,8 @@ pub struct NodeInfo {
     pub node: NodeId,
     /// The node's part, if any.
     pub part: Option<PartId>,
-    /// The blocks this node belongs to (as a part member or Steiner node).
+    /// The blocks this node belongs to (as a part member or Steiner node),
+    /// strictly ascending by [`Membership::block`].
     pub memberships: Vec<Membership>,
     /// Index into [`NodeInfo::memberships`] of the block of the node's own
     /// part (every part member lies in exactly one block of its part).
@@ -275,6 +276,11 @@ mod tests {
                 assert_eq!(p.part_of(u), p.part_of(v));
                 assert!(g.edge_between(v, u) == Some(e));
             }
+            // The engine finds a block's membership by binary search.
+            assert!(
+                info.memberships.windows(2).all(|w| w[0].block < w[1].block),
+                "memberships of {v} must be strictly ascending by block"
+            );
         }
     }
 

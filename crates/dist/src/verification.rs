@@ -547,14 +547,46 @@ pub fn verification_simulated_obs(
     config: Option<SimConfig>,
     obs: &Obs,
 ) -> Result<DistVerificationOutcome> {
+    let _span = lcs_obs::span!(obs, "dist/verification");
+    let family = counting_family(graph, tree, partition, shortcut, threshold, active);
+    count_blocks(
+        graph, tree, partition, &family, threshold, active, config, obs,
+    )
+}
+
+/// Checks the preconditions shared by the verification entry points and
+/// builds the block family of the active parts.
+fn counting_family(
+    graph: &Graph,
+    tree: &RootedTree,
+    partition: &Partition,
+    shortcut: &TreeShortcut,
+    threshold: usize,
+    active: &[bool],
+) -> BlockFamily {
     assert!(threshold >= 1, "the block threshold must be at least 1");
     assert_eq!(
         active.len(),
         partition.part_count(),
         "one active flag per part is required"
     );
-    let _span = lcs_obs::span!(obs, "dist/verification");
-    let family = BlockFamily::new_active(graph, tree, partition, shortcut, active);
+    BlockFamily::new_active(graph, tree, partition, shortcut, active)
+}
+
+/// One run of the counting protocol over an already built `family` (see
+/// [`verification_simulated_obs`]; the retry wrapper runs every epoch on
+/// one family).
+#[allow(clippy::too_many_arguments)]
+fn count_blocks(
+    graph: &Graph,
+    tree: &RootedTree,
+    partition: &Partition,
+    family: &BlockFamily,
+    threshold: usize,
+    active: &[bool],
+    config: Option<SimConfig>,
+    obs: &Obs,
+) -> Result<DistVerificationOutcome> {
     let supersteps = counting_supersteps(threshold);
     if obs.is_on() {
         obs.counter_add("dist/verification/runs", 1);
@@ -568,7 +600,7 @@ pub fn verification_simulated_obs(
     let id_bits = bits_for_node_count(graph.node_count());
     let edge_bits = lcs_congest::bits_for_count(graph.edge_count().max(2));
     let resend = config.as_ref().and_then(|c| c.active_fault()).is_some();
-    let outcome = run_engine(graph, &family, spec, config, obs, |_info: &NodeInfo| {
+    let outcome = run_engine(graph, family, spec, config, obs, |_info: &NodeInfo| {
         CountProgram::new(threshold as u64, id_bits, edge_bits, resend)
     })?;
 
@@ -758,10 +790,12 @@ pub fn verification_with_retry(
         });
     };
 
-    // The engine's exact fault-mode schedule for this instance: the same
-    // formula `run_engine` uses, so the first epoch's budget is
+    // One family serves every epoch: it depends on the shortcut and the
+    // active parts only, never on the fault plan. Its schedule gives the
+    // engine's exact fault-mode round count for this instance (the same
+    // formula `run_engine` uses), so the first epoch's budget is
     // `timeout_factor ×` the nominal run and never spuriously tight.
-    let family = BlockFamily::new_active(graph, tree, partition, shortcut, active);
+    let family = counting_family(graph, tree, partition, shortcut, threshold, active);
     let l = family.schedule().rounds;
     let s = base_plan.round_stretch().max(1);
     let base_budget = counting_supersteps(threshold)
@@ -782,16 +816,20 @@ pub fn verification_with_retry(
         if obs.is_on() {
             obs.counter_add("dist/verification/epochs", 1);
         }
-        match verification_simulated_obs(
-            graph,
-            tree,
-            partition,
-            shortcut,
-            threshold,
-            active,
-            Some(cfg_e),
-            obs,
-        ) {
+        let run = {
+            let _span = lcs_obs::span!(obs, "dist/verification");
+            count_blocks(
+                graph,
+                tree,
+                partition,
+                &family,
+                threshold,
+                active,
+                Some(cfg_e),
+                obs,
+            )
+        };
+        match run {
             Ok(out) if out.decisive => {
                 return Ok(RetryVerification {
                     outcome: Some(out),

@@ -3,8 +3,8 @@
 //! results for every shard count, across the four generator families. The
 //! windowed engine is the heaviest `next_wake` user in the workspace —
 //! every node sleeps through most of each `2L + 1` window — so these
-//! properties pin the per-shard timer heaps of the sharded engine against
-//! the serial reference.
+//! properties pin the per-shard wake-up calendars of the sharded engine
+//! against the serial reference.
 
 use proptest::prelude::*;
 

@@ -10,9 +10,11 @@
 use lcs_congest::primitives::AggregateOp;
 use lcs_core::existential::ancestor_shortcut;
 use lcs_dist::{
-    block_convergecast, part_flood_min, part_leaders, verification_simulated, BlockFamily,
+    block_convergecast, part_flood_min, part_leaders, verification_simulated,
+    verification_simulated_obs, BlockFamily,
 };
 use lcs_graph::{generators, NodeId, RootedTree};
+use lcs_obs::Obs;
 
 #[test]
 fn golden_part_leaders_on_wheel() {
@@ -78,4 +80,16 @@ fn golden_verification_on_grid() {
     assert_eq!(ver.stats.messages, 2408);
     assert_eq!(ver.stats.total_bits, 64456);
     assert_eq!(ver.stats.max_message_bits, 27);
+
+    // The same run, recorded: the poll count and the counter digest pin
+    // the wake-up schedule (one poll more or less changes both), not just
+    // the traffic totals, so a scheduling change that kept the statistics
+    // would still fail here.
+    let obs = Obs::recording();
+    let recorded =
+        verification_simulated_obs(&g, &t, &part, &s, 3 * b, &active, None, &obs).unwrap();
+    assert_eq!(recorded.stats, ver.stats);
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("engine/polls"), Some(3181));
+    assert_eq!(snap.counters_digest(), 14140554387288733645);
 }
