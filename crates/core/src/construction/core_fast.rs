@@ -11,16 +11,14 @@
 //! `O(D + c)` rounds. Lemma 5 shows congestion `8c` w.h.p. and at least half
 //! the parts good, in `O(D log n + c)` rounds.
 
-use std::collections::BTreeSet;
-
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use lcs_graph::{Graph, PartId, Partition, RootedTree};
+use lcs_graph::{Graph, NodeId, PartId, Partition, RootedTree};
 
+use super::id_arena::IdArena;
 use super::CoreOutcome;
-use crate::TreeShortcut;
 
 /// Configuration of the `CoreFast` subroutine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,106 +118,159 @@ pub fn core_fast(
     // `threshold` sampled ids want to cross them.
     // ------------------------------------------------------------------
     let mut unusable = vec![false; graph.edge_count()];
-    let mut sampled_lists: Vec<Vec<PartId>> = vec![Vec::new(); n];
-    let depth = tree.depth_of_tree() as usize;
-    let mut level_cost = vec![0u64; depth + 1];
-
-    for &v in tree.nodes_bottom_up() {
-        let mut list: Vec<PartId> = Vec::new();
-        if let Some(p) = partition.part_of(v) {
-            if sampled[p.index()] {
-                list.push(p);
-            }
-        }
-        for &child in tree.children(v) {
-            let child_edge = tree.parent_edge(child).expect("children have parent edges");
-            if unusable[child_edge.index()] {
-                continue;
-            }
-            list.extend_from_slice(&sampled_lists[child.index()]);
-        }
-        list.sort();
-        list.dedup();
-
-        if let Some(parent_edge) = tree.parent_edge(v) {
-            let node_depth = tree.depth(v) as usize;
-            if list.len() >= threshold {
-                unusable[parent_edge.index()] = true;
-                level_cost[node_depth] = level_cost[node_depth].max(1);
+    let mut level_cost = vec![0u64; tree.depth_of_tree() as usize + 1];
+    IdArena::bottom_up(
+        tree,
+        partition,
+        &mut unusable,
+        |p| sampled[p.index()],
+        |v, len| {
+            let cost = &mut level_cost[tree.depth(v) as usize];
+            if len >= threshold {
+                *cost = (*cost).max(1);
+                false
             } else {
-                level_cost[node_depth] = level_cost[node_depth].max(list.len().max(1) as u64);
+                *cost = (*cost).max(len.max(1) as u64);
+                true
             }
-        }
-        sampled_lists[v.index()] = list;
-    }
+        },
+    );
     let phase1_rounds: u64 = level_cost.iter().skip(1).sum();
 
     // ------------------------------------------------------------------
     // Phase 2: route the complete id sets up the tree until the first
-    // unusable edge (greedy forwarding, smallest id first).
+    // unusable edge (greedy forwarding, smallest id first). What each node
+    // ends up knowing is fixed by the unusable edges alone, so the final
+    // sets are computed first and the greedy only has to be timed.
     // ------------------------------------------------------------------
-    let mut known: Vec<BTreeSet<PartId>> = vec![BTreeSet::new(); n];
-    let mut forwarded: Vec<BTreeSet<PartId>> = vec![BTreeSet::new(); n];
-    for v in graph.nodes() {
-        if let Some(p) = partition.part_of(v) {
-            if active[p.index()] {
-                known[v.index()].insert(p);
-            }
-        }
-    }
-    let mut phase2_rounds: u64 = 0;
-    loop {
-        // Collect the sends of this round based on start-of-round state.
-        let mut sends: Vec<(usize, usize, PartId)> = Vec::new(); // (from, to, id)
-        for v in graph.nodes() {
-            let Some(parent_edge) = tree.parent_edge(v) else {
-                continue;
-            };
-            if unusable[parent_edge.index()] {
-                continue;
-            }
-            let next = known[v.index()]
-                .iter()
-                .find(|id| !forwarded[v.index()].contains(*id))
-                .copied();
-            if let Some(id) = next {
-                let parent = tree
-                    .parent(v)
-                    .expect("nodes with parent edges have parents");
-                sends.push((v.index(), parent.index(), id));
-            }
-        }
-        if sends.is_empty() {
-            break;
-        }
-        phase2_rounds += 1;
-        for (from, to, id) in sends {
-            forwarded[from].insert(id);
-            known[to].insert(id);
-        }
-    }
+    let known = IdArena::bottom_up(
+        tree,
+        partition,
+        &mut unusable,
+        |p| active[p.index()],
+        |_, _| true,
+    );
+    let phase2_rounds = greedy_forwarding_rounds(tree, partition, active, &known);
 
     // Assignment: every id a node knows can use the node's parent edge,
     // unless that edge is unusable.
-    let mut shortcut = TreeShortcut::empty(graph, partition);
-    for v in graph.nodes() {
-        let Some(parent_edge) = tree.parent_edge(v) else {
-            continue;
-        };
-        if unusable[parent_edge.index()] {
-            continue;
-        }
-        for &p in &known[v.index()] {
-            shortcut
-                .assign(tree, p, parent_edge)
-                .expect("parent edges are tree edges and parts are in range");
+    CoreOutcome {
+        shortcut: known.shortcut(graph, tree, partition),
+        unusable,
+        rounds: seed_sharing_rounds + phase1_rounds + phase2_rounds,
+    }
+}
+
+/// Times phase 2: in every round each node with a usable parent edge sends
+/// the smallest id it knows and has not yet sent, and ids received in a
+/// round can be sent from the next round on.
+///
+/// The simulation is event-driven over the final id sets. A round visits
+/// only the nodes that have something to send, and it applies the receipts
+/// after every node has picked, which keeps the rounds synchronous.
+fn greedy_forwarding_rounds(
+    tree: &RootedTree,
+    partition: &Partition,
+    active: &[bool],
+    sets: &IdArena,
+) -> u64 {
+    let n = tree.node_count();
+    let mut state = Forwarding::new(sets, n);
+    // A node is queued at most once per round and sends at most once.
+    let mut current: Vec<NodeId> = Vec::with_capacity(n);
+    let mut next: Vec<NodeId> = Vec::with_capacity(n);
+    let mut sends: Vec<(NodeId, PartId)> = Vec::with_capacity(n);
+    for v in (0..n).map(NodeId::new) {
+        if let Some(p) = partition.part_of(v) {
+            if active[p.index()] {
+                state.learn(v, p, &mut current);
+            }
         }
     }
 
-    CoreOutcome {
-        shortcut,
-        unusable,
-        rounds: seed_sharing_rounds + phase1_rounds + phase2_rounds,
+    let mut rounds = 0u64;
+    while !current.is_empty() {
+        rounds += 1;
+        for &v in &current {
+            let parent = tree.parent(v).expect("nodes with sets have parents");
+            sends.push((parent, state.pop(v)));
+        }
+        for &v in &current {
+            if state.left[v.index()] > 0 {
+                next.push(v);
+            }
+        }
+        for (parent, id) in sends.drain(..) {
+            state.learn(parent, id, &mut next);
+        }
+        std::mem::swap(&mut current, &mut next);
+        next.clear();
+    }
+    rounds
+}
+
+/// Phase 2 state as bit words over the final id sets: bit `i` of a node's
+/// words stands for the `i`-th id of its sorted set, so the smallest
+/// pending id is the lowest set bit.
+struct Forwarding<'a> {
+    sets: &'a IdArena,
+    /// Node `v` owns words `word_start[v]..word_start[v + 1]`.
+    word_start: Vec<usize>,
+    known: Vec<u64>,
+    pending: Vec<u64>,
+    /// Pending ids per node.
+    left: Vec<u32>,
+}
+
+impl<'a> Forwarding<'a> {
+    fn new(sets: &'a IdArena, n: usize) -> Self {
+        let mut word_start: Vec<usize> = Vec::with_capacity(n + 1);
+        word_start.push(0);
+        for v in 0..n {
+            let words = sets.ids(NodeId::new(v)).len().div_ceil(64);
+            word_start.push(word_start[v] + words);
+        }
+        let total = word_start[n];
+        Forwarding {
+            sets,
+            word_start,
+            known: vec![0; total],
+            pending: vec![0; total],
+            left: vec![0; n],
+        }
+    }
+
+    /// Node `v` learns `id`; queues `v` when it had nothing pending. Sets
+    /// exist only at nodes that forward, so this is a no-op at the root and
+    /// below unusable edges.
+    fn learn(&mut self, v: NodeId, id: PartId, queue: &mut Vec<NodeId>) {
+        let Ok(i) = self.sets.ids(v).binary_search(&id) else {
+            return;
+        };
+        let (w, bit) = (self.word_start[v.index()] + i / 64, 1u64 << (i % 64));
+        if self.known[w] & bit == 0 {
+            self.known[w] |= bit;
+            self.pending[w] |= bit;
+            self.left[v.index()] += 1;
+            if self.left[v.index()] == 1 {
+                queue.push(v);
+            }
+        }
+    }
+
+    /// Takes `v`'s smallest pending id.
+    fn pop(&mut self, v: NodeId) -> PartId {
+        let start = self.word_start[v.index()];
+        let words = &mut self.pending[start..self.word_start[v.index() + 1]];
+        let (offset, word) = words
+            .iter_mut()
+            .enumerate()
+            .find(|(_, w)| **w != 0)
+            .expect("queued nodes have a pending id");
+        let bit = word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        self.left[v.index()] -= 1;
+        self.sets.ids(v)[offset * 64 + bit]
     }
 }
 

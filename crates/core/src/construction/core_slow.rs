@@ -8,10 +8,10 @@
 //! the result has congestion at most `2c` and at least half the parts end up
 //! with block parameter at most `3b`, in `O(D·c)` rounds.
 
-use lcs_graph::{Graph, PartId, Partition, RootedTree};
+use lcs_graph::{Graph, Partition, RootedTree};
 
+use super::id_arena::IdArena;
 use super::CoreOutcome;
-use crate::TreeShortcut;
 
 /// Runs `CoreSlow` (Algorithm 1) with congestion bound `c` on the parts for
 /// which `active` is `true` (inactive parts neither contend for edges nor
@@ -46,88 +46,34 @@ pub fn core_slow(
     );
     let cap = 2 * congestion_bound.max(1);
 
-    let mut shortcut = TreeShortcut::empty(graph, partition);
     let mut unusable = vec![false; graph.edge_count()];
-    // L_v for every node; lists are sorted and deduplicated.
-    let mut lists: Vec<Vec<PartId>> = vec![Vec::new(); graph.node_count()];
     // Rounds per tree level (index = depth of the *sending* nodes).
-    let depth = tree.depth_of_tree() as usize;
-    let mut level_cost = vec![0u64; depth + 1];
-
-    for &v in tree.nodes_bottom_up() {
-        let mut list: Vec<PartId> = Vec::new();
-        if let Some(p) = partition.part_of(v) {
-            if active[p.index()] {
-                list.push(p);
-            }
-        }
-        for &child in tree.children(v) {
-            let child_edge = tree.parent_edge(child).expect("children have parent edges");
-            if unusable[child_edge.index()] {
-                continue;
-            }
-            list.extend_from_slice(&lists[child.index()]);
-        }
-        list.sort();
-        list.dedup();
-
-        if let Some(parent_edge) = tree.parent_edge(v) {
-            let node_depth = tree.depth(v) as usize;
-            if list.len() > cap {
-                unusable[parent_edge.index()] = true;
+    let mut level_cost = vec![0u64; tree.depth_of_tree() as usize + 1];
+    let lists = IdArena::bottom_up(
+        tree,
+        partition,
+        &mut unusable,
+        |p| active[p.index()],
+        |v, len| {
+            let cost = &mut level_cost[tree.depth(v) as usize];
+            if len > cap {
                 // Declaring an edge unusable costs one (silent) round slot.
-                level_cost[node_depth] = level_cost[node_depth].max(1);
+                *cost = (*cost).max(1);
+                false
             } else {
-                for &p in &list {
-                    shortcut
-                        .assign(tree, p, parent_edge)
-                        .expect("parent edges are tree edges and parts are in range");
-                }
-                level_cost[node_depth] = level_cost[node_depth].max(list.len().max(1) as u64);
+                *cost = (*cost).max(len.max(1) as u64);
+                true
             }
-        }
-        lists[v.index()] = list;
-    }
+        },
+    );
 
     // Level 0 (the root) never sends.
     let rounds: u64 = level_cost.iter().skip(1).sum();
     CoreOutcome {
-        shortcut,
+        shortcut: lists.shortcut(graph, tree, partition),
         unusable,
         rounds,
     }
-}
-
-/// Returns, for every node, the complete list of active parts its parent
-/// edge can see *ignoring* any congestion cap. Shared by tests (it is the
-/// fixed point `CoreSlow` truncates).
-#[cfg(test)]
-pub(crate) fn visible_parts(
-    tree: &RootedTree,
-    partition: &Partition,
-    active: &[bool],
-    unusable: &[bool],
-) -> Vec<Vec<PartId>> {
-    let mut lists: Vec<Vec<PartId>> = vec![Vec::new(); tree.node_count()];
-    for &v in tree.nodes_bottom_up() {
-        let mut list: Vec<PartId> = Vec::new();
-        if let Some(p) = partition.part_of(v) {
-            if active[p.index()] {
-                list.push(p);
-            }
-        }
-        for &child in tree.children(v) {
-            let child_edge = tree.parent_edge(child).expect("children have parent edges");
-            if unusable[child_edge.index()] {
-                continue;
-            }
-            list.extend_from_slice(&lists[child.index()]);
-        }
-        list.sort();
-        list.dedup();
-        lists[v.index()] = list;
-    }
-    lists
 }
 
 /// Convenience: the "everything is active" flag vector.
@@ -139,7 +85,38 @@ pub(crate) fn all_active(partition: &Partition) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_graph::{generators, NodeId};
+    use lcs_graph::{generators, NodeId, PartId};
+
+    /// Returns, for every node, the complete list of active parts its parent
+    /// edge can see *ignoring* any congestion cap (the fixed point `CoreSlow`
+    /// truncates).
+    fn visible_parts(
+        tree: &RootedTree,
+        partition: &Partition,
+        active: &[bool],
+        unusable: &[bool],
+    ) -> Vec<Vec<PartId>> {
+        let mut lists: Vec<Vec<PartId>> = vec![Vec::new(); tree.node_count()];
+        for &v in tree.nodes_bottom_up() {
+            let mut list: Vec<PartId> = Vec::new();
+            if let Some(p) = partition.part_of(v) {
+                if active[p.index()] {
+                    list.push(p);
+                }
+            }
+            for &child in tree.children(v) {
+                let child_edge = tree.parent_edge(child).expect("children have parent edges");
+                if unusable[child_edge.index()] {
+                    continue;
+                }
+                list.extend_from_slice(&lists[child.index()]);
+            }
+            list.sort();
+            list.dedup();
+            lists[v.index()] = list;
+        }
+        lists
+    }
 
     fn setup_grid(rows: usize, cols: usize) -> (Graph, RootedTree, Partition) {
         let g = generators::grid(rows, cols);

@@ -29,7 +29,8 @@ pub struct FindShortcutConfig {
     /// Sampling constant forwarded to `CoreFast`.
     pub gamma: f64,
     /// Maximum number of core/verification iterations before giving up.
-    /// `None` selects `2·⌈log₂ N⌉ + 8`, comfortably above the `O(log N)`
+    /// `None` selects `2·(⌊log₂ N⌋ + 1) + 8` (twice the bit length of `N`,
+    /// plus 8; 18 for `N = 16`), comfortably above the `O(log N)`
     /// guarantee.
     pub max_iterations: Option<usize>,
     /// Seed for the randomized core (each iteration derives its own

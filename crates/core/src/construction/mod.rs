@@ -26,6 +26,7 @@ mod core_slow;
 mod doubling;
 #[allow(deprecated)]
 mod find_shortcut;
+mod id_arena;
 mod repair;
 mod verification;
 

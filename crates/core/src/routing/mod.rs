@@ -16,6 +16,7 @@ mod parts;
 mod tree_routing;
 
 pub use parts::{PartRouter, PartRouterOutcome};
+pub(crate) use tree_routing::Slots;
 pub use tree_routing::{
     convergecast_rounds, subtree_specs_from_blocks, RoutingPriority, RoutingSchedule, SubtreeSpec,
 };

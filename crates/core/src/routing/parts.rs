@@ -13,7 +13,7 @@
 use lcs_congest::RoundCost;
 use lcs_graph::{Graph, NodeId, PartId, Partition, RootedTree};
 
-use super::tree_routing::{convergecast_rounds, subtree_specs_from_blocks, RoutingPriority};
+use super::tree_routing::{RoutingPriority, Slots};
 use crate::{BlockComponent, TreeShortcut};
 
 /// The result of one part-parallel routing primitive: the per-part (or
@@ -92,9 +92,20 @@ impl<'a> PartRouter<'a> {
             }
         }
 
-        let family: Vec<BlockComponent> = blocks.iter().flatten().cloned().collect();
-        let specs = subtree_specs_from_blocks(&family);
-        let schedule = convergecast_rounds(tree, &specs, RoutingPriority::BlockRootDepth);
+        // One intra-block convergecast over the whole family. A node lies in
+        // at most one block per part, so keying blocks by part orders every
+        // node's slots as the family index would.
+        let mut slots =
+            Slots::with_capacity(blocks.iter().flatten().map(BlockComponent::len).sum());
+        let mut index = 0;
+        for (p, part_blocks) in blocks.iter().enumerate() {
+            for b in part_blocks {
+                let key = RoutingPriority::BlockRootDepth.key(b.root_depth, p);
+                slots.push_subtree(tree, b.root, &b.nodes, key, index);
+                index += 1;
+            }
+        }
+        let schedule = slots.schedule(graph.node_count());
 
         PartRouter {
             graph,

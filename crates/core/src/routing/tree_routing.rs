@@ -8,9 +8,6 @@
 //! schedule edge-by-edge and round-by-round, so the reported round count is
 //! the exact behaviour of the deterministic algorithm rather than the bound.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use lcs_graph::{NodeId, RootedTree};
 
 use crate::BlockComponent;
@@ -84,11 +81,14 @@ pub enum RoutingPriority {
 }
 
 impl RoutingPriority {
-    fn key(self, spec: &SubtreeSpec, index: usize) -> (i64, usize) {
+    /// The scheduler key of a subtree: smaller keys are forwarded first.
+    /// `index` breaks ties (the subtree index, or the part of a block).
+    pub(crate) fn key(self, root_depth: u32, index: usize) -> u64 {
+        let index = u64::from(u32::try_from(index).expect("subtree indices fit in u32"));
         match self {
-            RoutingPriority::BlockRootDepth => (i64::from(spec.root_depth), index),
-            RoutingPriority::IndexOnly => (0, index),
-            RoutingPriority::ReverseDepth => (-i64::from(spec.root_depth), index),
+            RoutingPriority::BlockRootDepth => u64::from(root_depth) << 32 | index,
+            RoutingPriority::IndexOnly => index,
+            RoutingPriority::ReverseDepth => u64::from(u32::MAX - root_depth) << 32 | index,
         }
     }
 }
@@ -115,17 +115,17 @@ pub struct RoutingSchedule {
 /// its tree parent edge. The broadcast direction is symmetric, so the same
 /// count applies to broadcasts (Lemma 2 states both).
 ///
-/// The simulation is event-driven in flat, node-indexed scratch: every
-/// `(subtree, node)` pair is forwarded exactly once, becoming *ready* the
-/// moment its last in-subtree child is heard from, so a per-node heap of
-/// ready subtrees replaces the seed implementation's per-round rescan of
-/// the whole family through hash maps. Readiness gained during a round is
-/// deferred to the next round — exactly the synchronous-rounds semantics —
-/// so the reported schedule is unchanged; only the cost of computing it
-/// drops from `O(rounds · Σ|subtrees|)` hash operations to
-/// `O(Σ|subtrees| · log)` heap operations. (This is what un-bottlenecks
-/// the centralized `WholeTree` MST baseline of experiment E4, whose block
-/// family is `N` copies of the entire spanning tree.)
+/// The simulation is event-driven: every non-root node of every subtree is
+/// one *slot* that is forwarded exactly once, and becomes ready the moment
+/// its last in-subtree child is heard from. Each node's slots are ranked in
+/// priority order, and its ready slots are a bit set over those ranks, so
+/// picking the best ready slot takes the lowest set bit. Readiness gained
+/// during a round takes effect in the next round, which is exactly the
+/// synchronous-rounds semantics. Linking a node to its parent costs one
+/// binary search in the subtree's node list; scheduling costs one sort of
+/// each node's slots plus a scan of the node's ready words per send. The
+/// same scheduler times verification's block family and
+/// [`crate::routing::PartRouter`]'s superstep.
 ///
 /// # Panics
 ///
@@ -136,121 +136,252 @@ pub fn convergecast_rounds(
     subtrees: &[SubtreeSpec],
     priority: RoutingPriority,
 ) -> RoutingSchedule {
-    if subtrees.is_empty() {
-        return RoutingSchedule {
-            rounds: 0,
-            max_edge_load: 0,
-            deliveries: 0,
-        };
+    let mut slots = Slots::with_capacity(subtrees.iter().map(|s| s.nodes.len()).sum());
+    for (index, spec) in subtrees.iter().enumerate() {
+        let key = priority.key(spec.root_depth, index);
+        slots.push_subtree(tree, spec.root, &spec.nodes, key, index);
+    }
+    slots.schedule(tree.node_count())
+}
+
+/// Marks a slot whose parent is its subtree's root: forwarding it completes
+/// nothing further.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A convergecast family in flat form for the Lemma 2 scheduler: one slot
+/// per (subtree, non-root node), holding the node, the slot of the node's
+/// parent in the same subtree and the subtree's priority key. At most one
+/// slot per node may carry a given key.
+pub(crate) struct Slots {
+    node: Vec<u32>,
+    parent: Vec<u32>,
+    key: Vec<u64>,
+}
+
+impl Slots {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Slots {
+            node: Vec::with_capacity(capacity),
+            parent: Vec::with_capacity(capacity),
+            key: Vec::with_capacity(capacity),
+        }
     }
 
-    let n = tree.node_count();
-    // pending[offsets[s] + i] = number of in-subtree children of
-    // subtrees[s].nodes[i] not yet heard from (the flat stand-in for the
-    // seed's pending[(subtree, node)] hash map).
-    let mut offsets: Vec<usize> = Vec::with_capacity(subtrees.len() + 1);
-    offsets.push(0);
-    for spec in subtrees {
-        offsets.push(offsets.last().expect("nonempty") + spec.nodes.len());
+    pub(crate) fn len(&self) -> usize {
+        self.node.len()
     }
-    let mut pending: Vec<u32> = vec![0; *offsets.last().expect("nonempty")];
-    // How many subtrees contain each node's parent edge.
-    let mut edge_load: Vec<u32> = vec![0; n];
-    // ready[v]: min-heap of the priority keys of the subtrees node v has
-    // fully heard and not yet forwarded. Keys embed the subtree index, so
-    // popping the minimum reproduces the seed's "best key wins" scan.
-    let mut ready: Vec<BinaryHeap<Reverse<(i64, usize)>>> = vec![BinaryHeap::new(); n];
-    let mut active: Vec<NodeId> = Vec::new();
-    let mut on_active: Vec<bool> = vec![false; n];
-    let mut total_to_send: usize = 0;
 
-    for (s_idx, spec) in subtrees.iter().enumerate() {
-        let base = offsets[s_idx];
-        for (i, &v) in spec.nodes.iter().enumerate() {
-            let children_in_subtree = tree
-                .children(v)
-                .iter()
-                .filter(|c| spec.contains(**c))
-                .count();
-            pending[base + i] = children_in_subtree as u32;
-            if v == spec.root {
+    /// Adds a slot for `node` whose parent is its subtree's root; returns
+    /// the slot's id.
+    pub(crate) fn push(&mut self, node: NodeId, key: u64) -> u32 {
+        let id = u32::try_from(self.len()).expect("slot ids fit in u32");
+        self.node.push(node.index() as u32);
+        self.parent.push(NO_SLOT);
+        self.key.push(key);
+        id
+    }
+
+    /// The node of `slot`.
+    pub(crate) fn node(&self, slot: usize) -> NodeId {
+        NodeId::new(self.node[slot] as usize)
+    }
+
+    /// Points `slot` at the slot of its node's parent.
+    pub(crate) fn set_parent(&mut self, slot: u32, parent: u32) {
+        self.parent[slot as usize] = parent;
+    }
+
+    /// Adds the slots of one subtree given by its root and its sorted node
+    /// set; `index` names the subtree in the panic message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-root node's tree parent is outside `nodes`.
+    pub(crate) fn push_subtree(
+        &mut self,
+        tree: &RootedTree,
+        root: NodeId,
+        nodes: &[NodeId],
+        key: u64,
+        index: usize,
+    ) {
+        // Slot ids follow `nodes` order with the root skipped.
+        let base = self.len();
+        let root_pos = nodes.binary_search(&root).unwrap_or(nodes.len());
+        let slot_at = |pos: usize| (base + pos - usize::from(pos > root_pos)) as u32;
+        for &v in nodes {
+            if v == root {
                 continue;
             }
             let parent = tree
                 .parent(v)
                 .expect("non-root subtree nodes have tree parents");
-            assert!(
-                spec.contains(parent),
-                "node {v} of subtree {s_idx} has its tree parent outside the subtree"
-            );
-            edge_load[v.index()] += 1;
-            total_to_send += 1;
-            if children_in_subtree == 0 {
-                ready[v.index()].push(Reverse(priority.key(spec, s_idx)));
-                if !on_active[v.index()] {
-                    on_active[v.index()] = true;
-                    active.push(v);
+            let Ok(pos) = nodes.binary_search(&parent) else {
+                panic!("node {v} of subtree {index} has its tree parent outside the subtree");
+            };
+            let slot = self.push(v, key);
+            if parent != root {
+                self.set_parent(slot, slot_at(pos));
+            }
+        }
+    }
+
+    /// Runs the schedule over a tree of `node_count` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule stalls before every slot was forwarded, which
+    /// only a malformed family can cause.
+    pub(crate) fn schedule(&self, node_count: usize) -> RoutingSchedule {
+        let total = self.len();
+        // Group slots per node by counting sort; afterwards node v's slots
+        // are order[first[v]..first[v + 1]], sorted by key, and a slot's
+        // rank in its node's run is its bit.
+        let mut first = vec![0u32; node_count + 1];
+        for &v in &self.node {
+            first[v as usize] += 1;
+        }
+        let max_edge_load = first.iter().copied().max().unwrap_or(0) as usize;
+        let mut end = 0;
+        for f in first.iter_mut() {
+            end += *f;
+            *f = end;
+        }
+        let mut order = vec![0u32; total];
+        for (s, &v) in self.node.iter().enumerate().rev() {
+            first[v as usize] -= 1;
+            order[first[v as usize] as usize] = s as u32;
+        }
+        let mut rank = vec![0u32; total];
+        for v in 0..node_count {
+            let run = &mut order[first[v] as usize..first[v + 1] as usize];
+            if run.len() > 1 {
+                run.sort_unstable_by_key(|&s| self.key[s as usize]);
+            }
+            for (r, &s) in run.iter().enumerate() {
+                rank[s as usize] = r as u32;
+            }
+        }
+        let mut ready = ReadySets::new(&first);
+
+        let mut waiting = vec![0u32; total];
+        for &p in &self.parent {
+            if p != NO_SLOT {
+                waiting[p as usize] += 1;
+            }
+        }
+        // A node with slots is queued at most once per round, and a round
+        // readies at most one parent slot per sender.
+        let senders = node_count.min(total);
+        let mut current: Vec<u32> = Vec::with_capacity(senders);
+        let mut next: Vec<u32> = Vec::with_capacity(senders);
+        let mut deferred: Vec<u32> = Vec::with_capacity(senders);
+        for s in 0..total {
+            if waiting[s] == 0 {
+                ready.insert(self.node[s], rank[s], &mut current);
+            }
+        }
+
+        let mut rounds = 0u64;
+        let mut sent = 0usize;
+        // Readiness earned during a round (`deferred`) only takes effect
+        // next round.
+        while sent < total {
+            rounds += 1;
+            if current.is_empty() {
+                panic!("routing schedule stalled before completion");
+            }
+            for &v in &current {
+                let s = order[(first[v as usize] + ready.pop(v)) as usize] as usize;
+                let p = self.parent[s];
+                if p != NO_SLOT {
+                    let w = &mut waiting[p as usize];
+                    *w = w.checked_sub(1).expect("no surplus child messages");
+                    if *w == 0 {
+                        deferred.push(p);
+                    }
+                }
+                sent += 1;
+            }
+            for &v in &current {
+                if ready.requeue(v) {
+                    next.push(v);
                 }
             }
+            for p in deferred.drain(..) {
+                let p = p as usize;
+                ready.insert(self.node[p], rank[p], &mut next);
+            }
+            std::mem::swap(&mut current, &mut next);
+            next.clear();
+        }
+
+        RoutingSchedule {
+            rounds,
+            max_edge_load,
+            deliveries: total as u64,
+        }
+    }
+}
+
+/// Each node's ready slots as bit words over the node's slot ranks, plus
+/// whether the node is queued to send.
+struct ReadySets {
+    /// Node `v` owns words `word_start[v]..word_start[v + 1]`.
+    word_start: Vec<u32>,
+    words: Vec<u64>,
+    queued: Vec<bool>,
+}
+
+impl ReadySets {
+    /// Sized from the per-node slot offsets of the scheduler.
+    fn new(first: &[u32]) -> Self {
+        let node_count = first.len() - 1;
+        let mut word_start = Vec::with_capacity(node_count + 1);
+        word_start.push(0u32);
+        for v in 0..node_count {
+            word_start.push(word_start[v] + (first[v + 1] - first[v]).div_ceil(64));
+        }
+        ReadySets {
+            words: vec![0; word_start[node_count] as usize],
+            word_start,
+            queued: vec![false; node_count],
         }
     }
 
-    let max_edge_load = edge_load.iter().copied().max().unwrap_or(0) as usize;
-    let mut deliveries: u64 = 0;
-    let mut rounds: u64 = 0;
-    let mut sent = 0usize;
-    // Readiness earned during a round only takes effect next round; the
-    // deferral buffer is what keeps the event-driven loop synchronous.
-    let mut deferred: Vec<(NodeId, (i64, usize))> = Vec::new();
+    fn of(&mut self, v: u32) -> &mut [u64] {
+        let v = v as usize;
+        &mut self.words[self.word_start[v] as usize..self.word_start[v + 1] as usize]
+    }
 
-    while sent < total_to_send {
-        rounds += 1;
-        if active.is_empty() {
-            // No node can make progress: the family was malformed. The
-            // subtree assertion above should prevent this.
-            panic!("routing schedule stalled before completion");
-        }
-        let round_nodes = std::mem::take(&mut active);
-        for &v in &round_nodes {
-            let Reverse((_, s_idx)) = ready[v.index()]
-                .pop()
-                .expect("active nodes have a ready subtree");
-            let parent = tree.parent(v).expect("senders are non-root nodes");
-            let spec = &subtrees[s_idx];
-            let pi = spec
-                .nodes
-                .binary_search(&parent)
-                .expect("parent is in the subtree");
-            let slot = &mut pending[offsets[s_idx] + pi];
-            *slot = slot.checked_sub(1).expect("no surplus child messages");
-            if *slot == 0 && parent != spec.root {
-                deferred.push((parent, priority.key(spec, s_idx)));
-            }
-            deliveries += 1;
-            sent += 1;
-        }
-        for &v in &round_nodes {
-            on_active[v.index()] = false;
-        }
-        for &v in &round_nodes {
-            if !ready[v.index()].is_empty() && !on_active[v.index()] {
-                on_active[v.index()] = true;
-                active.push(v);
-            }
-        }
-        for (v, key) in deferred.drain(..) {
-            ready[v.index()].push(Reverse(key));
-            if !on_active[v.index()] {
-                on_active[v.index()] = true;
-                active.push(v);
-            }
+    /// Marks the slot of rank `rank` at `v` ready, queueing `v` if needed.
+    fn insert(&mut self, v: u32, rank: u32, queue: &mut Vec<u32>) {
+        let r = rank as usize;
+        self.of(v)[r / 64] |= 1 << (r % 64);
+        if !self.queued[v as usize] {
+            self.queued[v as usize] = true;
+            queue.push(v);
         }
     }
 
-    RoutingSchedule {
-        rounds,
-        max_edge_load,
-        deliveries,
+    /// Takes the ready slot of lowest rank at `v`; returns its rank.
+    fn pop(&mut self, v: u32) -> u32 {
+        let (offset, word) = self
+            .of(v)
+            .iter_mut()
+            .enumerate()
+            .find(|(_, w)| **w != 0)
+            .expect("queued nodes have a ready slot");
+        let bit = word.trailing_zeros();
+        *word &= *word - 1;
+        offset as u32 * 64 + bit
+    }
+
+    /// After `v` sent: keeps it queued if it still has a ready slot.
+    fn requeue(&mut self, v: u32) -> bool {
+        let keep = self.of(v).iter().any(|&w| w != 0);
+        self.queued[v as usize] = keep;
+        keep
     }
 }
 

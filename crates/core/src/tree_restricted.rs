@@ -69,6 +69,32 @@ impl TreeShortcut {
         }
     }
 
+    /// Builds a shortcut from its per-edge view in one pass. Every list must
+    /// be sorted and deduplicated, name parts below `part_count`, and sit on
+    /// a tree edge. Walking the edges in id order yields each `edges_of`
+    /// list already sorted, and each nonempty list is allocated once at its
+    /// final length.
+    pub(crate) fn from_parts_on_edge(part_count: usize, parts_on_edge: Vec<Vec<PartId>>) -> Self {
+        let mut lengths = vec![0usize; part_count];
+        for parts in &parts_on_edge {
+            debug_assert!(parts.windows(2).all(|w| w[0] < w[1]));
+            for p in parts {
+                lengths[p.index()] += 1;
+            }
+        }
+        let mut edges_of: Vec<Vec<EdgeId>> = lengths.into_iter().map(Vec::with_capacity).collect();
+        for (e, parts) in parts_on_edge.iter().enumerate() {
+            for p in parts {
+                edges_of[p.index()].push(EdgeId::new(e));
+            }
+        }
+        TreeShortcut {
+            part_count,
+            parts_on_edge,
+            edges_of,
+        }
+    }
+
     /// Number of parts the shortcut is defined for.
     pub fn part_count(&self) -> usize {
         self.part_count

@@ -1,0 +1,113 @@
+//! Allocation regression test for scheduled construction.
+//!
+//! `verification` counts blocks and schedules the Lemma 2 convergecast on a
+//! fixed number of flat, epoch-stamped buffers per call, so the number of
+//! allocations does not grow with the number of parts. `core_fast` builds
+//! its id lists in one arena and allocates each nonempty output list once,
+//! at its final length.
+//!
+//! The counting allocator is process-global, which is why this binary holds
+//! a single test.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use lcs_core::construction::{core_fast, verification, CoreFastConfig};
+use lcs_core::existential::ancestor_shortcut;
+use lcs_graph::{generators, NodeId, PartId, RootedTree};
+
+/// Counts every allocation and reallocation, then defers to the system
+/// allocator.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, so each call meets the `GlobalAlloc` contract exactly when the
+// caller's does; the only addition is a relaxed counter increment, which
+// neither allocates nor touches the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations of `core_fast` beyond one per nonempty output list.
+const CORE_FAST_OVERHEAD: u64 = 32;
+
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let value = f();
+    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+#[test]
+fn construction_allocations_do_not_grow_with_parts_or_output() {
+    let g = generators::grid(32, 32);
+    let t = RootedTree::bfs(&g, NodeId::new(0));
+    let singletons = generators::partitions::singletons(&g);
+    let columns = generators::partitions::grid_columns(32, 32);
+    assert_eq!(singletons.part_count(), 1024);
+    assert_eq!(columns.part_count(), 32);
+
+    // Verification: as many allocations for 1024 parts as for 32.
+    let verify_allocations = |partition: &lcs_graph::Partition, threshold: usize| {
+        let s = ancestor_shortcut(&g, &t, partition);
+        let active = vec![true; partition.part_count()];
+        let (outcome, allocations) =
+            counted(|| verification(&g, &t, partition, &s, threshold, &active));
+        assert!(outcome.good.iter().all(|&good| good));
+        allocations
+    };
+    // Warm up once so lazily initialized process state is not counted.
+    verify_allocations(&columns, 1);
+    for threshold in [1usize, 8] {
+        let few = verify_allocations(&columns, threshold);
+        let many = verify_allocations(&singletons, threshold);
+        assert_eq!(
+            many, few,
+            "threshold {threshold}: verification allocated {many} times for 1024 parts \
+             against {few} for 32"
+        );
+    }
+
+    // CoreFast: a constant plus one allocation per nonempty output list.
+    for partition in [&columns, &singletons] {
+        let active = vec![true; partition.part_count()];
+        for c in [1usize, 64] {
+            let config = CoreFastConfig::new(c).with_seed(3);
+            let (outcome, allocations) = counted(|| core_fast(&g, &t, partition, &config, &active));
+            let lists = g
+                .edge_ids()
+                .filter(|&e| !outcome.shortcut.parts_on_edge(e).is_empty())
+                .count()
+                + (0..partition.part_count())
+                    .filter(|&p| !outcome.shortcut.edges_of(PartId::new(p)).is_empty())
+                    .count();
+            assert!(
+                allocations <= CORE_FAST_OVERHEAD + lists as u64,
+                "{} parts, c = {c}: core_fast allocated {allocations} times for {lists} \
+                 nonempty output lists",
+                partition.part_count()
+            );
+        }
+    }
+}
