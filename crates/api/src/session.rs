@@ -435,10 +435,10 @@ impl<'g> Session<'g> {
 
     /// The contiguous shard layout `Simulated` queries execute on (one
     /// shard per worker thread, volume-balanced). This is introspection
-    /// state: the sharded engine derives the identical
-    /// [`ShardMap::by_volume`] layout internally for each run (and the
-    /// serial engine does not shard at all); the session's copy lets
-    /// callers inspect the layout without running a protocol.
+    /// state: the round loop derives the identical [`ShardMap::by_volume`]
+    /// layout internally for each run (one shard, run inline, at S = 1);
+    /// the session's copy lets callers inspect the layout without running
+    /// a protocol.
     pub fn shard_map(&self) -> &ShardMap {
         &self.shards
     }

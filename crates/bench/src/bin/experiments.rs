@@ -5,7 +5,7 @@
 //!   experiments --list               # list every table with a one-line description
 //!   experiments e1 e4                # run a subset
 //!   experiments e10                  # the 10^6-node tier (opt-in: heavy)
-//!   experiments --threads 4 e10      # ... on the sharded engine
+//!   experiments --threads 4 e10      # ... on 4 engine shards
 //!   experiments --json out.json      # also write the tables as JSON
 //!   experiments e8 --json out.json   # subset + JSON
 //!   experiments e13 --json w.json    # workload tier; JSON embeds the full

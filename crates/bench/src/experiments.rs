@@ -776,9 +776,10 @@ pub fn e9_scale_table() -> Table {
 
 /// E10 — the 10⁶-node tier: the E9 pipeline (FindShortcut + Lemma 3
 /// distributed verification as real message passing) one order of magnitude
-/// up, run on the engine selected by `LCS_THREADS` / `--threads` (recorded
-/// in the `threads` column). The values of every row are byte-identical
-/// for every thread count — the sharded engine's determinism invariant —
+/// up, run on the shard count selected by `LCS_THREADS` / `--threads`
+/// (recorded in the `threads` column). The values of every row are
+/// byte-identical for every thread count — the round loop's determinism
+/// invariant —
 /// so this table doubles as the speedup-vs-threads measurement for
 /// `BENCH_SCALE.json`.
 ///

@@ -1,83 +1,42 @@
-//! Round-execution engines.
+//! The round engine: one loop ([`shard::run`]) that executes every
+//! simulation on `S` contiguous node shards, `S` =
+//! [`crate::SimConfig::threads`] capped at the node count. The calling
+//! thread runs shard 0 and `S − 1` scoped workers run the rest, so `S = 1`
+//! runs inline with no thread and no barrier. A fault plan adds one stage
+//! to the same loop.
 //!
-//! [`crate::Simulator`] delegates its round loop to a [`RoundEngine`]:
-//!
-//! * [`serial::SerialEngine`] — the single-threaded reference
-//!   implementation (the PR-3 edge-slot loop, unchanged);
-//! * [`sharded::ShardedEngine`] — the same loop partitioned over `S`
-//!   contiguous node shards executed by `std::thread::scope` workers.
-//!
-//! **Determinism is the invariant.** Both engines must produce
+//! **Determinism is the invariant.** Every shard count must produce
 //! byte-identical [`crate::SimStats`], [`crate::RoundTrace`] sequences,
-//! node states, and errors for every protocol and every shard count. The
-//! sharded engine earns this by construction rather than by locking
-//! discipline:
+//! node states, and errors for every protocol. The loop earns this by
+//! construction rather than by locking discipline:
 //!
 //! * each directed edge has exactly one sender, so the per-slot
 //!   duplicate-send stamp can live with the *sender's* shard (indexed by
 //!   sender-side CSR position, which the `mirror` array maps bijectively
 //!   onto recipient-side slots) — no two shards ever contend for a slot;
 //! * cross-shard messages travel through per-shard staging buffers and are
-//!   merged at the round barrier; since every slot is written at most once
+//!   merged at the next phase; since every slot is written at most once
 //!   per round, the merge order cannot affect buffer contents;
 //! * everything else an outside observer can see is an order-independent
 //!   reduction: message/bit counters are sums, `max_message_bits` is a
 //!   max, and per-round worklists are sorted before polling;
 //! * errors are reported from the lowest-numbered shard of the earliest
 //!   round, which (shards being contiguous, ascending node ranges) is
-//!   exactly the node the serial engine would have failed on first.
+//!   exactly the node a single shard would have failed on first.
 
-pub(crate) mod serial;
-pub(crate) mod sharded;
+mod shard;
+
+pub(crate) use shard::run;
 
 use lcs_graph::Graph;
 use lcs_obs::Obs;
 
-use crate::{NodeContext, NodeProtocol, SimConfig, SimOutcome, SimStats};
+use crate::{NodeContext, SimStats};
 
-/// Which engine a [`crate::Simulator`] executes its rounds on. Derived from
-/// [`SimConfig::threads`] and the graph size by
-/// [`crate::Simulator::engine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineSelection {
-    /// The single-threaded reference engine.
-    Serial,
-    /// The sharded engine with the given number of worker threads (each
-    /// owning one contiguous node shard).
-    Sharded {
-        /// Worker-thread (equivalently, shard) count; always at least 2
-        /// (one shard degenerates to [`EngineSelection::Serial`]).
-        threads: usize,
-    },
-}
-
-/// The round-execution core extracted from `Simulator::run`: everything
-/// between "protocol states exist" and "quiescence or error".
-pub(crate) trait RoundEngine {
-    /// Number of node shards this engine partitions the graph into.
-    fn shard_count(&self) -> usize;
-
-    /// Runs `factory`-built nodes to quiescence under `config`, reporting
-    /// probe data through `obs` (a no-op handle when recording is off).
-    fn run<P, F>(
-        &self,
-        graph: &Graph,
-        config: &SimConfig,
-        obs: &Obs,
-        factory: F,
-    ) -> crate::Result<SimOutcome<P>>
-    where
-        P: NodeProtocol + Send,
-        P::Message: Send,
-        F: FnMut(&NodeContext) -> P;
-}
-
-/// Emits the thread-invariant counters of one successful run. Both engines
-/// report through here so the counter names — and therefore the
-/// deterministic half of a snapshot — cannot drift between them: rounds,
-/// messages, bits, and active-node polls are identical for every shard
-/// count by the determinism invariant. (`max_message_bits` is a max, not a
-/// sum, so it lives in a gauge.)
+/// Emits the thread-invariant counters of one successful run: rounds,
+/// messages, bits, and active-node polls, identical for every shard count
+/// by the determinism invariant. (`max_message_bits` is a max, not a sum,
+/// so it lives in a gauge.)
 pub(crate) fn record_run(obs: &Obs, stats: &SimStats, polls: u64) {
     obs.counter_add("engine/runs", 1);
     obs.counter_add("engine/rounds", stats.rounds);
@@ -87,7 +46,7 @@ pub(crate) fn record_run(obs: &Obs, stats: &SimStats, polls: u64) {
     obs.gauge_max("engine/max_message_bits", stats.max_message_bits as u64);
 }
 
-/// The read-only message-plane topology both engines index into: CSR slot
+/// The read-only message-plane topology every shard indexes into: CSR slot
 /// offsets plus the sender-position → recipient-slot `mirror` map. One slot
 /// per directed edge, laid out in the graph's CSR order.
 pub(crate) struct Topology {
@@ -132,15 +91,10 @@ impl Topology {
 
         Topology { offset, mirror }
     }
-
-    /// Total number of directed-edge slots.
-    pub(crate) fn slots(&self) -> usize {
-        *self.offset.last().expect("offset is nonempty") as usize
-    }
 }
 
-/// Round-bucketed wake-up timers: every round loop's schedule of
-/// [`NodeProtocol::next_wake`] requests (and fault-mode restarts).
+/// Round-bucketed wake-up timers: one shard's schedule of
+/// [`crate::NodeProtocol::next_wake`] requests (and fault-mode restarts).
 ///
 /// A timing wheel of `RING` per-round buckets covers the next `RING`
 /// rounds, so scheduling and firing a wake are both `O(1)`. A bucket is an
@@ -156,7 +110,7 @@ impl Topology {
 /// deduplicated or cancelled (a node woken early by a message keeps its
 /// entry and takes one spurious poll, which the `next_wake` contract makes
 /// harmless), and the order within one round is unobservable because every
-/// engine sorts its worklist before polling.
+/// shard sorts its worklist before polling.
 pub(crate) struct Calendar {
     /// `head[r % RING]` is the first pool entry of round `r`'s bucket, for
     /// `r` in `next..next + RING`.

@@ -1,13 +1,13 @@
-//! Deterministic fault injection for the round engines.
+//! Deterministic fault injection for the round loop.
 //!
 //! A [`FaultPlan`] is a small `Copy` description of a faulty network:
 //! per-edge extra latency, per-delivery loss and duplication
 //! probabilities, straggler nodes that only poll every `k`-th round, and
 //! a crash schedule. Every fault decision is a **pure function of the
 //! plan and of stable coordinates** (edge id, recipient-side slot, node
-//! id, global round number) — never of RNG call order — so the serial
-//! and sharded engines take byte-identical decisions regardless of how
-//! work is scheduled across threads. The draws go through the vendored
+//! id, global round number) — never of RNG call order — so every shard
+//! count takes byte-identical decisions regardless of how work is
+//! scheduled across threads. The draws go through the vendored
 //! `ChaCha8Rng`: one seeded generator per decision, keyed by
 //! `(seed, tag, coordinates)`.
 //!
@@ -48,19 +48,18 @@ fn hits_ppm(word: u64, ppm: u32) -> bool {
 ///
 /// Attach a plan to a [`crate::SimConfig`] via
 /// [`SimConfig::with_fault`](crate::SimConfig::with_fault). A plan with
-/// every knob at zero is *inactive*: the engines take the unmodified
-/// fault-free code path, so results are byte-identical to running with no
-/// plan at all. All knobs compose; every decision is a pure function of
-/// `(seed, coordinates, global round)`, so both engines — and reruns at
-/// any thread count — inject exactly the same faults.
+/// every knob at zero is *inactive*: the round loop skips its fault stage,
+/// so results are byte-identical to running with no plan at all. All knobs
+/// compose; every decision is a pure function of `(seed, coordinates,
+/// global round)`, so reruns at any thread count inject exactly the same
+/// faults.
 ///
 /// Semantics:
 ///
 /// * **Latency** — every undirected edge gets a fixed extra delay
 ///   `ℓ ∈ [0, max_extra_latency]`; a message posted in round `r`
 ///   becomes deliverable in round `r + 1 + ℓ` (fault-free delivery is
-///   `r + 1`) through a delivery queue layered over the edge-slot
-///   mailboxes.
+///   `r + 1`) through the fault stage's delivery queue.
 /// * **Loss / duplication** — each delivery is dropped with probability
 ///   `loss_ppm / 10^6`, or duplicated (second copy arrives at the
 ///   recipient's next poll round after the original) with probability
@@ -203,8 +202,8 @@ impl FaultPlan {
         self.straggler_ppm > 0 && self.straggler_period > 1
     }
 
-    /// Whether any fault knob is raised. An inactive plan routes both
-    /// engines to the unmodified fault-free code path.
+    /// Whether any fault knob is raised. An inactive plan runs the round
+    /// loop without its fault stage.
     pub fn active(&self) -> bool {
         self.max_extra_latency > 0
             || self.loss_ppm > 0
@@ -227,8 +226,8 @@ impl FaultPlan {
 }
 
 /// The precomputed, per-run expansion of a [`FaultPlan`] on one graph:
-/// per-edge delays, the straggler phases, and the sorted crash set. Built
-/// identically by both engines (it is a pure function of plan + graph).
+/// per-edge delays, the straggler phases, and the sorted crash set, shared
+/// read-only by every shard (it is a pure function of plan + graph).
 pub(crate) struct FaultState {
     plan: FaultPlan,
     /// Fixed extra delay per undirected edge; empty when latency is off.

@@ -50,7 +50,6 @@ mod simulator;
 pub mod primitives;
 
 pub use cost::RoundCost;
-pub use engine::EngineSelection;
 pub use error::SimError;
 pub use fault::FaultPlan;
 pub use message::{bits_for_count, bits_for_node_count, MessageBits};

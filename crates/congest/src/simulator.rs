@@ -14,21 +14,21 @@
 //! message or reported pending work — see [`NodeProtocol::is_done`] for the
 //! quiescence contract that makes skipping idle nodes semantics-preserving.
 //!
-//! # Engines
+//! # Shards
 //!
-//! The loop itself runs on a round engine selected by
-//! [`SimConfig::threads`]: the single-threaded reference engine, or a
-//! sharded engine that partitions the nodes into contiguous CSR ranges and
-//! executes them on `std::thread::scope` workers with a cross-shard staging
-//! merge at every round barrier. Both produce byte-identical statistics,
-//! traces, states, and errors — the shard count is a throughput knob, never
-//! a semantic one (see `engine` module docs for why this holds by
-//! construction).
+//! The loop partitions the nodes into [`SimConfig::threads`] contiguous CSR
+//! ranges (capped at the node count). With one shard it runs inline on the
+//! calling thread; with `S ≥ 2` the caller runs shard 0 and `S − 1`
+//! `std::thread::scope` workers run the rest, meeting at one barrier per
+//! round with a cross-shard staging merge. Every shard count produces
+//! byte-identical statistics, traces, states, and errors — the shard count
+//! is a throughput knob, never a semantic one (see `engine` module docs for
+//! why this holds by construction).
 
 use lcs_graph::Graph;
 use lcs_obs::Obs;
 
-use crate::engine::{serial, sharded, EngineSelection, RoundEngine};
+use crate::engine;
 use crate::{NodeContext, NodeProtocol};
 
 /// Configuration of a simulation run.
@@ -46,20 +46,23 @@ pub struct SimConfig {
     /// bit counts a protocol author needs when debugging a multi-phase
     /// protocol. Off by default because traces of long runs are large.
     pub trace: bool,
-    /// Worker-thread count of the round engine: `1` selects the serial
-    /// reference engine, `t > 1` the sharded engine with `t` shards (capped
-    /// at the node count). Results are byte-identical for every value —
-    /// this only chooses how the rounds execute. [`SimConfig::for_graph`]
+    /// Shard count of the round loop, capped at the node count: `1` runs
+    /// every round inline on the calling thread, `t > 1` splits the nodes
+    /// into `t` shards run by the caller and `t − 1` worker threads.
+    /// Results are byte-identical for every value — this only chooses how
+    /// the rounds execute. [`SimConfig::for_graph`]
     /// initializes it from the `LCS_THREADS` environment variable
     /// (default 1), so one variable switches every protocol in a process.
     pub threads: usize,
     /// Optional deterministic fault schedule (latency, loss, duplication,
     /// stragglers, crashes). `None` — or a plan with every knob at zero —
-    /// selects the unmodified fault-free round loop; an active plan routes
-    /// the run through a delivery queue layered over the edge-slot
-    /// mailboxes. Both engines inject identical faults (every decision is
-    /// a pure function of the plan), so determinism across thread counts
-    /// is preserved. See [`crate::FaultPlan`].
+    /// runs the fault-free round loop; an active plan adds the fault stage,
+    /// which routes every delivery through a per-shard delivery queue
+    /// ordered by `(due, slot, posted)` that feeds per-node round inboxes
+    /// instead of the edge-slot mailboxes. Every decision is a pure
+    /// function of the plan, so every shard count injects identical faults
+    /// and determinism across thread counts is preserved. See
+    /// [`crate::FaultPlan`].
     pub fault: Option<crate::FaultPlan>,
 }
 
@@ -169,23 +172,23 @@ pub struct SimOutcome<P> {
 
 /// A synchronous CONGEST simulator bound to a graph.
 ///
-/// # Engine selection
+/// # Shards
 ///
-/// [`Simulator::run`] executes on the engine selected by
-/// [`SimConfig::threads`] — serial for 1, sharded for more — and the choice
-/// is observable only through wall-clock time:
+/// [`Simulator::run`] executes on [`Simulator::shard_count`] shards — one,
+/// inline on the caller, for [`SimConfig::threads`] = 1, more with worker
+/// threads — and the count is observable only through wall-clock time:
 ///
 /// ```
 /// use lcs_congest::{primitives::DistributedBfs, SimConfig, Simulator};
 /// use lcs_graph::{generators, NodeId};
 ///
 /// let graph = generators::grid(8, 8);
-/// let serial = Simulator::new(&graph, SimConfig::for_graph(&graph).with_threads(1));
+/// let inline = Simulator::new(&graph, SimConfig::for_graph(&graph).with_threads(1));
 /// let sharded = Simulator::new(&graph, SimConfig::for_graph(&graph).with_threads(4));
-/// assert_eq!(serial.shard_count(), 1);
+/// assert_eq!(inline.shard_count(), 1);
 /// assert_eq!(sharded.shard_count(), 4);
 ///
-/// let a = DistributedBfs::run(&serial, NodeId::new(0)).unwrap();
+/// let a = DistributedBfs::run(&inline, NodeId::new(0)).unwrap();
 /// let b = DistributedBfs::run(&sharded, NodeId::new(0)).unwrap();
 /// // Byte-identical statistics and results, on any machine, for any
 /// // thread count.
@@ -213,7 +216,7 @@ impl<'g> Simulator<'g> {
 
     /// Attaches an instrumentation handle: successful runs report engine
     /// counters (rounds, messages, bits, polls), per-shard gauges, and —
-    /// on the sharded engine — barrier-wait and staging-flush timers
+    /// with two or more shards — barrier-wait and staging-flush timers
     /// through it. An off handle (the default) costs one branch per run.
     pub fn with_recorder(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -235,42 +238,23 @@ impl<'g> Simulator<'g> {
         self.config
     }
 
-    /// The engine [`Simulator::run`] will execute on: serial when
-    /// [`SimConfig::threads`] is 1 (or the graph is smaller than two
-    /// shards), sharded otherwise.
-    pub fn engine(&self) -> EngineSelection {
-        let threads = self
-            .config
+    /// Number of node shards [`Simulator::run`] partitions this graph
+    /// into: [`SimConfig::threads`], at least 1 and at most the node count.
+    pub fn shard_count(&self) -> usize {
+        self.config
             .threads
             .max(1)
-            .min(self.graph.node_count().max(1));
-        if threads <= 1 {
-            EngineSelection::Serial
-        } else {
-            EngineSelection::Sharded { threads }
-        }
-    }
-
-    /// Number of node shards the selected engine partitions this graph
-    /// into: 1 for the serial engine, the worker count for the sharded one.
-    pub fn shard_count(&self) -> usize {
-        match self.engine() {
-            EngineSelection::Serial => serial::SerialEngine.shard_count(),
-            EngineSelection::Sharded { threads } => {
-                sharded::ShardedEngine { threads }.shard_count()
-            }
-        }
+            .min(self.graph.node_count().max(1))
     }
 
     /// Runs a protocol to quiescence: every node is instantiated via
     /// `factory`, `init` is called once, and rounds are executed until no
     /// node has pending work and no message is in flight.
     ///
-    /// Executes on the engine reported by [`Simulator::engine`]; the
-    /// statistics, trace, final states, and errors are identical for every
-    /// engine. Protocol states and messages must be `Send` so they can be
-    /// sharded across workers; a protocol that is not `Send` can still run
-    /// through [`Simulator::run_serial`].
+    /// Executes on [`Simulator::shard_count`] shards; the statistics,
+    /// trace, final states, and errors are identical for every shard
+    /// count. Protocol states and messages must be `Send` so they can be
+    /// sharded across workers.
     ///
     /// # Errors
     ///
@@ -283,29 +267,7 @@ impl<'g> Simulator<'g> {
         P::Message: Send,
         F: FnMut(&NodeContext) -> P,
     {
-        match self.engine() {
-            EngineSelection::Serial => {
-                serial::SerialEngine.run(self.graph, &self.config, &self.obs, factory)
-            }
-            EngineSelection::Sharded { threads } => {
-                sharded::ShardedEngine { threads }.run(self.graph, &self.config, &self.obs, factory)
-            }
-        }
-    }
-
-    /// Runs a protocol on the serial reference engine regardless of
-    /// [`SimConfig::threads`] — the escape hatch for protocols whose state
-    /// is not `Send`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::run`].
-    pub fn run_serial<P, F>(&self, factory: F) -> crate::Result<SimOutcome<P>>
-    where
-        P: NodeProtocol,
-        F: FnMut(&NodeContext) -> P,
-    {
-        serial::run_protocol(self.graph, &self.config, &self.obs, factory)
+        engine::run(self.graph, &self.config, &self.obs, factory)
     }
 }
 
@@ -394,13 +356,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_selection_follows_threads_and_graph_size() {
+    fn shard_count_follows_threads_and_graph_size() {
         let g = generators::path(3);
         let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(1));
-        assert_eq!(sim.engine(), EngineSelection::Serial);
         assert_eq!(sim.shard_count(), 1);
         let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(2));
-        assert_eq!(sim.engine(), EngineSelection::Sharded { threads: 2 });
         assert_eq!(sim.shard_count(), 2);
         // More threads than nodes: capped at the node count.
         let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(64));
@@ -408,7 +368,7 @@ mod tests {
         // A single-node graph cannot be sharded.
         let tiny = lcs_graph::Graph::from_edges(1, &[]).unwrap();
         let sim = Simulator::new(&tiny, SimConfig::for_graph(&tiny).with_threads(8));
-        assert_eq!(sim.engine(), EngineSelection::Serial);
+        assert_eq!(sim.shard_count(), 1);
     }
 
     /// A protocol that (incorrectly) sends to a fixed node id regardless of
@@ -670,28 +630,9 @@ mod tests {
         assert!(outcome.trace.is_empty());
     }
 
-    #[test]
-    fn run_serial_ignores_the_thread_count() {
-        let g = generators::cycle(9);
-        let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(4));
-        let sharded = sim
-            .run(|_| FloodOnce {
-                received: 0,
-                started: false,
-            })
-            .unwrap();
-        let serial = sim
-            .run_serial(|_| FloodOnce {
-                received: 0,
-                started: false,
-            })
-            .unwrap();
-        assert_eq!(sharded.stats, serial.stats);
-    }
-
-    /// A protocol panic must propagate out of the sharded engine as a
-    /// panic (not a barrier deadlock): workers catch it, the coordinator
-    /// stops the fleet, and the payload is re-raised on the caller's
+    /// A protocol panic must propagate out of a multi-shard run as a panic
+    /// (not a barrier deadlock): each shard catches it, every shard stops
+    /// at the failed phase, and the payload is re-raised on the caller's
     /// thread.
     #[test]
     fn protocol_panics_propagate_from_the_sharded_engine() {

@@ -1,9 +1,8 @@
-//! Engine-determinism properties: on randomized instances across the four
-//! generator families, the sharded engine must reproduce the serial
-//! engine's `SimStats`, `RoundTrace` sequence, and final node states for
-//! every shard count — including protocols that sleep on
-//! [`NodeProtocol::next_wake`] timers, the scheduling feature with the most
-//! cross-shard coordination surface.
+//! Shard-count determinism properties: on randomized instances across the
+//! four generator families, every shard count S ≥ 2 must reproduce the
+//! S = 1 run's `SimStats`, `RoundTrace` sequence, and final node states —
+//! including protocols that sleep on [`NodeProtocol::next_wake`] timers,
+//! the scheduling feature with the most cross-shard coordination surface.
 
 use proptest::prelude::*;
 
@@ -103,8 +102,8 @@ impl NodeProtocol for DelayedRelay {
     }
 
     fn next_wake(&self, now: u64) -> Option<u64> {
-        // Sleep until the pending relay is due (the timed-wake path the
-        // sharded engine must merge per shard).
+        // Sleep until the pending relay is due (the timed-wake path every
+        // shard keeps in its own calendar).
         self.pending.map(|(due, _)| due.max(now + 1))
     }
 }
@@ -123,8 +122,8 @@ fn run_with_threads(graph: &Graph, threads: usize, relays: u32) -> SimOutcome<De
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Serial and sharded engines agree on stats, traces, and every
-    /// per-node counter, for shard counts {1, 2, 3, 8}.
+    /// S = 1 and S ∈ {2, 3, 8} agree on stats, traces, and every per-node
+    /// counter.
     #[test]
     fn sharded_engine_is_deterministic(
         which in 0usize..4,

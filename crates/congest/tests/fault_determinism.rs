@@ -135,7 +135,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A seeded plan with every fault class live produces identical
-    /// outcomes on the serial engine and on every shard count.
+    /// outcomes at S = 1 and at every shard count S ≥ 2.
     #[test]
     fn faulty_run_is_shard_count_invariant(
         which in 0usize..4,
@@ -169,8 +169,8 @@ proptest! {
         assert_same(&rerun, &reference);
     }
 
-    /// A plan with all knobs at zero is exactly the fault-free run, on
-    /// both engines.
+    /// A plan with all knobs at zero is exactly the fault-free run, at
+    /// S = 1 and at S ≥ 2.
     #[test]
     fn zero_knob_plan_matches_fault_free(
         which in 0usize..4,
@@ -223,7 +223,7 @@ fn crash_without_restart_silences_the_node() {
     assert!(total(&crashed) < total(&plain), "crashes must drop mail");
 
     let restarted = run_faulty(&graph, 1, 2, Some(FaultPlan::new(3).with_crashes(2, 1, 4)));
-    // The restarted run is also deterministic across engines.
+    // The restarted run is also deterministic across shard counts.
     let restarted_sharded = run_faulty(&graph, 3, 2, Some(FaultPlan::new(3).with_crashes(2, 1, 4)));
     assert_same(&restarted, &restarted_sharded);
 }

@@ -1,9 +1,9 @@
-//! Observability invariants of the round engines: the counters a recording
+//! Observability invariants of the round loop: the counters a recording
 //! [`lcs_obs::Obs`] collects are *facts* about the execution — byte-identical
 //! across shard counts — and the per-shard gauge splits fold back to exactly
-//! the `SimStats` the run returned. Both engines report through the shared
-//! `record_run` helper, so a drift between the stats plane and the metrics
-//! plane is a bug this suite pins.
+//! the `SimStats` the run returned. Every shard count reports through the
+//! shared `record_run` helper, so a drift between the stats plane and the
+//! metrics plane is a bug this suite pins.
 
 use lcs_congest::{Incoming, NodeContext, NodeProtocol, Outgoing, SimConfig, Simulator};
 use lcs_graph::{generators, Graph};
@@ -157,4 +157,24 @@ fn counters_are_byte_identical_across_shard_counts() {
             assert_eq!(snap.counters_digest(), reference.counters_digest());
         }
     }
+}
+
+/// The shard-shaped probes appear exactly when a run has several shards:
+/// at S = 1 nothing waits at a barrier or stages mail, so the snapshot
+/// holds no barrier-wait timer, no staging-flush timer and no staged
+/// gauge; at S = 3 it holds all three.
+#[test]
+fn shard_probes_appear_only_with_several_shards() {
+    let graph = family_graph(0, 5, 0);
+    let (_, single) = run_recorded(&graph, 1);
+    assert_eq!(single.gauge("engine/shards"), Some(1));
+    assert!(single.timer("engine/barrier_wait").is_none());
+    assert!(single.timer("engine/staging_flush_size").is_none());
+    assert!(single.gauge("engine/staged_messages").is_none());
+
+    let (_, sharded) = run_recorded(&graph, 3);
+    assert_eq!(sharded.gauge("engine/shards"), Some(3));
+    assert!(sharded.timer("engine/barrier_wait").is_some());
+    assert!(sharded.timer("engine/staging_flush_size").is_some());
+    assert!(sharded.gauge("engine/staged_messages").is_some());
 }

@@ -744,7 +744,7 @@ pub struct RetryVerification {
 /// and loss/duplication draws differ. With any restarting crash schedule
 /// and loss below the resend redundancy this converges with probability
 /// rapidly approaching one in a handful of epochs. The whole procedure is
-/// deterministic: same plan, same policy, same outcome, on every engine.
+/// deterministic: same plan, same policy, same outcome, at every shard count.
 ///
 /// Without an active fault plan on `config` this is exactly one plain run.
 ///

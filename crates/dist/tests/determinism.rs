@@ -1,10 +1,9 @@
-//! Engine-determinism properties for the superstep protocols: serial and
-//! sharded engines must produce identical `SimStats` and identical computed
-//! results for every shard count, across the four generator families. The
-//! windowed engine is the heaviest `next_wake` user in the workspace —
-//! every node sleeps through most of each `2L + 1` window — so these
-//! properties pin the per-shard wake-up calendars of the sharded engine
-//! against the serial reference.
+//! Shard-count determinism properties for the superstep protocols: S = 1
+//! and every S ≥ 2 must produce identical `SimStats` and identical computed
+//! results, across the four generator families. The windowed engine is the
+//! heaviest `next_wake` user in the workspace — every node sleeps through
+//! most of each `2L + 1` window — so these properties pin the per-shard
+//! wake-up calendars of S ≥ 2 against the single shard.
 
 use proptest::prelude::*;
 

@@ -177,8 +177,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Faulty verification is engine-agnostic: a seeded full plan produces
-    /// identical stats, verdicts, counts, and decisiveness on the serial
-    /// engine and on every shard count.
+    /// identical stats, verdicts, counts, and decisiveness at S = 1 and at
+    /// every shard count S ≥ 2.
     #[test]
     fn faulty_verification_is_engine_agnostic(
         which in 0usize..4,

@@ -3,8 +3,8 @@
 //! The CSR layout (see [`crate::Graph`]) stores every node's adjacency in
 //! one flat array, ordered by node id. A [`ShardMap`] cuts the node range
 //! `0..n` into `S` contiguous intervals, so each shard also owns a
-//! contiguous interval of the CSR arrays — the property the sharded CONGEST
-//! engine relies on to give every worker thread an exclusive, cache-linear
+//! contiguous interval of the CSR arrays — the property the CONGEST round
+//! loop relies on to give every worker thread an exclusive, cache-linear
 //! mailbox region. Shard boundaries only affect *where* work executes,
 //! never *what* is computed: every consumer of a `ShardMap` must produce
 //! results independent of the shard count.
@@ -108,9 +108,9 @@ impl ShardMap {
 
 /// The workspace-wide thread-count default: the `LCS_THREADS` environment
 /// variable when set to a positive integer, otherwise `1` (serial). Both
-/// the CONGEST simulator's engine selection and the parallel quality
+/// the CONGEST simulator's shard count and the parallel quality
 /// measurements consult this, so one variable switches the whole pipeline —
-/// which is what lets CI run the identical test suite once per engine.
+/// which is what lets CI run the identical test suite at S = 1 and S = 4.
 ///
 /// This function is the *only* place in the workspace that reads
 /// `LCS_THREADS`; everything downstream receives the count as a value (a

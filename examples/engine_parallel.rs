@@ -1,13 +1,14 @@
-//! Serial vs sharded round engine: same protocol, same results, different
-//! wall-clock.
+//! One shard vs four: same protocol, same results, different wall-clock.
 //!
 //! Runs the Lemma 3 distributed verification protocol (the workspace's
 //! longest superstep pipeline) on a 64×64 grid twice — once through a
-//! session pinned to the serial reference engine, once through a session
-//! with four worker shards — and asserts that the executed statistics and
-//! every per-part verdict are byte-identical. The shard count is a
-//! throughput knob, never a semantic one; `Pipeline::threads` (a value —
-//! `Threads::Auto` defers to `LCS_THREADS`) selects it per session.
+//! session at S = 1, where the round loop runs inline on the calling
+//! thread, once through a session at S = 4, where the caller runs shard 0
+//! and three worker threads run the rest — and asserts that the executed
+//! statistics and every per-part verdict are byte-identical. The shard
+//! count is a throughput knob, never a semantic one; `Pipeline::threads`
+//! (a value — `Threads::Auto` defers to `LCS_THREADS`) selects it per
+//! session.
 //!
 //! Run with: `cargo run --release --example engine_parallel`
 
@@ -34,9 +35,9 @@ fn main() {
         .build()
         .expect("the grid is connected");
 
-    // The engine selection is visible on the session before running.
+    // The shard layout is visible on the session before running.
     println!(
-        "grid {side}x{side}: serial engine = {} shard(s), sharded engine = {} shard(s)",
+        "grid {side}x{side}: inline session = {} shard(s), sharded session = {} shard(s)",
         serial.shard_map().shard_count(),
         sharded.shard_map().shard_count()
     );
@@ -67,7 +68,7 @@ fn main() {
         .expect("verification respects the CONGEST constraints");
     let sharded_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    // Determinism is the engine's contract: identical statistics and
+    // Determinism is the round loop's contract: identical statistics and
     // identical results, not merely "close".
     let stats = serial_run.report.sim.expect("simulated runs record stats");
     assert_eq!(serial_run.report.sim, sharded_run.report.sim);
@@ -75,11 +76,11 @@ fn main() {
     assert_eq!(serial_run.block_counts, sharded_run.block_counts);
 
     println!(
-        "verification: {} rounds, {} messages, {} bits (identical on both engines)",
+        "verification: {} rounds, {} messages, {} bits (identical at S = 1 and S = 4)",
         stats.rounds, stats.messages, stats.total_bits
     );
-    println!("serial engine:  {serial_ms:.1} ms");
-    println!("sharded engine: {sharded_ms:.1} ms (4 worker threads)");
+    println!("S = 1: {serial_ms:.1} ms (inline)");
+    println!("S = 4: {sharded_ms:.1} ms (caller + 3 worker threads)");
     println!(
         "good parts: {}/{}",
         serial_run.good.iter().filter(|&&g| g).count(),
