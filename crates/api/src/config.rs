@@ -1,6 +1,7 @@
 //! Builder-side configuration values of the façade: how the spanning tree
 //! is obtained and which construction strategy a query runs.
 
+use lcs_core::construction::DoublingConfig;
 use lcs_graph::{NodeId, RootedTree};
 
 /// How a [`crate::Session`] obtains the rooted spanning tree every
@@ -23,8 +24,9 @@ impl Default for TreeSpec {
 }
 
 /// Parameters of the Appendix A doubling search, as accepted by
-/// [`Strategy::Doubling`]. `Default` mirrors the legacy
-/// `DoublingConfig::new()`: start at `(1, 1)` with 24 doublings.
+/// [`Strategy::Doubling`]. `Default` mirrors
+/// `lcs_core::construction::DoublingConfig::default()`: start at `(1, 1)`
+/// with 24 doublings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoublingSpec {
     /// Initial congestion guess (doubled on failure, clamped to ≥ 1).
@@ -93,6 +95,34 @@ impl Strategy {
             Strategy::Fixed { .. } => "fixed",
             Strategy::SlowCore(_) => "slow-core",
         }
+    }
+
+    /// The Appendix A loop configuration this strategy runs with base
+    /// `seed`, and whether a part still bad after the loop is an error.
+    /// `Fixed` is a single attempt whose still-bad parts are not an error;
+    /// the doubling strategies keep their budgets and escalate a still-bad
+    /// part to [`lcs_graph::LcsError::BudgetExhausted`].
+    pub(crate) fn doubling_config(self, seed: u64) -> (DoublingConfig, bool) {
+        let (spec, use_fast_core) = match self {
+            Strategy::Doubling(spec) => (spec, true),
+            Strategy::SlowCore(spec) => (spec, false),
+            Strategy::Fixed { congestion, block } => {
+                let spec = DoublingSpec {
+                    initial_congestion: congestion,
+                    initial_block: block,
+                    max_doublings: 0,
+                };
+                (spec, true)
+            }
+        };
+        let config = DoublingConfig {
+            congestion: spec.initial_congestion,
+            block: spec.initial_block,
+            use_fast_core,
+            max_doublings: spec.max_doublings,
+            seed,
+        };
+        (config, !matches!(self, Strategy::Fixed { .. }))
     }
 }
 

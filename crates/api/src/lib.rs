@@ -20,8 +20,12 @@
 //!
 //! Every query reports through one serializable [`Report`] shape and one
 //! error enum ([`LcsError`], defined in `lcs_graph` so each layer converts
-//! into it). The legacy entry points remain callable as thin shims with
-//! migration notes; new code should come through here.
+//! into it). Every construction a session runs — [`Session::shortcut`],
+//! the repair queries and each Boruvka phase of [`Session::mst`] — is one
+//! call of the Appendix A loop (`lcs_core::construction::doubling_search`)
+//! over the session's tree, with the verifier of the session's execution
+//! mode; a [`Strategy`] only picks the loop's starting guesses, core and
+//! doubling budget.
 //!
 //! # Quick start
 //!

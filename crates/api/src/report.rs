@@ -8,18 +8,9 @@ use lcs_core::ShortcutQuality;
 use lcs_obs::json::{escape, push_str_field};
 
 /// One attempt of a doubling search: the parameter guesses, whether every
-/// part verified good, and the rounds the attempt cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Attempt {
-    /// Congestion guess used by the attempt.
-    pub congestion_guess: usize,
-    /// Block-parameter guess used by the attempt.
-    pub block_guess: usize,
-    /// Whether every part was verified good.
-    pub succeeded: bool,
-    /// Rounds spent by the attempt.
-    pub rounds: u64,
-}
+/// part verified good, and the rounds the attempt cost — the record the
+/// Appendix A loop itself produces.
+pub use lcs_core::construction::DoublingAttempt as Attempt;
 
 /// The unified record of one session query.
 ///
@@ -40,7 +31,8 @@ pub struct Report {
     pub operation: String,
     /// The strategy label, for operations that take one.
     pub strategy: Option<String>,
-    /// Doubling attempts in order; empty for fixed-parameter runs.
+    /// Doubling attempts in order (a fixed-parameter construction records
+    /// its one attempt); empty for queries that construct nothing.
     pub attempts: Vec<Attempt>,
     /// Core/verification iterations of the (final) `FindShortcut` run; 0
     /// when not applicable.

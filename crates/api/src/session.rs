@@ -18,23 +18,20 @@ use std::time::Instant;
 
 use lcs_congest::{FaultPlan, RoundCost, RoundTrace, SimConfig};
 use lcs_core::construction::{
-    build_corpus, core_fast, core_slow, repair_corpus, verification, CoreFastConfig, CoreOutcome,
-    FindShortcut, FindShortcutConfig, FindShortcutResult, RepairConfig, RepairStats,
-    ShortcutCorpus,
+    build_corpus, core_fast, core_slow, doubling_search, repair_corpus, verification,
+    CoreFastConfig, CoreOutcome, DoublingConfig, RepairStats, ShortcutCorpus, Verifier,
 };
 use lcs_core::routing::ExecutionMode;
 use lcs_core::{QualityPool, ShortcutQuality, TreeShortcut};
-use lcs_dist::{
-    verification_simulated_obs, verification_simulated_parts, verification_with_retry, RetryPolicy,
-};
+use lcs_dist::{verification_simulated_obs, verification_with_retry, RetryPolicy};
 use lcs_graph::{
-    is_connected, EdgeId, EdgeWeights, Graph, GraphError, LcsError, PartId, PartSet, Partition,
-    PartitionDelta, RootedTree, ShardMap, Threads,
+    is_connected, EdgeId, EdgeWeights, Graph, GraphError, LcsError, Partition, PartitionDelta,
+    RootedTree, ShardMap, Threads,
 };
 use lcs_mst::ShortcutStrategy;
 use lcs_obs::Obs;
 
-use crate::{Attempt, CoreKind, Report, Strategy, TreeSpec};
+use crate::{CoreKind, Report, Strategy, TreeSpec};
 
 /// Convenience result alias of the façade.
 pub type Result<T> = std::result::Result<T, LcsError>;
@@ -293,7 +290,7 @@ struct RepairSlot {
     strategy: Strategy,
     partition: Partition,
     corpus: ShortcutCorpus,
-    config: RepairConfig,
+    config: DoublingConfig,
 }
 
 impl std::fmt::Debug for Session<'_> {
@@ -315,7 +312,7 @@ pub struct ShortcutRun {
     /// The constructed tree-restricted shortcut.
     pub shortcut: TreeShortcut,
     /// The unified query report. Construction queries always record at
-    /// least one [`Attempt`]; batch entries additionally fill
+    /// least one [`Attempt`](crate::Attempt); batch entries additionally fill
     /// [`Report::quality`].
     pub report: Report,
 }
@@ -387,7 +384,7 @@ pub struct RepairBaseline {
     strategy: Strategy,
     partition: Partition,
     corpus: ShortcutCorpus,
-    config: RepairConfig,
+    config: DoublingConfig,
 }
 
 impl RepairBaseline {
@@ -509,52 +506,38 @@ impl<'g> Session<'g> {
         Ok(())
     }
 
-    /// Runs the Theorem 3 driver once with the session's execution mode:
+    /// The verification subroutine every construction of the session runs
+    /// with — shortcut queries, repair builds and every Boruvka phase:
     /// `Scheduled` uses the centralized Lemma 3 verification, `Simulated`
-    /// drops in the message-passing block counting with the session's
-    /// simulator configuration (threads and tracing included).
-    fn run_find_shortcut(
-        &self,
-        partition: &Partition,
-        config: FindShortcutConfig,
-    ) -> Result<FindShortcutResult> {
-        let driver = FindShortcut::new(config);
-        let result = match self.execution {
-            ExecutionMode::Scheduled => driver.run_with_verifier(
-                self.graph,
-                &self.tree,
-                partition,
-                |g, t, p, s, threshold, active| Ok(verification(g, t, p, s, threshold, active)),
-            ),
-            ExecutionMode::Simulated => {
-                // Construction attempts run fault-free even when the
-                // session injects faults into `verify`: the doubling search
-                // interprets a failed verification as "guess too small",
-                // which a fault-induced stall would corrupt.
-                let sim_config = self.sim_config.without_fault();
-                let obs = self.obs.clone();
-                driver.run_with_verifier(
-                    self.graph,
-                    &self.tree,
-                    partition,
-                    move |g, t, p, s, threshold, active| {
-                        let outcome = verification_simulated_obs(
-                            g,
-                            t,
-                            p,
-                            s,
-                            threshold,
-                            active,
-                            Some(sim_config),
-                            &obs,
-                        )
-                        .map_err(lcs_core::CoreError::from)?;
-                        Ok(outcome.outcome)
-                    },
-                )
-            }
-        };
-        result.map_err(LcsError::from)
+    /// the message-passing block counting with the session's simulator
+    /// configuration (threads and tracing included) and recorder.
+    ///
+    /// Construction attempts run fault-free even when the session injects
+    /// faults into `verify`: the doubling search interprets a failed
+    /// verification as "guess too small", which a fault-induced stall
+    /// would corrupt.
+    fn verifier(&self) -> impl Verifier + '_ {
+        let sim_config = self.sim_config.without_fault();
+        move |g: &Graph,
+              t: &RootedTree,
+              p: &Partition,
+              s: &TreeShortcut,
+              threshold: usize,
+              active: &[bool]| match self.execution {
+            ExecutionMode::Scheduled => Ok(verification(g, t, p, s, threshold, active)),
+            ExecutionMode::Simulated => verification_simulated_obs(
+                g,
+                t,
+                p,
+                s,
+                threshold,
+                active,
+                Some(sim_config),
+                &self.obs,
+            )
+            .map(|run| run.outcome)
+            .map_err(lcs_core::CoreError::from),
+        }
     }
 
     /// Constructs a tree-restricted shortcut for `partition` with the
@@ -566,82 +549,41 @@ impl<'g> Session<'g> {
     /// [`LcsError::InconsistentInputs`] for a partition over a different
     /// node count, [`LcsError::BudgetExhausted`] when a doubling search
     /// ([`Strategy::Doubling`] / [`Strategy::SlowCore`]) exhausts its
-    /// doubling budget, and simulation errors from `Simulated` execution.
-    /// A [`Strategy::Fixed`] run whose parameters turn out too small is
-    /// *not* an error (mirroring the legacy driver): it returns `Ok` with
-    /// [`Report::all_parts_good`] `false` and the partial shortcut.
+    /// doubling budget (`remaining_bad` counts the parts its last attempt
+    /// left bad), and simulation errors from `Simulated` execution. A
+    /// [`Strategy::Fixed`] run — the loop with zero doublings — whose
+    /// parameters turn out too small is *not* an error: it returns `Ok`
+    /// with [`Report::all_parts_good`] `false` and the partial shortcut.
     pub fn shortcut(&self, partition: &Partition, strategy: Strategy) -> Result<ShortcutRun> {
         self.check_partition(partition)?;
         let start = Instant::now();
+        let (config, budget_is_error) = strategy.doubling_config(self.seed);
+        let active = vec![true; partition.part_count()];
+        let result = doubling_search(
+            self.graph,
+            &self.tree,
+            partition,
+            &active,
+            &config,
+            None,
+            self.verifier(),
+        )?;
+        if budget_is_error && !result.all_parts_good {
+            return Err(LcsError::BudgetExhausted {
+                iterations: result.attempts.len(),
+                remaining_bad: result.remaining_bad,
+            });
+        }
         let mut report = Report::new("shortcut");
         report.strategy = Some(strategy.label().to_string());
-
-        let (initial, use_fast_core, max_doublings) = match strategy {
-            Strategy::Doubling(spec) => (
-                (spec.initial_congestion, spec.initial_block),
-                true,
-                spec.max_doublings,
-            ),
-            Strategy::SlowCore(spec) => (
-                (spec.initial_congestion, spec.initial_block),
-                false,
-                spec.max_doublings,
-            ),
-            Strategy::Fixed { congestion, block } => {
-                // A single attempt at the known parameters; the iteration
-                // budget of the driver itself still applies.
-                let config = FindShortcutConfig::new(congestion, block).with_seed(self.seed);
-                let result = self.run_find_shortcut(partition, config)?;
-                report.attempts.push(Attempt {
-                    congestion_guess: congestion,
-                    block_guess: block,
-                    succeeded: result.all_parts_good,
-                    rounds: result.total_rounds(),
-                });
-                report.iterations = result.iterations;
-                report.all_parts_good = result.all_parts_good;
-                report.rounds_charged = result.total_rounds();
-                report.wall_millis = start.elapsed().as_secs_f64() * 1e3;
-                return Ok(ShortcutRun {
-                    shortcut: result.shortcut,
-                    report,
-                });
-            }
-        };
-
-        // The Appendix A doubling loop, attempt seeds identical to the
-        // legacy `doubling_search` (`seed + attempt · 7919`).
-        let mut congestion = initial.0.max(1);
-        let mut block = initial.1.max(1);
-        for attempt_index in 0..=max_doublings {
-            let mut config = FindShortcutConfig::new(congestion, block)
-                .with_seed(self.seed.wrapping_add(attempt_index as u64 * 7919));
-            if !use_fast_core {
-                config = config.with_slow_core();
-            }
-            let result = self.run_find_shortcut(partition, config)?;
-            report.attempts.push(Attempt {
-                congestion_guess: congestion,
-                block_guess: block,
-                succeeded: result.all_parts_good,
-                rounds: result.total_rounds(),
-            });
-            report.rounds_charged += result.total_rounds();
-            if result.all_parts_good {
-                report.iterations = result.iterations;
-                report.all_parts_good = true;
-                report.wall_millis = start.elapsed().as_secs_f64() * 1e3;
-                return Ok(ShortcutRun {
-                    shortcut: result.shortcut,
-                    report,
-                });
-            }
-            congestion = congestion.saturating_mul(2);
-            block = block.saturating_mul(2);
-        }
-        Err(LcsError::BudgetExhausted {
-            iterations: report.attempts.len(),
-            remaining_bad: partition.part_count(),
+        report.rounds_charged = result.total_rounds();
+        report.attempts = result.attempts;
+        report.iterations = result.iterations;
+        report.all_parts_good = result.all_parts_good;
+        report.wall_millis = start.elapsed().as_secs_f64() * 1e3;
+        Ok(ShortcutRun {
+            shortcut: result.shortcut,
+            report,
         })
     }
 
@@ -809,23 +751,31 @@ impl<'g> Session<'g> {
     }
 
     /// Runs distributed Boruvka MST (Lemma 4) over the session's graph
-    /// with the given per-phase shortcut strategy, the session's seed and
-    /// execution mode, and the session's simulator configuration for
-    /// `Simulated` phases.
+    /// with the given per-phase shortcut strategy. Every phase routes over
+    /// the session's tree and constructs its shortcut with the session's
+    /// seed and verifier; `Simulated` sessions also route by message
+    /// passing with the session's (fault-free) simulator configuration.
     ///
     /// # Errors
     ///
     /// Propagates construction errors and reports
-    /// [`LcsError::BudgetExhausted`] if the phase cap is hit.
+    /// [`LcsError::BudgetExhausted`] if a doubling phase exhausts its
+    /// doublings or the phase cap is hit.
     pub fn mst(&self, weights: &EdgeWeights, strategy: ShortcutStrategy) -> Result<MstRun> {
         let start = Instant::now();
-        #[allow(deprecated)]
-        let config = lcs_mst::BoruvkaConfig::new(strategy)
-            .with_seed(self.seed)
-            .with_execution(self.execution)
-            .with_sim_config(self.sim_config.without_fault());
-        #[allow(deprecated)]
-        let outcome = lcs_mst::boruvka_mst(self.graph, weights, &config)?;
+        let sim = match self.execution {
+            ExecutionMode::Scheduled => None,
+            ExecutionMode::Simulated => Some(self.sim_config.without_fault()),
+        };
+        let outcome = lcs_mst::boruvka_mst(
+            self.graph,
+            &self.tree,
+            weights,
+            strategy,
+            self.seed,
+            sim,
+            self.verifier(),
+        )?;
         let mut report = Report::new("mst");
         report.strategy = Some(format!("{strategy:?}"));
         report.all_parts_good = true;
@@ -882,131 +832,6 @@ impl<'g> Session<'g> {
         Ok(runs)
     }
 
-    /// Maps a construction [`Strategy`] onto the part-scoped doubling
-    /// search: `Fixed` becomes a single attempt (a still-bad part is not
-    /// an error, mirroring [`Session::shortcut`]); the doubling strategies
-    /// keep their budgets and escalate a still-bad part to
-    /// [`LcsError::BudgetExhausted`].
-    fn repair_config_of(&self, strategy: Strategy) -> (RepairConfig, bool) {
-        match strategy {
-            Strategy::Doubling(spec) => (
-                RepairConfig {
-                    congestion: spec.initial_congestion,
-                    block: spec.initial_block,
-                    use_fast_core: true,
-                    max_doublings: spec.max_doublings,
-                    seed: self.seed,
-                },
-                true,
-            ),
-            Strategy::SlowCore(spec) => (
-                RepairConfig {
-                    congestion: spec.initial_congestion,
-                    block: spec.initial_block,
-                    use_fast_core: false,
-                    max_doublings: spec.max_doublings,
-                    seed: self.seed,
-                },
-                true,
-            ),
-            Strategy::Fixed { congestion, block } => (
-                RepairConfig {
-                    congestion,
-                    block,
-                    use_fast_core: true,
-                    max_doublings: 0,
-                    seed: self.seed,
-                },
-                false,
-            ),
-        }
-    }
-
-    /// Builds the full customization corpus for `partition` with the
-    /// session's execution mode (same verification seam as
-    /// [`Session::shortcut`]; `Simulated` runs the restricted-part-set
-    /// verification entry, fault-free).
-    fn build_corpus_dispatch(
-        &self,
-        partition: &Partition,
-        config: &RepairConfig,
-    ) -> Result<ShortcutCorpus> {
-        let result = self.with_pool(|pool| match self.execution {
-            ExecutionMode::Scheduled => build_corpus(
-                self.graph,
-                &self.tree,
-                partition,
-                config,
-                pool,
-                |g, t, p, s, threshold, active| Ok(verification(g, t, p, s, threshold, active)),
-            ),
-            ExecutionMode::Simulated => {
-                let sim_config = self.sim_config.without_fault();
-                let obs = self.obs.clone();
-                build_corpus(
-                    self.graph,
-                    &self.tree,
-                    partition,
-                    config,
-                    pool,
-                    move |g, t, p, s, threshold, active| {
-                        let outcome =
-                            simulated_parts(g, t, p, s, threshold, active, sim_config, &obs)?;
-                        Ok(outcome)
-                    },
-                )
-            }
-        });
-        result.map_err(LcsError::from)
-    }
-
-    /// Repairs `prev` into a corpus for `partition` (the dirty parts of a
-    /// delta closure are rebuilt, everything else reused) with the
-    /// session's execution mode.
-    #[allow(clippy::too_many_arguments)]
-    fn repair_corpus_dispatch(
-        &self,
-        partition: &Partition,
-        prev: &ShortcutCorpus,
-        origin: &[Option<PartId>],
-        dirty: &PartSet,
-        config: &RepairConfig,
-    ) -> Result<(ShortcutCorpus, RepairStats)> {
-        let result = self.with_pool(|pool| match self.execution {
-            ExecutionMode::Scheduled => repair_corpus(
-                self.graph,
-                &self.tree,
-                partition,
-                prev,
-                origin,
-                dirty,
-                config,
-                pool,
-                |g, t, p, s, threshold, active| Ok(verification(g, t, p, s, threshold, active)),
-            ),
-            ExecutionMode::Simulated => {
-                let sim_config = self.sim_config.without_fault();
-                let obs = self.obs.clone();
-                repair_corpus(
-                    self.graph,
-                    &self.tree,
-                    partition,
-                    prev,
-                    origin,
-                    dirty,
-                    config,
-                    pool,
-                    move |g, t, p, s, threshold, active| {
-                        let outcome =
-                            simulated_parts(g, t, p, s, threshold, active, sim_config, &obs)?;
-                        Ok(outcome)
-                    },
-                )
-            }
-        });
-        result.map_err(LcsError::from)
-    }
-
     /// Assembles a [`RepairRun`] from a finished corpus.
     fn finish_repair(
         &self,
@@ -1052,7 +877,7 @@ impl<'g> Session<'g> {
         &self,
         partition: &Partition,
         corpus: &ShortcutCorpus,
-        config: &RepairConfig,
+        config: &DoublingConfig,
         strategy: Strategy,
         delta: &PartitionDelta,
     ) -> Result<(Partition, ShortcutCorpus, RepairRun)> {
@@ -1060,14 +885,22 @@ impl<'g> Session<'g> {
         let _span = lcs_obs::span!(obs, "session/repair");
         let start = Instant::now();
         let applied = partition.apply_tracked(self.graph, delta)?;
-        let (new_corpus, stats) = self.repair_corpus_dispatch(
-            &applied.partition,
-            corpus,
-            &applied.origin,
-            &applied.dirty,
-            config,
-        )?;
-        let budget_is_error = !matches!(strategy, Strategy::Fixed { .. });
+        // Dirty parts of the delta closure are rebuilt with the session's
+        // tree and verifier; everything else is reused.
+        let (new_corpus, stats) = self.with_pool(|pool| {
+            repair_corpus(
+                self.graph,
+                &self.tree,
+                &applied.partition,
+                corpus,
+                &applied.origin,
+                &applied.dirty,
+                config,
+                pool,
+                self.verifier(),
+            )
+        })?;
+        let (_, budget_is_error) = strategy.doubling_config(self.seed);
         if budget_is_error && !new_corpus.all_good() {
             return Err(LcsError::BudgetExhausted {
                 iterations: new_corpus
@@ -1117,8 +950,17 @@ impl<'g> Session<'g> {
     ) -> Result<RepairRun> {
         self.check_partition(partition)?;
         let start = Instant::now();
-        let (config, budget_is_error) = self.repair_config_of(strategy);
-        let corpus = self.build_corpus_dispatch(partition, &config)?;
+        let (config, budget_is_error) = strategy.doubling_config(self.seed);
+        let corpus = self.with_pool(|pool| {
+            build_corpus(
+                self.graph,
+                &self.tree,
+                partition,
+                &config,
+                pool,
+                self.verifier(),
+            )
+        })?;
         if budget_is_error && !corpus.all_good() {
             return Err(LcsError::BudgetExhausted {
                 iterations: corpus.parts().iter().map(|p| p.attempts).max().unwrap_or(0),
@@ -1222,37 +1064,11 @@ impl<'g> Session<'g> {
     }
 }
 
-/// The `Simulated` verification seam of the repair paths: builds the
-/// restricted part set from the driver's active mask and runs the
-/// message-passing block counting on exactly those parts.
-#[allow(clippy::too_many_arguments)]
-fn simulated_parts(
-    g: &Graph,
-    t: &RootedTree,
-    p: &Partition,
-    s: &TreeShortcut,
-    threshold: usize,
-    active: &[bool],
-    sim_config: SimConfig,
-    obs: &Obs,
-) -> lcs_core::Result<lcs_core::construction::VerificationOutcome> {
-    let mut parts = PartSet::new(p.part_count());
-    for (i, &a) in active.iter().enumerate() {
-        if a {
-            parts.insert(PartId::new(i));
-        }
-    }
-    let outcome =
-        verification_simulated_parts(g, t, p, s, threshold, &parts, Some(sim_config), obs)
-            .map_err(lcs_core::CoreError::from)?;
-    Ok(outcome.outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DoublingSpec;
-    use lcs_graph::{generators, NodeId};
+    use lcs_graph::{generators, NodeId, PartId};
 
     #[test]
     fn repair_probes_are_thread_invariant() {
@@ -1393,6 +1209,85 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, LcsError::BudgetExhausted { .. }));
+
+        // `remaining_bad` counts the parts the last attempt left bad: the
+        // single attempt at (1, 1) verifies 10 of these 16 balls good.
+        let g = generators::torus(16, 16);
+        let p = generators::partitions::random_bfs_balls(&g, 16, 31);
+        let session = Pipeline::on(&g).build().unwrap();
+        let err = session
+            .shortcut(
+                &p,
+                Strategy::Doubling(DoublingSpec {
+                    max_doublings: 0,
+                    ..DoublingSpec::default()
+                }),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LcsError::BudgetExhausted {
+                    iterations: 1,
+                    remaining_bad: 6
+                }
+            ),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    fn mst_routes_over_the_session_tree() {
+        let g = generators::grid(12, 12);
+        let w = EdgeWeights::random_permutation(&g, 5);
+        let mut depths = Vec::new();
+        for root in [77, 0] {
+            let session = Pipeline::on(&g)
+                .tree(TreeSpec::Bfs(NodeId::new(root)))
+                .seed(3)
+                .build()
+                .unwrap();
+            let depth = u64::from(session.tree().depth_of_tree());
+            let run = session.mst(&w, ShortcutStrategy::Doubling).unwrap();
+            assert_eq!(run.edges, lcs_graph::kruskal_mst(&g, &w), "root {root}");
+            assert_eq!(run.cost.entries()[0], ("bfs-tree".to_string(), depth));
+            assert_eq!(
+                run.cost.total_for_prefix("phase-1/termination-check"),
+                depth
+            );
+            depths.push(depth);
+        }
+        assert_eq!(
+            depths,
+            [12, 22],
+            "the central root gives the shallower tree"
+        );
+    }
+
+    #[test]
+    fn simulated_mst_constructs_with_message_passing_verification() {
+        let g = generators::grid(6, 6);
+        let w = EdgeWeights::random_permutation(&g, 2);
+        let obs = lcs_obs::Obs::recording();
+        let session = Pipeline::on(&g)
+            .seed(1)
+            .execution(ExecutionMode::Simulated)
+            .recorder(obs.clone())
+            .build()
+            .unwrap();
+        let run = session.mst(&w, ShortcutStrategy::Doubling).unwrap();
+        assert_eq!(run.edges, lcs_graph::kruskal_mst(&g, &w));
+        // Every phase's construction verified at least once by message
+        // passing.
+        let runs = obs
+            .snapshot()
+            .counter("dist/verification/runs")
+            .unwrap_or(0);
+        assert!(
+            runs >= run.phases as u64,
+            "{runs} simulated verifications for {} phases",
+            run.phases
+        );
     }
 
     #[test]

@@ -10,64 +10,44 @@
 //! notes — the search frequently finds shortcuts *better* than the
 //! theoretical bound because it succeeds as soon as any good-enough
 //! parameters work.
+//!
+//! [`doubling_search`] is the one copy of this loop: shortcut queries, the
+//! per-part builds of the repair corpus and every Boruvka phase run it,
+//! each with its own tree, active parts, seed, iteration budget and
+//! verifier. A fixed-parameter construction is the loop with zero
+//! doublings.
 
-use lcs_congest::RoundCost;
 use lcs_graph::{Graph, Partition, RootedTree};
 
-use super::find_shortcut::{FindShortcut, FindShortcutConfig, FindShortcutResult};
-use crate::{CoreError, Result, TreeShortcut};
+use super::find_shortcut::{FindShortcut, FindShortcutConfig, Verifier};
+use crate::{Result, TreeShortcut};
 
-/// Configuration of the doubling search.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Configuration of the doubling loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoublingConfig {
-    /// Initial guess for the congestion parameter (doubled on failure).
-    pub initial_congestion: usize,
-    /// Initial guess for the block parameter (doubled on failure).
-    pub initial_block: usize,
-    /// Use the randomized core subroutine (default) or the deterministic
-    /// one.
+    /// Initial congestion guess (doubled on failure, clamped to ≥ 1).
+    pub congestion: usize,
+    /// Initial block-parameter guess (doubled on failure, clamped to ≥ 1).
+    pub block: usize,
+    /// `CoreFast` (true) or the deterministic `CoreSlow`.
     pub use_fast_core: bool,
-    /// Maximum number of doublings before giving up.
+    /// Number of parameter doublings after the initial attempt; `0` makes
+    /// the loop a single fixed-parameter attempt.
     pub max_doublings: usize,
-    /// Random seed (each attempt derives its own sub-seed).
+    /// Base seed; attempt `i` runs `FindShortcut` with `seed + 7919·i`.
     pub seed: u64,
 }
 
 impl Default for DoublingConfig {
+    /// Start at `(1, 1)` with the fast core, 24 doublings and seed 0.
     fn default() -> Self {
         DoublingConfig {
-            initial_congestion: 1,
-            initial_block: 1,
+            congestion: 1,
+            block: 1,
             use_fast_core: true,
             max_doublings: 24,
             seed: 0,
         }
-    }
-}
-
-impl DoublingConfig {
-    /// Creates the default configuration (start at `(1, 1)`, fast core).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the initial parameter guesses.
-    pub fn starting_at(mut self, congestion: usize, block: usize) -> Self {
-        self.initial_congestion = congestion.max(1);
-        self.initial_block = block.max(1);
-        self
-    }
-
-    /// Switches to the deterministic core subroutine.
-    pub fn with_slow_core(mut self) -> Self {
-        self.use_fast_core = false;
-        self
-    }
-
-    /// Overrides the random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -84,118 +64,127 @@ pub struct DoublingAttempt {
     pub rounds: u64,
 }
 
-/// Result of the doubling search.
+/// Result of the doubling search: the last attempt's shortcut and
+/// verdict, plus every attempt made.
 #[derive(Debug, Clone)]
 pub struct DoublingResult {
-    /// The shortcut produced by the first successful attempt.
+    /// The shortcut of the last attempt — the first successful one, or the
+    /// partial shortcut of the final attempt when the budget ran out.
     pub shortcut: TreeShortcut,
-    /// The congestion guess that succeeded.
-    pub congestion_guess: usize,
-    /// The block-parameter guess that succeeded.
-    pub block_guess: usize,
-    /// Every attempt made, in order.
+    /// Core/verification iterations of the last attempt.
+    pub iterations: usize,
+    /// `true` if the last attempt verified every active part good.
+    pub all_parts_good: bool,
+    /// Active parts the last attempt left bad (0 when `all_parts_good`).
+    pub remaining_bad: usize,
+    /// Every attempt made, in order (failed attempts included — their
+    /// work is genuinely spent).
     pub attempts: Vec<DoublingAttempt>,
-    /// Total round cost across all attempts (failed attempts included —
-    /// their work is genuinely spent).
-    pub cost: RoundCost,
 }
 
 impl DoublingResult {
     /// Total number of rounds across all attempts.
     pub fn total_rounds(&self) -> u64 {
-        self.cost.total()
+        self.attempts.iter().map(|a| a.rounds).sum()
     }
 }
 
-/// Runs the Appendix A doubling search.
+/// Runs the Appendix A doubling loop on the parts flagged in `active`.
 ///
-/// # Migration
-///
-/// This is a legacy entry point kept for downstream code; new code should
-/// go through the façade: build a session with `lcs_api::Pipeline::on`
-/// (re-exported as `low_congestion_shortcuts::api`) and call
-/// `Session::shortcut` with `Strategy::Doubling(..)` — same attempt seeds,
-/// same results, one error type, and the session reuses its workspaces
-/// across queries.
+/// Attempt `i` runs [`FindShortcut`] at the guesses `(c, b)` doubled `i`
+/// times with seed `config.seed + 7919·i`, verifying with `verifier`. The
+/// loop stops at the first attempt where every active part is good, or
+/// after `config.max_doublings` doublings. Running out of doublings is not
+/// an error: the result carries the last attempt with
+/// [`DoublingResult::all_parts_good`] `false`, and each caller decides
+/// what that means. `max_iterations` bounds each attempt's
+/// core/verification iterations; `None` keeps the driver's part-count
+/// default.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::IterationBudgetExhausted`] if no parameter guess up
-/// to `max_doublings` doublings produced a shortcut with every part good,
-/// and propagates input-validation errors from `FindShortcut`.
-#[deprecated(
-    since = "0.1.0",
-    note = "migrate to `api::Pipeline` / `api::Session::shortcut(.., Strategy::Doubling(..))`"
-)]
-pub fn doubling_search(
+/// Propagates verifier errors and the input-consistency errors of
+/// [`FindShortcut::run`].
+pub fn doubling_search<V: Verifier>(
     graph: &Graph,
     tree: &RootedTree,
     partition: &Partition,
-    config: DoublingConfig,
+    active: &[bool],
+    config: &DoublingConfig,
+    max_iterations: Option<usize>,
+    mut verifier: V,
 ) -> Result<DoublingResult> {
-    let mut congestion = config.initial_congestion.max(1);
-    let mut block = config.initial_block.max(1);
-    let mut cost = RoundCost::new();
+    let mut congestion = config.congestion.max(1);
+    let mut block = config.block.max(1);
     let mut attempts = Vec::new();
-
-    for attempt_index in 0..=config.max_doublings {
-        let mut fs_config = FindShortcutConfig::new(congestion, block)
-            .with_seed(config.seed.wrapping_add(attempt_index as u64 * 7919));
-        if !config.use_fast_core {
-            fs_config = fs_config.with_slow_core();
-        }
-        let result: FindShortcutResult =
-            FindShortcut::new(fs_config).run(graph, tree, partition)?;
-
-        let rounds = result.total_rounds();
-        cost.charge(
-            format!("attempt-{attempt_index} (c={congestion}, b={block})"),
-            rounds,
-        );
+    loop {
+        let seed = config.seed.wrapping_add(attempts.len() as u64 * 7919);
+        let fs = FindShortcutConfig {
+            use_fast_core: config.use_fast_core,
+            max_iterations,
+            ..FindShortcutConfig::new(congestion, block).with_seed(seed)
+        };
+        let result = FindShortcut::new(fs).run(graph, tree, partition, active, &mut verifier)?;
         attempts.push(DoublingAttempt {
             congestion_guess: congestion,
             block_guess: block,
             succeeded: result.all_parts_good,
-            rounds,
+            rounds: result.total_rounds(),
         });
-
-        if result.all_parts_good {
+        if result.all_parts_good || attempts.len() > config.max_doublings {
+            let active_count = active.iter().filter(|&&a| a).count();
+            let good = result.good_after_iteration.last().copied().unwrap_or(0);
             return Ok(DoublingResult {
                 shortcut: result.shortcut,
-                congestion_guess: congestion,
-                block_guess: block,
+                iterations: result.iterations,
+                all_parts_good: result.all_parts_good,
+                remaining_bad: active_count - good,
                 attempts,
-                cost,
             });
         }
         congestion = congestion.saturating_mul(2);
         block = block.saturating_mul(2);
     }
-
-    Err(CoreError::IterationBudgetExhausted {
-        iterations: attempts.len(),
-        remaining_bad: partition.part_count(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construction::scheduled;
     use lcs_graph::{generators, NodeId};
+
+    fn search(
+        g: &Graph,
+        t: &RootedTree,
+        p: &Partition,
+        config: &DoublingConfig,
+    ) -> Result<DoublingResult> {
+        doubling_search(
+            g,
+            t,
+            p,
+            &vec![true; p.part_count()],
+            config,
+            None,
+            scheduled,
+        )
+    }
 
     #[test]
     fn doubling_succeeds_without_knowing_parameters() {
         let g = generators::grid(8, 8);
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::grid_columns(8, 8);
-        let result = doubling_search(&g, &t, &p, DoublingConfig::new()).unwrap();
-        assert!(result.attempts.last().unwrap().succeeded);
+        let result = search(&g, &t, &p, &DoublingConfig::default()).unwrap();
+        assert!(result.all_parts_good);
+        let last = *result.attempts.last().unwrap();
+        assert!(last.succeeded);
         let q = result.shortcut.quality(&g, &p);
-        assert!(q.block_parameter <= 3 * result.block_guess);
+        assert!(q.block_parameter <= 3 * last.block_guess);
         // The successful guesses are the initial values doubled some number
         // of times.
-        assert!(result.congestion_guess.is_power_of_two());
-        assert!(result.block_guess.is_power_of_two());
+        assert!(last.congestion_guess.is_power_of_two());
+        assert!(last.block_guess.is_power_of_two());
         assert!(result.total_rounds() > 0);
     }
 
@@ -204,10 +193,11 @@ mod tests {
         let g = generators::wheel(41);
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::wheel_arcs(41, 5);
-        let result = doubling_search(&g, &t, &p, DoublingConfig::new()).unwrap();
-        assert_eq!(result.congestion_guess, 1);
-        assert_eq!(result.block_guess, 1);
+        let result = search(&g, &t, &p, &DoublingConfig::default()).unwrap();
         assert_eq!(result.attempts.len(), 1);
+        assert_eq!(result.attempts[0].congestion_guess, 1);
+        assert_eq!(result.attempts[0].block_guess, 1);
+        assert!(result.attempts[0].succeeded);
     }
 
     #[test]
@@ -217,10 +207,15 @@ mod tests {
         let g = generators::grid(8, 8);
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::grid_combs(8, 8);
-        let result = doubling_search(&g, &t, &p, DoublingConfig::new().with_seed(3)).unwrap();
+        let config = DoublingConfig {
+            seed: 3,
+            ..DoublingConfig::default()
+        };
+        let result = search(&g, &t, &p, &config).unwrap();
         assert!(result.attempts.iter().any(|a| !a.succeeded) || result.attempts.len() == 1);
-        // Cost covers every attempt.
-        assert_eq!(result.cost.entries().len(), result.attempts.len());
+        // Every attempt but the last failed, and the total covers them all.
+        let (last, failed) = result.attempts.split_last().unwrap();
+        assert!(last.succeeded && failed.iter().all(|a| !a.succeeded));
         let sum: u64 = result.attempts.iter().map(|a| a.rounds).sum();
         assert_eq!(sum, result.total_rounds());
     }
@@ -229,17 +224,21 @@ mod tests {
     fn exhausting_the_doubling_budget_reports_an_error() {
         // The lower-bound instance with eight contending paths cannot be
         // served at (c, b) = (1, 1): the connector-tree edges are shared by
-        // all parts, so with no doublings allowed the search must fail.
+        // all parts, so with no doublings allowed the search must fail —
+        // reported as a last attempt that left parts bad, which callers
+        // turn into their budget error.
         let (g, layout) = generators::lower_bound_graph(8, 16);
         let t = RootedTree::bfs(&g, layout.connector(0));
         let p = generators::partitions::lower_bound_paths(&layout);
         let config = DoublingConfig {
             max_doublings: 0,
-            ..DoublingConfig::new()
+            ..DoublingConfig::default()
         };
-        let err = doubling_search(&g, &t, &p, config).unwrap_err();
-        assert!(matches!(err, CoreError::IterationBudgetExhausted { .. }));
-        let _ = NodeId::new(0);
+        let result = search(&g, &t, &p, &config).unwrap();
+        assert!(!result.all_parts_good);
+        assert_eq!(result.attempts.len(), 1);
+        assert!(!result.attempts[0].succeeded);
+        assert!(result.remaining_bad > 0 && result.remaining_bad <= p.part_count());
     }
 
     #[test]
@@ -247,10 +246,13 @@ mod tests {
         let g = generators::grid(6, 6);
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::grid_columns(6, 6);
-        let config = DoublingConfig::new().with_slow_core();
-        let a = doubling_search(&g, &t, &p, config).unwrap();
-        let b = doubling_search(&g, &t, &p, config).unwrap();
+        let config = DoublingConfig {
+            use_fast_core: false,
+            ..DoublingConfig::default()
+        };
+        let a = search(&g, &t, &p, &config).unwrap();
+        let b = search(&g, &t, &p, &config).unwrap();
         assert_eq!(a.shortcut, b.shortcut);
-        assert_eq!(a.congestion_guess, b.congestion_guess);
+        assert_eq!(a.attempts, b.attempts);
     }
 }

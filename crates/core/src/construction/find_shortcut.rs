@@ -13,8 +13,30 @@ use lcs_graph::{Graph, PartId, Partition, RootedTree};
 
 use super::core_fast::{core_fast, CoreFastConfig};
 use super::core_slow::core_slow;
-use super::verification::{verification, VerificationOutcome};
+use super::verification::VerificationOutcome;
 use crate::{Result, TreeShortcut};
+
+/// A verification subroutine the [`FindShortcut`] driver can drop in:
+/// given the graph, tree, partition, an iteration's tentative shortcut,
+/// the block threshold and the active-part mask, it reports which active
+/// parts verified good and the rounds to charge. Any closure of that shape
+/// is a `Verifier`.
+pub trait Verifier:
+    FnMut(&Graph, &RootedTree, &Partition, &TreeShortcut, usize, &[bool]) -> Result<VerificationOutcome>
+{
+}
+
+impl<V> Verifier for V where
+    V: FnMut(
+        &Graph,
+        &RootedTree,
+        &Partition,
+        &TreeShortcut,
+        usize,
+        &[bool],
+    ) -> Result<VerificationOutcome>
+{
+}
 
 /// Configuration of the [`FindShortcut`] driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,111 +145,42 @@ impl FindShortcut {
         self.config
     }
 
-    /// Runs the construction on `(graph, tree, partition)` with the default
-    /// scheduled verification subroutine.
+    /// Runs the construction on the parts flagged in `initial_active`,
+    /// verifying each iteration's tentative shortcut with `verifier`.
     ///
-    /// # Migration
-    ///
-    /// This is a legacy entry point kept for downstream code; new code
-    /// should go through the façade: build a session with
-    /// `lcs_api::Pipeline::on` (re-exported as
-    /// `low_congestion_shortcuts::api`) and call `Session::shortcut` with
-    /// `Strategy::Fixed { congestion, block }` — identical results, one
-    /// error type, and the execution mode is a session property instead of
-    /// a per-call dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::InconsistentInputs`] if the tree does not
-    /// span the graph or the partition was built for a different node count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "migrate to `api::Pipeline` / `api::Session::shortcut(.., Strategy::Fixed { .. })`"
-    )]
-    pub fn run(
-        &self,
-        graph: &Graph,
-        tree: &RootedTree,
-        partition: &Partition,
-    ) -> Result<FindShortcutResult> {
-        self.run_with_verifier(graph, tree, partition, |g, t, p, s, threshold, active| {
-            Ok(verification(g, t, p, s, threshold, active))
-        })
-    }
-
-    /// Runs the construction with a caller-supplied verification subroutine.
-    ///
-    /// This is the seam through which alternative verification back-ends are
+    /// The verifier is the seam through which a verification back-end is
     /// dropped into the Theorem 3 driver without the driver knowing about
-    /// them — in particular `lcs_dist`'s message-passing implementation of
-    /// the Lemma 3 block counting ([`crate::routing::ExecutionMode`]
-    /// `Simulated`). The verifier receives the tentative shortcut of the
-    /// current iteration, the `3b` block threshold and the active-part mask,
-    /// and must return which active parts verified good plus the round count
-    /// to charge.
+    /// it: the scheduled Lemma 3 [`verification`](fn@super::verification)
+    /// or `lcs_dist`'s message-passing block counting
+    /// ([`crate::routing::ExecutionMode`] `Simulated`). It receives the
+    /// tentative shortcut of the current iteration, the `3b` block
+    /// threshold and the active-part mask, and returns which active parts
+    /// verified good plus the round count to charge.
     ///
-    /// # Errors
-    ///
-    /// Propagates verifier errors and the input-consistency errors of
-    /// [`FindShortcut::run`].
-    pub fn run_with_verifier<V>(
-        &self,
-        graph: &Graph,
-        tree: &RootedTree,
-        partition: &Partition,
-        verifier: V,
-    ) -> Result<FindShortcutResult>
-    where
-        V: FnMut(
-            &Graph,
-            &RootedTree,
-            &Partition,
-            &TreeShortcut,
-            usize,
-            &[bool],
-        ) -> Result<VerificationOutcome>,
-    {
-        let all = vec![true; partition.part_count()];
-        self.run_on_parts(graph, tree, partition, &all, verifier)
-    }
-
-    /// Runs the construction restricted to the parts flagged in
-    /// `initial_active` — the part-scoped entry the incremental repair
-    /// layer drives, one dirty part (or a handful) at a time. Inactive
-    /// parts are never touched: the core subroutines skip them, the
-    /// verifier only judges active parts, and the returned shortcut
+    /// Inactive parts are never touched: the core subroutines skip them,
+    /// the verifier only judges active parts, and the returned shortcut
     /// assigns edges only to parts that went active and verified good.
-    ///
     /// `good_after_iteration` counts relative to the active set, so the
-    /// driver's halving guarantee reads the same as for a full run. Note
-    /// the *default* iteration budget is derived from the total part
-    /// count; callers comparing runs across partitions with different
-    /// part counts should pin an explicit
+    /// driver's halving guarantee reads the same for a part-scoped run as
+    /// for a full one. Note the *default* iteration budget is derived from
+    /// the total part count; callers comparing runs across partitions with
+    /// different part counts should pin an explicit
     /// [`FindShortcutConfig::with_max_iterations`].
     ///
     /// # Errors
     ///
-    /// The errors of [`FindShortcut::run_with_verifier`], plus
-    /// [`crate::CoreError::InconsistentInputs`] if the mask length differs
-    /// from the part count.
-    pub fn run_on_parts<V>(
+    /// Propagates verifier errors; returns
+    /// [`crate::CoreError::InconsistentInputs`] if the tree does not span
+    /// the graph, the partition was built for a different node count, or
+    /// the mask length differs from the part count.
+    pub fn run<V: Verifier>(
         &self,
         graph: &Graph,
         tree: &RootedTree,
         partition: &Partition,
         initial_active: &[bool],
         mut verifier: V,
-    ) -> Result<FindShortcutResult>
-    where
-        V: FnMut(
-            &Graph,
-            &RootedTree,
-            &Partition,
-            &TreeShortcut,
-            usize,
-            &[bool],
-        ) -> Result<VerificationOutcome>,
-    {
+    ) -> Result<FindShortcutResult> {
         if initial_active.len() != partition.part_count() {
             return Err(crate::CoreError::InconsistentInputs {
                 reason: format!(
@@ -321,8 +274,19 @@ impl FindShortcut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construction::scheduled;
     use crate::existential::reference_parameters;
     use lcs_graph::{generators, NodeId};
+
+    /// Runs `config` on every part with the scheduled verification.
+    fn run_all(
+        config: FindShortcutConfig,
+        g: &Graph,
+        t: &RootedTree,
+        p: &Partition,
+    ) -> Result<FindShortcutResult> {
+        FindShortcut::new(config).run(g, t, p, &vec![true; p.part_count()], scheduled)
+    }
 
     fn setup_grid(rows: usize, cols: usize) -> (Graph, RootedTree, Partition) {
         let g = generators::grid(rows, cols);
@@ -342,9 +306,7 @@ mod tests {
         let c = reference.congestion.max(1);
         let b = reference.block_parameter.max(1);
 
-        let result = FindShortcut::new(FindShortcutConfig::new(c, b).with_seed(5))
-            .run(&g, &t, &p)
-            .unwrap();
+        let result = run_all(FindShortcutConfig::new(c, b).with_seed(5), &g, &t, &p).unwrap();
         assert!(result.all_parts_good);
         let quality = result.shortcut.quality(&g, &p);
         assert!(quality.block_parameter <= 3 * b);
@@ -363,8 +325,8 @@ mod tests {
         let (g, t, p) = setup_grid(6, 6);
         let (_, reference) = reference_parameters(&g, &t, &p);
         let config = FindShortcutConfig::new(reference.congestion.max(1), 1).with_slow_core();
-        let a = FindShortcut::new(config).run(&g, &t, &p).unwrap();
-        let b = FindShortcut::new(config).run(&g, &t, &p).unwrap();
+        let a = run_all(config, &g, &t, &p).unwrap();
+        let b = run_all(config, &g, &t, &p).unwrap();
         assert!(a.all_parts_good);
         assert_eq!(a.shortcut, b.shortcut);
         assert_eq!(a.total_rounds(), b.total_rounds());
@@ -374,11 +336,15 @@ mod tests {
     fn iteration_count_is_logarithmic_in_practice() {
         let (g, t, p) = setup_grid(10, 10);
         let (_, reference) = reference_parameters(&g, &t, &p);
-        let result = FindShortcut::new(FindShortcutConfig::new(
-            reference.congestion.max(1),
-            reference.block_parameter.max(1),
-        ))
-        .run(&g, &t, &p)
+        let result = run_all(
+            FindShortcutConfig::new(
+                reference.congestion.max(1),
+                reference.block_parameter.max(1),
+            ),
+            &g,
+            &t,
+            &p,
+        )
         .unwrap();
         assert!(result.all_parts_good);
         // 10 columns: the log N bound allows ~2*4+8; in practice one or two
@@ -403,9 +369,13 @@ mod tests {
         let (g, layout) = generators::lower_bound_graph(8, 16);
         let t = RootedTree::bfs(&g, layout.connector(0));
         let p = generators::partitions::lower_bound_paths(&layout);
-        let result = FindShortcut::new(FindShortcutConfig::new(1, 1).with_max_iterations(4))
-            .run(&g, &t, &p)
-            .unwrap();
+        let result = run_all(
+            FindShortcutConfig::new(1, 1).with_max_iterations(4),
+            &g,
+            &t,
+            &p,
+        )
+        .unwrap();
         assert_eq!(result.iterations, 4);
         assert!(!result.all_parts_good);
     }
@@ -415,9 +385,7 @@ mod tests {
         let g = generators::wheel(65);
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::wheel_arcs(65, 8);
-        let result = FindShortcut::new(FindShortcutConfig::new(1, 1))
-            .run(&g, &t, &p)
-            .unwrap();
+        let result = run_all(FindShortcutConfig::new(1, 1), &g, &t, &p).unwrap();
         assert!(result.all_parts_good);
         let q = result.shortcut.quality(&g, &p);
         assert_eq!(q.block_parameter, 1);
@@ -429,24 +397,18 @@ mod tests {
         let (g, t, _) = setup_grid(4, 4);
         let other = generators::grid(3, 3);
         let p_other = generators::partitions::grid_columns(3, 3);
-        let err = FindShortcut::new(FindShortcutConfig::new(1, 1))
-            .run(&g, &t, &p_other)
-            .unwrap_err();
+        let err = run_all(FindShortcutConfig::new(1, 1), &g, &t, &p_other).unwrap_err();
         assert!(matches!(err, crate::CoreError::InconsistentInputs { .. }));
         let t_other = RootedTree::bfs(&other, NodeId::new(0));
         let p = generators::partitions::grid_columns(4, 4);
-        let err = FindShortcut::new(FindShortcutConfig::new(1, 1))
-            .run(&g, &t_other, &p)
-            .unwrap_err();
+        let err = run_all(FindShortcutConfig::new(1, 1), &g, &t_other, &p).unwrap_err();
         assert!(matches!(err, crate::CoreError::InconsistentInputs { .. }));
     }
 
     #[test]
     fn cost_breakdown_labels_iterations() {
         let (g, t, p) = setup_grid(5, 5);
-        let result = FindShortcut::new(FindShortcutConfig::new(5, 5))
-            .run(&g, &t, &p)
-            .unwrap();
+        let result = run_all(FindShortcutConfig::new(5, 5), &g, &t, &p).unwrap();
         assert!(result.cost.total_for_prefix("iteration-1/") > 0);
         assert_eq!(result.cost.total(), result.total_rounds());
     }

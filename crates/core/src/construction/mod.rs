@@ -14,17 +14,17 @@
 //! * the **driver** [`FindShortcut`] (Theorem 3) that alternates the two,
 //!   freezing the subgraphs of verified-good parts and re-running the core
 //!   on the rest, until every part is good — `O(log N)` iterations with high
-//!   probability — and the Appendix A [`doubling_search`] that removes the
-//!   need to know `(c, b)` in advance at the cost of an extra `log(bc)`
-//!   factor.
+//!   probability — with the verification dropped in through one
+//!   [`Verifier`] seam (scheduled here, message passing in `lcs_dist`);
+//! * the Appendix A [`doubling_search`] that removes the need to know
+//!   `(c, b)` in advance at the cost of an extra `log(bc)` factor. It is
+//!   the one construction loop: shortcut queries, the per-part builds of
+//!   [`build_corpus`] / [`repair_corpus`] and every Boruvka phase of
+//!   `lcs_mst` run it.
 
 mod core_fast;
 mod core_slow;
-// The doubling module hosts (and its tests exercise) the deprecated legacy
-// entry point; the façade replacement lives in `lcs_api`.
-#[allow(deprecated)]
 mod doubling;
-#[allow(deprecated)]
 mod find_shortcut;
 mod id_arena;
 mod repair;
@@ -32,17 +32,26 @@ mod verification;
 
 pub use core_fast::{core_fast, CoreFastConfig};
 pub use core_slow::core_slow;
-#[allow(deprecated)]
-pub use doubling::{doubling_search, DoublingConfig, DoublingResult};
-pub use find_shortcut::{FindShortcut, FindShortcutConfig, FindShortcutResult};
-pub use repair::{
-    build_corpus, repair_corpus, PartState, RepairConfig, RepairStats, RepairVerifier,
-    ShortcutCorpus,
-};
+pub use doubling::{doubling_search, DoublingAttempt, DoublingConfig, DoublingResult};
+pub use find_shortcut::{FindShortcut, FindShortcutConfig, FindShortcutResult, Verifier};
+pub use repair::{build_corpus, repair_corpus, PartState, RepairStats, ShortcutCorpus};
 pub use verification::{verification, VerificationOutcome};
 
 use crate::TreeShortcut;
 use lcs_graph::EdgeId;
+
+/// The scheduled Lemma 3 verification as a [`Verifier`], for unit tests.
+#[cfg(test)]
+pub(crate) fn scheduled(
+    g: &lcs_graph::Graph,
+    t: &lcs_graph::RootedTree,
+    p: &lcs_graph::Partition,
+    s: &TreeShortcut,
+    threshold: usize,
+    active: &[bool],
+) -> crate::Result<VerificationOutcome> {
+    Ok(verification(g, t, p, s, threshold, active))
+}
 
 /// Output of a core subroutine ([`core_slow`] or [`core_fast`]): a tentative
 /// `T`-restricted shortcut, the set of edges declared unusable, and the

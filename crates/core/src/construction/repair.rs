@@ -8,8 +8,8 @@
 //! plus the aggregated per-edge load vector so congestion can be
 //! re-aggregated by exact subtraction when parts change.
 //!
-//! Every part is built by its own scoped [`FindShortcut::run_on_parts`]
-//! run (singleton active mask, per-part doubling search). The per-part
+//! Every part is built by its own run of the Appendix A loop
+//! ([`doubling_search`] with a singleton active mask). The per-part base
 //! seed is anchored at the part's minimum member node — not its positional
 //! id — and the iteration budget is pinned to the graph's node count, so a
 //! part's construction is a pure function of `(graph, tree, member set,
@@ -20,40 +20,14 @@
 
 use lcs_graph::{EdgeId, Graph, PartId, PartSet, Partition, RootedTree};
 
-use super::find_shortcut::{FindShortcut, FindShortcutConfig};
-use super::verification::VerificationOutcome;
+use super::doubling::{doubling_search, DoublingConfig};
+use super::find_shortcut::Verifier;
 use crate::quality::QualityPool;
 use crate::{Result, ShortcutQuality, TreeShortcut};
 
 /// Golden-ratio odd multiplier used to spread the min-member node id into
 /// the per-part seed space.
 const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Configuration of the part-scoped construction path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepairConfig {
-    /// Initial congestion guess of the per-part doubling search.
-    pub congestion: usize,
-    /// Initial block-parameter guess of the per-part doubling search.
-    pub block: usize,
-    /// `CoreFast` (true) or the deterministic `CoreSlow`.
-    pub use_fast_core: bool,
-    /// Number of parameter doublings after the initial attempt; `0` makes
-    /// the search a single fixed-parameter attempt.
-    pub max_doublings: usize,
-    /// Session seed; each part derives its own stream from its minimum
-    /// member node, each attempt its own sub-stream.
-    pub seed: u64,
-}
-
-impl RepairConfig {
-    /// Per-part attempt seed: anchored at the part's minimum member so it
-    /// survives renumbering, stepped per doubling attempt exactly like the
-    /// session-level doubling search.
-    fn attempt_seed(&self, min_member: u64, attempt_index: usize) -> u64 {
-        (self.seed ^ min_member.wrapping_mul(SEED_MIX)).wrapping_add(attempt_index as u64 * 7919)
-    }
-}
 
 /// Cached construction state of one part.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,25 +123,6 @@ impl ShortcutCorpus {
     }
 }
 
-/// A verification subroutine usable by the scoped construction runs — the
-/// same shape [`FindShortcut::run_with_verifier`] takes.
-pub trait RepairVerifier:
-    FnMut(&Graph, &RootedTree, &Partition, &TreeShortcut, usize, &[bool]) -> Result<VerificationOutcome>
-{
-}
-
-impl<V> RepairVerifier for V where
-    V: FnMut(
-        &Graph,
-        &RootedTree,
-        &Partition,
-        &TreeShortcut,
-        usize,
-        &[bool],
-    ) -> Result<VerificationOutcome>
-{
-}
-
 /// Iteration budget pinned to the node count so it is invariant under
 /// partition edits (the driver default depends on the part count, which a
 /// delta changes).
@@ -176,13 +131,14 @@ fn scoped_iteration_budget(graph: &Graph) -> usize {
 }
 
 /// Builds one part's cached state by a scoped doubling search: singleton
-/// active mask, per-part seed, node-count iteration budget.
-fn build_part<V: RepairVerifier>(
+/// active mask, a base seed anchored at the part's minimum member (so it
+/// survives renumbering), node-count iteration budget.
+fn build_part<V: Verifier>(
     graph: &Graph,
     tree: &RootedTree,
     partition: &Partition,
     part: PartId,
-    config: &RepairConfig,
+    config: &DoublingConfig,
     pool: &mut QualityPool,
     verifier: &mut V,
 ) -> Result<PartState> {
@@ -192,40 +148,25 @@ fn build_part<V: RepairVerifier>(
         .map(|v| v.index() as u64)
         .min()
         .expect("parts are nonempty");
-    let budget = scoped_iteration_budget(graph);
     let mut mask = vec![false; partition.part_count()];
     mask[part.index()] = true;
-
-    let mut congestion_guess = config.congestion.max(1);
-    let mut block_guess = config.block.max(1);
-    let mut rounds = 0u64;
-    let mut attempts = 0usize;
-    let mut good = false;
-    let mut shortcut = None;
-
-    for attempt_index in 0..=config.max_doublings {
-        let mut fs = FindShortcutConfig::new(congestion_guess, block_guess)
-            .with_seed(config.attempt_seed(min_member, attempt_index))
-            .with_max_iterations(budget);
-        if !config.use_fast_core {
-            fs = fs.with_slow_core();
-        }
-        let result =
-            FindShortcut::new(fs).run_on_parts(graph, tree, partition, &mask, &mut *verifier)?;
-        rounds += result.total_rounds();
-        attempts += 1;
-        good = result.all_parts_good;
-        shortcut = Some(result.shortcut);
-        if good {
-            break;
-        }
-        congestion_guess = congestion_guess.saturating_mul(2);
-        block_guess = block_guess.saturating_mul(2);
-    }
-
-    let shortcut = shortcut.expect("at least one attempt runs");
-    let edges = shortcut.edges_of(part).to_vec();
-    let blocks = shortcut
+    let part_config = DoublingConfig {
+        seed: config.seed ^ min_member.wrapping_mul(SEED_MIX),
+        ..*config
+    };
+    let result = doubling_search(
+        graph,
+        tree,
+        partition,
+        &mask,
+        &part_config,
+        Some(scoped_iteration_budget(graph)),
+        &mut *verifier,
+    )?;
+    let last = *result.attempts.last().expect("at least one attempt runs");
+    let edges = result.shortcut.edges_of(part).to_vec();
+    let blocks = result
+        .shortcut
         .block_components_with(graph, tree, partition, part, pool.primary())
         .len();
     let dilation = pool.primary().part_diameter(graph, partition, part, &edges);
@@ -245,11 +186,11 @@ fn build_part<V: RepairVerifier>(
         uses,
         dilation,
         blocks,
-        good,
-        rounds,
-        attempts,
-        congestion_guess,
-        block_guess,
+        good: result.all_parts_good,
+        rounds: result.total_rounds(),
+        attempts: result.attempts.len(),
+        congestion_guess: last.congestion_guess,
+        block_guess: last.block_guess,
     })
 }
 
@@ -269,11 +210,11 @@ fn aggregate_load(edge_count: usize, parts: &[PartState]) -> Vec<u32> {
 /// # Errors
 ///
 /// Propagates verifier and input-consistency errors of the scoped runs.
-pub fn build_corpus<V: RepairVerifier>(
+pub fn build_corpus<V: Verifier>(
     graph: &Graph,
     tree: &RootedTree,
     partition: &Partition,
-    config: &RepairConfig,
+    config: &DoublingConfig,
     pool: &mut QualityPool,
     mut verifier: V,
 ) -> Result<ShortcutCorpus> {
@@ -298,14 +239,14 @@ pub fn build_corpus<V: RepairVerifier>(
 /// match `partition`'s part count, a clean slot points outside `prev`, or
 /// a dirty slot claims an origin; plus the scoped-run errors.
 #[allow(clippy::too_many_arguments)]
-pub fn repair_corpus<V: RepairVerifier>(
+pub fn repair_corpus<V: Verifier>(
     graph: &Graph,
     tree: &RootedTree,
     partition: &Partition,
     prev: &ShortcutCorpus,
     origin: &[Option<PartId>],
     dirty: &PartSet,
-    config: &RepairConfig,
+    config: &DoublingConfig,
     pool: &mut QualityPool,
     mut verifier: V,
 ) -> Result<(ShortcutCorpus, RepairStats)> {
@@ -397,19 +338,8 @@ pub fn repair_corpus<V: RepairVerifier>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::construction::verification;
+    use crate::construction::scheduled;
     use lcs_graph::{generators, NodeId, PartitionDelta};
-
-    fn scheduled(
-        g: &Graph,
-        t: &RootedTree,
-        p: &Partition,
-        s: &TreeShortcut,
-        threshold: usize,
-        active: &[bool],
-    ) -> Result<VerificationOutcome> {
-        Ok(verification(g, t, p, s, threshold, active))
-    }
 
     fn setup(rows: usize, cols: usize) -> (Graph, RootedTree, Partition) {
         let g = generators::grid(rows, cols);
@@ -418,8 +348,8 @@ mod tests {
         (g, t, p)
     }
 
-    fn config() -> RepairConfig {
-        RepairConfig {
+    fn config() -> DoublingConfig {
+        DoublingConfig {
             congestion: 1,
             block: 1,
             use_fast_core: true,

@@ -16,8 +16,9 @@
 //!   block-component counting,
 //! * [`construction`] — the paper's Section 5 algorithms: `CoreSlow`
 //!   (Algorithm 1), `CoreFast` (Algorithm 2), `Verification`,
-//!   `FindShortcut` (Theorem 3) and the Appendix A doubling search for
-//!   unknown parameters,
+//!   `FindShortcut` (Theorem 3) with one `Verifier` seam, and the
+//!   Appendix A doubling loop for unknown parameters — the one
+//!   construction loop every caller runs,
 //! * [`existential`] — centralized reference constructions that exhibit
 //!   *some* tree-restricted shortcut for a given instance; they play the
 //!   role of the "canonical shortcut" whose existence Theorem 3 assumes.
@@ -25,7 +26,7 @@
 //! # Quick start
 //!
 //! ```
-//! use lcs_core::construction::{FindShortcut, FindShortcutConfig};
+//! use lcs_core::construction::{verification, FindShortcut, FindShortcutConfig};
 //! use lcs_graph::{generators, NodeId, RootedTree};
 //!
 //! // A planar grid partitioned into its columns.
@@ -33,10 +34,14 @@
 //! let partition = generators::partitions::grid_columns(8, 8);
 //! let tree = RootedTree::bfs(&graph, NodeId::new(0));
 //!
-//! // Construct a near-optimal tree-restricted shortcut, assuming a
-//! // canonical shortcut with congestion 8 and block parameter 3 exists.
+//! // Construct a near-optimal tree-restricted shortcut for every part,
+//! // assuming a canonical shortcut with congestion 8 and block parameter 3
+//! // exists, with the scheduled Lemma 3 verification.
+//! let active = vec![true; partition.part_count()];
 //! let result = FindShortcut::new(FindShortcutConfig::new(8, 3))
-//!     .run(&graph, &tree, &partition)
+//!     .run(&graph, &tree, &partition, &active, |g, t, p, s, threshold, active| {
+//!         Ok(verification(g, t, p, s, threshold, active))
+//!     })
 //!     .unwrap();
 //! let quality = result.shortcut.quality(&graph, &partition);
 //! assert!(quality.block_parameter <= 3 * 3);

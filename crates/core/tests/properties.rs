@@ -5,18 +5,28 @@
 //! guarantees), Theorem 3 (FindShortcut output quality), and the internal
 //! consistency of the block-component decomposition.
 
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 
 use lcs_core::construction::{
-    core_fast, core_slow, doubling_search, CoreFastConfig, DoublingConfig, FindShortcut,
-    FindShortcutConfig,
+    core_fast, core_slow, doubling_search, verification, CoreFastConfig, DoublingConfig,
+    FindShortcut, FindShortcutConfig, VerificationOutcome,
 };
 use lcs_core::existential::{ancestor_shortcut, reference_parameters};
 use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
 use lcs_graph::{generators, NodeId, Partition, RootedTree};
+
+/// The scheduled Lemma 3 verification as a construction verifier.
+fn scheduled(
+    g: &lcs_graph::Graph,
+    t: &RootedTree,
+    p: &Partition,
+    s: &TreeShortcut,
+    threshold: usize,
+    active: &[bool],
+) -> lcs_core::Result<VerificationOutcome> {
+    Ok(verification(g, t, p, s, threshold, active))
+}
 
 /// A random connected instance: graph, BFS tree and a BFS-ball partition.
 fn random_instance(
@@ -148,11 +158,19 @@ proptest! {
             &graph,
             &tree,
             &partition,
-            DoublingConfig::new().with_seed(seed),
+            &vec![true; partition.part_count()],
+            &DoublingConfig { seed, ..DoublingConfig::default() },
+            None,
+            scheduled,
         )
-        .expect("doubling always succeeds eventually on small instances");
+        .unwrap();
+        prop_assert!(
+            result.all_parts_good,
+            "doubling always succeeds eventually on small instances"
+        );
         let q = result.shortcut.quality(&graph, &partition);
-        prop_assert!(q.block_parameter <= 3 * result.block_guess);
+        let winning = result.attempts.last().unwrap();
+        prop_assert!(q.block_parameter <= 3 * winning.block_guess);
         prop_assert!(q.satisfies_lemma1(tree.depth_of_tree()));
         prop_assert!(result.shortcut.validate(&tree, &partition).is_ok());
     }
@@ -171,7 +189,7 @@ proptest! {
         let c = reference.congestion.max(1);
         let b = reference.block_parameter.max(1);
         let result = FindShortcut::new(FindShortcutConfig::new(c, b).with_seed(seed))
-            .run(&graph, &tree, &partition)
+            .run(&graph, &tree, &partition, &vec![true; partition.part_count()], scheduled)
             .unwrap();
         prop_assert!(result.all_parts_good);
         let q = result.shortcut.quality(&graph, &partition);

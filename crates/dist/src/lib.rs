@@ -22,10 +22,10 @@
 //!   intra-block agreement interleaved with supergraph exchanges;
 //! * [`verification_simulated`] — Lemma 3 as message passing: distributed
 //!   block-component counting, a sound and complete drop-in for
-//!   `lcs_core::construction::verification`;
-//! * [`find_shortcut`] — the Theorem 3 driver with an
-//!   [`lcs_core::routing::ExecutionMode`] switch for its verification
-//!   subroutine;
+//!   `lcs_core::construction::verification`. Wrapped in a closure, it is
+//!   the `Simulated` [`lcs_core::construction::Verifier`] the Theorem 3
+//!   driver and the Appendix A loop run with (`lcs_api`'s session does
+//!   this for every construction query, repair and Boruvka phase);
 //! * [`CrossCheck`] — the harness asserting, per primitive, that the
 //!   distributed execution equals the centralized result and respects the
 //!   paper's round bounds (tabulated by experiment E8).
@@ -55,7 +55,6 @@
 
 mod cast;
 mod crosscheck;
-mod driver;
 mod engine;
 mod error;
 mod flood;
@@ -64,7 +63,6 @@ mod verification;
 
 pub use cast::{block_convergecast, block_exchange, BlockCastOutcome};
 pub use crosscheck::{CheckedRun, CrossCheck};
-pub use driver::find_shortcut;
 pub use error::{DistError, Result};
 pub use flood::{
     min_edge_candidates, part_flood_min, part_leaders, part_min_edges, PartFloodOutcome,
@@ -73,6 +71,5 @@ pub use flood::{
 pub use knowledge::{BlockFamily, Membership, NodeInfo};
 pub use verification::{
     counting_supersteps, verification_simulated, verification_simulated_obs,
-    verification_simulated_parts, verification_with_retry, DistVerificationOutcome, RetryPolicy,
-    RetryVerification,
+    verification_with_retry, DistVerificationOutcome, RetryPolicy, RetryVerification,
 };

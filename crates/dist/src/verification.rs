@@ -37,7 +37,7 @@
 use lcs_congest::{bits_for_node_count, SimConfig, SimError, SimStats};
 use lcs_core::construction::VerificationOutcome;
 use lcs_core::TreeShortcut;
-use lcs_graph::{Graph, NodeId, PartSet, Partition, RootedTree};
+use lcs_graph::{Graph, NodeId, Partition, RootedTree};
 use lcs_obs::Obs;
 
 use crate::engine::{run_engine, EngineSpec, NodeProgram};
@@ -650,48 +650,6 @@ fn count_blocks(
         supersteps,
         decisive,
     })
-}
-
-/// [`verification_simulated_obs`] restricted to an explicit part set —
-/// the entry the incremental repair layer drives: only the parts in
-/// `parts` are verified (the dirty closure of a partition delta), every
-/// other part is skipped by the protocol exactly as an inactive part of a
-/// driver iteration would be.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// Panics if `parts` is defined over a different part universe than the
-/// partition or if `threshold` is zero.
-#[allow(clippy::too_many_arguments)]
-pub fn verification_simulated_parts(
-    graph: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    shortcut: &TreeShortcut,
-    threshold: usize,
-    parts: &PartSet,
-    config: Option<SimConfig>,
-    obs: &Obs,
-) -> Result<DistVerificationOutcome> {
-    assert_eq!(
-        parts.universe(),
-        partition.part_count(),
-        "the part set must cover the partition's part universe"
-    );
-    verification_simulated_obs(
-        graph,
-        tree,
-        partition,
-        shortcut,
-        threshold,
-        parts.as_mask(),
-        config,
-        obs,
-    )
 }
 
 /// How [`verification_with_retry`] turns stalled runs into fresh epochs.

@@ -79,8 +79,8 @@ pub fn part_broadcast<T: Clone>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
     use super::*;
+    use crate::scheduled;
     use lcs_core::construction::{FindShortcut, FindShortcutConfig};
     use lcs_graph::generators;
 
@@ -89,7 +89,7 @@ mod tests {
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::wheel_arcs(41, 5);
         let s = FindShortcut::new(FindShortcutConfig::new(1, 1))
-            .run(&g, &t, &p)
+            .run(&g, &t, &p, &vec![true; p.part_count()], scheduled)
             .unwrap()
             .shortcut;
         (g, t, p, s)

@@ -25,13 +25,13 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use lcs_congest::RoundCost;
-use lcs_core::construction::{doubling_search, DoublingConfig, FindShortcut, FindShortcutConfig};
-use lcs_core::routing::{ExecutionMode, PartRouter};
+use lcs_congest::{RoundCost, SimConfig};
+use lcs_core::construction::{doubling_search, DoublingConfig, Verifier};
+use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
 use lcs_dist::{part_leaders, part_min_edges, BlockFamily};
 use lcs_graph::{
-    EdgeId, EdgeWeights, Graph, NodeId, PartId, Partition, PartitionBuilder, RootedTree, UnionFind,
+    EdgeId, EdgeWeights, Graph, NodeId, Partition, PartitionBuilder, RootedTree, UnionFind,
 };
 
 use crate::Result;
@@ -60,76 +60,9 @@ pub enum ShortcutStrategy {
     WholeTree,
 }
 
-/// Configuration of [`boruvka_mst`].
-///
-/// # Migration
-///
-/// This is a legacy configuration kept for downstream code; new code
-/// should go through the façade: build a session with
-/// `lcs_api::Pipeline::on` (re-exported as
-/// `low_congestion_shortcuts::api`) and call `Session::mst(weights,
-/// strategy)` — the seed, execution mode and simulator configuration are
-/// session properties there instead of per-call struct fields.
-#[deprecated(
-    since = "0.1.0",
-    note = "migrate to `api::Pipeline` / `api::Session::mst(weights, strategy)`"
-)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoruvkaConfig {
-    /// Shortcut strategy used by every phase.
-    pub strategy: ShortcutStrategy,
-    /// Random seed (head/tail coin flips and the randomized constructions).
-    pub seed: u64,
-    /// Hard cap on the number of phases (the expected number is `O(log n)`;
-    /// the cap only exists so that misuse fails loudly).
-    pub max_phases: usize,
-    /// How each phase's per-part communication executes:
-    /// [`ExecutionMode::Scheduled`] charges the exact Theorem 2 schedules
-    /// (the seed behaviour); [`ExecutionMode::Simulated`] runs leader
-    /// election and min-edge aggregation as real message passing in the
-    /// CONGEST simulator (`lcs_dist`) and charges the executed rounds.
-    /// The [`ShortcutStrategy::NoShortcut`] baseline always uses its
-    /// part-internal schedule.
-    pub execution: ExecutionMode,
-    /// Simulator configuration of the [`ExecutionMode::Simulated`] phases
-    /// (bandwidth, tracing, engine thread count). `None` uses the
-    /// per-protocol defaults (`SimConfig::for_graph`, threads from
-    /// `LCS_THREADS`); the `lcs_api` session passes its own so the thread
-    /// count flows as a value.
-    pub sim: Option<lcs_congest::SimConfig>,
-}
-
-impl BoruvkaConfig {
-    /// Creates a configuration with the given strategy, seed 0, a generous
-    /// phase cap and scheduled execution.
-    pub fn new(strategy: ShortcutStrategy) -> Self {
-        BoruvkaConfig {
-            strategy,
-            seed: 0,
-            max_phases: 400,
-            execution: ExecutionMode::Scheduled,
-            sim: None,
-        }
-    }
-
-    /// Overrides the random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Overrides the execution mode.
-    pub fn with_execution(mut self, execution: ExecutionMode) -> Self {
-        self.execution = execution;
-        self
-    }
-
-    /// Overrides the simulator configuration of `Simulated` phases.
-    pub fn with_sim_config(mut self, sim: lcs_congest::SimConfig) -> Self {
-        self.sim = Some(sim);
-        self
-    }
-}
+/// Hard cap on the number of phases: the expected number is `O(log n)`;
+/// the cap only exists so that misuse fails loudly.
+const MAX_PHASES: usize = 400;
 
 /// Result of the distributed MST computation.
 #[derive(Debug, Clone)]
@@ -151,29 +84,45 @@ impl MstOutcome {
     }
 }
 
-/// Runs distributed Boruvka MST over `graph` with the given edge weights.
+/// Runs distributed Boruvka MST over `graph` with the given edge weights,
+/// routing every phase over `tree`.
+///
+/// Phase `k` constructs its shortcut with the one Appendix A loop
+/// ([`doubling_search`]) seeded at `seed + k` and verified by `verifier`,
+/// so the caller's verification back-end (scheduled or message passing)
+/// runs inside every phase. `sim` selects how the per-part routing
+/// executes: `None` charges the exact Theorem 2 schedules; `Some(config)`
+/// runs leader election and min-edge aggregation as real message passing
+/// in the CONGEST simulator (`lcs_dist`) with that configuration and
+/// charges the executed rounds. The [`ShortcutStrategy::NoShortcut`]
+/// baseline always uses its part-internal schedule. The `bfs-tree` and
+/// `termination-check` charges are the depth of `tree`.
 ///
 /// # Errors
 ///
-/// Propagates shortcut-construction errors and reports
-/// [`lcs_core::CoreError::IterationBudgetExhausted`] if the phase cap is hit
-/// before the partition collapses to a single part.
+/// Propagates shortcut-construction errors; reports
+/// [`lcs_core::CoreError::IterationBudgetExhausted`] when a
+/// [`ShortcutStrategy::Doubling`] phase leaves parts bad after its
+/// doublings, or when the phase cap is hit before the partition collapses
+/// to a single part.
 ///
 /// # Panics
 ///
 /// Panics if the graph is empty or not connected.
-pub fn boruvka_mst(
+pub fn boruvka_mst<V: Verifier>(
     graph: &Graph,
+    tree: &RootedTree,
     weights: &EdgeWeights,
-    config: &BoruvkaConfig,
+    strategy: ShortcutStrategy,
+    seed: u64,
+    sim: Option<SimConfig>,
+    mut verifier: V,
 ) -> Result<MstOutcome> {
     assert!(graph.node_count() > 0, "the graph must be nonempty");
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut cost = RoundCost::new();
 
-    // Fix the BFS tree once; O(D) rounds.
-    let root = NodeId::new(0);
-    let tree = RootedTree::bfs(graph, root);
+    // The tree is fixed once; building it is O(D) rounds.
     cost.charge("bfs-tree", u64::from(tree.depth_of_tree()));
 
     let mut partition = Partition::singletons(graph);
@@ -181,7 +130,7 @@ pub fn boruvka_mst(
     let mut phases = 0;
 
     while partition.part_count() > 1 {
-        if phases >= config.max_phases {
+        if phases >= MAX_PHASES {
             return Err(lcs_core::CoreError::IterationBudgetExhausted {
                 iterations: phases,
                 remaining_bad: partition.part_count(),
@@ -193,12 +142,13 @@ pub fn boruvka_mst(
         // 1. Shortcut construction for the current partition.
         let shortcut = build_shortcut(
             graph,
-            &tree,
+            tree,
             &partition,
-            config.strategy,
-            config.seed.wrapping_add(phases as u64),
+            strategy,
+            seed.wrapping_add(phases as u64),
             &mut cost,
             &label("shortcut"),
+            &mut verifier,
         )?;
 
         // 2. Minimum-weight outgoing edge per part. Every node first learns
@@ -217,7 +167,7 @@ pub fn boruvka_mst(
             })
             .collect();
 
-        let (min_outgoing, routing_rounds) = match (config.strategy, config.execution) {
+        let (min_outgoing, routing_rounds) = match (strategy, sim) {
             (ShortcutStrategy::NoShortcut, _) => {
                 // Baseline: convergecast + broadcast inside G[P_i] costs the
                 // part diameter (twice), all parts in parallel.
@@ -225,8 +175,8 @@ pub fn boruvka_mst(
                 let diameter = u64::from(partition.max_part_diameter(graph));
                 (per_part, 4 * diameter + 2)
             }
-            (_, ExecutionMode::Scheduled) => {
-                let router = PartRouter::new(graph, &tree, &partition, &shortcut);
+            (_, None) => {
+                let router = PartRouter::new(graph, tree, &partition, &shortcut);
                 let leaders = router.elect_leaders();
                 let aggregated = router.aggregate_to_leaders(&candidates, |a, b| *a.min(b));
                 let broadcast_back = router.exchange_rounds();
@@ -235,16 +185,16 @@ pub fn boruvka_mst(
                     leaders.rounds + aggregated.rounds + broadcast_back,
                 )
             }
-            (_, ExecutionMode::Simulated) => {
+            (_, Some(sim)) => {
                 // Real message passing: the flood both aggregates the
                 // candidates and disseminates the result to every member,
                 // so no separate broadcast-back is charged. Leader election
                 // runs as its own protocol, mirroring the scheduled cost
                 // structure.
-                let family = BlockFamily::new(graph, &tree, &partition, &shortcut);
-                let (_, leader_stats) = part_leaders(graph, &partition, &family, config.sim)?;
+                let family = BlockFamily::new(graph, tree, &partition, &shortcut);
+                let (_, leader_stats) = part_leaders(graph, &partition, &family, Some(sim))?;
                 let (per_part, min_stats) =
-                    part_min_edges(graph, &partition, &family, &candidates, config.sim)?;
+                    part_min_edges(graph, &partition, &family, &candidates, Some(sim))?;
                 (per_part, leader_stats.rounds + min_stats.rounds)
             }
         };
@@ -299,7 +249,8 @@ pub fn boruvka_mst(
 }
 
 /// Builds the per-phase shortcut according to the strategy.
-fn build_shortcut(
+#[allow(clippy::too_many_arguments)]
+fn build_shortcut<V: Verifier>(
     graph: &Graph,
     tree: &RootedTree,
     partition: &Partition,
@@ -307,28 +258,32 @@ fn build_shortcut(
     seed: u64,
     cost: &mut RoundCost,
     label: &str,
+    verifier: &mut V,
 ) -> Result<TreeShortcut> {
-    match strategy {
-        ShortcutStrategy::FindShortcut { congestion, block } => {
-            let result =
-                FindShortcut::new(FindShortcutConfig::new(congestion, block).with_seed(seed))
-                    .run(graph, tree, partition)?;
-            cost.charge(label.to_string(), result.total_rounds());
-            Ok(result.shortcut)
-        }
-        ShortcutStrategy::Doubling => {
-            let result = doubling_search(
-                graph,
-                tree,
-                partition,
-                DoublingConfig::new().with_seed(seed),
-            )?;
-            cost.charge(label.to_string(), result.total_rounds());
-            Ok(result.shortcut)
-        }
+    let (config, budget_is_error) = match strategy {
+        // Known parameters: the loop with no doublings; a part still bad
+        // after the driver's iteration budget routes over its partial
+        // shortcut.
+        ShortcutStrategy::FindShortcut { congestion, block } => (
+            DoublingConfig {
+                congestion,
+                block,
+                use_fast_core: true,
+                max_doublings: 0,
+                seed,
+            },
+            false,
+        ),
+        ShortcutStrategy::Doubling => (
+            DoublingConfig {
+                seed,
+                ..DoublingConfig::default()
+            },
+            true,
+        ),
         ShortcutStrategy::NoShortcut => {
             cost.charge(label.to_string(), 0);
-            Ok(TreeShortcut::empty(graph, partition))
+            return Ok(TreeShortcut::empty(graph, partition));
         }
         ShortcutStrategy::WholeTree => {
             // Every part gets the entire tree; announcing "use everything"
@@ -342,9 +297,19 @@ fn build_shortcut(
                 }
             }
             cost.charge(label.to_string(), u64::from(tree.depth_of_tree()));
-            Ok(shortcut)
+            return Ok(shortcut);
         }
+    };
+    let active = vec![true; partition.part_count()];
+    let result = doubling_search(graph, tree, partition, &active, &config, None, verifier)?;
+    if budget_is_error && !result.all_parts_good {
+        return Err(lcs_core::CoreError::IterationBudgetExhausted {
+            iterations: result.attempts.len(),
+            remaining_bad: result.remaining_bad,
+        });
     }
+    cost.charge(label.to_string(), result.total_rounds());
+    Ok(result.shortcut)
 }
 
 /// Reference aggregation used by the no-shortcut baseline: combine the
@@ -398,20 +363,26 @@ fn merge_partition(graph: &Graph, partition: &Partition, uf: &mut UnionFind) -> 
     builder.build()
 }
 
-#[allow(dead_code)]
-fn _part_id_helper(p: PartId) -> usize {
-    p.index()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduled;
     use crate::verify::is_spanning_tree;
     use lcs_graph::{generators, kruskal_mst};
 
+    /// Scheduled Boruvka over the BFS tree from node 0.
+    fn mst(
+        graph: &Graph,
+        weights: &EdgeWeights,
+        strategy: ShortcutStrategy,
+        seed: u64,
+    ) -> Result<MstOutcome> {
+        let tree = RootedTree::bfs(graph, NodeId::new(0));
+        boruvka_mst(graph, &tree, weights, strategy, seed, None, scheduled)
+    }
+
     fn check_matches_kruskal(graph: &Graph, weights: &EdgeWeights, strategy: ShortcutStrategy) {
-        let outcome = boruvka_mst(graph, weights, &BoruvkaConfig::new(strategy).with_seed(3))
-            .expect("construction succeeds");
+        let outcome = mst(graph, weights, strategy, 3).expect("construction succeeds");
         let reference = kruskal_mst(graph, weights);
         assert_eq!(outcome.edges, reference, "strategy {strategy:?}");
         assert_eq!(outcome.weight, weights.total(reference));
@@ -460,34 +431,47 @@ mod tests {
     #[test]
     fn simulated_execution_matches_kruskal_and_scheduled_results() {
         let g = generators::grid(5, 5);
+        let t = RootedTree::bfs(&g, NodeId::new(0));
         let w = EdgeWeights::random_permutation(&g, 11);
-        let base = BoruvkaConfig::new(ShortcutStrategy::FindShortcut {
+        let sim = Some(SimConfig::for_graph(&g));
+        let strategy = ShortcutStrategy::FindShortcut {
             congestion: 8,
             block: 2,
-        })
-        .with_seed(3);
-        let scheduled = boruvka_mst(&g, &w, &base).unwrap();
-        let simulated =
-            boruvka_mst(&g, &w, &base.with_execution(ExecutionMode::Simulated)).unwrap();
+        };
+        let scheduled_run = mst(&g, &w, strategy, 3).unwrap();
+        let simulated = boruvka_mst(&g, &t, &w, strategy, 3, sim, scheduled).unwrap();
         // Same seeds, same merges: the edge sets agree with each other and
         // with Kruskal, only the charged routing rounds differ.
-        assert_eq!(simulated.edges, scheduled.edges);
+        assert_eq!(simulated.edges, scheduled_run.edges);
         assert_eq!(simulated.edges, kruskal_mst(&g, &w));
         assert!(is_spanning_tree(&g, &simulated.edges));
         assert!(simulated.total_rounds() > 0);
 
-        let doubling = BoruvkaConfig::new(ShortcutStrategy::Doubling)
-            .with_seed(5)
-            .with_execution(ExecutionMode::Simulated);
-        let outcome = boruvka_mst(&g, &w, &doubling).unwrap();
+        // Message-passing verification inside every phase's doubling loop
+        // classifies exactly like the scheduled one: same phases, same
+        // edges.
+        let simulated_verifier = |g: &Graph,
+                                  t: &RootedTree,
+                                  p: &Partition,
+                                  s: &TreeShortcut,
+                                  threshold: usize,
+                                  active: &[bool]| {
+            lcs_dist::verification_simulated(g, t, p, s, threshold, active, sim)
+                .map(|run| run.outcome)
+                .map_err(lcs_core::CoreError::from)
+        };
+        let doubling = ShortcutStrategy::Doubling;
+        let outcome = boruvka_mst(&g, &t, &w, doubling, 5, sim, simulated_verifier).unwrap();
         assert_eq!(outcome.edges, kruskal_mst(&g, &w));
+        let reference = boruvka_mst(&g, &t, &w, doubling, 5, sim, scheduled).unwrap();
+        assert_eq!(outcome.phases, reference.phases);
     }
 
     #[test]
     fn phase_count_is_logarithmic() {
         let g = generators::grid(8, 8);
         let w = EdgeWeights::random_permutation(&g, 2);
-        let outcome = boruvka_mst(&g, &w, &BoruvkaConfig::new(ShortcutStrategy::Doubling)).unwrap();
+        let outcome = mst(&g, &w, ShortcutStrategy::Doubling, 0).unwrap();
         // 64 nodes; with star merges the expected reduction is ~1/4 per
         // phase, so a generous logarithmic cap:
         assert!(outcome.phases <= 40, "took {} phases", outcome.phases);
@@ -500,22 +484,17 @@ mod tests {
         // shortcut-based algorithm keeps phases cheap.
         let g = generators::wheel(129);
         let w = EdgeWeights::random_permutation(&g, 9);
-        let with_shortcuts = boruvka_mst(
+        let with_shortcuts = mst(
             &g,
             &w,
-            &BoruvkaConfig::new(ShortcutStrategy::FindShortcut {
+            ShortcutStrategy::FindShortcut {
                 congestion: 2,
                 block: 2,
-            })
-            .with_seed(1),
+            },
+            1,
         )
         .unwrap();
-        let without = boruvka_mst(
-            &g,
-            &w,
-            &BoruvkaConfig::new(ShortcutStrategy::NoShortcut).with_seed(1),
-        )
-        .unwrap();
+        let without = mst(&g, &w, ShortcutStrategy::NoShortcut, 1).unwrap();
         assert_eq!(with_shortcuts.edges, without.edges);
         // Compare only the routing cost (shortcut construction excluded):
         // the baseline's part-internal routing must be strictly more
@@ -544,7 +523,7 @@ mod tests {
     fn single_node_graph_needs_no_phases() {
         let g = Graph::from_edges(1, &[]).unwrap();
         let w = EdgeWeights::uniform(&g);
-        let outcome = boruvka_mst(&g, &w, &BoruvkaConfig::new(ShortcutStrategy::Doubling)).unwrap();
+        let outcome = mst(&g, &w, ShortcutStrategy::Doubling, 0).unwrap();
         assert!(outcome.edges.is_empty());
         assert_eq!(outcome.phases, 0);
     }
@@ -553,7 +532,7 @@ mod tests {
     fn cost_breakdown_covers_every_phase() {
         let g = generators::grid(4, 4);
         let w = EdgeWeights::random_permutation(&g, 1);
-        let outcome = boruvka_mst(&g, &w, &BoruvkaConfig::new(ShortcutStrategy::Doubling)).unwrap();
+        let outcome = mst(&g, &w, ShortcutStrategy::Doubling, 0).unwrap();
         for phase in 1..=outcome.phases {
             assert!(
                 outcome.cost.total_for_prefix(&format!("phase-{phase}/")) > 0,

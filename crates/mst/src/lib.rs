@@ -24,35 +24,55 @@
 //! # Example
 //!
 //! ```
-//! use lcs_mst::{boruvka_mst, BoruvkaConfig, ShortcutStrategy};
-//! use lcs_graph::{generators, kruskal_mst, EdgeWeights};
+//! use lcs_core::construction::verification;
+//! use lcs_mst::{boruvka_mst, ShortcutStrategy};
+//! use lcs_graph::{generators, kruskal_mst, EdgeWeights, NodeId, RootedTree};
 //!
 //! let graph = generators::grid(6, 6);
+//! let tree = RootedTree::bfs(&graph, NodeId::new(0));
 //! let weights = EdgeWeights::random_permutation(&graph, 7);
+//! // Scheduled routing (`None`) and the scheduled Lemma 3 verification.
 //! let outcome = boruvka_mst(
 //!     &graph,
+//!     &tree,
 //!     &weights,
-//!     &BoruvkaConfig::new(ShortcutStrategy::Doubling),
+//!     ShortcutStrategy::Doubling,
+//!     0,
+//!     None,
+//!     |g, t, p, s, threshold, active| Ok(verification(g, t, p, s, threshold, active)),
 //! )
 //! .unwrap();
 //! let reference = kruskal_mst(&graph, &weights);
 //! assert_eq!(outcome.edges, reference);
 //! ```
+//!
+//! `lcs_api`'s `Session::mst` runs the same call with the session's tree
+//! and verifier.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aggregate;
-// The boruvka module hosts (and its tests exercise) the deprecated legacy
-// configuration struct; the façade replacement is `lcs_api::Session::mst`.
-#[allow(deprecated)]
 mod boruvka;
 pub mod verify;
 
 pub use aggregate::{part_aggregate, part_broadcast, PartAggregateOutcome};
-#[allow(deprecated)]
-pub use boruvka::{boruvka_mst, BoruvkaConfig, MstOutcome, ShortcutStrategy};
-pub use lcs_core::routing::ExecutionMode;
+pub use boruvka::{boruvka_mst, MstOutcome, ShortcutStrategy};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, lcs_core::CoreError>;
+
+/// The scheduled Lemma 3 verification as a verifier, for unit tests.
+#[cfg(test)]
+fn scheduled(
+    g: &lcs_graph::Graph,
+    t: &lcs_graph::RootedTree,
+    p: &lcs_graph::Partition,
+    s: &lcs_core::TreeShortcut,
+    threshold: usize,
+    active: &[bool],
+) -> Result<lcs_core::construction::VerificationOutcome> {
+    Ok(lcs_core::construction::verification(
+        g, t, p, s, threshold, active,
+    ))
+}

@@ -27,14 +27,15 @@
 //! # Quick start
 //!
 //! ```
-//! use low_congestion_shortcuts::core::construction::{doubling_search, DoublingConfig};
-//! use low_congestion_shortcuts::graph::{generators, NodeId, RootedTree};
+//! use low_congestion_shortcuts::api::{Pipeline, Strategy};
+//! use low_congestion_shortcuts::graph::generators;
 //!
 //! let graph = generators::wheel(33);
-//! let tree = RootedTree::bfs(&graph, NodeId::new(0));
 //! let partition = generators::partitions::wheel_arcs(33, 4);
-//! let result = doubling_search(&graph, &tree, &partition, DoublingConfig::new()).unwrap();
-//! assert_eq!(result.shortcut.quality(&graph, &partition).block_parameter, 1);
+//! // One session per graph: its BFS tree and verifier serve every query.
+//! let session = Pipeline::on(&graph).build().unwrap();
+//! let run = session.shortcut(&partition, Strategy::doubling()).unwrap();
+//! assert_eq!(run.shortcut.quality(&graph, &partition).block_parameter, 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,23 +2,72 @@
 //! through shortcut construction and routing to the MST application,
 //! validated against centralized references.
 //!
-//! The legacy entry points are exercised on purpose (beyond the façade
-//! tests below): they are the deprecation shims the redesign promised to
-//! keep compiling for downstream code.
-#![allow(deprecated)]
+//! The lower-layer entry points (`doubling_search`, `FindShortcut::run`,
+//! `boruvka_mst`) are exercised directly with the scheduled verifier below,
+//! beside the façade tests that run the same pipeline through a session.
 
 use low_congestion_shortcuts::api;
 use low_congestion_shortcuts::core::construction::{
-    doubling_search, DoublingConfig, FindShortcut, FindShortcutConfig,
+    doubling_search, verification, DoublingConfig, DoublingResult, FindShortcut,
+    FindShortcutConfig, FindShortcutResult, VerificationOutcome,
 };
 use low_congestion_shortcuts::core::existential::reference_parameters;
 use low_congestion_shortcuts::core::routing::PartRouter;
+use low_congestion_shortcuts::core::TreeShortcut;
 use low_congestion_shortcuts::graph::{
-    diameter_exact, generators, kruskal_mst, EdgeWeights, NodeId, RootedTree,
+    diameter_exact, generators, kruskal_mst, EdgeWeights, Graph, NodeId, Partition, RootedTree,
 };
 use low_congestion_shortcuts::mst::{
-    boruvka_mst, part_aggregate, verify, BoruvkaConfig, ShortcutStrategy,
+    boruvka_mst, part_aggregate, verify, MstOutcome, ShortcutStrategy,
 };
+
+/// The scheduled Lemma 3 verification as a construction verifier.
+fn scheduled(
+    g: &Graph,
+    t: &RootedTree,
+    p: &Partition,
+    s: &TreeShortcut,
+    threshold: usize,
+    active: &[bool],
+) -> low_congestion_shortcuts::core::Result<VerificationOutcome> {
+    Ok(verification(g, t, p, s, threshold, active))
+}
+
+/// The default doubling search (start at `(1, 1)`, seed 0) on every part.
+fn doubling(graph: &Graph, tree: &RootedTree, partition: &Partition) -> DoublingResult {
+    let active = vec![true; partition.part_count()];
+    let result = doubling_search(
+        graph,
+        tree,
+        partition,
+        &active,
+        &DoublingConfig::default(),
+        None,
+        scheduled,
+    )
+    .unwrap();
+    assert!(result.all_parts_good);
+    result
+}
+
+/// `FindShortcut` at known parameters on every part.
+fn find_shortcut(
+    config: FindShortcutConfig,
+    graph: &Graph,
+    tree: &RootedTree,
+    partition: &Partition,
+) -> FindShortcutResult {
+    let active = vec![true; partition.part_count()];
+    FindShortcut::new(config)
+        .run(graph, tree, partition, &active, scheduled)
+        .unwrap()
+}
+
+/// Scheduled Boruvka (seed 0) over the BFS tree from node 0.
+fn mst(graph: &Graph, weights: &EdgeWeights, strategy: ShortcutStrategy) -> MstOutcome {
+    let tree = RootedTree::bfs(graph, NodeId::new(0));
+    boruvka_mst(graph, &tree, weights, strategy, 0, None, scheduled).unwrap()
+}
 
 /// End-to-end pipeline on a planar grid: generate, construct shortcuts with
 /// the doubling search, route, and solve MST — everything must agree with
@@ -30,9 +79,10 @@ fn full_pipeline_on_planar_grid() {
     let tree = RootedTree::bfs(&graph, NodeId::new(0));
 
     // Shortcut construction without knowing (c, b).
-    let constructed = doubling_search(&graph, &tree, &partition, DoublingConfig::new()).unwrap();
+    let constructed = doubling(&graph, &tree, &partition);
     let quality = constructed.shortcut.quality(&graph, &partition);
-    assert!(quality.block_parameter <= 3 * constructed.block_guess);
+    let winning = constructed.attempts.last().unwrap();
+    assert!(quality.block_parameter <= 3 * winning.block_guess);
     assert!(quality.satisfies_lemma1(tree.depth_of_tree()));
 
     // Routing on the constructed shortcut: per-part member counts.
@@ -52,12 +102,7 @@ fn full_pipeline_on_planar_grid() {
 
     // Distributed MST matches Kruskal.
     let weights = EdgeWeights::random_permutation(&graph, 99);
-    let outcome = boruvka_mst(
-        &graph,
-        &weights,
-        &BoruvkaConfig::new(ShortcutStrategy::Doubling),
-    )
-    .unwrap();
+    let outcome = mst(&graph, &weights, ShortcutStrategy::Doubling);
     assert_eq!(outcome.edges, kruskal_mst(&graph, &weights));
     assert!(verify::is_minimum_spanning_tree(
         &graph,
@@ -75,21 +120,15 @@ fn shortcut_mst_beats_baseline_routing_on_low_diameter_planar_graphs() {
     assert_eq!(diameter_exact(&graph), 2);
     let weights = EdgeWeights::random_permutation(&graph, 5);
 
-    let with_shortcuts = boruvka_mst(
+    let with_shortcuts = mst(
         &graph,
         &weights,
-        &BoruvkaConfig::new(ShortcutStrategy::FindShortcut {
+        ShortcutStrategy::FindShortcut {
             congestion: 2,
             block: 2,
-        }),
-    )
-    .unwrap();
-    let baseline = boruvka_mst(
-        &graph,
-        &weights,
-        &BoruvkaConfig::new(ShortcutStrategy::NoShortcut),
-    )
-    .unwrap();
+        },
+    );
+    let baseline = mst(&graph, &weights, ShortcutStrategy::NoShortcut);
 
     assert_eq!(with_shortcuts.edges, baseline.edges);
     assert_eq!(with_shortcuts.edges, kruskal_mst(&graph, &weights));
@@ -120,12 +159,15 @@ fn theorem3_on_torus_with_reference_parameters() {
     let partition = generators::partitions::random_bfs_balls(&graph, 10, 1);
     let (_, reference) = reference_parameters(&graph, &tree, &partition);
 
-    let result = FindShortcut::new(FindShortcutConfig::new(
-        reference.congestion.max(1),
-        reference.block_parameter.max(1),
-    ))
-    .run(&graph, &tree, &partition)
-    .unwrap();
+    let result = find_shortcut(
+        FindShortcutConfig::new(
+            reference.congestion.max(1),
+            reference.block_parameter.max(1),
+        ),
+        &graph,
+        &tree,
+        &partition,
+    );
 
     assert!(result.all_parts_good);
     let quality = result.shortcut.quality(&graph, &partition);
@@ -139,12 +181,7 @@ fn theorem3_on_torus_with_reference_parameters() {
 fn lower_bound_instance_still_computes_correct_mst() {
     let (graph, _layout) = generators::lower_bound_graph(6, 24);
     let weights = EdgeWeights::random_permutation(&graph, 13);
-    let outcome = boruvka_mst(
-        &graph,
-        &weights,
-        &BoruvkaConfig::new(ShortcutStrategy::Doubling),
-    )
-    .unwrap();
+    let outcome = mst(&graph, &weights, ShortcutStrategy::Doubling);
     assert_eq!(outcome.edges, kruskal_mst(&graph, &weights));
 }
 
@@ -154,7 +191,7 @@ fn part_aggregate_on_genus_graph() {
     let graph = generators::genus_handles(10, 10, 3);
     let tree = RootedTree::bfs(&graph, NodeId::new(0));
     let partition = generators::partitions::grid_columns(10, 10);
-    let constructed = doubling_search(&graph, &tree, &partition, DoublingConfig::new()).unwrap();
+    let constructed = doubling(&graph, &tree, &partition);
 
     // Every member contributes its degree; the per-part sums must match a
     // direct computation.
@@ -190,12 +227,15 @@ fn round_accounting_is_consistent() {
     let tree = RootedTree::bfs(&graph, NodeId::new(0));
     let partition = generators::partitions::grid_columns(12, 12);
     let (_, reference) = reference_parameters(&graph, &tree, &partition);
-    let result = FindShortcut::new(FindShortcutConfig::new(
-        reference.congestion.max(1),
-        reference.block_parameter.max(1),
-    ))
-    .run(&graph, &tree, &partition)
-    .unwrap();
+    let result = find_shortcut(
+        FindShortcutConfig::new(
+            reference.congestion.max(1),
+            reference.block_parameter.max(1),
+        ),
+        &graph,
+        &tree,
+        &partition,
+    );
 
     let breakdown_sum: u64 = result.cost.entries().iter().map(|(_, r)| r).sum();
     assert_eq!(breakdown_sum, result.total_rounds());
@@ -209,32 +249,54 @@ fn round_accounting_is_consistent() {
 /// The distributed protocol layer end to end through the umbrella API: the
 /// whole pipeline — shortcut construction with simulated verification,
 /// cross-checked routing primitives, and Boruvka with simulated per-part
-/// communication — agrees with the centralized references.
+/// communication and simulated verification in every phase — agrees with
+/// the centralized references.
 #[test]
 fn simulated_execution_pipeline_agrees_with_centralized_references() {
-    use low_congestion_shortcuts::core::routing::ExecutionMode;
+    use low_congestion_shortcuts::api::ExecutionMode;
     use low_congestion_shortcuts::dist;
+
+    // FindShortcut with the message-passing verification drop-in: the same
+    // cores and the same classification of good parts, hence the same
+    // shortcut and iteration count; only the charged rounds may differ.
+    let fixed_shortcut = |graph: &Graph, partition: &Partition, seed: u64| {
+        let tree = RootedTree::bfs(graph, NodeId::new(0));
+        let (_, reference) = reference_parameters(graph, &tree, partition);
+        let b = reference.block_parameter.max(1);
+        let fixed = api::Strategy::Fixed {
+            congestion: reference.congestion.max(1),
+            block: b,
+        };
+        let run = |mode| {
+            api::Pipeline::on(graph)
+                .execution(mode)
+                .seed(seed)
+                .build()
+                .unwrap()
+                .shortcut(partition, fixed)
+                .unwrap()
+        };
+        let scheduled_run = run(ExecutionMode::Scheduled);
+        let simulated = run(ExecutionMode::Simulated);
+        assert!(scheduled_run.report.all_parts_good);
+        assert!(simulated.report.all_parts_good);
+        assert_eq!(simulated.shortcut, scheduled_run.shortcut);
+        assert_eq!(simulated.report.iterations, scheduled_run.report.iterations);
+        let q = simulated.shortcut.quality(graph, partition);
+        assert!(q.block_parameter <= 3 * b);
+        simulated.shortcut
+    };
+    let grid6 = generators::grid(6, 6);
+    fixed_shortcut(&grid6, &generators::partitions::grid_columns(6, 6), 7);
 
     let graph = generators::grid(8, 8);
     let tree = RootedTree::bfs(&graph, NodeId::new(0));
     let partition = generators::partitions::random_bfs_balls(&graph, 8, 2);
     let (_, reference) = reference_parameters(&graph, &tree, &partition);
-    let config = low_congestion_shortcuts::core::construction::FindShortcutConfig::new(
-        reference.congestion.max(1),
-        reference.block_parameter.max(1),
-    )
-    .with_seed(4);
-
-    // FindShortcut with the message-passing verification drop-in.
-    let scheduled =
-        dist::find_shortcut(config, ExecutionMode::Scheduled, &graph, &tree, &partition).unwrap();
-    let simulated =
-        dist::find_shortcut(config, ExecutionMode::Simulated, &graph, &tree, &partition).unwrap();
-    assert!(simulated.all_parts_good);
-    assert_eq!(simulated.shortcut, scheduled.shortcut);
+    let shortcut = fixed_shortcut(&graph, &partition, 4);
 
     // Cross-check every routing primitive on the constructed shortcut.
-    let check = dist::CrossCheck::new(&graph, &tree, &partition, &simulated.shortcut).unwrap();
+    let check = dist::CrossCheck::new(&graph, &tree, &partition, &shortcut).unwrap();
     check.leader_election().unwrap();
     let weights = EdgeWeights::random_permutation(&graph, 21);
     let candidates = check.boruvka_candidates(&weights);
@@ -243,21 +305,21 @@ fn simulated_execution_pipeline_agrees_with_centralized_references() {
         .block_counts(3 * reference.block_parameter.max(1))
         .unwrap();
 
-    // Boruvka with simulated per-part communication still equals Kruskal.
-    let outcome = boruvka_mst(
-        &graph,
-        &weights,
-        &BoruvkaConfig::new(ShortcutStrategy::Doubling)
-            .with_seed(2)
-            .with_execution(ExecutionMode::Simulated),
-    )
-    .unwrap();
+    // Boruvka with simulated per-part communication and simulated
+    // verification still equals Kruskal.
+    let outcome = api::Pipeline::on(&graph)
+        .execution(ExecutionMode::Simulated)
+        .seed(2)
+        .build()
+        .unwrap()
+        .mst(&weights, ShortcutStrategy::Doubling)
+        .unwrap();
     assert_eq!(outcome.edges, kruskal_mst(&graph, &weights));
 }
 
 /// The same full pipeline through the `api` front door: one session serves
 /// construction, quality, verification and MST, and every result agrees
-/// with the direct legacy calls exercised by the tests above.
+/// with the direct calls exercised by the tests above.
 #[test]
 fn full_pipeline_through_the_api_facade() {
     let graph = generators::grid(10, 10);
@@ -266,18 +328,19 @@ fn full_pipeline_through_the_api_facade() {
         .build()
         .expect("the grid is connected");
 
-    // Construction without knowing (c, b), equal to the legacy search.
+    // Construction without knowing (c, b), equal to the direct search.
     let run = session
         .shortcut(&partition, api::Strategy::doubling())
         .unwrap();
     let tree = RootedTree::bfs(&graph, NodeId::new(0));
-    let legacy = doubling_search(&graph, &tree, &partition, DoublingConfig::new()).unwrap();
-    assert_eq!(run.shortcut, legacy.shortcut);
+    let direct = doubling(&graph, &tree, &partition);
+    assert_eq!(run.shortcut, direct.shortcut);
+    assert_eq!(run.report.attempts, direct.attempts);
     assert!(run.report.all_parts_good);
 
     // Quality through the session's reusable workspaces.
     let quality = session.quality(&run.shortcut, &partition).unwrap();
-    assert_eq!(quality, legacy.shortcut.quality(&graph, &partition));
+    assert_eq!(quality, direct.shortcut.quality(&graph, &partition));
     let (_, b) = run.winning_guess().unwrap();
     assert!(quality.block_parameter <= 3 * b);
 
