@@ -708,9 +708,11 @@ fn scale_row(
 /// PRs.
 ///
 /// The random row uses the known-feasible parameters `(c, b) = (N, 1)`
-/// instead of `reference_parameters`: measuring the existential ancestor
-/// shortcut's quality costs far more than the protocols themselves at
-/// `n = 10⁵` and is not what this table times.
+/// instead of `reference_parameters`, which is not what this table times.
+/// On a 2-vCPU host, measuring the existential ancestor shortcut's quality
+/// at `n = 10⁵` takes about 9 s with the bounded dilation sweep (an
+/// all-sources sweep extrapolates to about 70 s), against about 7 s for
+/// the row's FindShortcut plus verification.
 pub fn e9_scale_table() -> Table {
     let mut rows = Vec::new();
     let mut push_row =
@@ -784,10 +786,14 @@ pub fn e9_scale_table() -> Table {
 /// `BENCH_SCALE.json`.
 ///
 /// All rows use known-feasible parameters instead of
-/// `reference_parameters`: measuring an existential shortcut's quality at
-/// these sizes costs far more than the protocols being timed. Grid columns
-/// admit `(side - 1, 1)` (the measured E9 pattern); the ball partitions
-/// use the trivially feasible `(N, 1)`.
+/// `reference_parameters`. Grid columns admit `(side - 1, 1)` (the measured
+/// E9 pattern, and what `reference_parameters` returns here); the ball
+/// partitions use the trivially feasible `(N, 1)`. On a 2-vCPU host,
+/// `reference_parameters` with the bounded dilation sweep takes about 1 s
+/// on the grid and torus rows, but it did not finish within 10 minutes on
+/// the random row: that row's part subgraphs have many nodes whose
+/// eccentricity is within one of the diameter, and only a BFS next to
+/// such a node can drop it.
 pub fn e10_scale_table() -> Table {
     let mut threads = 0usize;
     let mut rows = Vec::new();

@@ -169,7 +169,10 @@ fn build_part<V: Verifier>(
         .shortcut
         .block_components_with(graph, tree, partition, part, pool.primary())
         .len();
-    let dilation = pool.primary().part_diameter(graph, partition, part, &edges);
+    // Floor 0: the bounded sweep measures this part's diameter exactly.
+    let dilation = pool
+        .primary()
+        .part_diameter(graph, partition, part, &edges, 0);
     let mut uses = edges.clone();
     for &v in members {
         for (u, e) in graph.neighbors(v) {

@@ -2,14 +2,19 @@
 //! general and tree-restricted shortcut types.
 //!
 //! The measurement routines are written for the scale tier: the BFS scratch
-//! (distance array, queue, allowed-node/edge marks) lives in a
-//! [`QualityWorkspace`] that is allocated once per measurement and reused
-//! across every part and every BFS source, with epoch stamps standing in
-//! for `O(n)` clears. The per-part shortcut edge sets are taken as slices
-//! (both shortcut representations store them sorted and deduplicated), so
-//! measuring never copies an edge set.
+//! (distance array, queue, allowed-node/edge marks, eccentricity bounds)
+//! lives in a [`QualityWorkspace`] that is allocated once per measurement
+//! and reused across every part and every BFS source, with epoch stamps
+//! standing in for `O(n)` clears. The per-part shortcut edge sets are taken
+//! as slices (both shortcut representations store them sorted and
+//! deduplicated), so measuring never copies an edge set.
+//!
+//! Dilation is exact but does not run a BFS from every subgraph node: each
+//! part's diameter comes from a bounded sweep that keeps per-node
+//! eccentricity bounds and stops once no remaining node can raise the max
+//! over parts (see [`QualityWorkspace::part_diameter`]).
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, Partition};
 
@@ -261,6 +266,15 @@ pub(crate) fn subgraph_nodes(
     graph.nodes().filter(|v| member[v.index()]).collect()
 }
 
+/// One node of the bounded dilation sweep whose eccentricity may still
+/// exceed the best value found, with its current eccentricity bounds.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    node: NodeId,
+    lo: u32,
+    hi: u32,
+}
+
 /// Reusable scratch for the per-part diameter BFS sweeps. All arrays are
 /// node- or edge-indexed and epoch-stamped: "allowed in the current part's
 /// subgraph" is `mark == epoch`, and "visited from the current source" is
@@ -273,12 +287,15 @@ pub(crate) struct QualityWorkspace {
     visit: Vec<u32>,
     visit_epoch: u32,
     dist: Vec<u32>,
-    queue: VecDeque<NodeId>,
+    /// Visit order of the last BFS; its unread suffix is the BFS queue.
+    order: Vec<NodeId>,
     /// Nodes of the current part's subgraph (also the intern list of the
     /// current [`QualityWorkspace::begin_local`] epoch).
     nodes: Vec<NodeId>,
     /// Local index assigned to each node in the current interning epoch.
     node_pos: Vec<u32>,
+    /// Candidate sources of the current bounded dilation sweep.
+    candidates: Vec<Candidate>,
 }
 
 impl QualityWorkspace {
@@ -290,9 +307,10 @@ impl QualityWorkspace {
             visit: vec![0; graph.node_count()],
             visit_epoch: 0,
             dist: vec![0; graph.node_count()],
-            queue: VecDeque::new(),
+            order: Vec::new(),
             nodes: Vec::new(),
             node_pos: vec![0; graph.node_count()],
+            candidates: Vec::new(),
         }
     }
 
@@ -321,21 +339,21 @@ impl QualityWorkspace {
         &self.nodes
     }
 
-    /// Diameter of the subgraph `G[P_p] + H_p` (see
-    /// [`part_subgraph_diameter`]), using this workspace's scratch.
-    pub(crate) fn part_diameter(
+    /// Marks the subgraph `G[P_p] + H_p` under a fresh epoch and lists its
+    /// nodes in `self.nodes`. The allowed nodes are the part members plus
+    /// the shortcut-edge endpoints; the allowed edges are the edges of `G`
+    /// with both endpoints in `P_p` plus the shortcut edges themselves.
+    fn mark_subgraph(
         &mut self,
         graph: &Graph,
         partition: &Partition,
         p: PartId,
         shortcut_edges: &[EdgeId],
-    ) -> u32 {
-        // Open a fresh epoch for this part's allowed sets.
+    ) {
         self.epoch += 1;
         let epoch = self.epoch;
         self.nodes.clear();
 
-        // Allowed nodes: part members plus shortcut-edge endpoints.
         for &v in partition.members(p) {
             if self.node_mark[v.index()] != epoch {
                 self.node_mark[v.index()] = epoch;
@@ -351,14 +369,9 @@ impl QualityWorkspace {
                 }
             }
         }
-        // The old representation collected subgraph nodes in node-id order;
-        // keep that order so BFS tie-breaking (and thus measured values on
-        // degenerate inputs) is unchanged.
-        self.nodes.sort_unstable();
 
-        // Allowed edges: induced edges of the part (found by scanning the
-        // members' incident slices — O(vol(P_p)), not O(m)) plus the
-        // shortcut edges themselves.
+        // Induced edges are found by scanning the members' incident slices
+        // — O(vol(P_p)), not O(m).
         for &v in partition.members(p) {
             for &e in graph.incident_edge_ids(v) {
                 if self.edge_mark[e.index()] != epoch {
@@ -373,52 +386,148 @@ impl QualityWorkspace {
         for &e in shortcut_edges {
             self.edge_mark[e.index()] = epoch;
         }
+    }
 
-        // BFS restricted to allowed nodes and edges, from every node of the
-        // subgraph. A BFS that misses an allowed node means the subgraph is
-        // disconnected; by convention that is reported as a diameter of
-        // "number of nodes", larger than any connected diameter, and no
-        // further source can change the outcome.
-        let mut diameter = 0;
-        let nodes = std::mem::take(&mut self.nodes);
-        'sources: for &source in &nodes {
-            self.visit_epoch += 1;
-            let visit_epoch = self.visit_epoch;
-            self.visit[source.index()] = visit_epoch;
-            self.dist[source.index()] = 0;
-            self.queue.clear();
-            self.queue.push_back(source);
-            let mut reached = 1usize;
-            while let Some(u) = self.queue.pop_front() {
-                let du = self.dist[u.index()];
-                diameter = diameter.max(du);
-                for (v, e) in graph.neighbors(u) {
-                    if self.edge_mark[e.index()] == epoch
-                        && self.node_mark[v.index()] == epoch
-                        && self.visit[v.index()] != visit_epoch
-                    {
-                        self.visit[v.index()] = visit_epoch;
-                        self.dist[v.index()] = du + 1;
-                        reached += 1;
-                        self.queue.push_back(v);
-                    }
+    /// BFS from `source` over the subgraph marked by
+    /// [`QualityWorkspace::mark_subgraph`], leaving the hop distances in
+    /// `dist`. Returns the source's eccentricity and the number of nodes
+    /// reached.
+    fn bfs(&mut self, graph: &Graph, source: NodeId) -> (u32, usize) {
+        self.visit_epoch += 1;
+        let (epoch, visit_epoch) = (self.epoch, self.visit_epoch);
+        self.visit[source.index()] = visit_epoch;
+        self.dist[source.index()] = 0;
+        self.order.clear();
+        self.order.push(source);
+        let mut head = 0;
+        while let Some(&u) = self.order.get(head) {
+            head += 1;
+            let du = self.dist[u.index()];
+            // Both endpoints of an allowed edge are allowed nodes, so the
+            // edge mark alone decides.
+            for (v, e) in graph.neighbors(u) {
+                if self.edge_mark[e.index()] == epoch && self.visit[v.index()] != visit_epoch {
+                    self.visit[v.index()] = visit_epoch;
+                    self.dist[v.index()] = du + 1;
+                    self.order.push(v);
                 }
             }
-            if reached < nodes.len() {
-                diameter = diameter.max(graph.node_count() as u32);
-                break 'sources;
+        }
+        let last = self.order[self.order.len() - 1];
+        (self.dist[last.index()], self.order.len())
+    }
+
+    /// Diameter `D_p` of the subgraph `G[P_p] + H_p` (allowed nodes and
+    /// edges as in [`QualityWorkspace::mark_subgraph`]) by one bounded BFS
+    /// sweep (BoundingDiameters; Takes and Kosters, CIKM 2011).
+    ///
+    /// A BFS from a source `v` of eccentricity `ecc` tightens every
+    /// candidate `w` at distance `d` to `lo(w) = max(lo(w), d, ecc − d)`
+    /// and `hi(w) = min(hi(w), ecc + d)`, and drops `w` once
+    /// `hi(w) ≤ max(best, floor)`, where `best` is the largest eccentricity
+    /// measured in this part. The next source alternates between the
+    /// largest `hi` and the smallest `lo`. The source itself always drops,
+    /// so the sweep ends after at most one BFS per subgraph node.
+    ///
+    /// Correctness: every dropped node has eccentricity at most
+    /// `max(best, floor)`, and `best` is a true eccentricity. So
+    /// - if `D_p > floor`, the sweep returns exactly `D_p`;
+    /// - otherwise it returns some true eccentricity, which is at most
+    ///   `D_p ≤ floor`.
+    ///
+    /// Hence the max over parts is exact whenever each part's `floor` is at
+    /// most the max of values already returned, at any worker count and
+    /// under any schedule ([`dilation_with`]); `floor = 0` measures the
+    /// part exactly.
+    ///
+    /// A subgraph the first BFS does not span is disconnected; by
+    /// convention its diameter is reported as the graph's node count,
+    /// larger than any connected diameter.
+    pub(crate) fn part_diameter(
+        &mut self,
+        graph: &Graph,
+        partition: &Partition,
+        p: PartId,
+        shortcut_edges: &[EdgeId],
+        floor: u32,
+    ) -> u32 {
+        self.mark_subgraph(graph, partition, p, shortcut_edges);
+        let Some(&first) = self.nodes.first() else {
+            return 0;
+        };
+        let size = self.nodes.len();
+        self.candidates.clear();
+        self.candidates
+            .extend(self.nodes.iter().map(|&node| Candidate {
+                node,
+                lo: 0,
+                hi: u32::MAX,
+            }));
+        let mut source = first;
+        let mut best = 0;
+        let mut pick_high = true;
+        loop {
+            let (ecc, reached) = self.bfs(graph, source);
+            if reached < size {
+                return graph.node_count() as u32;
             }
+            best = best.max(ecc);
+            let cut = best.max(floor);
+            // One pass: tighten the bounds, drop what cannot beat `cut`,
+            // and choose the next source among the survivors by the larger
+            // key (`hi`, or `MAX − lo`; a survivor's key is at least 1).
+            let dist = &self.dist;
+            let mut next = (0u32, source);
+            self.candidates.retain_mut(|c| {
+                let d = dist[c.node.index()];
+                c.lo = c.lo.max(d).max(ecc - d);
+                c.hi = c.hi.min(ecc + d);
+                if c.hi <= cut {
+                    return false;
+                }
+                let key = if pick_high { c.hi } else { u32::MAX - c.lo };
+                if key > next.0 {
+                    next = (key, c.node);
+                }
+                true
+            });
+            if next.0 == 0 {
+                return best;
+            }
+            source = next.1;
+            pick_high = !pick_high;
+        }
+    }
+
+    /// The all-sources sweep the bounded one replaces: a BFS from every
+    /// node of `G[P_p] + H_p`. Test-only oracle for
+    /// [`QualityWorkspace::part_diameter`].
+    #[cfg(test)]
+    fn part_diameter_all_sources(
+        &mut self,
+        graph: &Graph,
+        partition: &Partition,
+        p: PartId,
+        shortcut_edges: &[EdgeId],
+    ) -> u32 {
+        self.mark_subgraph(graph, partition, p, shortcut_edges);
+        let nodes = std::mem::take(&mut self.nodes);
+        let mut diameter = 0;
+        for &source in &nodes {
+            let (ecc, reached) = self.bfs(graph, source);
+            if reached < nodes.len() {
+                diameter = graph.node_count() as u32;
+                break;
+            }
+            diameter = diameter.max(ecc);
         }
         self.nodes = nodes;
         diameter
     }
 }
 
-/// Diameter of the subgraph `G[P_p] + H_p`. The allowed edges are the edges
-/// of `G` with both endpoints in `P_p` plus the shortcut edges themselves;
-/// the allowed nodes are the part members plus shortcut-edge endpoints.
-/// One-shot convenience over [`QualityWorkspace::part_diameter`]; sweeps
-/// over many parts share a workspace instead (see [`dilation`]).
+/// Diameter of the subgraph `G[P_p] + H_p` by the all-sources oracle, on a
+/// fresh workspace.
 #[cfg(test)]
 pub(crate) fn part_subgraph_diameter(
     graph: &Graph,
@@ -426,16 +535,16 @@ pub(crate) fn part_subgraph_diameter(
     p: PartId,
     shortcut_edges: &[EdgeId],
 ) -> u32 {
-    QualityWorkspace::new(graph).part_diameter(graph, partition, p, shortcut_edges)
+    QualityWorkspace::new(graph).part_diameter_all_sources(graph, partition, p, shortcut_edges)
 }
 
-/// Computes dilation: the maximum subgraph diameter over all parts — the
-/// dominant cost of a quality measurement (a BFS from every subgraph
-/// node). With one pool worker a single [`QualityWorkspace`] is shared by
-/// every part; with more, scoped workers pull parts off a shared counter,
-/// each reusing its own pooled workspace, and the per-worker maxima are
-/// combined — a max of maxima, identical for every thread count and
-/// schedule.
+/// Computes dilation: the maximum subgraph diameter over all parts, by one
+/// bounded sweep per part ([`QualityWorkspace::part_diameter`]). Workers
+/// pull parts off a shared counter, each on its own pooled workspace; with
+/// one worker it runs inline on the primary workspace. Every part's sweep
+/// takes as its floor the running max of the parts already measured,
+/// shared through an atomic, so a part that cannot raise the max stops
+/// early. The result is the exact max for every thread count and schedule.
 pub(crate) fn dilation_with<'a, F>(
     graph: &Graph,
     partition: &Partition,
@@ -448,40 +557,36 @@ where
     pool.assert_graph(graph);
     let parts = partition.part_count();
     let t = pool.threads.min(parts.max(1));
+    // Relaxed: each atomic publishes only its own value, and the scope's
+    // join orders the final read of `floor`.
+    let next = AtomicUsize::new(0);
+    let floor = AtomicU32::new(0);
+    let sweep = |ws: &mut QualityWorkspace| loop {
+        let pi = next.fetch_add(1, Ordering::Relaxed);
+        if pi >= parts {
+            return;
+        }
+        let p = PartId::new(pi);
+        let d = ws.part_diameter(
+            graph,
+            partition,
+            p,
+            edges_of(p),
+            floor.load(Ordering::Relaxed),
+        );
+        floor.fetch_max(d, Ordering::Relaxed);
+    };
     if t <= 1 {
-        let ws = &mut pool.scratches[0].ws;
-        return partition
-            .parts()
-            .map(|p| ws.part_diameter(graph, partition, p, edges_of(p)))
-            .max()
-            .unwrap_or(0);
+        sweep(&mut pool.scratches[0].ws);
+    } else {
+        std::thread::scope(|scope| {
+            for scratch in pool.scratches[..t].iter_mut() {
+                let sweep = &sweep;
+                scope.spawn(move || sweep(&mut scratch.ws));
+            }
+        });
     }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut best = 0u32;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(t);
-        for scratch in pool.scratches[..t].iter_mut() {
-            let next = &next;
-            let edges_of = &edges_of;
-            handles.push(scope.spawn(move || {
-                let ws = &mut scratch.ws;
-                let mut local = 0u32;
-                loop {
-                    let pi = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if pi >= parts {
-                        break;
-                    }
-                    let p = PartId::new(pi);
-                    local = local.max(ws.part_diameter(graph, partition, p, edges_of(p)));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            best = best.max(h.join().expect("quality workers do not panic"));
-        }
-    });
-    best
+    floor.into_inner()
 }
 
 /// One-shot [`dilation_with`] against a freshly allocated pool.
@@ -572,13 +677,13 @@ mod tests {
         let p = generators::partitions::grid_columns(4, 4);
         let mut ws = QualityWorkspace::new(&g);
         for part in p.parts() {
-            let reused = ws.part_diameter(&g, &p, part, &[]);
+            let reused = ws.part_diameter(&g, &p, part, &[], 0);
             let fresh = part_subgraph_diameter(&g, &p, part, &[]);
             assert_eq!(reused, fresh);
         }
         // And a second sweep over the same parts gives the same answers.
         for part in p.parts() {
-            let again = ws.part_diameter(&g, &p, part, &[]);
+            let again = ws.part_diameter(&g, &p, part, &[], 0);
             assert_eq!(again, part_subgraph_diameter(&g, &p, part, &[]));
         }
     }
@@ -649,6 +754,165 @@ mod tests {
                     "threads={threads} seed={seed}"
                 );
             }
+        }
+    }
+
+    /// One graph per family the oracle sweep covers, about `size²` nodes.
+    fn family_graph(family: usize, size: usize, seed: u64) -> Graph {
+        match family {
+            0 => generators::grid(size, size),
+            1 => generators::torus(size, size),
+            2 => generators::random_connected(size * size, 2 * size, seed),
+            3 => generators::caterpillar(3 * size, 2),
+            _ => generators::wheel(size * size + 1),
+        }
+    }
+
+    /// The shortcut shapes the oracle sweep covers: empty, truncated
+    /// ancestor at levels 1 and 2, full ancestor, and doubling-built.
+    fn shaped_shortcut(
+        shape: usize,
+        g: &Graph,
+        tree: &lcs_graph::RootedTree,
+        p: &Partition,
+        seed: u64,
+    ) -> crate::TreeShortcut {
+        use crate::existential::{ancestor_shortcut, truncated_ancestor_shortcut};
+        match shape {
+            0 => crate::TreeShortcut::empty(g, p),
+            1 | 2 => truncated_ancestor_shortcut(g, tree, p, shape as u32),
+            3 => ancestor_shortcut(g, tree, p),
+            _ => {
+                let config = crate::construction::DoublingConfig {
+                    seed,
+                    ..Default::default()
+                };
+                let active = vec![true; p.part_count()];
+                crate::construction::doubling_search(
+                    g,
+                    tree,
+                    p,
+                    &active,
+                    &config,
+                    None,
+                    crate::construction::scheduled,
+                )
+                .expect("scheduled verification does not fail")
+                .shortcut
+            }
+        }
+    }
+
+    /// Dilation by the all-sources oracle, part by part.
+    fn oracle_dilation<'a>(
+        g: &Graph,
+        p: &Partition,
+        edges_of: impl Fn(PartId) -> &'a [EdgeId],
+    ) -> u32 {
+        let mut ws = QualityWorkspace::new(g);
+        p.parts()
+            .map(|part| ws.part_diameter_all_sources(g, p, part, edges_of(part)))
+            .max()
+            .unwrap_or(0)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The bounded sweep equals the all-sources oracle: quality's
+        /// dilation at pool sizes 1–3 for every family × shortcut shape,
+        /// and repair's per-part dilation (floor 0) for every part.
+        #[test]
+        fn bounded_dilation_equals_the_all_sources_oracle(
+            size in 3usize..9,
+            parts in 1usize..10,
+            seed in 0u64..1000,
+        ) {
+            for family in 0..5 {
+                let g = family_graph(family, size, seed);
+                let tree = lcs_graph::RootedTree::bfs(&g, NodeId::new(0));
+                let p = generators::partitions::random_bfs_balls(&g, parts, seed);
+                for shape in 0..5 {
+                    let s = shaped_shortcut(shape, &g, &tree, &p, seed);
+                    let oracle = oracle_dilation(&g, &p, |part| s.edges_of(part));
+                    for threads in 1..=3 {
+                        let mut pool = QualityPool::new(&g, threads);
+                        proptest::prop_assert_eq!(
+                            s.quality_with(&g, &p, &mut pool).dilation,
+                            oracle,
+                            "family {} shape {} threads {}",
+                            family,
+                            shape,
+                            threads
+                        );
+                    }
+                }
+                let mut pool = QualityPool::new(&g, 1);
+                let config = crate::construction::DoublingConfig {
+                    seed,
+                    ..Default::default()
+                };
+                let corpus = crate::construction::build_corpus(
+                    &g,
+                    &tree,
+                    &p,
+                    &config,
+                    &mut pool,
+                    crate::construction::scheduled,
+                )
+                .expect("scheduled verification does not fail");
+                let mut ws = QualityWorkspace::new(&g);
+                for (i, state) in corpus.parts().iter().enumerate() {
+                    let part = PartId::new(i);
+                    proptest::prop_assert_eq!(
+                        state.dilation,
+                        ws.part_diameter_all_sources(&g, &p, part, &state.edges),
+                        "family {} part {}",
+                        family,
+                        i
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn disconnected_subgraph_reports_the_node_count_at_every_pool_size() {
+        // Path 0-1-2-3-4-5, parts {0}, {1,2}, {3}, {4,5}. Part 0's shortcut
+        // is the far edge (4,5), so its subgraph is disconnected.
+        let g = generators::path(6);
+        let mut b = lcs_graph::PartitionBuilder::new(6);
+        for members in [vec![0], vec![1, 2], vec![3], vec![4, 5]] {
+            b.add_part(members.into_iter().map(NodeId::new).collect())
+                .unwrap();
+        }
+        let p = b.build();
+        let far = g.edge_between(NodeId::new(4), NodeId::new(5)).unwrap();
+        let sets: Vec<Vec<EdgeId>> = vec![vec![far], vec![], vec![], vec![]];
+        let edges_of = |part: PartId| sets[part.index()].as_slice();
+        let mut ws = QualityWorkspace::new(&g);
+        assert_eq!(ws.part_diameter(&g, &p, PartId::new(0), &[far], 0), 6);
+        assert_eq!(oracle_dilation(&g, &p, edges_of), 6);
+        for threads in 1..=3 {
+            let mut pool = QualityPool::new(&g, threads);
+            assert_eq!(dilation_with(&g, &p, edges_of, &mut pool), 6, "t={threads}");
+        }
+    }
+
+    #[test]
+    fn cycle_parts_without_pruning_stay_exact() {
+        // Torus rows with an empty shortcut: every part is a cycle, every
+        // node has the same eccentricity, and no bound prunes a source.
+        let g = generators::torus(8, 8);
+        let p = generators::partitions::grid_rows(8, 8);
+        let mut ws = QualityWorkspace::new(&g);
+        for part in p.parts() {
+            assert_eq!(ws.part_diameter(&g, &p, part, &[], 0), 4);
+        }
+        assert_eq!(oracle_dilation(&g, &p, |_| &[][..]), 4);
+        for threads in 1..=3 {
+            let mut pool = QualityPool::new(&g, threads);
+            assert_eq!(dilation_with(&g, &p, |_| &[][..], &mut pool), 4);
         }
     }
 

@@ -46,6 +46,11 @@ pub fn string_array(items: &[String]) -> String {
     format!("[{}]", cells.join(","))
 }
 
+/// The deepest array/object nesting [`JsonValue::parse`] accepts. Every
+/// document this workspace writes nests far less (a protocol line nests one
+/// level); the cap keeps the recursive-descent parser's stack use bounded.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value. Object member order is preserved; numbers keep
 /// their raw token text so integers beyond 2^53 round-trip exactly.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,16 +71,19 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// Parses a complete JSON document. Trailing whitespace is allowed;
-    /// trailing garbage is an error.
+    /// trailing garbage is an error. Arrays and objects may nest at most
+    /// 128 levels deep, so a hostile document cannot exhaust the parsing
+    /// thread's stack.
     ///
     /// # Errors
     ///
     /// A human-readable description (with byte offset) of the first
-    /// syntax error.
+    /// syntax error, or of the first container nested deeper than 128
+    /// levels.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -167,8 +175,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value; `depth` is how many more containers may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
+    if depth == 0 && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
@@ -184,7 +199,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -212,7 +227,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                     return Err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -353,6 +368,21 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("\"open").is_err());
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        // 100,000 open brackets overflowed a 2 MiB thread before the cap.
+        let deep = "[".repeat(100_000);
+        let err = JsonValue::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(JsonValue::parse(&objects).is_err());
+        // Exactly MAX_DEPTH levels still parse; one more does not.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(JsonValue::parse(&over).is_err());
     }
 
     #[test]

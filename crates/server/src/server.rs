@@ -22,8 +22,8 @@
 //! [`ServerStats`] and exits.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 
@@ -237,8 +237,15 @@ fn worker_loop(listener: &TcpListener, shared: &Shared<'_>) {
     }
 }
 
+/// The longest request line the server reads, in bytes (the `\n`
+/// excluded). Protocol requests are well under 100 bytes.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Serves one connection to EOF: read a line, answer a line. Returns
-/// when the client closes (or on an unrecoverable socket error).
+/// when the client closes (or on an unrecoverable socket error). Lines are
+/// read into one reused buffer, at most [`MAX_LINE_BYTES`] at a time: a
+/// longer line is answered with one error line, and then the connection
+/// closes without reading the rest.
 fn serve_connection(stream: TcpStream, shared: &Shared<'_>) {
     shared.connections.fetch_add(1, Ordering::SeqCst);
     if shared.obs.is_on() {
@@ -248,28 +255,45 @@ fn serve_connection(stream: TcpStream, shared: &Shared<'_>) {
         Ok(clone) => clone,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) => return, // client EOF
+            Ok(_) => {}
             Err(_) => return, // client went away mid-line
+        }
+        let too_long = buf.last() != Some(&b'\n') && buf.len() > MAX_LINE_BYTES;
+        let response = if too_long {
+            Response::Error {
+                message: format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            }
+        } else {
+            // Invalid UTF-8 becomes U+FFFD, then a typed error line.
+            let line = String::from_utf8_lossy(&buf);
+            if line.trim().is_empty() {
+                continue;
+            }
+            let depth = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            if shared.obs.is_on() {
+                shared.obs.gauge_max("server/queue_depth", depth);
+            }
+            let response = answer(&line, shared);
+            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+            response
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let depth = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        if shared.obs.is_on() {
-            shared.obs.gauge_max("server/queue_depth", depth);
-        }
-        let response = answer(&line, shared);
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         shared.requests.fetch_add(1, Ordering::SeqCst);
         if shared.obs.is_on() {
             shared.obs.counter_add("server/requests", 1);
         }
         let mut wire = response.to_line();
         wire.push('\n');
-        if writer.write_all(wire.as_bytes()).is_err() {
+        if writer.write_all(wire.as_bytes()).is_err() || too_long {
+            // Half-close first, so the error line reaches the client
+            // ahead of the close.
+            let _ = writer.shutdown(Shutdown::Write);
             return;
         }
         // `shutdown` keeps this connection alive for the client to close,
