@@ -101,6 +101,16 @@ impl DoublingResult {
 /// core/verification iterations; `None` keeps the driver's part-count
 /// default.
 ///
+/// Each attempt replays repeated iterations as [`FindShortcut::run`]
+/// describes: once a seedless core (`CoreSlow`, or `CoreFast` at a guess
+/// `c ≤ log₂ n` with the default `γ = 2`) fixes no part, the attempt
+/// charges its remaining iterations without running the core or the
+/// verifier again, so a low guess stops computing after its first
+/// fruitless iteration. Every charged round, shortcut and verdict is the
+/// same as running each iteration; a `Simulated` session's
+/// `dist/verification/*` and `engine/*` counters count only the verifier
+/// runs that executed.
+///
 /// # Errors
 ///
 /// Propagates verifier errors and the input-consistency errors of

@@ -8,8 +8,10 @@
 //! suffice; the union of the fixed subgraphs has congestion `O(c·log N)` and
 //! block parameter `3b`.
 
+use std::ops::Range;
+
 use lcs_congest::RoundCost;
-use lcs_graph::{Graph, PartId, Partition, RootedTree};
+use lcs_graph::{EdgeId, Graph, PartId, Partition, RootedTree};
 
 use super::core_fast::{core_fast, CoreFastConfig};
 use super::core_slow::core_slow;
@@ -21,6 +23,15 @@ use crate::{Result, TreeShortcut};
 /// the block threshold and the active-part mask, it reports which active
 /// parts verified good and the rounds to charge. Any closure of that shape
 /// is a `Verifier`.
+///
+/// A verifier must be deterministic in its arguments: equal arguments give
+/// an equal outcome (or an equal error). The driver relies on this to
+/// replay repeated iterations instead of running them (see
+/// [`FindShortcut::run`]), so it may call a verifier fewer times than it
+/// charges verification rounds. The scheduled
+/// [`verification`](fn@super::verification) and `lcs_dist`'s fault-free
+/// message-passing verification both meet the contract; a verifier that
+/// injects faults or counts its own calls as part of its answer does not.
 pub trait Verifier:
     FnMut(&Graph, &RootedTree, &Partition, &TreeShortcut, usize, &[bool]) -> Result<VerificationOutcome>
 {
@@ -157,6 +168,20 @@ impl FindShortcut {
     /// threshold and the active-part mask, and returns which active parts
     /// verified good plus the round count to charge.
     ///
+    /// When the core ignores its seed — `CoreSlow`, or `CoreFast` whose
+    /// sampling probability `min(1, γ·log₂ n / 2c)` is 1, that is
+    /// `c ≤ γ·log₂ n / 2` — and an iteration fixes no part, every input of
+    /// the next iteration is unchanged, so its core output, its verdicts
+    /// and its rounds would repeat until the budget runs out. The driver
+    /// then stops running the core and the verifier and charges the rest
+    /// of the budget from that iteration: the same `iteration-k/core` and
+    /// `iteration-k/verification` cost entries and the same
+    /// `good_after_iteration` values as running each iteration. This
+    /// relies on the [`Verifier`] being deterministic in its arguments.
+    /// Observability counters a verifier records (a `Simulated` session's
+    /// `dist/verification/*` and `engine/*` counters) count only the runs
+    /// that actually executed.
+    ///
     /// Inactive parts are never touched: the core subroutines skip them,
     /// the verifier only judges active parts, and the returned shortcut
     /// assigns edges only to parts that went active and verified good.
@@ -212,8 +237,12 @@ impl FindShortcut {
         let part_count = partition.part_count();
         let budget = self.config.iteration_budget(part_count);
         let block_threshold = 3 * self.config.block.max(1);
+        let seedless_core = self.core_ignores_seed(graph.node_count());
 
-        let mut final_shortcut = TreeShortcut::empty(graph, partition);
+        // The edges fixed for each good part, in one arena: part `p`'s
+        // subgraph is `fixed[span[p]]`.
+        let mut fixed: Vec<EdgeId> = Vec::new();
+        let mut span: Vec<Range<usize>> = vec![0..0; part_count];
         let mut remaining: Vec<bool> = initial_active.to_vec();
         let active_count = remaining.iter().filter(|&&a| a).count();
         let mut remaining_count = active_count;
@@ -250,24 +279,55 @@ impl FindShortcut {
             );
 
             // Fix the subgraphs of the newly good parts and deactivate them.
+            let before = remaining_count;
             for (p_idx, still_remaining) in remaining.iter_mut().enumerate() {
                 if *still_remaining && verified.good[p_idx] {
-                    let part = PartId::new(p_idx);
-                    final_shortcut.set_part_edges(tree, part, core.shortcut.edges_of(part))?;
+                    let start = fixed.len();
+                    fixed.extend_from_slice(core.shortcut.edges_of(PartId::new(p_idx)));
+                    span[p_idx] = start..fixed.len();
                     *still_remaining = false;
                     remaining_count -= 1;
                 }
             }
             good_after_iteration.push(active_count - remaining_count);
+
+            // A seedless core on unchanged remaining parts repeats its
+            // output, and a deterministic verifier its verdicts, so every
+            // later iteration would fix nothing and charge the same rounds.
+            if seedless_core && remaining_count == before {
+                while iterations < budget {
+                    iterations += 1;
+                    cost.charge(format!("iteration-{iterations}/core"), core.rounds);
+                    cost.charge(
+                        format!("iteration-{iterations}/verification"),
+                        verified.rounds,
+                    );
+                    good_after_iteration.push(active_count - remaining_count);
+                }
+            }
         }
 
+        let shortcut = TreeShortcut::from_part_edges(graph.edge_count(), part_count, |p| {
+            &fixed[span[p.index()].clone()]
+        });
         Ok(FindShortcutResult {
-            shortcut: final_shortcut,
+            shortcut,
             iterations,
             all_parts_good: remaining_count == 0,
             good_after_iteration,
             cost,
         })
+    }
+
+    /// `true` when the core's output does not depend on its seed: `CoreSlow`
+    /// is deterministic, and `CoreFast` samples every active part when its
+    /// sampling probability `min(1, γ·log₂ n / 2c)` is 1.
+    fn core_ignores_seed(&self, node_count: usize) -> bool {
+        !self.config.use_fast_core
+            || CoreFastConfig::new(self.config.congestion)
+                .with_gamma(self.config.gamma)
+                .sampling_probability(node_count)
+                >= 1.0
     }
 }
 

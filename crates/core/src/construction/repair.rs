@@ -91,23 +91,40 @@ impl ShortcutCorpus {
         self.parts.iter().map(|p| p.rounds).sum()
     }
 
-    /// Assembles the corpus into a [`TreeShortcut`] for `partition`.
+    /// Assembles the corpus into a [`TreeShortcut`] for `partition`, built
+    /// once from the cached per-part edge sets.
     ///
     /// # Errors
     ///
-    /// The [`TreeShortcut::set_part_edges`] errors — impossible when the
-    /// corpus was built for this `(graph, tree, partition)` triple.
+    /// The [`TreeShortcut::assign`] errors — impossible when the corpus was
+    /// built for this `(graph, tree, partition)` triple.
     pub fn assemble(
         &self,
         graph: &Graph,
         tree: &RootedTree,
         partition: &Partition,
     ) -> Result<TreeShortcut> {
-        let mut shortcut = TreeShortcut::empty(graph, partition);
-        for (i, part) in self.parts.iter().enumerate() {
-            shortcut.set_part_edges(tree, PartId::new(i), &part.edges)?;
+        let part_count = partition.part_count();
+        if self.parts.len() > part_count {
+            return Err(crate::CoreError::PartOutOfRange {
+                part: PartId::new(part_count),
+                part_count,
+            });
         }
-        Ok(shortcut)
+        for (i, part) in self.parts.iter().enumerate() {
+            if let Some(&edge) = part.edges.iter().find(|&&e| !tree.is_tree_edge(e)) {
+                return Err(crate::CoreError::NotATreeEdge {
+                    edge,
+                    part: PartId::new(i),
+                });
+            }
+        }
+        let empty: &[EdgeId] = &[];
+        Ok(TreeShortcut::from_part_edges(
+            graph.edge_count(),
+            part_count,
+            |p| self.parts.get(p.index()).map_or(empty, |part| &part.edges),
+        ))
     }
 
     /// The aggregated quality, assembled from the cached per-part

@@ -6,11 +6,13 @@
 //! floods leader ids for `threshold` supersteps, builds a BFS tree over the
 //! supernodes and convergecasts the supernode count; each superstep is an
 //! intra-block convergecast + broadcast scheduled by Lemma 2, so the whole
-//! subroutine costs `O(threshold · (D + c))` rounds.
+//! subroutine costs `O(threshold · (D + c))` rounds. The block counts and
+//! the Lemma 2 family come from the flat block pass in `routing`, the same
+//! one [`crate::routing::PartRouter`] is built on.
 
-use lcs_graph::{Graph, NodeId, Partition, RootedTree};
+use lcs_graph::{Graph, Partition, RootedTree};
 
-use crate::routing::{RoutingPriority, Slots};
+use crate::routing::{member_blocks, MemberBlocks};
 use crate::TreeShortcut;
 
 /// Result of the verification subroutine.
@@ -54,50 +56,15 @@ pub fn verification(
         "one active flag per part is required"
     );
 
-    let mut good = vec![false; partition.part_count()];
-    let mut block_counts = vec![0usize; partition.part_count()];
-    let slot_capacity = partition
-        .parts()
-        .filter(|p| active[p.index()])
-        .map(|p| shortcut.edges_of(p).len())
-        .sum();
-    let mut slots = Slots::with_capacity(slot_capacity);
-    let mut blocks = BlockRoots::new(graph.node_count());
-    for p in partition.parts() {
-        if !active[p.index()] {
-            continue;
-        }
-        let edges = shortcut.edges_of(p);
-        blocks.begin(edges.iter().map(|&e| tree.lower_endpoint(graph, e)));
-        let count = partition
-            .members(p)
-            .iter()
-            .filter(|&&m| blocks.mark_member_block(tree, m))
-            .count();
-        block_counts[p.index()] = count;
-        good[p.index()] = count <= threshold;
-
-        // The Lemma 2 slots of the blocks that hold a member: every non-root
-        // block node is the lower endpoint of one edge of `H_p`.
-        let first = slots.len();
-        for &e in edges {
-            let v = tree.lower_endpoint(graph, e);
-            let root = blocks.root(tree, v);
-            if blocks.is_member_block(root) {
-                let key = RoutingPriority::BlockRootDepth.key(tree.depth(root), p.index());
-                let slot = slots.push(v, key);
-                blocks.set_slot(v, slot);
-            }
-        }
-        for slot in first..slots.len() {
-            let parent = tree
-                .parent(slots.node(slot))
-                .expect("slot nodes have parents");
-            if let Some(parent_slot) = blocks.slot(parent) {
-                slots.set_parent(slot as u32, parent_slot);
-            }
-        }
-    }
+    let MemberBlocks {
+        counts: block_counts,
+        slots,
+    } = member_blocks(graph, tree, partition, shortcut, |p| active[p.index()]);
+    let good = block_counts
+        .iter()
+        .zip(active)
+        .map(|(&count, &active)| active && count <= threshold)
+        .collect();
 
     let superstep = 2 * slots.schedule(graph.node_count()).rounds;
     let rounds = (threshold as u64 + 2) * superstep + u64::from(tree.depth_of_tree());
@@ -106,96 +73,6 @@ pub fn verification(
         good,
         block_counts,
         rounds,
-    }
-}
-
-/// Epoch-stamped per-node scratch that finds the blocks of one part at a
-/// time. A block of `H_p` is a subtree of `T`, so a node's block root is
-/// reached by climbing the parent edges that belong to `H_p`; each stamp
-/// below is valid only while it equals the current epoch.
-struct BlockRoots {
-    epoch: u32,
-    /// `in_h[v] == epoch`: `v`'s parent edge belongs to `H_p`.
-    in_h: Vec<u32>,
-    /// `member_block[r] == epoch`: `r` roots a block that holds a member.
-    member_block: Vec<u32>,
-    /// `epoch << 32 | root`: the memoized block root of `v`.
-    memo: Vec<u64>,
-    /// `epoch << 32 | slot`: the Lemma 2 slot of `v`.
-    slot: Vec<u64>,
-}
-
-impl BlockRoots {
-    fn new(node_count: usize) -> Self {
-        BlockRoots {
-            epoch: 0,
-            in_h: vec![0; node_count],
-            member_block: vec![0; node_count],
-            memo: vec![0; node_count],
-            slot: vec![0; node_count],
-        }
-    }
-
-    /// The value stamped into `entry` in the current epoch, if any.
-    fn stamped(&self, entry: u64) -> Option<u32> {
-        (entry >> 32 == u64::from(self.epoch)).then_some(entry as u32)
-    }
-
-    fn stamp(&self, value: u32) -> u64 {
-        u64::from(self.epoch) << 32 | u64::from(value)
-    }
-
-    /// Starts a part whose `H_p` edges have the given lower endpoints.
-    fn begin(&mut self, lower_endpoints: impl Iterator<Item = NodeId>) {
-        self.epoch += 1;
-        for v in lower_endpoints {
-            self.in_h[v.index()] = self.epoch;
-        }
-    }
-
-    /// The root of `v`'s block, memoized along the climbed path.
-    fn root(&mut self, tree: &RootedTree, v: NodeId) -> NodeId {
-        let mut u = v;
-        let root = loop {
-            if let Some(root) = self.stamped(self.memo[u.index()]) {
-                break NodeId::new(root as usize);
-            }
-            if self.in_h[u.index()] != self.epoch {
-                break u;
-            }
-            u = tree.parent(u).expect("an edge of H_p leads to a parent");
-        };
-        let mut u = v;
-        while self.stamped(self.memo[u.index()]).is_none() {
-            self.memo[u.index()] = self.stamp(root.index() as u32);
-            if u == root {
-                break;
-            }
-            u = tree.parent(u).expect("the climb ends at the root");
-        }
-        root
-    }
-
-    /// Marks the block of member `m`; returns `true` the first time a
-    /// block is marked.
-    fn mark_member_block(&mut self, tree: &RootedTree, m: NodeId) -> bool {
-        let root = self.root(tree, m);
-        let mark = &mut self.member_block[root.index()];
-        let first = *mark != self.epoch;
-        *mark = self.epoch;
-        first
-    }
-
-    fn is_member_block(&self, root: NodeId) -> bool {
-        self.member_block[root.index()] == self.epoch
-    }
-
-    fn set_slot(&mut self, v: NodeId, slot: u32) {
-        self.slot[v.index()] = self.stamp(slot);
-    }
-
-    fn slot(&self, v: NodeId) -> Option<u32> {
-        self.stamped(self.slot[v.index()])
     }
 }
 

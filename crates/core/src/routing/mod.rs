@@ -10,13 +10,16 @@
 //!   leaders, plus the Lemma 3 block-component counting used by the
 //!   verification subroutine. Each primitive reports the exact number of
 //!   CONGEST rounds it would take, computed from the actually scheduled
-//!   intra-block routings and the supergraph steps it performs.
+//!   intra-block routings and the supergraph steps it performs. The router
+//!   and `construction::verification` count blocks and lay out the Lemma 2
+//!   family with one flat pass that climbs the tree (`blocks.rs`).
 
+mod blocks;
 mod parts;
 mod tree_routing;
 
+pub(crate) use blocks::{member_blocks, MemberBlocks};
 pub use parts::{PartRouter, PartRouterOutcome};
-pub(crate) use tree_routing::Slots;
 pub use tree_routing::{
     convergecast_rounds, subtree_specs_from_blocks, RoutingPriority, RoutingSchedule, SubtreeSpec,
 };

@@ -8,13 +8,15 @@
 //! block family (all parts in parallel), so a superstep costs `O(D + c)`
 //! rounds. The round counts reported here charge exactly that: the number
 //! of supersteps actually performed times the exact Lemma 2 schedule length
-//! measured on the actual block family.
+//! measured on the actual block family. The router counts blocks and times
+//! the family with verification's flat block pass; it keeps no block
+//! component or supergraph.
 
 use lcs_congest::RoundCost;
-use lcs_graph::{Graph, NodeId, PartId, Partition, RootedTree};
+use lcs_graph::{Graph, NodeId, Partition, RootedTree, UnionFind};
 
-use super::tree_routing::{RoutingPriority, Slots};
-use crate::{BlockComponent, TreeShortcut};
+use super::blocks::{member_blocks, BlockRoots, MemberBlocks};
+use crate::TreeShortcut;
 
 /// The result of one part-parallel routing primitive: the per-part (or
 /// per-node) outputs plus the number of CONGEST rounds charged.
@@ -30,12 +32,11 @@ pub struct PartRouterOutcome<T> {
 #[derive(Debug, Clone)]
 pub struct PartRouter<'a> {
     graph: &'a Graph,
+    tree: &'a RootedTree,
     partition: &'a Partition,
-    /// Block components per part.
-    blocks: Vec<Vec<BlockComponent>>,
-    /// Supergraph adjacency per part: `super_adj[p][i]` lists the block
-    /// indices adjacent to block `i` through `G[P_p]` edges.
-    super_adj: Vec<Vec<Vec<usize>>>,
+    shortcut: &'a TreeShortcut,
+    /// Block-component count per part.
+    block_counts: Vec<usize>,
     /// Exact Lemma 2 schedule length for one intra-block convergecast over
     /// the entire block family (all parts in parallel).
     intra_block_rounds: u64,
@@ -44,88 +45,34 @@ pub struct PartRouter<'a> {
 }
 
 impl<'a> PartRouter<'a> {
-    /// Builds the routing engine: computes every part's block components,
-    /// the per-part supergraphs, and the exact Lemma 2 schedule length of
-    /// one intra-block communication step.
+    /// Builds the routing engine: counts every part's block components and
+    /// measures the exact Lemma 2 schedule length of one intra-block
+    /// communication step, with the same flat block pass the verification
+    /// subroutine runs. No block component or supergraph is materialized.
     pub fn new(
         graph: &'a Graph,
         tree: &'a RootedTree,
         partition: &'a Partition,
-        shortcut: &TreeShortcut,
+        shortcut: &'a TreeShortcut,
     ) -> Self {
-        let active = vec![true; partition.part_count()];
-        let blocks = shortcut.active_block_components(graph, tree, partition, &active);
-        // A part member belongs to exactly one block of its own part, so a
-        // flat node-indexed map answers the per-edge lookups below (Steiner
-        // nodes never carry induced part edges and need no entry).
-        let mut member_block = vec![u32::MAX; graph.node_count()];
-        for (p, part_blocks) in blocks.iter().enumerate() {
-            for (i, b) in part_blocks.iter().enumerate() {
-                for &v in &b.nodes {
-                    if partition.part_of(v) == Some(PartId::new(p)) {
-                        member_block[v.index()] = i as u32;
-                    }
-                }
-            }
-        }
-
-        // Supergraph adjacency through induced part edges.
-        let mut super_adj: Vec<Vec<Vec<usize>>> =
-            blocks.iter().map(|bs| vec![Vec::new(); bs.len()]).collect();
-        for (_, edge) in graph.edges() {
-            let (pu, pv) = (partition.part_of(edge.u), partition.part_of(edge.v));
-            if pu.is_none() || pu != pv {
-                continue;
-            }
-            let p = pu.expect("checked above").index();
-            let (bu, bv) = (
-                member_block[edge.u.index()] as usize,
-                member_block[edge.v.index()] as usize,
-            );
-            if bu != bv {
-                if !super_adj[p][bu].contains(&bv) {
-                    super_adj[p][bu].push(bv);
-                }
-                if !super_adj[p][bv].contains(&bu) {
-                    super_adj[p][bv].push(bu);
-                }
-            }
-        }
-
-        // One intra-block convergecast over the whole family. A node lies in
-        // at most one block per part, so keying blocks by part orders every
-        // node's slots as the family index would.
-        let mut slots =
-            Slots::with_capacity(blocks.iter().flatten().map(BlockComponent::len).sum());
-        let mut index = 0;
-        for (p, part_blocks) in blocks.iter().enumerate() {
-            for b in part_blocks {
-                let key = RoutingPriority::BlockRootDepth.key(b.root_depth, p);
-                slots.push_subtree(tree, b.root, &b.nodes, key, index);
-                index += 1;
-            }
-        }
+        let MemberBlocks { counts, slots } =
+            member_blocks(graph, tree, partition, shortcut, |_| true);
         let schedule = slots.schedule(graph.node_count());
-
         PartRouter {
             graph,
+            tree,
             partition,
-            blocks,
-            super_adj,
+            shortcut,
+            block_counts: counts,
             intra_block_rounds: schedule.rounds,
             max_edge_load: schedule.max_edge_load,
         }
     }
 
-    /// The block components of part `p`.
-    pub fn blocks_of(&self, p: PartId) -> &[BlockComponent] {
-        &self.blocks[p.index()]
-    }
-
     /// The block parameter of the shortcut the router was built for: the
     /// maximum block-component count over all parts.
     pub fn block_parameter(&self) -> usize {
-        self.blocks.iter().map(Vec::len).max().unwrap_or(0)
+        self.block_counts.iter().copied().max().unwrap_or(0)
     }
 
     /// The measured Lemma 2 congestion of the block family.
@@ -236,7 +183,11 @@ impl<'a> PartRouter<'a> {
     /// leader-flooding supersteps followed by a supergraph BFS and a count
     /// convergecast, so it is charged `(threshold + 2)` supersteps.
     pub fn parts_with_at_most_blocks(&self, threshold: usize) -> PartRouterOutcome<Vec<bool>> {
-        let good: Vec<bool> = self.blocks.iter().map(|bs| bs.len() <= threshold).collect();
+        let good: Vec<bool> = self
+            .block_counts
+            .iter()
+            .map(|&count| count <= threshold)
+            .collect();
         let rounds = (threshold as u64 + 2) * self.superstep_rounds();
         PartRouterOutcome {
             values: good,
@@ -246,32 +197,41 @@ impl<'a> PartRouter<'a> {
 
     /// Returns `true` if every part's supergraph is connected — a structural
     /// invariant that must hold whenever the partition is valid (used by
-    /// tests and debug assertions).
+    /// tests and debug assertions). The supergraph's supernodes are the
+    /// part's block components, adjacent through `G[P_p]` edges, so it is
+    /// connected exactly when joining the members of each block and the
+    /// endpoints of each `G[P_p]` edge leaves the part in one set. Computed
+    /// on each call.
     pub fn supergraphs_connected(&self) -> bool {
-        for p in self.partition.parts() {
-            let adj = &self.super_adj[p.index()];
-            let block_count = self.blocks[p.index()].len();
-            if block_count == 0 {
-                return false;
+        let (graph, tree, partition) = (self.graph, self.tree, self.partition);
+        let mut blocks = BlockRoots::new(graph.node_count());
+        let mut sets = UnionFind::new(graph.node_count());
+        let mut by_root: Vec<(NodeId, NodeId)> = Vec::new();
+        partition.parts().all(|p| {
+            let members = partition.members(p);
+            let edges = self.shortcut.edges_of(p);
+            blocks.begin(edges.iter().map(|&e| tree.lower_endpoint(graph, e)));
+            by_root.clear();
+            by_root.extend(members.iter().map(|&m| (blocks.root(tree, m), m)));
+            by_root.sort_unstable();
+            for pair in by_root.windows(2) {
+                if pair[0].0 == pair[1].0 {
+                    sets.union(pair[0].1.index(), pair[1].1.index());
+                }
             }
-            let mut seen = vec![false; block_count];
-            let mut stack = vec![0usize];
-            seen[0] = true;
-            let mut reached = 1;
-            while let Some(i) = stack.pop() {
-                for &j in &adj[i] {
-                    if !seen[j] {
-                        seen[j] = true;
-                        reached += 1;
-                        stack.push(j);
+            for &m in members {
+                for (u, _) in graph.neighbors(m) {
+                    if partition.part_of(u) == Some(p) {
+                        sets.union(m.index(), u.index());
                     }
                 }
             }
-            if reached != block_count {
+            let Some(&first) = members.first() else {
                 return false;
-            }
-        }
-        true
+            };
+            let set = sets.find(first.index());
+            members.iter().all(|m| sets.find(m.index()) == set)
+        })
     }
 
     /// Total round cost of a full "aggregate then broadcast" exchange —

@@ -95,6 +95,32 @@ impl TreeShortcut {
         }
     }
 
+    /// Builds a shortcut from its per-part view in one pass: `edges_of(p)`
+    /// is `H_p` for every part below `part_count`, sorted, deduplicated
+    /// and on tree edges below `edge_count`. Walking the parts in id order
+    /// yields every per-edge list already sorted, each allocated once at
+    /// its final length.
+    pub(crate) fn from_part_edges<'e>(
+        edge_count: usize,
+        part_count: usize,
+        edges_of: impl Fn(PartId) -> &'e [EdgeId],
+    ) -> Self {
+        let mut load = vec![0usize; edge_count];
+        for p in (0..part_count).map(PartId::new) {
+            for e in edges_of(p) {
+                load[e.index()] += 1;
+            }
+        }
+        let mut parts_on_edge: Vec<Vec<PartId>> =
+            load.into_iter().map(Vec::with_capacity).collect();
+        for p in (0..part_count).map(PartId::new) {
+            for e in edges_of(p) {
+                parts_on_edge[e.index()].push(p);
+            }
+        }
+        Self::from_parts_on_edge(part_count, parts_on_edge)
+    }
+
     /// Number of parts the shortcut is defined for.
     pub fn part_count(&self) -> usize {
         self.part_count

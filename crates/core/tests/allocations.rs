@@ -2,9 +2,10 @@
 //!
 //! `verification` counts blocks and schedules the Lemma 2 convergecast on a
 //! fixed number of flat, epoch-stamped buffers per call, so the number of
-//! allocations does not grow with the number of parts. `core_fast` builds
-//! its id lists in one arena and allocates each nonempty output list once,
-//! at its final length.
+//! allocations does not grow with the number of parts. `PartRouter::new`
+//! runs the same block pass and schedule, so neither does its count.
+//! `core_fast` builds its id lists in one arena and allocates each nonempty
+//! output list once, at its final length.
 //!
 //! The counting allocator is process-global, which is why this binary holds
 //! a single test.
@@ -14,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use lcs_core::construction::{core_fast, verification, CoreFastConfig};
 use lcs_core::existential::ancestor_shortcut;
+use lcs_core::routing::PartRouter;
 use lcs_graph::{generators, NodeId, PartId, RootedTree};
 
 /// Counts every allocation and reallocation, then defers to the system
@@ -88,6 +90,20 @@ fn construction_allocations_do_not_grow_with_parts_or_output() {
              against {few} for 32"
         );
     }
+
+    // PartRouter: as many allocations for 1024 parts as for 32.
+    let router_allocations = |partition: &lcs_graph::Partition| {
+        let s = ancestor_shortcut(&g, &t, partition);
+        let (router, allocations) = counted(|| PartRouter::new(&g, &t, partition, &s));
+        assert_eq!(router.block_parameter(), 1);
+        allocations
+    };
+    let few = router_allocations(&columns);
+    let many = router_allocations(&singletons);
+    assert_eq!(
+        many, few,
+        "PartRouter::new allocated {many} times for 1024 parts against {few} for 32"
+    );
 
     // CoreFast: a constant plus one allocation per nonempty output list.
     for partition in [&columns, &singletons] {
