@@ -166,7 +166,15 @@ impl<'g> Pipeline<'g> {
                 reason: "a session needs a nonempty graph".to_string(),
             });
         }
-        if !is_connected(graph) {
+        // A BFS tree from a valid root doubles as the connectivity check;
+        // only without one does connectivity take a search of its own.
+        let bfs_tree = match self.tree {
+            TreeSpec::Bfs(root) if root.index() < graph.node_count() => {
+                RootedTree::try_bfs(graph, root).ok()
+            }
+            _ => None,
+        };
+        if bfs_tree.is_none() && !is_connected(graph) {
             return Err(LcsError::InconsistentInputs {
                 reason:
                     "a session needs a connected graph (shortcuts route over one spanning tree)"
@@ -179,15 +187,11 @@ impl<'g> Pipeline<'g> {
             });
         }
         let tree = match self.tree {
-            TreeSpec::Bfs(root) => {
-                if root.index() >= graph.node_count() {
-                    return Err(LcsError::Graph(GraphError::NodeOutOfRange {
-                        node: root,
-                        node_count: graph.node_count(),
-                    }));
-                }
-                RootedTree::bfs(graph, root)
-            }
+            // Connected, so only an out-of-range root leaves no tree.
+            TreeSpec::Bfs(root) => bfs_tree.ok_or(LcsError::Graph(GraphError::NodeOutOfRange {
+                node: root,
+                node_count: graph.node_count(),
+            }))?,
             TreeSpec::Provided(tree) => {
                 if tree.node_count() != graph.node_count() {
                     return Err(LcsError::InconsistentInputs {
@@ -1175,6 +1179,15 @@ mod tests {
         let disconnected = Graph::from_edges(3, &[(NodeId::new(0), NodeId::new(1))]).unwrap();
         let err = Pipeline::on(&disconnected).build().unwrap_err();
         assert!(matches!(err, LcsError::InconsistentInputs { .. }));
+        // Connectivity is reported first, whatever else is wrong.
+        for pipeline in [
+            Pipeline::on(&disconnected).tree(TreeSpec::Bfs(NodeId::new(2))),
+            Pipeline::on(&disconnected).tree(TreeSpec::Bfs(NodeId::new(99))),
+            Pipeline::on(&disconnected).threads(Threads::Fixed(0)),
+        ] {
+            let err = pipeline.build().unwrap_err();
+            assert!(matches!(err, LcsError::InconsistentInputs { .. }));
+        }
     }
 
     #[test]

@@ -307,11 +307,10 @@ impl FindShortcut {
             }
         }
 
-        let shortcut = TreeShortcut::from_part_edges(graph.edge_count(), part_count, |p| {
-            &fixed[span[p.index()].clone()]
-        });
+        let edge_sets = span.into_iter().map(|range| fixed[range].iter().copied());
         Ok(FindShortcutResult {
-            shortcut,
+            shortcut: TreeShortcut::from_edge_sets(graph, tree, partition, edge_sets)
+                .expect("core output sits on tree edges, one set per part"),
             iterations,
             all_parts_good: remaining_count == 0,
             good_after_iteration,

@@ -14,6 +14,7 @@
 
 use lcs_graph::{Graph, NodeId, PartId, Partition, RootedTree};
 
+use crate::tree_restricted::{dedup_sorted, to_u32};
 use crate::TreeShortcut;
 
 pub(crate) struct IdArena {
@@ -61,15 +62,8 @@ impl IdArena {
                     ids.extend_from_within(s as usize..(s + len) as usize);
                 }
             }
-            let list = &mut ids[start..];
-            list.sort_unstable();
-            let mut len = 0;
-            for i in 0..list.len() {
-                if len == 0 || list[i] != list[len - 1] {
-                    list[len] = list[i];
-                    len += 1;
-                }
-            }
+            ids[start..].sort_unstable();
+            let len = dedup_sorted(&mut ids[start..]);
             if keep(v, len) {
                 ids.truncate(start + len);
                 spans[v.index()] = (to_u32(start), to_u32(len));
@@ -88,25 +82,34 @@ impl IdArena {
     }
 
     /// The shortcut that assigns every node's parent edge to the parts of
-    /// its list: `parts_on_edge[e]` is the list of `e`'s lower endpoint.
+    /// its list. Its per-edge side is laid out straight from the spans:
+    /// edge `e`'s slice is the list of `e`'s lower endpoint.
     pub(crate) fn shortcut(
         &self,
         graph: &Graph,
         tree: &RootedTree,
         partition: &Partition,
     ) -> TreeShortcut {
-        let mut parts_on_edge: Vec<Vec<PartId>> = vec![Vec::new(); graph.edge_count()];
-        for v in graph.nodes() {
-            let ids = self.ids(v);
-            if !ids.is_empty() {
-                let e = tree.parent_edge(v).expect("only non-root nodes hold lists");
-                parts_on_edge[e.index()] = ids.to_vec();
-            }
+        let lists = || {
+            graph.nodes().filter_map(|v| {
+                let ids = self.ids(v);
+                let e = tree.parent_edge(v)?;
+                (!ids.is_empty()).then_some((e, ids))
+            })
+        };
+        let mut edge_start = vec![0u32; graph.edge_count() + 1];
+        for (e, ids) in lists() {
+            edge_start[e.index() + 1] = to_u32(ids.len());
         }
-        TreeShortcut::from_parts_on_edge(partition.part_count(), parts_on_edge)
+        for i in 1..edge_start.len() {
+            edge_start[i] += edge_start[i - 1];
+        }
+        debug_assert_eq!(edge_start[graph.edge_count()] as usize, self.ids.len());
+        let mut edge_part = vec![PartId::default(); self.ids.len()];
+        for (e, ids) in lists() {
+            edge_part[edge_start[e.index()] as usize..edge_start[e.index() + 1] as usize]
+                .copy_from_slice(ids);
+        }
+        TreeShortcut::from_edge_csr(partition.part_count(), edge_start, edge_part)
     }
-}
-
-fn to_u32(x: usize) -> u32 {
-    u32::try_from(x).expect("id arena offsets fit in u32")
 }

@@ -96,35 +96,16 @@ impl ShortcutCorpus {
     ///
     /// # Errors
     ///
-    /// The [`TreeShortcut::assign`] errors — impossible when the corpus was
-    /// built for this `(graph, tree, partition)` triple.
+    /// The [`TreeShortcut::from_edge_sets`] errors — impossible when the
+    /// corpus was built for this `(graph, tree, partition)` triple.
     pub fn assemble(
         &self,
         graph: &Graph,
         tree: &RootedTree,
         partition: &Partition,
     ) -> Result<TreeShortcut> {
-        let part_count = partition.part_count();
-        if self.parts.len() > part_count {
-            return Err(crate::CoreError::PartOutOfRange {
-                part: PartId::new(part_count),
-                part_count,
-            });
-        }
-        for (i, part) in self.parts.iter().enumerate() {
-            if let Some(&edge) = part.edges.iter().find(|&&e| !tree.is_tree_edge(e)) {
-                return Err(crate::CoreError::NotATreeEdge {
-                    edge,
-                    part: PartId::new(i),
-                });
-            }
-        }
-        let empty: &[EdgeId] = &[];
-        Ok(TreeShortcut::from_part_edges(
-            graph.edge_count(),
-            part_count,
-            |p| self.parts.get(p.index()).map_or(empty, |part| &part.edges),
-        ))
+        let edge_sets = self.parts.iter().map(|part| part.edges.iter().copied());
+        TreeShortcut::from_edge_sets(graph, tree, partition, edge_sets)
     }
 
     /// The aggregated quality, assembled from the cached per-part

@@ -45,27 +45,15 @@ pub fn truncated_ancestor_shortcut(
     partition: &Partition,
     levels: u32,
 ) -> TreeShortcut {
-    let mut shortcut = TreeShortcut::empty(graph, partition);
-    for p in partition.parts() {
-        for &member in partition.members(p) {
-            let mut walked = 0u32;
-            for node in tree.path_to_root(member) {
-                if walked >= levels {
-                    break;
-                }
-                match tree.parent_edge(node) {
-                    Some(e) => {
-                        shortcut
-                            .assign(tree, p, e)
-                            .expect("parent edges are tree edges and parts are in range");
-                        walked += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-    shortcut
+    let edge_sets = partition.parts().map(|p| {
+        partition.members(p).iter().flat_map(move |&member| {
+            tree.path_to_root(member)
+                .map_while(|node| tree.parent_edge(node))
+                .take(levels as usize)
+        })
+    });
+    TreeShortcut::from_edge_sets(graph, tree, partition, edge_sets)
+        .expect("parent edges are tree edges and parts are in range")
 }
 
 /// Builds the ancestor reference shortcut and measures its quality, giving

@@ -49,106 +49,116 @@ impl BlockComponent {
 /// algorithms read per part. The distributed representation described in
 /// Section 4.1 of the paper is exactly the per-edge view restricted to each
 /// node's parent edge.
+///
+/// Each direction is one compressed sparse row (CSR) relation, the layout
+/// [`Graph`] uses for adjacency: an offset array plus one flat id array, so
+/// a shortcut is four allocations whatever its size. One side is laid out
+/// by the constructor and the other is its transpose, built by one counting
+/// pass. A shortcut is immutable once built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeShortcut {
-    part_count: usize,
-    /// `parts_on_edge[e]` — sorted list of parts assigned to tree edge `e`
-    /// (empty for non-tree edges).
-    parts_on_edge: Vec<Vec<PartId>>,
-    /// `edges_of[p]` — sorted list of tree edges assigned to part `p`.
-    edges_of: Vec<Vec<EdgeId>>,
+    /// `part_start[p]..part_start[p + 1]` indexes `part_edge`: the sorted
+    /// tree edges of `H_p`. Length `part_count + 1`.
+    part_start: Vec<u32>,
+    part_edge: Vec<EdgeId>,
+    /// `edge_start[e]..edge_start[e + 1]` indexes `edge_part`: the sorted
+    /// parts assigned to edge `e` (none for non-tree edges). Length
+    /// `edge_count + 1`.
+    edge_start: Vec<u32>,
+    edge_part: Vec<PartId>,
 }
 
 impl TreeShortcut {
-    /// Creates the empty `T`-restricted shortcut (`H_i = ∅`).
+    /// Creates the empty shortcut (`H_i = ∅`).
     pub fn empty(graph: &Graph, partition: &Partition) -> Self {
-        TreeShortcut {
-            part_count: partition.part_count(),
-            parts_on_edge: vec![Vec::new(); graph.edge_count()],
-            edges_of: vec![Vec::new(); partition.part_count()],
-        }
+        Self::from_part_csr(
+            graph.edge_count(),
+            vec![0; partition.part_count() + 1],
+            Vec::new(),
+        )
     }
 
-    /// Builds a shortcut from its per-edge view in one pass. Every list must
-    /// be sorted and deduplicated, name parts below `part_count`, and sit on
-    /// a tree edge. Walking the edges in id order yields each `edges_of`
-    /// list already sorted, and each nonempty list is allocated once at its
-    /// final length.
-    pub(crate) fn from_parts_on_edge(part_count: usize, parts_on_edge: Vec<Vec<PartId>>) -> Self {
-        let mut lengths = vec![0usize; part_count];
-        for parts in &parts_on_edge {
-            debug_assert!(parts.windows(2).all(|w| w[0] < w[1]));
-            for p in parts {
-                lengths[p.index()] += 1;
+    /// Builds a shortcut from per-part edge sets: the `i`-th set is `H_i`,
+    /// and parts after the last set get empty subgraphs. Each set is sorted
+    /// and deduplicated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NotATreeEdge`] for the first edge, in part
+    /// order, that is not an edge of `tree`, and
+    /// [`CoreError::PartOutOfRange`] if there are more sets than
+    /// `partition` has parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge id is out of range for `graph`.
+    pub fn from_edge_sets(
+        graph: &Graph,
+        tree: &RootedTree,
+        partition: &Partition,
+        edge_sets: impl IntoIterator<Item = impl IntoIterator<Item = EdgeId>>,
+    ) -> Result<Self> {
+        let part_count = partition.part_count();
+        let mut part_start = Vec::with_capacity(part_count + 1);
+        part_start.push(0);
+        let mut part_edge = Vec::new();
+        for (i, set) in edge_sets.into_iter().enumerate() {
+            let part = PartId::new(i);
+            if i >= part_count {
+                return Err(CoreError::PartOutOfRange { part, part_count });
             }
-        }
-        let mut edges_of: Vec<Vec<EdgeId>> = lengths.into_iter().map(Vec::with_capacity).collect();
-        for (e, parts) in parts_on_edge.iter().enumerate() {
-            for p in parts {
-                edges_of[p.index()].push(EdgeId::new(e));
+            let start = part_edge.len();
+            for edge in set {
+                if !tree.is_tree_edge(edge) {
+                    return Err(CoreError::NotATreeEdge { edge, part });
+                }
+                part_edge.push(edge);
             }
+            part_edge[start..].sort_unstable();
+            let len = dedup_sorted(&mut part_edge[start..]);
+            part_edge.truncate(start + len);
+            part_start.push(to_u32(part_edge.len()));
         }
-        TreeShortcut {
-            part_count,
-            parts_on_edge,
-            edges_of,
-        }
+        part_start.resize(part_count + 1, to_u32(part_edge.len()));
+        Ok(Self::from_part_csr(
+            graph.edge_count(),
+            part_start,
+            part_edge,
+        ))
     }
 
-    /// Builds a shortcut from its per-part view in one pass: `edges_of(p)`
-    /// is `H_p` for every part below `part_count`, sorted, deduplicated
-    /// and on tree edges below `edge_count`. Walking the parts in id order
-    /// yields every per-edge list already sorted, each allocated once at
-    /// its final length.
-    pub(crate) fn from_part_edges<'e>(
-        edge_count: usize,
+    /// Builds a shortcut from its per-edge CSR: `edge_start` has one entry
+    /// per edge plus one, and every edge's slice of `edge_part` is sorted,
+    /// deduplicated, below `part_count`, and empty unless the edge is a tree
+    /// edge.
+    pub(crate) fn from_edge_csr(
         part_count: usize,
-        edges_of: impl Fn(PartId) -> &'e [EdgeId],
+        edge_start: Vec<u32>,
+        edge_part: Vec<PartId>,
     ) -> Self {
-        let mut load = vec![0usize; edge_count];
-        for p in (0..part_count).map(PartId::new) {
-            for e in edges_of(p) {
-                load[e.index()] += 1;
-            }
+        let (part_start, part_edge) = transpose(&edge_start, &edge_part, part_count, EdgeId::new);
+        TreeShortcut {
+            part_start,
+            part_edge,
+            edge_start,
+            edge_part,
         }
-        let mut parts_on_edge: Vec<Vec<PartId>> =
-            load.into_iter().map(Vec::with_capacity).collect();
-        for p in (0..part_count).map(PartId::new) {
-            for e in edges_of(p) {
-                parts_on_edge[e.index()].push(p);
-            }
+    }
+
+    /// [`TreeShortcut::from_edge_csr`] from the per-part side.
+    fn from_part_csr(edge_count: usize, part_start: Vec<u32>, part_edge: Vec<EdgeId>) -> Self {
+        let (edge_start, edge_part) = transpose(&part_start, &part_edge, edge_count, PartId::new);
+        TreeShortcut {
+            part_start,
+            part_edge,
+            edge_start,
+            edge_part,
         }
-        Self::from_parts_on_edge(part_count, parts_on_edge)
     }
 
     /// Number of parts the shortcut is defined for.
     pub fn part_count(&self) -> usize {
-        self.part_count
-    }
-
-    /// Assigns tree edge `edge` to part `part`'s shortcut subgraph.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotATreeEdge`] if `edge` is not an edge of
-    /// `tree` and [`CoreError::PartOutOfRange`] if the part does not exist.
-    pub fn assign(&mut self, tree: &RootedTree, part: PartId, edge: EdgeId) -> Result<()> {
-        if !tree.is_tree_edge(edge) {
-            return Err(CoreError::NotATreeEdge { edge, part });
-        }
-        if part.index() >= self.part_count {
-            return Err(CoreError::PartOutOfRange {
-                part,
-                part_count: self.part_count,
-            });
-        }
-        if let Err(pos) = self.parts_on_edge[edge.index()].binary_search(&part) {
-            self.parts_on_edge[edge.index()].insert(pos, part);
-        }
-        if let Err(pos) = self.edges_of[part.index()].binary_search(&edge) {
-            self.edges_of[part.index()].insert(pos, edge);
-        }
-        Ok(())
+        self.part_start.len() - 1
     }
 
     /// The parts assigned to tree edge `e` (sorted).
@@ -157,7 +167,8 @@ impl TreeShortcut {
     ///
     /// Panics if `e` is out of range.
     pub fn parts_on_edge(&self, e: EdgeId) -> &[PartId] {
-        &self.parts_on_edge[e.index()]
+        &self.edge_part
+            [self.edge_start[e.index()] as usize..self.edge_start[e.index() + 1] as usize]
     }
 
     /// The tree edges assigned to part `p` (sorted). This is `H_p`.
@@ -166,62 +177,18 @@ impl TreeShortcut {
     ///
     /// Panics if `p` is out of range.
     pub fn edges_of(&self, p: PartId) -> &[EdgeId] {
-        &self.edges_of[p.index()]
+        &self.part_edge
+            [self.part_start[p.index()] as usize..self.part_start[p.index() + 1] as usize]
     }
 
     /// Returns `true` if tree edge `e` belongs to `H_p`.
     pub fn contains(&self, p: PartId, e: EdgeId) -> bool {
-        self.edges_of[p.index()].binary_search(&e).is_ok()
+        self.edges_of(p).binary_search(&e).is_ok()
     }
 
     /// Total number of `(part, edge)` assignments.
     pub fn assignment_count(&self) -> usize {
-        self.edges_of.iter().map(Vec::len).sum()
-    }
-
-    /// Merges another shortcut over the same graph and partition into this
-    /// one (`H_i ← H_i ∪ H'_i`). Used by `FindShortcut`, which fixes the
-    /// subgraphs of "good" parts across iterations; the congestion of the
-    /// union is at most the sum of the congestions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two shortcuts disagree on the number of parts or edges.
-    pub fn merge(&mut self, other: &TreeShortcut) {
-        assert_eq!(self.part_count, other.part_count, "part counts must match");
-        assert_eq!(
-            self.parts_on_edge.len(),
-            other.parts_on_edge.len(),
-            "edge counts must match"
-        );
-        for (p_idx, edges) in other.edges_of.iter().enumerate() {
-            for &e in edges {
-                let part = PartId::new(p_idx);
-                if let Err(pos) = self.parts_on_edge[e.index()].binary_search(&part) {
-                    self.parts_on_edge[e.index()].insert(pos, part);
-                }
-                if let Err(pos) = self.edges_of[p_idx].binary_search(&e) {
-                    self.edges_of[p_idx].insert(pos, e);
-                }
-            }
-        }
-    }
-
-    /// Replaces part `p`'s subgraph with the given edge set. Used when a
-    /// part's tentative subgraph is fixed by the verification step.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TreeShortcut::assign`].
-    pub fn set_part_edges(&mut self, tree: &RootedTree, p: PartId, edges: &[EdgeId]) -> Result<()> {
-        // Remove existing assignments of p.
-        for e in std::mem::take(&mut self.edges_of[p.index()]) {
-            self.parts_on_edge[e.index()].retain(|&q| q != p);
-        }
-        for &e in edges {
-            self.assign(tree, p, e)?;
-        }
-        Ok(())
+        self.part_edge.len()
     }
 
     /// Validates that every assigned edge is a tree edge and every part id
@@ -231,23 +198,18 @@ impl TreeShortcut {
     ///
     /// Returns the first violation found.
     pub fn validate(&self, tree: &RootedTree, partition: &Partition) -> Result<()> {
-        if self.part_count != partition.part_count() {
+        if self.part_count() != partition.part_count() {
             return Err(CoreError::InconsistentInputs {
                 reason: format!(
                     "shortcut built for {} parts but partition has {}",
-                    self.part_count,
+                    self.part_count(),
                     partition.part_count()
                 ),
             });
         }
-        for (p_idx, edges) in self.edges_of.iter().enumerate() {
-            for &e in edges {
-                if !tree.is_tree_edge(e) {
-                    return Err(CoreError::NotATreeEdge {
-                        edge: e,
-                        part: PartId::new(p_idx),
-                    });
-                }
+        for p in partition.parts() {
+            if let Some(&e) = self.edges_of(p).iter().find(|&&e| !tree.is_tree_edge(e)) {
+                return Err(CoreError::NotATreeEdge { edge: e, part: p });
             }
         }
         Ok(())
@@ -255,7 +217,11 @@ impl TreeShortcut {
 
     /// Converts into a general [`Shortcut`] (forgetting the tree structure).
     pub fn to_shortcut(&self) -> Shortcut {
-        Shortcut::from_edge_sets(self.edges_of.clone())
+        Shortcut::from_edge_sets(
+            (0..self.part_count())
+                .map(|p| self.edges_of(PartId::new(p)).to_vec())
+                .collect(),
+        )
     }
 
     /// Number of block components of part `p` (Definition 3): connected
@@ -471,6 +437,60 @@ impl TreeShortcut {
     }
 }
 
+/// Transposes a CSR relation: row `r` lists `items[start[r]..start[r + 1]]`,
+/// and the result lists, for every column below `width`, the rows that name
+/// it. Rows are visited in order, so every column's list comes out sorted.
+fn transpose<C, R>(
+    start: &[u32],
+    items: &[C],
+    width: usize,
+    row: impl Fn(usize) -> R,
+) -> (Vec<u32>, Vec<R>)
+where
+    C: Copy + Into<usize>,
+    R: Copy + Default,
+{
+    let mut column_start = vec![0u32; width + 1];
+    for &c in items {
+        column_start[c.into() + 1] += 1;
+    }
+    // Exclusive offsets, shifted by one: `column_start[c + 1]` is where
+    // column `c` begins and, while filling, its write cursor. After the fill
+    // it holds where `c` ends, which is where `c + 1` begins.
+    let mut begin = 0;
+    for slot in &mut column_start[1..] {
+        let count = *slot;
+        *slot = begin;
+        begin += count;
+    }
+    let mut rows = vec![R::default(); items.len()];
+    for (r, span) in start.windows(2).enumerate() {
+        for &c in &items[span[0] as usize..span[1] as usize] {
+            let cursor = &mut column_start[c.into() + 1];
+            rows[*cursor as usize] = row(r);
+            *cursor += 1;
+        }
+    }
+    (column_start, rows)
+}
+
+/// Moves the distinct values of the sorted `list` to its front and returns
+/// how many there are.
+pub(crate) fn dedup_sorted<T: Copy + PartialEq>(list: &mut [T]) -> usize {
+    let mut len = 0;
+    for i in 0..list.len() {
+        if len == 0 || list[i] != list[len - 1] {
+            list[len] = list[i];
+            len += 1;
+        }
+    }
+    len
+}
+
+pub(crate) fn to_u32(x: usize) -> u32 {
+    u32::try_from(x).expect("CSR offsets fit in u32")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,6 +501,20 @@ mod tests {
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::grid_columns(4, 4);
         (g, t, p)
+    }
+
+    /// The shortcut giving part `part` the edge set `edges` and every other
+    /// part nothing.
+    fn one_part(
+        g: &Graph,
+        t: &RootedTree,
+        p: &Partition,
+        part: PartId,
+        edges: Vec<EdgeId>,
+    ) -> TreeShortcut {
+        let mut sets = vec![Vec::new(); p.part_count()];
+        sets[part.index()] = edges;
+        TreeShortcut::from_edge_sets(g, t, p, sets).unwrap()
     }
 
     #[test]
@@ -495,19 +529,54 @@ mod tests {
     }
 
     #[test]
-    fn assign_rejects_non_tree_edges_and_bad_parts() {
+    fn from_edge_sets_rejects_non_tree_edges_and_bad_parts() {
         let (g, t, p) = grid_setup();
-        let mut s = TreeShortcut::empty(&g, &p);
         let non_tree = g
             .edge_ids()
             .find(|&e| !t.is_tree_edge(e))
             .expect("a grid has non-tree edges");
-        let err = s.assign(&t, PartId::new(0), non_tree).unwrap_err();
-        assert!(matches!(err, CoreError::NotATreeEdge { .. }));
-
         let tree_edge = t.tree_edges().next().unwrap();
-        let err = s.assign(&t, PartId::new(99), tree_edge).unwrap_err();
-        assert!(matches!(err, CoreError::PartOutOfRange { .. }));
+        let err = TreeShortcut::from_edge_sets(&g, &t, &p, [vec![tree_edge], vec![non_tree]])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::NotATreeEdge {
+                edge: non_tree,
+                part: PartId::new(1)
+            }
+        );
+
+        let mut sets = vec![Vec::new(); 5];
+        sets[4].push(tree_edge);
+        let err = TreeShortcut::from_edge_sets(&g, &t, &p, sets).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::PartOutOfRange {
+                part: PartId::new(4),
+                part_count: 4
+            }
+        );
+    }
+
+    #[test]
+    fn from_edge_sets_sorts_deduplicates_and_transposes() {
+        let (g, t, p) = grid_setup();
+        let e0 = t.tree_edges().next().unwrap();
+        let e1 = t.tree_edges().nth(1).unwrap();
+        // Fewer sets than parts: parts 2 and 3 get nothing.
+        let s = TreeShortcut::from_edge_sets(&g, &t, &p, [vec![e1, e0, e1, e0], vec![e0]]).unwrap();
+        assert_eq!(s.part_count(), 4);
+        assert_eq!(s.edges_of(PartId::new(0)), &[e0, e1]);
+        assert_eq!(s.edges_of(PartId::new(1)), &[e0]);
+        assert!(s.edges_of(PartId::new(2)).is_empty());
+        assert!(s.contains(PartId::new(0), e1));
+        assert!(!s.contains(PartId::new(1), e1));
+        assert_eq!(s.parts_on_edge(e0), &[PartId::new(0), PartId::new(1)]);
+        assert_eq!(s.parts_on_edge(e1), &[PartId::new(0)]);
+        assert_eq!(s.assignment_count(), 3);
+        // The same sets in another order build an equal shortcut.
+        let again = TreeShortcut::from_edge_sets(&g, &t, &p, [vec![e0, e1], vec![e0], vec![]]);
+        assert_eq!(again.unwrap(), s);
     }
 
     #[test]
@@ -517,14 +586,12 @@ mod tests {
         // vertical tree edges merges blocks.
         let (g, t, p) = grid_setup();
         let part = PartId::new(3);
-        let mut s = TreeShortcut::empty(&g, &p);
         // Assign every tree edge whose lower endpoint lies in column 3.
-        for e in t.tree_edges() {
-            let lower = t.lower_endpoint(&g, e);
-            if p.part_of(lower) == Some(part) {
-                s.assign(&t, part, e).unwrap();
-            }
-        }
+        let edges = t
+            .tree_edges()
+            .filter(|&e| p.part_of(t.lower_endpoint(&g, e)) == Some(part))
+            .collect();
+        let s = one_part(&g, &t, &p, part, edges);
         let before = TreeShortcut::empty(&g, &p).block_count(&g, &p, part);
         let after = s.block_count(&g, &p, part);
         assert!(
@@ -538,16 +605,14 @@ mod tests {
     fn block_components_report_roots_and_steiner_nodes() {
         let (g, t, p) = grid_setup();
         let part = PartId::new(2);
-        let mut s = TreeShortcut::empty(&g, &p);
         // Assign the full tree path from each member of column 2 to the
         // root; all members join one block rooted at the tree root.
-        for &v in p.members(part) {
-            for node in t.path_to_root(v) {
-                if let Some(e) = t.parent_edge(node) {
-                    s.assign(&t, part, e).unwrap();
-                }
-            }
-        }
+        let edges = p
+            .members(part)
+            .iter()
+            .flat_map(|&v| t.path_to_root(v).filter_map(|node| t.parent_edge(node)))
+            .collect();
+        let s = one_part(&g, &t, &p, part, edges);
         let blocks = s.block_components(&g, &t, &p, part);
         assert_eq!(blocks.len(), 1);
         let block = &blocks[0];
@@ -565,52 +630,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_assignments() {
-        let (g, t, p) = grid_setup();
-        let e0 = t.tree_edges().next().unwrap();
-        let e1 = t.tree_edges().nth(1).unwrap();
-        let mut a = TreeShortcut::empty(&g, &p);
-        a.assign(&t, PartId::new(0), e0).unwrap();
-        let mut b = TreeShortcut::empty(&g, &p);
-        b.assign(&t, PartId::new(1), e0).unwrap();
-        b.assign(&t, PartId::new(0), e1).unwrap();
-        a.merge(&b);
-        assert!(a.contains(PartId::new(0), e0));
-        assert!(a.contains(PartId::new(0), e1));
-        assert!(a.contains(PartId::new(1), e0));
-        assert_eq!(a.parts_on_edge(e0), &[PartId::new(0), PartId::new(1)]);
-        assert_eq!(a.assignment_count(), 3);
-    }
-
-    #[test]
-    fn set_part_edges_replaces_previous_assignment() {
-        let (g, t, p) = grid_setup();
-        let edges: Vec<EdgeId> = t.tree_edges().take(3).collect();
-        let mut s = TreeShortcut::empty(&g, &p);
-        s.assign(&t, PartId::new(1), edges[0]).unwrap();
-        s.set_part_edges(&t, PartId::new(1), &edges[1..]).unwrap();
-        assert!(!s.contains(PartId::new(1), edges[0]));
-        assert!(s.contains(PartId::new(1), edges[1]));
-        assert!(s.contains(PartId::new(1), edges[2]));
-        assert!(s.parts_on_edge(edges[0]).is_empty());
-    }
-
-    #[test]
     fn quality_satisfies_lemma1_on_wheel_hub_shortcut() {
         let n = 21;
         let g = generators::wheel(n);
         let t = RootedTree::bfs(&g, NodeId::new(0));
         assert_eq!(t.depth_of_tree(), 1);
         let p = generators::partitions::wheel_arcs(n, 4);
-        let mut s = TreeShortcut::empty(&g, &p);
         // The BFS tree from the hub is exactly the star of spokes; assign
         // each arc its members' spokes.
-        for part in p.parts() {
-            for &v in p.members(part) {
-                let spoke = t.parent_edge(v).expect("rim nodes have the hub as parent");
-                s.assign(&t, part, spoke).unwrap();
-            }
-        }
+        let spokes = p.parts().map(|part| {
+            p.members(part)
+                .iter()
+                .map(|&v| t.parent_edge(v).expect("rim nodes have the hub as parent"))
+        });
+        let s = TreeShortcut::from_edge_sets(&g, &t, &p, spokes).unwrap();
         let q = s.quality(&g, &p);
         assert_eq!(q.block_parameter, 1);
         assert_eq!(q.congestion, 1);
@@ -621,9 +654,8 @@ mod tests {
     #[test]
     fn to_shortcut_preserves_edge_sets() {
         let (g, t, p) = grid_setup();
-        let mut s = TreeShortcut::empty(&g, &p);
         let e = t.tree_edges().next().unwrap();
-        s.assign(&t, PartId::new(2), e).unwrap();
+        let s = one_part(&g, &t, &p, PartId::new(2), vec![e]);
         let general = s.to_shortcut();
         assert_eq!(general.edges_of(PartId::new(2)), &[e]);
         assert_eq!(general.part_count(), 4);

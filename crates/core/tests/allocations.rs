@@ -4,8 +4,11 @@
 //! fixed number of flat, epoch-stamped buffers per call, so the number of
 //! allocations does not grow with the number of parts. `PartRouter::new`
 //! runs the same block pass and schedule, so neither does its count.
-//! `core_fast` builds its id lists in one arena and allocates each nonempty
-//! output list once, at its final length.
+//! `core_fast` builds its id lists in one arena and lays its shortcut out as
+//! two CSR relations straight from that arena, and `FindShortcut` lays its
+//! result out once, so a whole doubling search allocates a bounded number
+//! of times however many parts it serves. `Partition::from_assignment`
+//! counting-sorts the members into one flat array.
 //!
 //! The counting allocator is process-global, which is why this binary holds
 //! a single test.
@@ -13,10 +16,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lcs_core::construction::{core_fast, verification, CoreFastConfig};
+use lcs_core::construction::{
+    core_fast, doubling_search, verification, CoreFastConfig, DoublingConfig, VerificationOutcome,
+};
 use lcs_core::existential::ancestor_shortcut;
 use lcs_core::routing::PartRouter;
-use lcs_graph::{generators, NodeId, PartId, RootedTree};
+use lcs_core::TreeShortcut;
+use lcs_graph::{generators, Graph, NodeId, Partition, RootedTree};
 
 /// Counts every allocation and reallocation, then defers to the system
 /// allocator.
@@ -52,8 +58,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations of `core_fast` beyond one per nonempty output list.
-const CORE_FAST_OVERHEAD: u64 = 32;
+/// Allocations of one `core_fast` call, whatever the part count.
+const CORE_FAST_ALLOCATIONS: u64 = 32;
+
+/// Allocations of one warm `doubling_search`, whatever the part count.
+const DOUBLING_ALLOCATIONS: u64 = 96;
 
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -105,25 +114,63 @@ fn construction_allocations_do_not_grow_with_parts_or_output() {
         "PartRouter::new allocated {many} times for 1024 parts against {few} for 32"
     );
 
-    // CoreFast: a constant plus one allocation per nonempty output list.
+    // CoreFast: a constant number of allocations.
     for partition in [&columns, &singletons] {
         let active = vec![true; partition.part_count()];
         for c in [1usize, 64] {
             let config = CoreFastConfig::new(c).with_seed(3);
             let (outcome, allocations) = counted(|| core_fast(&g, &t, partition, &config, &active));
-            let lists = g
-                .edge_ids()
-                .filter(|&e| !outcome.shortcut.parts_on_edge(e).is_empty())
-                .count()
-                + (0..partition.part_count())
-                    .filter(|&p| !outcome.shortcut.edges_of(PartId::new(p)).is_empty())
-                    .count();
+            assert!(outcome.shortcut.assignment_count() > 0);
             assert!(
-                allocations <= CORE_FAST_OVERHEAD + lists as u64,
-                "{} parts, c = {c}: core_fast allocated {allocations} times for {lists} \
-                 nonempty output lists",
+                allocations <= CORE_FAST_ALLOCATIONS,
+                "{} parts, c = {c}: core_fast allocated {allocations} times, above \
+                 {CORE_FAST_ALLOCATIONS}",
                 partition.part_count()
             );
         }
     }
+
+    // A warm doubling search with the scheduled verifier: a constant number
+    // of allocations for 32 parts and for 1024.
+    let scheduled = |g: &Graph,
+                     t: &RootedTree,
+                     p: &Partition,
+                     s: &TreeShortcut,
+                     threshold: usize,
+                     active: &[bool]|
+     -> lcs_core::Result<VerificationOutcome> {
+        Ok(verification(g, t, p, s, threshold, active))
+    };
+    let config = DoublingConfig::default();
+    for partition in [&columns, &singletons] {
+        let active = vec![true; partition.part_count()];
+        let search = || doubling_search(&g, &t, partition, &active, &config, None, scheduled);
+        search().expect("warm-up search runs");
+        let (result, allocations) = counted(search);
+        assert!(result.expect("the search runs").all_parts_good);
+        assert!(
+            allocations <= DOUBLING_ALLOCATIONS,
+            "{} parts: doubling_search allocated {allocations} times, above \
+             {DOUBLING_ALLOCATIONS}",
+            partition.part_count()
+        );
+    }
+
+    // Partition::from_assignment: as many allocations for 1024 parts as for
+    // 32 (the assignment clone included).
+    let partition_allocations = |partition: &Partition| {
+        let assignment: Vec<_> = g.nodes().map(|v| partition.part_of(v)).collect();
+        let (rebuilt, allocations) = counted(|| {
+            Partition::from_assignment(g.node_count(), assignment.clone())
+                .expect("a valid assignment")
+        });
+        assert_eq!(&rebuilt, partition);
+        allocations
+    };
+    let few = partition_allocations(&columns);
+    let many = partition_allocations(&singletons);
+    assert_eq!(
+        many, few,
+        "Partition::from_assignment allocated {many} times for 1024 parts against {few} for 32"
+    );
 }

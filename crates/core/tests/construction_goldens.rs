@@ -28,7 +28,7 @@ use lcs_core::routing::{
     SubtreeSpec,
 };
 use lcs_core::{BlockComponent, TreeShortcut};
-use lcs_graph::{generators, Graph, NodeId, PartId, Partition, RootedTree};
+use lcs_graph::{generators, EdgeId, Graph, NodeId, PartId, Partition, RootedTree};
 
 /// FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -496,7 +496,7 @@ fn oracle_core_fast(
         }
     }
 
-    let mut shortcut = TreeShortcut::empty(graph, partition);
+    let mut edge_sets: Vec<Vec<EdgeId>> = vec![Vec::new(); partition.part_count()];
     for v in graph.nodes() {
         let Some(parent_edge) = tree.parent_edge(v) else {
             continue;
@@ -505,17 +505,17 @@ fn oracle_core_fast(
             continue;
         }
         for &p in &known[v.index()] {
-            shortcut.assign(tree, p, parent_edge).unwrap();
+            edge_sets[p.index()].push(parent_edge);
         }
     }
     CoreOutcome {
-        shortcut,
+        shortcut: TreeShortcut::from_edge_sets(graph, tree, partition, edge_sets).unwrap(),
         unusable,
         rounds: seed_sharing_rounds + phase1_rounds + phase2_rounds,
     }
 }
 
-/// CoreSlow with one `Vec` per node and `assign` per (part, edge).
+/// CoreSlow with one `Vec` per node and one edge set per part.
 fn oracle_core_slow(
     graph: &Graph,
     tree: &RootedTree,
@@ -524,7 +524,7 @@ fn oracle_core_slow(
     active: &[bool],
 ) -> CoreOutcome {
     let cap = 2 * congestion_bound.max(1);
-    let mut shortcut = TreeShortcut::empty(graph, partition);
+    let mut edge_sets: Vec<Vec<EdgeId>> = vec![Vec::new(); partition.part_count()];
     let mut unusable = vec![false; graph.edge_count()];
     let mut lists: Vec<Vec<PartId>> = vec![Vec::new(); graph.node_count()];
     let mut level_cost = vec![0u64; tree.depth_of_tree() as usize + 1];
@@ -550,7 +550,7 @@ fn oracle_core_slow(
                 level_cost[d] = level_cost[d].max(1);
             } else {
                 for &p in &list {
-                    shortcut.assign(tree, p, parent_edge).unwrap();
+                    edge_sets[p.index()].push(parent_edge);
                 }
                 level_cost[d] = level_cost[d].max(list.len().max(1) as u64);
             }
@@ -558,7 +558,7 @@ fn oracle_core_slow(
         lists[v.index()] = list;
     }
     CoreOutcome {
-        shortcut,
+        shortcut: TreeShortcut::from_edge_sets(graph, tree, partition, edge_sets).unwrap(),
         unusable,
         rounds: level_cost.iter().skip(1).sum(),
     }

@@ -6,6 +6,8 @@
 //! consistency of the block-component decomposition.
 
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 use lcs_core::construction::{
     core_fast, core_slow, doubling_search, verification, CoreFastConfig, DoublingConfig,
@@ -14,7 +16,7 @@ use lcs_core::construction::{
 use lcs_core::existential::{ancestor_shortcut, reference_parameters};
 use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
-use lcs_graph::{generators, NodeId, Partition, RootedTree};
+use lcs_graph::{generators, EdgeId, Graph, NodeId, PartId, Partition, RootedTree};
 
 /// The scheduled Lemma 3 verification as a construction verifier.
 fn scheduled(
@@ -235,5 +237,93 @@ proptest! {
         let router = PartRouter::new(&graph, &tree, &partition, &shortcut);
         prop_assert!(router.supergraphs_connected());
         prop_assert_eq!(router.block_parameter(), shortcut.block_parameter(&graph, &partition));
+    }
+}
+
+/// One instance per generator family, about `size²` nodes (`size ≥ 3`):
+/// the graph, its BFS tree from `root_choice` and a BFS-ball partition.
+fn family_instance(
+    family: usize,
+    size: usize,
+    parts: usize,
+    seed: u64,
+    root_choice: usize,
+) -> (Graph, RootedTree, Partition) {
+    let graph = match family {
+        0 => generators::grid(size, size),
+        1 => generators::torus(size, size),
+        2 => generators::random_connected(size * size, 2 * size, seed),
+        3 => generators::wheel(size * size + 1),
+        4 => generators::path(size * size),
+        5 => generators::caterpillar(3 * size, 2),
+        _ => generators::lower_bound_graph(4, 2 * size).0,
+    };
+    let tree = RootedTree::bfs(&graph, NodeId::new(root_choice % graph.node_count()));
+    let parts = parts.clamp(1, graph.node_count());
+    let partition = generators::partitions::random_bfs_balls(&graph, parts, seed);
+    (graph, tree, partition)
+}
+
+/// `edges_of` and `parts_on_edge` are exact transposes of each other, each
+/// list sorted and deduplicated, and non-tree edges carry no part.
+fn check_transposes(graph: &Graph, tree: &RootedTree, shortcut: &TreeShortcut) {
+    let mut transposed: Vec<Vec<PartId>> = vec![Vec::new(); graph.edge_count()];
+    for p in (0..shortcut.part_count()).map(PartId::new) {
+        let edges = shortcut.edges_of(p);
+        assert!(edges.windows(2).all(|w| w[0] < w[1]));
+        for &e in edges {
+            transposed[e.index()].push(p);
+        }
+    }
+    for e in graph.edge_ids() {
+        assert_eq!(shortcut.parts_on_edge(e), &transposed[e.index()][..]);
+        assert!(tree.is_tree_edge(e) || transposed[e.index()].is_empty());
+    }
+    let total: usize = transposed.iter().map(Vec::len).sum();
+    assert_eq!(shortcut.assignment_count(), total);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A shortcut built from unsorted per-part edge sets with repeats holds
+    /// each set sorted and deduplicated, and its per-edge side is the exact
+    /// transpose. The same holds for `core_fast`'s shortcut, which is laid
+    /// out from the per-edge side instead.
+    #[test]
+    fn shortcut_sides_are_sorted_exact_transposes(
+        family in 0usize..7,
+        size in 3usize..8,
+        parts in 1usize..24,
+        seed in 0u64..1_000,
+        root_choice in 0usize..1_000,
+        picks in 0usize..200,
+    ) {
+        let (graph, tree, partition) = family_instance(family, size, parts, seed, root_choice);
+        let tree_edges: Vec<EdgeId> = tree.tree_edges().collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // Some parts get no set at all: the sets stop at a random part.
+        let set_count = rng.gen_range(0..=partition.part_count());
+        let sets: Vec<Vec<EdgeId>> = (0..set_count)
+            .map(|_| {
+                (0..rng.gen_range(0..=picks.min(4 * tree_edges.len())))
+                    .map(|_| tree_edges[rng.gen_range(0..tree_edges.len())])
+                    .collect()
+            })
+            .collect();
+        let shortcut = TreeShortcut::from_edge_sets(&graph, &tree, &partition, sets.clone())
+            .expect("tree edges and parts in range");
+        prop_assert_eq!(shortcut.part_count(), partition.part_count());
+        for p in partition.parts() {
+            let mut expected = sets.get(p.index()).cloned().unwrap_or_default();
+            expected.sort();
+            expected.dedup();
+            prop_assert_eq!(shortcut.edges_of(p), &expected[..]);
+        }
+        check_transposes(&graph, &tree, &shortcut);
+
+        let active = vec![true; partition.part_count()];
+        let core = core_fast(&graph, &tree, &partition, &CoreFastConfig::new(2).with_seed(seed), &active);
+        check_transposes(&graph, &tree, &core.shortcut);
     }
 }

@@ -46,7 +46,7 @@ fn oracle_find_shortcut(
         .max_iterations
         .unwrap_or(2 * (usize::BITS - part_count.max(2).leading_zeros()) as usize + 8);
     let threshold = 3 * config.block.max(1);
-    let mut shortcut = TreeShortcut::empty(graph, partition);
+    let mut edge_sets = vec![Vec::new(); part_count];
     let mut remaining = initial_active.to_vec();
     let active_count = remaining.iter().filter(|&&a| a).count();
     let mut remaining_count = active_count;
@@ -78,10 +78,7 @@ fn oracle_find_shortcut(
         );
         for (p, still_remaining) in remaining.iter_mut().enumerate() {
             if *still_remaining && verified.good[p] {
-                let part = PartId::new(p);
-                shortcut
-                    .set_part_edges(tree, part, core.shortcut.edges_of(part))
-                    .expect("core output sits on tree edges");
+                edge_sets[p] = core.shortcut.edges_of(PartId::new(p)).to_vec();
                 *still_remaining = false;
                 remaining_count -= 1;
             }
@@ -89,7 +86,8 @@ fn oracle_find_shortcut(
         good_after_iteration.push(active_count - remaining_count);
     }
     FindShortcutResult {
-        shortcut,
+        shortcut: TreeShortcut::from_edge_sets(graph, tree, partition, edge_sets)
+            .expect("core output sits on tree edges"),
         iterations,
         all_parts_good: remaining_count == 0,
         good_after_iteration,

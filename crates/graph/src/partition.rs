@@ -10,16 +10,24 @@
 use std::collections::VecDeque;
 
 use crate::traversal::{bfs_filtered, induces_connected_subgraph};
+use crate::tree::bucket_nodes;
 use crate::{Graph, GraphError, NodeId, PartId, Result};
 
 /// A family of disjoint, individually connected node parts.
+///
+/// The member lists are one compressed sparse row (CSR) relation, laid out
+/// by a counting sort over the per-node assignment: an offset array plus one
+/// flat node array, so a partition is three allocations whatever its part
+/// count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// `part_of[v]` is the part containing `v`, or `None` if `v` is in no
     /// part.
     part_of: Vec<Option<PartId>>,
-    /// `members[i]` are the nodes of part `i`, in insertion order.
-    members: Vec<Vec<NodeId>>,
+    /// `member_start[i]..member_start[i + 1]` indexes `member`: the nodes of
+    /// part `i`, ascending. Length `part_count + 1`.
+    member_start: Vec<u32>,
+    member: Vec<NodeId>,
 }
 
 impl Partition {
@@ -43,22 +51,17 @@ impl Partition {
             .map(|p| p.index() + 1)
             .max()
             .unwrap_or(0);
-        let mut members = vec![Vec::new(); part_count];
-        for (v, part) in assignment.iter().enumerate() {
-            if let Some(p) = part {
-                members[p.index()].push(NodeId::new(v));
-            }
-        }
-        for (i, m) in members.iter().enumerate() {
-            if m.is_empty() {
-                return Err(GraphError::EmptyPart {
-                    part: PartId::new(i),
-                });
-            }
+        let (member_start, member) =
+            bucket_nodes(part_count, node_count, |v| assignment[v].map(PartId::index));
+        if let Some(i) = member_start.windows(2).position(|w| w[0] == w[1]) {
+            return Err(GraphError::EmptyPart {
+                part: PartId::new(i),
+            });
         }
         Ok(Partition {
             part_of: assignment,
-            members,
+            member_start,
+            member,
         })
     }
 
@@ -74,7 +77,7 @@ impl Partition {
 
     /// Number of parts `N`.
     pub fn part_count(&self) -> usize {
-        self.members.len()
+        self.member_start.len() - 1
     }
 
     /// Number of nodes the partition was defined over.
@@ -91,13 +94,14 @@ impl Partition {
         self.part_of[v.index()]
     }
 
-    /// Members of part `p`.
+    /// Members of part `p`, ascending.
     ///
     /// # Panics
     ///
     /// Panics if `p` is out of range.
     pub fn members(&self, p: PartId) -> &[NodeId] {
-        &self.members[p.index()]
+        &self.member
+            [self.member_start[p.index()] as usize..self.member_start[p.index() + 1] as usize]
     }
 
     /// Iterator over all part ids.
@@ -112,7 +116,11 @@ impl Partition {
 
     /// Size of the largest part.
     pub fn max_part_size(&self) -> usize {
-        self.members.iter().map(Vec::len).max().unwrap_or(0)
+        self.member_start
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Validates the partition against a graph: every part must be nonempty

@@ -8,7 +8,6 @@
 //! (deepest first), which is the schedule both `CoreSlow` and `CoreFast`
 //! follow.
 
-use crate::traversal::bfs_distances;
 use crate::{EdgeId, Graph, GraphError, NodeId, Result};
 
 /// A rooted spanning tree of a connected graph.
@@ -18,9 +17,13 @@ pub struct RootedTree {
     parent: Vec<Option<NodeId>>,
     parent_edge: Vec<Option<EdgeId>>,
     depth: Vec<u32>,
-    children: Vec<Vec<NodeId>>,
-    /// Nodes ordered by nonincreasing depth (deepest first). Processing nodes
-    /// in this order guarantees children are handled before their parents.
+    /// `child_start[v]..child_start[v + 1]` indexes `child`: the children
+    /// of `v`, ascending (the CSR layout [`Graph`] uses for adjacency).
+    child_start: Vec<u32>,
+    child: Vec<NodeId>,
+    /// Nodes ordered by nonincreasing depth (deepest first), ascending id
+    /// within a depth. Processing nodes in this order guarantees children
+    /// are handled before their parents.
     bottom_up: Vec<NodeId>,
     /// Marker: `is_tree_edge[e]` for every edge id of the original graph.
     is_tree_edge: Vec<bool>,
@@ -43,44 +46,61 @@ impl RootedTree {
 
     /// Fallible variant of [`RootedTree::bfs`].
     ///
+    /// One breadth-first search records each node's parent, parent edge and
+    /// depth when it is discovered; the children and the bottom-up order
+    /// are then laid out by counting sorts, on parent and on depth.
+    ///
     /// # Errors
     ///
     /// Returns [`GraphError::NotConnected`] if some node is unreachable from
     /// `root`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is out of range.
     pub fn try_bfs(graph: &Graph, root: NodeId) -> Result<Self> {
-        let result = bfs_distances(graph, root);
-        if result.reachable_count() != graph.node_count() {
-            return Err(GraphError::NotConnected);
-        }
         let n = graph.node_count();
+        assert!(root.index() < n, "source {root} out of range");
+        let mut parent = vec![None; n];
         let mut parent_edge = vec![None; n];
-        let mut children = vec![Vec::new(); n];
+        let mut depth = vec![u32::MAX; n];
         let mut is_tree_edge = vec![false; graph.edge_count()];
-        for v in graph.nodes() {
-            if let Some(p) = result.parent[v.index()] {
-                let e = graph
-                    .edge_between(p, v)
-                    .expect("BFS parent must be adjacent");
-                parent_edge[v.index()] = Some(e);
-                is_tree_edge[e.index()] = true;
-                children[p.index()].push(v);
+        // The discovery order doubles as the BFS queue.
+        let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+        depth[root.index()] = 0;
+        queue.push(root);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let next = depth[u.index()] + 1;
+            for (v, e) in graph.neighbors(u) {
+                if depth[v.index()] == u32::MAX {
+                    depth[v.index()] = next;
+                    parent[v.index()] = Some(u);
+                    parent_edge[v.index()] = Some(e);
+                    is_tree_edge[e.index()] = true;
+                    queue.push(v);
+                }
             }
         }
-        let depth: Vec<u32> = result
-            .dist
-            .iter()
-            .map(|d| d.expect("connectivity checked above"))
-            .collect();
-        let mut bottom_up: Vec<NodeId> = graph.nodes().collect();
-        bottom_up.sort_by_key(|v| std::cmp::Reverse(depth[v.index()]));
-        let depth_of_tree = depth.iter().copied().max().unwrap_or(0);
+        if queue.len() != n {
+            return Err(GraphError::NotConnected);
+        }
+        let depth_of_tree = depth[queue[n - 1].index()];
+
+        let (child_start, child) = bucket_nodes(n, n, |v| parent[v].map(NodeId::index));
+        // Deepest bucket first.
+        let (_, bottom_up) = bucket_nodes(depth_of_tree as usize + 1, n, |v| {
+            Some((depth_of_tree - depth[v]) as usize)
+        });
 
         Ok(RootedTree {
             root,
-            parent: result.parent,
+            parent,
             parent_edge,
             depth,
-            children,
+            child_start,
+            child,
             bottom_up,
             is_tree_edge,
             depth_of_tree,
@@ -121,9 +141,9 @@ impl RootedTree {
         self.depth[v.index()]
     }
 
-    /// Children of `v` in the tree.
+    /// Children of `v` in the tree, ascending.
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v.index()]
+        &self.child[self.child_start[v.index()] as usize..self.child_start[v.index() + 1] as usize]
     }
 
     /// Returns `true` if the given graph edge is one of the `n - 1` tree
@@ -206,6 +226,41 @@ impl RootedTree {
         }
         size
     }
+}
+
+/// Counting sort of node ids into `buckets` buckets: every node `v` of
+/// `0..node_count` with `bucket(v) = Some(b)` lands in bucket `b`,
+/// ascending within it. Returns the CSR pair: `start[b]..start[b + 1]` is
+/// bucket `b`'s slice of the node array.
+pub(crate) fn bucket_nodes(
+    buckets: usize,
+    node_count: usize,
+    bucket: impl Fn(usize) -> Option<usize>,
+) -> (Vec<u32>, Vec<NodeId>) {
+    let mut start = vec![0u32; buckets + 1];
+    let mut total = 0;
+    for b in (0..node_count).filter_map(&bucket) {
+        start[b + 1] += 1;
+        total += 1;
+    }
+    // Exclusive offsets, shifted by one: `start[b + 1]` is where bucket `b`
+    // begins and, while filling, its write cursor. After the fill it holds
+    // where `b` ends, which is where `b + 1` begins.
+    let mut begin = 0;
+    for slot in &mut start[1..] {
+        let count = *slot;
+        *slot = begin;
+        begin += count;
+    }
+    let mut nodes = vec![NodeId::default(); total];
+    for v in 0..node_count {
+        if let Some(b) = bucket(v) {
+            let cursor = &mut start[b + 1];
+            nodes[*cursor as usize] = NodeId::new(v);
+            *cursor += 1;
+        }
+    }
+    (start, nodes)
 }
 
 /// Iterator over the tree path from a node up to the root.

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use lcs_graph::{
     bfs_distances, connected_components, diameter_exact, diameter_lower_bound_double_sweep,
-    generators, is_connected, kruskal_mst, mst_weight, prim_mst, EdgeWeights, NodeId, Partition,
-    RootedTree, UnionFind,
+    generators, is_connected, kruskal_mst, mst_weight, prim_mst, EdgeWeights, Graph, NodeId,
+    PartId, Partition, RootedTree, UnionFind,
 };
 
 proptest! {
@@ -243,5 +243,94 @@ proptest! {
             prop_assert_eq!(torus.edge_count(), 2 * rows * cols);
             prop_assert_eq!(diameter_exact(&torus) as usize, rows / 2 + cols / 2);
         }
+    }
+}
+
+/// One graph per generator family, about `size²` nodes (`size ≥ 3`).
+fn family_graph(family: usize, size: usize, seed: u64) -> Graph {
+    match family {
+        0 => generators::grid(size, size),
+        1 => generators::torus(size, size),
+        2 => generators::random_connected(size * size, 2 * size, seed),
+        3 => generators::wheel(size * size + 1),
+        4 => generators::path(size * size),
+        5 => generators::caterpillar(3 * size, 2),
+        _ => generators::lower_bound_graph(4, 2 * size).0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A BFS tree's parents, parent edges, depths and tree-edge flags are
+    /// those of the reference BFS, its children lists are every node's
+    /// children in ascending order, and its bottom-up order is deepest
+    /// first with ascending ids within a depth.
+    #[test]
+    fn rooted_tree_matches_a_brute_force_reference(
+        family in 0usize..7,
+        size in 3usize..9,
+        seed in 0u64..1_000,
+        root_choice in 0usize..1_000,
+    ) {
+        let g = family_graph(family, size, seed);
+        let n = g.node_count();
+        let root = NodeId::new(root_choice % n);
+        let t = RootedTree::bfs(&g, root);
+        let bfs = bfs_distances(&g, root);
+        for v in g.nodes() {
+            prop_assert_eq!(t.parent(v), bfs.parent[v.index()]);
+            prop_assert_eq!(Some(t.depth(v)), bfs.dist[v.index()]);
+            let edge = t.parent(v).map(|p| g.edge_between(p, v).expect("parents are adjacent"));
+            prop_assert_eq!(t.parent_edge(v), edge);
+            let children: Vec<NodeId> = g.nodes().filter(|&u| t.parent(u) == Some(v)).collect();
+            prop_assert_eq!(t.children(v), &children[..]);
+        }
+        for (e, _) in g.edges() {
+            let lower = g.nodes().any(|v| t.parent_edge(v) == Some(e));
+            prop_assert_eq!(t.is_tree_edge(e), lower);
+        }
+        let mut bottom_up: Vec<NodeId> = g.nodes().collect();
+        bottom_up.sort_by_key(|&v| (std::cmp::Reverse(t.depth(v)), v));
+        prop_assert_eq!(t.nodes_bottom_up(), &bottom_up[..]);
+        prop_assert_eq!(t.depth_of_tree(), bfs.max_distance());
+    }
+
+    /// Every part's members are strictly ascending and are exactly the
+    /// nodes `part_of` maps to it; rebuilding from the assignment gives an
+    /// equal partition.
+    #[test]
+    fn partition_members_are_ascending_and_agree_with_part_of(
+        family in 0usize..7,
+        size in 3usize..9,
+        parts in 1usize..40,
+        seed in 0u64..1_000,
+    ) {
+        let g = family_graph(family, size, seed);
+        let n = g.node_count();
+        let balls = generators::partitions::random_bfs_balls(&g, parts.min(n), seed);
+        // Dropping the last part leaves its nodes unassigned.
+        let assignment: Vec<Option<PartId>> = g
+            .nodes()
+            .map(|v| balls.part_of(v).filter(|p| p.index() + 1 < balls.part_count()))
+            .collect();
+        let partial = Partition::from_assignment(n, assignment.clone()).expect("dense parts");
+        for p in [&balls, &partial] {
+            let mut assigned = 0;
+            for part in p.parts() {
+                let members = p.members(part);
+                prop_assert!(!members.is_empty());
+                prop_assert!(members.windows(2).all(|w| w[0] < w[1]));
+                prop_assert!(members.iter().all(|&v| p.part_of(v) == Some(part)));
+                assigned += members.len();
+            }
+            prop_assert_eq!(assigned, p.assigned_count());
+            prop_assert_eq!(
+                p.max_part_size(),
+                p.parts().map(|part| p.members(part).len()).max().unwrap_or(0)
+            );
+        }
+        prop_assert_eq!(partial.part_count() + 1, balls.part_count());
+        prop_assert_eq!(Partition::from_assignment(n, assignment).unwrap(), partial);
     }
 }

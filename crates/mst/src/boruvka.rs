@@ -30,9 +30,7 @@ use lcs_core::construction::{doubling_search, DoublingConfig, Verifier};
 use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
 use lcs_dist::{part_leaders, part_min_edges, BlockFamily};
-use lcs_graph::{
-    EdgeId, EdgeWeights, Graph, NodeId, Partition, PartitionBuilder, RootedTree, UnionFind,
-};
+use lcs_graph::{EdgeId, EdgeWeights, Graph, NodeId, PartId, Partition, RootedTree, UnionFind};
 
 use crate::Result;
 
@@ -233,7 +231,7 @@ pub fn boruvka_mst<V: Verifier>(
 
         if !merge_edges.is_empty() {
             chosen.extend(merge_edges.iter().copied());
-            partition = merge_partition(graph, &partition, &mut uf);
+            partition = merge_partition(&partition, &mut uf);
         }
     }
 
@@ -288,14 +286,13 @@ fn build_shortcut<V: Verifier>(
         ShortcutStrategy::WholeTree => {
             // Every part gets the entire tree; announcing "use everything"
             // costs a single broadcast over T.
-            let mut shortcut = TreeShortcut::empty(graph, partition);
-            for p in partition.parts() {
-                for e in tree.tree_edges() {
-                    shortcut
-                        .assign(tree, p, e)
-                        .expect("tree edges and valid parts");
-                }
-            }
+            let shortcut = TreeShortcut::from_edge_sets(
+                graph,
+                tree,
+                partition,
+                partition.parts().map(|_| tree.tree_edges()),
+            )
+            .expect("tree edges and valid parts");
             cost.charge(label.to_string(), u64::from(tree.depth_of_tree()));
             return Ok(shortcut);
         }
@@ -333,34 +330,30 @@ fn aggregate_directly(
     per_part
 }
 
-/// Contracts the partition along the merges recorded in `uf`.
-fn merge_partition(graph: &Graph, partition: &Partition, uf: &mut UnionFind) -> Partition {
-    // Map union-find representatives to dense new part ids.
-    let mut new_id_of_rep: Vec<Option<usize>> = vec![None; partition.part_count()];
-    let mut next = 0usize;
-    let mut new_of_old: Vec<usize> = Vec::with_capacity(partition.part_count());
-    for p in partition.parts() {
-        let rep = uf.find(p.index());
-        let id = *new_id_of_rep[rep].get_or_insert_with(|| {
-            let id = next;
-            next += 1;
-            id
-        });
-        new_of_old.push(id);
-    }
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); next];
-    for p in partition.parts() {
-        for &v in partition.members(p) {
-            members[new_of_old[p.index()]].push(v);
-        }
-    }
-    let mut builder = PartitionBuilder::new(graph.node_count());
-    for group in members {
-        builder
-            .add_part(group)
-            .expect("merged parts are disjoint and nonempty");
-    }
-    builder.build()
+/// Contracts the partition along the merges recorded in `uf`: merged
+/// parts are numbered by their first old part, and every node moves to its
+/// old part's merged part.
+fn merge_partition(partition: &Partition, uf: &mut UnionFind) -> Partition {
+    let mut new_of_rep: Vec<Option<PartId>> = vec![None; partition.part_count()];
+    let mut next = 0;
+    let new_of_old: Vec<PartId> = partition
+        .parts()
+        .map(|p| {
+            *new_of_rep[uf.find(p.index())].get_or_insert_with(|| {
+                next += 1;
+                PartId::new(next - 1)
+            })
+        })
+        .collect();
+    let assignment = (0..partition.node_count())
+        .map(|v| {
+            partition
+                .part_of(NodeId::new(v))
+                .map(|p| new_of_old[p.index()])
+        })
+        .collect();
+    Partition::from_assignment(partition.node_count(), assignment)
+        .expect("merged parts are densely numbered and nonempty")
 }
 
 #[cfg(test)]

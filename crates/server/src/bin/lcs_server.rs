@@ -104,10 +104,13 @@ fn serve(args: Args) -> Result<(), ServeError> {
         })
         .collect();
     let labels: Vec<&str> = args.families.iter().map(|f| f.label()).collect();
-    let mut config = ServerConfig::new(corpora)
-        .workers(args.workers)
-        .seed(args.seed)
-        .recorder(Obs::recording());
+    let mut config = ServerConfig {
+        addr: args.addr,
+        ..ServerConfig::new(corpora)
+    }
+    .workers(args.workers)
+    .seed(args.seed)
+    .recorder(Obs::recording());
     if args.with_repair {
         config = config.with_repair();
     }
