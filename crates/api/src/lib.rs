@@ -83,7 +83,7 @@ pub use lcs_core::routing::ExecutionMode;
 pub use lcs_congest::{FaultPlan, RoundCost, RoundTrace, SimStats};
 pub use lcs_core::construction::CoreOutcome;
 pub use lcs_core::{BlockComponent, Shortcut, ShortcutQuality, TreeShortcut};
-pub use lcs_dist::{CheckedRun, CrossCheck, RetryPolicy};
+pub use lcs_dist::{CheckedRun, CrossCheck};
 pub use lcs_mst::ShortcutStrategy;
 
 /// The graph substrate (structures, generators, spanning trees,

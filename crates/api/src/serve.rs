@@ -5,7 +5,7 @@
 //!
 //! A [`Query`] borrows everything it references — the partition, the
 //! prebuilt decomposition, the edge weights — from a corpus the *caller*
-//! owns, and [`Session::serve`] answers it while recording only a
+//! owns, and [`Session::serve_shared`] answers it while recording only a
 //! [`Served`]: the wall-clock nanoseconds the query took (the same
 //! quantity [`crate::Report::wall_millis`] reports, at nanosecond
 //! resolution and without the report's string/vector allocations) plus an
@@ -14,8 +14,9 @@
 //! byte-identical — the cheap determinism check the workload harness
 //! (`lcs_workload`) is built on. Callers that need the values themselves
 //! (equivalence tests, result-collecting drivers) use
-//! [`Session::serve_full`], which returns the owned [`QueryValue`]
-//! alongside the record; both paths compute the identical digest.
+//! [`Session::serve_shared_full`], which returns the owned [`QueryValue`]
+//! alongside the record; both paths compute the identical digest. Both
+//! take `&self`, so any number of threads may serve one warm session.
 
 use std::time::Instant;
 
@@ -26,7 +27,7 @@ use lcs_mst::ShortcutStrategy;
 use crate::{RepairBaseline, Result, Session, Strategy};
 
 /// One serving query, borrowing its inputs from a caller-owned corpus.
-/// Dispatched by [`Session::serve`] / [`Session::serve_full`].
+/// Dispatched by [`Session::serve_shared`] / [`Session::serve_shared_full`].
 #[derive(Debug, Clone, Copy)]
 pub enum Query<'a> {
     /// Construct a shortcut for `partition` ([`Session::shortcut`]).
@@ -88,7 +89,7 @@ impl Query<'_> {
         }
     }
 
-    /// The per-kind metric paths `Session::serve` reports under when a
+    /// The per-kind metric paths `Session::serve_shared` reports under when a
     /// recorder is attached: `(queries counter, rounds counter, latency
     /// timer)`. Static strings so the hot serving path never formats a
     /// metric name.
@@ -143,7 +144,7 @@ pub struct Served {
 }
 
 /// The owned result values of one served query, as returned by
-/// [`Session::serve_full`]. Field-for-field identical to what the
+/// [`Session::serve_shared_full`]. Field-for-field identical to what the
 /// dedicated query methods return, so equivalence tests can compare a
 /// driver's collected values against direct [`Session`] calls.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,7 +186,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A running FNV-1a fingerprint over a stream of `u64` words — the digest
-/// both [`Session::serve`] and workload drivers chain result values into.
+/// both [`Session::serve_shared`] and workload drivers chain result values into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValueDigest(u64);
 
@@ -292,51 +293,31 @@ impl Session<'_> {
     /// `lcs_workload` drivers, which record latencies into histograms and
     /// chain digests without allocating per query.
     ///
+    /// Any number of threads may serve queries on one warm session
+    /// concurrently. Every query path behind this entry is `&self` —
+    /// construction, verification and MST read the session's tree and
+    /// configuration only, and quality measurements check a workspace out
+    /// of the session's lock-protected pool bank for the duration of the
+    /// query. Concurrency changes timings, never values. This is the entry
+    /// point the `lcs_server` worker threads serve from.
+    ///
     /// # Errors
     ///
     /// Exactly the errors of the underlying query method
     /// ([`Session::shortcut`], [`Session::verify`], [`Session::quality`],
-    /// [`Session::mst`]).
-    pub fn serve(&mut self, query: Query<'_>) -> Result<Served> {
-        self.serve_shared(query)
-    }
-
-    /// [`Session::serve`], additionally returning the owned result values.
-    /// The [`Served`] record (including its digest) is identical to what
-    /// [`Session::serve`] produces for the same query, so a
-    /// result-collecting driver and a digest-only driver agree exactly.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::serve`].
-    pub fn serve_full(&mut self, query: Query<'_>) -> Result<(Served, QueryValue)> {
-        self.serve_shared_full(query)
-    }
-
-    /// [`Session::serve`] through a shared reference: any number of
-    /// threads may serve queries on one warm session concurrently. Every
-    /// query path behind this entry is `&self` — construction, verification
-    /// and MST read the session's tree and configuration only, and quality
-    /// measurements check a workspace out of the session's lock-protected
-    /// pool bank for the duration of the query. Responses are
-    /// byte-identical ([`Served::digest`] included) to the `&mut self`
-    /// [`Session::serve`] path, which delegates here; concurrency changes
-    /// timings, never values. This is the entry point the `lcs_server`
-    /// worker threads serve from.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::serve`].
+    /// [`Session::mst`], [`Session::repair_from`]).
     pub fn serve_shared(&self, query: Query<'_>) -> Result<Served> {
         self.serve_shared_full(query).map(|(served, _)| served)
     }
 
     /// [`Session::serve_shared`], additionally returning the owned result
-    /// values — the shared-reference twin of [`Session::serve_full`].
+    /// values. The [`Served`] record (including its digest) is identical to
+    /// what [`Session::serve_shared`] produces for the same query, so a
+    /// result-collecting driver and a digest-only driver agree exactly.
     ///
     /// # Errors
     ///
-    /// Same as [`Session::serve`].
+    /// Same as [`Session::serve_shared`].
     pub fn serve_shared_full(&self, query: Query<'_>) -> Result<(Served, QueryValue)> {
         let probe_paths = self.obs.is_on().then(|| query.probe_paths());
         let start = Instant::now();
@@ -436,7 +417,7 @@ mod tests {
     fn serve_and_serve_full_agree_on_digest_and_values() {
         let g = generators::grid(6, 6);
         let p = generators::partitions::grid_columns(6, 6);
-        let mut session = Pipeline::on(&g).build().unwrap();
+        let session = Pipeline::on(&g).build().unwrap();
         let run = session.shortcut(&p, Strategy::doubling()).unwrap();
         let (_, b) = run.winning_guess().unwrap();
 
@@ -455,8 +436,8 @@ mod tests {
                 partition: &p,
             },
         ] {
-            let (full, value) = session.serve_full(query).unwrap();
-            let light = session.serve(query).unwrap();
+            let (full, value) = session.serve_shared_full(query).unwrap();
+            let light = session.serve_shared(query).unwrap();
             assert_eq!(full.digest, light.digest, "{}", query.kind_label());
             assert_eq!(full.rounds_charged, light.rounds_charged);
             assert_eq!(full.all_good, light.all_good);
@@ -469,11 +450,11 @@ mod tests {
         let g = generators::wheel(33);
         let p = generators::partitions::wheel_arcs(33, 4);
         let w = lcs_graph::EdgeWeights::random_permutation(&g, 5);
-        let mut session = Pipeline::on(&g).seed(3).build().unwrap();
+        let session = Pipeline::on(&g).seed(3).build().unwrap();
 
         let direct = session.shortcut(&p, Strategy::doubling()).unwrap();
         let (_, value) = session
-            .serve_full(Query::Construct {
+            .serve_shared_full(Query::Construct {
                 partition: &p,
                 strategy: Strategy::doubling(),
             })
@@ -482,7 +463,7 @@ mod tests {
 
         let direct_verify = session.verify(&direct.shortcut, &p, 3).unwrap();
         let (_, value) = session
-            .serve_full(Query::Verify {
+            .serve_shared_full(Query::Verify {
                 shortcut: &direct.shortcut,
                 partition: &p,
                 threshold: 3,
@@ -498,7 +479,7 @@ mod tests {
 
         let direct_quality = session.quality(&direct.shortcut, &p).unwrap();
         let (_, value) = session
-            .serve_full(Query::Quality {
+            .serve_shared_full(Query::Quality {
                 shortcut: &direct.shortcut,
                 partition: &p,
             })
@@ -507,7 +488,7 @@ mod tests {
 
         let direct_mst = session.mst(&w, crate::ShortcutStrategy::Doubling).unwrap();
         let (_, value) = session
-            .serve_full(Query::Mst {
+            .serve_shared_full(Query::Mst {
                 weights: &w,
                 strategy: crate::ShortcutStrategy::Doubling,
             })
@@ -525,7 +506,7 @@ mod tests {
     fn serve_shared_is_byte_identical_to_the_exclusive_path_under_concurrency() {
         let g = generators::grid(6, 6);
         let p = generators::partitions::grid_columns(6, 6);
-        let mut session = Pipeline::on(&g).seed(2).build().unwrap();
+        let session = Pipeline::on(&g).seed(2).build().unwrap();
         let run = session.shortcut(&p, Strategy::doubling()).unwrap();
         let (_, b) = run.winning_guess().unwrap();
         let queries = [
@@ -545,10 +526,10 @@ mod tests {
         ];
         let want: Vec<u64> = queries
             .iter()
-            .map(|q| session.serve(*q).unwrap().digest)
+            .map(|q| session.serve_shared(*q).unwrap().digest)
             .collect();
-        // Four threads hammer the same warm session through the shared
-        // path; every thread must observe the exclusive path's digests.
+        // Four threads hammer the same warm session; every thread must
+        // observe the sequential digests.
         let session = &session;
         let queries = &queries;
         let per_thread: Vec<Vec<u64>> = std::thread::scope(|scope| {
@@ -576,15 +557,15 @@ mod tests {
         let g = generators::grid(5, 5);
         let columns = generators::partitions::grid_columns(5, 5);
         let rows = generators::partitions::grid_rows(5, 5);
-        let mut session = Pipeline::on(&g).build().unwrap();
+        let session = Pipeline::on(&g).build().unwrap();
         let a = session
-            .serve(Query::Construct {
+            .serve_shared(Query::Construct {
                 partition: &columns,
                 strategy: Strategy::doubling(),
             })
             .unwrap();
         let b = session
-            .serve(Query::Construct {
+            .serve_shared(Query::Construct {
                 partition: &rows,
                 strategy: Strategy::doubling(),
             })

@@ -2,16 +2,13 @@
 //! [`Session`] (query many times).
 //!
 //! A `Session` is bound to one graph and owns everything that is reusable
-//! across queries on that graph: the rooted spanning tree, the epoch-stamped
-//! [`lcs_core::QualityPool`] of the quality measurements, the resolved
-//! [`SimConfig`] (bandwidth, tracing, engine thread count), and a
-//! precomputed [`ShardMap`] describing the shard layout `Simulated`
-//! queries execute on (the engine derives the identical volume-balanced
-//! layout per run; the session's copy exposes it for introspection).
-//! Repeated queries — `shortcut`, `quality`, `verify`, `mst`, and the
-//! multi-query [`Session::batch`] — therefore allocate only their
-//! per-query results, never per-graph state; that is the serving posture
-//! the experiment tables measure in E11.
+//! across queries on that graph: the rooted spanning tree, the resolved
+//! [`SimConfig`] (bandwidth, tracing, engine thread count, fault plan), and
+//! the epoch-stamped [`lcs_core::QualityPool`]s of the quality
+//! measurements, built on first use. Repeated queries — `shortcut`,
+//! `quality`, `verify`, `mst`, and the multi-query [`Session::batch`] —
+//! therefore allocate only their per-query results, never per-graph state;
+//! that is the serving posture the experiment tables measure in E11.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -23,10 +20,10 @@ use lcs_core::construction::{
 };
 use lcs_core::routing::ExecutionMode;
 use lcs_core::{QualityPool, ShortcutQuality, TreeShortcut};
-use lcs_dist::{verification_simulated_obs, verification_with_retry, RetryPolicy};
+use lcs_dist::{verification_simulated, BlockCounting};
 use lcs_graph::{
     is_connected, EdgeId, EdgeWeights, Graph, GraphError, LcsError, Partition, PartitionDelta,
-    RootedTree, ShardMap, Threads,
+    RootedTree, Threads,
 };
 use lcs_mst::ShortcutStrategy;
 use lcs_obs::Obs;
@@ -62,7 +59,6 @@ pub struct Pipeline<'g> {
     trace: bool,
     recorder: Obs,
     fault: Option<FaultPlan>,
-    retry: RetryPolicy,
 }
 
 impl<'g> Pipeline<'g> {
@@ -79,7 +75,6 @@ impl<'g> Pipeline<'g> {
             trace: false,
             recorder: Obs::off(),
             fault: None,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -133,25 +128,17 @@ impl<'g> Pipeline<'g> {
     /// Injects a deterministic fault plan into `Simulated` verification
     /// queries: per-edge latency, message loss/duplication, stragglers, and
     /// crash schedules, all a pure function of the plan's seed. Only
-    /// [`Session::verify`] runs under the plan (it is the self-healing
-    /// protocol); construction and MST queries run fault-free so their
-    /// exact round accounting stays meaningful. An inactive plan (all
-    /// knobs zero) is identical to no plan at all.
+    /// [`Session::verify`] runs under the plan (it retries stalled epochs);
+    /// construction and MST queries run fault-free so their exact round
+    /// accounting stays meaningful. An inactive plan (all knobs zero) is
+    /// identical to no plan at all.
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
     }
 
-    /// Sets the retry policy fault-injected verification heals stalled
-    /// epochs with (defaults to [`RetryPolicy::default`]).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
     /// Validates the configuration and builds the [`Session`], performing
-    /// the one-time per-graph work (BFS tree unless provided, shard map,
-    /// quality pool).
+    /// the one-time per-graph work (the BFS tree unless one is provided).
     ///
     /// # Errors
     ///
@@ -216,13 +203,11 @@ impl<'g> Pipeline<'g> {
         Ok(Session {
             graph,
             tree,
-            shards: ShardMap::by_volume(graph, threads),
-            pool: PoolBank::with(QualityPool::new(graph, threads)),
+            pool: PoolBank::default(),
             threads,
             execution: self.execution,
             seed: self.seed,
             sim_config,
-            retry: self.retry,
             obs: self.recorder,
             repair_cache: Vec::new(),
         })
@@ -234,13 +219,11 @@ impl<'g> Pipeline<'g> {
 pub struct Session<'g> {
     graph: &'g Graph,
     tree: RootedTree,
-    shards: ShardMap,
     pool: PoolBank,
     threads: usize,
     execution: ExecutionMode,
     seed: u64,
     sim_config: SimConfig,
-    retry: RetryPolicy,
     pub(crate) obs: Obs,
     /// Tracked partitions and their customization corpora, one slot per
     /// strategy label, most recently tracked/updated last.
@@ -258,24 +241,20 @@ const MAX_POOLED_WORKSPACES: usize = 16;
 ///
 /// A query checks one [`QualityPool`] out (allocating a fresh one only
 /// when every pooled workspace is already in use), runs with exclusive
-/// access to it, and returns it. The lock is held for the push/pop only,
-/// never across a query. Workspaces are epoch-stamped, so a query
-/// observes byte-identical values whether it got a reused pool, a fresh
-/// one, or the pool another thread just returned — concurrency changes
-/// which workspace serves a query, never what the query answers.
+/// access to it, and returns it. The bank starts empty, so a session that
+/// never measures quality never builds a workspace, and the sequential
+/// serving path (one query at a time) allocates one on its first quality
+/// query only. The lock is held for the push/pop only, never across a
+/// query. Workspaces are epoch-stamped, so a query observes byte-identical
+/// values whether it got a reused pool, a fresh one, or the pool another
+/// thread just returned — concurrency changes which workspace serves a
+/// query, never what the query answers.
+#[derive(Default)]
 struct PoolBank {
     free: Mutex<Vec<QualityPool>>,
 }
 
 impl PoolBank {
-    /// A bank pre-warmed with one workspace, so the sequential serving
-    /// path (one query at a time) never allocates after build.
-    fn with(initial: QualityPool) -> Self {
-        PoolBank {
-            free: Mutex::new(vec![initial]),
-        }
-    }
-
     fn checkout(&self, graph: &Graph, threads: usize) -> QualityPool {
         let pooled = self.free.lock().expect("quality pool bank poisoned").pop();
         pooled.unwrap_or_else(|| QualityPool::new(graph, threads))
@@ -434,16 +413,6 @@ impl<'g> Session<'g> {
         self.threads
     }
 
-    /// The contiguous shard layout `Simulated` queries execute on (one
-    /// shard per worker thread, volume-balanced). This is introspection
-    /// state: the round loop derives the identical [`ShardMap::by_volume`]
-    /// layout internally for each run (one shard, run inline, at S = 1);
-    /// the session's copy lets callers inspect the layout without running
-    /// a protocol.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
-    }
-
     /// The execution mode queries currently run under.
     pub fn execution(&self) -> ExecutionMode {
         self.execution
@@ -522,25 +491,28 @@ impl<'g> Session<'g> {
     /// would corrupt.
     fn verifier(&self) -> impl Verifier + '_ {
         let sim_config = self.sim_config.without_fault();
-        move |g: &Graph,
-              t: &RootedTree,
-              p: &Partition,
-              s: &TreeShortcut,
+        move |graph: &Graph,
+              tree: &RootedTree,
+              partition: &Partition,
+              shortcut: &TreeShortcut,
               threshold: usize,
               active: &[bool]| match self.execution {
-            ExecutionMode::Scheduled => Ok(verification(g, t, p, s, threshold, active)),
-            ExecutionMode::Simulated => verification_simulated_obs(
-                g,
-                t,
-                p,
-                s,
-                threshold,
-                active,
-                Some(sim_config),
-                &self.obs,
-            )
-            .map(|run| run.outcome)
-            .map_err(lcs_core::CoreError::from),
+            ExecutionMode::Scheduled => Ok(verification(
+                graph, tree, partition, shortcut, threshold, active,
+            )),
+            ExecutionMode::Simulated => {
+                let question = BlockCounting {
+                    graph,
+                    tree,
+                    partition,
+                    shortcut,
+                    threshold,
+                    active,
+                };
+                verification_simulated(&question, Some(sim_config), &self.obs)
+                    .map(|run| run.outcome)
+                    .map_err(lcs_core::CoreError::from)
+            }
         }
     }
 
@@ -628,17 +600,15 @@ impl<'g> Session<'g> {
     /// counting protocol and fills [`Report::sim`] /
     /// [`Report::rounds_executed`].
     ///
-    /// With a [`Pipeline::fault`] plan and `Simulated` execution, the
-    /// query runs the self-healing retry wrapper
-    /// ([`lcs_dist::verification_with_retry`]): stalled epochs are retried
-    /// per the session's [`Pipeline::retry`] policy, and the report gains
-    /// `retry_epochs` / `retry_stalls` metrics.
+    /// With a [`Pipeline::fault`] plan and `Simulated` execution, stalled
+    /// epochs are retried (see [`lcs_dist::verification_simulated`]) and
+    /// the report gains `retry_epochs` / `retry_stalls` metrics.
     ///
     /// # Errors
     ///
     /// [`LcsError::InconsistentInputs`] for a mismatched partition;
     /// simulation errors in `Simulated` mode; [`LcsError::Degraded`] when
-    /// an injected fault plan defeats every retry epoch.
+    /// an injected fault plan stalls every epoch.
     pub fn verify(
         &self,
         shortcut: &TreeShortcut,
@@ -649,81 +619,45 @@ impl<'g> Session<'g> {
         let start = Instant::now();
         let mut report = Report::new("verify");
         let active = vec![true; partition.part_count()];
-        match self.execution {
-            ExecutionMode::Scheduled => {
-                let outcome = verification(
+        let (outcome, trace) = match self.execution {
+            ExecutionMode::Scheduled => (
+                verification(
                     self.graph, &self.tree, partition, shortcut, threshold, &active,
-                );
-                report.all_parts_good = outcome.good.iter().all(|&g| g);
-                report.rounds_charged = outcome.rounds;
-                report.wall_millis = start.elapsed().as_secs_f64() * 1e3;
-                Ok(VerifyRun {
-                    good: outcome.good,
-                    block_counts: outcome.block_counts,
-                    trace: Vec::new(),
-                    report,
-                })
-            }
+                ),
+                Vec::new(),
+            ),
             ExecutionMode::Simulated => {
-                // With an active fault plan the self-healing retry wrapper
-                // runs instead of a single-shot verification: a decisive
-                // result surfaces normally (with the epoch/stall counts as
-                // report metrics), an exhausted retry budget surfaces as a
-                // typed degraded error rather than a wrong classification.
-                let ver = if self.sim_config.active_fault().is_some() {
-                    let healed = verification_with_retry(
-                        self.graph,
-                        &self.tree,
-                        partition,
-                        shortcut,
-                        threshold,
-                        &active,
-                        Some(self.sim_config),
-                        self.retry,
-                        &self.obs,
-                    )?;
-                    if !healed.decisive {
-                        return Err(LcsError::Degraded {
-                            epochs: healed.epochs,
-                            stalls: healed.stalls,
-                            reason: format!(
-                                "fault-injected verification stayed indecisive after {} epochs",
-                                healed.epochs
-                            ),
-                        });
-                    }
-                    report
-                        .metrics
-                        .push(("retry_epochs".to_string(), u64::from(healed.epochs)));
-                    report
-                        .metrics
-                        .push(("retry_stalls".to_string(), u64::from(healed.stalls)));
-                    healed.outcome.expect("decisive retries carry an outcome")
-                } else {
-                    verification_simulated_obs(
-                        self.graph,
-                        &self.tree,
-                        partition,
-                        shortcut,
-                        threshold,
-                        &active,
-                        Some(self.sim_config),
-                        &self.obs,
-                    )?
+                let question = BlockCounting {
+                    graph: self.graph,
+                    tree: &self.tree,
+                    partition,
+                    shortcut,
+                    threshold,
+                    active: &active,
                 };
-                report.all_parts_good = ver.outcome.good.iter().all(|&g| g);
-                report.rounds_charged = ver.outcome.rounds;
+                let ver = verification_simulated(&question, Some(self.sim_config), &self.obs)?;
+                if self.sim_config.active_fault().is_some() {
+                    report
+                        .metrics
+                        .push(("retry_epochs".to_string(), u64::from(ver.epochs)));
+                    report
+                        .metrics
+                        .push(("retry_stalls".to_string(), u64::from(ver.stalls)));
+                }
                 report.rounds_executed = Some(ver.stats.rounds);
                 report.sim = Some(ver.stats);
-                report.wall_millis = start.elapsed().as_secs_f64() * 1e3;
-                Ok(VerifyRun {
-                    good: ver.outcome.good,
-                    block_counts: ver.outcome.block_counts,
-                    trace: ver.trace,
-                    report,
-                })
+                (ver.outcome, ver.trace)
             }
-        }
+        };
+        report.all_parts_good = outcome.good.iter().all(|&g| g);
+        report.rounds_charged = outcome.rounds;
+        report.wall_millis = start.elapsed().as_secs_f64() * 1e3;
+        Ok(VerifyRun {
+            good: outcome.good,
+            block_counts: outcome.block_counts,
+            trace,
+            report,
+        })
     }
 
     /// Runs one core subroutine step (Lemma 5 / Lemma 7) on all parts with
@@ -1312,7 +1246,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(session.threads(), 3);
-        assert_eq!(session.shard_map().shard_count(), 3);
         assert_eq!(session.tree().node_count(), g.node_count());
         assert_eq!(session.seed(), 7);
         assert_eq!(session.execution(), ExecutionMode::Scheduled);
@@ -1410,17 +1343,58 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_free_indecisive_run_stays_ok() {
+        // Without faults, the members of a part whose block supergraph does
+        // not converge within `threshold` hops can end split. The run is
+        // then indecisive, but the part has more than `threshold` blocks,
+        // so classifying it bad is exact and the query must succeed.
+        let g = generators::torus(10, 10);
+        let tree = RootedTree::bfs(&g, NodeId::new(0));
+        let p = generators::partitions::random_bfs_balls(&g, 4, 2);
+        let s = lcs_core::existential::truncated_ancestor_shortcut(&g, &tree, &p, 1);
+        let threshold = 2;
+        let active = vec![true; p.part_count()];
+        let question = BlockCounting {
+            graph: &g,
+            tree: &tree,
+            partition: &p,
+            shortcut: &s,
+            threshold,
+            active: &active,
+        };
+        let single = verification_simulated(&question, None, &Obs::off()).unwrap();
+        assert!(!single.decisive);
+        assert_eq!((single.epochs, single.stalls), (1, 0));
+
+        let scheduled = verification(&g, &tree, &p, &s, threshold, &active);
+        assert_eq!(scheduled.good, [true, false, false, false]);
+        // The simulated protocol reports a count for good parts only.
+        let counts: Vec<usize> = scheduled
+            .good
+            .iter()
+            .zip(&scheduled.block_counts)
+            .map(|(&good, &count)| if good { count } else { 0 })
+            .collect();
+        let session = Pipeline::on(&g)
+            .execution(ExecutionMode::Simulated)
+            .build()
+            .unwrap();
+        let run = session.verify(&s, &p, threshold).unwrap();
+        assert_eq!(run.good, scheduled.good);
+        assert_eq!(run.block_counts, counts);
+        assert!(
+            run.report.metrics.is_empty(),
+            "no retry metrics without a plan"
+        );
+    }
+
+    #[test]
     fn a_defeating_fault_plan_surfaces_as_a_typed_degraded_error() {
         let g = generators::grid(5, 5);
         let p = generators::partitions::grid_columns(5, 5);
         let session = Pipeline::on(&g)
             .execution(ExecutionMode::Simulated)
             .fault(FaultPlan::new(7).with_crashes(1, 0, 0))
-            .retry(RetryPolicy {
-                max_epochs: 2,
-                timeout_factor: 2,
-                backoff: 1,
-            })
             .build()
             .unwrap();
         let empty = TreeShortcut::empty(&g, &p);
@@ -1429,8 +1403,8 @@ mod tests {
             matches!(
                 err,
                 LcsError::Degraded {
-                    epochs: 2,
-                    stalls: 2,
+                    epochs: 5,
+                    stalls: 5,
                     ..
                 }
             ),

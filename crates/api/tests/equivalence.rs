@@ -19,9 +19,10 @@ use lcs_api::{
 };
 use lcs_congest::SimConfig;
 use lcs_core::construction::{core_fast, core_slow, verification, CoreFastConfig};
-use lcs_dist::verification_simulated;
+use lcs_dist::{verification_simulated, BlockCounting};
 use lcs_graph::{generators, EdgeId, EdgeWeights, Graph, NodeId, PartId, Partition, RootedTree};
 use lcs_mst::ShortcutStrategy;
+use lcs_obs::Obs;
 
 /// The instance families the suite sweeps: one representative per
 /// generator shape (grid/columns, torus/balls, wheel/arcs, caterpillar,
@@ -278,14 +279,18 @@ fn session_verify_equals_legacy_verification_in_both_modes() {
                     "{name} th={threshold}"
                 );
 
-                let simulated_legacy = verification_simulated(
-                    &graph,
-                    &tree,
-                    &partition,
-                    &shortcut,
+                let question = BlockCounting {
+                    graph: &graph,
+                    tree: &tree,
+                    partition: &partition,
+                    shortcut: &shortcut,
                     threshold,
-                    &active,
+                    active: &active,
+                };
+                let simulated_legacy = verification_simulated(
+                    &question,
                     Some(SimConfig::for_graph(&graph).with_threads(threads)),
+                    &Obs::off(),
                 )
                 .unwrap();
                 let s = session(&graph, threads, ExecutionMode::Simulated, 0);
@@ -320,18 +325,22 @@ fn session_verify_trace_equals_legacy_trace() {
     let shortcut = default_shortcut(&graph, &partition);
     let active = vec![true; partition.part_count()];
     for threads in THREADS {
+        let question = BlockCounting {
+            graph: &graph,
+            tree: &tree,
+            partition: &partition,
+            shortcut: &shortcut,
+            threshold: 2,
+            active: &active,
+        };
         let legacy = verification_simulated(
-            &graph,
-            &tree,
-            &partition,
-            &shortcut,
-            2,
-            &active,
+            &question,
             Some(
                 SimConfig::for_graph(&graph)
                     .with_threads(threads)
                     .with_trace(),
             ),
+            &Obs::off(),
         )
         .unwrap();
         let s = Pipeline::on(&graph)

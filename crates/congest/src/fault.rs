@@ -13,10 +13,11 @@
 //!
 //! Rounds are counted on two clocks. The *local* round is the engine's
 //! round counter for one run; the *global* round adds the plan's
-//! [`round_offset`](FaultPlan::with_round_offset). Retry wrappers advance
-//! the offset between epochs, so a re-run experiences a different fault
-//! timeline from the same plan without reseeding — and a crash window
-//! that has passed on the global clock stays healed in later epochs.
+//! [`round_offset`](FaultPlan::with_round_offset). A retrying caller (the
+//! verification epoch loop) advances the offset between epochs, so a
+//! re-run experiences a different fault timeline from the same plan
+//! without reseeding — and a crash window that has passed on the global
+//! clock stays healed in later epochs.
 
 use std::cmp::Ordering;
 
@@ -145,7 +146,7 @@ impl FaultPlan {
     }
 
     /// Shifts the plan's global clock: local round `r` of the run maps to
-    /// global round `r + offset`. Retry wrappers advance this between
+    /// global round `r + offset`. A retrying caller advances this between
     /// epochs so each epoch sees a fresh fault timeline from one plan.
     pub fn with_round_offset(mut self, offset: u64) -> Self {
         self.round_offset = offset;

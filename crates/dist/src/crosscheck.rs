@@ -22,11 +22,12 @@ use lcs_core::construction::verification;
 use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
 use lcs_graph::{EdgeId, Graph, Partition, RootedTree};
+use lcs_obs::Obs;
 
 use crate::cast::block_convergecast;
 use crate::flood::{part_leaders, part_min_edges};
 use crate::knowledge::BlockFamily;
-use crate::verification::{counting_supersteps, verification_simulated};
+use crate::verification::{counting_supersteps, verification_simulated, BlockCounting};
 use crate::{DistError, Result};
 
 /// One charged-vs-executed comparison that passed its checks.
@@ -225,15 +226,15 @@ impl<'a> CrossCheck<'a> {
             threshold,
             &active,
         );
-        let simulated = verification_simulated(
-            self.graph,
-            self.tree,
-            self.partition,
-            self.shortcut,
+        let question = BlockCounting {
+            graph: self.graph,
+            tree: self.tree,
+            partition: self.partition,
+            shortcut: self.shortcut,
             threshold,
-            &active,
-            None,
-        )?;
+            active: &active,
+        };
+        let simulated = verification_simulated(&question, None, &Obs::off())?;
         if simulated.outcome.good != scheduled.good {
             return Err(DistError::Mismatch {
                 reason: format!(

@@ -31,6 +31,21 @@ pub enum DistError {
         /// Human readable description.
         reason: String,
     },
+    /// Every epoch of a fault-injected verification stalled: some part's
+    /// members never all decided (a permanent crash, for example). The
+    /// classification is withheld rather than returned incomplete.
+    Degraded {
+        /// Number of epochs executed.
+        epochs: u32,
+        /// Number of epochs that stalled (indecisive or round-cap hit).
+        stalls: u32,
+    },
+}
+
+impl DistError {
+    fn indecision(epochs: u32) -> String {
+        format!("fault-injected verification stayed indecisive after {epochs} epochs")
+    }
 }
 
 impl fmt::Display for DistError {
@@ -44,6 +59,9 @@ impl fmt::Display for DistError {
                 write!(f, "distributed/centralized mismatch: {reason}")
             }
             DistError::BoundViolation { reason } => write!(f, "round bound violated: {reason}"),
+            DistError::Degraded { epochs, stalls } => {
+                write!(f, "{} ({stalls} stalled)", Self::indecision(*epochs))
+            }
         }
     }
 }
@@ -69,6 +87,11 @@ impl From<DistError> for lcs_graph::LcsError {
         use lcs_graph::LcsError;
         match err {
             DistError::Simulation(sim) => sim.into(),
+            DistError::Degraded { epochs, stalls } => LcsError::Degraded {
+                epochs,
+                stalls,
+                reason: DistError::indecision(epochs),
+            },
             other => LcsError::Protocol {
                 reason: other.to_string(),
             },
@@ -93,5 +116,15 @@ mod tests {
             reason: "x".to_string(),
         };
         assert!(err.to_string().contains("mismatch"));
+        let lcs: lcs_graph::LcsError = DistError::Degraded {
+            epochs: 5,
+            stalls: 5,
+        }
+        .into();
+        assert_eq!(
+            lcs.to_string(),
+            "degraded result after 5 epochs (5 stalled): fault-injected verification stayed \
+             indecisive after 5 epochs"
+        );
     }
 }

@@ -21,11 +21,14 @@
 //!   Boruvka minimum-outgoing-edge primitive via `b` supersteps of
 //!   intra-block agreement interleaved with supergraph exchanges;
 //! * [`verification_simulated`] — Lemma 3 as message passing: distributed
-//!   block-component counting, a sound and complete drop-in for
-//!   `lcs_core::construction::verification`. Wrapped in a closure, it is
-//!   the `Simulated` [`lcs_core::construction::Verifier`] the Theorem 3
-//!   driver and the Appendix A loop run with (`lcs_api`'s session does
-//!   this for every construction query, repair and Boruvka phase);
+//!   block-component counting of one [`BlockCounting`] question, a sound
+//!   and complete drop-in for `lcs_core::construction::verification`. Under
+//!   an active fault plan the same call retries stalled runs in epochs and
+//!   reports [`DistError::Degraded`] when every epoch stalls. Wrapped in a
+//!   closure, it is the `Simulated` [`lcs_core::construction::Verifier`]
+//!   the Theorem 3 driver and the Appendix A loop run with (`lcs_api`'s
+//!   session does this for every construction query, repair and Boruvka
+//!   phase);
 //! * [`CrossCheck`] — the harness asserting, per primitive, that the
 //!   distributed execution equals the centralized result and respects the
 //!   paper's round bounds (tabulated by experiment E8).
@@ -70,6 +73,5 @@ pub use flood::{
 };
 pub use knowledge::{BlockFamily, Membership, NodeInfo};
 pub use verification::{
-    counting_supersteps, verification_simulated, verification_simulated_obs,
-    verification_with_retry, DistVerificationOutcome, RetryPolicy, RetryVerification,
+    counting_supersteps, verification_simulated, BlockCounting, DistVerificationOutcome,
 };

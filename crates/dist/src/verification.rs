@@ -468,15 +468,59 @@ impl NodeProgram for CountProgram {
     }
 }
 
+/// The inputs of one Lemma 3 question: how many block components does each
+/// active part of `partition` have in `shortcut`, and is that at most
+/// `threshold`?
+#[derive(Debug, Clone, Copy)]
+pub struct BlockCounting<'a> {
+    /// The communication network.
+    pub graph: &'a Graph,
+    /// The spanning tree `shortcut` is restricted to.
+    pub tree: &'a RootedTree,
+    /// The parts to classify.
+    pub partition: &'a Partition,
+    /// The tree-restricted shortcut under test.
+    pub shortcut: &'a TreeShortcut,
+    /// Largest block count a part may have and still be good (at least 1).
+    pub threshold: usize,
+    /// One flag per part; inactive parts are neither counted nor reported
+    /// good.
+    pub active: &'a [bool],
+}
+
+impl BlockCounting<'_> {
+    /// Checks the preconditions and builds the block family of the active
+    /// parts (one family serves every epoch of a faulty run).
+    fn family(&self) -> BlockFamily {
+        assert!(
+            self.threshold >= 1,
+            "the block threshold must be at least 1"
+        );
+        assert_eq!(
+            self.active.len(),
+            self.partition.part_count(),
+            "one active flag per part is required"
+        );
+        BlockFamily::new_active(
+            self.graph,
+            self.tree,
+            self.partition,
+            self.shortcut,
+            self.active,
+        )
+    }
+}
+
 /// Result of the distributed verification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistVerificationOutcome {
     /// The drop-in verification outcome: `good` flags, measured block
     /// counts (exact for good parts, 0 for parts classified bad), and the
     /// charged rounds (executed protocol rounds plus the `depth(T)` global
     /// check).
     pub outcome: VerificationOutcome,
-    /// Simulation statistics of the executed protocol.
+    /// Simulation statistics of the executed protocol (the last epoch's
+    /// under a fault plan).
     pub stats: SimStats,
     /// Per-round delivery trace of the executed protocol; empty unless the
     /// caller passed a [`SimConfig`] with tracing enabled.
@@ -485,15 +529,30 @@ pub struct DistVerificationOutcome {
     pub supersteps: u64,
     /// Whether every active part reached a definite classification: all of
     /// its members returned a verdict and the verdicts agree. Always true
-    /// in fault-free runs; under an active [`lcs_congest::FaultPlan`] a
-    /// crash or heavy loss can leave members undecided (or split), in which
-    /// case the run is a *stall* — the [`verification_with_retry`] wrapper
-    /// detects this and re-runs the protocol in a fresh epoch.
+    /// under an active [`lcs_congest::FaultPlan`], where an indecisive
+    /// epoch is retried. A fault-free run can be indecisive: the members
+    /// of a part whose block supergraph does not converge within
+    /// `threshold` hops may end split or undecided. Such a part has more
+    /// than `threshold` blocks, so classifying it bad is exact.
     pub decisive: bool,
+    /// Number of epochs executed: 1 without a fault plan.
+    pub epochs: u32,
+    /// Number of epochs that stalled before the returned one: 0 without a
+    /// fault plan.
+    pub stalls: u32,
 }
 
+/// Epochs a fault-injected verification runs before it reports
+/// [`DistError::Degraded`].
+const MAX_EPOCHS: u32 = 5;
+/// The first epoch's round budget is the engine's exact fault-mode schedule
+/// times this factor, so transient queue build-up cannot trip the cap.
+const TIMEOUT_FACTOR: u64 = 2;
+/// Every further epoch multiplies the budget by this factor again.
+const BACKOFF: u64 = 2;
+
 /// Runs the Lemma 3 block counting as real message passing and classifies
-/// every active part against `threshold`.
+/// every active part of `question` against its threshold.
 ///
 /// Guarantees: a part reported good really has at most `threshold` block
 /// components and its reported count is exact; a part whose supergraph
@@ -501,92 +560,103 @@ pub struct DistVerificationOutcome {
 /// `threshold` blocks) is always classified, so the subroutine is a sound
 /// and complete drop-in for `lcs_core::construction::verification`.
 ///
+/// Without an active fault plan on `config` this is one run of the
+/// protocol. With one, the run is repeated in *epochs* until one is
+/// decisive: an epoch stalls when some part's members never all decide (a
+/// crash, heavy loss) or its round budget runs out. Each epoch advances the
+/// plan's round offset by the previous budget, so the retry sees the same
+/// deterministic fault world later in global time (restartable crash
+/// windows are behind it, loss draws are fresh), and doubles the budget.
+/// The whole procedure is deterministic at every shard count.
+///
+/// Reports the protocol shape (`dist/verification/*` counters, including
+/// the superstep-per-phase split, and `epochs` / `stalls` under a fault
+/// plan) and the engine's counters, gauges and timers through `obs`, with
+/// one `dist/verification` span per run. Counters are thread-invariant
+/// facts; only span and timer durations vary between runs.
+///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Propagates simulator errors; [`DistError::Degraded`] when every epoch
+/// of a fault-injected run stalls.
 ///
 /// # Panics
 ///
 /// Panics if `active.len()` differs from the partition's part count or if
 /// `threshold` is zero.
 pub fn verification_simulated(
-    graph: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    shortcut: &TreeShortcut,
-    threshold: usize,
-    active: &[bool],
+    question: &BlockCounting<'_>,
     config: Option<SimConfig>,
+    obs: &Obs,
 ) -> Result<DistVerificationOutcome> {
-    verification_simulated_obs(
+    let Some((config, plan)) = config.and_then(|c| c.active_fault().map(|plan| (c, plan))) else {
+        let _span = lcs_obs::span!(obs, "dist/verification");
+        return count_blocks(question, &question.family(), config, obs);
+    };
+    // The family's schedule gives the engine's exact fault-mode round count
+    // for this instance (the formula `run_engine` uses), so no epoch's
+    // budget is ever spuriously tight.
+    let family = question.family();
+    let l = family.schedule().rounds;
+    let s = plan.round_stretch().max(1);
+    let base_budget = counting_supersteps(question.threshold)
+        .saturating_mul(crate::engine::faulty_window((l + 1) * s, s))
+        .saturating_add(2);
+    let mut offset = plan.round_offset();
+    let mut stalls = 0u32;
+    for epoch in 0..MAX_EPOCHS {
+        let budget = base_budget
+            .saturating_mul(TIMEOUT_FACTOR)
+            .saturating_mul(BACKOFF.saturating_pow(epoch));
+        let epoch_config = config
+            .with_fault(plan.with_round_offset(offset))
+            .with_max_rounds(budget);
+        if obs.is_on() {
+            obs.counter_add("dist/verification/epochs", 1);
+        }
+        let run = {
+            let _span = lcs_obs::span!(obs, "dist/verification");
+            count_blocks(question, &family, Some(epoch_config), obs)
+        };
+        match run {
+            Ok(out) if out.decisive => {
+                return Ok(DistVerificationOutcome {
+                    epochs: epoch + 1,
+                    stalls,
+                    ..out
+                })
+            }
+            Ok(_) | Err(DistError::Simulation(SimError::RoundLimitExceeded { .. })) => {
+                stalls += 1;
+                if obs.is_on() {
+                    obs.counter_add("dist/verification/stalls", 1);
+                }
+            }
+            Err(other) => return Err(other),
+        }
+        offset = offset.saturating_add(budget);
+    }
+    Err(DistError::Degraded {
+        epochs: MAX_EPOCHS,
+        stalls,
+    })
+}
+
+/// One run of the counting protocol over an already built `family`.
+fn count_blocks(
+    question: &BlockCounting<'_>,
+    family: &BlockFamily,
+    config: Option<SimConfig>,
+    obs: &Obs,
+) -> Result<DistVerificationOutcome> {
+    let BlockCounting {
         graph,
         tree,
         partition,
-        shortcut,
         threshold,
         active,
-        config,
-        &Obs::off(),
-    )
-}
-
-/// [`verification_simulated`] with an instrumentation handle: reports the
-/// protocol shape (`dist/verification/*` counters, including the
-/// superstep-per-phase split) and the underlying engine's counters,
-/// gauges, and timers through `obs`, and wraps the run in a
-/// `dist/verification` span. All reported counters are thread-invariant
-/// facts; only span/timer durations vary between runs.
-#[allow(clippy::too_many_arguments)]
-pub fn verification_simulated_obs(
-    graph: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    shortcut: &TreeShortcut,
-    threshold: usize,
-    active: &[bool],
-    config: Option<SimConfig>,
-    obs: &Obs,
-) -> Result<DistVerificationOutcome> {
-    let _span = lcs_obs::span!(obs, "dist/verification");
-    let family = counting_family(graph, tree, partition, shortcut, threshold, active);
-    count_blocks(
-        graph, tree, partition, &family, threshold, active, config, obs,
-    )
-}
-
-/// Checks the preconditions shared by the verification entry points and
-/// builds the block family of the active parts.
-fn counting_family(
-    graph: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    shortcut: &TreeShortcut,
-    threshold: usize,
-    active: &[bool],
-) -> BlockFamily {
-    assert!(threshold >= 1, "the block threshold must be at least 1");
-    assert_eq!(
-        active.len(),
-        partition.part_count(),
-        "one active flag per part is required"
-    );
-    BlockFamily::new_active(graph, tree, partition, shortcut, active)
-}
-
-/// One run of the counting protocol over an already built `family` (see
-/// [`verification_simulated_obs`]; the retry wrapper runs every epoch on
-/// one family).
-#[allow(clippy::too_many_arguments)]
-fn count_blocks(
-    graph: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    family: &BlockFamily,
-    threshold: usize,
-    active: &[bool],
-    config: Option<SimConfig>,
-    obs: &Obs,
-) -> Result<DistVerificationOutcome> {
+        ..
+    } = *question;
     let supersteps = counting_supersteps(threshold);
     if obs.is_on() {
         obs.counter_add("dist/verification/runs", 1);
@@ -627,7 +697,7 @@ fn count_blocks(
             }
         }
         // An undecided or split part stays classified bad (sound), but the
-        // run as a whole is flagged indecisive so a retry wrapper can tell
+        // run as a whole is flagged indecisive so the epoch loop can tell
         // a fault-induced stall from a genuine over-threshold part.
         if !consistent {
             decisive = false;
@@ -649,178 +719,8 @@ fn count_blocks(
         trace: outcome.trace,
         supersteps,
         decisive,
-    })
-}
-
-/// How [`verification_with_retry`] turns stalled runs into fresh epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum number of epochs before giving up (at least 1 is run).
-    pub max_epochs: u32,
-    /// The first epoch's round budget is the engine's exact fault-mode
-    /// schedule multiplied by this factor, so transient queue build-up
-    /// cannot trip the cap.
-    pub timeout_factor: u32,
-    /// Every further epoch multiplies the budget by this factor again
-    /// (exponential back-off against systematic slowness).
-    pub backoff: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_epochs: 5,
-            timeout_factor: 2,
-            backoff: 2,
-        }
-    }
-}
-
-/// Result of [`verification_with_retry`].
-#[derive(Debug, Clone)]
-pub struct RetryVerification {
-    /// The last executed epoch's outcome; `None` only if every epoch died
-    /// on the round cap before producing one.
-    pub outcome: Option<DistVerificationOutcome>,
-    /// Number of epochs executed (1 if the first attempt succeeded).
-    pub epochs: u32,
-    /// Number of stalled epochs (indecisive conjunction or round-cap hit).
-    pub stalls: u32,
-    /// Whether the returned outcome is decisive. `false` means the fault
-    /// plan defeated every epoch — the caller should surface a degraded
-    /// result rather than trust the classification.
-    pub decisive: bool,
-}
-
-/// Self-healing wrapper around [`verification_simulated_obs`]: detects a
-/// stalled conjunction (crashed members never deciding, or the round cap
-/// tripping under heavy loss) and re-runs the protocol in a fresh *epoch*.
-///
-/// Each epoch advances the fault plan's round offset by the previous
-/// epoch's budget, so the retry observes the same deterministic fault
-/// world later in global time: crash windows with a restart have healed,
-/// and loss/duplication draws differ. With any restarting crash schedule
-/// and loss below the resend redundancy this converges with probability
-/// rapidly approaching one in a handful of epochs. The whole procedure is
-/// deterministic: same plan, same policy, same outcome, at every shard count.
-///
-/// Without an active fault plan on `config` this is exactly one plain run.
-///
-/// # Errors
-///
-/// Propagates simulator errors other than the round cap (which is part of
-/// the stall-detection loop).
-///
-/// # Panics
-///
-/// As [`verification_simulated_obs`]; additionally if a policy field is 0
-/// where at least 1 is required (all fields are clamped to 1 instead).
-#[allow(clippy::too_many_arguments)]
-pub fn verification_with_retry(
-    graph: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    shortcut: &TreeShortcut,
-    threshold: usize,
-    active: &[bool],
-    config: Option<SimConfig>,
-    policy: RetryPolicy,
-    obs: &Obs,
-) -> Result<RetryVerification> {
-    let cfg = config.unwrap_or_else(|| SimConfig::for_graph(graph));
-    let Some(base_plan) = cfg.active_fault() else {
-        let outcome = verification_simulated_obs(
-            graph,
-            tree,
-            partition,
-            shortcut,
-            threshold,
-            active,
-            Some(cfg),
-            obs,
-        )?;
-        let decisive = outcome.decisive;
-        return Ok(RetryVerification {
-            outcome: Some(outcome),
-            epochs: 1,
-            stalls: 0,
-            decisive,
-        });
-    };
-
-    // One family serves every epoch: it depends on the shortcut and the
-    // active parts only, never on the fault plan. Its schedule gives the
-    // engine's exact fault-mode round count for this instance (the same
-    // formula `run_engine` uses), so the first epoch's budget is
-    // `timeout_factor ×` the nominal run and never spuriously tight.
-    let family = counting_family(graph, tree, partition, shortcut, threshold, active);
-    let l = family.schedule().rounds;
-    let s = base_plan.round_stretch().max(1);
-    let base_budget = counting_supersteps(threshold)
-        .saturating_mul(crate::engine::faulty_window((l + 1) * s, s))
-        .saturating_add(2);
-
-    let max_epochs = policy.max_epochs.max(1);
-    let mut offset = base_plan.round_offset();
-    let mut stalls = 0u32;
-    let mut last: Option<DistVerificationOutcome> = None;
-    for epoch in 0..max_epochs {
-        let budget = base_budget
-            .saturating_mul(u64::from(policy.timeout_factor.max(1)))
-            .saturating_mul(u64::from(policy.backoff.max(1)).saturating_pow(epoch));
-        let cfg_e = cfg
-            .with_fault(base_plan.with_round_offset(offset))
-            .with_max_rounds(budget);
-        if obs.is_on() {
-            obs.counter_add("dist/verification/epochs", 1);
-        }
-        let run = {
-            let _span = lcs_obs::span!(obs, "dist/verification");
-            count_blocks(
-                graph,
-                tree,
-                partition,
-                &family,
-                threshold,
-                active,
-                Some(cfg_e),
-                obs,
-            )
-        };
-        match run {
-            Ok(out) if out.decisive => {
-                return Ok(RetryVerification {
-                    outcome: Some(out),
-                    epochs: epoch + 1,
-                    stalls,
-                    decisive: true,
-                });
-            }
-            Ok(out) => {
-                stalls += 1;
-                if obs.is_on() {
-                    obs.counter_add("dist/verification/stalls", 1);
-                }
-                last = Some(out);
-            }
-            Err(DistError::Simulation(SimError::RoundLimitExceeded { .. })) => {
-                stalls += 1;
-                if obs.is_on() {
-                    obs.counter_add("dist/verification/stalls", 1);
-                }
-            }
-            Err(other) => return Err(other),
-        }
-        // The next epoch starts where this one's budget ended in global
-        // fault time: restartable crash windows are behind it and the
-        // loss/duplication draws are fresh (but still deterministic).
-        offset = offset.saturating_add(budget);
-    }
-    Ok(RetryVerification {
-        outcome: last,
-        epochs: max_epochs,
-        stalls,
-        decisive: false,
+        epochs: 1,
+        stalls: 0,
     })
 }
 
@@ -844,9 +744,15 @@ mod tests {
     ) {
         let active = all_active(partition);
         let scheduled = verification(graph, tree, partition, shortcut, threshold, &active);
-        let simulated =
-            verification_simulated(graph, tree, partition, shortcut, threshold, &active, None)
-                .unwrap();
+        let question = BlockCounting {
+            graph,
+            tree,
+            partition,
+            shortcut,
+            threshold,
+            active: &active,
+        };
+        let simulated = verification_simulated(&question, None, &Obs::off()).unwrap();
         assert_eq!(
             simulated.outcome.good, scheduled.good,
             "classification must match the scheduled verification (threshold {threshold})"
@@ -893,7 +799,15 @@ mod tests {
         let s = ancestor_shortcut(&g, &t, &p);
         let mut active = all_active(&p);
         active[1] = false;
-        let simulated = verification_simulated(&g, &t, &p, &s, 1, &active, None).unwrap();
+        let question = BlockCounting {
+            graph: &g,
+            tree: &t,
+            partition: &p,
+            shortcut: &s,
+            threshold: 1,
+            active: &active,
+        };
+        let simulated = verification_simulated(&question, None, &Obs::off()).unwrap();
         assert!(!simulated.outcome.good[1]);
         assert_eq!(simulated.outcome.block_counts[1], 0);
         assert!(simulated.outcome.good[0] && simulated.outcome.good[2]);
@@ -907,8 +821,15 @@ mod tests {
         let s = ancestor_shortcut(&g, &t, &p);
         let family = BlockFamily::new(&g, &t, &p, &s);
         let threshold = 3;
-        let simulated =
-            verification_simulated(&g, &t, &p, &s, threshold, &all_active(&p), None).unwrap();
+        let question = BlockCounting {
+            graph: &g,
+            tree: &t,
+            partition: &p,
+            shortcut: &s,
+            threshold,
+            active: &all_active(&p),
+        };
+        let simulated = verification_simulated(&question, None, &Obs::off()).unwrap();
         let window = 2 * family.schedule().rounds + 1;
         assert!(simulated.stats.rounds <= counting_supersteps(threshold) * window);
     }

@@ -15,8 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use lcs_congest::SimConfig;
 use lcs_core::existential::ancestor_shortcut;
-use lcs_dist::{counting_supersteps, verification_simulated};
+use lcs_dist::{counting_supersteps, verification_simulated, BlockCounting};
 use lcs_graph::{generators, NodeId, RootedTree};
+use lcs_obs::Obs;
 
 /// Counts every allocation and reallocation, then defers to the system
 /// allocator.
@@ -61,8 +62,16 @@ fn verification_allocations_do_not_grow_with_supersteps() {
     let active = vec![true; p.part_count()];
     let allocations = |threshold: usize, threads: usize| {
         let config = SimConfig::for_graph(&g).with_threads(threads);
+        let question = BlockCounting {
+            graph: &g,
+            tree: &t,
+            partition: &p,
+            shortcut: &s,
+            threshold,
+            active: &active,
+        };
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let ver = verification_simulated(&g, &t, &p, &s, threshold, &active, Some(config))
+        let ver = verification_simulated(&question, Some(config), &Obs::off())
             .expect("fault-free verification runs");
         let after = ALLOCATIONS.load(Ordering::Relaxed);
         assert!(ver.outcome.good.iter().all(|&good| good));

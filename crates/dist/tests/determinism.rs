@@ -10,8 +10,9 @@ use proptest::prelude::*;
 use lcs_congest::SimConfig;
 use lcs_core::existential::ancestor_shortcut;
 use lcs_core::TreeShortcut;
-use lcs_dist::{part_leaders, part_min_edges, verification_simulated, BlockFamily};
+use lcs_dist::{part_leaders, part_min_edges, verification_simulated, BlockCounting, BlockFamily};
 use lcs_graph::{generators, EdgeWeights, Graph, NodeId, Partition, RootedTree};
+use lcs_obs::Obs;
 
 /// One of the generator families, with a `random_bfs_balls` partition.
 fn family_instance(which: usize, size: usize, parts: usize, seed: u64) -> (Graph, Partition) {
@@ -105,16 +106,18 @@ proptest! {
             active[seed as usize % partition.part_count()] = false;
         }
 
-        let reference = verification_simulated(
-            &graph, &tree, &partition, &shortcut, threshold, &active, config(&graph, 1),
-        )
-        .unwrap();
+        let question = BlockCounting {
+            graph: &graph,
+            tree: &tree,
+            partition: &partition,
+            shortcut: &shortcut,
+            threshold,
+            active: &active,
+        };
+        let reference = verification_simulated(&question, config(&graph, 1), &Obs::off()).unwrap();
         for threads in [2usize, 3, 8] {
-            let outcome = verification_simulated(
-                &graph, &tree, &partition, &shortcut, threshold, &active,
-                config(&graph, threads),
-            )
-            .unwrap();
+            let outcome =
+                verification_simulated(&question, config(&graph, threads), &Obs::off()).unwrap();
             prop_assert_eq!(outcome.stats, reference.stats, "threads={}", threads);
             prop_assert_eq!(outcome.supersteps, reference.supersteps);
             prop_assert_eq!(&outcome.outcome.good, &reference.outcome.good);
@@ -139,14 +142,18 @@ proptest! {
         let tree = RootedTree::bfs(&graph, NodeId::new(0));
         let shortcut = pick_shortcut(&graph, &tree, &partition, seed);
         let active = vec![true; partition.part_count()];
+        let question = BlockCounting {
+            graph: &graph,
+            tree: &tree,
+            partition: &partition,
+            shortcut: &shortcut,
+            threshold,
+            active: &active,
+        };
 
         let snapshot_at = |threads: usize| {
-            let obs = lcs_obs::Obs::recording();
-            lcs_dist::verification_simulated_obs(
-                &graph, &tree, &partition, &shortcut, threshold, &active,
-                config(&graph, threads), &obs,
-            )
-            .unwrap();
+            let obs = Obs::recording();
+            verification_simulated(&question, config(&graph, threads), &obs).unwrap();
             obs.snapshot()
         };
 

@@ -10,8 +10,8 @@
 use lcs_congest::primitives::AggregateOp;
 use lcs_core::existential::ancestor_shortcut;
 use lcs_dist::{
-    block_convergecast, part_flood_min, part_leaders, verification_simulated,
-    verification_simulated_obs, BlockFamily,
+    block_convergecast, part_flood_min, part_leaders, verification_simulated, BlockCounting,
+    BlockFamily,
 };
 use lcs_graph::{generators, NodeId, RootedTree};
 use lcs_obs::Obs;
@@ -72,7 +72,15 @@ fn golden_verification_on_grid() {
     let s = ancestor_shortcut(&g, &t, &part);
     let b = s.block_parameter(&g, &part).max(1);
     let active = vec![true; part.part_count()];
-    let ver = verification_simulated(&g, &t, &part, &s, 3 * b, &active, None).unwrap();
+    let question = BlockCounting {
+        graph: &g,
+        tree: &t,
+        partition: &part,
+        shortcut: &s,
+        threshold: 3 * b,
+        active: &active,
+    };
+    let ver = verification_simulated(&question, None, &Obs::off()).unwrap();
     assert_eq!(ver.supersteps, 11);
     assert!(ver.outcome.good.iter().all(|&good| good));
     assert_eq!(ver.outcome.block_counts, vec![1; part.part_count()]);
@@ -86,8 +94,7 @@ fn golden_verification_on_grid() {
     // the traffic totals, so a scheduling change that kept the statistics
     // would still fail here.
     let obs = Obs::recording();
-    let recorded =
-        verification_simulated_obs(&g, &t, &part, &s, 3 * b, &active, None, &obs).unwrap();
+    let recorded = verification_simulated(&question, None, &obs).unwrap();
     assert_eq!(recorded.stats, ver.stats);
     let snap = obs.snapshot();
     assert_eq!(snap.counter("engine/polls"), Some(3181));

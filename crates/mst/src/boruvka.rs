@@ -443,13 +443,21 @@ mod tests {
         // Message-passing verification inside every phase's doubling loop
         // classifies exactly like the scheduled one: same phases, same
         // edges.
-        let simulated_verifier = |g: &Graph,
-                                  t: &RootedTree,
-                                  p: &Partition,
-                                  s: &TreeShortcut,
+        let simulated_verifier = |graph: &Graph,
+                                  tree: &RootedTree,
+                                  partition: &Partition,
+                                  shortcut: &TreeShortcut,
                                   threshold: usize,
                                   active: &[bool]| {
-            lcs_dist::verification_simulated(g, t, p, s, threshold, active, sim)
+            let question = lcs_dist::BlockCounting {
+                graph,
+                tree,
+                partition,
+                shortcut,
+                threshold,
+                active,
+            };
+            lcs_dist::verification_simulated(&question, sim, &lcs_obs::Obs::off())
                 .map(|run| run.outcome)
                 .map_err(lcs_core::CoreError::from)
         };

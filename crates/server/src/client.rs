@@ -16,7 +16,7 @@
 //! *in trace order* (reassembled from the round-robin split), and
 //! [`ReplayOutcome::digest`] folds per-client chains in client order —
 //! so a TCP replay is digest-comparable against a direct
-//! `Session::serve` replay of the same trace.
+//! `Session::serve_shared` replay of the same trace.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -208,7 +208,7 @@ type ClientRun = (LatencyHistogram, u64, u64, Vec<QueryValue>);
 /// One client's serving loop over `events`, shared by both drivers.
 /// `latency_of` chooses the measurement (service time vs. schedule-based).
 fn serve_events<'a>(
-    session: &mut Session<'_>,
+    session: &Session<'_>,
     corpus: &Corpus,
     events: impl Iterator<Item = &'a QueryEvent>,
     keep_results: bool,
@@ -224,11 +224,11 @@ fn serve_events<'a>(
         before(event);
         let query = query_of(corpus, event);
         let served = if keep_results {
-            let (served, value) = session.serve_full(query)?;
+            let (served, value) = session.serve_shared_full(query)?;
             values.push(value);
             served
         } else {
-            session.serve(query)?
+            session.serve_shared(query)?
         };
         histogram.record(latency_of(event, &served));
         digest.push(served.digest);
@@ -272,7 +272,7 @@ fn run_open(
     kind_counts: [u64; 5],
     obs: &Obs,
 ) -> Result<WorkloadOutcome> {
-    let mut session = warm_session(corpus, spec, obs)?;
+    let session = warm_session(corpus, spec, obs)?;
     // Driver probes accumulate into plain locals on the serving path (a
     // histogram of start lags and a queue-depth high-water mark) and hit
     // the registry once, after the loop — the hot path stays lock-free.
@@ -282,7 +282,7 @@ fn run_open(
     let mut next_index = 0usize;
     let start = Instant::now();
     let (histogram, served, digest, values) = serve_events(
-        &mut session,
+        &session,
         corpus,
         trace.iter(),
         spec.keep_results,
@@ -354,9 +354,9 @@ fn run_closed(
             .map(|c| {
                 let obs = &*obs;
                 scope.spawn(move || {
-                    let mut session = warm_session(corpus, spec, obs)?;
+                    let session = warm_session(corpus, spec, obs)?;
                     serve_events(
-                        &mut session,
+                        &session,
                         corpus,
                         trace.iter().skip(c).step_by(clients),
                         spec.keep_results,

@@ -1,6 +1,6 @@
 //! Property test of the shared-session serving contract: M threads
 //! hammering one `Session` through `serve_shared` must produce exactly
-//! the digests a sequential `&mut self` replay produces — per trace
+//! the digests a sequential one-thread replay produces — per trace
 //! slot, not just as a multiset — across four graph families and both
 //! engines (`Threads::Fixed(1)` and `Fixed(4)`).
 //!
@@ -58,7 +58,7 @@ proptest! {
             seed,
         );
         let trace = generate_trace(&spec, corpus.len()).unwrap();
-        let mut session = Pipeline::on(corpus.graph())
+        let session = Pipeline::on(corpus.graph())
             .seed(seed)
             .threads(Threads::Fixed(ENGINES[engine_index]))
             .build()
@@ -99,10 +99,10 @@ proptest! {
             }
         }
 
-        // The same trace, sequentially, through the exclusive path.
+        // The same trace, sequentially, on one thread.
         let sequential: Vec<u64> = trace
             .iter()
-            .map(|event| session.serve(query_of(corpus, event)).unwrap().digest)
+            .map(|event| session.serve_shared(query_of(corpus, event)).unwrap().digest)
             .collect();
 
         prop_assert_eq!(concurrent, sequential);

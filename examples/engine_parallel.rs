@@ -35,11 +35,11 @@ fn main() {
         .build()
         .expect("the grid is connected");
 
-    // The shard layout is visible on the session before running.
+    // Each run splits the graph into one shard per engine thread.
     println!(
-        "grid {side}x{side}: inline session = {} shard(s), sharded session = {} shard(s)",
-        serial.shard_map().shard_count(),
-        sharded.shard_map().shard_count()
+        "grid {side}x{side}: inline session = {} thread(s), sharded session = {} thread(s)",
+        serial.threads(),
+        sharded.threads()
     );
 
     // Construct once (scheduled construction, identical on both sessions).

@@ -6,8 +6,8 @@
 //! worker threads answer four closed-loop client connections through
 //! `Session::serve_shared` (`&self` — no session lock). The client
 //! replay reports per-kind round-trip latencies; the example then
-//! replays the same trace directly through `Session::serve` and asserts
-//! the digest sequences are identical — the server's determinism
+//! replays the same trace directly through `Session::serve_shared` and
+//! asserts the digest sequences are identical — the server's determinism
 //! contract in one assert.
 //!
 //! Run with: `cargo run --release --example serve_tcp`
@@ -79,7 +79,7 @@ fn main() {
     }
 
     // The determinism contract: the wire adds latency, never values.
-    let mut session = Pipeline::on(corpus.graph())
+    let session = Pipeline::on(corpus.graph())
         .seed(SEED)
         .build()
         .expect("session builds");
@@ -87,14 +87,14 @@ fn main() {
         .iter()
         .map(|event| {
             session
-                .serve(query_of(&corpus, event))
+                .serve_shared(query_of(&corpus, event))
                 .expect("direct serve succeeds")
                 .digest
         })
         .collect();
     assert_eq!(
         outcome.digests, direct,
-        "server digests must equal a direct Session::serve replay"
+        "server digests must equal a direct Session::serve_shared replay"
     );
     println!(
         "digest check: {} server responses == direct serve replay",
