@@ -601,8 +601,9 @@ impl<'g> Session<'g> {
     /// [`Report::rounds_executed`].
     ///
     /// With a [`Pipeline::fault`] plan and `Simulated` execution, stalled
-    /// epochs are retried (see [`lcs_dist::verification_simulated`]) and
-    /// the report gains `retry_epochs` / `retry_stalls` metrics.
+    /// epochs are retried (see [`lcs_dist::verification_simulated`]), the
+    /// report's rounds and traffic cover every epoch, and it gains
+    /// `retry_epochs` / `retry_stalls` metrics.
     ///
     /// # Errors
     ///

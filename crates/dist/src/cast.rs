@@ -17,7 +17,7 @@ use lcs_congest::{primitives::AggregateOp, SimConfig, SimStats};
 use lcs_graph::Graph;
 
 use crate::engine::{run_engine, EngineSpec, NodeProgram};
-use crate::knowledge::{BlockFamily, Membership, NodeInfo};
+use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::{DistError, Result};
 
 /// Result of a family-wide cast.
@@ -47,8 +47,14 @@ impl NodeProgram for CastProgram {
     type Val = Option<u64>;
     type Cross = ();
 
-    fn contribution(&mut self, info: &NodeInfo, m: &Membership, _step: u64) -> Option<u64> {
-        if info.own_membership == Some(member_index(info, m)) {
+    fn contribution(
+        &mut self,
+        _info: &NodeInfo,
+        _member: usize,
+        own: bool,
+        _step: u64,
+    ) -> Option<u64> {
+        if own {
             self.value
         } else {
             None
@@ -63,10 +69,16 @@ impl NodeProgram for CastProgram {
         }
     }
 
-    fn on_agreed(&mut self, info: &NodeInfo, m: &Membership, val: &Option<u64>, _step: u64) {
-        let idx = member_index(info, m);
-        self.agreed.push((idx, *val));
-        if info.own_membership == Some(idx) {
+    fn on_agreed(
+        &mut self,
+        _info: &NodeInfo,
+        member: usize,
+        own: bool,
+        val: &Option<u64>,
+        _step: u64,
+    ) {
+        self.agreed.push((member, *val));
+        if own {
             self.own_agreed = *val;
         }
     }
@@ -89,14 +101,6 @@ impl NodeProgram for CastProgram {
     fn cross_bits(&self) -> usize {
         1
     }
-}
-
-/// Index of membership `m` within `info.memberships`.
-fn member_index(info: &NodeInfo, m: &Membership) -> usize {
-    info.memberships
-        .iter()
-        .position(|x| x.block == m.block)
-        .expect("membership belongs to this node")
 }
 
 fn run_cast(
@@ -138,7 +142,6 @@ fn run_cast(
                 reason: format!("block {b_idx} root lacks a membership"),
             })?;
         let agreed = root_node
-            .program()
             .agreed
             .iter()
             .find(|(i, _)| *i == m_idx)
@@ -147,11 +150,7 @@ fn run_cast(
             })?;
         per_block[b_idx] = agreed.1;
     }
-    let member_view = outcome
-        .nodes
-        .iter()
-        .map(|n| n.program().own_agreed)
-        .collect();
+    let member_view = outcome.nodes.iter().map(|n| n.own_agreed).collect();
     Ok(BlockCastOutcome {
         per_block,
         member_view,

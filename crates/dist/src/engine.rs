@@ -39,25 +39,35 @@ use lcs_congest::{
 use lcs_graph::{Graph, NodeId};
 use lcs_obs::Obs;
 
-use crate::knowledge::{BlockFamily, Membership, NodeInfo};
+use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::Result;
 
 /// The per-node logic of a superstep protocol. One instance runs per node;
 /// it may only consult the node's [`NodeInfo`] and the messages the engine
 /// hands it.
+///
+/// A membership is named by its index `member` into `info.memberships`,
+/// together with `own`: whether it is the node's own-part membership
+/// (`info.own_membership == Some(member)`). The engine copies that flag
+/// once per run, so a program tells its own block from the relay-only ones
+/// without reading `info`, and reads `info.memberships[member]` only when
+/// it needs more of the membership than that.
 pub(crate) trait NodeProgram: Send {
     /// Block-level value: convergecast up, combined, broadcast down.
     type Val: Clone + std::fmt::Debug + Send;
     /// Payload exchanged across same-part graph edges between supersteps.
     type Cross: Clone + std::fmt::Debug + Send;
 
-    /// The node's contribution for membership `m` at the start of superstep
-    /// `step` (Steiner nodes contribute an identity element).
-    fn contribution(&mut self, info: &NodeInfo, m: &Membership, step: u64) -> Self::Val;
+    /// The node's contribution for membership `member` at the start of
+    /// superstep `step`. Memberships with `own` false are relay-only (the
+    /// node is a Steiner node or a member of another part there) and
+    /// contribute an identity element.
+    fn contribution(&mut self, info: &NodeInfo, member: usize, own: bool, step: u64) -> Self::Val;
     /// Associative, commutative combination of contributions.
     fn combine(&self, step: u64, a: &Self::Val, b: &Self::Val) -> Self::Val;
-    /// The node learned its block's combined value for superstep `step`.
-    fn on_agreed(&mut self, info: &NodeInfo, m: &Membership, val: &Self::Val, step: u64);
+    /// The node learned the combined value of membership `member`'s block
+    /// for superstep `step`; `own` as in [`NodeProgram::contribution`].
+    fn on_agreed(&mut self, info: &NodeInfo, member: usize, own: bool, val: &Self::Val, step: u64);
     /// The cross message to send to same-part neighbor `to` after superstep
     /// `step`, or `None` to stay silent on that edge.
     fn cross_message(&mut self, info: &NodeInfo, to: NodeId, step: u64) -> Option<Self::Cross>;
@@ -78,7 +88,7 @@ pub(crate) trait NodeProgram: Send {
 #[derive(Debug, Clone)]
 pub(crate) struct EngineMsg<V, C> {
     payload: Payload<V, C>,
-    bits: usize,
+    bits: u32,
     step: u32,
 }
 
@@ -91,38 +101,89 @@ enum Payload<V, C> {
 
 impl<V: Clone, C: Clone> MessageBits for EngineMsg<V, C> {
     fn size_bits(&self) -> usize {
-        self.bits
+        self.bits as usize
     }
 }
 
-/// Per-membership state of the current superstep's convergecast/broadcast,
-/// reset in place at every superstep.
+/// One membership as a fault-free poll sees it: the static fields of the
+/// [`crate::Membership`] it mirrors, copied once per run, next to the state
+/// of the current superstep's convergecast/broadcast, which is reset in
+/// place at every superstep. The engine's fault-free paths read this
+/// record instead of the family's `Membership`.
 #[derive(Debug, Clone)]
 struct Run<V> {
-    pending: usize,
-    acc: Option<V>,
+    /// The family index of the membership's block.
+    block: u32,
+    /// Depth of the block root in `T` (the Lemma 2 priority key).
+    root_depth: u32,
+    /// The in-block tree parent (`None` exactly at the block root).
+    parent: Option<NodeId>,
+    /// Number of in-block tree children.
+    children: u32,
+    is_root: bool,
+    /// Whether this is the node's own-part membership.
+    own: bool,
     sent_up: bool,
+    /// In-block children not yet heard from this superstep.
+    pending: u32,
+    acc: Option<V>,
     agreed: Option<V>,
-    /// Fault mode only: the children heard from this superstep, the set
-    /// that deduplicates duplicated upward copies.
-    heard: Vec<NodeId>,
-    /// Fault mode only: which children have received their first downward
-    /// copy (indexed like `Membership::children`; empty in fault-free
-    /// runs, where the time-reversed mirror schedule is used instead).
-    downs_sent: Vec<bool>,
 }
 
 impl<V> Run<V> {
-    fn new() -> Self {
-        Run {
-            pending: 0,
-            acc: None,
-            sent_up: false,
-            agreed: None,
-            heard: Vec::new(),
-            downs_sent: Vec::new(),
-        }
+    /// One run per membership of `info`, in the memberships' ascending
+    /// block order (which `membership_of` binary-searches).
+    fn for_node(info: &NodeInfo) -> Vec<Self> {
+        info.memberships
+            .iter()
+            .enumerate()
+            .map(|(i, m)| Run {
+                block: u32::try_from(m.block).expect("block ids fit in 32 bits"),
+                root_depth: m.root_depth,
+                parent: m.parent,
+                children: u32::try_from(m.children.len()).expect("child counts fit in 32 bits"),
+                is_root: m.is_root,
+                own: info.own_membership == Some(i),
+                sent_up: false,
+                pending: 0,
+                acc: None,
+                agreed: None,
+            })
+            .collect()
     }
+}
+
+/// Fault mode only: the delivery bookkeeping of one membership, reset at
+/// every superstep. Fault-free runs keep none, so this state stays out of
+/// the [`Run`] records a fault-free poll reads.
+#[derive(Debug, Clone, Default)]
+struct FaultRun {
+    /// The children heard from this superstep, the set that deduplicates
+    /// duplicated upward copies.
+    heard: Vec<NodeId>,
+    /// Which children have received their first downward copy (indexed
+    /// like `Membership::children`).
+    downs_sent: Vec<bool>,
+}
+
+/// The constants of one engine run, shared by every node of it.
+#[derive(Debug)]
+struct Shape {
+    /// The window half-length: the family's schedule length `L`, or the
+    /// latency-stretched `l_f` in fault mode.
+    l: u64,
+    window: u64,
+    steps: u64,
+    total_rounds: u64,
+    broadcast_down: bool,
+    /// Fault mode: tolerate delayed/lost/duplicated deliveries. The window
+    /// layout changes to `[tree slot 2l | cross slot 3s | guard band s]`,
+    /// and emissions are driven by observed progress with per-poll resends
+    /// instead of the exact mirror schedule.
+    faulty: bool,
+    /// The cross-slot length `s` (the plan's worst-case per-hop stretch);
+    /// 1 in fault-free runs.
+    cross_span: u64,
 }
 
 /// How many supersteps to run and whether block values are broadcast back
@@ -163,20 +224,21 @@ pub(crate) fn engine_rounds(l: u64, spec: EngineSpec) -> u64 {
 /// Apart from the reset at each window boundary, a fault-free poll costs
 /// the same however many blocks the node serves: the next block to forward
 /// comes off the `ready` heap, the mirrored broadcast sends come off the
-/// `downs` stack, and nothing scans the memberships. The node's
-/// [`NodeInfo`] is borrowed from the family, and its per-superstep state
-/// is reset in place.
+/// `downs` stack, and nothing scans the memberships. Nor does such a poll
+/// chase the family's records: the node's [`Run`]s carry the static fields
+/// of its memberships, and the run's constants sit in one [`Shape`] every
+/// node borrows. The family's [`NodeInfo`] is read only by the programs
+/// and at cross rounds.
 #[derive(Debug)]
-pub(crate) struct EngineNode<'f, P: NodeProgram> {
+pub(crate) struct EngineNode<'a, P: NodeProgram> {
     program: P,
-    info: &'f NodeInfo,
-    l: u64,
-    window: u64,
-    steps: u64,
-    total_rounds: u64,
-    broadcast_down: bool,
-    up_bits: usize,
-    cross_msg_bits: usize,
+    info: &'a NodeInfo,
+    shape: &'a Shape,
+    up_bits: u32,
+    cross_msg_bits: u32,
+    /// Whether the node has a same-part neighbor to exchange crosses with.
+    has_part_neighbors: bool,
+    finished: bool,
     step: u64,
     runs: Vec<Run<P::Val>>,
     /// Memberships ready to forward upward this superstep (not the block
@@ -188,69 +250,81 @@ pub(crate) struct EngineNode<'f, P: NodeProgram> {
     /// order. Arrival rounds only grow, so the mirrored send rounds only
     /// shrink and the top of the stack is always the next send.
     downs: Vec<(u64, u32, NodeId)>,
-    finished: bool,
-    /// Fault mode: tolerate delayed/lost/duplicated deliveries. `l` is the
-    /// latency-stretched schedule length, the window layout changes to
-    /// `[tree slot 2l | cross slot 3s | guard band s]`, and emissions are
-    /// driven by observed progress with per-poll resends instead of the
-    /// exact mirror schedule.
-    faulty: bool,
-    /// The cross-slot length `s` (the plan's worst-case per-hop stretch);
-    /// 1 in fault-free runs.
-    cross_span: u64,
+    /// Fault mode only: one record per membership, parallel to `runs`;
+    /// empty in fault-free runs.
+    fault: Vec<FaultRun>,
 }
 
 /// The simulator-owned outbox an [`EngineNode`] sends into.
 type Outbox<P> = Vec<Outgoing<EngineMsg<<P as NodeProgram>::Val, <P as NodeProgram>::Cross>>>;
 
-impl<P: NodeProgram> EngineNode<'_, P> {
-    /// The plugged-in program, for result extraction after the run.
-    pub fn program(&self) -> &P {
-        &self.program
+impl<'a, P: NodeProgram> EngineNode<'a, P> {
+    fn new(
+        program: P,
+        info: &'a NodeInfo,
+        shape: &'a Shape,
+        up_bits: u32,
+        cross_msg_bits: u32,
+    ) -> Self {
+        let fault = if shape.faulty {
+            vec![FaultRun::default(); info.memberships.len()]
+        } else {
+            Vec::new()
+        };
+        EngineNode {
+            program,
+            info,
+            shape,
+            up_bits,
+            cross_msg_bits,
+            has_part_neighbors: !info.part_neighbors.is_empty(),
+            finished: false,
+            step: 0,
+            runs: Run::for_node(info),
+            ready: BinaryHeap::new(),
+            downs: Vec::new(),
+            fault,
+        }
     }
 
     fn base(&self) -> u64 {
-        self.step * self.window
+        self.step * self.shape.window
     }
 
-    /// Index of the membership of `block`. Memberships are built in
-    /// ascending block order, so this is a binary search.
+    /// Index of the membership of `block`. Runs are built in ascending
+    /// block order, so this is a binary search.
     fn membership_of(&self, block: u32) -> usize {
-        self.info
-            .memberships
-            .binary_search_by_key(&(block as usize), |m| m.block)
+        self.runs
+            .binary_search_by_key(&block, |run| run.block)
             .expect("tree messages only arrive within a block")
     }
 
     fn start_superstep(&mut self) {
         let step = self.step;
         let info = self.info;
-        if self.runs.len() != info.memberships.len() {
-            self.runs = info.memberships.iter().map(|_| Run::new()).collect();
-        }
         self.ready.clear();
         self.downs.clear();
-        for (i, m) in info.memberships.iter().enumerate() {
-            let contribution = self.program.contribution(info, m, step);
-            let run = &mut self.runs[i];
-            run.pending = m.children.len();
+        for (i, run) in self.runs.iter_mut().enumerate() {
+            let contribution = self.program.contribution(info, i, run.own, step);
+            run.pending = run.children;
             run.acc = Some(contribution);
             run.sent_up = false;
             run.agreed = None;
-            run.heard.clear();
-            run.downs_sent.clear();
-            if self.faulty {
-                run.downs_sent.resize(m.children.len(), false);
+            if let Some(fault) = self.fault.get_mut(i) {
+                fault.heard.clear();
+                fault.downs_sent.clear();
+                fault.downs_sent.resize(run.children as usize, false);
             }
-            if m.children.is_empty() {
-                if m.is_root {
+            if run.children == 0 {
+                if run.is_root {
                     // Childless roots agree immediately.
-                    let val = run.acc.clone().expect("contribution just set");
-                    run.agreed = Some(val.clone());
-                    self.program.on_agreed(info, m, &val, step);
+                    let val = run
+                        .agreed
+                        .insert(run.acc.clone().expect("contribution just set"));
+                    self.program.on_agreed(info, i, run.own, val, step);
                 } else {
                     self.ready
-                        .push(Reverse((m.root_depth, m.block as u32, i as u32)));
+                        .push(Reverse((run.root_depth, run.block, i as u32)));
                 }
             }
         }
@@ -258,22 +332,20 @@ impl<P: NodeProgram> EngineNode<'_, P> {
 
     fn handle_up(&mut self, from: NodeId, block: u32, val: P::Val, round: u64) {
         let step = self.step;
-        let info = self.info;
+        let shape = self.shape;
         let idx = self.membership_of(block);
         let base = self.base();
         let rel = round - base;
-        if self.faulty {
+        if shape.faulty {
             // Duplicated copies and spurious ups (e.g. from a restarted
             // child re-running its protocol) are dropped instead of
             // tripping the fault-free invariants below.
-            let run = &self.runs[idx];
-            if run.pending == 0 || run.heard.contains(&from) {
+            if self.runs[idx].pending == 0 || self.fault[idx].heard.contains(&from) {
                 return;
             }
         } else {
-            debug_assert!(rel >= 1 && rel <= self.l, "up delivery outside conv slot");
+            debug_assert!(rel >= 1 && rel <= shape.l, "up delivery outside conv slot");
         }
-        let m = &info.memberships[idx];
         let run = &mut self.runs[idx];
         let acc = run.acc.take().expect("superstep started");
         run.acc = Some(self.program.combine(step, &acc, &val));
@@ -281,32 +353,33 @@ impl<P: NodeProgram> EngineNode<'_, P> {
             .pending
             .checked_sub(1)
             .expect("no more child messages than children");
-        if self.faulty {
-            run.heard.push(from);
-        } else if self.broadcast_down {
-            self.downs.push((base + 2 * self.l - rel, idx as u32, from));
+        if shape.faulty {
+            self.fault[idx].heard.push(from);
+        } else if shape.broadcast_down {
+            self.downs
+                .push((base + 2 * shape.l - rel, idx as u32, from));
         }
         if run.pending == 0 {
-            if m.is_root {
-                let agreed = run.acc.clone().expect("set above");
-                run.agreed = Some(agreed.clone());
-                self.program.on_agreed(info, m, &agreed, step);
+            if run.is_root {
+                let agreed = run.agreed.insert(run.acc.clone().expect("set above"));
+                self.program
+                    .on_agreed(self.info, idx, run.own, agreed, step);
             } else {
                 self.ready
-                    .push(Reverse((m.root_depth, m.block as u32, idx as u32)));
+                    .push(Reverse((run.root_depth, run.block, idx as u32)));
             }
         }
     }
 
     fn handle_down(&mut self, block: u32, val: P::Val) {
         let idx = self.membership_of(block);
-        if self.faulty && self.runs[idx].agreed.is_some() {
+        let run = &mut self.runs[idx];
+        if self.shape.faulty && run.agreed.is_some() {
             return; // duplicated or resent copy — already agreed
         }
-        let step = self.step;
-        self.runs[idx].agreed = Some(val.clone());
+        let agreed = run.agreed.insert(val);
         self.program
-            .on_agreed(self.info, &self.info.memberships[idx], &val, step);
+            .on_agreed(self.info, idx, run.own, agreed, self.step);
     }
 
     /// Forwards the highest-priority ready block to its parent, if any (the
@@ -315,11 +388,8 @@ impl<P: NodeProgram> EngineNode<'_, P> {
         let Some(Reverse((_, block, i))) = self.ready.pop() else {
             return;
         };
-        let i = i as usize;
-        let parent = self.info.memberships[i]
-            .parent
-            .expect("non-root memberships have parents");
-        let run = &mut self.runs[i];
+        let run = &mut self.runs[i as usize];
+        let parent = run.parent.expect("non-root memberships have parents");
         run.sent_up = true;
         let val = run.acc.clone().expect("superstep started");
         out.push(Outgoing::new(
@@ -334,6 +404,9 @@ impl<P: NodeProgram> EngineNode<'_, P> {
 
     /// The cross messages of superstep `step` to every same-part neighbor.
     fn send_crosses(&mut self, out: &mut Outbox<P>) {
+        if !self.has_part_neighbors {
+            return;
+        }
         let info = self.info;
         let step = self.step;
         for &(to, _) in &info.part_neighbors {
@@ -351,10 +424,11 @@ impl<P: NodeProgram> EngineNode<'_, P> {
     }
 
     fn emissions(&mut self, round: u64, out: &mut Outbox<P>) {
+        let shape = self.shape;
         let base = self.base();
 
         // Convergecast slot: forward the highest-priority ready block.
-        if round >= base && round < base + self.l {
+        if round >= base && round < base + shape.l {
             self.send_up(out);
         }
 
@@ -373,16 +447,16 @@ impl<P: NodeProgram> EngineNode<'_, P> {
         );
         sends.sort_by_key(|&(_, i, _)| i);
         for &(_, i, child) in sends.iter() {
-            let m = &self.info.memberships[i as usize];
-            let val = self.runs[i as usize]
+            let run = &self.runs[i as usize];
+            let val = run
                 .agreed
                 .clone()
-                .unwrap_or_else(|| panic!("broadcast window overflow in block {}", m.block));
+                .unwrap_or_else(|| panic!("broadcast window overflow in block {}", run.block));
             out.push(Outgoing::new(
                 child,
                 EngineMsg {
                     payload: Payload::Down {
-                        block: m.block as u32,
+                        block: run.block,
                         val,
                     },
                     bits: self.up_bits,
@@ -393,7 +467,7 @@ impl<P: NodeProgram> EngineNode<'_, P> {
         self.downs.truncate(due);
 
         // Cross round: the supergraph step, skipped after the last superstep.
-        if self.broadcast_down && round == base + 2 * self.l && self.step + 1 < self.steps {
+        if shape.broadcast_down && round == base + 2 * shape.l && self.step + 1 < shape.steps {
             self.send_crosses(out);
         }
     }
@@ -410,8 +484,9 @@ impl<P: NodeProgram> EngineNode<'_, P> {
     /// absorbs the worst per-hop delay `(1 + latency) + (period - 1) ≤ s`,
     /// so every delivery lands before the next window boundary.
     fn emissions_faulty(&mut self, round: u64, out: &mut Outbox<P>) {
+        let shape = self.shape;
         let base = self.base();
-        let tree_end = base + 2 * self.l;
+        let tree_end = base + 2 * shape.l;
         let step_tag = self.step as u32;
         let info = self.info;
         // Every tree message of this poll is in `out` (which arrives
@@ -422,23 +497,22 @@ impl<P: NodeProgram> EngineNode<'_, P> {
             // First-time Up: one per poll, by the greedy priority rule.
             self.send_up(out);
             // First-time Downs: at most one per child edge per poll.
-            if self.broadcast_down {
+            if shape.broadcast_down {
                 for (i, m) in info.memberships.iter().enumerate() {
-                    if self.runs[i].agreed.is_none() {
+                    let Some(agreed) = &self.runs[i].agreed else {
                         continue;
-                    }
+                    };
                     for (ci, &child) in m.children.iter().enumerate() {
-                        if self.runs[i].downs_sent[ci] || used(out, child) {
+                        if self.fault[i].downs_sent[ci] || used(out, child) {
                             continue;
                         }
-                        self.runs[i].downs_sent[ci] = true;
-                        let val = self.runs[i].agreed.clone().expect("checked above");
+                        self.fault[i].downs_sent[ci] = true;
                         out.push(Outgoing::new(
                             child,
                             EngineMsg {
                                 payload: Payload::Down {
-                                    block: m.block as u32,
-                                    val,
+                                    block: self.runs[i].block,
+                                    val: agreed.clone(),
                                 },
                                 bits: self.up_bits,
                                 step: step_tag,
@@ -449,21 +523,21 @@ impl<P: NodeProgram> EngineNode<'_, P> {
             }
             // Resends on whatever edges are still free, rotated across
             // memberships so no block starves a shared edge.
-            let k = info.memberships.len();
+            let k = self.runs.len();
             if k > 0 {
                 let start = (round as usize) % k;
                 for d in 0..k {
                     let i = (start + d) % k;
-                    let m = &info.memberships[i];
-                    if !m.is_root && self.runs[i].sent_up && self.runs[i].pending == 0 {
-                        let parent = m.parent.expect("non-root memberships have parents");
+                    let run = &self.runs[i];
+                    if !run.is_root && run.sent_up && run.pending == 0 {
+                        let parent = run.parent.expect("non-root memberships have parents");
                         if !used(out, parent) {
-                            let val = self.runs[i].acc.clone().expect("superstep started");
+                            let val = run.acc.clone().expect("superstep started");
                             out.push(Outgoing::new(
                                 parent,
                                 EngineMsg {
                                     payload: Payload::Up {
-                                        block: m.block as u32,
+                                        block: run.block,
                                         val,
                                     },
                                     bits: self.up_bits,
@@ -472,16 +546,16 @@ impl<P: NodeProgram> EngineNode<'_, P> {
                             ));
                         }
                     }
-                    if self.broadcast_down && self.runs[i].agreed.is_some() {
-                        for (ci, &child) in m.children.iter().enumerate() {
-                            if self.runs[i].downs_sent[ci] && !used(out, child) {
-                                let val = self.runs[i].agreed.clone().expect("checked above");
+                    if let (true, Some(agreed)) = (shape.broadcast_down, &run.agreed) {
+                        let children = &info.memberships[i].children;
+                        for (ci, &child) in children.iter().enumerate() {
+                            if self.fault[i].downs_sent[ci] && !used(out, child) {
                                 out.push(Outgoing::new(
                                     child,
                                     EngineMsg {
                                         payload: Payload::Down {
-                                            block: m.block as u32,
-                                            val,
+                                            block: run.block,
+                                            val: agreed.clone(),
                                         },
                                         bits: self.up_bits,
                                         step: step_tag,
@@ -496,10 +570,10 @@ impl<P: NodeProgram> EngineNode<'_, P> {
 
         // Cross slot: resend at every poll (the program decides per call
         // what to send; receivers deduplicate).
-        if self.broadcast_down
+        if shape.broadcast_down
             && round >= tree_end
-            && round < tree_end + CROSS_REDUNDANCY * self.cross_span
-            && self.step + 1 < self.steps
+            && round < tree_end + CROSS_REDUNDANCY * shape.cross_span
+            && self.step + 1 < shape.steps
         {
             self.send_crosses(out);
         }
@@ -510,13 +584,14 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
     type Message = EngineMsg<P::Val, P::Cross>;
 
     fn init(&mut self, _ctx: &NodeContext, out: &mut Vec<Outgoing<Self::Message>>) {
-        if self.steps == 0 {
+        let shape = self.shape;
+        if shape.steps == 0 {
             self.finished = true;
             return;
         }
         self.start_superstep();
-        self.finished = self.total_rounds == 0;
-        if self.faulty {
+        self.finished = shape.total_rounds == 0;
+        if shape.faulty {
             self.emissions_faulty(0, out);
         } else {
             self.emissions(0, out);
@@ -530,17 +605,18 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         incoming: &[Incoming<Self::Message>],
         out: &mut Vec<Outgoing<Self::Message>>,
     ) {
-        if self.steps == 0 {
+        let shape = self.shape;
+        if shape.steps == 0 {
             return;
         }
         let info = self.info;
-        if self.faulty {
+        if shape.faulty {
             // Catch up on window boundaries first (deliveries always land
             // strictly before their window's boundary, so nothing here can
             // belong to an earlier step), then apply arrivals immediately:
             // crosses are in-window under the guard band, and anything
             // tagged with another step is a stale duplicate.
-            while self.step + 1 < self.steps && round >= (self.step + 1) * self.window {
+            while self.step + 1 < shape.steps && round >= (self.step + 1) * shape.window {
                 self.step += 1;
                 self.start_superstep();
             }
@@ -557,7 +633,7 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
                     Payload::Cross(c) => self.program.on_cross(info, msg.from, c.clone(), step),
                 }
             }
-            if round >= self.total_rounds {
+            if round >= shape.total_rounds {
                 self.finished = true;
             }
             self.emissions_faulty(round, out);
@@ -574,7 +650,7 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         }
         // Window boundary: fold in the crosses (in arrival order), then
         // open the next window.
-        if self.step + 1 < self.steps && round == (self.step + 1) * self.window {
+        if self.step + 1 < shape.steps && round == (self.step + 1) * shape.window {
             let step = self.step;
             for msg in incoming {
                 if let Payload::Cross(c) = &msg.msg.payload {
@@ -591,7 +667,7 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
                 "cross message outside a boundary round"
             );
         }
-        if round >= self.total_rounds {
+        if round >= shape.total_rounds {
             self.finished = true;
         }
         self.emissions(round, out);
@@ -609,10 +685,13 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
     /// so the node sleeps through it — this is what turns the windowed
     /// supersteps into a small-frontier workload for the simulator.
     fn next_wake(&self, now: u64) -> Option<u64> {
-        if self.steps == 0 {
+        let shape = self.shape;
+        if shape.steps == 0 {
             return None;
         }
-        if self.faulty {
+        let crosses_follow =
+            shape.broadcast_down && self.step + 1 < shape.steps && self.has_part_neighbors;
+        if shape.faulty {
             // Re-derived from *observed* progress: anything sendable keeps
             // the node on the per-round schedule (that is the resend
             // engine); otherwise sleep to the cross slot, the next window
@@ -620,30 +699,24 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
             // regardless, and the fault layer aligns every wake to the
             // node's straggler poll schedule.
             let base = self.base();
-            let tree_end = base + 2 * self.l;
-            let sendable = self.info.memberships.iter().enumerate().any(|(i, m)| {
-                (!m.is_root && self.runs[i].pending == 0)
-                    || (self.broadcast_down
-                        && self.runs[i].agreed.is_some()
-                        && !m.children.is_empty())
+            let tree_end = base + 2 * shape.l;
+            let sendable = self.runs.iter().any(|run| {
+                (!run.is_root && run.pending == 0)
+                    || (shape.broadcast_down && run.agreed.is_some() && run.children > 0)
             });
             if sendable && now < tree_end {
                 return None;
             }
-            let mut wake = self.total_rounds.max(now + 1);
-            if self.broadcast_down
-                && self.step + 1 < self.steps
-                && !self.info.part_neighbors.is_empty()
-                && now + 1 < tree_end + CROSS_REDUNDANCY * self.cross_span
-            {
+            let mut wake = shape.total_rounds.max(now + 1);
+            if crosses_follow && now + 1 < tree_end + CROSS_REDUNDANCY * shape.cross_span {
                 let r = tree_end.max(now + 1);
                 if r == now + 1 {
                     return None;
                 }
                 wake = wake.min(r);
             }
-            if self.step + 1 < self.steps {
-                wake = wake.min((self.step + 1) * self.window);
+            if self.step + 1 < shape.steps {
+                wake = wake.min((self.step + 1) * shape.window);
             }
             return Some(wake);
         }
@@ -655,7 +728,7 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         let base = self.base();
         // The finish flip is the fallback: every unfinished node must be
         // polled once at `total_rounds` to quiesce.
-        let mut wake = self.total_rounds.max(now + 1);
+        let mut wake = shape.total_rounds.max(now + 1);
         // The earliest pending mirrored send (every earlier one went out
         // when it was due).
         if let Some(&(at, ..)) = self.downs.last() {
@@ -663,15 +736,14 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
                 wake = wake.min(at);
             }
         }
-        if self.broadcast_down && self.step + 1 < self.steps && !self.info.part_neighbors.is_empty()
-        {
-            let r = base + 2 * self.l;
+        if crosses_follow {
+            let r = base + 2 * shape.l;
             if r > now {
                 wake = wake.min(r);
             }
         }
-        if self.step + 1 < self.steps {
-            let r = (self.step + 1) * self.window;
+        if self.step + 1 < shape.steps {
+            let r = (self.step + 1) * shape.window;
             if r > now {
                 wake = wake.min(r);
             }
@@ -681,21 +753,22 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
 }
 
 /// Runs `program` (one instance per node, built by `make`) over the family
-/// in the CONGEST simulator.
+/// in the CONGEST simulator, and returns each node's program after the run
+/// (indexed by node id) for result extraction.
 ///
 /// The simulator configuration defaults to [`SimConfig::for_graph`] with
 /// the round cap tightened to the engine's exact round count — multi-phase
 /// protocols must never inherit the generic `64·n + 1024` cap silently.
 /// Pass `config` to override (e.g. to enable tracing or change bandwidth);
 /// an explicit `max_rounds` in the override is respected.
-pub(crate) fn run_engine<'f, P, F>(
+pub(crate) fn run_engine<P, F>(
     graph: &Graph,
-    family: &'f BlockFamily,
+    family: &BlockFamily,
     spec: EngineSpec,
     config: Option<SimConfig>,
     obs: &Obs,
     mut make: F,
-) -> Result<SimOutcome<EngineNode<'f, P>>>
+) -> Result<SimOutcome<P>>
 where
     P: NodeProgram,
     F: FnMut(&NodeInfo) -> P,
@@ -710,15 +783,32 @@ where
     // spurious `RoundLimitExceeded`.
     let plan = config.as_ref().and_then(|c| c.active_fault());
     let faulty = plan.is_some();
-    let (l_eff, window, total_rounds, cross_span) = match plan {
+    let shape = match plan {
         Some(p) => {
             let s = p.round_stretch().max(1);
             let lf = (l + 1) * s;
             let w = faulty_window(lf, s);
-            (lf, w, spec.steps * w, s)
+            Shape {
+                l: lf,
+                window: w,
+                steps: spec.steps,
+                total_rounds: spec.steps * w,
+                broadcast_down: spec.broadcast_down,
+                faulty,
+                cross_span: s,
+            }
         }
-        None => (l, 2 * l + 1, engine_rounds(l, spec), 1),
+        None => Shape {
+            l,
+            window: 2 * l + 1,
+            steps: spec.steps,
+            total_rounds: engine_rounds(l, spec),
+            broadcast_down: spec.broadcast_down,
+            faulty,
+            cross_span: 1,
+        },
     };
+    let total_rounds = shape.total_rounds;
     // A caller-supplied config customizes bandwidth, tracing and the engine
     // thread count, but the round cap is this entry point's responsibility:
     // the windowed superstep budget is computed exactly here, so a default
@@ -733,38 +823,77 @@ where
     if obs.is_on() {
         obs.counter_add("dist/engine/runs", 1);
         obs.counter_add("dist/engine/supersteps", spec.steps);
-        obs.gauge_set("dist/engine/window", window);
+        obs.gauge_set("dist/engine/window", shape.window);
     }
     let step_bits = if faulty {
         bits_for_count((spec.steps as usize).max(2))
     } else {
         0
     };
+    let bits = |width: usize| u32::try_from(width).expect("message widths fit in 32 bits");
     let sim = Simulator::new(graph, cfg).with_recorder(obs.clone());
     let outcome = sim.run(|ctx| {
         let info = family.info(ctx.node);
         let program = make(info);
-        let up_bits = 2 + block_bits + step_bits + program.val_bits();
-        let cross_msg_bits = 2 + step_bits + program.cross_bits();
-        EngineNode {
-            program,
-            info,
-            l: l_eff,
-            window,
-            steps: spec.steps,
-            total_rounds,
-            broadcast_down: spec.broadcast_down,
-            up_bits,
-            cross_msg_bits,
-            step: 0,
-            runs: Vec::new(),
-            ready: BinaryHeap::new(),
-            downs: Vec::new(),
-            finished: false,
-            faulty,
-            cross_span,
-        }
+        let up_bits = bits(2 + block_bits + step_bits + program.val_bits());
+        let cross_msg_bits = bits(2 + step_bits + program.cross_bits());
+        EngineNode::new(program, info, &shape, up_bits, cross_msg_bits)
     })?;
     debug_assert!(faulty || outcome.stats.rounds <= total_rounds);
-    Ok(outcome)
+    Ok(SimOutcome {
+        nodes: outcome.nodes.into_iter().map(|node| node.program).collect(),
+        stats: outcome.stats,
+        trace: outcome.trace,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lcs_core::existential::ancestor_shortcut;
+    use lcs_core::TreeShortcut;
+    use lcs_graph::{generators, RootedTree};
+
+    /// The runs a node's hot path reads are copies of the family's
+    /// memberships: one per membership, in the same order, with the same
+    /// block, root depth, parent, child count and root flag, and the own
+    /// flag set exactly at `own_membership`.
+    #[test]
+    fn runs_mirror_the_family_memberships() {
+        let graphs = [
+            generators::grid(7, 7),
+            generators::torus(6, 6),
+            generators::wheel(41),
+            generators::random_connected(60, 90, 5),
+        ];
+        for graph in &graphs {
+            let tree = RootedTree::bfs(graph, NodeId::new(0));
+            let partition = generators::partitions::random_bfs_balls(graph, 6, 3);
+            let shortcuts = [
+                ancestor_shortcut(graph, &tree, &partition),
+                TreeShortcut::empty(graph, &partition),
+            ];
+            for shortcut in &shortcuts {
+                let family = BlockFamily::new(graph, &tree, &partition, shortcut);
+                for v in graph.nodes() {
+                    let info = family.info(v);
+                    let runs = Run::<()>::for_node(info);
+                    assert_eq!(runs.len(), info.memberships.len(), "node {v}");
+                    for (i, (run, m)) in runs.iter().zip(&info.memberships).enumerate() {
+                        assert_eq!(run.block as usize, m.block, "node {v}");
+                        assert_eq!(run.root_depth, m.root_depth, "node {v}");
+                        assert_eq!(run.parent, m.parent, "node {v}");
+                        assert_eq!(run.children as usize, m.children.len(), "node {v}");
+                        assert_eq!(run.is_root, m.is_root, "node {v}");
+                        assert_eq!(run.own, info.own_membership == Some(i), "node {v}");
+                    }
+                    assert_eq!(
+                        runs.iter().filter(|run| run.own).count(),
+                        usize::from(info.own_membership.is_some()),
+                        "node {v}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -20,7 +20,7 @@ use lcs_congest::{bits_for_count, SimConfig, SimStats};
 use lcs_graph::{EdgeId, Graph, NodeId, Partition};
 
 use crate::engine::{run_engine, EngineSpec, NodeProgram};
-use crate::knowledge::{BlockFamily, Membership, NodeInfo};
+use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::{DistError, Result};
 
 /// Per-part minimum-outgoing-edge candidates, as returned by
@@ -59,11 +59,13 @@ impl NodeProgram for FloodProgram {
     type Val = Option<(u64, u64)>;
     type Cross = (u64, u64);
 
-    fn contribution(&mut self, info: &NodeInfo, m: &Membership, _step: u64) -> Self::Val {
-        let own = info
-            .own_membership
-            .map(|i| info.memberships[i].block == m.block)
-            .unwrap_or(false);
+    fn contribution(
+        &mut self,
+        _info: &NodeInfo,
+        _member: usize,
+        own: bool,
+        _step: u64,
+    ) -> Self::Val {
         if own {
             self.current
         } else {
@@ -75,11 +77,14 @@ impl NodeProgram for FloodProgram {
         min_opt(*a, *b)
     }
 
-    fn on_agreed(&mut self, info: &NodeInfo, m: &Membership, val: &Self::Val, _step: u64) {
-        let own = info
-            .own_membership
-            .map(|i| info.memberships[i].block == m.block)
-            .unwrap_or(false);
+    fn on_agreed(
+        &mut self,
+        _info: &NodeInfo,
+        _member: usize,
+        own: bool,
+        val: &Self::Val,
+        _step: u64,
+    ) {
         if own {
             self.current = min_opt(self.current, *val);
         }
@@ -144,8 +149,7 @@ pub fn part_flood_min(
         }
     })?;
 
-    let per_node: Vec<Option<(u64, u64)>> =
-        outcome.nodes.iter().map(|n| n.program().current).collect();
+    let per_node: Vec<Option<(u64, u64)>> = outcome.nodes.iter().map(|n| n.current).collect();
     let mut per_part: Vec<Option<(u64, u64)>> = vec![None; partition.part_count()];
     for p in partition.parts() {
         let members = partition.members(p);

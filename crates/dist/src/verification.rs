@@ -42,7 +42,7 @@ use lcs_obs::Obs;
 
 use crate::engine::{run_engine, EngineSpec, NodeProgram};
 use crate::error::DistError;
-use crate::knowledge::{BlockFamily, Membership, NodeInfo};
+use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::Result;
 
 const NONE: u64 = u64::MAX;
@@ -199,10 +199,6 @@ impl CountProgram {
         }
     }
 
-    fn is_own(info: &NodeInfo, m: &Membership) -> bool {
-        info.own().map(|own| own.block == m.block).unwrap_or(false)
-    }
-
     /// A locally visible inconsistency: a same-part neighbor believing a
     /// different leader, or a BFS layer jump of two or more.
     fn local_witness(&self) -> bool {
@@ -232,9 +228,9 @@ impl NodeProgram for CountProgram {
     type Val = CVal;
     type Cross = CCross;
 
-    fn contribution(&mut self, info: &NodeInfo, m: &Membership, step: u64) -> CVal {
+    fn contribution(&mut self, info: &NodeInfo, member: usize, own: bool, step: u64) -> CVal {
         let phase = phase_of(step, self.threshold);
-        if !Self::is_own(info, m) {
+        if !own {
             // Identity elements for relay-only memberships.
             return match phase {
                 Phase::Flood => CVal::Flood(NONE, NONE),
@@ -245,7 +241,7 @@ impl NodeProgram for CountProgram {
         }
         match phase {
             Phase::Flood => {
-                let mut best = (m.root.index() as u64, 0);
+                let mut best = (info.memberships[member].root.index() as u64, 0);
                 for n in &self.nbr {
                     if n.hops != NONE {
                         best = best.min((n.leader, n.hops + 1));
@@ -312,8 +308,8 @@ impl NodeProgram for CountProgram {
         }
     }
 
-    fn on_agreed(&mut self, info: &NodeInfo, m: &Membership, val: &CVal, step: u64) {
-        if !Self::is_own(info, m) {
+    fn on_agreed(&mut self, info: &NodeInfo, _member: usize, own: bool, val: &CVal, step: u64) {
+        if !own {
             return;
         }
         match (phase_of(step, self.threshold), val) {
@@ -517,13 +513,17 @@ pub struct DistVerificationOutcome {
     /// The drop-in verification outcome: `good` flags, measured block
     /// counts (exact for good parts, 0 for parts classified bad), and the
     /// charged rounds (executed protocol rounds plus the `depth(T)` global
-    /// check).
+    /// check, once per epoch under a fault plan).
     pub outcome: VerificationOutcome,
-    /// Simulation statistics of the executed protocol (the last epoch's
-    /// under a fault plan).
+    /// Simulation statistics of the executed protocol, summed over every
+    /// epoch under a fault plan (`max_message_bits` is the largest of any
+    /// epoch). An epoch cut off at its round cap adds its cap to `rounds`
+    /// but no messages or bits: the simulator returns no traffic for it,
+    /// and records none in the `engine/*` counters either.
     pub stats: SimStats,
-    /// Per-round delivery trace of the executed protocol; empty unless the
-    /// caller passed a [`SimConfig`] with tracing enabled.
+    /// Per-round delivery trace of the executed protocol (of the returned
+    /// epoch under a fault plan); empty unless the caller passed a
+    /// [`SimConfig`] with tracing enabled.
     pub trace: Vec<lcs_congest::RoundTrace>,
     /// Number of supersteps executed (`3·threshold + 2`).
     pub supersteps: u64,
@@ -567,7 +567,9 @@ const BACKOFF: u64 = 2;
 /// plan's round offset by the previous budget, so the retry sees the same
 /// deterministic fault world later in global time (restartable crash
 /// windows are behind it, loss draws are fresh), and doubles the budget.
-/// The whole procedure is deterministic at every shard count.
+/// The whole procedure is deterministic at every shard count. The returned
+/// statistics and charged rounds cover every epoch, the stalled ones
+/// included (see [`DistVerificationOutcome::stats`]).
 ///
 /// Reports the protocol shape (`dist/verification/*` counters, including
 /// the superstep-per-phase split, and `epochs` / `stalls` under a fault
@@ -602,8 +604,13 @@ pub fn verification_simulated(
     let base_budget = counting_supersteps(question.threshold)
         .saturating_mul(crate::engine::faulty_window((l + 1) * s, s))
         .saturating_add(2);
+    let depth_check = u64::from(question.tree.depth_of_tree());
     let mut offset = plan.round_offset();
     let mut stalls = 0u32;
+    // Every epoch's cost so far: the traffic of the completed ones, and
+    // rounds plus one `depth(T)` check for each.
+    let mut spent = SimStats::default();
+    let mut charged = 0u64;
     for epoch in 0..MAX_EPOCHS {
         let budget = base_budget
             .saturating_mul(TIMEOUT_FACTOR)
@@ -619,20 +626,36 @@ pub fn verification_simulated(
             count_blocks(question, &family, Some(epoch_config), obs)
         };
         match run {
-            Ok(out) if out.decisive => {
-                return Ok(DistVerificationOutcome {
-                    epochs: epoch + 1,
-                    stalls,
-                    ..out
-                })
-            }
-            Ok(_) | Err(DistError::Simulation(SimError::RoundLimitExceeded { .. })) => {
-                stalls += 1;
-                if obs.is_on() {
-                    obs.counter_add("dist/verification/stalls", 1);
+            Ok(out) => {
+                spent.rounds += out.stats.rounds;
+                spent.messages += out.stats.messages;
+                spent.total_bits += out.stats.total_bits;
+                spent.max_message_bits = spent.max_message_bits.max(out.stats.max_message_bits);
+                charged += out.outcome.rounds;
+                if out.decisive {
+                    return Ok(DistVerificationOutcome {
+                        outcome: VerificationOutcome {
+                            rounds: charged,
+                            ..out.outcome
+                        },
+                        stats: spent,
+                        epochs: epoch + 1,
+                        stalls,
+                        ..out
+                    });
                 }
             }
+            // A run cut off at its cap returns no traffic: only its rounds
+            // are known. Caps saturate like the budgets they come from.
+            Err(DistError::Simulation(SimError::RoundLimitExceeded { limit })) => {
+                spent.rounds = spent.rounds.saturating_add(limit);
+                charged = charged.saturating_add(limit).saturating_add(depth_check);
+            }
             Err(other) => return Err(other),
+        }
+        stalls += 1;
+        if obs.is_on() {
+            obs.counter_add("dist/verification/stalls", 1);
         }
         offset = offset.saturating_add(budget);
     }
@@ -687,7 +710,7 @@ fn count_blocks(
         let mut part_verdict: Option<(bool, u64)> = None;
         let mut consistent = true;
         for &v in partition.members(p) {
-            match outcome.nodes[v.index()].program().final_verdict() {
+            match outcome.nodes[v.index()].final_verdict() {
                 Some(v) => match part_verdict {
                     None => part_verdict = Some(v),
                     Some(seen) if seen == v => {}

@@ -144,6 +144,47 @@ fn a_permanent_crash_reports_indecision() {
     assert_eq!(snap.counter("dist/verification/stalls"), Some(5));
 }
 
+/// A run that needs several epochs reports all of them: the returned
+/// statistics equal the recorder's engine totals over every epoch, and the
+/// charged rounds are the executed rounds plus one `depth(T)` check per
+/// epoch. The poll count and the counter digest pin the fault-mode
+/// schedule itself, so a change that kept the traffic totals but moved one
+/// poll still fails here. The verdicts are not pinned: at 30 % loss some
+/// parts come back bad that are good without faults.
+#[test]
+fn every_epoch_is_reported() {
+    let (graph, tree, partition, shortcut) = grid_instance(8);
+    let active = vec![true; partition.part_count()];
+    let question = BlockCounting {
+        graph: &graph,
+        tree: &tree,
+        partition: &partition,
+        shortcut: &shortcut,
+        threshold: 3,
+        active: &active,
+    };
+    let cfg = SimConfig::for_graph(&graph)
+        .with_threads(1)
+        .with_fault(FaultPlan::new(7).with_loss_ppm(300_000));
+    let obs = Obs::recording();
+    let out = verification_simulated(&question, Some(cfg), &obs).unwrap();
+    let snap = obs.snapshot();
+    assert_eq!((out.epochs, out.stalls), (4, 3));
+    assert_eq!(snap.counter("engine/runs"), Some(4));
+    assert_eq!(snap.counter("engine/polls"), Some(81_607));
+    assert_eq!(snap.counters_digest(), 10324054420097124864);
+
+    assert_eq!(Some(out.stats.rounds), snap.counter("engine/rounds"));
+    assert_eq!(Some(out.stats.messages), snap.counter("engine/messages"));
+    assert_eq!(Some(out.stats.total_bits), snap.counter("engine/bits"));
+    assert_eq!(
+        Some(out.stats.max_message_bits as u64),
+        snap.gauge("engine/max_message_bits")
+    );
+    let checks = u64::from(out.epochs) * u64::from(tree.depth_of_tree());
+    assert_eq!(out.outcome.rounds, out.stats.rounds + checks);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
