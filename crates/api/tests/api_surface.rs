@@ -43,15 +43,78 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// The types `source` declares without plain `pub` (private, or
+/// restricted like `pub(crate)`): their methods are not public surface,
+/// however they are marked.
+fn private_types(source: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    for line in source.lines() {
+        let trimmed = line.trim();
+        if trimmed.starts_with("pub ") {
+            continue;
+        }
+        // Drop a restricted visibility such as `pub(crate) `.
+        let decl = match trimmed.strip_prefix("pub(") {
+            Some(rest) => rest.split_once(") ").map_or("", |(_, decl)| decl),
+            None => trimmed,
+        };
+        for keyword in ["struct ", "enum ", "trait ", "type ", "union "] {
+            if let Some(rest) = decl.strip_prefix(keyword) {
+                names.push(leading_ident(rest));
+            }
+        }
+    }
+    names
+}
+
+/// The identifier `text` starts with.
+fn leading_ident(text: &str) -> &str {
+    let end = text
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(text.len());
+    &text[..end]
+}
+
+/// The self type's name of an `impl` header line (`impl<P> Trait for
+/// Type<P> {` → `Type`), or `None` if the line opens no impl block.
+fn impl_self_type(trimmed: &str) -> Option<&str> {
+    let header = trimmed.strip_prefix("unsafe ").unwrap_or(trimmed);
+    let mut rest = header.strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        // Skip the impl's generic parameters, brackets balanced.
+        let mut open = 0usize;
+        let end = rest.char_indices().find_map(|(i, c)| {
+            match c {
+                '<' => open += 1,
+                '>' => open -= 1,
+                _ => {}
+            }
+            (open == 0).then_some(i + 1)
+        })?;
+        rest = &rest[end..];
+    } else if !rest.starts_with(' ') {
+        return None;
+    }
+    let ty = rest.rsplit_once(" for ").map_or(rest, |(_, ty)| ty).trim();
+    let path = ty.trim_start_matches('&');
+    let name_end = path
+        .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+        .unwrap_or(path.len());
+    Some(path[..name_end].rsplit("::").next().unwrap_or(""))
+}
+
 /// Extracts the `pub` item lines of one file, skipping `#[cfg(test)]`
-/// modules. One line per item: the trimmed source line with any trailing
-/// `{` body opener removed — enough to make every surface change (adds,
+/// modules and the impl blocks of types the file declares without plain
+/// `pub`. One line per item: the trimmed source line with any trailing `{`
+/// body opener removed — enough to make every surface change (adds,
 /// removals, signature edits) visible in the snapshot diff.
 fn surface_of(source: &str) -> Vec<String> {
+    let private = private_types(source);
     let mut items = Vec::new();
     let mut skip_depth: Option<usize> = None;
     let mut depth: usize = 0;
     let mut pending_cfg_test = false;
+    let mut pending_private_impl = false;
     for line in source.lines() {
         let trimmed = line.trim();
         if skip_depth.is_none() && trimmed.starts_with("#[cfg(test)]") {
@@ -63,6 +126,16 @@ fn surface_of(source: &str) -> Vec<String> {
             pending_cfg_test = false;
         } else if !trimmed.starts_with("#[") && !trimmed.is_empty() {
             pending_cfg_test = false;
+        }
+        if skip_depth.is_none() && impl_self_type(trimmed).is_some_and(|ty| private.contains(&ty)) {
+            pending_private_impl = true;
+        }
+        if pending_private_impl && line.contains('{') {
+            // Skip the impl block, whose header may span several lines:
+            // from the line that opens its body to the brace that closes
+            // it.
+            skip_depth = Some(depth);
+            pending_private_impl = false;
         }
 
         let in_skip = skip_depth.is_some();
@@ -124,6 +197,57 @@ fn snapshot() -> String {
         }
     }
     out
+}
+
+/// Methods of a type the file declares without plain `pub` stay out of
+/// the surface, whether the impl header is one line or several; the
+/// methods of a `pub` type stay in.
+#[test]
+fn impls_of_crate_private_types_are_not_surface() {
+    let source = r#"
+pub struct Open;
+
+impl Open {
+    pub fn visible(&self) -> u32 {
+        1
+    }
+}
+
+pub(crate) struct Engine<'a, P> {
+    program: &'a P,
+}
+
+impl<'a, P: Clone> Engine<'a, P> {
+    pub fn program(&self) -> &P {
+        self.program
+    }
+}
+
+impl<P> std::fmt::Display for Engine<'_, P>
+where
+    P: Clone,
+{
+    pub fn shown(&self) {}
+}
+
+struct Private;
+
+impl Private {
+    pub fn hidden(&self) {}
+}
+
+impl Open {
+    pub fn also_visible(&self) {}
+}
+"#;
+    assert_eq!(
+        surface_of(source),
+        [
+            "pub struct Open;",
+            "pub fn visible(&self) -> u32",
+            "pub fn also_visible(&self) {}",
+        ]
+    );
 }
 
 #[test]

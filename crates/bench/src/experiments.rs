@@ -703,7 +703,7 @@ fn scale_row(
 /// E9 — the scale tier: FindShortcut plus the Lemma 3 distributed
 /// verification protocol (real message passing) on instances two orders of
 /// magnitude beyond E1–E8, with wall-clock columns. These are the rows the
-/// flat-memory hot paths (CSR graph, edge-slot simulator, quality
+/// flat-memory hot paths (CSR graph, zero-allocation simulator, quality
 /// workspace) exist for; `BENCH_SCALE.json` tracks their timings across
 /// PRs.
 ///

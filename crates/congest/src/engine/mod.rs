@@ -17,9 +17,12 @@
 //! * cross-shard messages travel through per-shard staging buffers and are
 //!   merged at the next phase; since every slot is written at most once
 //!   per round, the merge order cannot affect buffer contents;
+//! * a recipient's messages are handed to it in slot order (its CSR
+//!   neighbor order), whatever order they were posted and merged in;
 //! * everything else an outside observer can see is an order-independent
 //!   reduction: message/bit counters are sums, `max_message_bits` is a
-//!   max, and per-round worklists are sorted before polling;
+//!   max, and per-round worklists come out of a bitset in ascending node
+//!   order;
 //! * errors are reported from the lowest-numbered shard of the earliest
 //!   round, which (shards being contiguous, ascending node ranges) is
 //!   exactly the node a single shard would have failed on first.
@@ -110,7 +113,7 @@ impl Topology {
 /// deduplicated or cancelled (a node woken early by a message keeps its
 /// entry and takes one spurious poll, which the `next_wake` contract makes
 /// harmless), and the order within one round is unobservable because every
-/// shard sorts its worklist before polling.
+/// shard polls a round's nodes in ascending order ([`NodeSet`]).
 pub(crate) struct Calendar {
     /// `head[r % RING]` is the first pool entry of round `r`'s bucket, for
     /// `r` in `next..next + RING`.
@@ -220,6 +223,65 @@ impl Calendar {
     }
 }
 
+/// The nodes one shard polls next round: a bitset over its local node
+/// range with a summary level (one bit per nonzero word).
+///
+/// Inserting is idempotent and `O(1)`. [`NodeSet::drain_into`] walks the
+/// summary's set bits, then each word's, so the worklist comes out in
+/// ascending node order without a sort, and clears each word as it goes,
+/// so nothing is reset per entry afterwards. A round costs one pass over
+/// the summary (`n / 4096` words) plus one visit per nonzero word.
+pub(crate) struct NodeSet {
+    /// Bit `i % 64` of word `i / 64`: local node `i` is queued.
+    words: Vec<u64>,
+    /// Bit `w % 64` of word `w / 64`: `words[w]` is nonzero.
+    summary: Vec<u64>,
+}
+
+impl NodeSet {
+    /// An empty set over local nodes `0..len`.
+    pub(crate) fn new(len: usize) -> Self {
+        let words = len.div_ceil(64);
+        NodeSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    /// Adds local node `i` (forced inline: it runs once per message and
+    /// once per poll).
+    #[inline(always)]
+    pub(crate) fn insert(&mut self, i: usize) {
+        let w = i / 64;
+        if self.words[w] == 0 {
+            self.summary[w / 64] |= 1 << (w % 64);
+        }
+        self.words[w] |= 1 << (i % 64);
+    }
+
+    /// Whether no node is queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.summary.iter().all(|&bits| bits == 0)
+    }
+
+    /// Appends every member plus `base` to `out` in ascending order and
+    /// empties the set.
+    pub(crate) fn drain_into(&mut self, base: usize, out: &mut Vec<u32>) {
+        for (s, summary) in self.summary.iter_mut().enumerate() {
+            let mut nonzero = std::mem::take(summary);
+            while nonzero != 0 {
+                let w = s * 64 + nonzero.trailing_zeros() as usize;
+                nonzero &= nonzero - 1;
+                let mut bits = std::mem::take(&mut self.words[w]);
+                while bits != 0 {
+                    out.push((base + w * 64 + bits.trailing_zeros() as usize) as u32);
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
+
 /// Builds the per-node contexts (borrowed CSR views) in node order.
 pub(crate) fn build_contexts(graph: &Graph) -> Vec<NodeContext<'_>> {
     let n = graph.node_count();
@@ -231,7 +293,33 @@ pub(crate) fn build_contexts(graph: &Graph) -> Vec<NodeContext<'_>> {
 
 #[cfg(test)]
 mod tests {
-    use super::Calendar;
+    use super::{Calendar, NodeSet};
+
+    /// The set drains exactly its members, ascending and offset by the
+    /// base, across word and summary-word boundaries, and is empty after.
+    #[test]
+    fn node_set_drains_ascending() {
+        let len = 64 * 64 * 2 + 5;
+        let mut set = NodeSet::new(len);
+        assert!(set.is_empty());
+        let mut members = vec![len - 1, 0, 4096, 63, 64, 4095, 700, 63, 8191];
+        for &i in &members {
+            set.insert(i);
+        }
+        assert!(!set.is_empty());
+        let mut out = vec![7];
+        set.drain_into(10, &mut out);
+        members.sort_unstable();
+        members.dedup();
+        let expected: Vec<u32> = std::iter::once(7)
+            .chain(members.iter().map(|&i| (i + 10) as u32))
+            .collect();
+        assert_eq!(out, expected);
+        assert!(set.is_empty());
+        out.clear();
+        set.drain_into(0, &mut out);
+        assert!(out.is_empty());
+    }
 
     /// The calendar fires exactly what a `(due, node)` min-queue would pop
     /// at each round: wakes within the wheel, wakes parked in the overflow

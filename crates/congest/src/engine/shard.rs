@@ -6,30 +6,34 @@
 //! Shard boundaries come from [`lcs_graph::ShardMap::by_volume`], so every
 //! shard owns a contiguous node range *and therefore* a contiguous range of
 //! the CSR edge-slot arrays (`Topology::offset` is monotone in node id).
-//! Each shard privately owns, for its range: the protocol states, both
-//! edge-slot mailbox buffers, inbox counters, worklists, its duplicate-send
-//! stamps (sender-position indexed — a directed edge has exactly one
-//! sender, so stamps never leave the sender's shard), its [`Calendar`] of
-//! `next_wake` entries, the reused outbox its protocols send into, and —
-//! under a fault plan — its delivery heap and per-node round inboxes.
+//! Each shard privately owns, for its range: the protocol states, the
+//! current and next round's mail (one entry buffer each, threaded into one
+//! list per local recipient), the [`NodeSet`] of nodes queued for the next
+//! round and the worklist it is emitted into, its duplicate-send stamps
+//! (sender-position indexed — a directed edge has exactly one sender, so
+//! stamps never leave the sender's shard), its [`Calendar`] of `next_wake`
+//! entries, the reused outbox its protocols send into, and — under a fault
+//! plan — its delivery heap and per-node round inboxes.
 //!
 //! At `S = 1` the loop runs inline on the caller: no thread is spawned, no
 //! mail is staged and no barrier is met.
 //!
 //! # Cross-shard staging
 //!
-//! A post whose recipient lives in another shard is appended to a per-
-//! destination staging buffer instead of written to the mailbox or the
-//! delivery heap. At the end of each phase every shard flushes its staging
-//! buffers into the destinations' mutex-guarded inbound queues; at the
+//! A post whose recipient lives in another shard goes to a per-destination
+//! staging buffer instead of a local mail list or the delivery heap. At the
+//! end of each phase every shard flushes its staging buffers into the
+//! destinations' mutex-guarded inbound queues; at the
 //! start of the next phase each shard swaps its own queue out against an
 //! empty buffer it keeps for the purpose (so no round allocates a fresh
-//! queue) and drains it into its `next` mailbox — or, under faults, its
-//! delivery heap (a staged copy is due no earlier than the next round, so
-//! it never arrives late). Every slot is written at most once per round
-//! (the sender-side stamp guarantees it), worklists are sorted before
-//! polling, and the heap pops in `(due, slot, posted)` order, so the drain
-//! order — the only thing scheduling can vary — is unobservable.
+//! queue) and drains it into its recipients' next-round mail lists — or,
+//! under faults, its delivery heap (a staged copy is due no earlier than
+//! the next round, so it never arrives late). Every slot is written at most
+//! once per round (the sender-side stamp guarantees it), a recipient's list
+//! is handed over in slot order, worklists come out of the queued set in
+//! ascending node order, and the heap pops in `(due, slot, posted)` order,
+//! so the drain order — the only thing scheduling can vary — is
+//! unobservable.
 //!
 //! # Lockstep without a coordinator
 //!
@@ -58,7 +62,19 @@ use crate::{
     SimOutcome, SimStats,
 };
 
-use super::{build_contexts, record_run, Calendar, Topology};
+use super::{build_contexts, record_run, Calendar, NodeSet, Topology};
+
+/// The end of a mail list.
+const NIL: u32 = u32::MAX;
+
+/// One delivered message of a round: the recipient-side slot it arrived
+/// on, the next entry of the same recipient's list, and the payload (taken
+/// when the recipient is polled).
+struct Mail<M> {
+    slot: u32,
+    link: u32,
+    msg: Option<M>,
+}
 
 /// One shard's report at the end of a phase. Every store happens before
 /// the phase's barrier and every load after it, and `Barrier::wait`
@@ -113,26 +129,31 @@ struct Shard<P: NodeProtocol> {
     id: usize,
     /// First node id (the shard owns `node_lo..node_lo + nodes.len()`).
     node_lo: usize,
-    /// First CSR slot (the shard owns `slot_lo..slot_lo + cur.len()`).
+    /// First CSR slot (the shard owns `slot_lo..slot_lo + stamp.len()`).
     slot_lo: usize,
     nodes: Vec<P>,
-    /// Messages being delivered this round, one slot per directed edge.
-    cur: Vec<Option<P::Message>>,
-    /// Messages accumulating for the next round.
-    next: Vec<Option<P::Message>>,
+    /// The messages delivered this round, in arrival order; each local
+    /// recipient's entries form one list starting at `head_cur`.
+    mail_cur: Vec<Mail<P::Message>>,
+    /// The messages accumulating for the next round, listed from
+    /// `head_next`. Both buffers keep their capacity, so they grow to the
+    /// busiest round's traffic and no later round allocates.
+    mail_next: Vec<Mail<P::Message>>,
+    /// First mail entry per local recipient (`NIL` = none), current and
+    /// next round. Polling a recipient empties its list.
+    head_cur: Vec<u32>,
+    head_next: Vec<u32>,
     /// Round of the last post per *sender-side* CSR position (`u64::MAX` =
     /// never); posting twice in one round is the duplicate-send error.
     stamp: Vec<u64>,
-    /// Pending mailbox messages per local recipient, current/next round.
-    inbox_cur: Vec<u32>,
-    inbox_next: Vec<u32>,
-    /// Whether a local node is already on `worklist_next`.
-    queued: Vec<bool>,
-    /// Nodes to poll this round (sorted before polling).
-    worklist_cur: Vec<u32>,
-    /// Nodes to poll next round: mail recipients plus nodes that reported
-    /// pending work after their last poll.
-    worklist_next: Vec<u32>,
+    /// Nodes to poll next round (local indices): mail recipients plus nodes
+    /// that reported pending work after their last poll.
+    queued: NodeSet,
+    /// Nodes to poll this round, in ascending order.
+    worklist: Vec<u32>,
+    /// `(slot, entry)` pairs of the recipient being drained, when it has two
+    /// or more messages to put in slot order.
+    order: Vec<(u32, u32)>,
     wakes: Calendar,
     /// Outbound staging, one buffer per destination shard.
     staging: Vec<Vec<Delayed<P::Message>>>,
@@ -194,14 +215,14 @@ impl<P: NodeProtocol> Shard<P> {
             node_lo: range.start,
             slot_lo,
             nodes,
-            cur: (0..slots).map(|_| None).collect(),
-            next: (0..slots).map(|_| None).collect(),
+            mail_cur: Vec::new(),
+            mail_next: Vec::new(),
+            head_cur: vec![NIL; range.len()],
+            head_next: vec![NIL; range.len()],
             stamp: vec![u64::MAX; slots],
-            inbox_cur: vec![0; range.len()],
-            inbox_next: vec![0; range.len()],
-            queued: vec![false; range.len()],
-            worklist_cur: Vec::new(),
-            worklist_next: Vec::new(),
+            queued: NodeSet::new(range.len()),
+            worklist: Vec::new(),
+            order: Vec::new(),
             wakes: Calendar::new(),
             staging: (0..plane.map.shard_count()).map(|_| Vec::new()).collect(),
             inbound: Vec::new(),
@@ -226,22 +247,24 @@ impl<P: NodeProtocol> Shard<P> {
 
     /// Schedules `node` for the next round (idempotent).
     fn queue(&mut self, node: usize) {
-        let local = node - self.node_lo;
-        if !self.queued[local] {
-            self.queued[local] = true;
-            self.worklist_next.push(node as u32);
-        }
+        self.queued.insert(node - self.node_lo);
     }
 
-    /// Stores a message for a local node in the next-round mailbox (forced
-    /// inline: it runs once per message).
+    /// Appends a message for a local node to its next-round mail list
+    /// (forced inline: it runs once per message).
     #[inline(always)]
     fn mail(&mut self, slot: u32, to: usize, bits: u64, msg: P::Message) {
-        self.next[slot as usize - self.slot_lo] = Some(msg);
-        self.inbox_next[to - self.node_lo] += 1;
+        let local = to - self.node_lo;
+        let entry = u32::try_from(self.mail_next.len()).expect("a round's mail fits in 32 bits");
+        let link = std::mem::replace(&mut self.head_next[local], entry);
+        self.mail_next.push(Mail {
+            slot,
+            link,
+            msg: Some(msg),
+        });
         self.in_flight_next += 1;
         self.bits_next += bits;
-        self.queue(to);
+        self.queued.insert(local);
     }
 
     /// Files a fault-mode copy: into this shard's delivery heap for a local
@@ -255,7 +278,7 @@ impl<P: NodeProtocol> Shard<P> {
     }
 
     /// Validates and counts one outgoing message, then routes it: to the
-    /// local mailbox, to another shard's staging buffer, or through the
+    /// local mail lists, to another shard's staging buffer, or through the
     /// fault stage ([`Shard::inject`]). Forced inline (it runs once per
     /// message), with the fault stage kept out of line.
     #[inline(always)]
@@ -404,8 +427,8 @@ impl<P: NodeProtocol> Shard<P> {
     }
 
     /// Drains the mail other shards staged for this one in the previous
-    /// phase: into the next-round mailbox, or under faults into the
-    /// delivery heap.
+    /// phase: into the recipients' next-round mail lists, or under faults
+    /// into the delivery heap.
     fn merge_inbound(&mut self, phase: u64, plane: &Plane<'_, P::Message>) {
         let mut staged = std::mem::take(&mut self.inbound);
         std::mem::swap(
@@ -469,24 +492,23 @@ impl<P: NodeProtocol> Shard<P> {
         }
     }
 
-    /// Flips the next-round buffers in as the current round. The new
-    /// worklist is sorted for deterministic polling order and its nodes'
-    /// `queued` flags are cleared so they can be re-scheduled.
+    /// Flips the next-round mail in as the current round and emits the
+    /// queued nodes as the round's worklist, ascending, leaving the queued
+    /// set empty for the next round. The last round's entries were all
+    /// taken when their recipients were polled.
     fn begin_round(&mut self) {
-        std::mem::swap(&mut self.cur, &mut self.next);
-        std::mem::swap(&mut self.inbox_cur, &mut self.inbox_next);
-        std::mem::swap(&mut self.worklist_cur, &mut self.worklist_next);
-        self.worklist_next.clear();
-        for &v in &self.worklist_cur {
-            self.queued[v as usize - self.node_lo] = false;
-        }
-        self.worklist_cur.sort_unstable();
+        std::mem::swap(&mut self.mail_cur, &mut self.mail_next);
+        std::mem::swap(&mut self.head_cur, &mut self.head_next);
+        self.mail_next.clear();
+        self.worklist.clear();
+        self.queued.drain_into(self.node_lo, &mut self.worklist);
         self.last_delivered = std::mem::take(&mut self.in_flight_next);
         self.last_bits = std::mem::take(&mut self.bits_next);
     }
 
     /// Moves node `idx`'s mail for this round into `scratch`: its round
-    /// inbox under faults, its mailbox slots otherwise.
+    /// inbox under faults, its mail list otherwise, put in slot order (the
+    /// node's CSR neighbor order) when it holds two or more messages.
     fn drain_into(&mut self, idx: usize, topo: &Topology, ctx: &NodeContext<'_>, faulty: bool) {
         self.scratch.clear();
         let local = idx - self.node_lo;
@@ -494,23 +516,37 @@ impl<P: NodeProtocol> Shard<P> {
             std::mem::swap(&mut self.scratch, &mut self.inboxes[local]);
             return;
         }
-        if self.inbox_cur[local] == 0 {
+        let head = std::mem::replace(&mut self.head_cur[local], NIL);
+        if head == NIL {
             return;
         }
-        let base = topo.offset[idx] as usize;
-        let end = topo.offset[idx + 1] as usize;
+        let base = topo.offset[idx];
         let neighbors = ctx.neighbor_ids();
         let edges = ctx.incident_edge_ids();
-        for p in base..end {
-            if let Some(msg) = self.cur[p - self.slot_lo].take() {
-                self.scratch.push(Incoming {
-                    from: neighbors[p - base],
-                    edge: edges[p - base],
-                    msg,
-                });
-            }
+        let deliver = |mail: &mut Mail<P::Message>, scratch: &mut Vec<Incoming<P::Message>>| {
+            let k = (mail.slot - base) as usize;
+            scratch.push(Incoming {
+                from: neighbors[k],
+                edge: edges[k],
+                msg: mail.msg.take().expect("each mail entry is delivered once"),
+            });
+        };
+        let first = &mut self.mail_cur[head as usize];
+        if first.link == NIL {
+            deliver(first, &mut self.scratch);
+            return;
         }
-        self.inbox_cur[local] = 0;
+        self.order.clear();
+        let mut entry = head;
+        while entry != NIL {
+            let mail = &self.mail_cur[entry as usize];
+            self.order.push((mail.slot, entry));
+            entry = mail.link;
+        }
+        self.order.sort_unstable();
+        for &(_, entry) in &self.order {
+            deliver(&mut self.mail_cur[entry as usize], &mut self.scratch);
+        }
     }
 
     /// Phase 0: `init` every node of the shard in node order (crashed
@@ -549,20 +585,14 @@ impl<P: NodeProtocol> Shard<P> {
         if plane.map.shard_count() > 1 {
             self.merge_inbound(round, plane);
         }
-        let node_lo = self.node_lo;
-        let (queued, worklist) = (&mut self.queued, &mut self.worklist_next);
-        self.wakes.fire(round, |node| {
-            if !queued[node - node_lo] {
-                queued[node - node_lo] = true;
-                worklist.push(node as u32);
-            }
-        });
+        let (node_lo, queued) = (self.node_lo, &mut self.queued);
+        self.wakes.fire(round, |node| queued.insert(node - node_lo));
         if let Some(fs) = fault {
             self.deliver_due(round, fs, plane);
         }
         self.begin_round();
         let restart = fault.and_then(FaultState::restart_local_round);
-        let worklist = std::mem::take(&mut self.worklist_cur);
+        let worklist = std::mem::take(&mut self.worklist);
         for &vi in &worklist {
             let idx = vi as usize;
             let local = idx - self.node_lo;
@@ -599,7 +629,7 @@ impl<P: NodeProtocol> Shard<P> {
             }
             self.schedule(local, round, fault);
         }
-        self.worklist_cur = worklist;
+        self.worklist = worklist;
     }
 
     /// Runs phases in lockstep with the other shards until every shard
@@ -634,7 +664,7 @@ impl<P: NodeProtocol> Shard<P> {
             let status = &statuses[self.id];
             status.busy.store(
                 staged
-                    || !self.worklist_next.is_empty()
+                    || !self.queued.is_empty()
                     || !self.wakes.is_empty()
                     || !self.heap.is_empty(),
                 Relaxed,

@@ -2,17 +2,22 @@
 //!
 //! # Hot-path layout
 //!
-//! The round loop is allocation-free after setup. Messages live in two
-//! *edge-slot* buffers with one slot per directed edge, laid out in the
-//! graph's CSR order: the slot for a message delivered to `v` from `u` is
-//! `u`'s position within `v`'s adjacency slice. Delivering to a node is a
-//! linear scan of its contiguous slots; posting is an `O(1)` store through
-//! the precomputed `mirror` array (sender-side position → recipient-side
-//! slot). One slot per directed edge per round is exactly the CONGEST
-//! constraint, so a per-slot round stamp doubles as the duplicate-send
-//! check. An active-set worklist schedules only nodes that received a
-//! message or reported pending work — see [`NodeProtocol::is_done`] for the
-//! quiescence contract that makes skipping idle nodes semantics-preserving.
+//! The round loop is allocation-free after setup. A round's messages live
+//! in one entry buffer per shard, threaded into one list per recipient:
+//! posting appends an entry and makes it the recipient's list head, and
+//! polling a recipient walks its list, putting two or more messages in slot
+//! order — the recipient's CSR neighbor order — before the protocol sees
+//! them. The buffers keep their capacity, so they grow to the busiest
+//! round's traffic, not to one slot per directed edge. A message's slot is
+//! the sender's position in the recipient's adjacency slice, found in
+//! `O(1)` through the precomputed `mirror` array (sender-side position →
+//! recipient-side slot). One message per directed edge per round is exactly
+//! the CONGEST constraint, so a per-position round stamp doubles as the
+//! duplicate-send check. An active-set worklist schedules only nodes that
+//! received a message or reported pending work — see
+//! [`NodeProtocol::is_done`] for the quiescence contract that makes
+//! skipping idle nodes semantics-preserving — and a round polls them in
+//! ascending node order, read off a bitset.
 //!
 //! # Shards
 //!
@@ -59,7 +64,7 @@ pub struct SimConfig {
     /// runs the fault-free round loop; an active plan adds the fault stage,
     /// which routes every delivery through a per-shard delivery queue
     /// ordered by `(due, slot, posted)` that feeds per-node round inboxes
-    /// instead of the edge-slot mailboxes. Every decision is a pure
+    /// instead of the per-recipient mail lists. Every decision is a pure
     /// function of the plan, so every shard count injects identical faults
     /// and determinism across thread counts is preserved. See
     /// [`crate::FaultPlan`].
@@ -589,6 +594,69 @@ mod tests {
             assert!(outcome.nodes[1].woken);
             assert_eq!(outcome.nodes[2].polls, 0);
             assert_eq!(outcome.nodes[3].polls, 0);
+        }
+    }
+
+    /// A recipient's messages arrive in its CSR neighbor order, whatever
+    /// order their senders were polled in and whichever shard they ran on:
+    /// a hub whose adjacency lists its leaves out of id order hears every
+    /// leaf in one round and sees the senders exactly as `neighbor_ids`.
+    #[test]
+    fn incoming_follows_the_csr_neighbor_order() {
+        #[derive(Debug)]
+        struct Hub {
+            hub: NodeId,
+            heard: Vec<NodeId>,
+            order: Vec<NodeId>,
+        }
+        impl NodeProtocol for Hub {
+            type Message = u32;
+            fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<u32>>) {
+                if ctx.node == self.hub {
+                    self.order = ctx.neighbor_ids().to_vec();
+                } else {
+                    out.push(Outgoing::new(self.hub, ctx.node.index() as u32));
+                }
+            }
+            fn on_round(
+                &mut self,
+                _: &NodeContext<'_>,
+                _: u64,
+                incoming: &[Incoming<u32>],
+                _: &mut Vec<Outgoing<u32>>,
+            ) {
+                for msg in incoming {
+                    assert_eq!(msg.msg as usize, msg.from.index());
+                    self.heard.push(msg.from);
+                }
+            }
+            fn is_done(&self) -> bool {
+                true
+            }
+        }
+        let hub = NodeId::new(4);
+        let leaves = [8usize, 1, 6, 0, 3, 7, 2, 5];
+        let edges: Vec<(NodeId, NodeId)> = leaves.iter().map(|&v| (hub, NodeId::new(v))).collect();
+        let g = lcs_graph::Graph::from_edges(9, &edges).unwrap();
+        let expected: Vec<NodeId> = leaves.iter().map(|&v| NodeId::new(v)).collect();
+        assert_eq!(
+            g.neighbor_ids(hub),
+            &expected[..],
+            "adjacency keeps insertion order"
+        );
+        for threads in [1usize, 2, 3] {
+            let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(threads));
+            let outcome = sim
+                .run(|_| Hub {
+                    hub,
+                    heard: Vec::new(),
+                    order: Vec::new(),
+                })
+                .unwrap();
+            let node = &outcome.nodes[hub.index()];
+            assert_eq!(outcome.stats.rounds, 1, "threads={threads}");
+            assert_eq!(node.heard, node.order, "threads={threads}");
+            assert_eq!(node.heard, expected, "threads={threads}");
         }
     }
 

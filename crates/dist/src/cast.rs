@@ -49,7 +49,7 @@ impl NodeProgram for CastProgram {
 
     fn contribution(
         &mut self,
-        _info: &NodeInfo,
+        _info: &NodeInfo<'_>,
         _member: usize,
         own: bool,
         _step: u64,
@@ -71,7 +71,7 @@ impl NodeProgram for CastProgram {
 
     fn on_agreed(
         &mut self,
-        _info: &NodeInfo,
+        _info: &NodeInfo<'_>,
         member: usize,
         own: bool,
         val: &Option<u64>,
@@ -85,14 +85,14 @@ impl NodeProgram for CastProgram {
 
     fn cross_message(
         &mut self,
-        _info: &NodeInfo,
+        _info: &NodeInfo<'_>,
         _to: lcs_graph::NodeId,
         _step: u64,
     ) -> Option<()> {
         None
     }
 
-    fn on_cross(&mut self, _info: &NodeInfo, _from: lcs_graph::NodeId, _msg: (), _step: u64) {}
+    fn on_cross(&mut self, _info: &NodeInfo<'_>, _from: lcs_graph::NodeId, _msg: (), _step: u64) {}
 
     fn val_bits(&self) -> usize {
         1 + 64
@@ -121,7 +121,7 @@ fn run_cast(
         broadcast_down,
     };
     let obs = lcs_obs::Obs::off();
-    let outcome = run_engine(graph, family, spec, config, &obs, |info: &NodeInfo| {
+    let outcome = run_engine(graph, family, spec, config, &obs, |info: &NodeInfo<'_>| {
         CastProgram {
             value: values[info.node.index()],
             op,

@@ -29,9 +29,6 @@
 //! into a [`NodeProtocol`] and runs it in the CONGEST simulator with the
 //! per-edge bandwidth enforced on every message.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use lcs_congest::{
     bits_for_count, Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing, SimConfig,
     SimOutcome, Simulator,
@@ -62,17 +59,30 @@ pub(crate) trait NodeProgram: Send {
     /// superstep `step`. Memberships with `own` false are relay-only (the
     /// node is a Steiner node or a member of another part there) and
     /// contribute an identity element.
-    fn contribution(&mut self, info: &NodeInfo, member: usize, own: bool, step: u64) -> Self::Val;
+    fn contribution(
+        &mut self,
+        info: &NodeInfo<'_>,
+        member: usize,
+        own: bool,
+        step: u64,
+    ) -> Self::Val;
     /// Associative, commutative combination of contributions.
     fn combine(&self, step: u64, a: &Self::Val, b: &Self::Val) -> Self::Val;
     /// The node learned the combined value of membership `member`'s block
     /// for superstep `step`; `own` as in [`NodeProgram::contribution`].
-    fn on_agreed(&mut self, info: &NodeInfo, member: usize, own: bool, val: &Self::Val, step: u64);
+    fn on_agreed(
+        &mut self,
+        info: &NodeInfo<'_>,
+        member: usize,
+        own: bool,
+        val: &Self::Val,
+        step: u64,
+    );
     /// The cross message to send to same-part neighbor `to` after superstep
     /// `step`, or `None` to stay silent on that edge.
-    fn cross_message(&mut self, info: &NodeInfo, to: NodeId, step: u64) -> Option<Self::Cross>;
+    fn cross_message(&mut self, info: &NodeInfo<'_>, to: NodeId, step: u64) -> Option<Self::Cross>;
     /// A cross message from `from`, sent after superstep `step`.
-    fn on_cross(&mut self, info: &NodeInfo, from: NodeId, msg: Self::Cross, step: u64);
+    fn on_cross(&mut self, info: &NodeInfo<'_>, from: NodeId, msg: Self::Cross, step: u64);
     /// Declared encoded size of a block value in bits.
     fn val_bits(&self) -> usize;
     /// Declared encoded size of a cross payload in bits.
@@ -131,26 +141,40 @@ struct Run<V> {
 }
 
 impl<V> Run<V> {
-    /// One run per membership of `info`, in the memberships' ascending
-    /// block order (which `membership_of` binary-searches).
-    fn for_node(info: &NodeInfo) -> Vec<Self> {
-        info.memberships
-            .iter()
-            .enumerate()
-            .map(|(i, m)| Run {
-                block: u32::try_from(m.block).expect("block ids fit in 32 bits"),
-                root_depth: m.root_depth,
-                parent: m.parent,
-                children: u32::try_from(m.children.len()).expect("child counts fit in 32 bits"),
-                is_root: m.is_root,
-                own: info.own_membership == Some(i),
-                sent_up: false,
-                pending: 0,
-                acc: None,
-                agreed: None,
-            })
-            .collect()
+    /// The run of `info`'s membership `i`.
+    fn new(info: &NodeInfo<'_>, i: usize) -> Self {
+        let m = &info.memberships[i];
+        Run {
+            block: u32::try_from(m.block).expect("block ids fit in 32 bits"),
+            root_depth: m.root_depth,
+            parent: m.parent,
+            children: u32::try_from(info.children(i).len()).expect("child counts fit in 32 bits"),
+            is_root: m.is_root,
+            own: info.own_membership == Some(i),
+            sent_up: false,
+            pending: 0,
+            acc: None,
+            agreed: None,
+        }
     }
+}
+
+/// A ready membership's Lemma 2 priority `(root_depth, block)` plus its
+/// membership index.
+type Ready = (u32, u32, u32);
+
+/// A fault-free mirrored broadcast send: `(send round, membership, child)`.
+type Down = (u64, u32, NodeId);
+
+/// Inserts `key` into `ready[..*len]`, kept in descending order so the next
+/// pick is the last entry. `ready` has room for every membership, and a
+/// membership becomes ready at most once per superstep.
+fn push_ready(ready: &mut [Ready], len: &mut u32, key: Ready) {
+    let n = *len as usize;
+    let at = ready[..n].partition_point(|&k| k > key);
+    ready.copy_within(at..n, at + 1);
+    ready[at] = key;
+    *len += 1;
 }
 
 /// Fault mode only: the delivery bookkeeping of one membership, reset at
@@ -219,20 +243,113 @@ pub(crate) fn engine_rounds(l: u64, spec: EngineSpec) -> u64 {
     (spec.steps - 1) * window + last
 }
 
+/// The per-membership engine state of one run, in node order: node `v`'s
+/// runs and ready entries sit at the family's `member_span(v)`, its
+/// mirrored sends at its `child_span(v)`. Built once per run, three
+/// allocations whatever the family's size. A run whose fault plan restarts
+/// crashed nodes keeps a second copy of all three for the spare nodes the
+/// simulator builds after every node.
+struct Arenas<V> {
+    runs: Vec<Run<V>>,
+    ready: Vec<Ready>,
+    downs: Vec<Down>,
+}
+
+impl<V: Clone> Arenas<V> {
+    fn new(family: &BlockFamily, spares: bool) -> Self {
+        let copies = if spares { 2 } else { 1 };
+        let mut runs = Vec::with_capacity(copies * family.membership_count());
+        for v in 0..family.node_count() {
+            let info = family.info(NodeId::new(v));
+            runs.extend((0..info.memberships.len()).map(|i| Run::new(&info, i)));
+        }
+        if spares {
+            runs.extend_from_within(..);
+        }
+        Arenas {
+            runs,
+            ready: vec![(0, 0, 0); copies * family.membership_count()],
+            downs: vec![(0, 0, NodeId::new(0)); copies * family.child_count()],
+        }
+    }
+}
+
+/// One node's rows of the [`Arenas`].
+struct NodeRows<'a, V> {
+    runs: &'a mut [Run<V>],
+    ready: &'a mut [Ready],
+    downs: &'a mut [Down],
+}
+
+/// Hands out one copy of the [`Arenas`] row by row, in ascending node order.
+struct RowCursor<'a, V> {
+    runs: &'a mut [Run<V>],
+    ready: &'a mut [Ready],
+    downs: &'a mut [Down],
+    /// The membership and child positions the slices above start at.
+    member_at: usize,
+    child_at: usize,
+}
+
+impl<'a, V> RowCursor<'a, V> {
+    fn new(runs: &'a mut [Run<V>], ready: &'a mut [Ready], downs: &'a mut [Down]) -> Self {
+        RowCursor {
+            runs,
+            ready,
+            downs,
+            member_at: 0,
+            child_at: 0,
+        }
+    }
+
+    /// Node `v`'s rows, skipping the rows of the nodes since the last call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` does not come after every node taken before.
+    fn take(&mut self, family: &BlockFamily, v: NodeId) -> NodeRows<'a, V> {
+        let members = family.member_span(v);
+        let children = family.child_span(v);
+        let skip = members
+            .start
+            .checked_sub(self.member_at)
+            .expect("rows are taken in ascending node order");
+        let child_skip = children.start - self.child_at;
+        self.member_at = members.end;
+        self.child_at = children.end;
+        NodeRows {
+            runs: carve(&mut self.runs, skip, members.len()),
+            ready: carve(&mut self.ready, skip, members.len()),
+            downs: carve(&mut self.downs, child_skip, children.len()),
+        }
+    }
+}
+
+/// Splits `len` items off the front of `rest` after dropping `skip`.
+fn carve<'a, T>(rest: &mut &'a mut [T], skip: usize, len: usize) -> &'a mut [T] {
+    let (_, tail) = std::mem::take(rest).split_at_mut(skip);
+    let (row, tail) = tail.split_at_mut(len);
+    *rest = tail;
+    row
+}
+
 /// The engine as a per-node CONGEST protocol.
 ///
 /// Apart from the reset at each window boundary, a fault-free poll costs
 /// the same however many blocks the node serves: the next block to forward
-/// comes off the `ready` heap, the mirrored broadcast sends come off the
+/// is the last `ready` entry, the mirrored broadcast sends come off the
 /// `downs` stack, and nothing scans the memberships. Nor does such a poll
 /// chase the family's records: the node's [`Run`]s carry the static fields
 /// of its memberships, and the run's constants sit in one [`Shape`] every
-/// node borrows. The family's [`NodeInfo`] is read only by the programs
-/// and at cross rounds.
+/// node borrows. `runs`, `ready` and `downs` are the node's rows of three
+/// arenas that `run_engine` lays out once per run in node order
+/// ([`Arenas`]), so consecutive polls read consecutive memory. The
+/// family's [`NodeInfo`] is read only by the programs and at cross rounds.
 #[derive(Debug)]
 pub(crate) struct EngineNode<'a, P: NodeProgram> {
     program: P,
-    info: &'a NodeInfo,
+    family: &'a BlockFamily,
+    node: NodeId,
     shape: &'a Shape,
     up_bits: u32,
     cross_msg_bits: u32,
@@ -240,16 +357,23 @@ pub(crate) struct EngineNode<'a, P: NodeProgram> {
     has_part_neighbors: bool,
     finished: bool,
     step: u64,
-    runs: Vec<Run<P::Val>>,
+    /// One run per membership, in the memberships' ascending block order
+    /// (which `membership_of` binary-searches).
+    runs: &'a mut [Run<P::Val>],
     /// Memberships ready to forward upward this superstep (not the block
-    /// root, every in-block child heard, not yet sent), keyed by the
-    /// Lemma 2 priority `(root_depth, block)` plus the membership index.
-    ready: BinaryHeap<Reverse<(u32, u32, u32)>>,
-    /// Fault-free broadcast schedule: `(send round, membership, child)`
-    /// for each upward delivery of this superstep, pushed in arrival
-    /// order. Arrival rounds only grow, so the mirrored send rounds only
-    /// shrink and the top of the stack is always the next send.
-    downs: Vec<(u64, u32, NodeId)>,
+    /// root, every in-block child heard, not yet sent): `ready[..ready_len]`
+    /// in descending order of the Lemma 2 priority `(root_depth, block)`
+    /// plus the membership index, so the pick is a pop from the end. One
+    /// entry per membership of room.
+    ready: &'a mut [Ready],
+    ready_len: u32,
+    /// Fault-free broadcast schedule, `downs[..downs_len]`: one entry for
+    /// each upward delivery of this superstep, pushed in arrival order.
+    /// Arrival rounds only grow, so the mirrored send rounds only shrink
+    /// and the top of the stack is always the next send. One entry per
+    /// in-block child of room, summed over the memberships.
+    downs: &'a mut [Down],
+    downs_len: u32,
     /// Fault mode only: one record per membership, parallel to `runs`;
     /// empty in fault-free runs.
     fault: Vec<FaultRun>,
@@ -261,10 +385,11 @@ type Outbox<P> = Vec<Outgoing<EngineMsg<<P as NodeProgram>::Val, <P as NodeProgr
 impl<'a, P: NodeProgram> EngineNode<'a, P> {
     fn new(
         program: P,
-        info: &'a NodeInfo,
+        family: &'a BlockFamily,
+        info: &NodeInfo<'a>,
         shape: &'a Shape,
-        up_bits: u32,
-        cross_msg_bits: u32,
+        rows: NodeRows<'a, P::Val>,
+        (up_bits, cross_msg_bits): (u32, u32),
     ) -> Self {
         let fault = if shape.faulty {
             vec![FaultRun::default(); info.memberships.len()]
@@ -273,18 +398,26 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         };
         EngineNode {
             program,
-            info,
+            family,
+            node: info.node,
             shape,
             up_bits,
             cross_msg_bits,
             has_part_neighbors: !info.part_neighbors.is_empty(),
             finished: false,
             step: 0,
-            runs: Run::for_node(info),
-            ready: BinaryHeap::new(),
-            downs: Vec::new(),
+            runs: rows.runs,
+            ready: rows.ready,
+            ready_len: 0,
+            downs: rows.downs,
+            downs_len: 0,
             fault,
         }
+    }
+
+    /// The node's view of the family, for the program's callbacks.
+    fn info(&self) -> NodeInfo<'a> {
+        self.family.info(self.node)
     }
 
     fn base(&self) -> u64 {
@@ -301,11 +434,11 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
 
     fn start_superstep(&mut self) {
         let step = self.step;
-        let info = self.info;
-        self.ready.clear();
-        self.downs.clear();
+        let info = self.info();
+        self.ready_len = 0;
+        self.downs_len = 0;
         for (i, run) in self.runs.iter_mut().enumerate() {
-            let contribution = self.program.contribution(info, i, run.own, step);
+            let contribution = self.program.contribution(&info, i, run.own, step);
             run.pending = run.children;
             run.acc = Some(contribution);
             run.sent_up = false;
@@ -321,16 +454,20 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
                     let val = run
                         .agreed
                         .insert(run.acc.clone().expect("contribution just set"));
-                    self.program.on_agreed(info, i, run.own, val, step);
+                    self.program.on_agreed(&info, i, run.own, val, step);
                 } else {
-                    self.ready
-                        .push(Reverse((run.root_depth, run.block, i as u32)));
+                    // Sorted once below: every membership starts unready.
+                    self.ready[self.ready_len as usize] = (run.root_depth, run.block, i as u32);
+                    self.ready_len += 1;
                 }
             }
         }
+        self.ready[..self.ready_len as usize].sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    fn handle_up(&mut self, from: NodeId, block: u32, val: P::Val, round: u64) {
+    /// Folds an upward value from in-block child `from` into the run of
+    /// `block`, combining it by reference.
+    fn handle_up(&mut self, from: NodeId, block: u32, val: &P::Val, round: u64) {
         let step = self.step;
         let shape = self.shape;
         let idx = self.membership_of(block);
@@ -348,7 +485,7 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         }
         let run = &mut self.runs[idx];
         let acc = run.acc.take().expect("superstep started");
-        run.acc = Some(self.program.combine(step, &acc, &val));
+        run.acc = Some(self.program.combine(step, &acc, val));
         run.pending = run
             .pending
             .checked_sub(1)
@@ -356,38 +493,41 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         if shape.faulty {
             self.fault[idx].heard.push(from);
         } else if shape.broadcast_down {
-            self.downs
-                .push((base + 2 * shape.l - rel, idx as u32, from));
+            self.downs[self.downs_len as usize] = (base + 2 * shape.l - rel, idx as u32, from);
+            self.downs_len += 1;
         }
         if run.pending == 0 {
             if run.is_root {
+                let info = self.family.info(self.node);
                 let agreed = run.agreed.insert(run.acc.clone().expect("set above"));
-                self.program
-                    .on_agreed(self.info, idx, run.own, agreed, step);
+                self.program.on_agreed(&info, idx, run.own, agreed, step);
             } else {
-                self.ready
-                    .push(Reverse((run.root_depth, run.block, idx as u32)));
+                let key = (run.root_depth, run.block, idx as u32);
+                push_ready(self.ready, &mut self.ready_len, key);
             }
         }
     }
 
-    fn handle_down(&mut self, block: u32, val: P::Val) {
+    fn handle_down(&mut self, block: u32, val: &P::Val) {
         let idx = self.membership_of(block);
-        let run = &mut self.runs[idx];
-        if self.shape.faulty && run.agreed.is_some() {
+        if self.shape.faulty && self.runs[idx].agreed.is_some() {
             return; // duplicated or resent copy — already agreed
         }
-        let agreed = run.agreed.insert(val);
+        let info = self.info();
+        let run = &mut self.runs[idx];
+        let agreed = run.agreed.insert(val.clone());
         self.program
-            .on_agreed(self.info, idx, run.own, agreed, self.step);
+            .on_agreed(&info, idx, run.own, agreed, self.step);
     }
 
     /// Forwards the highest-priority ready block to its parent, if any (the
     /// Lemma 2 greedy rule: shallowest block root, ties by block index).
     fn send_up(&mut self, out: &mut Outbox<P>) {
-        let Some(Reverse((_, block, i))) = self.ready.pop() else {
+        if self.ready_len == 0 {
             return;
-        };
+        }
+        self.ready_len -= 1;
+        let (_, block, i) = self.ready[self.ready_len as usize];
         let run = &mut self.runs[i as usize];
         let parent = run.parent.expect("non-root memberships have parents");
         run.sent_up = true;
@@ -407,10 +547,10 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         if !self.has_part_neighbors {
             return;
         }
-        let info = self.info;
+        let info = self.info();
         let step = self.step;
-        for &(to, _) in &info.part_neighbors {
-            if let Some(msg) = self.program.cross_message(info, to, step) {
+        for &(to, _) in info.part_neighbors {
+            if let Some(msg) = self.program.cross_message(&info, to, step) {
                 out.push(Outgoing::new(
                     to,
                     EngineMsg {
@@ -435,12 +575,12 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         // Broadcast slot: mirror this superstep's upward deliveries. The
         // sends due now sit on top of the stack in arrival order; they go
         // out in membership order, then arrival order.
-        let due = self
-            .downs
+        let len = self.downs_len as usize;
+        let due = self.downs[..len]
             .iter()
             .rposition(|&(at, ..)| at > round)
             .map_or(0, |p| p + 1);
-        let sends = &mut self.downs[due..];
+        let sends = &mut self.downs[due..len];
         debug_assert!(
             sends.iter().all(|&(at, ..)| at == round),
             "mirror send skipped"
@@ -464,7 +604,7 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
                 },
             ));
         }
-        self.downs.truncate(due);
+        self.downs_len = due as u32;
 
         // Cross round: the supergraph step, skipped after the last superstep.
         if shape.broadcast_down && round == base + 2 * shape.l && self.step + 1 < shape.steps {
@@ -488,7 +628,7 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         let base = self.base();
         let tree_end = base + 2 * shape.l;
         let step_tag = self.step as u32;
-        let info = self.info;
+        let info = self.info();
         // Every tree message of this poll is in `out` (which arrives
         // empty), so it doubles as the set of edges already used.
         let used = |out: &Outbox<P>, to: NodeId| out.iter().any(|o| o.to == to);
@@ -498,11 +638,11 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
             self.send_up(out);
             // First-time Downs: at most one per child edge per poll.
             if shape.broadcast_down {
-                for (i, m) in info.memberships.iter().enumerate() {
+                for i in 0..info.memberships.len() {
                     let Some(agreed) = &self.runs[i].agreed else {
                         continue;
                     };
-                    for (ci, &child) in m.children.iter().enumerate() {
+                    for (ci, &child) in info.children(i).iter().enumerate() {
                         if self.fault[i].downs_sent[ci] || used(out, child) {
                             continue;
                         }
@@ -547,8 +687,7 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
                         }
                     }
                     if let (true, Some(agreed)) = (shape.broadcast_down, &run.agreed) {
-                        let children = &info.memberships[i].children;
-                        for (ci, &child) in children.iter().enumerate() {
+                        for (ci, &child) in info.children(i).iter().enumerate() {
                             if self.fault[i].downs_sent[ci] && !used(out, child) {
                                 out.push(Outgoing::new(
                                     child,
@@ -609,7 +748,6 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         if shape.steps == 0 {
             return;
         }
-        let info = self.info;
         if shape.faulty {
             // Catch up on window boundaries first (deliveries always land
             // strictly before their window's boundary, so nothing here can
@@ -621,16 +759,15 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
                 self.start_superstep();
             }
             let step = self.step;
+            let info = self.info();
             for msg in incoming {
                 if msg.msg.step != step as u32 {
                     continue;
                 }
                 match &msg.msg.payload {
-                    Payload::Up { block, val } => {
-                        self.handle_up(msg.from, *block, val.clone(), round)
-                    }
-                    Payload::Down { block, val } => self.handle_down(*block, val.clone()),
-                    Payload::Cross(c) => self.program.on_cross(info, msg.from, c.clone(), step),
+                    Payload::Up { block, val } => self.handle_up(msg.from, *block, val, round),
+                    Payload::Down { block, val } => self.handle_down(*block, val),
+                    Payload::Cross(c) => self.program.on_cross(&info, msg.from, c.clone(), step),
                 }
             }
             if round >= shape.total_rounds {
@@ -643,8 +780,8 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         // messages arrive exactly at window boundaries.
         for msg in incoming {
             match &msg.msg.payload {
-                Payload::Up { block, val } => self.handle_up(msg.from, *block, val.clone(), round),
-                Payload::Down { block, val } => self.handle_down(*block, val.clone()),
+                Payload::Up { block, val } => self.handle_up(msg.from, *block, val, round),
+                Payload::Down { block, val } => self.handle_down(*block, val),
                 Payload::Cross(_) => {}
             }
         }
@@ -652,9 +789,10 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         // open the next window.
         if self.step + 1 < shape.steps && round == (self.step + 1) * shape.window {
             let step = self.step;
+            let info = self.info();
             for msg in incoming {
                 if let Payload::Cross(c) = &msg.msg.payload {
-                    self.program.on_cross(info, msg.from, c.clone(), step);
+                    self.program.on_cross(&info, msg.from, c.clone(), step);
                 }
             }
             self.step += 1;
@@ -722,7 +860,7 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         }
         // A ready block must be forwarded under the greedy priority rule as
         // soon as the next round: stay on the per-round schedule.
-        if !self.ready.is_empty() {
+        if self.ready_len > 0 {
             return None;
         }
         let base = self.base();
@@ -731,7 +869,7 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         let mut wake = shape.total_rounds.max(now + 1);
         // The earliest pending mirrored send (every earlier one went out
         // when it was due).
-        if let Some(&(at, ..)) = self.downs.last() {
+        if let Some(&(at, ..)) = self.downs[..self.downs_len as usize].last() {
             if at > now {
                 wake = wake.min(at);
             }
@@ -771,7 +909,7 @@ pub(crate) fn run_engine<P, F>(
 ) -> Result<SimOutcome<P>>
 where
     P: NodeProgram,
-    F: FnMut(&NodeInfo) -> P,
+    F: FnMut(&NodeInfo<'_>) -> P,
 {
     let l = family.schedule().rounds;
     // Fault mode stretches the whole schedule by the plan's worst per-hop
@@ -783,6 +921,7 @@ where
     // spurious `RoundLimitExceeded`.
     let plan = config.as_ref().and_then(|c| c.active_fault());
     let faulty = plan.is_some();
+    let spares = plan.is_some_and(|p| p.crash_count() > 0 && p.restart_after() > 0);
     let shape = match plan {
         Some(p) => {
             let s = p.round_stretch().max(1);
@@ -831,13 +970,36 @@ where
         0
     };
     let bits = |width: usize| u32::try_from(width).expect("message widths fit in 32 bits");
+    let mut arenas = Arenas::new(family, spares);
+    let (runs, spare_runs) = arenas.runs.split_at_mut(family.membership_count());
+    let (ready, spare_ready) = arenas.ready.split_at_mut(family.membership_count());
+    let (downs, spare_downs) = arenas.downs.split_at_mut(family.child_count());
+    let mut rows = RowCursor::new(runs, ready, downs);
+    let mut spare_rows = RowCursor::new(spare_runs, spare_ready, spare_downs);
+    let mut built = 0;
     let sim = Simulator::new(graph, cfg).with_recorder(obs.clone());
     let outcome = sim.run(|ctx| {
         let info = family.info(ctx.node);
-        let program = make(info);
+        // The simulator builds every node in node order, then one spare
+        // per restartable crash node in ascending order.
+        let node_rows = if built < graph.node_count() {
+            rows.take(family, ctx.node)
+        } else {
+            assert!(spares, "only a plan with restarts builds spare nodes");
+            spare_rows.take(family, ctx.node)
+        };
+        built += 1;
+        let program = make(&info);
         let up_bits = bits(2 + block_bits + step_bits + program.val_bits());
         let cross_msg_bits = bits(2 + step_bits + program.cross_bits());
-        EngineNode::new(program, info, &shape, up_bits, cross_msg_bits)
+        EngineNode::new(
+            program,
+            family,
+            &info,
+            &shape,
+            node_rows,
+            (up_bits, cross_msg_bits),
+        )
     })?;
     debug_assert!(faulty || outcome.stats.rounds <= total_rounds);
     Ok(SimOutcome {
@@ -855,9 +1017,10 @@ mod tests {
     use lcs_graph::{generators, RootedTree};
 
     /// The runs a node's hot path reads are copies of the family's
-    /// memberships: one per membership, in the same order, with the same
-    /// block, root depth, parent, child count and root flag, and the own
-    /// flag set exactly at `own_membership`.
+    /// memberships: one per membership, at the node's row of the arena, in
+    /// the same order, with the same block, root depth, parent, child count
+    /// and root flag, and the own flag set exactly at `own_membership`. The
+    /// spare copy a restarting plan adds repeats the first.
     #[test]
     fn runs_mirror_the_family_memberships() {
         let graphs = [
@@ -875,25 +1038,72 @@ mod tests {
             ];
             for shortcut in &shortcuts {
                 let family = BlockFamily::new(graph, &tree, &partition, shortcut);
+                let arenas = Arenas::<()>::new(&family, true);
+                let total = family.membership_count();
+                assert_eq!(arenas.runs.len(), 2 * total);
+                assert_eq!(arenas.ready.len(), 2 * total);
+                assert_eq!(arenas.downs.len(), 2 * family.child_count());
                 for v in graph.nodes() {
                     let info = family.info(v);
-                    let runs = Run::<()>::for_node(info);
+                    let span = family.member_span(v);
+                    let runs = &arenas.runs[span.clone()];
                     assert_eq!(runs.len(), info.memberships.len(), "node {v}");
-                    for (i, (run, m)) in runs.iter().zip(&info.memberships).enumerate() {
+                    for (i, (run, m)) in runs.iter().zip(info.memberships).enumerate() {
                         assert_eq!(run.block as usize, m.block, "node {v}");
                         assert_eq!(run.root_depth, m.root_depth, "node {v}");
                         assert_eq!(run.parent, m.parent, "node {v}");
-                        assert_eq!(run.children as usize, m.children.len(), "node {v}");
+                        assert_eq!(run.children as usize, info.children(i).len(), "node {v}");
                         assert_eq!(run.is_root, m.is_root, "node {v}");
                         assert_eq!(run.own, info.own_membership == Some(i), "node {v}");
+                        let spare = &arenas.runs[total + span.start + i];
+                        assert_eq!(spare.block, run.block, "node {v}");
+                        assert_eq!(spare.own, run.own, "node {v}");
                     }
                     assert_eq!(
                         runs.iter().filter(|run| run.own).count(),
                         usize::from(info.own_membership.is_some()),
                         "node {v}"
                     );
+                    let children: usize = (0..info.memberships.len())
+                        .map(|i| info.children(i).len())
+                        .sum();
+                    assert_eq!(family.child_span(v).len(), children, "node {v}");
                 }
             }
         }
+    }
+
+    /// The ready list pops in the order a min-heap of the same keys would.
+    #[test]
+    fn ready_pops_like_a_min_heap() {
+        let keys: [Ready; 7] = [
+            (3, 9, 0),
+            (1, 4, 1),
+            (3, 2, 2),
+            (0, 7, 3),
+            (1, 5, 4),
+            (2, 1, 5),
+            (0, 8, 6),
+        ];
+        let mut ready = [(0, 0, 0); 7];
+        let mut len = 0;
+        for &key in &keys[..4] {
+            push_ready(&mut ready, &mut len, key);
+        }
+        let mut popped = Vec::new();
+        len -= 1;
+        popped.push(ready[len as usize]);
+        for &key in &keys[4..] {
+            push_ready(&mut ready, &mut len, key);
+        }
+        while len > 0 {
+            len -= 1;
+            popped.push(ready[len as usize]);
+        }
+        let mut expected = vec![(0, 7, 3)];
+        let mut rest: Vec<Ready> = keys.iter().copied().filter(|&k| k != (0, 7, 3)).collect();
+        rest.sort_unstable();
+        expected.extend(rest);
+        assert_eq!(popped, expected);
     }
 }

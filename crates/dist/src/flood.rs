@@ -61,7 +61,7 @@ impl NodeProgram for FloodProgram {
 
     fn contribution(
         &mut self,
-        _info: &NodeInfo,
+        _info: &NodeInfo<'_>,
         _member: usize,
         own: bool,
         _step: u64,
@@ -79,7 +79,7 @@ impl NodeProgram for FloodProgram {
 
     fn on_agreed(
         &mut self,
-        _info: &NodeInfo,
+        _info: &NodeInfo<'_>,
         _member: usize,
         own: bool,
         val: &Self::Val,
@@ -90,11 +90,16 @@ impl NodeProgram for FloodProgram {
         }
     }
 
-    fn cross_message(&mut self, _info: &NodeInfo, _to: NodeId, _step: u64) -> Option<(u64, u64)> {
+    fn cross_message(
+        &mut self,
+        _info: &NodeInfo<'_>,
+        _to: NodeId,
+        _step: u64,
+    ) -> Option<(u64, u64)> {
         self.current
     }
 
-    fn on_cross(&mut self, _info: &NodeInfo, _from: NodeId, msg: (u64, u64), _step: u64) {
+    fn on_cross(&mut self, _info: &NodeInfo<'_>, _from: NodeId, msg: (u64, u64), _step: u64) {
         self.current = min_opt(self.current, Some(msg));
     }
 
@@ -142,7 +147,7 @@ pub fn part_flood_min(
         broadcast_down: true,
     };
     let obs = lcs_obs::Obs::off();
-    let outcome = run_engine(graph, family, spec, config, &obs, |info: &NodeInfo| {
+    let outcome = run_engine(graph, family, spec, config, &obs, |info: &NodeInfo<'_>| {
         FloodProgram {
             current: values[info.node.index()],
             value_bits,

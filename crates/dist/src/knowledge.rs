@@ -10,12 +10,37 @@
 //! priority key). [`BlockFamily`] precomputes exactly this per-node view —
 //! it stands in for that preprocessing, and the protocols built on it touch
 //! *only* a node's own [`NodeInfo`] plus the messages it receives.
+//!
+//! # Layout
+//!
+//! The family stores every node's view as compressed sparse rows in node
+//! order, the way `lcs_graph::Graph` stores adjacency: one offset array per
+//! relation plus one flat array, never a `Vec` per node or per membership.
+//!
+//! ```text
+//! member_start:   [0   1     3   3 ...]     node v's memberships =
+//! memberships:    [m0 | m1 m2 |  | ...]       member_start[v]..member_start[v+1]
+//! children:       [c c | c | c c c | ...]   membership m's in-block children =
+//!                                             m's child range, memberships in order
+//! neighbor_start: [0   2     3 ...]         node v's same-part neighbors
+//! part_neighbors: [(u, e) (u, e) | ... ]
+//! ```
+//!
+//! A [`NodeInfo`] is a borrowed view of one node's rows. The views cost a
+//! constant number of allocations whatever the family's size (the block
+//! components keep their own node and edge lists, one pair per block), and
+//! a protocol run reads each node's rows where the previous node's end.
+
+use std::ops::Range;
 
 use lcs_core::routing::{
     convergecast_rounds, subtree_specs_from_blocks, RoutingPriority, RoutingSchedule,
 };
 use lcs_core::{BlockComponent, TreeShortcut};
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, Partition, RootedTree};
+
+/// The `own` entry of a node outside every active part.
+const NO_MEMBERSHIP: u32 = u32::MAX;
 
 /// A node's role within one block of the family.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,33 +59,48 @@ pub struct Membership {
     /// The node's tree parent, when it lies inside the block (always
     /// `Some` unless this node is the block root).
     pub parent: Option<NodeId>,
-    /// The node's tree children that lie inside the block.
-    pub children: Vec<NodeId>,
+    /// The node's tree children that lie inside the block, as a range of
+    /// the family's child array (read them with [`NodeInfo::children`]).
+    children: (u32, u32),
 }
 
-/// Everything a single node knows locally when a protocol starts.
-#[derive(Debug, Clone)]
-pub struct NodeInfo {
+/// Everything a single node knows locally when a protocol starts: a
+/// borrowed view of the node's rows in its [`BlockFamily`].
+#[derive(Debug, Clone, Copy)]
+pub struct NodeInfo<'a> {
     /// The node itself.
     pub node: NodeId,
     /// The node's part, if any.
     pub part: Option<PartId>,
     /// The blocks this node belongs to (as a part member or Steiner node),
     /// strictly ascending by [`Membership::block`].
-    pub memberships: Vec<Membership>,
+    pub memberships: &'a [Membership],
     /// Index into [`NodeInfo::memberships`] of the block of the node's own
     /// part (every part member lies in exactly one block of its part).
     pub own_membership: Option<usize>,
     /// `(neighbor, edge)` pairs towards graph neighbors in the same part —
     /// the edges over which the Theorem 2 supergraph steps exchange.
-    pub part_neighbors: Vec<(NodeId, EdgeId)>,
+    pub part_neighbors: &'a [(NodeId, EdgeId)],
+    /// The node's in-block children over all its memberships, one
+    /// membership after the other.
+    children: &'a [NodeId],
 }
 
-impl NodeInfo {
+impl<'a> NodeInfo<'a> {
     /// The node's membership in its own part's block, if it is a part
     /// member.
-    pub fn own(&self) -> Option<&Membership> {
-        self.own_membership.map(|i| &self.memberships[i])
+    pub fn own(&self) -> Option<&'a Membership> {
+        let memberships = self.memberships;
+        self.own_membership.map(|i| &memberships[i])
+    }
+
+    /// The node's tree children inside the block of membership `member`
+    /// (an index into [`NodeInfo::memberships`]), ascending.
+    pub fn children(&self, member: usize) -> &'a [NodeId] {
+        // The first membership's range starts the node's run of children.
+        let base = self.memberships[0].children.0;
+        let (start, end) = self.memberships[member].children;
+        &self.children[(start - base) as usize..(end - base) as usize]
     }
 }
 
@@ -68,13 +108,32 @@ impl NodeInfo {
 /// views all protocols run on, plus the family's exact Lemma 2 schedule
 /// (used both to size the superstep windows and as the charged-cost
 /// reference in cross-checks).
+///
+/// The views are stored as compressed sparse rows in node order (see the
+/// module docs); [`BlockFamily::info`] hands out one node's rows as a
+/// [`NodeInfo`].
 #[derive(Debug, Clone)]
 pub struct BlockFamily {
     blocks: Vec<BlockComponent>,
     schedule: RoutingSchedule,
-    node_info: Vec<NodeInfo>,
     block_parameter: usize,
     tree_depth: u32,
+    /// Each node's active part.
+    part: Vec<Option<PartId>>,
+    /// Each node's own-part membership, as an index among its memberships
+    /// ([`NO_MEMBERSHIP`] outside every active part).
+    own: Vec<u32>,
+    /// Node `v`'s memberships are `memberships[member_start[v]..
+    /// member_start[v + 1]]`, ascending by block. Length `n + 1`.
+    member_start: Vec<u32>,
+    memberships: Vec<Membership>,
+    /// Every membership's in-block children, membership after membership,
+    /// so each node's children are one contiguous run too.
+    children: Vec<NodeId>,
+    /// Node `v`'s same-part neighbors are `part_neighbors[neighbor_start[v]..
+    /// neighbor_start[v + 1]]`, in adjacency order. Length `n + 1`.
+    neighbor_start: Vec<u32>,
+    part_neighbors: Vec<(NodeId, EdgeId)>,
 }
 
 impl BlockFamily {
@@ -125,59 +184,94 @@ impl BlockFamily {
             RoutingPriority::BlockRootDepth,
         );
 
-        let mut node_info: Vec<NodeInfo> = graph
+        let n = graph.node_count();
+        let part: Vec<Option<PartId>> = graph
             .nodes()
-            .map(|v| NodeInfo {
-                node: v,
-                part: partition.part_of(v).filter(|p| active[p.index()]),
-                memberships: Vec::new(),
-                own_membership: None,
-                part_neighbors: Vec::new(),
-            })
+            .map(|v| partition.part_of(v).filter(|p| active[p.index()]))
             .collect();
 
-        for (idx, block) in blocks.iter().enumerate() {
+        // Counting sort of the (node, block) incidences by node. Blocks are
+        // visited in family order, so each node's row comes out ascending
+        // by block, the order the engine binary-searches.
+        let mut member_start = vec![0u32; n + 1];
+        for block in &blocks {
             for &v in &block.nodes {
-                let parent = tree.parent(v).filter(|p| block.contains(*p));
-                let children: Vec<NodeId> = tree
-                    .children(v)
-                    .iter()
-                    .copied()
-                    .filter(|c| block.contains(*c))
-                    .collect();
-                let info = &mut node_info[v.index()];
-                if info.part == Some(block.part) {
-                    info.own_membership = Some(info.memberships.len());
+                member_start[v.index() + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            member_start[v + 1] += member_start[v];
+        }
+        let total = member_start[n] as usize;
+        let mut member_block = vec![0u32; total];
+        let mut cursor = member_start[..n].to_vec();
+        for (idx, block) in blocks.iter().enumerate() {
+            let idx = u32::try_from(idx).expect("block ids fit in 32 bits");
+            for &v in &block.nodes {
+                member_block[cursor[v.index()] as usize] = idx;
+                cursor[v.index()] += 1;
+            }
+        }
+
+        // Every non-root membership is the in-block child of exactly one
+        // membership of its parent, so the child array has one entry per
+        // membership minus one per block.
+        let mut memberships: Vec<Membership> = Vec::with_capacity(total);
+        let mut children: Vec<NodeId> = Vec::with_capacity(total - blocks.len());
+        let mut own = vec![NO_MEMBERSHIP; n];
+        for v in graph.nodes() {
+            let row = member_start[v.index()] as usize..member_start[v.index() + 1] as usize;
+            for (i, &idx) in member_block[row].iter().enumerate() {
+                let block = &blocks[idx as usize];
+                if part[v.index()] == Some(block.part) {
+                    own[v.index()] = i as u32;
                 }
-                info.memberships.push(Membership {
-                    block: idx,
+                let first = children.len() as u32;
+                children.extend(
+                    tree.children(v)
+                        .iter()
+                        .copied()
+                        .filter(|&c| block.contains(c)),
+                );
+                memberships.push(Membership {
+                    block: idx as usize,
                     part: block.part,
                     root: block.root,
                     root_depth: block.root_depth,
                     is_root: v == block.root,
-                    parent,
-                    children,
+                    parent: tree.parent(v).filter(|&p| block.contains(p)),
+                    children: (first, children.len() as u32),
                 });
             }
         }
 
+        let mut neighbor_start: Vec<u32> = Vec::with_capacity(n + 1);
+        neighbor_start.push(0);
+        let mut part_neighbors: Vec<(NodeId, EdgeId)> = Vec::new();
         for v in graph.nodes() {
-            let Some(part) = node_info[v.index()].part else {
-                continue;
-            };
-            let same_part: Vec<(NodeId, EdgeId)> = graph
-                .neighbors(v)
-                .filter(|&(u, _)| node_info[u.index()].part == Some(part))
-                .collect();
-            node_info[v.index()].part_neighbors = same_part;
+            if let Some(p) = part[v.index()] {
+                part_neighbors.extend(
+                    graph
+                        .neighbors(v)
+                        .filter(|&(u, _)| part[u.index()] == Some(p)),
+                );
+            }
+            neighbor_start
+                .push(u32::try_from(part_neighbors.len()).expect("adjacency sizes fit in 32 bits"));
         }
 
         BlockFamily {
             blocks,
             schedule,
-            node_info,
             block_parameter,
             tree_depth: tree.depth_of_tree(),
+            part,
+            own,
+            member_start,
+            memberships,
+            children,
+            neighbor_start,
+            part_neighbors,
         }
     }
 
@@ -209,13 +303,50 @@ impl BlockFamily {
     }
 
     /// One node's local view.
-    pub fn info(&self, v: NodeId) -> &NodeInfo {
-        &self.node_info[v.index()]
+    pub fn info(&self, v: NodeId) -> NodeInfo<'_> {
+        let i = v.index();
+        let own = self.own[i];
+        NodeInfo {
+            node: v,
+            part: self.part[i],
+            memberships: &self.memberships[self.member_span(v)],
+            own_membership: (own != NO_MEMBERSHIP).then_some(own as usize),
+            part_neighbors: &self.part_neighbors
+                [self.neighbor_start[i] as usize..self.neighbor_start[i + 1] as usize],
+            children: &self.children[self.child_span(v)],
+        }
     }
 
     /// Number of nodes the family is defined over.
     pub fn node_count(&self) -> usize {
-        self.node_info.len()
+        self.part.len()
+    }
+
+    /// Total number of memberships over all nodes.
+    pub(crate) fn membership_count(&self) -> usize {
+        self.memberships.len()
+    }
+
+    /// Total number of in-block children over all memberships.
+    pub(crate) fn child_count(&self) -> usize {
+        self.children.len()
+    }
+
+    /// Node `v`'s row of memberships, as positions among all of them.
+    pub(crate) fn member_span(&self, v: NodeId) -> Range<usize> {
+        self.member_start[v.index()] as usize..self.member_start[v.index() + 1] as usize
+    }
+
+    /// Node `v`'s in-block children over all its memberships, as positions
+    /// in the child array.
+    pub(crate) fn child_span(&self, v: NodeId) -> Range<usize> {
+        let at = |k: usize| {
+            self.memberships
+                .get(k)
+                .map_or(self.children.len(), |m| m.children.0 as usize)
+        };
+        let row = self.member_span(v);
+        at(row.start)..at(row.end)
     }
 }
 
@@ -258,7 +389,16 @@ mod tests {
                 let own = info.own().expect("members lie in an own-part block");
                 assert_eq!(Some(own.part), info.part);
             }
-            for m in &info.memberships {
+            // The rows hold exactly the blocks containing `v`, each with
+            // exactly `v`'s tree children inside it, and the children of
+            // one node's memberships are one contiguous run.
+            let blocks: Vec<usize> = (0..family.blocks().len())
+                .filter(|&b| family.blocks()[b].contains(v))
+                .collect();
+            let listed: Vec<usize> = info.memberships.iter().map(|m| m.block).collect();
+            assert_eq!(listed, blocks, "node {v}");
+            let mut run = Vec::new();
+            for (i, m) in info.memberships.iter().enumerate() {
                 let block = &family.blocks()[m.block];
                 assert!(block.contains(v));
                 assert_eq!(m.is_root, v == block.root);
@@ -267,12 +407,18 @@ mod tests {
                     assert!(block.contains(parent));
                     assert_eq!(t.parent(v), Some(parent));
                 }
-                for &c in &m.children {
-                    assert_eq!(t.parent(c), Some(v));
-                    assert!(block.contains(c));
-                }
+                let expected: Vec<NodeId> = t
+                    .children(v)
+                    .iter()
+                    .copied()
+                    .filter(|&c| block.contains(c))
+                    .collect();
+                assert_eq!(info.children(i), &expected[..], "node {v}");
+                run.extend_from_slice(info.children(i));
             }
-            for &(u, e) in &info.part_neighbors {
+            assert_eq!(&family.children[family.child_span(v)], &run[..]);
+            assert_eq!(family.member_span(v).len(), info.memberships.len());
+            for &(u, e) in info.part_neighbors {
                 assert_eq!(p.part_of(u), p.part_of(v));
                 assert!(g.edge_between(v, u) == Some(e));
             }

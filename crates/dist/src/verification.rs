@@ -143,6 +143,29 @@ struct NbrInfo {
     hops: u64,
 }
 
+/// A child block heard of over a same-part edge: its root, and its
+/// completed `(count, poison)` report once one arrived.
+#[derive(Debug, Clone)]
+struct ChildBlock {
+    root: u64,
+    report: Option<(u64, bool)>,
+}
+
+/// Appends `item` to an observation list that holds at most one entry per
+/// same-part neighbor: the first append sizes it to the node's same-part
+/// `degree`, so it never grows afterwards, and a node that observes
+/// nothing allocates nothing.
+fn observe<T>(list: &mut Vec<T>, degree: usize, item: T) {
+    if list.capacity() == 0 {
+        list.reserve_exact(degree);
+    }
+    debug_assert!(
+        list.len() < degree,
+        "one observation per same-part neighbor"
+    );
+    list.push(item);
+}
+
 /// Per-node program of the counting protocol. All semantic fields concern
 /// the node's own-part block; foreign memberships only relay.
 #[derive(Debug, Clone)]
@@ -168,10 +191,11 @@ struct CountProgram {
     announce_sent: bool,
     verdict: Option<(bool, u64)>,
     member_bad: bool,
-    // Stored observations.
+    // Stored observations, each list sized once (see [`observe`]).
     nbr: Vec<NbrInfo>,
-    children_announced: Vec<u64>,
-    child_reports: Vec<(u64, u64, bool)>,
+    /// Every child block announced (or reported, which implies the
+    /// announcement) to this node.
+    children: Vec<ChildBlock>,
 }
 
 impl CountProgram {
@@ -194,8 +218,7 @@ impl CountProgram {
             verdict: None,
             member_bad: false,
             nbr: Vec::new(),
-            children_announced: Vec::new(),
-            child_reports: Vec::new(),
+            children: Vec::new(),
         }
     }
 
@@ -228,7 +251,7 @@ impl NodeProgram for CountProgram {
     type Val = CVal;
     type Cross = CCross;
 
-    fn contribution(&mut self, info: &NodeInfo, member: usize, own: bool, step: u64) -> CVal {
+    fn contribution(&mut self, info: &NodeInfo<'_>, member: usize, own: bool, step: u64) -> CVal {
         let phase = phase_of(step, self.threshold);
         if !own {
             // Identity elements for relay-only memberships.
@@ -281,12 +304,14 @@ impl NodeProgram for CountProgram {
                 CVal::Min(cand.unwrap_or(NONE))
             }
             Phase::Count => {
-                let announced = self.children_announced.len() as u64;
-                let reported = self.child_reports.len() as u64;
-                let sum: u64 = self.child_reports.iter().map(|(_, c, _)| *c).sum();
-                let poison = self.member_bad
-                    || self.local_witness()
-                    || self.child_reports.iter().any(|(_, _, p)| *p);
+                let announced = self.children.len() as u64;
+                let (mut reported, mut sum) = (0, 0);
+                let mut poison = self.member_bad || self.local_witness();
+                for (count, poisoned) in self.children.iter().filter_map(|child| child.report) {
+                    reported += 1;
+                    sum += count;
+                    poison |= poisoned;
+                }
                 CVal::Count(announced, reported, sum, poison)
             }
             Phase::Verdict => CVal::Verd(self.verdict),
@@ -308,7 +333,7 @@ impl NodeProgram for CountProgram {
         }
     }
 
-    fn on_agreed(&mut self, info: &NodeInfo, _member: usize, own: bool, val: &CVal, step: u64) {
+    fn on_agreed(&mut self, info: &NodeInfo<'_>, _member: usize, own: bool, val: &CVal, step: u64) {
         if !own {
             return;
         }
@@ -327,7 +352,7 @@ impl NodeProgram for CountProgram {
             (Phase::Port, CVal::Min(v)) => {
                 self.port = (*v != NONE).then_some(*v);
                 if let (Some(port), Some(parent)) = (self.port, self.parent) {
-                    for (u, e) in &info.part_neighbors {
+                    for (u, e) in info.part_neighbors {
                         let towards_parent = self
                             .nbr
                             .iter()
@@ -359,7 +384,7 @@ impl NodeProgram for CountProgram {
         }
     }
 
-    fn cross_message(&mut self, info: &NodeInfo, to: NodeId, step: u64) -> Option<CCross> {
+    fn cross_message(&mut self, info: &NodeInfo<'_>, to: NodeId, step: u64) -> Option<CCross> {
         let own = info.own()?;
         match phase_of(step, self.threshold) {
             Phase::Flood => {
@@ -409,37 +434,49 @@ impl NodeProgram for CountProgram {
         }
     }
 
-    fn on_cross(&mut self, _info: &NodeInfo, from: NodeId, msg: CCross, _step: u64) {
+    fn on_cross(&mut self, info: &NodeInfo<'_>, from: NodeId, msg: CCross, _step: u64) {
+        // A block announces and reports only its own root, so there is one
+        // child block per same-part neighbor at most.
+        let degree = info.part_neighbors.len();
         match msg {
             CCross::Info(block_root, leader, hops) => {
                 if let Some(n) = self.nbr.iter_mut().find(|n| n.from == from) {
                     n.leader = leader;
                     n.hops = hops;
                 } else {
-                    self.nbr.push(NbrInfo {
+                    let seen = NbrInfo {
                         from,
                         block_root,
                         leader,
                         hops,
-                    });
+                    };
+                    observe(&mut self.nbr, degree, seen);
                 }
             }
-            CCross::Announce(child_root) => {
-                if !self.children_announced.contains(&child_root) {
-                    self.children_announced.push(child_root);
+            CCross::Announce(root) => {
+                if !self.children.iter().any(|child| child.root == root) {
+                    observe(
+                        &mut self.children,
+                        degree,
+                        ChildBlock { root, report: None },
+                    );
                 }
             }
-            CCross::Report(child_root, count, poison) => {
+            CCross::Report(root, count, poison) => {
                 // A Report implies the sender's Announce: healing the
                 // announced set here keeps the `reported == announced`
                 // completion gate honest when every copy of the Announce
                 // itself was lost. A no-op in fault-free runs, where the
                 // Announce always precedes the Report.
-                if !self.children_announced.contains(&child_root) {
-                    self.children_announced.push(child_root);
-                }
-                if !self.child_reports.iter().any(|(r, _, _)| *r == child_root) {
-                    self.child_reports.push((child_root, count, poison));
+                let report = (count, poison);
+                match self.children.iter_mut().find(|child| child.root == root) {
+                    Some(child) => {
+                        child.report.get_or_insert(report);
+                    }
+                    None => {
+                        let report = Some(report);
+                        observe(&mut self.children, degree, ChildBlock { root, report });
+                    }
                 }
             }
             CCross::Broken => {
@@ -693,7 +730,7 @@ fn count_blocks(
     let id_bits = bits_for_node_count(graph.node_count());
     let edge_bits = lcs_congest::bits_for_count(graph.edge_count().max(2));
     let resend = config.as_ref().and_then(|c| c.active_fault()).is_some();
-    let outcome = run_engine(graph, family, spec, config, obs, |_info: &NodeInfo| {
+    let outcome = run_engine(graph, family, spec, config, obs, |_info: &NodeInfo<'_>| {
         CountProgram::new(threshold as u64, id_bits, edge_bits, resend)
     })?;
 
