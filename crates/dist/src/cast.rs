@@ -16,7 +16,7 @@
 use lcs_congest::{primitives::AggregateOp, SimConfig, SimStats};
 use lcs_graph::Graph;
 
-use crate::engine::{run_engine, EngineSpec, NodeProgram};
+use crate::engine::{run_engine, EngineSpec, NodeProgram, NodeView};
 use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::{DistError, Result};
 
@@ -47,13 +47,7 @@ impl NodeProgram for CastProgram {
     type Val = Option<u64>;
     type Cross = ();
 
-    fn contribution(
-        &mut self,
-        _info: &NodeInfo<'_>,
-        _member: usize,
-        own: bool,
-        _step: u64,
-    ) -> Option<u64> {
+    fn contribution(&mut self, _view: NodeView<'_>, own: bool, _step: u64) -> Option<u64> {
         if own {
             self.value
         } else {
@@ -71,7 +65,7 @@ impl NodeProgram for CastProgram {
 
     fn on_agreed(
         &mut self,
-        _info: &NodeInfo<'_>,
+        _view: NodeView<'_>,
         member: usize,
         own: bool,
         val: &Option<u64>,
@@ -83,16 +77,11 @@ impl NodeProgram for CastProgram {
         }
     }
 
-    fn cross_message(
-        &mut self,
-        _info: &NodeInfo<'_>,
-        _to: lcs_graph::NodeId,
-        _step: u64,
-    ) -> Option<()> {
+    fn cross_message(&mut self, _to: lcs_graph::NodeId, _step: u64) -> Option<()> {
         None
     }
 
-    fn on_cross(&mut self, _info: &NodeInfo<'_>, _from: lcs_graph::NodeId, _msg: (), _step: u64) {}
+    fn on_cross(&mut self, _view: NodeView<'_>, _from: lcs_graph::NodeId, _msg: (), _step: u64) {}
 
     fn val_bits(&self) -> usize {
         1 + 64

@@ -43,36 +43,35 @@ use crate::Result;
 /// it may only consult the node's [`NodeInfo`] and the messages the engine
 /// hands it.
 ///
-/// A membership is named by its index `member` into `info.memberships`,
-/// together with `own`: whether it is the node's own-part membership
-/// (`info.own_membership == Some(member)`). The engine copies that flag
-/// once per run, so a program tells its own block from the relay-only ones
-/// without reading `info`, and reads `info.memberships[member]` only when
-/// it needs more of the membership than that.
+/// The callbacks that may read the node's rows get its [`NodeView`], a
+/// `Copy` pair of the family and the node that builds the [`NodeInfo`]
+/// only when the callback asks for it ([`NodeView::info`]). Most calls
+/// never do, so a poll that delivers a tree message builds no view at all.
+/// A program that needs a row on every call reads it once, from the
+/// [`NodeInfo`] its factory gets, and keeps what it needs.
+///
+/// A callback tells the node's own-part membership from its relay-only
+/// ones by the `own` flag (`info.own_membership == Some(member)` for the
+/// membership's index `member` into `info.memberships`), which the engine
+/// copies once per run, so that takes no view either.
 pub(crate) trait NodeProgram: Send {
     /// Block-level value: convergecast up, combined, broadcast down.
     type Val: Clone + std::fmt::Debug + Send;
     /// Payload exchanged across same-part graph edges between supersteps.
     type Cross: Clone + std::fmt::Debug + Send;
 
-    /// The node's contribution for membership `member` at the start of
-    /// superstep `step`. Memberships with `own` false are relay-only (the
-    /// node is a Steiner node or a member of another part there) and
-    /// contribute an identity element.
-    fn contribution(
-        &mut self,
-        info: &NodeInfo<'_>,
-        member: usize,
-        own: bool,
-        step: u64,
-    ) -> Self::Val;
+    /// The node's contribution for a membership at the start of superstep
+    /// `step`. Memberships with `own` false are relay-only (the node is a
+    /// Steiner node or a member of another part there) and contribute an
+    /// identity element.
+    fn contribution(&mut self, view: NodeView<'_>, own: bool, step: u64) -> Self::Val;
     /// Associative, commutative combination of contributions.
     fn combine(&self, step: u64, a: &Self::Val, b: &Self::Val) -> Self::Val;
     /// The node learned the combined value of membership `member`'s block
     /// for superstep `step`; `own` as in [`NodeProgram::contribution`].
     fn on_agreed(
         &mut self,
-        info: &NodeInfo<'_>,
+        view: NodeView<'_>,
         member: usize,
         own: bool,
         val: &Self::Val,
@@ -80,13 +79,29 @@ pub(crate) trait NodeProgram: Send {
     );
     /// The cross message to send to same-part neighbor `to` after superstep
     /// `step`, or `None` to stay silent on that edge.
-    fn cross_message(&mut self, info: &NodeInfo<'_>, to: NodeId, step: u64) -> Option<Self::Cross>;
+    fn cross_message(&mut self, to: NodeId, step: u64) -> Option<Self::Cross>;
     /// A cross message from `from`, sent after superstep `step`.
-    fn on_cross(&mut self, info: &NodeInfo<'_>, from: NodeId, msg: Self::Cross, step: u64);
+    fn on_cross(&mut self, view: NodeView<'_>, from: NodeId, msg: Self::Cross, step: u64);
     /// Declared encoded size of a block value in bits.
     fn val_bits(&self) -> usize;
     /// Declared encoded size of a cross payload in bits.
     fn cross_bits(&self) -> usize;
+}
+
+/// A node's lazily built view of its family rows, handed to the
+/// [`NodeProgram`] callbacks: `Copy`, two words, and free to pass. A
+/// callback that needs the rows calls [`NodeView::info`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeView<'a> {
+    family: &'a BlockFamily,
+    node: NodeId,
+}
+
+impl<'a> NodeView<'a> {
+    /// Builds the node's [`NodeInfo`].
+    pub(crate) fn info(self) -> NodeInfo<'a> {
+        self.family.info(self.node)
+    }
 }
 
 /// Engine message: two tag bits distinguish the three payload kinds; block
@@ -102,10 +117,25 @@ pub(crate) struct EngineMsg<V, C> {
     step: u32,
 }
 
+/// A tree message names its block by membership indices instead of the
+/// block id it is accounted as: `member` is the receiver's index of the
+/// block among its memberships, and an upward message also carries the
+/// sender's, which its mirrored downward reply is addressed to. Each index
+/// is what the receiver's own lookup of the block id in its row would
+/// return (CONGEST charges no local computation), taken from the family's
+/// index arrays so that dispatch costs no search. `bits` still counts the
+/// block id.
 #[derive(Debug, Clone)]
 enum Payload<V, C> {
-    Up { block: u32, val: V },
-    Down { block: u32, val: V },
+    Up {
+        member: u32,
+        from_member: u32,
+        val: V,
+    },
+    Down {
+        member: u32,
+        val: V,
+    },
     Cross(C),
 }
 
@@ -121,16 +151,16 @@ impl<V: Clone, C: Clone> MessageBits for EngineMsg<V, C> {
 /// place at every superstep. The engine's fault-free paths read this
 /// record instead of the family's `Membership`.
 #[derive(Debug, Clone)]
-struct Run<V> {
+pub(crate) struct Run<V> {
     /// The family index of the membership's block.
     block: u32,
     /// Depth of the block root in `T` (the Lemma 2 priority key).
     root_depth: u32,
-    /// The in-block tree parent (`None` exactly at the block root).
-    parent: Option<NodeId>,
+    /// The in-block tree parent and the index of the block among the
+    /// parent's memberships (`None` exactly at the block root).
+    parent: Option<(NodeId, u32)>,
     /// Number of in-block tree children.
     children: u32,
-    is_root: bool,
     /// Whether this is the node's own-part membership.
     own: bool,
     sent_up: bool,
@@ -147,9 +177,8 @@ impl<V> Run<V> {
         Run {
             block: u32::try_from(m.block).expect("block ids fit in 32 bits"),
             root_depth: m.root_depth,
-            parent: m.parent,
+            parent: m.parent.zip(info.parent_member(i)),
             children: u32::try_from(info.children(i).len()).expect("child counts fit in 32 bits"),
-            is_root: m.is_root,
             own: info.own_membership == Some(i),
             sent_up: false,
             pending: 0,
@@ -157,14 +186,29 @@ impl<V> Run<V> {
             agreed: None,
         }
     }
+
+    fn is_root(&self) -> bool {
+        self.parent.is_none()
+    }
 }
 
 /// A ready membership's Lemma 2 priority `(root_depth, block)` plus its
 /// membership index.
 type Ready = (u32, u32, u32);
 
-/// A fault-free mirrored broadcast send: `(send round, membership, child)`.
-type Down = (u64, u32, NodeId);
+/// A fault-free mirrored broadcast send, pushed when the upward value it
+/// mirrors arrives.
+#[derive(Debug, Clone, Copy, Default)]
+struct Down {
+    /// The round the send is due.
+    at: u64,
+    /// The sending membership.
+    member: u32,
+    /// The child the upward value came from, and the child's index of the
+    /// block (the reply's `member`).
+    child: NodeId,
+    child_member: u32,
+}
 
 /// Inserts `key` into `ready[..*len]`, kept in descending order so the next
 /// pick is the last entry. `ready` has room for every membership, and a
@@ -269,7 +313,7 @@ impl<V: Clone> Arenas<V> {
         Arenas {
             runs,
             ready: vec![(0, 0, 0); copies * family.membership_count()],
-            downs: vec![(0, 0, NodeId::new(0)); copies * family.child_count()],
+            downs: vec![Down::default(); copies * family.child_count()],
         }
     }
 }
@@ -336,15 +380,18 @@ fn carve<'a, T>(rest: &mut &'a mut [T], skip: usize, len: usize) -> &'a mut [T] 
 /// The engine as a per-node CONGEST protocol.
 ///
 /// Apart from the reset at each window boundary, a fault-free poll costs
-/// the same however many blocks the node serves: the next block to forward
-/// is the last `ready` entry, the mirrored broadcast sends come off the
-/// `downs` stack, and nothing scans the memberships. Nor does such a poll
+/// the same however many blocks the node serves: a tree message names the
+/// receiver's membership by index, the next block to forward is the last
+/// `ready` entry, the mirrored broadcast sends come off the `downs` stack,
+/// and nothing scans or searches the memberships. Nor does such a poll
 /// chase the family's records: the node's [`Run`]s carry the static fields
 /// of its memberships, and the run's constants sit in one [`Shape`] every
 /// node borrows. `runs`, `ready` and `downs` are the node's rows of three
 /// arenas that `run_engine` lays out once per run in node order
-/// ([`Arenas`]), so consecutive polls read consecutive memory. The
-/// family's [`NodeInfo`] is read only by the programs and at cross rounds.
+/// ([`Arenas`]), so consecutive polls read consecutive memory. The engine
+/// builds the family's [`NodeInfo`] itself only where it reads the rows
+/// (cross sends and fault-mode emissions); the programs build it through
+/// their [`NodeView`] when they need it.
 #[derive(Debug)]
 pub(crate) struct EngineNode<'a, P: NodeProgram> {
     program: P,
@@ -357,8 +404,8 @@ pub(crate) struct EngineNode<'a, P: NodeProgram> {
     has_part_neighbors: bool,
     finished: bool,
     step: u64,
-    /// One run per membership, in the memberships' ascending block order
-    /// (which `membership_of` binary-searches).
+    /// One run per membership, in the memberships' order: a tree message's
+    /// `member` indexes it directly.
     runs: &'a mut [Run<P::Val>],
     /// Memberships ready to forward upward this superstep (not the block
     /// root, every in-block child heard, not yet sent): `ready[..ready_len]`
@@ -415,7 +462,15 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         }
     }
 
-    /// The node's view of the family, for the program's callbacks.
+    /// The node's lazy view of the family, for the program's callbacks.
+    fn view(&self) -> NodeView<'a> {
+        NodeView {
+            family: self.family,
+            node: self.node,
+        }
+    }
+
+    /// The node's rows, for the engine's own reads of them.
     fn info(&self) -> NodeInfo<'a> {
         self.family.info(self.node)
     }
@@ -424,21 +479,13 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         self.step * self.shape.window
     }
 
-    /// Index of the membership of `block`. Runs are built in ascending
-    /// block order, so this is a binary search.
-    fn membership_of(&self, block: u32) -> usize {
-        self.runs
-            .binary_search_by_key(&block, |run| run.block)
-            .expect("tree messages only arrive within a block")
-    }
-
     fn start_superstep(&mut self) {
         let step = self.step;
-        let info = self.info();
+        let view = self.view();
         self.ready_len = 0;
         self.downs_len = 0;
         for (i, run) in self.runs.iter_mut().enumerate() {
-            let contribution = self.program.contribution(&info, i, run.own, step);
+            let contribution = self.program.contribution(view, run.own, step);
             run.pending = run.children;
             run.acc = Some(contribution);
             run.sent_up = false;
@@ -449,12 +496,12 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
                 fault.downs_sent.resize(run.children as usize, false);
             }
             if run.children == 0 {
-                if run.is_root {
+                if run.is_root() {
                     // Childless roots agree immediately.
                     let val = run
                         .agreed
                         .insert(run.acc.clone().expect("contribution just set"));
-                    self.program.on_agreed(&info, i, run.own, val, step);
+                    self.program.on_agreed(view, i, run.own, val, step);
                 } else {
                     // Sorted once below: every membership starts unready.
                     self.ready[self.ready_len as usize] = (run.root_depth, run.block, i as u32);
@@ -465,12 +512,13 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         self.ready[..self.ready_len as usize].sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// Folds an upward value from in-block child `from` into the run of
-    /// `block`, combining it by reference.
-    fn handle_up(&mut self, from: NodeId, block: u32, val: &P::Val, round: u64) {
+    /// Folds an upward value from in-block child `from` (whose index of the
+    /// block is `from_member`) into the run of membership `idx`, combining
+    /// it by reference.
+    fn handle_up(&mut self, from: NodeId, idx: usize, from_member: u32, val: &P::Val, round: u64) {
         let step = self.step;
         let shape = self.shape;
-        let idx = self.membership_of(block);
+        let view = self.view();
         let base = self.base();
         let rel = round - base;
         if shape.faulty {
@@ -493,14 +541,18 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         if shape.faulty {
             self.fault[idx].heard.push(from);
         } else if shape.broadcast_down {
-            self.downs[self.downs_len as usize] = (base + 2 * shape.l - rel, idx as u32, from);
+            self.downs[self.downs_len as usize] = Down {
+                at: base + 2 * shape.l - rel,
+                member: idx as u32,
+                child: from,
+                child_member: from_member,
+            };
             self.downs_len += 1;
         }
         if run.pending == 0 {
-            if run.is_root {
-                let info = self.family.info(self.node);
+            if run.is_root() {
                 let agreed = run.agreed.insert(run.acc.clone().expect("set above"));
-                self.program.on_agreed(&info, idx, run.own, agreed, step);
+                self.program.on_agreed(view, idx, run.own, agreed, step);
             } else {
                 let key = (run.root_depth, run.block, idx as u32);
                 push_ready(self.ready, &mut self.ready_len, key);
@@ -508,16 +560,17 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         }
     }
 
-    fn handle_down(&mut self, block: u32, val: &P::Val) {
-        let idx = self.membership_of(block);
+    /// Stores the agreed value of membership `idx` that its parent sent
+    /// down.
+    fn handle_down(&mut self, idx: usize, val: &P::Val) {
         if self.shape.faulty && self.runs[idx].agreed.is_some() {
             return; // duplicated or resent copy — already agreed
         }
-        let info = self.info();
+        let view = self.view();
         let run = &mut self.runs[idx];
         let agreed = run.agreed.insert(val.clone());
         self.program
-            .on_agreed(&info, idx, run.own, agreed, self.step);
+            .on_agreed(view, idx, run.own, agreed, self.step);
     }
 
     /// Forwards the highest-priority ready block to its parent, if any (the
@@ -527,15 +580,19 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
             return;
         }
         self.ready_len -= 1;
-        let (_, block, i) = self.ready[self.ready_len as usize];
+        let (_, _, i) = self.ready[self.ready_len as usize];
         let run = &mut self.runs[i as usize];
-        let parent = run.parent.expect("non-root memberships have parents");
+        let (parent, member) = run.parent.expect("non-root memberships have parents");
         run.sent_up = true;
         let val = run.acc.clone().expect("superstep started");
         out.push(Outgoing::new(
             parent,
             EngineMsg {
-                payload: Payload::Up { block, val },
+                payload: Payload::Up {
+                    member,
+                    from_member: i,
+                    val,
+                },
                 bits: self.up_bits,
                 step: self.step as u32,
             },
@@ -547,10 +604,9 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         if !self.has_part_neighbors {
             return;
         }
-        let info = self.info();
         let step = self.step;
-        for &(to, _) in info.part_neighbors {
-            if let Some(msg) = self.program.cross_message(&info, to, step) {
+        for &(to, _) in self.info().part_neighbors {
+            if let Some(msg) = self.program.cross_message(to, step) {
                 out.push(Outgoing::new(
                     to,
                     EngineMsg {
@@ -578,25 +634,25 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         let len = self.downs_len as usize;
         let due = self.downs[..len]
             .iter()
-            .rposition(|&(at, ..)| at > round)
+            .rposition(|down| down.at > round)
             .map_or(0, |p| p + 1);
         let sends = &mut self.downs[due..len];
         debug_assert!(
-            sends.iter().all(|&(at, ..)| at == round),
+            sends.iter().all(|down| down.at == round),
             "mirror send skipped"
         );
-        sends.sort_by_key(|&(_, i, _)| i);
-        for &(_, i, child) in sends.iter() {
-            let run = &self.runs[i as usize];
+        sends.sort_by_key(|down| down.member);
+        for down in sends.iter() {
+            let run = &self.runs[down.member as usize];
             let val = run
                 .agreed
                 .clone()
                 .unwrap_or_else(|| panic!("broadcast window overflow in block {}", run.block));
             out.push(Outgoing::new(
-                child,
+                down.child,
                 EngineMsg {
                     payload: Payload::Down {
-                        block: run.block,
+                        member: down.child_member,
                         val,
                     },
                     bits: self.up_bits,
@@ -642,7 +698,8 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
                     let Some(agreed) = &self.runs[i].agreed else {
                         continue;
                     };
-                    for (ci, &child) in info.children(i).iter().enumerate() {
+                    let children = info.children(i).iter().zip(info.child_members(i));
+                    for (ci, (&child, &member)) in children.enumerate() {
                         if self.fault[i].downs_sent[ci] || used(out, child) {
                             continue;
                         }
@@ -651,7 +708,7 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
                             child,
                             EngineMsg {
                                 payload: Payload::Down {
-                                    block: self.runs[i].block,
+                                    member,
                                     val: agreed.clone(),
                                 },
                                 bits: self.up_bits,
@@ -669,15 +726,17 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
                 for d in 0..k {
                     let i = (start + d) % k;
                     let run = &self.runs[i];
-                    if !run.is_root && run.sent_up && run.pending == 0 {
-                        let parent = run.parent.expect("non-root memberships have parents");
+                    if let (Some((parent, member)), true) =
+                        (run.parent, run.sent_up && run.pending == 0)
+                    {
                         if !used(out, parent) {
                             let val = run.acc.clone().expect("superstep started");
                             out.push(Outgoing::new(
                                 parent,
                                 EngineMsg {
                                     payload: Payload::Up {
-                                        block: run.block,
+                                        member,
+                                        from_member: i as u32,
                                         val,
                                     },
                                     bits: self.up_bits,
@@ -687,13 +746,14 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
                         }
                     }
                     if let (true, Some(agreed)) = (shape.broadcast_down, &run.agreed) {
-                        for (ci, &child) in info.children(i).iter().enumerate() {
+                        let children = info.children(i).iter().zip(info.child_members(i));
+                        for (ci, (&child, &member)) in children.enumerate() {
                             if self.fault[i].downs_sent[ci] && !used(out, child) {
                                 out.push(Outgoing::new(
                                     child,
                                     EngineMsg {
                                         payload: Payload::Down {
-                                            block: run.block,
+                                            member,
                                             val: agreed.clone(),
                                         },
                                         bits: self.up_bits,
@@ -759,15 +819,19 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
                 self.start_superstep();
             }
             let step = self.step;
-            let info = self.info();
+            let view = self.view();
             for msg in incoming {
                 if msg.msg.step != step as u32 {
                     continue;
                 }
                 match &msg.msg.payload {
-                    Payload::Up { block, val } => self.handle_up(msg.from, *block, val, round),
-                    Payload::Down { block, val } => self.handle_down(*block, val),
-                    Payload::Cross(c) => self.program.on_cross(&info, msg.from, c.clone(), step),
+                    &Payload::Up {
+                        member,
+                        from_member,
+                        ref val,
+                    } => self.handle_up(msg.from, member as usize, from_member, val, round),
+                    &Payload::Down { member, ref val } => self.handle_down(member as usize, val),
+                    Payload::Cross(c) => self.program.on_cross(view, msg.from, c.clone(), step),
                 }
             }
             if round >= shape.total_rounds {
@@ -780,8 +844,12 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         // messages arrive exactly at window boundaries.
         for msg in incoming {
             match &msg.msg.payload {
-                Payload::Up { block, val } => self.handle_up(msg.from, *block, val, round),
-                Payload::Down { block, val } => self.handle_down(*block, val),
+                &Payload::Up {
+                    member,
+                    from_member,
+                    ref val,
+                } => self.handle_up(msg.from, member as usize, from_member, val, round),
+                &Payload::Down { member, ref val } => self.handle_down(member as usize, val),
                 Payload::Cross(_) => {}
             }
         }
@@ -789,10 +857,10 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         // open the next window.
         if self.step + 1 < shape.steps && round == (self.step + 1) * shape.window {
             let step = self.step;
-            let info = self.info();
+            let view = self.view();
             for msg in incoming {
                 if let Payload::Cross(c) = &msg.msg.payload {
-                    self.program.on_cross(&info, msg.from, c.clone(), step);
+                    self.program.on_cross(view, msg.from, c.clone(), step);
                 }
             }
             self.step += 1;
@@ -839,7 +907,7 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
             let base = self.base();
             let tree_end = base + 2 * shape.l;
             let sendable = self.runs.iter().any(|run| {
-                (!run.is_root && run.pending == 0)
+                (!run.is_root() && run.pending == 0)
                     || (shape.broadcast_down && run.agreed.is_some() && run.children > 0)
             });
             if sendable && now < tree_end {
@@ -869,9 +937,9 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         let mut wake = shape.total_rounds.max(now + 1);
         // The earliest pending mirrored send (every earlier one went out
         // when it was due).
-        if let Some(&(at, ..)) = self.downs[..self.downs_len as usize].last() {
-            if at > now {
-                wake = wake.min(at);
+        if let Some(down) = self.downs[..self.downs_len as usize].last() {
+            if down.at > now {
+                wake = wake.min(down.at);
             }
         }
         if crosses_follow {
@@ -1016,10 +1084,20 @@ mod tests {
     use lcs_core::TreeShortcut;
     use lcs_graph::{generators, RootedTree};
 
+    /// The index of `block` in `v`'s row, by brute-force search.
+    fn row_index(family: &BlockFamily, v: NodeId, block: u32) -> Option<u32> {
+        let row = family.info(v).memberships;
+        let i = row.iter().position(|m| m.block == block as usize)?;
+        Some(u32::try_from(i).unwrap())
+    }
+
     /// The runs a node's hot path reads are copies of the family's
     /// memberships: one per membership, at the node's row of the arena, in
     /// the same order, with the same block, root depth, parent, child count
-    /// and root flag, and the own flag set exactly at `own_membership`. The
+    /// and root flag, and the own flag set exactly at `own_membership`.
+    /// Every run's parent index and every child index, which tree messages
+    /// are dispatched by, name the membership of the same block in the
+    /// parent's or the child's row, as a search of that row finds it. The
     /// spare copy a restarting plan adds repeats the first.
     #[test]
     fn runs_mirror_the_family_memberships() {
@@ -1043,6 +1121,7 @@ mod tests {
                 assert_eq!(arenas.runs.len(), 2 * total);
                 assert_eq!(arenas.ready.len(), 2 * total);
                 assert_eq!(arenas.downs.len(), 2 * family.child_count());
+                let mut linked = 0;
                 for v in graph.nodes() {
                     let info = family.info(v);
                     let span = family.member_span(v);
@@ -1051,12 +1130,25 @@ mod tests {
                     for (i, (run, m)) in runs.iter().zip(info.memberships).enumerate() {
                         assert_eq!(run.block as usize, m.block, "node {v}");
                         assert_eq!(run.root_depth, m.root_depth, "node {v}");
-                        assert_eq!(run.parent, m.parent, "node {v}");
+                        assert_eq!(run.parent.map(|(p, _)| p), m.parent, "node {v}");
                         assert_eq!(run.children as usize, info.children(i).len(), "node {v}");
-                        assert_eq!(run.is_root, m.is_root, "node {v}");
+                        assert_eq!(run.is_root(), m.is_root, "node {v}");
                         assert_eq!(run.own, info.own_membership == Some(i), "node {v}");
+                        if let Some((parent, member)) = run.parent {
+                            let expected = row_index(&family, parent, run.block);
+                            assert_eq!(Some(member), expected, "node {v}, parent {parent}");
+                        }
+                        let children = info.children(i);
+                        let members = info.child_members(i);
+                        assert_eq!(children.len(), members.len(), "node {v}");
+                        for (&child, &member) in children.iter().zip(members) {
+                            let expected = row_index(&family, child, run.block);
+                            assert_eq!(Some(member), expected, "node {v}, child {child}");
+                            linked += 1;
+                        }
                         let spare = &arenas.runs[total + span.start + i];
                         assert_eq!(spare.block, run.block, "node {v}");
+                        assert_eq!(spare.parent, run.parent, "node {v}");
                         assert_eq!(spare.own, run.own, "node {v}");
                     }
                     assert_eq!(
@@ -1069,6 +1161,9 @@ mod tests {
                         .sum();
                     assert_eq!(family.child_span(v).len(), children, "node {v}");
                 }
+                // Every non-root membership is exactly one child entry.
+                let roots = arenas.runs[..total].iter().filter(|run| run.is_root());
+                assert_eq!(linked, total - roots.count());
             }
         }
     }

@@ -19,7 +19,7 @@
 use lcs_congest::{bits_for_count, SimConfig, SimStats};
 use lcs_graph::{EdgeId, Graph, NodeId, Partition};
 
-use crate::engine::{run_engine, EngineSpec, NodeProgram};
+use crate::engine::{run_engine, EngineSpec, NodeProgram, NodeView};
 use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::{DistError, Result};
 
@@ -59,13 +59,7 @@ impl NodeProgram for FloodProgram {
     type Val = Option<(u64, u64)>;
     type Cross = (u64, u64);
 
-    fn contribution(
-        &mut self,
-        _info: &NodeInfo<'_>,
-        _member: usize,
-        own: bool,
-        _step: u64,
-    ) -> Self::Val {
+    fn contribution(&mut self, _view: NodeView<'_>, own: bool, _step: u64) -> Self::Val {
         if own {
             self.current
         } else {
@@ -79,7 +73,7 @@ impl NodeProgram for FloodProgram {
 
     fn on_agreed(
         &mut self,
-        _info: &NodeInfo<'_>,
+        _view: NodeView<'_>,
         _member: usize,
         own: bool,
         val: &Self::Val,
@@ -90,16 +84,11 @@ impl NodeProgram for FloodProgram {
         }
     }
 
-    fn cross_message(
-        &mut self,
-        _info: &NodeInfo<'_>,
-        _to: NodeId,
-        _step: u64,
-    ) -> Option<(u64, u64)> {
+    fn cross_message(&mut self, _to: NodeId, _step: u64) -> Option<(u64, u64)> {
         self.current
     }
 
-    fn on_cross(&mut self, _info: &NodeInfo<'_>, _from: NodeId, msg: (u64, u64), _step: u64) {
+    fn on_cross(&mut self, _view: NodeView<'_>, _from: NodeId, msg: (u64, u64), _step: u64) {
         self.current = min_opt(self.current, Some(msg));
     }
 

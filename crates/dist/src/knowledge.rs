@@ -20,11 +20,24 @@
 //! ```text
 //! member_start:   [0   1     3   3 ...]     node v's memberships =
 //! memberships:    [m0 | m1 m2 |  | ...]       member_start[v]..member_start[v+1]
+//! parent_member:  [p0 | p1 p2 |  | ...]     parallel to memberships
 //! children:       [c c | c | c c c | ...]   membership m's in-block children =
-//!                                             m's child range, memberships in order
+//! child_member:   [k k | k | k k k | ...]     m's child range, memberships in order
 //! neighbor_start: [0   2     3 ...]         node v's same-part neighbors
 //! part_neighbors: [(u, e) (u, e) | ... ]
 //! ```
+//!
+//! Two index arrays tie the rows of neighboring tree nodes together:
+//! `parent_member` holds, per membership, the index of the same block among
+//! the in-block parent's memberships, and `child_member` holds, per
+//! in-block child, the index of the same block among the child's
+//! memberships. Each is what the receiving node's own lookup of a block id
+//! in its row returns — local computation, which CONGEST does not charge —
+//! so the superstep engine addresses every tree message by index and never
+//! searches a row. Both come out of the build without a membership test: a
+//! block is a subtree of `T` rooted at its shallowest node, so a non-root
+//! block node's tree parent is in the block, and the children are the
+//! inverse of that parent relation.
 //!
 //! A [`NodeInfo`] is a borrowed view of one node's rows. The views cost a
 //! constant number of allocations whatever the family's size (the block
@@ -39,10 +52,16 @@ use lcs_core::routing::{
 use lcs_core::{BlockComponent, TreeShortcut};
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, Partition, RootedTree};
 
-/// The `own` entry of a node outside every active part.
+/// A missing membership index: the `own` entry of a node outside every
+/// active part, and the parent index of a block root.
 const NO_MEMBERSHIP: u32 = u32::MAX;
 
 /// A node's role within one block of the family.
+///
+/// The family keeps the same block's membership at the node's in-block
+/// parent and at each in-block child linked to this one by index (see
+/// [`BlockFamily`]), so a protocol reaches its block's neighbors without
+/// searching their rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Membership {
     /// Index of the block within the family (the Lemma 2 tie-break key).
@@ -61,6 +80,8 @@ pub struct Membership {
     pub parent: Option<NodeId>,
     /// The node's tree children that lie inside the block, as a range of
     /// the family's child array (read them with [`NodeInfo::children`]).
+    /// The same range of the family's `child_member` array holds each
+    /// child's index of this block among its own memberships.
     children: (u32, u32),
 }
 
@@ -81,9 +102,15 @@ pub struct NodeInfo<'a> {
     /// `(neighbor, edge)` pairs towards graph neighbors in the same part —
     /// the edges over which the Theorem 2 supergraph steps exchange.
     pub part_neighbors: &'a [(NodeId, EdgeId)],
+    /// Parallel to `memberships`: the index of the same block among the
+    /// in-block parent's memberships ([`NO_MEMBERSHIP`] at a block root).
+    parent_members: &'a [u32],
     /// The node's in-block children over all its memberships, one
     /// membership after the other.
     children: &'a [NodeId],
+    /// Parallel to `children`: each child's index of the same block among
+    /// the child's memberships.
+    child_members: &'a [u32],
 }
 
 impl<'a> NodeInfo<'a> {
@@ -95,12 +122,33 @@ impl<'a> NodeInfo<'a> {
     }
 
     /// The node's tree children inside the block of membership `member`
-    /// (an index into [`NodeInfo::memberships`]), ascending.
+    /// (an index into [`NodeInfo::memberships`]), ascending. The family
+    /// keeps, in parallel, each child's index of the same block among the
+    /// child's own memberships, which the superstep engine addresses its
+    /// downward messages with.
     pub fn children(&self, member: usize) -> &'a [NodeId] {
+        &self.children[self.child_range(member)]
+    }
+
+    /// Parallel to [`NodeInfo::children`]: each child's index of the block
+    /// of membership `member` among the child's memberships.
+    pub(crate) fn child_members(&self, member: usize) -> &'a [u32] {
+        &self.child_members[self.child_range(member)]
+    }
+
+    /// The index of membership `member`'s block among the in-block
+    /// parent's memberships; `None` at the block root.
+    pub(crate) fn parent_member(&self, member: usize) -> Option<u32> {
+        let k = self.parent_members[member];
+        (k != NO_MEMBERSHIP).then_some(k)
+    }
+
+    /// Membership `member`'s children as positions in the node's run.
+    fn child_range(&self, member: usize) -> Range<usize> {
         // The first membership's range starts the node's run of children.
         let base = self.memberships[0].children.0;
         let (start, end) = self.memberships[member].children;
-        &self.children[(start - base) as usize..(end - base) as usize]
+        (start - base) as usize..(end - base) as usize
     }
 }
 
@@ -111,7 +159,10 @@ impl<'a> NodeInfo<'a> {
 ///
 /// The views are stored as compressed sparse rows in node order (see the
 /// module docs); [`BlockFamily::info`] hands out one node's rows as a
-/// [`NodeInfo`].
+/// [`NodeInfo`]. Next to the rows the family keeps two index arrays that
+/// link a membership to the same block's membership at its in-block
+/// parent and at each in-block child, so the superstep engine dispatches
+/// every tree message by index instead of searching a row for its block.
 #[derive(Debug, Clone)]
 pub struct BlockFamily {
     blocks: Vec<BlockComponent>,
@@ -127,9 +178,15 @@ pub struct BlockFamily {
     /// member_start[v + 1]]`, ascending by block. Length `n + 1`.
     member_start: Vec<u32>,
     memberships: Vec<Membership>,
+    /// Parallel to `memberships`: the index of the same block among the
+    /// in-block parent's memberships ([`NO_MEMBERSHIP`] at a block root).
+    parent_member: Vec<u32>,
     /// Every membership's in-block children, membership after membership,
     /// so each node's children are one contiguous run too.
     children: Vec<NodeId>,
+    /// Parallel to `children`: each child's index of the same block among
+    /// the child's memberships.
+    child_member: Vec<u32>,
     /// Node `v`'s same-part neighbors are `part_neighbors[neighbor_start[v]..
     /// neighbor_start[v + 1]]`, in adjacency order. Length `n + 1`.
     neighbor_start: Vec<u32>,
@@ -192,7 +249,7 @@ impl BlockFamily {
 
         // Counting sort of the (node, block) incidences by node. Blocks are
         // visited in family order, so each node's row comes out ascending
-        // by block, the order the engine binary-searches.
+        // by block.
         let mut member_start = vec![0u32; n + 1];
         for block in &blocks {
             for &v in &block.nodes {
@@ -203,44 +260,92 @@ impl BlockFamily {
             member_start[v + 1] += member_start[v];
         }
         let total = member_start[n] as usize;
+        let at = |v: NodeId, local: u32| (member_start[v.index()] + local) as usize;
+
+        // `placed[v]` counts the memberships placed in `v`'s row so far, so
+        // right after a block is placed it is the last entry of the row of
+        // each of its nodes. A block is a subtree of `T` rooted at its
+        // shallowest node, so every other block node's tree parent lies in
+        // the block: its parent index is one lookup, no search.
         let mut member_block = vec![0u32; total];
-        let mut cursor = member_start[..n].to_vec();
+        let mut parent_member = vec![NO_MEMBERSHIP; total];
+        let mut placed = vec![0u32; n];
         for (idx, block) in blocks.iter().enumerate() {
             let idx = u32::try_from(idx).expect("block ids fit in 32 bits");
             for &v in &block.nodes {
-                member_block[cursor[v.index()] as usize] = idx;
-                cursor[v.index()] += 1;
+                member_block[at(v, placed[v.index()])] = idx;
+                placed[v.index()] += 1;
+            }
+            let last = |v: NodeId| placed[v.index()] - 1;
+            for &v in &block.nodes {
+                if v == block.root {
+                    continue;
+                }
+                let p = tree
+                    .parent(v)
+                    .expect("a non-root block node has a tree parent");
+                debug_assert_eq!(
+                    member_block[at(p, last(p))],
+                    idx,
+                    "block {idx}: the tree parent of {v} lies outside the block"
+                );
+                parent_member[at(v, last(v))] = last(p);
             }
         }
 
-        // Every non-root membership is the in-block child of exactly one
-        // membership of its parent, so the child array has one entry per
-        // membership minus one per block.
+        // The in-block children are the inverse of the parent relation:
+        // count each membership's children, then fill them in ascending
+        // node order, so every membership's children come out ascending.
+        let parent_at = |v: NodeId, k: usize| {
+            let p = tree
+                .parent(v)
+                .expect("a non-root block node has a tree parent");
+            at(p, parent_member[k])
+        };
+        let mut child_start = vec![0u32; total + 1];
+        for v in graph.nodes() {
+            for k in at(v, 0)..member_start[v.index() + 1] as usize {
+                if parent_member[k] != NO_MEMBERSHIP {
+                    child_start[parent_at(v, k) + 1] += 1;
+                }
+            }
+        }
+        for k in 0..total {
+            child_start[k + 1] += child_start[k];
+        }
+        let mut children = vec![NodeId::new(0); child_start[total] as usize];
+        let mut child_member = vec![0u32; children.len()];
+        let mut filled = child_start[..total].to_vec();
+        for v in graph.nodes() {
+            let row = at(v, 0)..member_start[v.index() + 1] as usize;
+            for (i, k) in row.enumerate() {
+                if parent_member[k] != NO_MEMBERSHIP {
+                    let slot = &mut filled[parent_at(v, k)];
+                    children[*slot as usize] = v;
+                    child_member[*slot as usize] = i as u32;
+                    *slot += 1;
+                }
+            }
+        }
+
         let mut memberships: Vec<Membership> = Vec::with_capacity(total);
-        let mut children: Vec<NodeId> = Vec::with_capacity(total - blocks.len());
         let mut own = vec![NO_MEMBERSHIP; n];
         for v in graph.nodes() {
-            let row = member_start[v.index()] as usize..member_start[v.index() + 1] as usize;
-            for (i, &idx) in member_block[row].iter().enumerate() {
-                let block = &blocks[idx as usize];
+            let row = at(v, 0)..member_start[v.index() + 1] as usize;
+            for (i, k) in row.enumerate() {
+                let block = &blocks[member_block[k] as usize];
                 if part[v.index()] == Some(block.part) {
                     own[v.index()] = i as u32;
                 }
-                let first = children.len() as u32;
-                children.extend(
-                    tree.children(v)
-                        .iter()
-                        .copied()
-                        .filter(|&c| block.contains(c)),
-                );
+                let is_root = parent_member[k] == NO_MEMBERSHIP;
                 memberships.push(Membership {
-                    block: idx as usize,
+                    block: member_block[k] as usize,
                     part: block.part,
                     root: block.root,
                     root_depth: block.root_depth,
-                    is_root: v == block.root,
-                    parent: tree.parent(v).filter(|&p| block.contains(p)),
-                    children: (first, children.len() as u32),
+                    is_root,
+                    parent: if is_root { None } else { tree.parent(v) },
+                    children: (child_start[k], child_start[k + 1]),
                 });
             }
         }
@@ -269,7 +374,9 @@ impl BlockFamily {
             own,
             member_start,
             memberships,
+            parent_member,
             children,
+            child_member,
             neighbor_start,
             part_neighbors,
         }
@@ -306,14 +413,18 @@ impl BlockFamily {
     pub fn info(&self, v: NodeId) -> NodeInfo<'_> {
         let i = v.index();
         let own = self.own[i];
+        let members = self.member_span(v);
+        let children = self.child_span(v);
         NodeInfo {
             node: v,
             part: self.part[i],
-            memberships: &self.memberships[self.member_span(v)],
+            memberships: &self.memberships[members.clone()],
             own_membership: (own != NO_MEMBERSHIP).then_some(own as usize),
             part_neighbors: &self.part_neighbors
                 [self.neighbor_start[i] as usize..self.neighbor_start[i + 1] as usize],
-            children: &self.children[self.child_span(v)],
+            parent_members: &self.parent_member[members],
+            children: &self.children[children.clone()],
+            child_members: &self.child_member[children],
         }
     }
 
@@ -422,7 +533,7 @@ mod tests {
                 assert_eq!(p.part_of(u), p.part_of(v));
                 assert!(g.edge_between(v, u) == Some(e));
             }
-            // The engine finds a block's membership by binary search.
+            // Rows are ascending by block, as `NodeInfo::memberships` says.
             assert!(
                 info.memberships.windows(2).all(|w| w[0].block < w[1].block),
                 "memberships of {v} must be strictly ascending by block"

@@ -40,12 +40,24 @@ use lcs_core::TreeShortcut;
 use lcs_graph::{Graph, NodeId, Partition, RootedTree};
 use lcs_obs::Obs;
 
-use crate::engine::{run_engine, EngineSpec, NodeProgram};
+use crate::engine::{run_engine, EngineSpec, NodeProgram, NodeView};
 use crate::error::DistError;
 use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::Result;
 
-const NONE: u64 = u64::MAX;
+/// The protocol's values are 32-bit words: every one is a node, edge or
+/// block-root id (all `u32`-backed), a hop count or a block count (at most
+/// `n`). `NONE` marks a missing leader, hop count, parent or port.
+const NONE: u32 = u32::MAX;
+
+/// An id or a count as a counting word: refused, never truncated, if it
+/// does not fit below [`NONE`].
+fn word(value: usize) -> u32 {
+    u32::try_from(value)
+        .ok()
+        .filter(|&w| w != NONE)
+        .expect("ids and counts fit in a counting word below NONE")
+}
 
 /// Which of the five phases a superstep belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,58 +121,59 @@ fn record_phase_split(obs: &Obs, supersteps: u64, threshold: u64) {
 #[derive(Debug, Clone, PartialEq)]
 enum CVal {
     /// `(leader root id, hops)`, lexicographic minimum.
-    Flood(u64, u64),
+    Flood(u32, u32),
     /// A generic minimum (parent root id or port edge id); [`NONE`] = none.
-    Min(u64),
+    Min(u32),
     /// Count aggregation: announced children, reported children, count sum,
     /// poison flag.
-    Count(u64, u64, u64, bool),
+    Count(u32, u32, u32, bool),
     /// Verdict dissemination.
-    Verd(Option<(bool, u64)>),
+    Verd(Option<(bool, u32)>),
 }
 
 /// Cross-edge payloads.
 #[derive(Debug, Clone)]
 enum CCross {
     /// Flood state: sender's block root, leader belief, hop belief.
-    Info(u64, u64, u64),
+    Info(u32, u32, u32),
     /// "Your block is my parent": sent once over the elected port.
-    Announce(u64),
+    Announce(u32),
     /// Completed subtree count: `(child root, count, poison)`.
-    Report(u64, u64, bool),
+    Report(u32, u32, bool),
     /// The sender's block is inconsistent; treat the part as suspect.
     Broken,
     /// A decided verdict `(good, total)`.
-    Verdict(bool, u64),
+    Verdict(bool, u32),
 }
 
 /// A stored neighbor observation.
 #[derive(Debug, Clone)]
 struct NbrInfo {
     from: NodeId,
-    block_root: u64,
-    leader: u64,
-    hops: u64,
+    block_root: u32,
+    leader: u32,
+    hops: u32,
 }
 
 /// A child block heard of over a same-part edge: its root, and its
 /// completed `(count, poison)` report once one arrived.
 #[derive(Debug, Clone)]
 struct ChildBlock {
-    root: u64,
-    report: Option<(u64, bool)>,
+    root: u32,
+    report: Option<(u32, bool)>,
 }
 
 /// Appends `item` to an observation list that holds at most one entry per
 /// same-part neighbor: the first append sizes it to the node's same-part
-/// `degree`, so it never grows afterwards, and a node that observes
-/// nothing allocates nothing.
-fn observe<T>(list: &mut Vec<T>, degree: usize, item: T) {
+/// degree (the only time the list reads the node's view), so it never
+/// grows afterwards, and a node that observes nothing allocates nothing.
+fn observe<T>(list: &mut Vec<T>, view: NodeView<'_>, item: T) {
+    let degree = || view.info().part_neighbors.len();
     if list.capacity() == 0 {
-        list.reserve_exact(degree);
+        list.reserve_exact(degree());
     }
     debug_assert!(
-        list.len() < degree,
+        list.len() < degree(),
         "one observation per same-part neighbor"
     );
     list.push(item);
@@ -178,18 +191,21 @@ struct CountProgram {
     /// disabled and receivers rely on their own deduplication. A lost copy
     /// is then healed by the next resend.
     resend: bool,
+    /// The root id of the node's own-part block ([`NONE`] outside every
+    /// active part): the block's identity in every cross message.
+    own_root: u32,
     // Agreed own-block state.
-    flood: Option<(u64, u64)>,
-    parent: Option<u64>,
-    port: Option<u64>,
+    flood: Option<(u32, u32)>,
+    parent: Option<u32>,
+    port: Option<u32>,
     is_reporter: bool,
     reporter_to: Option<NodeId>,
     block_broken: bool,
     block_poisoned: bool,
-    my_count: Option<(u64, bool)>,
+    my_count: Option<(u32, bool)>,
     count_sent: bool,
     announce_sent: bool,
-    verdict: Option<(bool, u64)>,
+    verdict: Option<(bool, u32)>,
     member_bad: bool,
     // Stored observations, each list sized once (see [`observe`]).
     nbr: Vec<NbrInfo>,
@@ -199,12 +215,19 @@ struct CountProgram {
 }
 
 impl CountProgram {
-    fn new(threshold: u64, id_bits: usize, edge_bits: usize, resend: bool) -> Self {
+    fn new(
+        threshold: u64,
+        id_bits: usize,
+        edge_bits: usize,
+        resend: bool,
+        info: &NodeInfo<'_>,
+    ) -> Self {
         CountProgram {
             threshold,
             id_bits,
             edge_bits,
             resend,
+            own_root: info.own().map_or(NONE, |own| word(own.root.index())),
             flood: None,
             parent: None,
             port: None,
@@ -243,7 +266,7 @@ impl CountProgram {
         if self.suspect() {
             return Some((false, 0));
         }
-        self.verdict
+        self.verdict.map(|(good, total)| (good, u64::from(total)))
     }
 }
 
@@ -251,7 +274,7 @@ impl NodeProgram for CountProgram {
     type Val = CVal;
     type Cross = CCross;
 
-    fn contribution(&mut self, info: &NodeInfo<'_>, member: usize, own: bool, step: u64) -> CVal {
+    fn contribution(&mut self, view: NodeView<'_>, own: bool, step: u64) -> CVal {
         let phase = phase_of(step, self.threshold);
         if !own {
             // Identity elements for relay-only memberships.
@@ -264,7 +287,7 @@ impl NodeProgram for CountProgram {
         }
         match phase {
             Phase::Flood => {
-                let mut best = (info.memberships[member].root.index() as u64, 0);
+                let mut best = (self.own_root, 0);
                 for n in &self.nbr {
                     if n.hops != NONE {
                         best = best.min((n.leader, n.hops + 1));
@@ -291,7 +314,8 @@ impl NodeProgram for CountProgram {
                 let Some(parent) = self.parent else {
                     return CVal::Min(NONE);
                 };
-                let cand = info
+                let cand = view
+                    .info()
                     .part_neighbors
                     .iter()
                     .filter(|(u, _)| {
@@ -299,12 +323,12 @@ impl NodeProgram for CountProgram {
                             .iter()
                             .any(|n| n.from == *u && n.block_root == parent)
                     })
-                    .map(|(_, e)| e.index() as u64)
+                    .map(|(_, e)| word(e.index()))
                     .min();
                 CVal::Min(cand.unwrap_or(NONE))
             }
             Phase::Count => {
-                let announced = self.children.len() as u64;
+                let announced = word(self.children.len());
                 let (mut reported, mut sum) = (0, 0);
                 let mut poison = self.member_bad || self.local_witness();
                 for (count, poisoned) in self.children.iter().filter_map(|child| child.report) {
@@ -333,7 +357,7 @@ impl NodeProgram for CountProgram {
         }
     }
 
-    fn on_agreed(&mut self, info: &NodeInfo<'_>, _member: usize, own: bool, val: &CVal, step: u64) {
+    fn on_agreed(&mut self, view: NodeView<'_>, _member: usize, own: bool, val: &CVal, step: u64) {
         if !own {
             return;
         }
@@ -352,12 +376,12 @@ impl NodeProgram for CountProgram {
             (Phase::Port, CVal::Min(v)) => {
                 self.port = (*v != NONE).then_some(*v);
                 if let (Some(port), Some(parent)) = (self.port, self.parent) {
-                    for (u, e) in info.part_neighbors {
+                    for (u, e) in view.info().part_neighbors {
                         let towards_parent = self
                             .nbr
                             .iter()
                             .any(|n| n.from == *u && n.block_root == parent);
-                        if e.index() as u64 == port && towards_parent {
+                        if word(e.index()) == port && towards_parent {
                             self.is_reporter = true;
                             self.reporter_to = Some(*u);
                         }
@@ -370,7 +394,7 @@ impl NodeProgram for CountProgram {
                     self.my_count = Some((1 + sum, *poison));
                     let is_leader = self.parent.is_none() && self.flood.map(|(_, h)| h) == Some(0);
                     if is_leader {
-                        let good = !*poison && *sum < self.threshold;
+                        let good = !*poison && u64::from(*sum) < self.threshold;
                         self.verdict = Some((good, 1 + sum));
                     }
                 }
@@ -384,12 +408,15 @@ impl NodeProgram for CountProgram {
         }
     }
 
-    fn cross_message(&mut self, info: &NodeInfo<'_>, to: NodeId, step: u64) -> Option<CCross> {
-        let own = info.own()?;
+    fn cross_message(&mut self, to: NodeId, step: u64) -> Option<CCross> {
+        let own_root = self.own_root;
+        if own_root == NONE {
+            return None;
+        }
         match phase_of(step, self.threshold) {
             Phase::Flood => {
                 let (leader, hops) = self.flood?;
-                Some(CCross::Info(own.root.index() as u64, leader, hops))
+                Some(CCross::Info(own_root, leader, hops))
             }
             Phase::Parent => None,
             Phase::Port => {
@@ -398,7 +425,7 @@ impl NodeProgram for CountProgram {
                     && (self.resend || !self.announce_sent)
                 {
                     self.announce_sent = true;
-                    Some(CCross::Announce(own.root.index() as u64))
+                    Some(CCross::Announce(own_root))
                 } else {
                     None
                 }
@@ -411,7 +438,7 @@ impl NodeProgram for CountProgram {
                     if let Some((count, poison)) = self.my_count {
                         if self.resend || !self.count_sent {
                             self.count_sent = true;
-                            return Some(CCross::Report(own.root.index() as u64, count, poison));
+                            return Some(CCross::Report(own_root, count, poison));
                         }
                     } else if self.resend {
                         // Until the subtree count completes, keep
@@ -419,7 +446,7 @@ impl NodeProgram for CountProgram {
                         // copy was lost would otherwise leave the parent's
                         // `reported == announced` gate free to fire without
                         // this child.
-                        return Some(CCross::Announce(own.root.index() as u64));
+                        return Some(CCross::Announce(own_root));
                     }
                 }
                 None
@@ -434,10 +461,9 @@ impl NodeProgram for CountProgram {
         }
     }
 
-    fn on_cross(&mut self, info: &NodeInfo<'_>, from: NodeId, msg: CCross, _step: u64) {
+    fn on_cross(&mut self, view: NodeView<'_>, from: NodeId, msg: CCross, _step: u64) {
         // A block announces and reports only its own root, so there is one
         // child block per same-part neighbor at most.
-        let degree = info.part_neighbors.len();
         match msg {
             CCross::Info(block_root, leader, hops) => {
                 if let Some(n) = self.nbr.iter_mut().find(|n| n.from == from) {
@@ -450,16 +476,12 @@ impl NodeProgram for CountProgram {
                         leader,
                         hops,
                     };
-                    observe(&mut self.nbr, degree, seen);
+                    observe(&mut self.nbr, view, seen);
                 }
             }
             CCross::Announce(root) => {
                 if !self.children.iter().any(|child| child.root == root) {
-                    observe(
-                        &mut self.children,
-                        degree,
-                        ChildBlock { root, report: None },
-                    );
+                    observe(&mut self.children, view, ChildBlock { root, report: None });
                 }
             }
             CCross::Report(root, count, poison) => {
@@ -475,7 +497,7 @@ impl NodeProgram for CountProgram {
                     }
                     None => {
                         let report = Some(report);
-                        observe(&mut self.children, degree, ChildBlock { root, report });
+                        observe(&mut self.children, view, ChildBlock { root, report });
                     }
                 }
             }
@@ -730,8 +752,8 @@ fn count_blocks(
     let id_bits = bits_for_node_count(graph.node_count());
     let edge_bits = lcs_congest::bits_for_count(graph.edge_count().max(2));
     let resend = config.as_ref().and_then(|c| c.active_fault()).is_some();
-    let outcome = run_engine(graph, family, spec, config, obs, |_info: &NodeInfo<'_>| {
-        CountProgram::new(threshold as u64, id_bits, edge_bits, resend)
+    let outcome = run_engine(graph, family, spec, config, obs, |info: &NodeInfo<'_>| {
+        CountProgram::new(threshold as u64, id_bits, edge_bits, resend, info)
     })?;
 
     let mut good = vec![false; partition.part_count()];
@@ -871,6 +893,31 @@ mod tests {
         assert!(!simulated.outcome.good[1]);
         assert_eq!(simulated.outcome.block_counts[1], 0);
         assert!(simulated.outcome.good[0] && simulated.outcome.good[2]);
+    }
+
+    /// The 32-bit counting words keep a tree message, the superstep state
+    /// it updates and a cross payload small; the budget is DESIGN §3a's
+    /// sizes table ("The superstep node").
+    #[test]
+    fn counting_words_fit_the_layout_budget() {
+        use crate::engine::{EngineMsg, Run};
+        use std::mem::size_of;
+        let budget = [
+            ("CVal", size_of::<CVal>(), 16),
+            ("CCross", size_of::<CCross>(), 16),
+            ("Run<CVal>", size_of::<Run<CVal>>(), 64),
+            (
+                "EngineMsg<CVal, CCross>",
+                size_of::<EngineMsg<CVal, CCross>>(),
+                32,
+            ),
+        ];
+        for (name, size, bound) in budget {
+            assert!(
+                size <= bound,
+                "{name} is {size} B, over its {bound} B budget in DESIGN §3a (The superstep node)"
+            );
+        }
     }
 
     #[test]
