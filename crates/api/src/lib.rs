@@ -82,7 +82,7 @@ pub use lcs_core::routing::ExecutionMode;
 // (including its baselines), and the distributed cross-check harness.
 pub use lcs_congest::{FaultPlan, RoundCost, RoundTrace, SimStats};
 pub use lcs_core::construction::CoreOutcome;
-pub use lcs_core::{BlockComponent, Shortcut, ShortcutQuality, TreeShortcut};
+pub use lcs_core::{Shortcut, ShortcutQuality, TreeShortcut};
 pub use lcs_dist::{CheckedRun, CrossCheck};
 pub use lcs_mst::ShortcutStrategy;
 

@@ -165,8 +165,7 @@ fn build_part<V: Verifier>(
     let edges = result.shortcut.edges_of(part).to_vec();
     let blocks = result
         .shortcut
-        .block_components_with(graph, tree, partition, part, pool.primary())
-        .len();
+        .block_count_with(graph, partition, part, pool.primary());
     // Floor 0: the bounded sweep measures this part's diameter exactly.
     let dilation = pool
         .primary()

@@ -12,7 +12,7 @@
 
 use lcs_graph::{Graph, Partition, RootedTree};
 
-use crate::routing::{member_blocks, MemberBlocks};
+use crate::routing::MemberBlocks;
 use crate::TreeShortcut;
 
 /// Result of the verification subroutine.
@@ -56,22 +56,20 @@ pub fn verification(
         "one active flag per part is required"
     );
 
-    let MemberBlocks {
-        counts: block_counts,
-        slots,
-    } = member_blocks(graph, tree, partition, shortcut, |p| active[p.index()]);
-    let good = block_counts
+    let blocks = MemberBlocks::new(graph, tree, partition, shortcut, |p| active[p.index()]);
+    let good = blocks
+        .counts
         .iter()
         .zip(active)
         .map(|(&count, &active)| active && count <= threshold)
         .collect();
 
-    let superstep = 2 * slots.schedule(graph.node_count()).rounds;
+    let superstep = 2 * blocks.schedule().rounds;
     let rounds = (threshold as u64 + 2) * superstep + u64::from(tree.depth_of_tree());
 
     VerificationOutcome {
         good,
-        block_counts,
+        block_counts: blocks.counts,
         rounds,
     }
 }

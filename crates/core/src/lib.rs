@@ -63,7 +63,7 @@ pub mod routing;
 pub use error::CoreError;
 pub use quality::{QualityPool, ShortcutQuality};
 pub use shortcut::Shortcut;
-pub use tree_restricted::{BlockComponent, TreeShortcut};
+pub use tree_restricted::TreeShortcut;
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -10,19 +10,20 @@
 //!   leaders, plus the Lemma 3 block-component counting used by the
 //!   verification subroutine. Each primitive reports the exact number of
 //!   CONGEST rounds it would take, computed from the actually scheduled
-//!   intra-block routings and the supergraph steps it performs. The router
-//!   and `construction::verification` count blocks and lay out the Lemma 2
-//!   family with one flat pass that climbs the tree (`blocks.rs`).
+//!   intra-block routings and the supergraph steps it performs.
+//! * [`MemberBlocks`] — Lemma 3's flat block pass: one climb of the tree
+//!   per part finds, counts and numbers every part's member blocks and lays
+//!   out their Lemma 2 family (`blocks.rs`). The router,
+//!   `construction::verification` and `lcs_dist::BlockFamily` all build on
+//!   it, so one pass and one schedule serve every block consumer.
 
 mod blocks;
 mod parts;
 mod tree_routing;
 
-pub(crate) use blocks::{member_blocks, MemberBlocks};
+pub use blocks::MemberBlocks;
 pub use parts::{PartRouter, PartRouterOutcome};
-pub use tree_routing::{
-    convergecast_rounds, subtree_specs_from_blocks, RoutingPriority, RoutingSchedule, SubtreeSpec,
-};
+pub use tree_routing::{convergecast_rounds, RoutingPriority, RoutingSchedule, SubtreeSpec};
 
 /// How a routing primitive or construction subroutine executes its
 /// communication.

@@ -15,7 +15,7 @@
 use lcs_congest::RoundCost;
 use lcs_graph::{Graph, NodeId, Partition, RootedTree, UnionFind};
 
-use super::blocks::{member_blocks, BlockRoots, MemberBlocks};
+use super::blocks::{BlockRoots, MemberBlocks};
 use crate::TreeShortcut;
 
 /// The result of one part-parallel routing primitive: the per-part (or
@@ -55,15 +55,14 @@ impl<'a> PartRouter<'a> {
         partition: &'a Partition,
         shortcut: &'a TreeShortcut,
     ) -> Self {
-        let MemberBlocks { counts, slots } =
-            member_blocks(graph, tree, partition, shortcut, |_| true);
-        let schedule = slots.schedule(graph.node_count());
+        let blocks = MemberBlocks::new(graph, tree, partition, shortcut, |_| true);
+        let schedule = blocks.schedule();
         PartRouter {
             graph,
             tree,
             partition,
             shortcut,
-            block_counts: counts,
+            block_counts: blocks.counts,
             intra_block_rounds: schedule.rounds,
             max_edge_load: schedule.max_edge_load,
         }

@@ -10,8 +10,6 @@
 
 use lcs_graph::{NodeId, RootedTree};
 
-use crate::BlockComponent;
-
 /// One subtree of the family: its root (shallowest node), the root's depth
 /// (the Lemma 2 priority key) and its node set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,19 +50,6 @@ impl SubtreeSpec {
     }
 }
 
-/// Converts a set of block components (from any number of parts) into the
-/// subtree family they form for routing purposes.
-pub fn subtree_specs_from_blocks(blocks: &[BlockComponent]) -> Vec<SubtreeSpec> {
-    blocks
-        .iter()
-        .map(|b| SubtreeSpec {
-            root: b.root,
-            root_depth: b.root_depth,
-            nodes: b.nodes.clone(),
-        })
-        .collect()
-}
-
 /// The forwarding priority used when several subtrees contend for the same
 /// tree edge in the same round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,7 +67,8 @@ pub enum RoutingPriority {
 
 impl RoutingPriority {
     /// The scheduler key of a subtree: smaller keys are forwarded first.
-    /// `index` breaks ties (the subtree index, or the part of a block).
+    /// `index` breaks ties (the subtree index, or a block's number) and is
+    /// the key's low word under every priority.
     pub(crate) fn key(self, root_depth: u32, index: usize) -> u64 {
         let index = u64::from(u32::try_from(index).expect("subtree indices fit in u32"));
         match self {
@@ -124,8 +110,10 @@ pub struct RoutingSchedule {
 /// synchronous-rounds semantics. Linking a node to its parent costs one
 /// binary search in the subtree's node list; scheduling costs one sort of
 /// each node's slots plus a scan of the node's ready words per send. The
-/// same scheduler times verification's block family and
-/// [`crate::routing::PartRouter`]'s superstep.
+/// same scheduler times the member-block family of
+/// [`crate::routing::MemberBlocks`], which verification,
+/// [`crate::routing::PartRouter`] and `lcs_dist::BlockFamily` build on;
+/// this entry point serves explicit subtree families (experiment E3).
 ///
 /// # Panics
 ///
@@ -152,6 +140,7 @@ const NO_SLOT: u32 = u32::MAX;
 /// per (subtree, non-root node), holding the node, the slot of the node's
 /// parent in the same subtree and the subtree's priority key. At most one
 /// slot per node may carry a given key.
+#[derive(Debug)]
 pub(crate) struct Slots {
     node: Vec<u32>,
     parent: Vec<u32>,
@@ -184,6 +173,12 @@ impl Slots {
     /// The node of `slot`.
     pub(crate) fn node(&self, slot: usize) -> NodeId {
         NodeId::new(self.node[slot] as usize)
+    }
+
+    /// The tie-break index of `slot`'s key ([`RoutingPriority::key`] keeps
+    /// it in the low word under every priority).
+    pub(crate) fn index(&self, slot: usize) -> usize {
+        self.key[slot] as u32 as usize
     }
 
     /// Points `slot` at the slot of its node's parent.

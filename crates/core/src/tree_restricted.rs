@@ -1,44 +1,9 @@
 //! Tree-restricted shortcuts (Definitions 2 and 3 of the paper).
 
-use lcs_graph::{EdgeId, Graph, NodeId, PartId, Partition, RootedTree, UnionFind};
+use lcs_graph::{EdgeId, Graph, PartId, Partition, RootedTree, UnionFind};
 
 use crate::quality::{self, ShortcutQuality};
 use crate::{CoreError, Result, Shortcut};
-
-/// One block component of a part's shortcut subgraph (Definition 3): a
-/// connected component of the spanning subgraph `(V, H_i)` that intersects
-/// `P_i`. Block components are subtrees of `T`; their shallowest node is the
-/// *block root*, whose depth is the routing priority of Lemma 2.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockComponent {
-    /// The part this block belongs to.
-    pub part: PartId,
-    /// The shallowest node of the block (its root within `T`).
-    pub root: NodeId,
-    /// Depth of the block root in `T`.
-    pub root_depth: u32,
-    /// All nodes of the block (part members and Steiner nodes), sorted.
-    pub nodes: Vec<NodeId>,
-    /// The tree edges of the block, sorted.
-    pub edges: Vec<EdgeId>,
-}
-
-impl BlockComponent {
-    /// Number of nodes in the block.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// A block always contains at least one node.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Returns `true` if `node` belongs to this block.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.nodes.binary_search(&node).is_ok()
-    }
-}
 
 /// A `T`-restricted shortcut (Definition 2): every shortcut subgraph `H_i`
 /// consists solely of edges of the fixed rooted spanning tree `T`.
@@ -229,7 +194,7 @@ impl TreeShortcut {
     /// count as singleton blocks.
     pub fn block_count(&self, graph: &Graph, partition: &Partition, p: PartId) -> usize {
         let mut ws = quality::QualityWorkspace::new(graph);
-        self.local_components(graph, partition, p, &mut ws).len()
+        self.block_count_with(graph, partition, p, &mut ws)
     }
 
     /// Block-component counts for every part, sharing one epoch-stamped
@@ -248,7 +213,7 @@ impl TreeShortcut {
     ) -> Vec<usize> {
         partition
             .parts()
-            .map(|p| self.local_components(graph, partition, p, ws).len())
+            .map(|p| self.block_count_with(graph, partition, p, ws))
             .collect()
     }
 
@@ -259,94 +224,6 @@ impl TreeShortcut {
             .into_iter()
             .max()
             .unwrap_or(0)
-    }
-
-    /// The full block-component structure of part `p`, each block annotated
-    /// with its root (shallowest node) and the root's depth — the
-    /// information the Lemma 2 routing priority needs.
-    pub fn block_components(
-        &self,
-        graph: &Graph,
-        tree: &RootedTree,
-        partition: &Partition,
-        p: PartId,
-    ) -> Vec<BlockComponent> {
-        let mut ws = quality::QualityWorkspace::new(graph);
-        self.block_components_with(graph, tree, partition, p, &mut ws)
-    }
-
-    /// Block components of every part (inactive parts get an empty list),
-    /// sharing one epoch-stamped scratch across the whole sweep — the bulk
-    /// entry point `lcs_dist::BlockFamily` builds its per-node views from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active.len()` differs from the partition's part count.
-    pub fn active_block_components(
-        &self,
-        graph: &Graph,
-        tree: &RootedTree,
-        partition: &Partition,
-        active: &[bool],
-    ) -> Vec<Vec<BlockComponent>> {
-        assert_eq!(
-            active.len(),
-            partition.part_count(),
-            "one active flag per part is required"
-        );
-        let mut ws = quality::QualityWorkspace::new(graph);
-        partition
-            .parts()
-            .map(|p| {
-                if active[p.index()] {
-                    self.block_components_with(graph, tree, partition, p, &mut ws)
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect()
-    }
-
-    /// [`TreeShortcut::block_components`] against a caller-provided
-    /// scratch workspace (shared across parts by the sweeping callers).
-    pub(crate) fn block_components_with(
-        &self,
-        graph: &Graph,
-        tree: &RootedTree,
-        partition: &Partition,
-        p: PartId,
-        ws: &mut quality::QualityWorkspace,
-    ) -> Vec<BlockComponent> {
-        let groups = self.local_components(graph, partition, p, ws);
-        let mut blocks = Vec::with_capacity(groups.len());
-        for mut nodes in groups {
-            nodes.sort();
-            nodes.dedup();
-            let root = *nodes
-                .iter()
-                .min_by_key(|v| (tree.depth(**v), **v))
-                .expect("blocks are nonempty");
-            let mut edges: Vec<EdgeId> = self
-                .edges_of(p)
-                .iter()
-                .copied()
-                .filter(|&e| {
-                    let edge = graph.edge(e);
-                    nodes.binary_search(&edge.u).is_ok() && nodes.binary_search(&edge.v).is_ok()
-                })
-                .collect();
-            edges.sort();
-            blocks.push(BlockComponent {
-                part: p,
-                root,
-                root_depth: tree.depth(root),
-                nodes,
-                edges,
-            });
-        }
-        // Deterministic order: by root depth, then root id.
-        blocks.sort_by_key(|b| (b.root_depth, b.root));
-        blocks
     }
 
     /// Measures congestion, dilation and block parameter in one pass. The
@@ -384,20 +261,23 @@ impl TreeShortcut {
         }
     }
 
-    /// Groups the nodes relevant to part `p` (members plus `H_p` endpoints)
-    /// into connected components of `(V, H_p)`, returning only the
-    /// components that contain at least one part member. The cost is
-    /// proportional to `|P_p| + |H_p|`, not `n`: the node interning runs on
-    /// the workspace's epoch-stamped marks (no per-part hash map or clear).
-    fn local_components(
+    /// [`TreeShortcut::block_count`] against a caller-provided scratch:
+    /// interns the nodes relevant to part `p` (members plus `H_p`
+    /// endpoints), joins the `H_p` edges in a union-find over them and
+    /// counts the components that hold a member. The cost is proportional
+    /// to `|P_p| + |H_p|`, not `n`: the node interning runs on the
+    /// workspace's epoch-stamped marks (no per-part hash map or clear).
+    pub(crate) fn block_count_with(
         &self,
         graph: &Graph,
         partition: &Partition,
         p: PartId,
         ws: &mut quality::QualityWorkspace,
-    ) -> Vec<Vec<NodeId>> {
+    ) -> usize {
         ws.begin_local();
-        for &v in partition.members(p) {
+        // Members first: they take local indices `0..members.len()`.
+        let members = partition.members(p);
+        for &v in members {
             ws.intern(v);
         }
         for &e in self.edges_of(p) {
@@ -412,28 +292,10 @@ impl TreeShortcut {
             let (u, v) = (ws.intern(edge.u), ws.intern(edge.v));
             uf.union(u, v);
         }
-        // Collect components that contain a part member, grouped by
-        // union-find representative in first-seen order (the final order is
-        // fixed by the sort below, exactly as the seed implementation's).
-        let mut group_of_rep: Vec<u32> = vec![u32::MAX; count];
-        let mut groups: Vec<Vec<NodeId>> = Vec::new();
-        for i in 0..count {
-            let rep = uf.find(i);
-            let g = if group_of_rep[rep] == u32::MAX {
-                group_of_rep[rep] = groups.len() as u32;
-                groups.push(Vec::new());
-                groups.len() - 1
-            } else {
-                group_of_rep[rep] as usize
-            };
-            groups[g].push(ws.local_nodes()[i]);
-        }
-        let mut result: Vec<Vec<NodeId>> = groups
-            .into_iter()
-            .filter(|group| group.iter().any(|&v| partition.part_of(v) == Some(p)))
-            .collect();
-        result.sort_by_key(|g| g.iter().min().copied());
-        result
+        let mut counted = vec![false; count];
+        (0..members.len())
+            .filter(|&i| !std::mem::replace(&mut counted[uf.find(i)], true))
+            .count()
     }
 }
 
@@ -494,7 +356,7 @@ pub(crate) fn to_u32(x: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_graph::generators;
+    use lcs_graph::{generators, NodeId};
 
     fn grid_setup() -> (Graph, RootedTree, Partition) {
         let g = generators::grid(4, 4);
@@ -599,34 +461,6 @@ mod tests {
             "assigning ancestor edges must merge blocks ({after} < {before})"
         );
         s.validate(&t, &p).unwrap();
-    }
-
-    #[test]
-    fn block_components_report_roots_and_steiner_nodes() {
-        let (g, t, p) = grid_setup();
-        let part = PartId::new(2);
-        // Assign the full tree path from each member of column 2 to the
-        // root; all members join one block rooted at the tree root.
-        let edges = p
-            .members(part)
-            .iter()
-            .flat_map(|&v| t.path_to_root(v).filter_map(|node| t.parent_edge(node)))
-            .collect();
-        let s = one_part(&g, &t, &p, part, edges);
-        let blocks = s.block_components(&g, &t, &p, part);
-        assert_eq!(blocks.len(), 1);
-        let block = &blocks[0];
-        assert_eq!(block.root, t.root());
-        assert_eq!(block.root_depth, 0);
-        assert!(!block.is_empty());
-        // Contains the members and at least one Steiner node (the root,
-        // which is in column 0, not column 2).
-        for &v in p.members(part) {
-            assert!(block.contains(v));
-        }
-        assert!(block.contains(t.root()));
-        assert!(block.len() > p.members(part).len());
-        assert_eq!(s.block_count(&g, &p, part), 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   E3 routing families under every priority. The values were recorded
 //!   from the per-node-collection implementation the oracles below copy.
 //! * **oracles** — test-only copies of that implementation (`BTreeSet`
-//!   CoreFast, list-per-node CoreSlow, per-part `block_components`
-//!   verification, heap-per-node convergecast), written on the public API
+//!   CoreFast, list-per-node CoreSlow, verification on per-part blocks
+//!   grown by BFS, heap-per-node convergecast), written on the public API
 //!   and compared field by field against the library on random instances.
 
 use std::cmp::Reverse;
@@ -24,10 +24,9 @@ use lcs_core::construction::{
     core_fast, core_slow, verification, CoreFastConfig, CoreOutcome, VerificationOutcome,
 };
 use lcs_core::routing::{
-    convergecast_rounds, subtree_specs_from_blocks, PartRouter, RoutingPriority, RoutingSchedule,
-    SubtreeSpec,
+    convergecast_rounds, PartRouter, RoutingPriority, RoutingSchedule, SubtreeSpec,
 };
-use lcs_core::{BlockComponent, TreeShortcut};
+use lcs_core::TreeShortcut;
 use lcs_graph::{generators, EdgeId, Graph, NodeId, PartId, Partition, RootedTree};
 
 /// FNV-1a over little-endian words.
@@ -662,7 +661,48 @@ fn oracle_convergecast(
     }
 }
 
-/// Verification from per-part `block_components` and the oracle schedule.
+/// Part `p`'s member blocks as subtrees, ascending by (root depth, root):
+/// the components of `(V, H_p)` grown by BFS over `H_p`'s edges from every
+/// member no earlier block covers.
+fn oracle_block_components(
+    graph: &Graph,
+    tree: &RootedTree,
+    partition: &Partition,
+    shortcut: &TreeShortcut,
+    p: PartId,
+) -> Vec<SubtreeSpec> {
+    let edges = shortcut.edges_of(p);
+    let mut covered = vec![false; graph.node_count()];
+    let mut blocks = Vec::new();
+    for &m in partition.members(p) {
+        if covered[m.index()] {
+            continue;
+        }
+        covered[m.index()] = true;
+        let mut nodes = vec![m];
+        let mut next = 0;
+        while let Some(&v) = nodes.get(next) {
+            next += 1;
+            for &e in edges {
+                let edge = graph.edge(e);
+                let u = match v {
+                    _ if edge.u == v => edge.v,
+                    _ if edge.v == v => edge.u,
+                    _ => continue,
+                };
+                if !covered[u.index()] {
+                    covered[u.index()] = true;
+                    nodes.push(u);
+                }
+            }
+        }
+        blocks.push(SubtreeSpec::new(tree, nodes));
+    }
+    blocks.sort_by_key(|b| (b.root_depth, b.root));
+    blocks
+}
+
+/// Verification from per-part BFS blocks and the oracle schedule.
 fn oracle_verification(
     graph: &Graph,
     tree: &RootedTree,
@@ -673,21 +713,17 @@ fn oracle_verification(
 ) -> VerificationOutcome {
     let mut good = vec![false; partition.part_count()];
     let mut block_counts = vec![0usize; partition.part_count()];
-    let mut family: Vec<BlockComponent> = Vec::new();
+    let mut family: Vec<SubtreeSpec> = Vec::new();
     for p in partition.parts() {
         if !active[p.index()] {
             continue;
         }
-        let blocks = shortcut.block_components(graph, tree, partition, p);
+        let blocks = oracle_block_components(graph, tree, partition, shortcut, p);
         block_counts[p.index()] = blocks.len();
         good[p.index()] = blocks.len() <= threshold;
         family.extend(blocks);
     }
-    let schedule = oracle_convergecast(
-        tree,
-        &subtree_specs_from_blocks(&family),
-        RoutingPriority::BlockRootDepth,
-    );
+    let schedule = oracle_convergecast(tree, &family, RoutingPriority::BlockRootDepth);
     VerificationOutcome {
         good,
         block_counts,
@@ -779,13 +815,10 @@ proptest! {
         // The Lemma 2 schedule of the block family under every priority,
         // and the router built on the same family.
         let fast = core_fast(&graph, &tree, &partition, &CoreFastConfig::new(c).with_seed(seed), &all);
-        let blocks: Vec<BlockComponent> = fast
-            .shortcut
-            .active_block_components(&graph, &tree, &partition, &all)
-            .into_iter()
-            .flatten()
+        let specs: Vec<SubtreeSpec> = partition
+            .parts()
+            .flat_map(|p| oracle_block_components(&graph, &tree, &partition, &fast.shortcut, p))
             .collect();
-        let specs = subtree_specs_from_blocks(&blocks);
         for priority in PRIORITIES {
             prop_assert_eq!(
                 convergecast_rounds(&tree, &specs, priority),

@@ -14,7 +14,6 @@ use lcs_core::construction::{
     FindShortcut, FindShortcutConfig, VerificationOutcome,
 };
 use lcs_core::existential::{ancestor_shortcut, reference_parameters};
-use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
 use lcs_graph::{generators, EdgeId, Graph, NodeId, PartId, Partition, RootedTree};
 
@@ -197,46 +196,6 @@ proptest! {
         let q = result.shortcut.quality(&graph, &partition);
         prop_assert!(q.block_parameter <= 3 * b);
         prop_assert!(q.congestion <= 8 * c * result.iterations + 1);
-    }
-
-    /// Block-component decomposition invariants: blocks of a part are
-    /// disjoint, cover every member, and each block is connected within the
-    /// tree edges of the part's subgraph.
-    #[test]
-    fn block_decomposition_invariants(
-        n in 6usize..40,
-        extra in 0usize..30,
-        parts in 1usize..8,
-        seed in 0u64..500,
-        levels in 0u32..6,
-    ) {
-        let (graph, tree, partition) = random_instance(n, extra, parts, seed);
-        let shortcut = lcs_core::existential::truncated_ancestor_shortcut(
-            &graph, &tree, &partition, levels,
-        );
-        for p in partition.parts() {
-            let blocks = shortcut.block_components(&graph, &tree, &partition, p);
-            prop_assert_eq!(blocks.len(), shortcut.block_count(&graph, &partition, p));
-            // Disjointness and member coverage.
-            let mut seen = std::collections::HashSet::new();
-            for block in &blocks {
-                for &v in &block.nodes {
-                    prop_assert!(seen.insert(v), "node {v} appears in two blocks");
-                }
-                // The root is the shallowest node of the block.
-                for &v in &block.nodes {
-                    prop_assert!(tree.depth(v) >= block.root_depth);
-                }
-            }
-            for &member in partition.members(p) {
-                prop_assert!(seen.contains(&member), "member {member} not covered");
-            }
-        }
-        // The routing engine agrees with the decomposition and its
-        // supergraphs are connected.
-        let router = PartRouter::new(&graph, &tree, &partition, &shortcut);
-        prop_assert!(router.supergraphs_connected());
-        prop_assert_eq!(router.block_parameter(), shortcut.block_parameter(&graph, &partition));
     }
 }
 

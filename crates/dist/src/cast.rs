@@ -4,9 +4,9 @@
 //! [`block_convergecast`] aggregates one optional value per part member up
 //! to each block's root, every block of the family in parallel, forwarding
 //! with the `BlockRootDepth` priority. Because the greedy rule is exactly
-//! the schedule `lcs_core::routing::convergecast_rounds` simulates
-//! centrally, the executed round count *equals* the scheduled one (and is
-//! therefore within the Lemma 2 bound `D + c`).
+//! the schedule `lcs_core`'s Lemma 2 scheduler simulates centrally
+//! ([`BlockFamily::schedule`]), the executed round count *equals* the
+//! scheduled one (and is therefore within the Lemma 2 bound `D + c`).
 //!
 //! [`block_exchange`] follows the convergecast with its time-reversed
 //! broadcast, leaving every block node in possession of the block's
@@ -119,26 +119,27 @@ fn run_cast(
         }
     })?;
 
-    let mut per_block = vec![None; family.blocks().len()];
-    for (b_idx, block) in family.blocks().iter().enumerate() {
-        let root_node = &outcome.nodes[block.root.index()];
-        let info = family.info(block.root);
-        let m_idx = info
-            .memberships
-            .iter()
-            .position(|m| m.block == b_idx)
-            .ok_or_else(|| DistError::ProtocolInvariant {
-                reason: format!("block {b_idx} root lacks a membership"),
-            })?;
-        let agreed = root_node
-            .agreed
-            .iter()
-            .find(|(i, _)| *i == m_idx)
-            .ok_or_else(|| DistError::ProtocolInvariant {
-                reason: format!("block {b_idx} root never agreed"),
-            })?;
-        per_block[b_idx] = agreed.1;
-    }
+    let per_block = (0..family.block_count())
+        .map(|b_idx| {
+            let root = family.block(b_idx).root;
+            let m_idx = family
+                .info(root)
+                .memberships
+                .iter()
+                .position(|m| m.block == b_idx)
+                .ok_or_else(|| DistError::ProtocolInvariant {
+                    reason: format!("block {b_idx} root lacks a membership"),
+                })?;
+            let agreed = outcome.nodes[root.index()]
+                .agreed
+                .iter()
+                .find(|(i, _)| *i == m_idx)
+                .ok_or_else(|| DistError::ProtocolInvariant {
+                    reason: format!("block {b_idx} root never agreed"),
+                })?;
+            Ok(agreed.1)
+        })
+        .collect::<Result<Vec<_>>>()?;
     let member_view = outcome.nodes.iter().map(|n| n.own_agreed).collect();
     Ok(BlockCastOutcome {
         per_block,
@@ -218,11 +219,10 @@ mod tests {
         assert!(outcome.stats.rounds <= family.lemma2_bound());
         // Each part is one block here, so the per-block sums are the part
         // sizes.
-        for (b_idx, block) in family.blocks().iter().enumerate() {
-            assert_eq!(
-                outcome.per_block[b_idx],
-                Some(p.members(block.part).len() as u64)
-            );
+        assert_eq!(family.block_count(), p.part_count());
+        for b_idx in 0..family.block_count() {
+            let part = family.block(b_idx).part;
+            assert_eq!(outcome.per_block[b_idx], Some(p.members(part).len() as u64));
         }
     }
 
@@ -237,17 +237,12 @@ mod tests {
             .collect();
         let outcome = block_exchange(&g, &family, &ids, AggregateOp::Max, None).unwrap();
         assert!(outcome.stats.rounds <= 2 * family.schedule().rounds);
+        // Each part is one block here, so every member agrees on its
+        // part's largest id.
+        assert_eq!(family.block_parameter(), 1);
         for v in g.nodes() {
-            if p.part_of(v).is_some() {
-                let expected = family.info(v).own().map(|m| {
-                    family.blocks()[m.block]
-                        .nodes
-                        .iter()
-                        .filter(|&&u| p.part_of(u) == p.part_of(v))
-                        .map(|u| u.index() as u64)
-                        .max()
-                        .unwrap()
-                });
+            if let Some(part) = p.part_of(v) {
+                let expected = p.members(part).iter().max().map(|u| u.index() as u64);
                 assert_eq!(outcome.member_view[v.index()], expected);
             }
         }

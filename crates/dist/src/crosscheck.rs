@@ -121,14 +121,16 @@ impl<'a> CrossCheck<'a> {
             });
         }
         Self::check_bound(outcome.stats, self.family.lemma2_bound(), "convergecast")?;
-        // Centralized reference: fold members' values per block.
-        for (b_idx, block) in self.family.blocks().iter().enumerate() {
-            let expected = block
-                .nodes
-                .iter()
-                .filter(|&&v| self.partition.part_of(v) == Some(block.part))
-                .filter_map(|&v| values[v.index()])
-                .reduce(|a, b| op.combine(a, b));
+        // Centralized reference: fold each member's value into its
+        // own-part block.
+        let mut per_block: Vec<Option<u64>> = vec![None; self.family.block_count()];
+        for v in self.graph.nodes() {
+            if let (Some(own), Some(value)) = (self.family.info(v).own(), values[v.index()]) {
+                let acc = &mut per_block[own.block];
+                *acc = Some(acc.map_or(value, |a| op.combine(a, value)));
+            }
+        }
+        for (b_idx, &expected) in per_block.iter().enumerate() {
             if outcome.per_block[b_idx] != expected {
                 return Err(DistError::Mismatch {
                     reason: format!(

@@ -33,7 +33,7 @@ use lcs_congest::{
     bits_for_count, Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing, SimConfig,
     SimOutcome, Simulator,
 };
-use lcs_graph::{Graph, NodeId};
+use lcs_graph::{EdgeId, Graph, NodeId};
 use lcs_obs::Obs;
 
 use crate::knowledge::{BlockFamily, NodeInfo};
@@ -44,11 +44,12 @@ use crate::Result;
 /// hands it.
 ///
 /// The callbacks that may read the node's rows get its [`NodeView`], a
-/// `Copy` pair of the family and the node that builds the [`NodeInfo`]
-/// only when the callback asks for it ([`NodeView::info`]). Most calls
-/// never do, so a poll that delivers a tree message builds no view at all.
-/// A program that needs a row on every call reads it once, from the
-/// [`NodeInfo`] its factory gets, and keeps what it needs.
+/// `Copy` pair of the family and the node that reads the node's same-part
+/// neighbors only when the callback asks for them
+/// ([`NodeView::part_neighbors`], two offsets). Most calls never do, so a
+/// poll that delivers a tree message reads no row at all. A program that
+/// needs another row reads it once, from the [`NodeInfo`] its factory
+/// gets, and keeps what it needs.
 ///
 /// A callback tells the node's own-part membership from its relay-only
 /// ones by the `own` flag (`info.own_membership == Some(member)` for the
@@ -88,9 +89,8 @@ pub(crate) trait NodeProgram: Send {
     fn cross_bits(&self) -> usize;
 }
 
-/// A node's lazily built view of its family rows, handed to the
-/// [`NodeProgram`] callbacks: `Copy`, two words, and free to pass. A
-/// callback that needs the rows calls [`NodeView::info`].
+/// A node's lazy view of its family rows, handed to the [`NodeProgram`]
+/// callbacks: `Copy`, two words, and free to pass.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeView<'a> {
     family: &'a BlockFamily,
@@ -98,9 +98,10 @@ pub(crate) struct NodeView<'a> {
 }
 
 impl<'a> NodeView<'a> {
-    /// Builds the node's [`NodeInfo`].
-    pub(crate) fn info(self) -> NodeInfo<'a> {
-        self.family.info(self.node)
+    /// The node's same-part neighbors ([`NodeInfo::part_neighbors`]),
+    /// read without building the rest of the node's [`NodeInfo`].
+    pub(crate) fn part_neighbors(self) -> &'a [(NodeId, EdgeId)] {
+        self.family.part_neighbors(self.node)
     }
 }
 
@@ -389,9 +390,9 @@ fn carve<'a, T>(rest: &mut &'a mut [T], skip: usize, len: usize) -> &'a mut [T] 
 /// node borrows. `runs`, `ready` and `downs` are the node's rows of three
 /// arenas that `run_engine` lays out once per run in node order
 /// ([`Arenas`]), so consecutive polls read consecutive memory. The engine
-/// builds the family's [`NodeInfo`] itself only where it reads the rows
-/// (cross sends and fault-mode emissions); the programs build it through
-/// their [`NodeView`] when they need it.
+/// builds the family's [`NodeInfo`] itself only in fault-mode emissions;
+/// cross sends, and the programs through their [`NodeView`], read only the
+/// same-part neighbor row.
 #[derive(Debug)]
 pub(crate) struct EngineNode<'a, P: NodeProgram> {
     program: P,
@@ -400,8 +401,6 @@ pub(crate) struct EngineNode<'a, P: NodeProgram> {
     shape: &'a Shape,
     up_bits: u32,
     cross_msg_bits: u32,
-    /// Whether the node has a same-part neighbor to exchange crosses with.
-    has_part_neighbors: bool,
     finished: bool,
     step: u64,
     /// One run per membership, in the memberships' order: a tree message's
@@ -450,7 +449,6 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
             shape,
             up_bits,
             cross_msg_bits,
-            has_part_neighbors: !info.part_neighbors.is_empty(),
             finished: false,
             step: 0,
             runs: rows.runs,
@@ -601,11 +599,8 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
 
     /// The cross messages of superstep `step` to every same-part neighbor.
     fn send_crosses(&mut self, out: &mut Outbox<P>) {
-        if !self.has_part_neighbors {
-            return;
-        }
         let step = self.step;
-        for &(to, _) in self.info().part_neighbors {
+        for &(to, _) in self.family.part_neighbors(self.node) {
             if let Some(msg) = self.program.cross_message(to, step) {
                 out.push(Outgoing::new(
                     to,
@@ -895,8 +890,9 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
         if shape.steps == 0 {
             return None;
         }
-        let crosses_follow =
-            shape.broadcast_down && self.step + 1 < shape.steps && self.has_part_neighbors;
+        let crosses_follow = shape.broadcast_down
+            && self.step + 1 < shape.steps
+            && !self.family.part_neighbors(self.node).is_empty();
         if shape.faulty {
             // Re-derived from *observed* progress: anything sendable keeps
             // the node on the per-round schedule (that is the resend
@@ -1026,7 +1022,7 @@ where
         Some(c) => c.with_max_rounds(total_rounds + 2),
         None => SimConfig::for_graph(graph).with_max_rounds(total_rounds + 2),
     };
-    let block_bits = bits_for_count(family.blocks().len().max(2));
+    let block_bits = bits_for_count(family.block_count().max(2));
     if obs.is_on() {
         obs.counter_add("dist/engine/runs", 1);
         obs.counter_add("dist/engine/supersteps", spec.steps);

@@ -39,22 +39,41 @@
 //! block node's tree parent is in the block, and the children are the
 //! inverse of that parent relation.
 //!
-//! A [`NodeInfo`] is a borrowed view of one node's rows. The views cost a
-//! constant number of allocations whatever the family's size (the block
-//! components keep their own node and edge lists, one pair per block), and
-//! a protocol run reads each node's rows where the previous node's end.
+//! A [`NodeInfo`] is a borrowed view of one node's rows, and a protocol run
+//! reads each node's rows where the previous node's end.
+//!
+//! # Build
+//!
+//! The blocks come from `lcs_core::routing::MemberBlocks`, Lemma 3's flat
+//! pass that the scheduled verification and `PartRouter` run too: one
+//! climb of the parent edges per part finds every member block's root and
+//! lays out a Lemma 2 slot per other block node, and the family's schedule
+//! is that pass's schedule. The family turns those incidences (each block
+//! root, each slot node) into its rows by one counting sort, part by part,
+//! so the build allocates the same number of buffers for any part count
+//! and keeps no per-block node list.
 
 use std::ops::Range;
 
-use lcs_core::routing::{
-    convergecast_rounds, subtree_specs_from_blocks, RoutingPriority, RoutingSchedule,
-};
-use lcs_core::{BlockComponent, TreeShortcut};
+use lcs_core::routing::{MemberBlocks, RoutingSchedule};
+use lcs_core::TreeShortcut;
 use lcs_graph::{EdgeId, Graph, NodeId, PartId, Partition, RootedTree};
 
 /// A missing membership index: the `own` entry of a node outside every
 /// active part, and the parent index of a block root.
 const NO_MEMBERSHIP: u32 = u32::MAX;
+
+/// One block of the family: a block of `H_p` that holds a member of
+/// `P_p`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemberBlock {
+    /// The part the block belongs to.
+    pub part: PartId,
+    /// The block root: the block's shallowest node.
+    pub root: NodeId,
+    /// Depth of the block root in `T` (the Lemma 2 priority key).
+    pub root_depth: u32,
+}
 
 /// A node's role within one block of the family.
 ///
@@ -157,15 +176,19 @@ impl<'a> NodeInfo<'a> {
 /// (used both to size the superstep windows and as the charged-cost
 /// reference in cross-checks).
 ///
-/// The views are stored as compressed sparse rows in node order (see the
-/// module docs); [`BlockFamily::info`] hands out one node's rows as a
+/// Its blocks are the active parts' member blocks (the blocks of `H_p`
+/// that hold a member of `P_p`), numbered by part, then root depth, then
+/// root id ([`BlockFamily::block`]). The views are stored as compressed
+/// sparse rows in node order (see the module docs);
+/// [`BlockFamily::info`] hands out one node's rows as a
 /// [`NodeInfo`]. Next to the rows the family keeps two index arrays that
 /// link a membership to the same block's membership at its in-block
 /// parent and at each in-block child, so the superstep engine dispatches
 /// every tree message by index instead of searching a row for its block.
 #[derive(Debug, Clone)]
 pub struct BlockFamily {
-    blocks: Vec<BlockComponent>,
+    /// Each block's part, root and root depth, by block number.
+    blocks: Vec<MemberBlock>,
     schedule: RoutingSchedule,
     block_parameter: usize,
     tree_depth: u32,
@@ -224,22 +247,11 @@ impl BlockFamily {
             partition.part_count(),
             "one active flag per part is required"
         );
-        // Flatten per-part blocks in partition order — the exact family
-        // ordering `PartRouter` and `verification` use, so schedule lengths
-        // and tie-breaks agree bit for bit. The bulk accessor shares one
-        // epoch-stamped scratch across the whole partition.
-        let mut blocks: Vec<BlockComponent> = Vec::new();
-        let mut block_parameter = 0usize;
-        for part_blocks in shortcut.active_block_components(graph, tree, partition, active) {
-            block_parameter = block_parameter.max(part_blocks.len());
-            blocks.extend(part_blocks);
-        }
-
-        let schedule = convergecast_rounds(
-            tree,
-            &subtree_specs_from_blocks(&blocks),
-            RoutingPriority::BlockRootDepth,
-        );
+        // The flat Lemma 3 pass `PartRouter` and `verification` run, so
+        // block numbers, schedule lengths and tie-breaks agree bit for bit.
+        let pass = MemberBlocks::new(graph, tree, partition, shortcut, |p| active[p.index()]);
+        let schedule = pass.schedule();
+        let block_parameter = pass.counts.iter().copied().max().unwrap_or(0);
 
         let n = graph.node_count();
         let part: Vec<Option<PartId>> = graph
@@ -247,14 +259,14 @@ impl BlockFamily {
             .map(|v| partition.part_of(v).filter(|p| active[p.index()]))
             .collect();
 
-        // Counting sort of the (node, block) incidences by node. Blocks are
-        // visited in family order, so each node's row comes out ascending
-        // by block.
+        // Counting sort of the (node, block) incidences by node: each block
+        // root, and each slot node (every other block node).
         let mut member_start = vec![0u32; n + 1];
-        for block in &blocks {
-            for &v in &block.nodes {
-                member_start[v.index() + 1] += 1;
-            }
+        for root in &pass.roots {
+            member_start[root.index() + 1] += 1;
+        }
+        for s in 0..pass.slot_count() {
+            member_start[pass.slot(s).0.index() + 1] += 1;
         }
         for v in 0..n {
             member_start[v + 1] += member_start[v];
@@ -262,32 +274,46 @@ impl BlockFamily {
         let total = member_start[n] as usize;
         let at = |v: NodeId, local: u32| (member_start[v.index()] + local) as usize;
 
-        // `placed[v]` counts the memberships placed in `v`'s row so far, so
-        // right after a block is placed it is the last entry of the row of
-        // each of its nodes. A block is a subtree of `T` rooted at its
-        // shallowest node, so every other block node's tree parent lies in
-        // the block: its parent index is one lookup, no search.
+        // Place the incidences part by part. Blocks are numbered part by
+        // part and a node lies in at most one block of a part, so each row
+        // comes out ascending by block, and once a part is placed, the last
+        // entry of a block node's row (`placed[v] - 1`) is its membership
+        // of that part. A block is a subtree of `T` rooted at its shallowest
+        // node, so every other block node's tree parent lies in the block:
+        // its parent index is one lookup, no search.
         let mut member_block = vec![0u32; total];
         let mut parent_member = vec![NO_MEMBERSHIP; total];
         let mut placed = vec![0u32; n];
-        for (idx, block) in blocks.iter().enumerate() {
-            let idx = u32::try_from(idx).expect("block ids fit in 32 bits");
-            for &v in &block.nodes {
-                member_block[at(v, placed[v.index()])] = idx;
+        let mut blocks = Vec::with_capacity(pass.roots.len());
+        let mut slot = 0;
+        for (p, &count) in pass.counts.iter().enumerate() {
+            let part_blocks = blocks.len()..blocks.len() + count;
+            let roots = &pass.roots[part_blocks.clone()];
+            blocks.extend(roots.iter().map(|&root| MemberBlock {
+                part: PartId::new(p),
+                root,
+                root_depth: tree.depth(root),
+            }));
+            let first_slot = slot;
+            while slot < pass.slot_count() && pass.slot(slot).1 < part_blocks.end {
+                slot += 1;
+            }
+            let roots = roots.iter().copied().zip(part_blocks);
+            for (v, b) in roots.chain((first_slot..slot).map(|s| pass.slot(s))) {
+                member_block[at(v, placed[v.index()])] =
+                    u32::try_from(b).expect("block ids fit in 32 bits");
                 placed[v.index()] += 1;
             }
-            let last = |v: NodeId| placed[v.index()] - 1;
-            for &v in &block.nodes {
-                if v == block.root {
-                    continue;
-                }
+            for s in first_slot..slot {
+                let v = pass.slot(s).0;
                 let p = tree
                     .parent(v)
                     .expect("a non-root block node has a tree parent");
+                let last = |v: NodeId| placed[v.index()] - 1;
                 debug_assert_eq!(
                     member_block[at(p, last(p))],
-                    idx,
-                    "block {idx}: the tree parent of {v} lies outside the block"
+                    member_block[at(v, last(v))],
+                    "the tree parent of {v} lies outside its block"
                 );
                 parent_member[at(v, last(v))] = last(p);
             }
@@ -350,9 +376,17 @@ impl BlockFamily {
             }
         }
 
+        // Room for every edge at an active member, so the row array is
+        // one allocation however the parts split the adjacency.
         let mut neighbor_start: Vec<u32> = Vec::with_capacity(n + 1);
         neighbor_start.push(0);
-        let mut part_neighbors: Vec<(NodeId, EdgeId)> = Vec::new();
+        let mut part_neighbors: Vec<(NodeId, EdgeId)> = Vec::with_capacity(
+            graph
+                .nodes()
+                .filter(|v| part[v.index()].is_some())
+                .map(|v| graph.degree(v))
+                .sum(),
+        );
         for v in graph.nodes() {
             if let Some(p) = part[v.index()] {
                 part_neighbors.extend(
@@ -382,9 +416,18 @@ impl BlockFamily {
         }
     }
 
-    /// The flattened block family.
-    pub fn blocks(&self) -> &[BlockComponent] {
-        &self.blocks
+    /// Number of blocks in the family.
+    pub fn block_count(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Block `block`'s part, root and root depth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is out of range.
+    pub fn block(&self, block: usize) -> MemberBlock {
+        self.blocks[block]
     }
 
     /// The exact Lemma 2 convergecast schedule of the family (its `rounds`
@@ -420,12 +463,19 @@ impl BlockFamily {
             part: self.part[i],
             memberships: &self.memberships[members.clone()],
             own_membership: (own != NO_MEMBERSHIP).then_some(own as usize),
-            part_neighbors: &self.part_neighbors
-                [self.neighbor_start[i] as usize..self.neighbor_start[i + 1] as usize],
+            part_neighbors: self.part_neighbors(v),
             parent_members: &self.parent_member[members],
             children: &self.children[children.clone()],
             child_members: &self.child_member[children],
         }
+    }
+
+    /// Node `v`'s `(neighbor, edge)` pairs towards graph neighbors in the
+    /// same active part: [`NodeInfo::part_neighbors`] without the rest of
+    /// the view.
+    pub(crate) fn part_neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
+        let i = v.index();
+        &self.part_neighbors[self.neighbor_start[i] as usize..self.neighbor_start[i + 1] as usize]
     }
 
     /// Number of nodes the family is defined over.
@@ -464,7 +514,7 @@ impl BlockFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_core::existential::ancestor_shortcut;
+    use lcs_core::existential::{ancestor_shortcut, truncated_ancestor_shortcut};
     use lcs_graph::generators;
 
     fn grid_setup() -> (Graph, RootedTree, Partition) {
@@ -474,70 +524,110 @@ mod tests {
         (g, t, p)
     }
 
+    /// The nodes of part `part`'s block rooted at `root`, sorted: a BFS
+    /// from `root` over the edges of `H_part`.
+    fn block_nodes(g: &Graph, s: &TreeShortcut, part: PartId, root: NodeId) -> Vec<NodeId> {
+        let mut nodes = vec![root];
+        let mut next = 0;
+        while let Some(&v) = nodes.get(next) {
+            next += 1;
+            for &e in s.edges_of(part) {
+                let edge = g.edge(e);
+                let u = match v {
+                    _ if edge.u == v => edge.v,
+                    _ if edge.v == v => edge.u,
+                    _ => continue,
+                };
+                if !nodes.contains(&u) {
+                    nodes.push(u);
+                }
+            }
+        }
+        nodes.sort();
+        nodes
+    }
+
     #[test]
     fn family_matches_centralized_block_structure() {
         let (g, t, p) = grid_setup();
-        let s = ancestor_shortcut(&g, &t, &p);
-        let family = BlockFamily::new(&g, &t, &p, &s);
-        assert_eq!(family.block_parameter(), s.block_parameter(&g, &p));
-        let total: usize = p
-            .parts()
-            .map(|q| s.block_components(&g, &t, &p, q).len())
-            .sum();
-        assert_eq!(family.blocks().len(), total);
+        for s in [
+            ancestor_shortcut(&g, &t, &p),
+            truncated_ancestor_shortcut(&g, &t, &p, 1),
+        ] {
+            let family = BlockFamily::new(&g, &t, &p, &s);
+            assert_eq!(family.block_parameter(), s.block_parameter(&g, &p));
+            let total: usize = p.parts().map(|q| s.block_count(&g, &p, q)).sum();
+            assert_eq!(family.block_count(), total);
+            // Numbered by part, then root depth, then root id.
+            let keys: Vec<_> = (0..family.block_count())
+                .map(|b| family.block(b))
+                .map(|block| (block.part, block.root_depth, block.root))
+                .collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]
     fn memberships_are_locally_consistent() {
         let (g, t, p) = grid_setup();
-        let s = ancestor_shortcut(&g, &t, &p);
-        let family = BlockFamily::new(&g, &t, &p, &s);
-        for v in g.nodes() {
-            let info = family.info(v);
-            assert_eq!(info.node, v);
-            // Every part member has exactly one own-part membership.
-            if info.part.is_some() {
-                let own = info.own().expect("members lie in an own-part block");
-                assert_eq!(Some(own.part), info.part);
-            }
-            // The rows hold exactly the blocks containing `v`, each with
-            // exactly `v`'s tree children inside it, and the children of
-            // one node's memberships are one contiguous run.
-            let blocks: Vec<usize> = (0..family.blocks().len())
-                .filter(|&b| family.blocks()[b].contains(v))
+        for s in [
+            ancestor_shortcut(&g, &t, &p),
+            truncated_ancestor_shortcut(&g, &t, &p, 1),
+        ] {
+            let family = BlockFamily::new(&g, &t, &p, &s);
+            let nodes: Vec<Vec<NodeId>> = (0..family.block_count())
+                .map(|b| family.block(b))
+                .map(|block| block_nodes(&g, &s, block.part, block.root))
                 .collect();
-            let listed: Vec<usize> = info.memberships.iter().map(|m| m.block).collect();
-            assert_eq!(listed, blocks, "node {v}");
-            let mut run = Vec::new();
-            for (i, m) in info.memberships.iter().enumerate() {
-                let block = &family.blocks()[m.block];
-                assert!(block.contains(v));
-                assert_eq!(m.is_root, v == block.root);
-                if !m.is_root {
-                    let parent = m.parent.expect("non-root block nodes have parents");
-                    assert!(block.contains(parent));
-                    assert_eq!(t.parent(v), Some(parent));
+            for (b, block_nodes) in nodes.iter().enumerate() {
+                // The root is the block's shallowest node.
+                let block = family.block(b);
+                assert_eq!(block.root_depth, t.depth(block.root));
+                assert!(block_nodes.iter().all(|&v| t.depth(v) >= block.root_depth));
+            }
+            for v in g.nodes() {
+                let info = family.info(v);
+                assert_eq!(info.node, v);
+                // Every part member has exactly one own-part membership.
+                if info.part.is_some() {
+                    let own = info.own().expect("members lie in an own-part block");
+                    assert_eq!(Some(own.part), info.part);
                 }
-                let expected: Vec<NodeId> = t
-                    .children(v)
-                    .iter()
-                    .copied()
-                    .filter(|&c| block.contains(c))
+                // The rows hold exactly the blocks containing `v`, each with
+                // exactly `v`'s tree children inside it, and the children of
+                // one node's memberships are one contiguous run.
+                let blocks: Vec<usize> = (0..family.block_count())
+                    .filter(|&b| nodes[b].contains(&v))
                     .collect();
-                assert_eq!(info.children(i), &expected[..], "node {v}");
-                run.extend_from_slice(info.children(i));
+                let listed: Vec<usize> = info.memberships.iter().map(|m| m.block).collect();
+                assert_eq!(listed, blocks, "node {v}");
+                let mut run = Vec::new();
+                for (i, m) in info.memberships.iter().enumerate() {
+                    let block = &nodes[m.block];
+                    assert_eq!(m.root, family.block(m.block).root);
+                    assert_eq!(m.is_root, v == m.root);
+                    if !m.is_root {
+                        let parent = m.parent.expect("non-root block nodes have parents");
+                        assert!(block.contains(&parent));
+                        assert_eq!(t.parent(v), Some(parent));
+                    }
+                    let expected: Vec<NodeId> = t
+                        .children(v)
+                        .iter()
+                        .copied()
+                        .filter(|c| block.contains(c))
+                        .collect();
+                    assert_eq!(info.children(i), &expected[..], "node {v}");
+                    run.extend_from_slice(info.children(i));
+                }
+                assert_eq!(&family.children[family.child_span(v)], &run[..]);
+                assert_eq!(family.member_span(v).len(), info.memberships.len());
+                assert_eq!(family.part_neighbors(v), info.part_neighbors);
+                for &(u, e) in info.part_neighbors {
+                    assert_eq!(p.part_of(u), p.part_of(v));
+                    assert!(g.edge_between(v, u) == Some(e));
+                }
             }
-            assert_eq!(&family.children[family.child_span(v)], &run[..]);
-            assert_eq!(family.member_span(v).len(), info.memberships.len());
-            for &(u, e) in info.part_neighbors {
-                assert_eq!(p.part_of(u), p.part_of(v));
-                assert!(g.edge_between(v, u) == Some(e));
-            }
-            // Rows are ascending by block, as `NodeInfo::memberships` says.
-            assert!(
-                info.memberships.windows(2).all(|w| w[0].block < w[1].block),
-                "memberships of {v} must be strictly ascending by block"
-            );
         }
     }
 
@@ -548,8 +638,8 @@ mod tests {
         let mut active = vec![true; p.part_count()];
         active[0] = false;
         let family = BlockFamily::new_active(&g, &t, &p, &s, &active);
-        for block in family.blocks() {
-            assert_ne!(block.part, PartId::new(0));
+        for b in 0..family.block_count() {
+            assert_ne!(family.block(b).part, PartId::new(0));
         }
         // Members of the inactive part have no part in this family's view.
         for &v in p.members(PartId::new(0)) {
@@ -562,7 +652,7 @@ mod tests {
         let (g, t, p) = grid_setup();
         let s = TreeShortcut::empty(&g, &p);
         let family = BlockFamily::new(&g, &t, &p, &s);
-        assert_eq!(family.blocks().len(), g.node_count());
+        assert_eq!(family.block_count(), g.node_count());
         assert_eq!(family.schedule().rounds, 0);
         assert_eq!(family.block_parameter(), 5);
     }

@@ -71,7 +71,7 @@ pub use flood::{
     min_edge_candidates, part_flood_min, part_leaders, part_min_edges, PartFloodOutcome,
     PartMinEdges,
 };
-pub use knowledge::{BlockFamily, Membership, NodeInfo};
+pub use knowledge::{BlockFamily, MemberBlock, Membership, NodeInfo};
 pub use verification::{
     counting_supersteps, verification_simulated, BlockCounting, DistVerificationOutcome,
 };

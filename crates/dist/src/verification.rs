@@ -168,7 +168,7 @@ struct ChildBlock {
 /// degree (the only time the list reads the node's view), so it never
 /// grows afterwards, and a node that observes nothing allocates nothing.
 fn observe<T>(list: &mut Vec<T>, view: NodeView<'_>, item: T) {
-    let degree = || view.info().part_neighbors.len();
+    let degree = || view.part_neighbors().len();
     if list.capacity() == 0 {
         list.reserve_exact(degree());
     }
@@ -315,8 +315,7 @@ impl NodeProgram for CountProgram {
                     return CVal::Min(NONE);
                 };
                 let cand = view
-                    .info()
-                    .part_neighbors
+                    .part_neighbors()
                     .iter()
                     .filter(|(u, _)| {
                         self.nbr
@@ -376,7 +375,7 @@ impl NodeProgram for CountProgram {
             (Phase::Port, CVal::Min(v)) => {
                 self.port = (*v != NONE).then_some(*v);
                 if let (Some(port), Some(parent)) = (self.port, self.parent) {
-                    for (u, e) in view.info().part_neighbors {
+                    for (u, e) in view.part_neighbors() {
                         let towards_parent = self
                             .nbr
                             .iter()

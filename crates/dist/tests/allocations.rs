@@ -14,6 +14,10 @@
 //! verification on a grid with 2048 more nodes allocates fewer than two
 //! times more per added node (the per-node layout allocated about 7.9).
 //!
+//! Nor per block: the family is built from lcs_core's flat block pass by
+//! counting sorts, so building it for 1024 singleton parts allocates as
+//! often as for 32 columns (a list per block allocated 14,948 against 561).
+//!
 //! The counting allocator is process-global, which is why this binary holds
 //! a single test.
 
@@ -22,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use lcs_congest::SimConfig;
 use lcs_core::existential::ancestor_shortcut;
-use lcs_dist::{counting_supersteps, verification_simulated, BlockCounting};
+use lcs_dist::{counting_supersteps, verification_simulated, BlockCounting, BlockFamily};
 use lcs_graph::{generators, Graph, NodeId, Partition, RootedTree};
 use lcs_obs::Obs;
 
@@ -95,6 +99,19 @@ fn allocations(instance: &(Graph, RootedTree, Partition), threshold: usize, thre
     after - before
 }
 
+/// Allocations of one `BlockFamily::new` with the ancestor shortcut, after
+/// one uncounted warm-up build.
+fn family_allocations(instance: &(Graph, RootedTree, Partition)) -> u64 {
+    let (g, t, p) = instance;
+    let s = ancestor_shortcut(g, t, p);
+    drop(BlockFamily::new(g, t, p, &s));
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let family = BlockFamily::new(g, t, p, &s);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(family.block_parameter(), 1);
+    after - before
+}
+
 #[test]
 fn verification_allocations_do_not_grow_with_supersteps() {
     let grid = instance(32);
@@ -124,4 +141,20 @@ fn verification_allocations_do_not_grow_with_supersteps() {
             many.saturating_sub(few) as f64 / added as f64,
         );
     }
+
+    // Nor with the part count: the family build allocates as often for
+    // 1024 singleton parts as for 32 columns.
+    let columns = instance(32);
+    let singletons = {
+        let (g, t, _) = &columns;
+        let p = generators::partitions::singletons(g);
+        (g.clone(), t.clone(), p)
+    };
+    assert_eq!(singletons.2.part_count(), 1024);
+    let few = family_allocations(&columns);
+    let many = family_allocations(&singletons);
+    assert_eq!(
+        many, few,
+        "BlockFamily::new allocated {many} times for 1024 parts against {few} for 32"
+    );
 }

@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use low_congestion_shortcuts::api::dist::BlockFamily;
 use low_congestion_shortcuts::api::{Pipeline, Strategy};
 use low_congestion_shortcuts::graph::{generators, PartId};
 
@@ -65,28 +66,35 @@ fn main() {
     println!("report: {}", run.report.to_json());
     println!();
 
-    // Figure 1: the block decomposition of one part's shortcut subgraph.
+    // Figure 1: the block decomposition of one part's shortcut subgraph,
+    // read from the per-node views of its distributed representation.
     let part = PartId::new(cols / 2);
-    let blocks = run
-        .shortcut
-        .block_components(&graph, session.tree(), &partition, part);
+    let mut active = vec![false; partition.part_count()];
+    active[part.index()] = true;
+    let family =
+        BlockFamily::new_active(&graph, session.tree(), &partition, &run.shortcut, &active);
+    // (nodes, part members) per block, counted over the node rows.
+    let mut sizes = vec![(0usize, 0usize); family.block_count()];
+    for v in graph.nodes() {
+        let info = family.info(v);
+        for m in info.memberships {
+            sizes[m.block].0 += 1;
+        }
+        if let Some(own) = info.own() {
+            sizes[own.block].1 += 1;
+        }
+    }
     println!(
         "part {part} (column {}) uses {} tree edges, decomposed into {} block component(s):",
         cols / 2,
         run.shortcut.edges_of(part).len(),
-        blocks.len()
+        family.block_count()
     );
-    for (i, block) in blocks.iter().enumerate() {
+    for (i, (nodes, members)) in sizes.into_iter().enumerate() {
+        let block = family.block(i);
         println!(
-            "  block {i}: root {} at depth {}, {} nodes ({} of them part members)",
-            block.root,
-            block.root_depth,
-            block.nodes.len(),
-            block
-                .nodes
-                .iter()
-                .filter(|v| partition.part_of(**v) == Some(part))
-                .count()
+            "  block {i}: root {} at depth {}, {nodes} nodes ({members} of them part members)",
+            block.root, block.root_depth,
         );
     }
 }
