@@ -3,7 +3,9 @@
 //! [`crate::SimConfig::threads`] capped at the node count. The calling
 //! thread runs shard 0 and `S − 1` scoped workers run the rest, so `S = 1`
 //! runs inline with no thread and no barrier. A fault plan adds one stage
-//! to the same loop.
+//! to the same loop: its copies wait on a delivery wheel and join the same
+//! per-recipient mail lists in the round they fall due, so every message
+//! reaches its recipient one way.
 //!
 //! **Determinism is the invariant.** Every shard count must produce
 //! byte-identical [`crate::SimStats`], [`crate::RoundTrace`] sequences,
@@ -14,11 +16,13 @@
 //!   duplicate-send stamp can live with the *sender's* shard (indexed by
 //!   sender-side CSR position, which the `mirror` array maps bijectively
 //!   onto recipient-side slots) — no two shards ever contend for a slot;
-//! * cross-shard messages travel through per-shard staging buffers and are
-//!   merged at the next phase; since every slot is written at most once
-//!   per round, the merge order cannot affect buffer contents;
+//! * cross-shard messages wait in an exchange buffer per shard pair and
+//!   phase parity, which the recipient drains at the next phase; since
+//!   every slot is written at most once per round, the drain order cannot
+//!   affect the mail lists' contents;
 //! * a recipient's messages are handed to it in slot order (its CSR
-//!   neighbor order), whatever order they were posted and merged in;
+//!   neighbor order), whatever order they were posted and drained in, and
+//!   under faults one slot's copies in posting order;
 //! * everything else an outside observer can see is an order-independent
 //!   reduction: message/bit counters are sums, `max_message_bits` is a
 //!   max, and per-round worklists come out of a bitset in ascending node

@@ -13,27 +13,28 @@
 //! (sender-position indexed — a directed edge has exactly one sender, so
 //! stamps never leave the sender's shard), its [`Calendar`] of `next_wake`
 //! entries, the reused outbox its protocols send into, and — under a fault
-//! plan — its delivery heap and per-node round inboxes.
+//! plan — its [`DueWheel`] of copies for local recipients not yet due.
+//! Faulty mail joins the same mail lists in the round it falls due.
 //!
 //! At `S = 1` the loop runs inline on the caller: no thread is spawned, no
 //! mail is staged and no barrier is met.
 //!
-//! # Cross-shard staging
+//! # Cross-shard exchange
 //!
-//! A post whose recipient lives in another shard goes to a per-destination
-//! staging buffer instead of a local mail list or the delivery heap. At the
-//! end of each phase every shard flushes its staging buffers into the
-//! destinations' mutex-guarded inbound queues; at the
-//! start of the next phase each shard swaps its own queue out against an
-//! empty buffer it keeps for the purpose (so no round allocates a fresh
-//! queue) and drains it into its recipients' next-round mail lists — or,
-//! under faults, its delivery heap (a staged copy is due no earlier than
-//! the next round, so it never arrives late). Every slot is written at most
-//! once per round (the sender-side stamp guarantees it), a recipient's list
-//! is handed over in slot order, worklists come out of the queued set in
-//! ascending node order, and the heap pops in `(due, slot, posted)` order,
-//! so the drain order — the only thing scheduling can vary — is
-//! unobservable.
+//! A post whose recipient lives in another shard is staged in an exchange
+//! buffer: the plane keeps one per (sender, recipient shard) pair and phase
+//! parity. The sender takes its buffer for the phase's parity out of the
+//! plane at its first post to that shard in the phase and hands it back at
+//! the phase's end. After the barrier, at the start of the next round, each
+//! shard drains the buffers addressed to it in place: into its recipients'
+//! next-round mail lists or, under faults, onto its delivery wheel (a
+//! staged copy is due no earlier than that round, so it never arrives
+//! late). Every buffer keeps its capacity. Every slot is written at most
+//! once per round (the sender-side stamp guarantees it), a slot's copies
+//! reach the wheel and the lists in posting order, a recipient's list is
+//! handed over in slot order, and worklists come out of the queued set in
+//! ascending node order, so the drain order — the only thing scheduling
+//! can vary — is unobservable.
 //!
 //! # Lockstep without a coordinator
 //!
@@ -47,16 +48,14 @@
 //! node ranges, exactly the node a single shard fails on first — and a
 //! caught protocol panic is re-raised on the caller.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 use lcs_graph::{Graph, ShardMap};
 use lcs_obs::{LatencyHistogram, Obs, SpanBuffer};
 
-use crate::fault::{Delayed, FaultCounters, FaultState};
+use crate::fault::{Delayed, DueWheel, FaultCounters, FaultState};
 use crate::{
     Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing, RoundTrace, SimConfig, SimError,
     SimOutcome, SimStats,
@@ -82,8 +81,8 @@ struct Mail<M> {
 /// S = 1 the one shard reads its own stores.
 #[derive(Default)]
 struct Status {
-    /// Pending work: a queued node, a timer, an undelivered heap copy, or
-    /// mail staged for another shard.
+    /// Pending work: a queued node, a timer, a copy on the delivery wheel,
+    /// or mail staged for another shard.
     busy: AtomicBool,
     /// Messages and bits the shard delivered in the phase's round.
     delivered: AtomicU64,
@@ -117,11 +116,20 @@ struct Plane<'a, M> {
     /// publishing phase `p + 1` cannot overwrite a status of phase `p`
     /// that a slower shard is still reading.
     status: [Vec<Status>; 2],
-    /// Per-shard inbound queues, double-buffered by phase parity: mail
-    /// staged during phase `p` goes to parity `(p + 1) % 2` while phase
-    /// `p` drains parity `p % 2`, so a fast shard's round-`p` sends cannot
-    /// leak into a slower shard's round-`p` deliveries.
-    inboxes: [Vec<Mutex<Vec<Delayed<M>>>>; 2],
+    /// Cross-shard mail by phase parity: `exchange[p % 2][src * S + dst]`
+    /// holds what shard `src` staged for shard `dst` in phase `p` until
+    /// `dst` drains it in phase `p + 1`, so a fast shard's phase-`p + 1`
+    /// sends never meet a slower shard's phase-`p` drain.
+    exchange: [Vec<Mutex<Vec<Delayed<M>>>>; 2],
+}
+
+impl<M> Plane<'_, M> {
+    /// The exchange buffer shard `src` fills for shard `dst` in `phase`.
+    fn exchange(&self, phase: u64, src: usize, dst: usize) -> MutexGuard<'_, Vec<Delayed<M>>> {
+        self.exchange[(phase % 2) as usize][src * self.map.shard_count() + dst]
+            .lock()
+            .expect("no shard panics while holding an exchange lock")
+    }
 }
 
 /// One shard's private slice of the run.
@@ -155,11 +163,10 @@ struct Shard<P: NodeProtocol> {
     /// or more messages to put in slot order.
     order: Vec<(u32, u32)>,
     wakes: Calendar,
-    /// Outbound staging, one buffer per destination shard.
-    staging: Vec<Vec<Delayed<P::Message>>>,
-    /// An empty buffer (capacity kept) traded for the inbound queue at
-    /// every merge.
-    inbound: Vec<Delayed<P::Message>>,
+    /// The exchange buffers this shard fills in the current phase, per
+    /// destination shard: taken from the plane at the first post to it,
+    /// handed back at the phase's end.
+    staging: Vec<Option<Vec<Delayed<P::Message>>>>,
     /// Messages / bits delivered next round and in the last round (the
     /// trace contribution), under faults as under none.
     in_flight_next: u64,
@@ -183,12 +190,10 @@ struct Shard<P: NodeProtocol> {
     scratch: Vec<Incoming<P::Message>>,
     /// The protocol outbox, reused for every poll of this shard.
     outbox: Vec<Outgoing<P::Message>>,
-    /// The fault stage (all empty without a plan): the delivery queue of
-    /// local recipients in `(due, slot, posted)` order, the per-node round
-    /// inboxes it feeds, fresh states for this shard's restartable crash
-    /// nodes, and the shard's fault-event tallies.
-    heap: BinaryHeap<Reverse<Delayed<P::Message>>>,
-    inboxes: Vec<Vec<Incoming<P::Message>>>,
+    /// The fault stage (all empty without a plan): the delivery wheel of
+    /// copies for local recipients not yet due, fresh states for this
+    /// shard's restartable crash nodes, and the shard's fault-event tallies.
+    wheel: DueWheel<P::Message>,
     spares: Vec<(u32, Option<P>)>,
     faults: FaultCounters,
 }
@@ -205,11 +210,6 @@ impl<P: NodeProtocol> Shard<P> {
         let slot_lo = plane.topo.offset[range.start] as usize;
         let slots = plane.topo.offset[range.end] as usize - slot_lo;
         let probes = obs.is_on() && plane.map.shard_count() > 1;
-        let fault_nodes = if plane.fault.is_some() {
-            range.len()
-        } else {
-            0
-        };
         Shard {
             id,
             node_lo: range.start,
@@ -224,8 +224,7 @@ impl<P: NodeProtocol> Shard<P> {
             worklist: Vec::new(),
             order: Vec::new(),
             wakes: Calendar::new(),
-            staging: (0..plane.map.shard_count()).map(|_| Vec::new()).collect(),
-            inbound: Vec::new(),
+            staging: (0..plane.map.shard_count()).map(|_| None).collect(),
             in_flight_next: 0,
             bits_next: 0,
             last_delivered: 0,
@@ -238,16 +237,10 @@ impl<P: NodeProtocol> Shard<P> {
             panic: None,
             scratch: Vec::new(),
             outbox: Vec::new(),
-            heap: BinaryHeap::new(),
-            inboxes: (0..fault_nodes).map(|_| Vec::new()).collect(),
+            wheel: DueWheel::new(plane.config.active_fault()),
             spares,
             faults: FaultCounters::default(),
         }
-    }
-
-    /// Schedules `node` for the next round (idempotent).
-    fn queue(&mut self, node: usize) {
-        self.queued.insert(node - self.node_lo);
     }
 
     /// Appends a message for a local node to its next-round mail list
@@ -267,18 +260,25 @@ impl<P: NodeProtocol> Shard<P> {
         self.queued.insert(local);
     }
 
-    /// Files a fault-mode copy: into this shard's delivery heap for a local
-    /// recipient, into the recipient shard's staging buffer otherwise.
-    fn route(&mut self, dst: usize, copy: Delayed<P::Message>) {
-        if dst == self.id {
-            self.heap.push(Reverse(copy));
-        } else {
-            self.staging[dst].push(copy);
-        }
+    /// Stages `copy` for shard `dst` in the exchange buffer this shard
+    /// fills for it in `phase`, taken from the plane at the first use.
+    /// Kept out of line, like [`Shard::inject`]: the S = 1 loop never calls
+    /// it.
+    #[inline(never)]
+    fn stage(
+        &mut self,
+        plane: &Plane<'_, P::Message>,
+        phase: u64,
+        dst: usize,
+        copy: Delayed<P::Message>,
+    ) {
+        self.staging[dst]
+            .get_or_insert_with(|| std::mem::take(&mut *plane.exchange(phase, self.id, dst)))
+            .push(copy);
     }
 
     /// Validates and counts one outgoing message, then routes it: to the
-    /// local mail lists, to another shard's staging buffer, or through the
+    /// local mail lists, to another shard's exchange buffer, or through the
     /// fault stage ([`Shard::inject`]). Forced inline (it runs once per
     /// message), with the fault stage kept out of line.
     #[inline(always)]
@@ -328,15 +328,10 @@ impl<P: NodeProtocol> Shard<P> {
             self.mail(slot, to, bits as u64, out.msg);
             return Ok(());
         }
-        let dst = if local {
-            self.id
-        } else {
-            plane.map.shard_of(out.to)
-        };
+        let dst = plane.map.shard_of(out.to);
         let copy = Delayed {
             due: round + 1,
             slot,
-            posted: round,
             to: to as u32,
             // Kept at full width: truncating would let a pathological
             // bandwidth configuration desynchronize the trace's bit counts
@@ -345,19 +340,32 @@ impl<P: NodeProtocol> Shard<P> {
             msg: out.msg,
         };
         match &plane.fault {
-            None => self.staging[dst].push(copy),
-            Some(fs) => self.inject(fs, ctx.incident_edge_ids()[pos].index(), dst, copy),
+            None => self.stage(plane, round, dst, copy),
+            Some(fs) => {
+                let edge = ctx.incident_edge_ids()[pos].index();
+                self.inject(plane, fs, edge, round, dst, copy);
+            }
         }
         Ok(())
     }
 
-    /// The fault stage of a post over `edge`: a loss draw, the edge's fixed
-    /// delay aligned to the recipient's poll rounds, and an optional
-    /// duplicate one poll later. Every draw is keyed by the recipient-side
-    /// slot and the round, never by which shard executes it.
+    /// The fault stage of a post over `edge` at `round`: a loss draw, the
+    /// edge's fixed delay aligned to the recipient's poll rounds, and an
+    /// optional duplicate one poll later. Every draw is keyed by the
+    /// recipient-side slot and the round, never by which shard executes
+    /// it. A local recipient's copies go onto the delivery wheel, others to
+    /// the recipient shard's exchange buffer.
     #[inline(never)]
-    fn inject(&mut self, fs: &FaultState, edge: usize, dst: usize, mut copy: Delayed<P::Message>) {
-        let (slot, round, to) = (u64::from(copy.slot), copy.posted, copy.to as usize);
+    fn inject(
+        &mut self,
+        plane: &Plane<'_, P::Message>,
+        fs: &FaultState,
+        edge: usize,
+        round: u64,
+        dst: usize,
+        mut copy: Delayed<P::Message>,
+    ) {
+        let (slot, to) = (u64::from(copy.slot), copy.to as usize);
         if fs.lose(slot, round) {
             self.faults.drops += 1;
             return;
@@ -367,16 +375,21 @@ impl<P: NodeProtocol> Shard<P> {
             self.faults.delays += 1;
         }
         copy.due = fs.next_poll(to, copy.due + delay);
-        if fs.duplicate(slot, round) {
+        let dup = fs.duplicate(slot, round).then(|| {
             self.faults.dups += 1;
-            let dup = Delayed {
+            Delayed {
                 due: fs.next_poll(to, copy.due + 1),
                 msg: copy.msg.clone(),
                 ..copy
-            };
-            self.route(dst, dup);
+            }
+        });
+        for copy in dup.into_iter().chain([copy]) {
+            if dst == self.id {
+                self.wheel.push(copy);
+            } else {
+                self.stage(plane, round, dst, copy);
+            }
         }
-        self.route(dst, copy);
     }
 
     /// Posts everything in `outbox`; records the first error and reports
@@ -422,74 +435,39 @@ impl<P: NodeProtocol> Shard<P> {
         if due > round + 1 {
             self.wakes.push(due, idx as u32);
         } else {
-            self.queue(idx);
+            self.queued.insert(local);
         }
     }
 
-    /// Drains the mail other shards staged for this one in the previous
-    /// phase: into the recipients' next-round mail lists, or under faults
-    /// into the delivery heap.
-    fn merge_inbound(&mut self, phase: u64, plane: &Plane<'_, P::Message>) {
-        let mut staged = std::mem::take(&mut self.inbound);
-        std::mem::swap(
-            &mut *plane.inboxes[(phase % 2) as usize][self.id]
-                .lock()
-                .expect("no shard panics while holding an inbox lock"),
-            &mut staged,
-        );
-        for copy in staged.drain(..) {
-            if plane.fault.is_some() {
-                self.heap.push(Reverse(copy));
-            } else {
-                self.mail(copy.slot, copy.to as usize, copy.bits, copy.msg);
+    /// Drains, in place, the exchange buffers the other shards filled for
+    /// this one in the previous phase: into the recipients' next-round mail
+    /// lists, or under faults onto the delivery wheel.
+    fn collect(&mut self, phase: u64, plane: &Plane<'_, P::Message>) {
+        let id = self.id;
+        for src in (0..plane.map.shard_count()).filter(|&src| src != id) {
+            for copy in plane.exchange(phase - 1, src, id).drain(..) {
+                if plane.fault.is_some() {
+                    self.wheel.push(copy);
+                } else {
+                    self.mail(copy.slot, copy.to as usize, copy.bits, copy.msg);
+                }
             }
         }
-        self.inbound = staged;
     }
 
-    /// Flushes the staging buffers into the destinations' inbound queues
-    /// for the next phase; returns whether anything was staged.
+    /// Hands the exchange buffers filled in `phase` back to the plane for
+    /// their recipients; returns whether anything was staged.
     fn flush_staging(&mut self, phase: u64, plane: &Plane<'_, P::Message>) -> bool {
         let mut staged = false;
-        for (dst, buf) in self.staging.iter_mut().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
+        for (dst, held) in self.staging.iter_mut().enumerate() {
+            let Some(buf) = held.take() else { continue };
             staged = true;
             if let Some(sizes) = self.flush_sizes.as_mut() {
                 sizes.record(buf.len() as u64);
             }
-            plane.inboxes[((phase + 1) % 2) as usize][dst]
-                .lock()
-                .expect("no shard panics while holding an inbox lock")
-                .append(buf);
+            *plane.exchange(phase, self.id, dst) = buf;
         }
         staged
-    }
-
-    /// The fault stage of a round: moves every heap copy due now into its
-    /// recipient's round inbox, dropping mail addressed to a crashed node.
-    fn deliver_due(&mut self, round: u64, fs: &FaultState, plane: &Plane<'_, P::Message>) {
-        self.faults.queue_peak = self.faults.queue_peak.max(self.heap.len() as u64);
-        while self.heap.peek().is_some_and(|Reverse(d)| d.due <= round) {
-            let Reverse(d) = self.heap.pop().expect("peeked entry exists");
-            debug_assert_eq!(d.due, round, "delivery rounds are never skipped");
-            let to = d.to as usize;
-            if fs.crashed_at(to, round) {
-                self.faults.crash_drops += 1;
-                continue;
-            }
-            self.in_flight_next += 1;
-            self.bits_next += d.bits;
-            let k = d.slot as usize - plane.topo.offset[to] as usize;
-            let ctx = &plane.contexts[to];
-            self.inboxes[to - self.node_lo].push(Incoming {
-                from: ctx.neighbor_ids()[k],
-                edge: ctx.incident_edge_ids()[k],
-                msg: d.msg,
-            });
-            self.queue(to);
-        }
     }
 
     /// Flips the next-round mail in as the current round and emits the
@@ -506,16 +484,12 @@ impl<P: NodeProtocol> Shard<P> {
         self.last_bits = std::mem::take(&mut self.bits_next);
     }
 
-    /// Moves node `idx`'s mail for this round into `scratch`: its round
-    /// inbox under faults, its mail list otherwise, put in slot order (the
-    /// node's CSR neighbor order) when it holds two or more messages.
-    fn drain_into(&mut self, idx: usize, topo: &Topology, ctx: &NodeContext<'_>, faulty: bool) {
+    /// Moves node `idx`'s mail list for this round into `scratch`, put in
+    /// slot order (the node's CSR neighbor order) when it holds two or more
+    /// messages.
+    fn drain_into(&mut self, idx: usize, topo: &Topology, ctx: &NodeContext<'_>) {
         self.scratch.clear();
         let local = idx - self.node_lo;
-        if faulty {
-            std::mem::swap(&mut self.scratch, &mut self.inboxes[local]);
-            return;
-        }
         let head = std::mem::replace(&mut self.head_cur[local], NIL);
         if head == NIL {
             return;
@@ -572,9 +546,10 @@ impl<P: NodeProtocol> Shard<P> {
         }
     }
 
-    /// Phase `round ≥ 1`: merge inbound mail, fire due timers, deliver due
-    /// heap copies, flip buffers, then poll the worklist — skipping crashed
-    /// nodes and re-initializing restarting ones.
+    /// Phase `round ≥ 1`: collect staged mail, fire due timers, move due
+    /// wheel copies into the mail lists, flip buffers, then poll the
+    /// worklist — skipping crashed nodes and re-initializing restarting
+    /// ones.
     fn round(
         &mut self,
         round: u64,
@@ -583,12 +558,22 @@ impl<P: NodeProtocol> Shard<P> {
     ) {
         let fault = plane.fault.as_ref();
         if plane.map.shard_count() > 1 {
-            self.merge_inbound(round, plane);
+            self.collect(round, plane);
         }
         let (node_lo, queued) = (self.node_lo, &mut self.queued);
         self.wakes.fire(round, |node| queued.insert(node - node_lo));
         if let Some(fs) = fault {
-            self.deliver_due(round, fs, plane);
+            // The fault stage: every copy due now joins its recipient's
+            // mail list, except mail addressed to a crashed node.
+            self.faults.queue_peak = self.faults.queue_peak.max(self.wheel.len() as u64);
+            while let Some(copy) = self.wheel.pop(round) {
+                let to = copy.to as usize;
+                if fs.crashed_at(to, round) {
+                    self.faults.crash_drops += 1;
+                } else {
+                    self.mail(copy.slot, to, copy.bits, copy.msg);
+                }
+            }
         }
         self.begin_round();
         let restart = fault.and_then(FaultState::restart_local_round);
@@ -598,10 +583,8 @@ impl<P: NodeProtocol> Shard<P> {
             let local = idx - self.node_lo;
             let ctx = &plane.contexts[idx];
             match fault {
-                Some(fs) if fs.crashed_at(idx, round) => {
-                    self.inboxes[local].clear();
-                    continue;
-                }
+                // Its mail was dropped when it fell due.
+                Some(fs) if fs.crashed_at(idx, round) => continue,
                 Some(fs) if restart == Some(round) && fs.is_crash_node(idx) => {
                     // Restart: swap in the cleared state and run its `init`
                     // at this round; whatever mail arrived alongside is
@@ -615,11 +598,11 @@ impl<P: NodeProtocol> Shard<P> {
                         self.nodes[local] = spare;
                         self.faults.restarts += 1;
                     }
-                    self.inboxes[local].clear();
+                    self.head_cur[local] = NIL;
                     self.nodes[local].init(ctx, outbox);
                 }
                 _ => {
-                    self.drain_into(idx, &plane.topo, ctx, fault.is_some());
+                    self.drain_into(idx, &plane.topo, ctx);
                     self.nodes[local].on_round(ctx, round, &self.scratch, outbox);
                 }
             }
@@ -663,10 +646,7 @@ impl<P: NodeProtocol> Shard<P> {
             let statuses = &plane.status[(phase % 2) as usize];
             let status = &statuses[self.id];
             status.busy.store(
-                staged
-                    || !self.queued.is_empty()
-                    || !self.wakes.is_empty()
-                    || !self.heap.is_empty(),
+                staged || !self.queued.is_empty() || !self.wakes.is_empty() || self.wheel.len() > 0,
                 Relaxed,
             );
             status.delivered.store(self.last_delivered, Relaxed);
@@ -751,7 +731,11 @@ where
         fault,
         barrier: Barrier::new(shard_count),
         status: [0, 1].map(|_| (0..shard_count).map(|_| Status::default()).collect()),
-        inboxes: [0, 1].map(|_| (0..shard_count).map(|_| Mutex::default()).collect()),
+        exchange: [0, 1].map(|_| {
+            (0..shard_count * shard_count)
+                .map(|_| Mutex::default())
+                .collect()
+        }),
         map,
     };
 

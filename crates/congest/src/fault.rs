@@ -19,7 +19,7 @@
 //! without reseeding — and a crash window that has passed on the global
 //! clock stays healed in later epochs.
 
-use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 use lcs_graph::Graph;
 use lcs_obs::Obs;
@@ -60,7 +60,7 @@ fn hits_ppm(word: u64, ppm: u32) -> bool {
 /// * **Latency** — every undirected edge gets a fixed extra delay
 ///   `ℓ ∈ [0, max_extra_latency]`; a message posted in round `r`
 ///   becomes deliverable in round `r + 1 + ℓ` (fault-free delivery is
-///   `r + 1`) through the fault stage's delivery queue.
+///   `r + 1`) through the fault stage's delivery wheel.
 /// * **Loss / duplication** — each delivery is dropped with probability
 ///   `loss_ppm / 10^6`, or duplicated (second copy arrives at the
 ///   recipient's next poll round after the original) with probability
@@ -303,10 +303,7 @@ impl FaultState {
     /// non-stragglers; stragglers poll on global rounds `≡ phase (mod
     /// period)`.
     pub(crate) fn next_poll(&self, node: usize, round: u64) -> u64 {
-        if self.straggler.is_empty() {
-            return round;
-        }
-        let phase = self.straggler[node];
+        let phase = self.straggler.get(node).copied().unwrap_or(u32::MAX);
         if phase == u32::MAX {
             return round;
         }
@@ -333,31 +330,20 @@ impl FaultState {
     /// Whether the delivery into `slot` (recipient-side directed-edge
     /// index) during local round `round` is lost.
     pub(crate) fn lose(&self, slot: u64, round: u64) -> bool {
-        self.plan.loss_ppm > 0
-            && hits_ppm(
-                word(
-                    self.plan.seed,
-                    TAG_LOSS,
-                    slot,
-                    round + self.plan.round_offset,
-                ),
-                self.plan.loss_ppm,
-            )
+        self.hits(TAG_LOSS, self.plan.loss_ppm, slot, round)
     }
 
     /// Whether the delivery into `slot` during local round `round` is
     /// duplicated.
     pub(crate) fn duplicate(&self, slot: u64, round: u64) -> bool {
-        self.plan.dup_ppm > 0
-            && hits_ppm(
-                word(
-                    self.plan.seed,
-                    TAG_DUP,
-                    slot,
-                    round + self.plan.round_offset,
-                ),
-                self.plan.dup_ppm,
-            )
+        self.hits(TAG_DUP, self.plan.dup_ppm, slot, round)
+    }
+
+    /// One per-delivery draw of probability `ppm / 10^6`, keyed by `tag`,
+    /// `slot` and the global round.
+    fn hits(&self, tag: u64, ppm: u32, slot: u64, round: u64) -> bool {
+        let global = round + self.plan.round_offset;
+        ppm > 0 && hits_ppm(word(self.plan.seed, tag, slot, global), ppm)
     }
 
     /// The crashing node ids, ascending.
@@ -395,43 +381,97 @@ impl FaultState {
     }
 }
 
-/// A message sitting in the delivery queue: becomes deliverable at local
-/// round `due`, into recipient-side slot `slot`. Ordered by
-/// `(due, slot, posted)` — a total order that is unique per entry (a slot
-/// receives at most one post per round, and a duplicate shares `slot` and
-/// `posted` but never `due`), so heap pop order is deterministic.
+/// A copy in flight: staged for another shard, or waiting on a shard's
+/// [`DueWheel`] until local round `due`, when it joins the mail list of
+/// recipient `to` on recipient-side slot `slot`.
 pub(crate) struct Delayed<M> {
     pub(crate) due: u64,
     pub(crate) slot: u32,
-    pub(crate) posted: u64,
     pub(crate) to: u32,
     pub(crate) bits: u64,
     pub(crate) msg: M,
 }
 
-impl<M> Delayed<M> {
-    fn key(&self) -> (u64, u32, u64) {
-        (self.due, self.slot, self.posted)
-    }
+/// The fault stage's delivery wheel: one shard's copies waiting for their
+/// due rounds, one bucket per round on a ring (the idiom of the engine's
+/// wake calendar).
+///
+/// A copy falls due at most twice its plan's
+/// [`round_stretch`](FaultPlan::round_stretch) after its post (one round,
+/// the edge delay, a wait for the recipient's poll round, and a
+/// duplicate's one more poll period), so a ring that long holds every
+/// copy. A bucket pops its copies in push order, and one slot's copies
+/// are pushed in posting order, so a recipient's mail list, sorted by
+/// `(slot, entry)`, reads a slot's copies by posting round. Under waits
+/// longer than [`DueWheel::MAX_RING`] rounds, copies beyond the ring's
+/// reach wait in an overflow list, swept onto the ring once per
+/// revolution. For any one round every overflow push comes before every
+/// push onto the ring, so the swept copies go to the front of their
+/// buckets.
+pub(crate) struct DueWheel<M> {
+    /// `ring[r % ring.len()]` holds the copies due at round `r`, for `r`
+    /// in `next..next + ring.len()`; the length is a power of two.
+    ring: Vec<VecDeque<Delayed<M>>>,
+    /// Copies due at least `ring.len()` rounds past `next`, in push order.
+    far: Vec<Delayed<M>>,
+    /// The first round not yet popped.
+    next: u64,
+    /// Copies on the ring and in `far` together.
+    len: usize,
 }
 
-impl<M> PartialEq for Delayed<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+impl<M> DueWheel<M> {
+    /// The longest ring: longer waits overflow.
+    const MAX_RING: u64 = 1024;
+
+    /// A wheel for a run under `plan`; without one it is empty and takes
+    /// no copies.
+    pub(crate) fn new(plan: Option<FaultPlan>) -> Self {
+        let ring = plan.map_or(0, |plan| {
+            let max_wait = plan.round_stretch().saturating_mul(2);
+            max_wait.min(Self::MAX_RING).next_power_of_two()
+        });
+        DueWheel {
+            ring: (0..ring).map(|_| VecDeque::new()).collect(),
+            far: Vec::new(),
+            next: 1,
+            len: 0,
+        }
     }
-}
 
-impl<M> Eq for Delayed<M> {}
-
-impl<M> PartialOrd for Delayed<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// The number of copies waiting.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
-}
 
-impl<M> Ord for Delayed<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
+    /// Files `copy` under its due round, which must not be popped yet.
+    pub(crate) fn push(&mut self, copy: Delayed<M>) {
+        debug_assert!(copy.due >= self.next, "a copy due in the past");
+        self.len += 1;
+        let ring = self.ring.len() as u64;
+        if copy.due - self.next < ring {
+            self.ring[(copy.due % ring) as usize].push_back(copy);
+        } else {
+            self.far.push(copy);
+        }
+    }
+
+    /// Pops the next copy due at `round`, in push order. Rounds are popped
+    /// one after the other, each until it runs dry.
+    pub(crate) fn pop(&mut self, round: u64) -> Option<Delayed<M>> {
+        let ring = self.ring.len() as u64;
+        if self.next == round {
+            self.next = round + 1;
+            if round.is_multiple_of(ring) {
+                let reach: Vec<_> = self.far.extract_if(.., |c| c.due < round + ring).collect();
+                for copy in reach.into_iter().rev() {
+                    self.ring[(copy.due % ring) as usize].push_front(copy);
+                }
+            }
+        }
+        let copy = self.ring[(round % ring) as usize].pop_front()?;
+        self.len -= 1;
+        Some(copy)
     }
 }
 
@@ -571,32 +611,48 @@ mod tests {
         assert_eq!(healed.restart_local_round(), None);
     }
 
+    /// At every round the wheel pops exactly the copies due then, in push
+    /// order: copies on its ring, copies parked in the overflow list (waits
+    /// up to three times the ring), and copies pushed in the round they
+    /// fall due.
     #[test]
-    fn delayed_orders_by_due_slot_posted() {
-        let a = Delayed {
-            due: 3,
-            slot: 5,
-            posted: 1,
-            to: 0,
-            bits: 0,
-            msg: (),
-        };
-        let b = Delayed {
-            due: 3,
-            slot: 6,
-            posted: 0,
-            to: 0,
-            bits: 0,
-            msg: (),
-        };
-        let c = Delayed {
-            due: 4,
-            slot: 0,
-            posted: 0,
-            to: 0,
-            bits: 0,
-            msg: (),
-        };
-        assert!(a < b && b < c);
+    fn due_wheel_pops_copies_in_push_order() {
+        let mut wheel = DueWheel::new(Some(FaultPlan::new(1).with_latency(1)));
+        let mut pending: Vec<(u64, u32)> = Vec::new();
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut id = 0;
+        for round in 1..200u64 {
+            for _ in 0..3 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if round < 150 {
+                    let due = round + x % 12;
+                    wheel.push(Delayed {
+                        due,
+                        slot: 0,
+                        to: id,
+                        bits: 0,
+                        msg: (),
+                    });
+                    pending.push((due, id));
+                    id += 1;
+                }
+            }
+            assert_eq!(wheel.len(), pending.len(), "round {round}");
+            let popped: Vec<(u64, u32)> = std::iter::from_fn(|| wheel.pop(round))
+                .map(|c| (c.due, c.to))
+                .collect();
+            let due: Vec<(u64, u32)> = pending.iter().filter(|c| c.0 == round).copied().collect();
+            pending.retain(|c| c.0 != round);
+            assert_eq!(popped, due, "round {round}");
+        }
+        assert!(pending.is_empty());
+        assert_eq!(wheel.len(), 0);
+        // The longest waits a plan allows get the longest ring, no more.
+        let slowest = FaultPlan::new(1)
+            .with_latency(u32::MAX)
+            .with_stragglers(1_000_000, u32::MAX);
+        assert_eq!(DueWheel::<()>::new(Some(slowest)).ring.len(), 1024);
     }
 }

@@ -25,7 +25,7 @@
 //! ranges (capped at the node count). With one shard it runs inline on the
 //! calling thread; with `S ≥ 2` the caller runs shard 0 and `S − 1`
 //! `std::thread::scope` workers run the rest, meeting at one barrier per
-//! round with a cross-shard staging merge. Every shard count produces
+//! round and draining each other's staged mail after it. Every shard count produces
 //! byte-identical statistics, traces, states, and errors — the shard count
 //! is a throughput knob, never a semantic one (see `engine` module docs for
 //! why this holds by construction).
@@ -62,12 +62,11 @@ pub struct SimConfig {
     /// Optional deterministic fault schedule (latency, loss, duplication,
     /// stragglers, crashes). `None` — or a plan with every knob at zero —
     /// runs the fault-free round loop; an active plan adds the fault stage,
-    /// which routes every delivery through a per-shard delivery queue
-    /// ordered by `(due, slot, posted)` that feeds per-node round inboxes
-    /// instead of the per-recipient mail lists. Every decision is a pure
-    /// function of the plan, so every shard count injects identical faults
-    /// and determinism across thread counts is preserved. See
-    /// [`crate::FaultPlan`].
+    /// which holds every copy on a per-shard wheel of due rounds until it
+    /// joins its recipient's mail list, one slot's copies in posting
+    /// order. Every decision is a pure function of the plan, so every
+    /// shard count injects identical faults and determinism across thread
+    /// counts is preserved. See [`crate::FaultPlan`].
     pub fault: Option<crate::FaultPlan>,
 }
 
@@ -281,7 +280,7 @@ mod tests {
     use super::*;
     use lcs_graph::{generators, NodeId};
 
-    use crate::{Incoming, NodeProtocol, Outgoing, SimError};
+    use crate::{FaultPlan, Incoming, NodeProtocol, Outgoing, SimError};
 
     /// A protocol where every node floods a token once and counts how many
     /// tokens it receives.
@@ -601,37 +600,54 @@ mod tests {
     /// order their senders were polled in and whichever shard they ran on:
     /// a hub whose adjacency lists its leaves out of id order hears every
     /// leaf in one round and sees the senders exactly as `neighbor_ids`.
+    /// Under a fault plan (per-edge latency, duplication, and every node a
+    /// straggler, the hub included) one poll can hold several copies from
+    /// one leaf, posted in different rounds or duplicated; the hub sees
+    /// them by slot, then by posting round.
     #[test]
     fn incoming_follows_the_csr_neighbor_order() {
         #[derive(Debug)]
         struct Hub {
             hub: NodeId,
-            heard: Vec<NodeId>,
+            /// A leaf's sends left after `init`, one per poll.
+            sends: u32,
+            /// The hub's mail, one `(sender, posting round)` list per poll.
+            polls: Vec<Vec<(NodeId, u32)>>,
             order: Vec<NodeId>,
         }
         impl NodeProtocol for Hub {
-            type Message = u32;
-            fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<u32>>) {
+            type Message = (u32, u32);
+            fn init(&mut self, ctx: &NodeContext<'_>, out: &mut Vec<Outgoing<(u32, u32)>>) {
                 if ctx.node == self.hub {
                     self.order = ctx.neighbor_ids().to_vec();
                 } else {
-                    out.push(Outgoing::new(self.hub, ctx.node.index() as u32));
+                    out.push(Outgoing::new(self.hub, (ctx.node.index() as u32, 0)));
                 }
             }
             fn on_round(
                 &mut self,
-                _: &NodeContext<'_>,
-                _: u64,
-                incoming: &[Incoming<u32>],
-                _: &mut Vec<Outgoing<u32>>,
+                ctx: &NodeContext<'_>,
+                round: u64,
+                incoming: &[Incoming<(u32, u32)>],
+                out: &mut Vec<Outgoing<(u32, u32)>>,
             ) {
-                for msg in incoming {
-                    assert_eq!(msg.msg as usize, msg.from.index());
-                    self.heard.push(msg.from);
+                if !incoming.is_empty() {
+                    for msg in incoming {
+                        assert_eq!(msg.msg.0 as usize, msg.from.index());
+                    }
+                    self.polls
+                        .push(incoming.iter().map(|m| (m.from, m.msg.1)).collect());
+                }
+                if ctx.node != self.hub && self.sends > 0 {
+                    self.sends -= 1;
+                    out.push(Outgoing::new(
+                        self.hub,
+                        (ctx.node.index() as u32, round as u32),
+                    ));
                 }
             }
             fn is_done(&self) -> bool {
-                true
+                self.sends == 0
             }
         }
         let hub = NodeId::new(4);
@@ -644,20 +660,55 @@ mod tests {
             &expected[..],
             "adjacency keeps insertion order"
         );
-        for threads in [1usize, 2, 3] {
-            let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(threads));
-            let outcome = sim
-                .run(|_| Hub {
+        let run = |config: SimConfig, sends: u32| {
+            let outcome = Simulator::new(&g, config)
+                .run(|ctx| Hub {
                     hub,
-                    heard: Vec::new(),
+                    sends: if ctx.node == hub { 0 } else { sends },
+                    polls: Vec::new(),
                     order: Vec::new(),
                 })
                 .unwrap();
             let node = &outcome.nodes[hub.index()];
-            assert_eq!(outcome.stats.rounds, 1, "threads={threads}");
-            assert_eq!(node.heard, node.order, "threads={threads}");
-            assert_eq!(node.heard, expected, "threads={threads}");
+            assert_eq!(node.order, expected);
+            (outcome.stats.rounds, node.polls.clone())
+        };
+        for threads in [1usize, 2, 3] {
+            let (rounds, polls) = run(SimConfig::for_graph(&g).with_threads(threads), 0);
+            assert_eq!(rounds, 1, "threads={threads}");
+            let heard: Vec<NodeId> = polls.concat().iter().map(|&(from, _)| from).collect();
+            assert_eq!(heard, expected, "threads={threads}");
         }
+
+        let plan = FaultPlan::new(7)
+            .with_latency(2)
+            .with_dup_ppm(400_000)
+            .with_stragglers(1_000_000, 6);
+        let slot = |from: NodeId| expected.iter().position(|&v| v == from).unwrap();
+        let polls = |threads| {
+            let config = SimConfig::for_graph(&g).with_threads(threads);
+            run(config.with_fault(plan), 3).1
+        };
+        let faulty = polls(1);
+        assert_eq!(polls(2), faulty, "threads=2");
+        assert_eq!(polls(3), faulty, "threads=3");
+        let mut seen = std::collections::BTreeSet::new();
+        let mut mixed_with_duplicate = false;
+        for poll in &faulty {
+            let mut sorted = poll.clone();
+            sorted.sort_by_key(|&(from, posted)| (slot(from), posted));
+            assert_eq!(*poll, sorted, "a poll reads by slot, then posting round");
+            for pair in poll.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                mixed_with_duplicate |=
+                    a.0 == b.0 && a.1 != b.1 && (seen.contains(&a) || seen.contains(&b));
+            }
+            seen.extend(poll.iter().copied());
+        }
+        assert!(
+            mixed_with_duplicate,
+            "some poll holds a duplicate beside a copy one slot posted in another round"
+        );
     }
 
     #[test]

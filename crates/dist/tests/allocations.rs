@@ -4,8 +4,8 @@
 //! per round, per poll or per superstep: protocols send into an outbox the
 //! engine reuses, wake-ups go into a calendar that recycles its buckets,
 //! mail goes into entry buffers that keep their capacity, per-membership
-//! superstep state is reset in place, and the sharded engine swaps its
-//! inbound queue with a reused buffer. So a run with more than four times
+//! superstep state is reset in place, and the sharded engine's exchange
+//! buffers keep their capacity too. So a run with more than four times
 //! the supersteps allocates about as much as a short one.
 //!
 //! Nor does setup allocate per node: the block family is flat CSR, the
