@@ -61,14 +61,16 @@ def strip_literals(line, in_block):
     return "".join(out), in_block
 
 
-def count_file(path):
-    """Counts the non-test code lines of one source file."""
-    count = 0
+def non_test_lines(path):
+    """Yields `(line number, raw line, code)` for every line of one source
+    file outside `#[cfg(test)]` items; `code` is the line without comments
+    and literal contents, stripped."""
     in_block = False
     skipping = False  # inside a `#[cfg(test)]` item
     depth = 0  # brace depth within the skipped item
     opened = False  # the skipped item has opened its body
-    for line in path.read_text(encoding="utf-8").splitlines():
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
         code, in_block = strip_literals(line, in_block)
         code = code.strip()
         if not skipping and code.startswith("#[cfg(test)]"):
@@ -80,9 +82,12 @@ def count_file(path):
             if (opened and depth <= 0) or (not opened and code.endswith(";")):
                 skipping = False
             continue
-        if code:
-            count += 1
-    return count
+        yield number, line, code
+
+
+def count_file(path):
+    """Counts the non-test code lines of one source file."""
+    return sum(1 for _, _, code in non_test_lines(path) if code)
 
 
 def main():

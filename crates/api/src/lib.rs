@@ -11,12 +11,15 @@
 //!    ([`lcs_graph::Threads`], a value — not an env read), which
 //!    [`ExecutionMode`], the seed, and tracing.
 //! 2. **[`Session`]** — the built object, owning every piece of state
-//!    reusable across queries on one graph: the tree, the engine's
-//!    [`lcs_graph::ShardMap`], the epoch-stamped quality workspaces, and
-//!    the resolved simulator configuration. Queries
-//!    ([`Session::shortcut`], [`Session::quality`], [`Session::verify`],
-//!    [`Session::mst`], [`Session::core`], and the multi-query
-//!    [`Session::batch`]) allocate per-query results only.
+//!    reusable across queries on one graph: the tree, the epoch-stamped
+//!    quality workspaces, and the resolved simulator configuration.
+//!    Queries ([`Session::shortcut`], [`Session::quality`],
+//!    [`Session::verify`], [`Session::mst`], [`Session::core`], the
+//!    multi-query [`Session::batch`], and the incremental repairs
+//!    [`Session::track_partition`] / [`Session::repair_from`]) are all
+//!    `&self` and allocate per-query results only: a repair returns the
+//!    [`RepairBaseline`] the next delta repairs from, and the session
+//!    keeps none of it.
 //!
 //! Every query reports through one serializable [`Report`] shape and one
 //! error enum ([`LcsError`], defined in `lcs_graph` so each layer converts
@@ -38,7 +41,7 @@
 //! let partition = generators::partitions::grid_columns(8, 8);
 //!
 //! // One session, many queries.
-//! let mut session = lcs_api::Pipeline::on(&graph).build().unwrap();
+//! let session = lcs_api::Pipeline::on(&graph).build().unwrap();
 //! let run = session.shortcut(&partition, Strategy::doubling()).unwrap();
 //! assert!(run.report.all_parts_good);
 //!
@@ -71,18 +74,18 @@ pub use session::{
 pub use lcs_graph::{LcsError, Threads};
 
 // The partition-edit vocabulary of the incremental repair path
-// (`Session::track_partition` / `Session::update_partition`).
+// (`Session::track_partition` / `Session::repair_from`).
 pub use lcs_graph::{AppliedDelta, DeltaOp, PartSet, PartitionDelta};
 
 // The execution-mode switch is shared with the legacy entry points.
 pub use lcs_core::routing::ExecutionMode;
 
 // Pieces of the lower layers a façade caller still reaches for by name:
-// the quality record, the shortcut representations, the MST strategy enum
+// the quality record, the tree-restricted shortcut, the MST strategy enum
 // (including its baselines), and the distributed cross-check harness.
 pub use lcs_congest::{FaultPlan, RoundCost, RoundTrace, SimStats};
 pub use lcs_core::construction::CoreOutcome;
-pub use lcs_core::{Shortcut, ShortcutQuality, TreeShortcut};
+pub use lcs_core::{ShortcutQuality, TreeShortcut};
 pub use lcs_dist::{CheckedRun, CrossCheck};
 pub use lcs_mst::ShortcutStrategy;
 

@@ -65,11 +65,10 @@ pub enum Query<'a> {
         strategy: ShortcutStrategy,
     },
     /// Incrementally repair a tracked decomposition after a partition
-    /// delta ([`Session::repair_from`]) — the churn query shape. A pure
-    /// function of `(baseline, delta)`: the session's own tracked state is
-    /// not consulted or modified.
+    /// delta ([`Session::repair_from`]) — the churn query shape, a pure
+    /// function of `(baseline, delta)`.
     Repair {
-        /// The detached pre-delta snapshot (partition + corpus).
+        /// The pre-delta baseline (partition + corpus).
         baseline: &'a RepairBaseline,
         /// The partition edit to apply and repair after.
         delta: &'a PartitionDelta,
@@ -77,18 +76,6 @@ pub enum Query<'a> {
 }
 
 impl Query<'_> {
-    /// A short label of the query kind (`"construct"`, `"verify"`,
-    /// `"quality"`, `"mst"`), for reports and table rows.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            Query::Construct { .. } => "construct",
-            Query::Verify { .. } => "verify",
-            Query::Quality { .. } => "quality",
-            Query::Mst { .. } => "mst",
-            Query::Repair { .. } => "repair",
-        }
-    }
-
     /// The per-kind metric paths `Session::serve_shared` reports under when a
     /// recorder is attached: `(queries counter, rounds counter, latency
     /// timer)`. Static strings so the hot serving path never formats a
@@ -438,7 +425,7 @@ mod tests {
         ] {
             let (full, value) = session.serve_shared_full(query).unwrap();
             let light = session.serve_shared(query).unwrap();
-            assert_eq!(full.digest, light.digest, "{}", query.kind_label());
+            assert_eq!(full.digest, light.digest, "{query:?}");
             assert_eq!(full.rounds_charged, light.rounds_charged);
             assert_eq!(full.all_good, light.all_good);
             assert_eq!(full.digest, super::digest_of(&value));

@@ -43,7 +43,7 @@ pub type Result<T> = std::result::Result<T, LcsError>;
 ///
 /// let graph = generators::grid(8, 8);
 /// let partition = generators::partitions::grid_columns(8, 8);
-/// let mut session = Pipeline::on(&graph).build().unwrap();
+/// let session = Pipeline::on(&graph).build().unwrap();
 /// let run = session.shortcut(&partition, Strategy::doubling()).unwrap();
 /// assert!(run.report.all_parts_good);
 /// let quality = session.quality(&run.shortcut, &partition).unwrap();
@@ -209,7 +209,6 @@ impl<'g> Pipeline<'g> {
             seed: self.seed,
             sim_config,
             obs: self.recorder,
-            repair_cache: Vec::new(),
         })
     }
 }
@@ -225,9 +224,6 @@ pub struct Session<'g> {
     seed: u64,
     sim_config: SimConfig,
     pub(crate) obs: Obs,
-    /// Tracked partitions and their customization corpora, one slot per
-    /// strategy label, most recently tracked/updated last.
-    repair_cache: Vec<RepairSlot>,
 }
 
 /// Free-list cap: workspaces returned while the list is full are dropped
@@ -266,14 +262,6 @@ impl PoolBank {
             free.push(pool);
         }
     }
-}
-
-/// One cached `(partition, corpus)` pair of [`Session::track_partition`].
-struct RepairSlot {
-    strategy: Strategy,
-    partition: Partition,
-    corpus: ShortcutCorpus,
-    config: DoublingConfig,
 }
 
 impl std::fmt::Debug for Session<'_> {
@@ -335,33 +323,41 @@ pub struct VerifyRun {
     pub report: Report,
 }
 
-/// Result of a [`Session::track_partition`] / [`Session::update_partition`]
-/// repair query: the assembled shortcut and quality for the (post-delta)
-/// partition plus the repair accounting.
+/// Result of a [`Session::track_partition`] / [`Session::repair_from`]
+/// query: the assembled shortcut and quality for the (post-delta)
+/// partition, the repair accounting, and the baseline the next delta
+/// repairs from.
 #[derive(Debug, Clone)]
 pub struct RepairRun {
-    /// The shortcut for the current partition, assembled from the cached
-    /// corpus — byte-identical to rebuilding every part from scratch.
+    /// The shortcut for the current partition, assembled from the
+    /// baseline's corpus — byte-identical to rebuilding every part from
+    /// scratch.
     pub shortcut: TreeShortcut,
-    /// Aggregated quality, re-aggregated from the cached per-part
-    /// measurements (exact congestion subtract/add, no recount).
+    /// Aggregated quality, re-aggregated from the per-part measurements
+    /// the baseline keeps (exact congestion subtract/add, no recount).
     pub quality: ShortcutQuality,
     /// `good[p]` — part `p` verified good within its attempt budget.
     pub good: Vec<bool>,
     /// Parts (re)built by scoped construction runs.
     pub repaired_parts: usize,
-    /// Parts whose cached state was reused verbatim.
+    /// Parts whose state the baseline kept was reused verbatim.
     pub reused_parts: usize,
     /// The unified query report; `rounds_charged` counts only the rounds
     /// of the (re)built parts, and `metrics` records
     /// `repaired_parts` / `reused_parts`.
     pub report: Report,
+    /// This run's partition with its customization corpus: hand it to
+    /// [`Session::repair_from`] with the next delta, so repairs chain
+    /// without any state in the session.
+    pub baseline: RepairBaseline,
 }
 
-/// An immutable snapshot of a tracked partition and its customization
-/// corpus, detached from the session cache — the borrowed input of a
+/// A partition together with its customization corpus (every part's
+/// construction state and measured quality), as a [`RepairRun`] returns
+/// it — the borrowed input of [`Session::repair_from`] and of a
 /// [`crate::Query::Repair`], so serving a repair is a pure function of
-/// `(baseline, delta)` and leaves the session's own tracked state alone.
+/// `(baseline, delta)`. The corpus is valid for the seed and execution
+/// mode of the session that built it.
 #[derive(Debug, Clone)]
 pub struct RepairBaseline {
     strategy: Strategy,
@@ -419,40 +415,13 @@ impl<'g> Session<'g> {
     }
 
     /// Switches the execution mode for subsequent queries.
-    ///
-    /// Changing the mode drops any tracked partitions
-    /// ([`Session::track_partition`]): a cached corpus records how its
-    /// parts were built under the old mode, so repairing it under a new
-    /// one would no longer equal a from-scratch rebuild. A subsequent
-    /// [`Session::update_partition`] reports the usual typed
-    /// [`LcsError::Config`] "no tracked partition" error until the caller
-    /// tracks again. Setting the mode already in effect changes nothing.
     pub fn set_execution(&mut self, execution: ExecutionMode) {
-        if self.execution != execution {
-            self.execution = execution;
-            self.repair_cache.clear();
-        }
+        self.execution = execution;
     }
 
     /// The random seed subsequent queries use.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Replaces the seed for subsequent queries.
-    ///
-    /// Changing the seed drops any tracked partitions
-    /// ([`Session::track_partition`]): per-part construction seeds derive
-    /// from the session seed, so a corpus built under the old seed would
-    /// silently stop satisfying the repair == rebuild contract. A
-    /// subsequent [`Session::update_partition`] reports the usual typed
-    /// [`LcsError::Config`] "no tracked partition" error until the caller
-    /// tracks again. Setting the seed already in effect changes nothing.
-    pub fn set_seed(&mut self, seed: u64) {
-        if self.seed != seed {
-            self.seed = seed;
-            self.repair_cache.clear();
-        }
     }
 
     /// The simulator configuration `Simulated` queries run with.
@@ -771,23 +740,22 @@ impl<'g> Session<'g> {
         Ok(runs)
     }
 
-    /// Assembles a [`RepairRun`] from a finished corpus.
+    /// Assembles a [`RepairRun`] from a finished baseline.
     fn finish_repair(
         &self,
-        partition: &Partition,
-        corpus: &ShortcutCorpus,
+        baseline: RepairBaseline,
         stats: RepairStats,
-        strategy: Strategy,
         operation: &str,
         start: Instant,
     ) -> Result<RepairRun> {
+        let corpus = &baseline.corpus;
         let shortcut = corpus
-            .assemble(self.graph, &self.tree, partition)
+            .assemble(self.graph, &self.tree, &baseline.partition)
             .map_err(LcsError::from)?;
         let quality = corpus.quality();
         let good: Vec<bool> = corpus.parts().iter().map(|p| p.good).collect();
         let mut report = Report::new(operation);
-        report.strategy = Some(strategy.label().to_string());
+        report.strategy = Some(baseline.strategy.label().to_string());
         report.all_parts_good = corpus.all_good();
         report.rounds_charged = stats.rounds;
         report.iterations = corpus.parts().iter().map(|p| p.attempts).max().unwrap_or(0);
@@ -805,75 +773,15 @@ impl<'g> Session<'g> {
             repaired_parts: stats.repaired_parts,
             reused_parts: stats.reused_parts,
             report,
+            baseline,
         })
     }
 
-    /// The shared delta-repair path of [`Session::update_partition`] and
-    /// [`Session::repair_from`]: apply the delta, repair the corpus, and
-    /// report — with the `session/repair` span, the repair counters and
-    /// the per-repair latency timer around it.
-    fn repair_with(
-        &self,
-        partition: &Partition,
-        corpus: &ShortcutCorpus,
-        config: &DoublingConfig,
-        strategy: Strategy,
-        delta: &PartitionDelta,
-    ) -> Result<(Partition, ShortcutCorpus, RepairRun)> {
-        let obs = self.obs.clone();
-        let _span = lcs_obs::span!(obs, "session/repair");
-        let start = Instant::now();
-        let applied = partition.apply_tracked(self.graph, delta)?;
-        // Dirty parts of the delta closure are rebuilt with the session's
-        // tree and verifier; everything else is reused.
-        let (new_corpus, stats) = self.with_pool(|pool| {
-            repair_corpus(
-                self.graph,
-                &self.tree,
-                &applied.partition,
-                corpus,
-                &applied.origin,
-                &applied.dirty,
-                config,
-                pool,
-                self.verifier(),
-            )
-        })?;
-        let (_, budget_is_error) = strategy.doubling_config(self.seed);
-        if budget_is_error && !new_corpus.all_good() {
-            return Err(LcsError::BudgetExhausted {
-                iterations: new_corpus
-                    .parts()
-                    .iter()
-                    .map(|p| p.attempts)
-                    .max()
-                    .unwrap_or(0),
-                remaining_bad: new_corpus.parts().iter().filter(|p| !p.good).count(),
-            });
-        }
-        let run = self.finish_repair(
-            &applied.partition,
-            &new_corpus,
-            stats,
-            strategy,
-            "repair",
-            start,
-        )?;
-        if obs.is_on() {
-            obs.counter_add("session/repairs", 1);
-            obs.counter_add("session/repaired_parts", stats.repaired_parts as u64);
-            obs.counter_add("session/reused_parts", stats.reused_parts as u64);
-            obs.timer_record("session/repair/latency", start.elapsed().as_nanos() as u64);
-        }
-        Ok((applied.partition, new_corpus, run))
-    }
-
-    /// Builds and caches the customization corpus for `partition`: every
-    /// part constructed through the part-scoped path (per-part doubling
-    /// search, seeds anchored at each part's minimum member). Subsequent
-    /// [`Session::update_partition`] calls repair this cached state
-    /// instead of rebuilding from scratch. One slot is kept per strategy
-    /// label; tracking again under the same strategy replaces the slot.
+    /// Builds the customization corpus for `partition`: every part
+    /// constructed through the part-scoped path (per-part doubling search,
+    /// seeds anchored at each part's minimum member). The returned
+    /// [`RepairRun::baseline`] is what [`Session::repair_from`] repairs
+    /// instead of rebuilding from scratch; the session keeps none of it.
     ///
     /// # Errors
     ///
@@ -882,11 +790,7 @@ impl<'g> Session<'g> {
     /// exhausts its budget on some part (a [`Strategy::Fixed`] run whose
     /// parameters are too small is not an error, mirroring
     /// [`Session::shortcut`]); simulation errors in `Simulated` mode.
-    pub fn track_partition(
-        &mut self,
-        partition: &Partition,
-        strategy: Strategy,
-    ) -> Result<RepairRun> {
+    pub fn track_partition(&self, partition: &Partition, strategy: Strategy) -> Result<RepairRun> {
         self.check_partition(partition)?;
         let start = Instant::now();
         let (config, budget_is_error) = strategy.doubling_config(self.seed);
@@ -900,107 +804,93 @@ impl<'g> Session<'g> {
                 self.verifier(),
             )
         })?;
-        if budget_is_error && !corpus.all_good() {
-            return Err(LcsError::BudgetExhausted {
-                iterations: corpus.parts().iter().map(|p| p.attempts).max().unwrap_or(0),
-                remaining_bad: corpus.parts().iter().filter(|p| !p.good).count(),
-            });
-        }
+        check_budget(&corpus, budget_is_error)?;
         let stats = RepairStats {
             repaired_parts: partition.part_count(),
             reused_parts: 0,
             rounds: corpus.total_rounds(),
         };
-        let run = self.finish_repair(partition, &corpus, stats, strategy, "track", start)?;
-        self.repair_cache
-            .retain(|slot| slot.strategy.label() != strategy.label());
-        self.repair_cache.push(RepairSlot {
+        let baseline = RepairBaseline {
             strategy,
             partition: partition.clone(),
             corpus,
             config,
-        });
-        Ok(run)
+        };
+        self.finish_repair(baseline, stats, "track", start)
     }
 
-    /// Applies `delta` to the most recently tracked partition and repairs
-    /// the cached corpus in place: clean parts keep their block
-    /// assignments, routing state and quality verbatim; only the delta's
-    /// dirty closure is rebuilt, and congestion is re-aggregated by exact
-    /// subtraction. The result is byte-identical to
-    /// [`Session::track_partition`] on the post-delta partition — at the
-    /// cost of the dirty volume, not `n`.
+    /// Applies `delta` to `baseline`'s partition and repairs its corpus:
+    /// clean parts keep their block assignments, routing state and quality
+    /// verbatim; only the delta's dirty closure is rebuilt, and congestion
+    /// is re-aggregated by exact subtraction. The result is byte-identical
+    /// to [`Session::track_partition`] on the post-delta partition — at the
+    /// cost of the dirty volume, not `n` — and its
+    /// [`RepairRun::baseline`] is the post-delta baseline the next delta
+    /// repairs from. A pure function of `(baseline, delta)`: this is the
+    /// entry behind [`crate::Query::Repair`], so a workload driver can
+    /// replay the same pre-generated pair any number of times and always
+    /// observe the same result.
     ///
     /// # Errors
     ///
-    /// [`LcsError::Config`] if no partition is tracked or the delta is
-    /// structurally invalid (including any op that would empty a part);
+    /// [`LcsError::InconsistentInputs`] for a baseline over a different
+    /// node count; [`LcsError::Config`] if the delta is structurally
+    /// invalid (including any op that would empty a part);
     /// [`LcsError::BudgetExhausted`] when a doubling strategy exhausts its
     /// budget on a rebuilt part; simulation errors in `Simulated` mode.
-    /// The cached state is left unchanged on any error.
-    pub fn update_partition(&mut self, delta: &PartitionDelta) -> Result<RepairRun> {
-        let mut slot = self.repair_cache.pop().ok_or_else(|| LcsError::Config {
-            reason: "no tracked partition to update; call Session::track_partition first"
-                .to_string(),
-        })?;
-        let outcome = self.repair_with(
-            &slot.partition,
-            &slot.corpus,
-            &slot.config,
-            slot.strategy,
-            delta,
-        );
-        match outcome {
-            Ok((partition, corpus, run)) => {
-                slot.partition = partition;
-                slot.corpus = corpus;
-                self.repair_cache.push(slot);
-                Ok(run)
-            }
-            Err(err) => {
-                self.repair_cache.push(slot);
-                Err(err)
-            }
-        }
-    }
-
-    /// Serves one repair against a detached [`RepairBaseline`] — a pure
-    /// function of `(baseline, delta)` that leaves the session's own
-    /// tracked state untouched. This is the entry behind
-    /// [`crate::Query::Repair`], so a workload driver can replay the same
-    /// pre-generated `(baseline, delta)` pairs any number of times and
-    /// always observe the same result.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::update_partition`], minus the not-tracked case.
     pub fn repair_from(
         &self,
         baseline: &RepairBaseline,
         delta: &PartitionDelta,
     ) -> Result<RepairRun> {
         self.check_partition(&baseline.partition)?;
-        let (_, _, run) = self.repair_with(
-            &baseline.partition,
-            &baseline.corpus,
-            &baseline.config,
-            baseline.strategy,
-            delta,
-        )?;
+        let obs = self.obs.clone();
+        let _span = lcs_obs::span!(obs, "session/repair");
+        let start = Instant::now();
+        let applied = baseline.partition.apply_tracked(self.graph, delta)?;
+        // Dirty parts of the delta closure are rebuilt with the session's
+        // tree and verifier; everything else is reused.
+        let (corpus, stats) = self.with_pool(|pool| {
+            repair_corpus(
+                self.graph,
+                &self.tree,
+                &applied.partition,
+                &baseline.corpus,
+                &applied.origin,
+                &applied.dirty,
+                &baseline.config,
+                pool,
+                self.verifier(),
+            )
+        })?;
+        let (_, budget_is_error) = baseline.strategy.doubling_config(self.seed);
+        check_budget(&corpus, budget_is_error)?;
+        let next = RepairBaseline {
+            strategy: baseline.strategy,
+            partition: applied.partition,
+            corpus,
+            config: baseline.config,
+        };
+        let run = self.finish_repair(next, stats, "repair", start)?;
+        if obs.is_on() {
+            obs.counter_add("session/repairs", 1);
+            obs.counter_add("session/repaired_parts", stats.repaired_parts as u64);
+            obs.counter_add("session/reused_parts", stats.reused_parts as u64);
+            obs.timer_record("session/repair/latency", start.elapsed().as_nanos() as u64);
+        }
         Ok(run)
     }
+}
 
-    /// A detached snapshot of the most recently tracked partition and its
-    /// corpus (see [`RepairBaseline`]); `None` until
-    /// [`Session::track_partition`] succeeds.
-    pub fn repair_baseline(&self) -> Option<RepairBaseline> {
-        self.repair_cache.last().map(|slot| RepairBaseline {
-            strategy: slot.strategy,
-            partition: slot.partition.clone(),
-            corpus: slot.corpus.clone(),
-            config: slot.config,
-        })
+/// The typed error of a doubling strategy that ended with bad parts.
+fn check_budget(corpus: &ShortcutCorpus, budget_is_error: bool) -> Result<()> {
+    if budget_is_error && !corpus.all_good() {
+        return Err(LcsError::BudgetExhausted {
+            iterations: corpus.parts().iter().map(|p| p.attempts).max().unwrap_or(0),
+            remaining_bad: corpus.parts().iter().filter(|p| !p.good).count(),
+        });
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1017,16 +907,16 @@ mod tests {
         let mut facts = Vec::new();
         for threads in [1usize, 4] {
             let obs = lcs_obs::Obs::recording();
-            let mut session = Pipeline::on(&graph)
+            let session = Pipeline::on(&graph)
                 .seed(5)
                 .threads(Threads::Fixed(threads))
                 .recorder(obs.clone())
                 .build()
                 .unwrap();
-            session
+            let tracked = session
                 .track_partition(&partition, Strategy::doubling())
                 .unwrap();
-            session.update_partition(&delta).unwrap();
+            session.repair_from(&tracked.baseline, &delta).unwrap();
             let snapshot = obs.snapshot();
             assert_eq!(snapshot.counter("session/repairs"), Some(1));
             // The per-repair latency timer and the repair span both
@@ -1051,42 +941,6 @@ mod tests {
         // be borrowed by any number of server worker threads.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Session<'static>>();
-    }
-
-    #[test]
-    fn set_seed_drops_the_tracked_corpus_instead_of_corrupting_repairs() {
-        let g = generators::grid(8, 8);
-        let p = generators::partitions::grid_columns(8, 8);
-        let delta = PartitionDelta::new().move_nodes(vec![NodeId::new(1)], PartId::new(0));
-        let mut session = Pipeline::on(&g).seed(5).build().unwrap();
-        session.track_partition(&p, Strategy::doubling()).unwrap();
-
-        // Per-part construction seeds derive from the session seed, so a
-        // corpus tracked under seed 5 must not survive a switch to seed 6:
-        // updating right away is the typed "no tracked partition" error,
-        // not a silently-wrong repair.
-        session.set_seed(6);
-        let err = session.update_partition(&delta).unwrap_err();
-        assert!(matches!(err, LcsError::Config { .. }));
-
-        // Re-tracking under the new seed restores repair == rebuild.
-        session.track_partition(&p, Strategy::doubling()).unwrap();
-        let updated = session.update_partition(&delta).unwrap();
-        let new_p = p.apply(&delta).unwrap();
-        let mut fresh = Pipeline::on(&g).seed(6).build().unwrap();
-        let rebuilt = fresh.track_partition(&new_p, Strategy::doubling()).unwrap();
-        assert_eq!(updated.shortcut, rebuilt.shortcut);
-        assert_eq!(updated.quality, rebuilt.quality);
-        assert_eq!(updated.good, rebuilt.good);
-
-        // Re-setting the values already in effect keeps the slot; an
-        // execution-mode change drops it for the same reason a seed
-        // change does.
-        session.set_seed(6);
-        session.set_execution(ExecutionMode::Scheduled);
-        assert!(session.repair_baseline().is_some());
-        session.set_execution(ExecutionMode::Simulated);
-        assert!(session.repair_baseline().is_none());
     }
 
     #[test]
@@ -1251,9 +1105,7 @@ mod tests {
         assert_eq!(session.seed(), 7);
         assert_eq!(session.execution(), ExecutionMode::Scheduled);
         assert_eq!(session.sim_config().threads, 3);
-        session.set_seed(9);
         session.set_execution(ExecutionMode::Simulated);
-        assert_eq!(session.seed(), 9);
         assert_eq!(session.execution(), ExecutionMode::Simulated);
     }
 
@@ -1417,9 +1269,10 @@ mod tests {
     fn update_partition_matches_a_fresh_track() {
         let g = generators::grid(8, 8);
         let p = generators::partitions::grid_columns(8, 8);
-        let mut session = Pipeline::on(&g).seed(5).build().unwrap();
+        let session = Pipeline::on(&g).seed(5).build().unwrap();
         let tracked = session.track_partition(&p, Strategy::doubling()).unwrap();
         assert!(tracked.report.all_parts_good);
+        assert_eq!(tracked.baseline.partition(), &p);
         assert_eq!(tracked.repaired_parts, p.part_count());
         assert_eq!(tracked.reused_parts, 0);
         assert_eq!(
@@ -1428,9 +1281,10 @@ mod tests {
         );
 
         let delta = PartitionDelta::new().move_nodes(vec![NodeId::new(1)], PartId::new(0));
-        let updated = session.update_partition(&delta).unwrap();
+        let updated = session.repair_from(&tracked.baseline, &delta).unwrap();
         let new_p = p.apply(&delta).unwrap();
-        let mut fresh = Pipeline::on(&g).seed(5).build().unwrap();
+        assert_eq!(updated.baseline.partition(), &new_p);
+        let fresh = Pipeline::on(&g).seed(5).build().unwrap();
         let rebuilt = fresh.track_partition(&new_p, Strategy::doubling()).unwrap();
         assert_eq!(updated.shortcut, rebuilt.shortcut);
         assert_eq!(updated.quality, rebuilt.quality);
@@ -1444,28 +1298,20 @@ mod tests {
     }
 
     #[test]
-    fn update_without_track_is_a_config_error() {
-        let g = generators::grid(4, 4);
-        let mut session = Pipeline::on(&g).build().unwrap();
-        let err = session
-            .update_partition(&PartitionDelta::new())
-            .unwrap_err();
-        assert!(matches!(err, LcsError::Config { .. }));
-    }
-
-    #[test]
     fn a_failed_delta_leaves_the_tracked_state_usable() {
         let g = generators::grid(6, 6);
         let p = generators::partitions::grid_columns(6, 6);
-        let mut session = Pipeline::on(&g).build().unwrap();
-        session.track_partition(&p, Strategy::doubling()).unwrap();
-        // Draining column 0 entirely must fail without corrupting the slot.
+        let session = Pipeline::on(&g).build().unwrap();
+        let tracked = session.track_partition(&p, Strategy::doubling()).unwrap();
+        // Draining column 0 entirely must fail and leave the baseline
+        // repairable.
         let drain = PartitionDelta::new()
             .move_nodes((0..6).map(|r| NodeId::new(6 * r)).collect(), PartId::new(1));
-        let err = session.update_partition(&drain).unwrap_err();
+        let err = session.repair_from(&tracked.baseline, &drain).unwrap_err();
         assert!(matches!(err, LcsError::Config { .. }));
         let ok = session
-            .update_partition(
+            .repair_from(
+                &tracked.baseline,
                 &PartitionDelta::new().move_nodes(vec![NodeId::new(0)], PartId::new(1)),
             )
             .unwrap();
@@ -1477,22 +1323,22 @@ mod tests {
         let g = generators::grid(6, 6);
         let p = generators::partitions::grid_columns(6, 6);
         for execution in [ExecutionMode::Scheduled, ExecutionMode::Simulated] {
-            let mut session = Pipeline::on(&g)
+            let session = Pipeline::on(&g)
                 .seed(3)
                 .execution(execution)
                 .build()
                 .unwrap();
-            assert!(session.repair_baseline().is_none());
-            session.track_partition(&p, Strategy::doubling()).unwrap();
-            let baseline = session.repair_baseline().unwrap();
-            assert_eq!(baseline.partition(), &p);
+            let baseline = session
+                .track_partition(&p, Strategy::doubling())
+                .unwrap()
+                .baseline;
             let delta = PartitionDelta::new().move_nodes(vec![NodeId::new(1)], PartId::new(0));
             let a = session.repair_from(&baseline, &delta).unwrap();
             let b = session.repair_from(&baseline, &delta).unwrap();
             assert_eq!(a.shortcut, b.shortcut);
             assert_eq!(a.quality, b.quality);
-            // The session's own tracked state is untouched by serving.
-            assert_eq!(session.repair_baseline().unwrap().partition(), &p);
+            // Serving reads the baseline and never edits it.
+            assert_eq!(baseline.partition(), &p);
         }
     }
 

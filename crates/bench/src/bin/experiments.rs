@@ -168,7 +168,7 @@ fn main() {
         },
         Experiment {
             name: "e16",
-            description: "incremental repair: update_partition vs full rebuild, digest-equal",
+            description: "incremental repair: repair_from vs full rebuild, digest-equal",
             opt_in: false,
             build: TableBuilder::WithExtra(e16_repair_table),
         },

@@ -1534,10 +1534,11 @@ pub fn e15_faults_table() -> (Table, String) {
 }
 
 /// E16 — update-vs-rebuild tier: incremental decomposition repair
-/// ([`lcs_api::Session::update_partition`]) against a from-scratch
-/// rebuild of the post-delta partition, on n >= 10^4 instances of three
-/// families. Each row applies a churn delta of growing size (1 boundary
-/// node up to 50% of the parts dirtied), times both paths, and computes
+/// ([`lcs_api::Session::repair_from`] on a tracked baseline) against a
+/// from-scratch rebuild of the post-delta partition, on n >= 10^4
+/// instances of three families. Each row applies a churn delta of
+/// growing size (1 boundary node up to 50% of the parts dirtied), times
+/// both paths, and computes
 /// an FNV-1a digest over everything a repair returns (per-part shortcut
 /// edge sets, the quality record, per-part verdicts); `det` asserts the
 /// repaired and rebuilt digests are byte-identical — the part-scoped
@@ -1618,10 +1619,11 @@ pub fn e16_repair_table() -> (Table, String) {
     let mut rows = Vec::new();
     let mut extras = Vec::new();
     let mut instance = |label: &str, graph: &Graph, partition: &Partition, seed: u64| {
-        let mut session = session_on(graph, seed);
-        session
+        let session = session_on(graph, seed);
+        let baseline = session
             .track_partition(partition, Strategy::doubling())
-            .expect("E16 instances admit good shortcuts");
+            .expect("E16 instances admit good shortcuts")
+            .baseline;
         let parts = partition.part_count();
         let shapes = [
             ("1 node", 1usize),
@@ -1632,15 +1634,13 @@ pub fn e16_repair_table() -> (Table, String) {
         for (shape, moved) in shapes {
             let delta = churn_delta(graph, partition, moved);
             let target = partition.apply(&delta).expect("churn deltas are valid");
-            let baseline = session.repair_baseline().expect("tracked above");
-
             let start = std::time::Instant::now();
             let repaired = session
                 .repair_from(&baseline, &delta)
                 .expect("valid deltas repair cleanly");
             let repair_ms = start.elapsed().as_secs_f64() * 1e3;
 
-            let mut rebuild_session = session_on(graph, seed);
+            let rebuild_session = session_on(graph, seed);
             let start = std::time::Instant::now();
             let rebuilt = rebuild_session
                 .track_partition(&target, Strategy::doubling())
@@ -1698,7 +1698,7 @@ pub fn e16_repair_table() -> (Table, String) {
     }
 
     let table = Table {
-        title: "E16: incremental repair — update_partition vs full rebuild (det = repaired and rebuilt digests identical)"
+        title: "E16: incremental repair — repair_from vs full rebuild (det = repaired and rebuilt digests identical)"
             .to_string(),
         headers: [
             "instance",
@@ -1801,20 +1801,23 @@ pub fn tables_to_json(tables: &[TimedTable], threads: usize) -> String {
 /// × mixes {consume, mixed}, with p50/p95/p99 round-trip latency and
 /// throughput columns.
 ///
-/// The determinism claim is stronger than E13's rerun check: for each
-/// mix, the trace is first replayed *sequentially* through
-/// `Session::serve_shared` on both engines (`Threads::Fixed(1)` and
-/// `Fixed(4)`), and the `det` column asserts the TCP replay's digest
-/// multiset equals both baselines — the wire and the worker
-/// interleaving add latency, never values. Each row's extras record the
-/// FNV-1a fold of the *sorted* digest multiset (order-independent, so
-/// byte-comparable across `--threads` runs in CI) plus the full latency
-/// histogram and its p99.9 tail.
+/// Both sides go through `lcs_workload`'s one driver: the TCP rows replay
+/// over `lcs_server::client::Tcp`, the baselines over warm in-process
+/// sessions. The determinism claim is stronger than E13's rerun check:
+/// for each mix, the trace is first replayed by one in-process client on
+/// both engines (`Threads::Fixed(1)` and `Fixed(4)`), and the `det` column
+/// asserts the TCP replay's digest multiset equals both baselines — the
+/// wire and the worker interleaving add latency, never values. Each row's
+/// extras record the FNV-1a fold of the *sorted* digest multiset
+/// (order-independent, so byte-comparable across `--threads` runs in CI)
+/// plus the full latency histogram and its p99.9 tail.
 pub fn e17_server_table() -> (Table, String) {
     use lcs_api::{Threads, ValueDigest};
+    use lcs_obs::Obs;
     use lcs_server::{client, ServerConfig, ServerHandle};
     use lcs_workload::{
-        generate_trace, query_of, Corpus, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec,
+        generate_trace, replay, run_workload, Corpus, CorpusSpec, Family, Mode, QueryMix,
+        WorkloadSpec,
     };
 
     const QUERIES: usize = 64;
@@ -1838,24 +1841,13 @@ pub fn e17_server_table() -> (Table, String) {
     )
     .expect("server spawns");
 
-    // Sorted digest multiset of a sequential `serve_shared` replay at a
-    // fixed engine width.
+    // Sorted digest multiset of a one-client in-process replay at a fixed
+    // engine width.
     let baseline = |spec: &WorkloadSpec, threads: usize| -> Vec<u64> {
-        let session = Pipeline::on(corpus.graph())
-            .seed(SEED)
-            .threads(Threads::Fixed(threads))
-            .build()
-            .expect("baseline session builds");
-        let trace = generate_trace(spec, corpus.len()).expect("trace generates");
-        let mut digests: Vec<u64> = trace
-            .iter()
-            .map(|event| {
-                session
-                    .serve_shared(query_of(&corpus, event))
-                    .expect("baseline query serves")
-                    .digest
-            })
-            .collect();
+        let spec = spec.threads(Threads::Fixed(threads));
+        let mut digests = run_workload(&corpus, &spec)
+            .expect("baseline replay runs")
+            .digests;
         digests.sort_unstable();
         digests
     };
@@ -1887,9 +1879,13 @@ pub fn e17_server_table() -> (Table, String) {
         let sharded = baseline(&spec, 4);
         let engines_agree = serial == sharded;
         let trace = generate_trace(&spec, corpus.len()).expect("trace generates");
+        let tcp = client::Tcp::new(server.addr(), "grid");
         for &clients in &CLIENT_COUNTS {
-            let outcome = client::replay_closed(server.addr(), "grid", &trace, clients, 0)
-                .expect("tcp replay runs");
+            let mode = Mode::Closed {
+                clients,
+                think_nanos: 0,
+            };
+            let outcome = replay(&tcp, &trace, mode, &Obs::off()).expect("tcp replay runs");
             let mut served = outcome.digests.clone();
             served.sort_unstable();
             let deterministic = engines_agree && served == serial;

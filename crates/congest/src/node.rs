@@ -76,11 +76,6 @@ impl<'g> NodeContext<'g> {
     pub fn position_of(&self, neighbor: NodeId) -> Option<usize> {
         self.neighbors.iter().position(|&v| v == neighbor)
     }
-
-    /// Returns the edge towards `neighbor`, if adjacent.
-    pub fn edge_to(&self, neighbor: NodeId) -> Option<EdgeId> {
-        self.position_of(neighbor).map(|i| self.edges[i])
-    }
 }
 
 /// A message being sent by a node during a round.
@@ -189,8 +184,6 @@ mod tests {
         let edges = [EdgeId::new(0), EdgeId::new(7)];
         let ctx = NodeContext::new(NodeId::new(3), &neighbors, &edges, 10);
         assert_eq!(ctx.degree(), 2);
-        assert_eq!(ctx.edge_to(NodeId::new(5)), Some(EdgeId::new(7)));
-        assert_eq!(ctx.edge_to(NodeId::new(2)), None);
         assert_eq!(ctx.position_of(NodeId::new(1)), Some(0));
         let pairs: Vec<(NodeId, EdgeId)> = ctx.neighbors().collect();
         assert_eq!(

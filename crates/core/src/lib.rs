@@ -4,12 +4,12 @@
 //! (Haeupler, Izumi, Zuzic, *Low-Congestion Shortcuts without Embedding*,
 //! PODC 2016):
 //!
-//! * [`Shortcut`] — general low-congestion shortcuts (Definition 1) and
-//!   their quality measures congestion and dilation,
 //! * [`TreeShortcut`] — the paper's *tree-restricted* shortcuts
 //!   (Definition 2): every shortcut subgraph `H_i` consists solely of edges
 //!   of a fixed rooted spanning tree `T`, measured by the *block parameter*
-//!   (Definition 3) instead of dilation (Lemma 1 relates the two),
+//!   (Definition 3) besides Definition 1's congestion and dilation, which
+//!   [`ShortcutQuality`] records (Lemma 1 relates dilation to the block
+//!   parameter),
 //! * [`routing`] — the deterministic routing machinery: Lemma 2 tree
 //!   routing for families of subtrees, and the Theorem 2 part-parallel
 //!   primitives (leader election, convergecast, broadcast) plus the Lemma 3
@@ -53,7 +53,6 @@
 
 mod error;
 mod quality;
-mod shortcut;
 mod tree_restricted;
 
 pub mod construction;
@@ -62,7 +61,6 @@ pub mod routing;
 
 pub use error::CoreError;
 pub use quality::{QualityPool, ShortcutQuality};
-pub use shortcut::Shortcut;
 pub use tree_restricted::TreeShortcut;
 
 /// Convenience result alias used throughout the crate.

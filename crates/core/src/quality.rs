@@ -1,12 +1,12 @@
-//! Quality measurement: congestion, dilation, and helpers shared by the
-//! general and tree-restricted shortcut types.
+//! Quality measurement of tree-restricted shortcuts: congestion,
+//! dilation, and their shared workspaces.
 //!
 //! The measurement routines are written for the scale tier: the BFS scratch
 //! (distance array, queue, allowed-node/edge marks, eccentricity bounds)
 //! lives in a [`QualityWorkspace`] that is allocated once per measurement
 //! and reused across every part and every BFS source, with epoch stamps
 //! standing in for `O(n)` clears. The per-part shortcut edge sets are taken
-//! as slices (both shortcut representations store them sorted and
+//! as slices (a [`crate::TreeShortcut`] stores them sorted and
 //! deduplicated), so measuring never copies an edge set.
 //!
 //! Dilation is exact but does not run a BFS from every subgraph node: each
@@ -138,8 +138,8 @@ impl QualityPool {
 
 /// Computes congestion: for every edge, the number of parts `i` such that
 /// the edge lies in `G[P_i] + H_i`. The per-part shortcut edge sets are
-/// supplied by the `edges_of` accessor (a borrowed slice — no copy) so the
-/// same routine serves both shortcut representations. Repeated edges within
+/// supplied by the `edges_of` accessor (a borrowed slice — no copy), so
+/// tests can measure hand-built edge sets too. Repeated edges within
 /// one part's slice are counted once (a per-edge part stamp, no sorting).
 /// Runs in `O(m + Σ|H_i|)` work; with more than one pool worker the
 /// per-part pass is split over contiguous part ranges on scoped workers
@@ -229,6 +229,7 @@ where
 }
 
 /// One-shot [`congestion_with`] against a freshly allocated pool.
+#[cfg(test)]
 pub(crate) fn congestion<'a, F>(
     graph: &Graph,
     partition: &Partition,
@@ -244,26 +245,6 @@ where
         edges_of,
         &mut QualityPool::new(graph, threads),
     )
-}
-
-/// Nodes of the subgraph `G[P_p] + H_p`: the members of the part plus every
-/// endpoint of a shortcut edge.
-pub(crate) fn subgraph_nodes(
-    graph: &Graph,
-    partition: &Partition,
-    p: PartId,
-    shortcut_edges: &[EdgeId],
-) -> Vec<NodeId> {
-    let mut member = vec![false; graph.node_count()];
-    for &v in partition.members(p) {
-        member[v.index()] = true;
-    }
-    for &e in shortcut_edges {
-        let edge = graph.edge(e);
-        member[edge.u.index()] = true;
-        member[edge.v.index()] = true;
-    }
-    graph.nodes().filter(|v| member[v.index()]).collect()
 }
 
 /// One node of the bounded dilation sweep whose eccentricity may still
@@ -590,6 +571,7 @@ where
 }
 
 /// One-shot [`dilation_with`] against a freshly allocated pool.
+#[cfg(test)]
 pub(crate) fn dilation<'a, F>(
     graph: &Graph,
     partition: &Partition,

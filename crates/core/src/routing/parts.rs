@@ -12,7 +12,6 @@
 //! the family with verification's flat block pass; it keeps no block
 //! component or supergraph.
 
-use lcs_congest::RoundCost;
 use lcs_graph::{Graph, NodeId, Partition, RootedTree, UnionFind};
 
 use super::blocks::{BlockRoots, MemberBlocks};
@@ -35,8 +34,8 @@ pub struct PartRouter<'a> {
     tree: &'a RootedTree,
     partition: &'a Partition,
     shortcut: &'a TreeShortcut,
-    /// Block-component count per part.
-    block_counts: Vec<usize>,
+    /// The maximum block-component count over all parts.
+    block_parameter: usize,
     /// Exact Lemma 2 schedule length for one intra-block convergecast over
     /// the entire block family (all parts in parallel).
     intra_block_rounds: u64,
@@ -62,7 +61,7 @@ impl<'a> PartRouter<'a> {
             tree,
             partition,
             shortcut,
-            block_counts: blocks.counts,
+            block_parameter: blocks.counts.iter().copied().max().unwrap_or(0),
             intra_block_rounds: schedule.rounds,
             max_edge_load: schedule.max_edge_load,
         }
@@ -71,7 +70,7 @@ impl<'a> PartRouter<'a> {
     /// The block parameter of the shortcut the router was built for: the
     /// maximum block-component count over all parts.
     pub fn block_parameter(&self) -> usize {
-        self.block_counts.iter().copied().max().unwrap_or(0)
+        self.block_parameter
     }
 
     /// The measured Lemma 2 congestion of the block family.
@@ -177,23 +176,6 @@ impl<'a> PartRouter<'a> {
         }
     }
 
-    /// Lemma 3: finds all parts whose shortcut subgraph has at most
-    /// `threshold` block components. The algorithm performs `threshold`
-    /// leader-flooding supersteps followed by a supergraph BFS and a count
-    /// convergecast, so it is charged `(threshold + 2)` supersteps.
-    pub fn parts_with_at_most_blocks(&self, threshold: usize) -> PartRouterOutcome<Vec<bool>> {
-        let good: Vec<bool> = self
-            .block_counts
-            .iter()
-            .map(|&count| count <= threshold)
-            .collect();
-        let rounds = (threshold as u64 + 2) * self.superstep_rounds();
-        PartRouterOutcome {
-            values: good,
-            rounds,
-        }
-    }
-
     /// Returns `true` if every part's supergraph is connected — a structural
     /// invariant that must hold whenever the partition is valid (used by
     /// tests and debug assertions). The supergraph's supernodes are the
@@ -237,17 +219,6 @@ impl<'a> PartRouter<'a> {
     /// the pattern every Boruvka phase performs.
     pub fn exchange_rounds(&self) -> u64 {
         2 * self.block_parameter() as u64 * self.superstep_rounds()
-    }
-
-    /// Summarizes the router state as a [`RoundCost`] entry for reporting.
-    pub fn describe(&self, cost: &mut RoundCost, label: &str) {
-        cost.charge(
-            format!(
-                "{label}/superstep (b={}, D+c schedule)",
-                self.block_parameter()
-            ),
-            self.superstep_rounds(),
-        );
     }
 }
 
@@ -328,10 +299,6 @@ mod tests {
         assert!(router.supergraphs_connected());
         // With no shortcut edges there is nothing to route inside blocks.
         assert_eq!(router.superstep_rounds(), 0);
-        let outcome = router.parts_with_at_most_blocks(3);
-        assert_eq!(outcome.values, vec![false; 4]);
-        let outcome = router.parts_with_at_most_blocks(4);
-        assert_eq!(outcome.values, vec![true; 4]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use lcs_graph::{EdgeId, Graph, PartId, Partition, RootedTree, UnionFind};
 
 use crate::quality::{self, ShortcutQuality};
-use crate::{CoreError, Result, Shortcut};
+use crate::{CoreError, Result};
 
 /// A `T`-restricted shortcut (Definition 2): every shortcut subgraph `H_i`
 /// consists solely of edges of the fixed rooted spanning tree `T`.
@@ -178,15 +178,6 @@ impl TreeShortcut {
             }
         }
         Ok(())
-    }
-
-    /// Converts into a general [`Shortcut`] (forgetting the tree structure).
-    pub fn to_shortcut(&self) -> Shortcut {
-        Shortcut::from_edge_sets(
-            (0..self.part_count())
-                .map(|p| self.edges_of(PartId::new(p)).to_vec())
-                .collect(),
-        )
     }
 
     /// Number of block components of part `p` (Definition 3): connected
@@ -483,16 +474,6 @@ mod tests {
         assert_eq!(q.congestion, 1);
         assert_eq!(q.dilation, 2);
         assert!(q.satisfies_lemma1(t.depth_of_tree()));
-    }
-
-    #[test]
-    fn to_shortcut_preserves_edge_sets() {
-        let (g, t, p) = grid_setup();
-        let e = t.tree_edges().next().unwrap();
-        let s = one_part(&g, &t, &p, PartId::new(2), vec![e]);
-        let general = s.to_shortcut();
-        assert_eq!(general.edges_of(PartId::new(2)), &[e]);
-        assert_eq!(general.part_count(), 4);
     }
 
     #[test]

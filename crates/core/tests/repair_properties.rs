@@ -2,11 +2,12 @@
 //!
 //! Two contracts:
 //!
-//! 1. **Repair ≡ rebuild** — `Session::update_partition(delta)` yields a
-//!    byte-identical shortcut, quality record, and per-part verdicts to
-//!    tracking the post-delta partition from scratch — across generator
-//!    families, delta shapes, engine thread counts {1, 4}, and both
-//!    execution modes.
+//! 1. **Repair ≡ rebuild** — `Session::repair_from(baseline, delta)` on
+//!    a tracked baseline yields a byte-identical shortcut, quality record,
+//!    and per-part verdicts to tracking the post-delta partition from
+//!    scratch, and so does a second delta repaired from the first
+//!    repair's returned baseline — across generator families, delta
+//!    shapes, engine thread counts {1, 4}, and both execution modes.
 //! 2. **Dirty-closure soundness** — `Partition::apply_tracked` marks
 //!    every part whose member set *or* induced edge set changes as dirty;
 //!    a clean part keeps both verbatim (up to renumbering via its origin
@@ -168,48 +169,48 @@ fn check_repair_equals_rebuild(
     threads: usize,
 ) {
     let (graph, partition) = family_instance(family, seed);
-    let delta = valid_delta(&graph, &partition, shape, seed ^ 0xD317A);
-    let repaired_partition = partition.apply(&delta).unwrap();
-
-    let build = |target: &Partition| {
-        let mut session = Pipeline::on(&graph)
+    let session_on = || {
+        Pipeline::on(&graph)
             .seed(seed)
             .execution(execution)
             .threads(Threads::Fixed(threads))
             .build()
-            .unwrap();
-        session
-            .track_partition(target, Strategy::doubling())
             .unwrap()
     };
+    let session = session_on();
+    let context = format!("family {family}, shape {shape}, seed {seed}, {execution:?}, t{threads}");
 
-    // Incremental: track the original, then repair through the delta.
-    let mut session = Pipeline::on(&graph)
-        .seed(seed)
-        .execution(execution)
-        .threads(Threads::Fixed(threads))
-        .build()
-        .unwrap();
-    session
+    // Incremental: track the original, then repair through two deltas,
+    // the second from the baseline the first repair returned. Each repair
+    // must equal a fresh session's track of its post-delta partition.
+    let mut baseline = session
         .track_partition(&partition, Strategy::doubling())
-        .unwrap();
-    let repaired = session.update_partition(&delta).unwrap();
-
-    // From scratch: a fresh session tracks the post-delta partition.
-    let rebuilt = build(&repaired_partition);
-
-    assert_eq!(
-        repaired.shortcut, rebuilt.shortcut,
-        "repair and rebuild disagree on the shortcut \
-         (family {family}, shape {shape}, seed {seed}, {execution:?}, t{threads})"
-    );
-    assert_eq!(repaired.quality, rebuilt.quality, "quality diverged");
-    assert_eq!(repaired.good, rebuilt.good, "per-part verdicts diverged");
-    assert_eq!(
-        repaired.repaired_parts + repaired.reused_parts,
-        repaired_partition.part_count(),
-        "repair accounting must cover every part"
-    );
+        .unwrap()
+        .baseline;
+    for (step, salt) in [0xD317A_u64, 0x5EC0D].into_iter().enumerate() {
+        let delta = valid_delta(&graph, baseline.partition(), shape + step, seed ^ salt);
+        let target = baseline.partition().apply(&delta).unwrap();
+        let repaired = session.repair_from(&baseline, &delta).unwrap();
+        let rebuilt = session_on()
+            .track_partition(&target, Strategy::doubling())
+            .unwrap();
+        assert_eq!(
+            repaired.shortcut, rebuilt.shortcut,
+            "repair {step} and rebuild disagree on the shortcut ({context})"
+        );
+        assert_eq!(
+            repaired.quality, rebuilt.quality,
+            "quality diverged ({context})"
+        );
+        assert_eq!(repaired.good, rebuilt.good, "verdicts diverged ({context})");
+        assert_eq!(
+            repaired.repaired_parts + repaired.reused_parts,
+            target.part_count(),
+            "repair accounting must cover every part"
+        );
+        assert_eq!(repaired.baseline.partition(), &target);
+        baseline = repaired.baseline;
+    }
 }
 
 proptest! {

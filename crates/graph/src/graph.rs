@@ -41,11 +41,6 @@ impl Edge {
             )
         }
     }
-
-    /// Returns `true` if `node` is one of the two endpoints.
-    pub fn is_incident_to(&self, node: NodeId) -> bool {
-        self.u == node || self.v == node
-    }
 }
 
 /// A finite, undirected, simple graph.
@@ -297,8 +292,6 @@ mod tests {
         assert_eq!(e.v, NodeId::new(5));
         assert_eq!(e.other(NodeId::new(2)), NodeId::new(5));
         assert_eq!(e.other(NodeId::new(5)), NodeId::new(2));
-        assert!(e.is_incident_to(NodeId::new(2)));
-        assert!(!e.is_incident_to(NodeId::new(3)));
     }
 
     #[test]

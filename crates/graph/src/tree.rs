@@ -161,21 +161,11 @@ impl RootedTree {
             .map(|(i, _)| EdgeId::new(i))
     }
 
-    /// Number of tree edges (`node_count() - 1` for nonempty trees).
-    pub fn tree_edge_count(&self) -> usize {
-        self.node_count().saturating_sub(1)
-    }
-
     /// Nodes ordered deepest-first. Children always appear before their
     /// parents, which is the processing schedule of the bottom-up core
     /// subroutines (Algorithms 1 and 2 of the paper).
     pub fn nodes_bottom_up(&self) -> &[NodeId] {
         &self.bottom_up
-    }
-
-    /// Nodes ordered shallowest-first (parents before children).
-    pub fn nodes_top_down(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.bottom_up.iter().rev().copied()
     }
 
     /// Iterator over the ancestors of `v` starting with `v` itself and
@@ -293,7 +283,6 @@ mod tests {
         let t = RootedTree::bfs(&g, NodeId::new(0));
         assert_eq!(t.root(), NodeId::new(0));
         assert_eq!(t.depth_of_tree(), 5);
-        assert_eq!(t.tree_edge_count(), 5);
         assert_eq!(t.depth(NodeId::new(3)), 3);
         assert_eq!(t.parent(NodeId::new(3)), Some(NodeId::new(2)));
         assert_eq!(t.children(NodeId::new(2)), &[NodeId::new(3)]);
@@ -404,7 +393,6 @@ mod tests {
         let g = Graph::from_edges(1, &[]).unwrap();
         let t = RootedTree::bfs(&g, NodeId::new(0));
         assert_eq!(t.depth_of_tree(), 0);
-        assert_eq!(t.tree_edge_count(), 0);
         assert_eq!(t.nodes_bottom_up(), &[NodeId::new(0)]);
     }
 }

@@ -21,12 +21,14 @@
 //!   build corpora + warm sessions, serve until a `shutdown` line;
 //!   graceful drain (no signals), per-kind latency probes, queue-depth
 //!   gauge, Prometheus export over the `metrics` op.
-//! * **[`client`]** — loopback replay drivers that re-use
-//!   [`lcs_workload::generate_trace`] traces: closed loop (k
-//!   connections, round-robin, per-request round-trip time) and open
-//!   loop (one connection pacing the arrival schedule, queueing delay
-//!   charged). Outcomes carry trace-order digest sequences, so a TCP
-//!   replay is digest-comparable to an in-process replay.
+//! * **[`client`]** — [`client::Tcp`], the line-JSON transport of
+//!   [`lcs_workload::replay`]: the workload crate's one driver paces
+//!   [`lcs_workload::generate_trace`] traces over it in closed loop (k
+//!   connections, round-robin, per-request round-trip time) or open loop
+//!   (one connection on the arrival schedule, queueing delay charged).
+//!   Outcomes carry trace-order digests, so a TCP replay is
+//!   digest-comparable to an in-process `run_workload`. Plus one-shot
+//!   `ping`, `metrics` and `shutdown` requests.
 //!
 //! # Determinism contract
 //!
@@ -40,7 +42,7 @@
 //!
 //! ```
 //! use lcs_server::{client, ServerConfig, ServerHandle};
-//! use lcs_workload::{generate_trace, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec};
+//! use lcs_workload::{generate_trace, replay, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec};
 //!
 //! let server = ServerHandle::spawn(ServerConfig::new(vec![CorpusSpec {
 //!     family: Family::Grid,
@@ -57,8 +59,9 @@
 //!     7,
 //! );
 //! let trace = generate_trace(&spec, 2).unwrap();
-//! let outcome = client::replay_closed(server.addr(), "grid", &trace, 2, 0).unwrap();
-//! assert_eq!(outcome.queries, 8);
+//! let tcp = client::Tcp::new(server.addr(), "grid");
+//! let outcome = replay(&tcp, &trace, spec.mode, &lcs_obs::Obs::off()).unwrap();
+//! assert_eq!(outcome.digests.len(), 8);
 //! client::shutdown(server.addr()).unwrap();
 //! server.join().unwrap();
 //! ```
@@ -70,18 +73,18 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use client::{replay_closed, replay_open, ReplayOutcome};
 pub use protocol::{Request, Response};
 pub use server::{ServerConfig, ServerHandle, ServerStats};
 
 /// Everything that can go wrong serving or replaying: socket I/O,
-/// pipeline errors from corpus/session building or query serving, and
-/// wire-protocol violations.
+/// pipeline errors from corpus/session building, query serving or a
+/// rejected replay (zero clients), and wire-protocol violations.
 #[derive(Debug)]
 pub enum ServeError {
     /// A socket or stream error.
     Io(std::io::Error),
-    /// A pipeline error (corpus build, session build, or query).
+    /// A pipeline error (corpus build, session build, query, or a replay
+    /// the driver rejects before connecting).
     Lcs(lcs_api::LcsError),
     /// A malformed or unexpected protocol line (including server-side
     /// `Error` responses surfaced to a replay caller).

@@ -80,7 +80,7 @@ pub struct CorpusSpec {
 /// [`WorkloadSpec`]: crate::WorkloadSpec
 #[derive(Debug, Clone)]
 pub struct RepairCase {
-    /// The tracked repair baseline (detached from any session cache).
+    /// The tracked repair baseline.
     pub baseline: RepairBaseline,
     /// The partition delta to replay. Validated at corpus-build time:
     /// applying it yields a connected partition with no empty part.
@@ -158,7 +158,7 @@ impl Corpus {
             Family::Wheel => generators::wheel(n + 1),
         };
         let parts = spec.size.max(4);
-        let mut session = Pipeline::on(&graph).seed(spec.seed).build()?;
+        let session = Pipeline::on(&graph).seed(spec.seed).build()?;
         let mut entries = Vec::with_capacity(spec.entries);
         for k in 0..spec.entries {
             let partition = if k == 0 {
@@ -179,7 +179,7 @@ impl Corpus {
                 reason: "corpus construction ended without a winning guess".to_string(),
             })?;
             let repair = if with_repair {
-                Some(repair_case(&graph, &mut session, &partition, spec, k)?)
+                Some(repair_case(&graph, &session, &partition, spec, k)?)
             } else {
                 None
             };
@@ -231,19 +231,21 @@ impl Corpus {
 /// corpus seed.
 const REPAIR_SEED_MIX: u64 = 0x5245_5041_4952; // "REPAIR"
 
-/// Tracks `partition` in `session` and pre-generates a seeded, validated
-/// delta for it.
+/// Tracks `partition` through `session` and pre-generates a seeded,
+/// validated delta for it.
 fn repair_case(
     graph: &Graph,
-    session: &mut Session,
+    session: &Session,
     partition: &Partition,
     spec: &CorpusSpec,
     entry_index: usize,
 ) -> Result<RepairCase> {
-    session.track_partition(partition, Strategy::doubling())?;
-    let baseline = session.repair_baseline().ok_or_else(|| LcsError::Config {
-        reason: "corpus repair tracking left no baseline".to_string(),
-    })?;
+    // The corpus holds this baseline for its whole life: the clone sizes
+    // every buffer to its length, dropping the slack the build grew.
+    let baseline = session
+        .track_partition(partition, Strategy::doubling())?
+        .baseline
+        .clone();
     let delta = repair_delta(
         graph,
         partition,

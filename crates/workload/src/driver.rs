@@ -1,43 +1,85 @@
-//! The open- and closed-loop workload drivers.
+//! The workload driver: open- and closed-loop pacing over a
+//! [`Transport`].
 //!
-//! Both drivers replay one deterministic trace against warm
-//! [`Session`]s and record into [`LatencyHistogram`]s; they differ only
-//! in pacing and in what "latency" means:
+//! One driver replays a deterministic trace and records what it measured;
+//! a transport turns one trace event into one served result. Two
+//! transports exist: a warm [`Session`] per client, behind
+//! [`run_workload`], and a line-JSON TCP connection per client
+//! (`lcs_server::client::Tcp`). The pacing modes differ only in how they
+//! schedule queries and in what "latency" means:
 //!
-//! * **Open loop** — one warm session, queries served in trace order, and
-//!   each query's latency is *completion − scheduled arrival*. A query
-//!   that arrives while the previous one is still running pays the
-//!   queueing delay, so expensive minorities (constructs in a mixed
-//!   trace) push the measured tail out — this is the
-//!   coordinated-omission-free measurement the E13 tier reads.
-//! * **Closed loop** — `k` client threads, each with its own warm session
-//!   seeded identically, serving the trace round-robin (client `i` takes
-//!   events `i, i+k, i+2k, …`) with optional think-time; latency is
-//!   per-query service time.
+//! * **Open loop** — one client, queries served in trace order, each held
+//!   until its scheduled arrival by spinning; latency is *completion −
+//!   scheduled arrival*. A query that arrives while the previous one is
+//!   still running pays the queueing delay, so expensive minorities
+//!   (constructs in a mixed trace) push the measured tail out — this is
+//!   the coordinated-omission-free measurement the E13 tier reads.
+//! * **Closed loop** — `k` clients, each on its own thread with its own
+//!   connection (in process: its own warm session, seeded identically),
+//!   serving the trace round-robin (client `i` takes events
+//!   `i, i+k, i+2k, …`) with optional think-time; latency is the service
+//!   time the transport's client sees — the session's own service time in
+//!   process, the round trip over TCP.
 //!
 //! Determinism: result *values* are pure functions of (graph, partition,
-//! strategy, session seed), so each client's digest chain — and the
-//! outcome digest, which folds per-client digests in client order — is
-//! reproducible at any `LCS_THREADS`, on any machine, under any
-//! interleaving. Timings vary; values and digests do not.
+//! strategy, session seed), so the trace-order digest sequence, each
+//! client's digest chain, and the outcome digest (which folds per-client
+//! chains in client order) are reproducible at any `LCS_THREADS`, on any
+//! machine, under any interleaving, and over either transport. Timings
+//! vary; values and digests do not.
 
 use std::time::{Duration, Instant};
 
 use lcs_api::{
-    Query, QueryValue, Result, Served, Session, ShortcutStrategy, Strategy, ValueDigest,
+    LcsError, Query, QueryValue, Result, Served, Session, ShortcutStrategy, Strategy, ValueDigest,
 };
-use lcs_obs::Obs;
+use lcs_obs::{LatencyHistogram, Obs};
 
 use crate::corpus::Corpus;
-use crate::histogram::LatencyHistogram;
-use crate::spec::{Mode, WorkloadSpec};
+use crate::spec::{check_clients, Mode, WorkloadSpec};
 use crate::trace::{generate_trace, QueryEvent, QueryKind};
+
+/// The seam between the driver's pacing and whatever serves the trace:
+/// the driver opens one client per pacing thread and hands it events; the
+/// transport hides how an event reaches a server and what the wire looks
+/// like.
+pub trait Transport: Sync {
+    /// One client's connection: a warm session in process, a socket over
+    /// TCP. Each client is opened, used and dropped on one thread.
+    type Client;
+    /// What connecting or serving fails with. A run the driver rejects
+    /// before connecting (zero clients) is an [`LcsError::Config`]
+    /// converted into it.
+    type Error: From<LcsError> + Send;
+
+    /// Opens one client's connection.
+    ///
+    /// # Errors
+    ///
+    /// Whatever opening the connection fails with.
+    fn connect(&self) -> std::result::Result<Self::Client, Self::Error>;
+
+    /// Serves one trace event on `client`. The returned
+    /// [`Served::wall_nanos`] is the service time this transport's client
+    /// sees; the value is `Some` only where the transport carries values
+    /// and was asked to keep them.
+    ///
+    /// # Errors
+    ///
+    /// Whatever serving the event fails with, including a server-side
+    /// error answer.
+    fn serve(
+        &self,
+        client: &mut Self::Client,
+        event: &QueryEvent,
+    ) -> std::result::Result<(Served, Option<QueryValue>), Self::Error>;
+}
 
 /// What one client measured: its sub-histogram, query count, and the
 /// FNV-1a chain over its served-result digests (in its serving order).
 #[derive(Debug, Clone)]
 pub struct ClientOutcome {
-    /// Client index (0 for the open-loop driver).
+    /// Client index (0 for the open loop).
     pub client: usize,
     /// Number of queries this client served.
     pub queries: u64,
@@ -52,6 +94,9 @@ pub struct ClientOutcome {
 pub struct WorkloadOutcome {
     /// All clients' histograms merged.
     pub histogram: LatencyHistogram,
+    /// Latency histograms per query kind, in
+    /// `[construct, verify, quality, mst, repair]` order.
+    pub kind_histograms: [LatencyHistogram; 5],
     /// Per-client sub-outcomes, in client-index order.
     pub per_client: Vec<ClientOutcome>,
     /// Total queries served (the trace length).
@@ -61,11 +106,14 @@ pub struct WorkloadOutcome {
     pub kind_counts: [u64; 5],
     /// Wall-clock nanoseconds of the whole run.
     pub wall_nanos: u64,
+    /// Every query's result digest, in trace order.
+    pub digests: Vec<u64>,
     /// FNV-1a fold of the per-client digests in client order — the
     /// one-number determinism check: same spec + corpus ⇒ same digest.
     pub digest: u64,
     /// Every query's result values in trace order, when
-    /// [`WorkloadSpec::keep_results`] asked for them.
+    /// [`WorkloadSpec::keep_results`] asked for them (in process only: the
+    /// TCP transport carries digests, not values).
     pub results: Option<Vec<QueryValue>>,
 }
 
@@ -125,18 +173,43 @@ pub fn query_of<'a>(corpus: &'a Corpus, event: &QueryEvent) -> Query<'a> {
     }
 }
 
-/// Builds one warm serving session over the corpus graph; both drivers
-/// (and every closed-loop client) go through here so their sessions are
-/// configured identically. The shared recorder handle makes every served
-/// query report its `serve/{kind}/*` probes (counter adds commute, so the
-/// snapshot's counters stay client-order independent).
-fn warm_session<'g>(corpus: &'g Corpus, spec: &WorkloadSpec, obs: &Obs) -> Result<Session<'g>> {
-    lcs_api::Pipeline::on(corpus.graph())
-        .seed(spec.seed)
-        .execution(spec.execution)
-        .threads(spec.threads)
-        .recorder(obs.clone())
-        .build()
+/// The in-process transport: every client is its own warm serving session
+/// over the corpus graph, configured from the spec. The shared recorder
+/// handle makes every served query report its `serve/{kind}/*` probes
+/// (counter adds commute, so the snapshot's counters stay client-order
+/// independent).
+struct InProcess<'c> {
+    corpus: &'c Corpus,
+    spec: &'c WorkloadSpec,
+    obs: &'c Obs,
+}
+
+impl<'c> Transport for InProcess<'c> {
+    type Client = Session<'c>;
+    type Error = LcsError;
+
+    fn connect(&self) -> Result<Session<'c>> {
+        lcs_api::Pipeline::on(self.corpus.graph())
+            .seed(self.spec.seed)
+            .execution(self.spec.execution)
+            .threads(self.spec.threads)
+            .recorder(self.obs.clone())
+            .build()
+    }
+
+    fn serve(
+        &self,
+        session: &mut Session<'c>,
+        event: &QueryEvent,
+    ) -> Result<(Served, Option<QueryValue>)> {
+        let query = query_of(self.corpus, event);
+        if self.spec.keep_results {
+            let (served, value) = session.serve_shared_full(query)?;
+            Ok((served, Some(value)))
+        } else {
+            Ok((session.serve_shared(query)?, None))
+        }
+    }
 }
 
 /// Runs the workload described by `spec` against `corpus` and returns the
@@ -153,39 +226,60 @@ pub fn run_workload(corpus: &Corpus, spec: &WorkloadSpec) -> Result<WorkloadOutc
 }
 
 /// [`run_workload`] with an instrumentation handle. On top of the
-/// per-query `serve/{kind}/*` probes every session reports, the drivers
-/// add their own: `workload/runs` / `workload/queries` counters, the
-/// merged latency distribution (`workload/latency` timer), and — open
-/// loop only — the scheduled-vs-start lag timer (`workload/open/lag`)
-/// and the high-water queue depth (`workload/open/max_queue_depth`
-/// gauge). Counters are trace facts, identical for every thread and
-/// client count; timers and the queue-depth gauge are measurements.
+/// per-query `serve/{kind}/*` probes every session reports, the driver
+/// adds its own (see [`replay`]).
 pub fn run_workload_obs(
     corpus: &Corpus,
     spec: &WorkloadSpec,
     obs: &Obs,
 ) -> Result<WorkloadOutcome> {
     let trace = generate_trace(spec, corpus.len())?;
-    let kind_counts = count_kinds(&trace);
-    if kind_counts[QueryKind::Repair.index()] > 0
+    if trace.iter().any(|e| e.kind == QueryKind::Repair)
         && corpus.entries().iter().any(|e| e.repair.is_none())
     {
-        return Err(lcs_api::LcsError::Config {
+        return Err(LcsError::Config {
             reason: "query mix has a repair weight but the corpus has no pre-generated \
                      repair cases; build it with Corpus::build_with_repair"
                 .to_string(),
         });
     }
+    replay(&InProcess { corpus, spec, obs }, &trace, spec.mode, obs)
+}
+
+/// Replays `trace` over `transport`, paced by `mode`, and returns the
+/// merged outcome.
+///
+/// Besides whatever the transport reports, the driver records its own
+/// probes: `workload/runs` / `workload/queries` counters, the merged
+/// latency distribution (`workload/latency` timer), the closed loop's
+/// `workload/clients` gauge, and — open loop only — the
+/// scheduled-vs-start lag timer (`workload/open/lag`) and the high-water
+/// queue depth (`workload/open/max_queue_depth` gauge). Counters are
+/// trace facts, identical for every thread and client count; timers and
+/// the queue-depth gauge are measurements.
+///
+/// # Errors
+///
+/// [`LcsError::Config`] for a closed loop of zero clients, before any
+/// connection opens; otherwise the first error a client's connection or
+/// query reports.
+pub fn replay<T: Transport>(
+    transport: &T,
+    trace: &[QueryEvent],
+    mode: Mode,
+    obs: &Obs,
+) -> std::result::Result<WorkloadOutcome, T::Error> {
+    check_clients(mode)?;
     if obs.is_on() {
         obs.counter_add("workload/runs", 1);
         obs.counter_add("workload/queries", trace.len() as u64);
     }
-    let outcome = match spec.mode {
-        Mode::Open { .. } => run_open(corpus, spec, &trace, kind_counts, obs),
+    let outcome = match mode {
+        Mode::Open { .. } => open_loop(transport, trace, obs),
         Mode::Closed {
             clients,
             think_nanos,
-        } => run_closed(corpus, spec, &trace, kind_counts, clients, think_nanos, obs),
+        } => closed_loop(transport, trace, clients, think_nanos, obs),
     }?;
     if obs.is_on() {
         obs.timer_merge("workload/latency", &outcome.histogram);
@@ -193,174 +287,162 @@ pub fn run_workload_obs(
     Ok(outcome)
 }
 
-fn count_kinds(trace: &[QueryEvent]) -> [u64; 5] {
-    let mut counts = [0u64; 5];
-    for e in trace {
-        counts[e.kind.index()] += 1;
-    }
-    counts
+/// What one client's serving loop produces.
+#[derive(Default)]
+struct ClientRun {
+    histogram: LatencyHistogram,
+    kind_histograms: [LatencyHistogram; 5],
+    chain: ValueDigest,
+    /// `(trace slot, digest, value)` per served event, in serving order.
+    served: Vec<(usize, u64, Option<QueryValue>)>,
 }
 
-/// What one client's serving loop produces: its histogram, the number of
-/// queries it served, its digest chain, and (when kept) its result values.
-type ClientRun = (LatencyHistogram, u64, u64, Vec<QueryValue>);
-
-/// One client's serving loop over `events`, shared by both drivers.
-/// `latency_of` chooses the measurement (service time vs. schedule-based).
-fn serve_events<'a>(
-    session: &Session<'_>,
-    corpus: &Corpus,
-    events: impl Iterator<Item = &'a QueryEvent>,
-    keep_results: bool,
-    mut before: impl FnMut(&QueryEvent),
+/// One client's serving loop over `(trace slot, event)` pairs, shared by
+/// both pacing modes. `pace` runs before each event; `latency_of` chooses
+/// the measurement (service time vs. schedule-based).
+fn serve_events<'t, T: Transport>(
+    transport: &T,
+    client: &mut T::Client,
+    events: impl Iterator<Item = (usize, &'t QueryEvent)>,
+    mut pace: impl FnMut(usize, &QueryEvent),
     mut latency_of: impl FnMut(&QueryEvent, &Served) -> u64,
     think_nanos: u64,
-) -> Result<ClientRun> {
-    let mut histogram = LatencyHistogram::new();
-    let mut digest = ValueDigest::new();
-    let mut served_count = 0u64;
-    let mut values = Vec::new();
-    for event in events {
-        before(event);
-        let query = query_of(corpus, event);
-        let served = if keep_results {
-            let (served, value) = session.serve_shared_full(query)?;
-            values.push(value);
-            served
-        } else {
-            session.serve_shared(query)?
-        };
-        histogram.record(latency_of(event, &served));
-        digest.push(served.digest);
-        served_count += 1;
+) -> std::result::Result<ClientRun, T::Error> {
+    let mut run = ClientRun::default();
+    for (slot, event) in events {
+        pace(slot, event);
+        let (served, value) = transport.serve(client, event)?;
+        let latency = latency_of(event, &served);
+        run.histogram.record(latency);
+        run.kind_histograms[event.kind.index()].record(latency);
+        run.chain.push(served.digest);
+        run.served.push((slot, served.digest, value));
         if think_nanos > 0 {
             std::thread::sleep(Duration::from_nanos(think_nanos));
         }
     }
-    Ok((histogram, served_count, digest.value(), values))
+    Ok(run)
 }
 
-fn finish(
-    per_client: Vec<ClientOutcome>,
-    kind_counts: [u64; 5],
-    wall_nanos: u64,
-    results: Option<Vec<QueryValue>>,
-) -> WorkloadOutcome {
+/// Merges the client runs (in client order) into one outcome, with digests
+/// and values back in trace order.
+fn finish(runs: Vec<ClientRun>, trace: &[QueryEvent], wall_nanos: u64) -> WorkloadOutcome {
     let mut histogram = LatencyHistogram::new();
-    let mut digest = ValueDigest::new();
-    let mut queries = 0u64;
-    for client in &per_client {
-        histogram.merge(&client.histogram);
-        digest.push(client.digest);
-        queries += client.queries;
+    let mut kind_histograms: [LatencyHistogram; 5] = Default::default();
+    let mut per_client = Vec::with_capacity(runs.len());
+    let mut digests = vec![0u64; trace.len()];
+    let mut values: Vec<Option<QueryValue>> = Vec::new();
+    values.resize_with(trace.len(), || None);
+    let mut fold = ValueDigest::new();
+    for (client, run) in runs.into_iter().enumerate() {
+        histogram.merge(&run.histogram);
+        for (all, one) in kind_histograms.iter_mut().zip(&run.kind_histograms) {
+            all.merge(one);
+        }
+        fold.push(run.chain.value());
+        per_client.push(ClientOutcome {
+            client,
+            queries: run.served.len() as u64,
+            histogram: run.histogram,
+            digest: run.chain.value(),
+        });
+        for (slot, digest, value) in run.served {
+            digests[slot] = digest;
+            values[slot] = value;
+        }
+    }
+    let mut kind_counts = [0u64; 5];
+    for event in trace {
+        kind_counts[event.kind.index()] += 1;
     }
     WorkloadOutcome {
         histogram,
+        kind_histograms,
         per_client,
-        queries,
+        queries: trace.len() as u64,
         kind_counts,
         wall_nanos,
-        digest: digest.value(),
-        results,
+        digests,
+        digest: fold.value(),
+        results: values.into_iter().collect(),
     }
 }
 
-fn run_open(
-    corpus: &Corpus,
-    spec: &WorkloadSpec,
+fn open_loop<T: Transport>(
+    transport: &T,
     trace: &[QueryEvent],
-    kind_counts: [u64; 5],
     obs: &Obs,
-) -> Result<WorkloadOutcome> {
-    let session = warm_session(corpus, spec, obs)?;
+) -> std::result::Result<WorkloadOutcome, T::Error> {
+    let mut client = transport.connect()?;
     // Driver probes accumulate into plain locals on the serving path (a
     // histogram of start lags and a queue-depth high-water mark) and hit
     // the registry once, after the loop — the hot path stays lock-free.
-    let probe_on = obs.is_on();
-    let mut lag_hist = probe_on.then(LatencyHistogram::new);
+    let mut lag_hist = obs.is_on().then(LatencyHistogram::new);
     let mut max_depth = 0u64;
-    let mut next_index = 0usize;
     let start = Instant::now();
-    let (histogram, served, digest, values) = serve_events(
-        &session,
-        corpus,
-        trace.iter(),
-        spec.keep_results,
+    let nanos = || start.elapsed().as_nanos() as u64;
+    let run = serve_events(
+        transport,
+        &mut client,
+        trace.iter().enumerate(),
         // Hold each query until its scheduled arrival. If the schedule
         // has fallen behind (the previous query overran), fire at once —
         // the latency measurement below charges the backlog.
-        |event| {
-            while (start.elapsed().as_nanos() as u64) < event.arrival_nanos {
+        |slot, event| {
+            while nanos() < event.arrival_nanos {
                 std::hint::spin_loop();
             }
             if let Some(hist) = &mut lag_hist {
-                let now = start.elapsed().as_nanos() as u64;
+                let now = nanos();
                 // How late the query actually starts relative to its
                 // scheduled arrival: ~0 when the loop keeps up, the
                 // accumulated backlog when it doesn't.
                 hist.record(now.saturating_sub(event.arrival_nanos));
                 // Queue depth at start of service: this event plus every
                 // later one already due (the trace is arrival-sorted).
-                let depth = trace[next_index..]
+                let depth = trace[slot..]
                     .iter()
                     .take_while(|e| e.arrival_nanos <= now)
                     .count() as u64;
                 max_depth = max_depth.max(depth);
             }
-            next_index += 1;
         },
         // Completion minus *scheduled* arrival: queueing delay included.
-        |event, _| (start.elapsed().as_nanos() as u64).saturating_sub(event.arrival_nanos),
+        |event, _| nanos().saturating_sub(event.arrival_nanos),
         0,
     )?;
-    let wall_nanos = start.elapsed().as_nanos() as u64;
+    let wall_nanos = nanos();
     if let Some(hist) = &lag_hist {
         obs.timer_merge("workload/open/lag", hist);
         obs.gauge_max("workload/open/max_queue_depth", max_depth);
     }
-    let client = ClientOutcome {
-        client: 0,
-        queries: served,
-        histogram,
-        digest,
-    };
-    Ok(finish(
-        vec![client],
-        kind_counts,
-        wall_nanos,
-        spec.keep_results.then_some(values),
-    ))
+    Ok(finish(vec![run], trace, wall_nanos))
 }
 
-fn run_closed(
-    corpus: &Corpus,
-    spec: &WorkloadSpec,
+fn closed_loop<T: Transport>(
+    transport: &T,
     trace: &[QueryEvent],
-    kind_counts: [u64; 5],
     clients: usize,
     think_nanos: u64,
     obs: &Obs,
-) -> Result<WorkloadOutcome> {
+) -> std::result::Result<WorkloadOutcome, T::Error> {
     if obs.is_on() {
         obs.gauge_set("workload/clients", clients as u64);
     }
     let start = Instant::now();
-    // Each client serves its round-robin share on its own warm session.
-    // `thread::scope` lets every client borrow the corpus and the trace
-    // (and share the recorder handle — the registry is behind a mutex the
-    // serving loop only touches at query granularity).
-    let client_runs: Vec<Result<ClientRun>> = std::thread::scope(|scope| {
+    // Each client serves its round-robin share on its own connection.
+    // `thread::scope` lets every client borrow the transport and the
+    // trace.
+    let runs: Vec<std::result::Result<ClientRun, T::Error>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                let obs = &*obs;
                 scope.spawn(move || {
-                    let session = warm_session(corpus, spec, obs)?;
+                    let mut client = transport.connect()?;
                     serve_events(
-                        &session,
-                        corpus,
-                        trace.iter().skip(c).step_by(clients),
-                        spec.keep_results,
-                        |_| {},
+                        transport,
+                        &mut client,
+                        trace.iter().enumerate().skip(c).step_by(clients),
+                        |_, _| {},
                         |_, served| served.wall_nanos,
                         think_nanos,
                     )
@@ -373,38 +455,10 @@ fn run_closed(
             .collect()
     });
     let wall_nanos = start.elapsed().as_nanos() as u64;
-
-    let mut per_client = Vec::with_capacity(clients);
-    let mut slots: Vec<Option<QueryValue>> = if spec.keep_results {
-        std::iter::repeat_with(|| None).take(trace.len()).collect()
-    } else {
-        Vec::new()
-    };
-    for (c, run) in client_runs.into_iter().enumerate() {
-        let (histogram, served, digest, values) = run?;
-        if spec.keep_results {
-            // Client c served events c, c+k, …: reassemble trace order.
-            for (value, slot) in values
-                .into_iter()
-                .zip(slots.iter_mut().skip(c).step_by(clients))
-            {
-                *slot = Some(value);
-            }
-        }
-        per_client.push(ClientOutcome {
-            client: c,
-            queries: served,
-            histogram,
-            digest,
-        });
-    }
-    let results = spec.keep_results.then(|| {
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every trace slot served exactly once"))
-            .collect()
-    });
-    Ok(finish(per_client, kind_counts, wall_nanos, results))
+    let runs = runs
+        .into_iter()
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    Ok(finish(runs, trace, wall_nanos))
 }
 
 #[cfg(test)]
@@ -448,8 +502,10 @@ mod tests {
         assert_eq!(a.queries, 12);
         assert_eq!(b.queries, 12);
         assert_eq!(a.kind_counts.iter().sum::<u64>(), 12);
-        // Same spec modulo pacing ⇒ same trace ⇒ same values.
+        // Same spec modulo pacing ⇒ same trace ⇒ same values and digests.
         assert_eq!(a.results, b.results);
+        assert_eq!(a.digests, b.digests);
+        assert_eq!(a.digests.len(), 12);
         assert_eq!(a.histogram.count(), 12);
         assert_eq!(b.per_client.len(), 2);
         assert!(a.throughput_qps() > 0.0);

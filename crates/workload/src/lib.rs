@@ -1,7 +1,8 @@
 //! Workload-driven serving harness for the low-congestion-shortcuts
 //! pipeline: deterministic Zipf traffic over pre-built partition corpora,
-//! open- and closed-loop client drivers against warm [`lcs_api::Session`]s,
-//! and mergeable tail-latency histograms.
+//! one open- and closed-loop driver over a [`Transport`] seam (warm
+//! [`lcs_api::Session`]s in process, line-JSON TCP in `lcs_server`), and
+//! mergeable tail-latency histograms.
 //!
 //! Every earlier experiment tier measures single operations in isolation;
 //! this crate asks the production questions instead — throughput versus
@@ -22,17 +23,20 @@
 //!   think-time.
 //! * **[`generate_trace`]** — the seeded trace generator; same seed ⇒
 //!   byte-identical [`QueryEvent`] sequence, always.
-//! * **[`run_workload`]** — the driver. Open loop replays the arrival
-//!   schedule on one warm session and measures completion − scheduled
-//!   arrival (so queueing delay counts — no coordinated omission); closed
-//!   loop runs k client threads, each with its own warm session, and
-//!   measures per-query service time. Result *values* are digested with
-//!   FNV-1a ([`lcs_api::ValueDigest`]); same seed ⇒ same digest at any
-//!   `LCS_THREADS`, any client count, any machine.
-//! * **[`LatencyHistogram`]** — fixed-bucket log-linear recorder (16
-//!   sub-buckets per octave, ≤ 1/16 relative quantile error) with exact
-//!   max tracking and associative/commutative merge for per-client
-//!   sub-histograms.
+//! * **[`replay`]** — the one driver, over any [`Transport`]. Open loop
+//!   replays the arrival schedule on one client and measures completion −
+//!   scheduled arrival (so queueing delay counts — no coordinated
+//!   omission); closed loop runs k client threads, each with its own
+//!   connection, and measures the service time each client sees. Result
+//!   *values* are digested with FNV-1a ([`lcs_api::ValueDigest`]); same
+//!   seed ⇒ same digests at any `LCS_THREADS`, any client count, over
+//!   either transport, on any machine.
+//! * **[`run_workload`]** — [`replay`] in process: generates the trace and
+//!   gives every client its own warm session over the corpus graph.
+//! * **[`LatencyHistogram`]** — `lcs_obs`'s fixed-bucket log-linear
+//!   recorder (16 sub-buckets per octave, ≤ 1/16 relative quantile error)
+//!   with exact max tracking and associative/commutative merge for
+//!   per-client sub-histograms.
 //!
 //! # Determinism contract
 //!
@@ -73,14 +77,15 @@
 
 pub mod corpus;
 pub mod driver;
-pub mod histogram;
 pub mod spec;
 pub mod trace;
 pub mod zipf;
 
 pub use corpus::{Corpus, CorpusEntry, CorpusSpec, Family, RepairCase};
-pub use driver::{query_of, run_workload, run_workload_obs, ClientOutcome, WorkloadOutcome};
-pub use histogram::LatencyHistogram;
+pub use driver::{
+    query_of, replay, run_workload, run_workload_obs, ClientOutcome, Transport, WorkloadOutcome,
+};
+pub use lcs_obs::LatencyHistogram;
 pub use spec::{Mode, QueryMix, WorkloadSpec};
 pub use trace::{generate_trace, QueryEvent, QueryKind};
 pub use zipf::ZipfSampler;

@@ -1,7 +1,7 @@
 //! The traffic knobs: query-mix weights, open/closed-loop mode, and the
 //! full [`WorkloadSpec`] a driver run is a pure function of.
 
-use lcs_api::{ExecutionMode, Threads};
+use lcs_api::{ExecutionMode, LcsError, Result, Threads};
 
 /// Integer weights of the five query kinds in a trace. The trace
 /// generator apportions the total query count *exactly* (largest-remainder
@@ -135,7 +135,7 @@ impl QueryMix {
 pub enum Mode {
     /// Open loop: queries arrive on a fixed schedule (Poisson
     /// interarrivals with the given mean), independent of completions.
-    /// One warm session serves them in order; latency is completion −
+    /// One client serves them in order; latency is completion −
     /// *scheduled* arrival, so queueing delay counts and slow queries
     /// cannot hide the backlog they cause (no coordinated omission).
     Open {
@@ -143,10 +143,11 @@ pub enum Mode {
         /// every query is due at t=0).
         mean_interarrival_nanos: u64,
     },
-    /// Closed loop: `clients` concurrent clients, each with its own warm
-    /// session, each issuing its next query only after the previous one
-    /// completes plus an optional think-time. Latency is per-query
-    /// service time.
+    /// Closed loop: `clients` concurrent clients, each with its own
+    /// connection (in process, its own warm session), each issuing its
+    /// next query only after the previous one completes plus an optional
+    /// think-time. Latency is per-query service time as the client sees
+    /// it.
     Closed {
         /// Number of concurrent clients (threads). Must be ≥ 1.
         clients: usize,
@@ -173,6 +174,17 @@ impl Mode {
     }
 }
 
+/// The one zero-client check of trace generation and of every transport's
+/// replay: a closed loop needs at least one client.
+pub(crate) fn check_clients(mode: Mode) -> Result<()> {
+    if let Mode::Closed { clients: 0, .. } = mode {
+        return Err(LcsError::Config {
+            reason: "closed-loop workload needs at least one client".to_string(),
+        });
+    }
+    Ok(())
+}
+
 /// Everything a workload run is a pure function of (plus the corpus).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
@@ -192,8 +204,9 @@ pub struct WorkloadSpec {
     /// identical at any setting; only timings move.
     pub threads: Threads,
     /// Collect every query's result values into the outcome (for
-    /// equivalence tests). Off by default: the hot path records only
-    /// latencies and digests.
+    /// equivalence tests; in process only, since the TCP transport carries
+    /// digests). Off by default: the hot path records only latencies and
+    /// digests.
     pub keep_results: bool,
 }
 

@@ -24,7 +24,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::spec::{Mode, WorkloadSpec};
+use crate::spec::{check_clients, Mode, WorkloadSpec};
 use crate::zipf::{unit_f64, ZipfSampler};
 
 /// The five query kinds a trace event can carry, mirroring
@@ -116,11 +116,7 @@ pub fn generate_trace(spec: &WorkloadSpec, corpus_entries: usize) -> Result<Vec<
             reason: "query mix has all-zero weights; nothing to serve".to_string(),
         });
     }
-    if let Mode::Closed { clients: 0, .. } = spec.mode {
-        return Err(LcsError::Config {
-            reason: "closed-loop workload needs at least one client".to_string(),
-        });
-    }
+    check_clients(spec.mode)?;
     let sampler = ZipfSampler::new(corpus_entries, spec.theta)?;
 
     let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);

@@ -1,7 +1,7 @@
 //! Property tests of the workload layer's determinism contract and the
 //! histogram's quantile/merge algebra.
 
-use lcs_workload::histogram::{bucket_bounds, bucket_index};
+use lcs_obs::{bucket_bounds, bucket_index};
 use lcs_workload::{generate_trace, LatencyHistogram, Mode, QueryMix, WorkloadSpec, ZipfSampler};
 use proptest::prelude::*;
 use rand::SeedableRng;

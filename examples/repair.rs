@@ -1,9 +1,10 @@
-//! Incremental repair: update a tracked decomposition through
-//! `Session::update_partition` instead of rebuilding it from scratch.
+//! Incremental repair: repair a tracked decomposition through
+//! `Session::repair_from` instead of rebuilding it from scratch.
 //!
-//! A 64x64 grid is partitioned into its 64 columns and tracked once; three
+//! A 64x64 grid is partitioned into its 64 columns and tracked once; the
+//! returned baseline holds every part's customization state. Three
 //! partition deltas of growing size (1, 8, and 32 columns touched) are then
-//! applied both ways — incrementally against the tracked baseline, and by
+//! applied both ways — incrementally against that baseline, and by
 //! tracking the post-delta partition in a fresh session. The repaired and
 //! rebuilt decompositions are digest-equal by construction (part-scoped
 //! seeds are anchored at each part's minimum member), while the repair only
@@ -53,14 +54,15 @@ fn main() {
         partition.part_count()
     );
 
-    // Track the partition once; the session caches every part's
+    // Track the partition once; the returned baseline holds every part's
     // customization state (shortcut edges, congestion contribution,
     // quality numbers) for later repairs.
-    let mut session = fresh_session(&graph);
+    let session = fresh_session(&graph);
     let start = Instant::now();
-    session
+    let baseline = session
         .track_partition(&partition, Strategy::doubling())
-        .expect("the grid admits good tree-restricted shortcuts");
+        .expect("the grid admits good tree-restricted shortcuts")
+        .baseline;
     println!(
         "tracked the full partition in {:.1} ms\n",
         start.elapsed().as_secs_f64() * 1e3
@@ -76,7 +78,6 @@ fn main() {
         let repaired_partition: Partition = partition.apply(&delta).expect("the delta is valid");
 
         // Incremental: repair the tracked baseline through the delta.
-        let baseline = session.repair_baseline().expect("tracked above");
         let start = Instant::now();
         let repaired = session
             .repair_from(&baseline, &delta)
@@ -84,7 +85,7 @@ fn main() {
         let repair_ms = start.elapsed().as_secs_f64() * 1e3;
 
         // From scratch: a fresh session tracks the post-delta partition.
-        let mut rebuild_session = fresh_session(&graph);
+        let rebuild_session = fresh_session(&graph);
         let start = Instant::now();
         let rebuilt = rebuild_session
             .track_partition(&repaired_partition, Strategy::doubling())

@@ -4,18 +4,19 @@
 //!
 //! The server builds a grid corpus, warms one shared session, and four
 //! worker threads answer four closed-loop client connections through
-//! `Session::serve_shared` (`&self` — no session lock). The client
-//! replay reports per-kind round-trip latencies; the example then
-//! replays the same trace directly through `Session::serve_shared` and
-//! asserts the digest sequences are identical — the server's determinism
-//! contract in one assert.
+//! `Session::serve_shared` (`&self` — no session lock). The workload
+//! driver replays the trace over the TCP transport and reports per-kind
+//! round-trip latencies; the example then replays the same trace with the
+//! same driver in process and asserts the trace-order digests are
+//! identical — the server's determinism contract in one assert.
 //!
 //! Run with: `cargo run --release --example serve_tcp`
 
-use low_congestion_shortcuts::api::Pipeline;
+use low_congestion_shortcuts::obs::Obs;
 use low_congestion_shortcuts::server::{client, ServerConfig, ServerHandle};
 use low_congestion_shortcuts::workload::{
-    generate_trace, query_of, Corpus, CorpusSpec, Family, Mode, QueryKind, QueryMix, WorkloadSpec,
+    generate_trace, replay, run_workload, Corpus, CorpusSpec, Family, Mode, QueryKind, QueryMix,
+    WorkloadSpec,
 };
 
 fn main() {
@@ -53,8 +54,8 @@ fn main() {
     let corpus = Corpus::build(&corpus_spec).expect("corpus builds");
     let trace = generate_trace(&spec, corpus.len()).expect("trace generates");
 
-    let outcome =
-        client::replay_closed(server.addr(), "grid", &trace, CLIENTS, 0).expect("replay runs");
+    let tcp = client::Tcp::new(server.addr(), "grid");
+    let outcome = replay(&tcp, &trace, spec.mode, &Obs::off()).expect("replay runs");
     println!(
         "{} queries over {} connections: {:.0} req/s, p50 {:.1} us, p99 {:.1} us, p99.9 {:.1} us",
         outcome.queries,
@@ -79,26 +80,15 @@ fn main() {
     }
 
     // The determinism contract: the wire adds latency, never values.
-    let session = Pipeline::on(corpus.graph())
-        .seed(SEED)
-        .build()
-        .expect("session builds");
-    let direct: Vec<u64> = trace
-        .iter()
-        .map(|event| {
-            session
-                .serve_shared(query_of(&corpus, event))
-                .expect("direct serve succeeds")
-                .digest
-        })
-        .collect();
+    let direct = run_workload(&corpus, &spec).expect("in-process replay runs");
     assert_eq!(
-        outcome.digests, direct,
-        "server digests must equal a direct Session::serve_shared replay"
+        outcome.digests, direct.digests,
+        "server digests must equal an in-process replay of the same trace"
     );
+    assert_eq!(outcome.digest, direct.digest);
     println!(
         "digest check: {} server responses == direct serve replay",
-        direct.len()
+        direct.digests.len()
     );
 
     client::shutdown(server.addr()).expect("shutdown acknowledged");
