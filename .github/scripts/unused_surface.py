@@ -9,7 +9,9 @@ every `#[cfg(test)]` item (see `src_lines.py`). An item is a plain `pub fn`,
 `struct`, `enum`, `trait` or `type` declared there. It is reported when its
 name, as a whole word, appears in no other non-test file and only once (at
 its definition) in its own. A mention anywhere counts, doc comments and
-strings included, so an item another file only links to is not reported.
+strings included, so an item another file only links to is not reported. A
+re-export (`pub use`, over one line or several) is not a mention: an item
+that only a module re-exports is reported.
 
 Integration tests, examples and `perfbench/` are not scanned, so a reported
 item may still be called there, or by its own unit tests. Read its callers
@@ -26,6 +28,7 @@ from src_lines import non_test_lines
 DEFINITION = re.compile(
     r"^pub\s+(?:(?:const|async|unsafe)\s+)*(fn|struct|enum|trait|type)\s+(\w+)"
 )
+REEXPORT = re.compile(r"^pub(?:\([^)]*\))?\s+use\b")
 
 
 def main():
@@ -35,7 +38,11 @@ def main():
     definitions = []
     for path in files:
         raw = []
+        reexport = False  # inside a `pub use` statement
         for number, line, code in non_test_lines(path):
+            if reexport or REEXPORT.match(code):
+                reexport = not code.endswith(";")
+                continue
             raw.append(line)
             found = DEFINITION.match(code)
             if found:

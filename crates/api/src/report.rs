@@ -27,7 +27,7 @@ pub use lcs_core::construction::DoublingAttempt as Attempt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// The operation that produced this report (`"shortcut"`, `"verify"`,
-    /// `"mst"`, `"core"`).
+    /// `"mst"`, `"track"`, `"repair"`).
     pub operation: String,
     /// The strategy label, for operations that take one.
     pub strategy: Option<String>,

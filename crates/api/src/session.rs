@@ -435,13 +435,28 @@ impl<'g> Session<'g> {
         &self.obs
     }
 
-    fn check_partition(&self, partition: &Partition) -> Result<()> {
+    /// Checks that `partition` is over the session's graph and, when a
+    /// shortcut comes with it, that the shortcut has one edge set per part.
+    fn check_partition(
+        &self,
+        partition: &Partition,
+        shortcut: Option<&TreeShortcut>,
+    ) -> Result<()> {
         if partition.node_count() != self.graph.node_count() {
             return Err(LcsError::InconsistentInputs {
                 reason: format!(
                     "partition defined over {} nodes but the session's graph has {}",
                     partition.node_count(),
                     self.graph.node_count()
+                ),
+            });
+        }
+        if let Some(shortcut) = shortcut.filter(|s| s.part_count() != partition.part_count()) {
+            return Err(LcsError::InconsistentInputs {
+                reason: format!(
+                    "shortcut built for {} parts but the partition has {}",
+                    shortcut.part_count(),
+                    partition.part_count()
                 ),
             });
         }
@@ -500,7 +515,7 @@ impl<'g> Session<'g> {
     /// parameters turn out too small is *not* an error: it returns `Ok`
     /// with [`Report::all_parts_good`] `false` and the partial shortcut.
     pub fn shortcut(&self, partition: &Partition, strategy: Strategy) -> Result<ShortcutRun> {
-        self.check_partition(partition)?;
+        self.check_partition(partition, None)?;
         let start = Instant::now();
         let (config, budget_is_error) = strategy.doubling_config(self.seed);
         let active = vec![true; partition.part_count()];
@@ -541,13 +556,13 @@ impl<'g> Session<'g> {
     /// # Errors
     ///
     /// [`LcsError::InconsistentInputs`] for a partition over a different
-    /// node count.
+    /// node count or a shortcut built for a different part count.
     pub fn quality(
         &self,
         shortcut: &TreeShortcut,
         partition: &Partition,
     ) -> Result<ShortcutQuality> {
-        self.check_partition(partition)?;
+        self.check_partition(partition, Some(shortcut))?;
         Ok(self.with_pool(|pool| shortcut.quality_with(self.graph, partition, pool)))
     }
 
@@ -576,16 +591,17 @@ impl<'g> Session<'g> {
     ///
     /// # Errors
     ///
-    /// [`LcsError::InconsistentInputs`] for a mismatched partition;
-    /// simulation errors in `Simulated` mode; [`LcsError::Degraded`] when
-    /// an injected fault plan stalls every epoch.
+    /// [`LcsError::InconsistentInputs`] for a mismatched partition or a
+    /// shortcut built for a different part count; simulation errors in
+    /// `Simulated` mode; [`LcsError::Degraded`] when an injected fault plan
+    /// stalls every epoch.
     pub fn verify(
         &self,
         shortcut: &TreeShortcut,
         partition: &Partition,
         threshold: usize,
     ) -> Result<VerifyRun> {
-        self.check_partition(partition)?;
+        self.check_partition(partition, Some(shortcut))?;
         let start = Instant::now();
         let mut report = Report::new("verify");
         let active = vec![true; partition.part_count()];
@@ -644,7 +660,7 @@ impl<'g> Session<'g> {
         kind: CoreKind,
         congestion: usize,
     ) -> Result<CoreOutcome> {
-        self.check_partition(partition)?;
+        self.check_partition(partition, None)?;
         let active = vec![true; partition.part_count()];
         Ok(match kind {
             CoreKind::Slow => core_slow(self.graph, &self.tree, partition, congestion, &active),
@@ -791,7 +807,7 @@ impl<'g> Session<'g> {
     /// parameters are too small is not an error, mirroring
     /// [`Session::shortcut`]); simulation errors in `Simulated` mode.
     pub fn track_partition(&self, partition: &Partition, strategy: Strategy) -> Result<RepairRun> {
-        self.check_partition(partition)?;
+        self.check_partition(partition, None)?;
         let start = Instant::now();
         let (config, budget_is_error) = strategy.doubling_config(self.seed);
         let corpus = self.with_pool(|pool| {
@@ -843,7 +859,7 @@ impl<'g> Session<'g> {
         baseline: &RepairBaseline,
         delta: &PartitionDelta,
     ) -> Result<RepairRun> {
-        self.check_partition(&baseline.partition)?;
+        self.check_partition(&baseline.partition, None)?;
         let obs = self.obs.clone();
         let _span = lcs_obs::span!(obs, "session/repair");
         let start = Instant::now();
@@ -991,6 +1007,31 @@ mod tests {
         let empty = TreeShortcut::empty(&g, &generators::partitions::grid_columns(4, 4));
         assert!(session.quality(&empty, &p_other).is_err());
         assert!(session.verify(&empty, &p_other, 1).is_err());
+    }
+
+    /// A shortcut answers only for a partition with its part count: one
+    /// built for three balls against six columns, and one built for the
+    /// columns against the balls, are typed errors, not a panic or block
+    /// counts of the wrong parts, in both execution modes.
+    #[test]
+    fn queries_reject_a_shortcut_built_for_another_part_count() {
+        let g = generators::grid(6, 6);
+        let balls = generators::partitions::random_bfs_balls(&g, 3, 1);
+        let columns = generators::partitions::grid_columns(6, 6);
+        assert_eq!(balls.part_count(), 3);
+        for execution in [ExecutionMode::Scheduled, ExecutionMode::Simulated] {
+            let session = Pipeline::on(&g).execution(execution).build().unwrap();
+            for (built_for, served) in [(&balls, &columns), (&columns, &balls)] {
+                let shortcut = session
+                    .shortcut(built_for, Strategy::doubling())
+                    .unwrap()
+                    .shortcut;
+                let err = session.quality(&shortcut, served).unwrap_err();
+                assert!(matches!(err, LcsError::InconsistentInputs { .. }), "{err}");
+                let err = session.verify(&shortcut, served, 3).unwrap_err();
+                assert!(matches!(err, LcsError::InconsistentInputs { .. }), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ fn main() {
         },
         Experiment {
             name: "e2",
-            description: "FindShortcut acceptance region over the (congestion, block) grid",
+            description: "FindShortcut (Theorem 3) scaling: rounds vs n, D and N",
             opt_in: false,
             build: TableBuilder::Plain(e2_findshortcut_table),
         },
@@ -108,7 +108,8 @@ fn main() {
         },
         Experiment {
             name: "e5",
-            description: "core CONGEST primitives (broadcast / aggregate) round counts",
+            description:
+                "CoreSlow (Lemma 7) vs CoreFast (Lemma 5): rounds, good parts, max assignment",
             opt_in: false,
             build: TableBuilder::Plain(e5_core_table),
         },
@@ -126,7 +127,7 @@ fn main() {
         },
         Experiment {
             name: "e8",
-            description: "distributed Lemma 3 verification under simulated message passing",
+            description: "charged vs executed rounds of the four distributed primitives",
             opt_in: false,
             build: TableBuilder::Plain(e8_dist_table),
         },

@@ -9,7 +9,7 @@
 //! shard map, quality workspaces) is built once per session instead of
 //! once per measurement.
 
-use lcs_api::congest::primitives::AggregateOp;
+use lcs_api::dist::{min_edge_candidates, AggregateOp};
 use lcs_api::existential::reference_parameters;
 use lcs_api::graph::{
     diameter_exact, generators, EdgeWeights, Graph, NodeId, Partition, RootedTree,
@@ -577,7 +577,7 @@ pub fn e8_dist_table() -> Table {
             .expect("convergecast results match");
         let leaders = check.leader_election().expect("leaders match");
         let weights = EdgeWeights::random_permutation(graph, 17);
-        let candidates = check.boruvka_candidates(&weights);
+        let candidates = min_edge_candidates(graph, partition, &weights);
         let min_edge = check.min_edge(&candidates).expect("min edges match");
         let threshold = 3 * b.max(1);
         let counts = check.block_counts(threshold).expect("block counts match");

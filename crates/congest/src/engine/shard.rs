@@ -5,16 +5,16 @@
 //!
 //! Shard boundaries come from [`lcs_graph::ShardMap::by_volume`], so every
 //! shard owns a contiguous node range *and therefore* a contiguous range of
-//! the CSR edge-slot arrays (`Topology::offset` is monotone in node id).
-//! Each shard privately owns, for its range: the protocol states, the
-//! current and next round's mail (one entry buffer each, threaded into one
-//! list per local recipient), the [`NodeSet`] of nodes queued for the next
-//! round and the worklist it is emitted into, its duplicate-send stamps
-//! (sender-position indexed — a directed edge has exactly one sender, so
-//! stamps never leave the sender's shard), its [`Calendar`] of `next_wake`
-//! entries, the reused outbox its protocols send into, and — under a fault
-//! plan — its [`DueWheel`] of copies for local recipients not yet due.
-//! Faulty mail joins the same mail lists in the round it falls due.
+//! the graph's CSR slots (its slot offsets are monotone in node id). Each
+//! shard privately owns, for its range: the protocol states, the current
+//! and next round's mail (one entry buffer each, threaded into one list per
+//! local recipient), the [`NodeSet`] of nodes queued for the next round and
+//! the worklist it is emitted into, its duplicate-send stamps (sender-slot
+//! indexed — a directed edge has exactly one sender, so stamps never leave
+//! the sender's shard), a [`Wheel`] of `next_wake` entries, the reused
+//! outbox its protocols send into, and — under a fault plan — a second
+//! [`Wheel`] of copies for local recipients not yet due. Faulty mail joins
+//! the same mail lists in the round it falls due.
 //!
 //! At `S = 1` the loop runs inline on the caller: no thread is spawned, no
 //! mail is staged and no barrier is met.
@@ -27,7 +27,7 @@
 //! plane at its first post to that shard in the phase and hands it back at
 //! the phase's end. After the barrier, at the start of the next round, each
 //! shard drains the buffers addressed to it in place: into its recipients'
-//! next-round mail lists or, under faults, onto its delivery wheel (a
+//! next-round mail lists or, under faults, onto its copy wheel (a
 //! staged copy is due no earlier than that round, so it never arrives
 //! late). Every buffer keeps its capacity. Every slot is written at most
 //! once per round (the sender-side stamp guarantees it), a slot's copies
@@ -52,16 +52,16 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
-use lcs_graph::{Graph, ShardMap};
+use lcs_graph::{Graph, NodeId, ShardMap};
 use lcs_obs::{LatencyHistogram, Obs, SpanBuffer};
 
-use crate::fault::{Delayed, DueWheel, FaultCounters, FaultState};
+use crate::fault::{FaultCounters, FaultState};
 use crate::{
     Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing, RoundTrace, SimConfig, SimError,
     SimOutcome, SimStats,
 };
 
-use super::{build_contexts, record_run, Calendar, NodeSet, Topology};
+use super::{record_run, NodeSet, Wheel};
 
 /// The end of a mail list.
 const NIL: u32 = u32::MAX;
@@ -75,13 +75,71 @@ struct Mail<M> {
     msg: Option<M>,
 }
 
+/// One round's mail of a shard: its messages in arrival order, each local
+/// recipient's entries threaded into one list, and the round's message and
+/// bit totals (its trace contribution). The entry buffer keeps its
+/// capacity, so it grows to the busiest round's traffic and no later round
+/// allocates.
+struct Mailbox<M> {
+    entries: Vec<Mail<M>>,
+    /// First entry per local recipient (`NIL` = none). Polling a recipient
+    /// empties its list.
+    head: Vec<u32>,
+    messages: u64,
+    bits: u64,
+}
+
+impl<M> Mailbox<M> {
+    fn new(nodes: usize) -> Self {
+        Mailbox {
+            entries: Vec::new(),
+            head: vec![NIL; nodes],
+            messages: 0,
+            bits: 0,
+        }
+    }
+
+    /// Appends a message for local node `local` to its list (forced
+    /// inline: it runs once per message).
+    #[inline(always)]
+    fn push(&mut self, slot: u32, local: usize, bits: u64, msg: M) {
+        let entry = u32::try_from(self.entries.len()).expect("a round's mail fits in 32 bits");
+        let link = std::mem::replace(&mut self.head[local], entry);
+        self.entries.push(Mail {
+            slot,
+            link,
+            msg: Some(msg),
+        });
+        self.messages += 1;
+        self.bits += bits;
+    }
+
+    /// Empties a box whose lists its recipients' polls emptied.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.messages = 0;
+        self.bits = 0;
+    }
+}
+
+/// A copy in flight: staged for another shard, or waiting on a shard's
+/// copy wheel until local round `due`, when it joins the mail list of
+/// recipient `to` on recipient-side slot `slot`.
+struct Delayed<M> {
+    due: u64,
+    slot: u32,
+    to: u32,
+    bits: u64,
+    msg: M,
+}
+
 /// One shard's report at the end of a phase. Every store happens before
 /// the phase's barrier and every load after it, and `Barrier::wait`
 /// synchronizes (a mutex and a condvar), so `Relaxed` accesses suffice; at
 /// S = 1 the one shard reads its own stores.
 #[derive(Default)]
 struct Status {
-    /// Pending work: a queued node, a timer, a copy on the delivery wheel,
+    /// Pending work: a queued node, a wake, a copy on the copy wheel,
     /// or mail staged for another shard.
     busy: AtomicBool,
     /// Messages and bits the shard delivered in the phase's round.
@@ -101,14 +159,13 @@ enum Stop {
     Failed,
 }
 
-/// What every shard of one run reads: the read-only message-plane
-/// topology, shard layout, contexts and fault schedule, plus the
-/// cross-shard exchange.
+/// What every shard of one run reads: the graph (whose CSR slots are the
+/// message plane's), shard layout and fault schedule, plus the cross-shard
+/// exchange.
 struct Plane<'a, M> {
     config: &'a SimConfig,
-    topo: Topology,
+    graph: &'a Graph,
     map: ShardMap,
-    contexts: Vec<NodeContext<'a>>,
     /// The run's fault schedule; `None` exactly when no plan is active.
     fault: Option<FaultState>,
     barrier: Barrier,
@@ -123,7 +180,14 @@ struct Plane<'a, M> {
     exchange: [Vec<Mutex<Vec<Delayed<M>>>>; 2],
 }
 
-impl<M> Plane<'_, M> {
+impl<'a, M> Plane<'a, M> {
+    /// Node `idx`'s context: views into the graph's CSR arrays (forced
+    /// inline: it runs once per poll).
+    #[inline(always)]
+    fn context(&self, idx: usize) -> NodeContext<'a> {
+        NodeContext::of(self.graph, NodeId::new(idx))
+    }
+
     /// The exchange buffer shard `src` fills for shard `dst` in `phase`.
     fn exchange(&self, phase: u64, src: usize, dst: usize) -> MutexGuard<'_, Vec<Delayed<M>>> {
         self.exchange[(phase % 2) as usize][src * self.map.shard_count() + dst]
@@ -140,18 +204,11 @@ struct Shard<P: NodeProtocol> {
     /// First CSR slot (the shard owns `slot_lo..slot_lo + stamp.len()`).
     slot_lo: usize,
     nodes: Vec<P>,
-    /// The messages delivered this round, in arrival order; each local
-    /// recipient's entries form one list starting at `head_cur`.
-    mail_cur: Vec<Mail<P::Message>>,
-    /// The messages accumulating for the next round, listed from
-    /// `head_next`. Both buffers keep their capacity, so they grow to the
-    /// busiest round's traffic and no later round allocates.
-    mail_next: Vec<Mail<P::Message>>,
-    /// First mail entry per local recipient (`NIL` = none), current and
-    /// next round. Polling a recipient empties its list.
-    head_cur: Vec<u32>,
-    head_next: Vec<u32>,
-    /// Round of the last post per *sender-side* CSR position (`u64::MAX` =
+    /// The mail delivered this round (under faults as under none) and the
+    /// mail accumulating for the next.
+    cur: Mailbox<P::Message>,
+    next: Mailbox<P::Message>,
+    /// Round of the last post per *sender-side* CSR slot (`u64::MAX` =
     /// never); posting twice in one round is the duplicate-send error.
     stamp: Vec<u64>,
     /// Nodes to poll next round (local indices): mail recipients plus nodes
@@ -162,17 +219,13 @@ struct Shard<P: NodeProtocol> {
     /// `(slot, entry)` pairs of the recipient being drained, when it has two
     /// or more messages to put in slot order.
     order: Vec<(u32, u32)>,
-    wakes: Calendar,
+    /// Node ids by the round their `next_wake` (or a fault-mode restart)
+    /// is due.
+    wakes: Wheel<u32>,
     /// The exchange buffers this shard fills in the current phase, per
     /// destination shard: taken from the plane at the first post to it,
     /// handed back at the phase's end.
     staging: Vec<Option<Vec<Delayed<P::Message>>>>,
-    /// Messages / bits delivered next round and in the last round (the
-    /// trace contribution), under faults as under none.
-    in_flight_next: u64,
-    bits_next: u64,
-    last_delivered: u64,
-    last_bits: u64,
     stats: SimStats,
     /// Active-node polls, folded into the obs counters in shard order.
     polls: u64,
@@ -190,10 +243,14 @@ struct Shard<P: NodeProtocol> {
     scratch: Vec<Incoming<P::Message>>,
     /// The protocol outbox, reused for every poll of this shard.
     outbox: Vec<Outgoing<P::Message>>,
-    /// The fault stage (all empty without a plan): the delivery wheel of
-    /// copies for local recipients not yet due, fresh states for this
-    /// shard's restartable crash nodes, and the shard's fault-event tallies.
-    wheel: DueWheel<P::Message>,
+    /// The fault stage (all empty without a plan): copies for local
+    /// recipients not yet due, fresh states for this shard's restartable
+    /// crash nodes, and the shard's fault-event tallies. One slot's copies
+    /// are pushed in posting order (a slot has one sender, so they all come
+    /// from one shard, posted locally or drained the phase after), and a
+    /// round's copies fire in push order, so a recipient's mail list, put
+    /// in `(slot, entry)` order, reads a slot's copies by posting round.
+    copies: Wheel<Delayed<P::Message>>,
     spares: Vec<(u32, Option<P>)>,
     faults: FaultCounters,
 }
@@ -207,28 +264,23 @@ impl<P: NodeProtocol> Shard<P> {
         plane: &Plane<'_, P::Message>,
         obs: &Obs,
     ) -> Self {
-        let slot_lo = plane.topo.offset[range.start] as usize;
-        let slots = plane.topo.offset[range.end] as usize - slot_lo;
+        let offsets = plane.graph.slot_offsets();
+        let slot_lo = offsets[range.start] as usize;
+        let slots = offsets[range.end] as usize - slot_lo;
         let probes = obs.is_on() && plane.map.shard_count() > 1;
         Shard {
             id,
             node_lo: range.start,
             slot_lo,
             nodes,
-            mail_cur: Vec::new(),
-            mail_next: Vec::new(),
-            head_cur: vec![NIL; range.len()],
-            head_next: vec![NIL; range.len()],
+            cur: Mailbox::new(range.len()),
+            next: Mailbox::new(range.len()),
             stamp: vec![u64::MAX; slots],
             queued: NodeSet::new(range.len()),
             worklist: Vec::new(),
             order: Vec::new(),
-            wakes: Calendar::new(),
+            wakes: Wheel::new(),
             staging: (0..plane.map.shard_count()).map(|_| None).collect(),
-            in_flight_next: 0,
-            bits_next: 0,
-            last_delivered: 0,
-            last_bits: 0,
             stats: SimStats::default(),
             polls: 0,
             barrier_nanos: probes.then_some(0),
@@ -237,26 +289,18 @@ impl<P: NodeProtocol> Shard<P> {
             panic: None,
             scratch: Vec::new(),
             outbox: Vec::new(),
-            wheel: DueWheel::new(plane.config.active_fault()),
+            copies: Wheel::new(),
             spares,
             faults: FaultCounters::default(),
         }
     }
 
-    /// Appends a message for a local node to its next-round mail list
-    /// (forced inline: it runs once per message).
+    /// Appends a message for a local node to its next-round mail list and
+    /// queues the node (forced inline: it runs once per message).
     #[inline(always)]
     fn mail(&mut self, slot: u32, to: usize, bits: u64, msg: P::Message) {
         let local = to - self.node_lo;
-        let entry = u32::try_from(self.mail_next.len()).expect("a round's mail fits in 32 bits");
-        let link = std::mem::replace(&mut self.head_next[local], entry);
-        self.mail_next.push(Mail {
-            slot,
-            link,
-            msg: Some(msg),
-        });
-        self.in_flight_next += 1;
-        self.bits_next += bits;
+        self.next.push(slot, local, bits, msg);
         self.queued.insert(local);
     }
 
@@ -293,8 +337,8 @@ impl<P: NodeProtocol> Shard<P> {
             from: ctx.node,
             to: out.to,
         })?;
-        let gpos = plane.topo.offset[ctx.node.index()] as usize + pos;
-        let stamp = &mut self.stamp[gpos - self.slot_lo];
+        let from_slot = plane.graph.slot_offsets()[ctx.node.index()] as usize + pos;
+        let stamp = &mut self.stamp[from_slot - self.slot_lo];
         // Posting rounds strictly increase, so an equal stamp can only mean
         // "already sent this round".
         if *stamp == round {
@@ -320,7 +364,7 @@ impl<P: NodeProtocol> Shard<P> {
         self.stats.total_bits += bits as u64;
         self.stats.max_message_bits = self.stats.max_message_bits.max(bits);
         let to = out.to.index();
-        let slot = plane.topo.mirror[gpos];
+        let slot = plane.graph.reverse_slot(from_slot) as u32;
         // Shards are contiguous node ranges, so a local recipient needs no
         // `shard_of` lookup (a random access on large graphs).
         let local = (self.node_lo..self.node_lo + self.nodes.len()).contains(&to);
@@ -353,7 +397,7 @@ impl<P: NodeProtocol> Shard<P> {
     /// edge's fixed delay aligned to the recipient's poll rounds, and an
     /// optional duplicate one poll later. Every draw is keyed by the
     /// recipient-side slot and the round, never by which shard executes
-    /// it. A local recipient's copies go onto the delivery wheel, others to
+    /// it. A local recipient's copies go onto the copy wheel, others to
     /// the recipient shard's exchange buffer.
     #[inline(never)]
     fn inject(
@@ -385,7 +429,7 @@ impl<P: NodeProtocol> Shard<P> {
         });
         for copy in dup.into_iter().chain([copy]) {
             if dst == self.id {
-                self.wheel.push(copy);
+                self.copies.push(copy.due, copy);
             } else {
                 self.stage(plane, round, dst, copy);
             }
@@ -441,13 +485,13 @@ impl<P: NodeProtocol> Shard<P> {
 
     /// Drains, in place, the exchange buffers the other shards filled for
     /// this one in the previous phase: into the recipients' next-round mail
-    /// lists, or under faults onto the delivery wheel.
+    /// lists, or under faults onto the copy wheel.
     fn collect(&mut self, phase: u64, plane: &Plane<'_, P::Message>) {
         let id = self.id;
         for src in (0..plane.map.shard_count()).filter(|&src| src != id) {
             for copy in plane.exchange(phase - 1, src, id).drain(..) {
                 if plane.fault.is_some() {
-                    self.wheel.push(copy);
+                    self.copies.push(copy.due, copy);
                 } else {
                     self.mail(copy.slot, copy.to as usize, copy.bits, copy.msg);
                 }
@@ -475,26 +519,23 @@ impl<P: NodeProtocol> Shard<P> {
     /// set empty for the next round. The last round's entries were all
     /// taken when their recipients were polled.
     fn begin_round(&mut self) {
-        std::mem::swap(&mut self.mail_cur, &mut self.mail_next);
-        std::mem::swap(&mut self.head_cur, &mut self.head_next);
-        self.mail_next.clear();
+        std::mem::swap(&mut self.cur, &mut self.next);
+        self.next.clear();
         self.worklist.clear();
         self.queued.drain_into(self.node_lo, &mut self.worklist);
-        self.last_delivered = std::mem::take(&mut self.in_flight_next);
-        self.last_bits = std::mem::take(&mut self.bits_next);
     }
 
     /// Moves node `idx`'s mail list for this round into `scratch`, put in
     /// slot order (the node's CSR neighbor order) when it holds two or more
     /// messages.
-    fn drain_into(&mut self, idx: usize, topo: &Topology, ctx: &NodeContext<'_>) {
+    fn drain_into(&mut self, idx: usize, graph: &Graph, ctx: &NodeContext<'_>) {
         self.scratch.clear();
         let local = idx - self.node_lo;
-        let head = std::mem::replace(&mut self.head_cur[local], NIL);
+        let head = std::mem::replace(&mut self.cur.head[local], NIL);
         if head == NIL {
             return;
         }
-        let base = topo.offset[idx];
+        let base = graph.slot_offsets()[idx];
         let neighbors = ctx.neighbor_ids();
         let edges = ctx.incident_edge_ids();
         let deliver = |mail: &mut Mail<P::Message>, scratch: &mut Vec<Incoming<P::Message>>| {
@@ -505,7 +546,7 @@ impl<P: NodeProtocol> Shard<P> {
                 msg: mail.msg.take().expect("each mail entry is delivered once"),
             });
         };
-        let first = &mut self.mail_cur[head as usize];
+        let first = &mut self.cur.entries[head as usize];
         if first.link == NIL {
             deliver(first, &mut self.scratch);
             return;
@@ -513,13 +554,13 @@ impl<P: NodeProtocol> Shard<P> {
         self.order.clear();
         let mut entry = head;
         while entry != NIL {
-            let mail = &self.mail_cur[entry as usize];
+            let mail = &self.cur.entries[entry as usize];
             self.order.push((mail.slot, entry));
             entry = mail.link;
         }
         self.order.sort_unstable();
         for &(_, entry) in &self.order {
-            deliver(&mut self.mail_cur[entry as usize], &mut self.scratch);
+            deliver(&mut self.cur.entries[entry as usize], &mut self.scratch);
         }
     }
 
@@ -532,7 +573,7 @@ impl<P: NodeProtocol> Shard<P> {
             if fault.is_some_and(|fs| fs.crashed_at(idx, 0)) {
                 continue;
             }
-            let ctx = &plane.contexts[idx];
+            let ctx = &plane.context(idx);
             self.nodes[local].init(ctx, outbox);
             if !self.send(plane, ctx, outbox, 0) {
                 return;
@@ -546,10 +587,9 @@ impl<P: NodeProtocol> Shard<P> {
         }
     }
 
-    /// Phase `round ≥ 1`: collect staged mail, fire due timers, move due
-    /// wheel copies into the mail lists, flip buffers, then poll the
-    /// worklist — skipping crashed nodes and re-initializing restarting
-    /// ones.
+    /// Phase `round ≥ 1`: collect staged mail, fire due wakes, move due
+    /// copies into the mail lists, flip buffers, then poll the worklist —
+    /// skipping crashed nodes and re-initializing restarting ones.
     fn round(
         &mut self,
         round: u64,
@@ -560,20 +600,23 @@ impl<P: NodeProtocol> Shard<P> {
         if plane.map.shard_count() > 1 {
             self.collect(round, plane);
         }
-        let (node_lo, queued) = (self.node_lo, &mut self.queued);
-        self.wakes.fire(round, |node| queued.insert(node - node_lo));
+        let (node_lo, queued, next) = (self.node_lo, &mut self.queued, &mut self.next);
+        self.wakes
+            .fire(round, |node| queued.insert(node as usize - node_lo));
         if let Some(fs) = fault {
             // The fault stage: every copy due now joins its recipient's
             // mail list, except mail addressed to a crashed node.
-            self.faults.queue_peak = self.faults.queue_peak.max(self.wheel.len() as u64);
-            while let Some(copy) = self.wheel.pop(round) {
-                let to = copy.to as usize;
+            let faults = &mut self.faults;
+            faults.queue_peak = faults.queue_peak.max(self.copies.len() as u64);
+            self.copies.fire(round, |copy| {
+                let (to, local) = (copy.to as usize, copy.to as usize - node_lo);
                 if fs.crashed_at(to, round) {
-                    self.faults.crash_drops += 1;
+                    faults.crash_drops += 1;
                 } else {
-                    self.mail(copy.slot, to, copy.bits, copy.msg);
+                    next.push(copy.slot, local, copy.bits, copy.msg);
+                    queued.insert(local);
                 }
-            }
+            });
         }
         self.begin_round();
         let restart = fault.and_then(FaultState::restart_local_round);
@@ -581,7 +624,7 @@ impl<P: NodeProtocol> Shard<P> {
         for &vi in &worklist {
             let idx = vi as usize;
             let local = idx - self.node_lo;
-            let ctx = &plane.contexts[idx];
+            let ctx = &plane.context(idx);
             match fault {
                 // Its mail was dropped when it fell due.
                 Some(fs) if fs.crashed_at(idx, round) => continue,
@@ -598,11 +641,11 @@ impl<P: NodeProtocol> Shard<P> {
                         self.nodes[local] = spare;
                         self.faults.restarts += 1;
                     }
-                    self.head_cur[local] = NIL;
+                    self.cur.head[local] = NIL;
                     self.nodes[local].init(ctx, outbox);
                 }
                 _ => {
-                    self.drain_into(idx, &plane.topo, ctx);
+                    self.drain_into(idx, plane.graph, ctx);
                     self.nodes[local].on_round(ctx, round, &self.scratch, outbox);
                 }
             }
@@ -646,11 +689,14 @@ impl<P: NodeProtocol> Shard<P> {
             let statuses = &plane.status[(phase % 2) as usize];
             let status = &statuses[self.id];
             status.busy.store(
-                staged || !self.queued.is_empty() || !self.wakes.is_empty() || self.wheel.len() > 0,
+                staged
+                    || !self.queued.is_empty()
+                    || !self.wakes.is_empty()
+                    || !self.copies.is_empty(),
                 Relaxed,
             );
-            status.delivered.store(self.last_delivered, Relaxed);
-            status.bits.store(self.last_bits, Relaxed);
+            status.delivered.store(self.cur.messages, Relaxed);
+            status.bits.store(self.cur.bits, Relaxed);
             status
                 .failed
                 .store(self.error.is_some() || self.panic.is_some(), Relaxed);
@@ -707,12 +753,14 @@ where
 {
     let map = ShardMap::by_volume(graph, config.threads);
     let shard_count = map.shard_count();
-    let contexts = build_contexts(graph);
     // Factory calls happen on this thread: every node in node order, then
     // one spare per restartable crash node in ascending order — one call
     // history at every shard count, so stateful factories (counters, RNG
     // streams) agree.
-    let mut nodes: Vec<P> = contexts.iter().map(&mut factory).collect();
+    let mut nodes: Vec<P> = graph
+        .nodes()
+        .map(|v| factory(&NodeContext::of(graph, v)))
+        .collect();
     let fault = config
         .active_fault()
         .map(|plan| FaultState::new(&plan, graph));
@@ -720,14 +768,18 @@ where
         Some(fs) if fs.restart_local_round().is_some() => fs
             .crash_nodes()
             .iter()
-            .map(|&v| (v, Some(factory(&contexts[v as usize]))))
+            .map(|&v| {
+                (
+                    v,
+                    Some(factory(&NodeContext::of(graph, NodeId::new(v as usize)))),
+                )
+            })
             .collect(),
         _ => Vec::new(),
     };
     let plane: Plane<'_, P::Message> = Plane {
         config,
-        topo: Topology::new(graph),
-        contexts,
+        graph,
         fault,
         barrier: Barrier::new(shard_count),
         status: [0, 1].map(|_| (0..shard_count).map(|_| Status::default()).collect()),

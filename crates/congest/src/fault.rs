@@ -19,8 +19,6 @@
 //! without reseeding — and a crash window that has passed on the global
 //! clock stays healed in later epochs.
 
-use std::collections::VecDeque;
-
 use lcs_graph::Graph;
 use lcs_obs::Obs;
 use rand::{RngCore, SeedableRng};
@@ -60,7 +58,7 @@ fn hits_ppm(word: u64, ppm: u32) -> bool {
 /// * **Latency** — every undirected edge gets a fixed extra delay
 ///   `ℓ ∈ [0, max_extra_latency]`; a message posted in round `r`
 ///   becomes deliverable in round `r + 1 + ℓ` (fault-free delivery is
-///   `r + 1`) through the fault stage's delivery wheel.
+///   `r + 1`) through the fault stage's wheel of due copies.
 /// * **Loss / duplication** — each delivery is dropped with probability
 ///   `loss_ppm / 10^6`, or duplicated (second copy arrives at the
 ///   recipient's next poll round after the original) with probability
@@ -381,100 +379,6 @@ impl FaultState {
     }
 }
 
-/// A copy in flight: staged for another shard, or waiting on a shard's
-/// [`DueWheel`] until local round `due`, when it joins the mail list of
-/// recipient `to` on recipient-side slot `slot`.
-pub(crate) struct Delayed<M> {
-    pub(crate) due: u64,
-    pub(crate) slot: u32,
-    pub(crate) to: u32,
-    pub(crate) bits: u64,
-    pub(crate) msg: M,
-}
-
-/// The fault stage's delivery wheel: one shard's copies waiting for their
-/// due rounds, one bucket per round on a ring (the idiom of the engine's
-/// wake calendar).
-///
-/// A copy falls due at most twice its plan's
-/// [`round_stretch`](FaultPlan::round_stretch) after its post (one round,
-/// the edge delay, a wait for the recipient's poll round, and a
-/// duplicate's one more poll period), so a ring that long holds every
-/// copy. A bucket pops its copies in push order, and one slot's copies
-/// are pushed in posting order, so a recipient's mail list, sorted by
-/// `(slot, entry)`, reads a slot's copies by posting round. Under waits
-/// longer than [`DueWheel::MAX_RING`] rounds, copies beyond the ring's
-/// reach wait in an overflow list, swept onto the ring once per
-/// revolution. For any one round every overflow push comes before every
-/// push onto the ring, so the swept copies go to the front of their
-/// buckets.
-pub(crate) struct DueWheel<M> {
-    /// `ring[r % ring.len()]` holds the copies due at round `r`, for `r`
-    /// in `next..next + ring.len()`; the length is a power of two.
-    ring: Vec<VecDeque<Delayed<M>>>,
-    /// Copies due at least `ring.len()` rounds past `next`, in push order.
-    far: Vec<Delayed<M>>,
-    /// The first round not yet popped.
-    next: u64,
-    /// Copies on the ring and in `far` together.
-    len: usize,
-}
-
-impl<M> DueWheel<M> {
-    /// The longest ring: longer waits overflow.
-    const MAX_RING: u64 = 1024;
-
-    /// A wheel for a run under `plan`; without one it is empty and takes
-    /// no copies.
-    pub(crate) fn new(plan: Option<FaultPlan>) -> Self {
-        let ring = plan.map_or(0, |plan| {
-            let max_wait = plan.round_stretch().saturating_mul(2);
-            max_wait.min(Self::MAX_RING).next_power_of_two()
-        });
-        DueWheel {
-            ring: (0..ring).map(|_| VecDeque::new()).collect(),
-            far: Vec::new(),
-            next: 1,
-            len: 0,
-        }
-    }
-
-    /// The number of copies waiting.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Files `copy` under its due round, which must not be popped yet.
-    pub(crate) fn push(&mut self, copy: Delayed<M>) {
-        debug_assert!(copy.due >= self.next, "a copy due in the past");
-        self.len += 1;
-        let ring = self.ring.len() as u64;
-        if copy.due - self.next < ring {
-            self.ring[(copy.due % ring) as usize].push_back(copy);
-        } else {
-            self.far.push(copy);
-        }
-    }
-
-    /// Pops the next copy due at `round`, in push order. Rounds are popped
-    /// one after the other, each until it runs dry.
-    pub(crate) fn pop(&mut self, round: u64) -> Option<Delayed<M>> {
-        let ring = self.ring.len() as u64;
-        if self.next == round {
-            self.next = round + 1;
-            if round.is_multiple_of(ring) {
-                let reach: Vec<_> = self.far.extract_if(.., |c| c.due < round + ring).collect();
-                for copy in reach.into_iter().rev() {
-                    self.ring[(copy.due % ring) as usize].push_front(copy);
-                }
-            }
-        }
-        let copy = self.ring[(round % ring) as usize].pop_front()?;
-        self.len -= 1;
-        Some(copy)
-    }
-}
-
 /// Fault-event tallies of one run (or one shard of a run). The event
 /// counts are thread-invariant facts — pure functions of the plan and the
 /// protocol's sends — and fold into `lcs_obs` counters; the queue peak is
@@ -517,6 +421,7 @@ impl FaultCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Wheel;
     use lcs_graph::generators;
 
     #[test]
@@ -611,48 +516,65 @@ mod tests {
         assert_eq!(healed.restart_local_round(), None);
     }
 
-    /// At every round the wheel pops exactly the copies due then, in push
-    /// order: copies on its ring, copies parked in the overflow list (waits
-    /// up to three times the ring), and copies pushed in the round they
-    /// fall due.
+    /// At every round a shard's wheel of delayed copies pops exactly the
+    /// copies due then, in push order, with dues set by the plans' edge
+    /// latencies and straggler phases: local copies pushed as they are
+    /// posted, copies another shard staged and pushed at the next round
+    /// (some due in that very round), and copies whose latency parks them
+    /// in the overflow list for up to three revolutions.
     #[test]
     fn due_wheel_pops_copies_in_push_order() {
-        let mut wheel = DueWheel::new(Some(FaultPlan::new(1).with_latency(1)));
+        let graph = generators::grid(4, 4);
+        let ring = Wheel::<(u64, u32)>::RING;
+        let near = FaultState::new(
+            &FaultPlan::new(11)
+                .with_latency(2)
+                .with_stragglers(500_000, 3),
+            &graph,
+        );
+        let far = FaultState::new(&FaultPlan::new(12).with_latency(3 * ring as u32), &graph);
+        let mut wheel = Wheel::new();
         let mut pending: Vec<(u64, u32)> = Vec::new();
+        let mut staged: Vec<(u64, u32)> = Vec::new();
+        let (mut same_round, mut longest) = (0, 0);
         let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut id = 0;
-        for round in 1..200u64 {
-            for _ in 0..3 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                if round < 150 {
-                    let due = round + x % 12;
-                    wheel.push(Delayed {
-                        due,
-                        slot: 0,
-                        to: id,
-                        bits: 0,
-                        msg: (),
-                    });
-                    pending.push((due, id));
-                    id += 1;
-                }
+        let mut round = 0;
+        while round < 200 || !pending.is_empty() || !staged.is_empty() {
+            round += 1;
+            for copy in staged.drain(..) {
+                same_round += usize::from(copy.0 == round);
+                wheel.push(copy.0, copy);
+                pending.push(copy);
             }
             assert_eq!(wheel.len(), pending.len(), "round {round}");
-            let popped: Vec<(u64, u32)> = std::iter::from_fn(|| wheel.pop(round))
-                .map(|c| (c.due, c.to))
-                .collect();
+            let mut popped = Vec::new();
+            wheel.fire(round, |copy| popped.push(copy));
             let due: Vec<(u64, u32)> = pending.iter().filter(|c| c.0 == round).copied().collect();
             pending.retain(|c| c.0 != round);
             assert_eq!(popped, due, "round {round}");
+            if round < 200 {
+                for _ in 0..4 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let state = if x & 1 == 0 { &near } else { &far };
+                    let edge = ((x >> 8) % graph.edge_count() as u64) as usize;
+                    let to = ((x >> 32) % graph.node_count() as u64) as usize;
+                    let copy = (state.next_poll(to, round + 1 + state.delay_of(edge)), id);
+                    id += 1;
+                    longest = longest.max(copy.0 - round);
+                    if x >> 63 == 0 {
+                        wheel.push(copy.0, copy);
+                        pending.push(copy);
+                    } else {
+                        staged.push(copy);
+                    }
+                }
+            }
         }
-        assert!(pending.is_empty());
-        assert_eq!(wheel.len(), 0);
-        // The longest waits a plan allows get the longest ring, no more.
-        let slowest = FaultPlan::new(1)
-            .with_latency(u32::MAX)
-            .with_stragglers(1_000_000, u32::MAX);
-        assert_eq!(DueWheel::<()>::new(Some(slowest)).ring.len(), 1024);
+        assert!(wheel.is_empty());
+        assert!(same_round > 0, "no staged copy fell due at its push");
+        assert!(longest > 2 * ring, "no copy waited two revolutions");
     }
 }

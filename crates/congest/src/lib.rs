@@ -13,10 +13,10 @@
 //!   runs),
 //! * [`Simulator`] — the synchronous round loop that delivers messages,
 //!   enforces the per-edge bandwidth limit, counts rounds, and detects
-//!   quiescence,
-//! * [`primitives`] — reference distributed protocols (BFS-tree
-//!   construction, tree broadcast / convergecast) used both as building
-//!   blocks and as validation targets for the shortcut framework,
+//!   quiescence; it addresses messages by the graph's own CSR slots and
+//!   keeps wake-ups and faulty copies on one kind of timing wheel,
+//! * [`primitives`] — the reference BFS-tree protocol, which validates the
+//!   simulator and is the workload its goldens and benchmarks run,
 //! * [`RoundCost`] — an accumulator used by composite algorithms that
 //!   orchestrate several protocol executions and charge explicit
 //!   coordination costs, mirroring how the paper composes subroutines.

@@ -1,6 +1,6 @@
 //! Per-node protocol interface.
 
-use lcs_graph::{EdgeId, NodeId};
+use lcs_graph::{EdgeId, Graph, NodeId};
 
 /// Static information a node knows about itself at wake-up time.
 ///
@@ -45,6 +45,18 @@ impl<'g> NodeContext<'g> {
             neighbors,
             edges,
             node_count_bound,
+        }
+    }
+
+    /// Node `node`'s context in `graph`, borrowing the graph's CSR arrays
+    /// (inlined: the engine builds one per poll).
+    #[inline]
+    pub(crate) fn of(graph: &'g Graph, node: NodeId) -> Self {
+        NodeContext {
+            node,
+            neighbors: graph.neighbor_ids(node),
+            edges: graph.incident_edge_ids(node),
+            node_count_bound: graph.node_count(),
         }
     }
 

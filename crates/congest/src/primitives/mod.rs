@@ -1,22 +1,10 @@
 //! Reference distributed protocols.
 //!
-//! These are the standard CONGEST building blocks the paper takes for
-//! granted: single-source BFS-tree construction (`O(D)` rounds), and
-//! convergecast / broadcast along a fixed rooted tree (`O(depth)` rounds
-//! each). They serve three purposes in this workspace:
-//!
-//! 1. they are genuinely executed by the shortcut framework (e.g. the
-//!    "check whether any bad part remains" step of `FindShortcut` is a tree
-//!    convergecast),
-//! 2. they validate the simulator itself (their round counts have known
-//!    closed forms),
-//! 3. they are the yardstick the distributed tests compare centralized
-//!    reference computations against.
+//! Single-source BFS-tree construction (`O(D)` rounds), the standard
+//! CONGEST building block the paper takes for granted. Its round count has
+//! a known closed form, so it validates the simulator itself, and the
+//! engine's goldens and benchmarks run it.
 
 mod bfs;
-mod tree_cast;
 
 pub use bfs::{BfsOutcome, DistributedBfs};
-pub use tree_cast::{
-    tree_aggregate, tree_broadcast, AggregateOp, TreeAggregateOutcome, TreeBroadcastOutcome,
-};

@@ -10,11 +10,12 @@
 //! them. The buffers keep their capacity, so they grow to the busiest
 //! round's traffic, not to one slot per directed edge. A message's slot is
 //! the sender's position in the recipient's adjacency slice, found in
-//! `O(1)` through the precomputed `mirror` array (sender-side position →
-//! recipient-side slot). One message per directed edge per round is exactly
-//! the CONGEST constraint, so a per-position round stamp doubles as the
-//! duplicate-send check. An active-set worklist schedules only nodes that
-//! received a message or reported pending work — see
+//! `O(1)` through the graph's own reverse-slot index
+//! ([`Graph::reverse_slot`], sender-side CSR slot → recipient-side slot),
+//! so a run rebuilds no per-graph state. One message per directed edge per
+//! round is exactly the CONGEST constraint, so a per-slot round stamp
+//! doubles as the duplicate-send check. An active-set worklist schedules
+//! only nodes that received a message or reported pending work — see
 //! [`NodeProtocol::is_done`] for the quiescence contract that makes
 //! skipping idle nodes semantics-preserving — and a round polls them in
 //! ascending node order, read off a bitset.
@@ -96,12 +97,6 @@ impl SimConfig {
     /// the default.
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Overrides the bandwidth.
-    pub fn with_bandwidth_bits(mut self, bandwidth_bits: usize) -> Self {
-        self.bandwidth_bits = bandwidth_bits;
         self
     }
 
@@ -455,12 +450,11 @@ mod tests {
     fn oversized_messages_are_rejected() {
         let g = generators::path(3);
         for threads in [1usize, 3] {
-            let sim = Simulator::new(
-                &g,
-                SimConfig::for_graph(&g)
-                    .with_bandwidth_bits(32)
-                    .with_threads(threads),
-            );
+            let config = SimConfig {
+                bandwidth_bits: 32,
+                ..SimConfig::for_graph(&g).with_threads(threads)
+            };
+            let sim = Simulator::new(&g, config);
             let err = sim.run(|_| BigTalker).unwrap_err();
             assert!(matches!(
                 err,

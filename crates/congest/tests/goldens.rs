@@ -10,9 +10,9 @@
 //! semantics*: rounds, message counts, bit counts, per-round traces, node
 //! states and fault-event counters must all be byte-identical.
 
-use lcs_congest::primitives::{tree_aggregate, AggregateOp, DistributedBfs};
+use lcs_congest::primitives::DistributedBfs;
 use lcs_congest::{FaultPlan, Incoming, NodeContext, NodeProtocol, Outgoing, SimConfig, Simulator};
-use lcs_graph::{generators, Graph, NodeId, RootedTree};
+use lcs_graph::{generators, Graph, NodeId};
 use lcs_obs::Obs;
 
 #[test]
@@ -23,19 +23,6 @@ fn golden_bfs_flood_stats() {
     assert_eq!(outcome.stats.messages, 82);
     assert_eq!(outcome.stats.total_bits, 2624);
     assert_eq!(outcome.stats.max_message_bits, 32);
-}
-
-#[test]
-fn golden_tree_convergecast_stats() {
-    let g = generators::grid(6, 6);
-    let t = RootedTree::bfs(&g, NodeId::new(0));
-    let values: Vec<u64> = (0..g.node_count() as u64).collect();
-    let agg = tree_aggregate(&g, &t, &values, AggregateOp::Sum).unwrap();
-    assert_eq!(agg.value, 630);
-    assert_eq!(agg.stats.rounds, 10);
-    assert_eq!(agg.stats.messages, 35);
-    assert_eq!(agg.stats.total_bits, 2240);
-    assert_eq!(agg.stats.max_message_bits, 64);
 }
 
 /// A level-announcing flood over a path, with per-round tracing enabled:

@@ -86,12 +86,6 @@ impl FindShortcutConfig {
         }
     }
 
-    /// Switches to the deterministic `CoreSlow` subroutine.
-    pub fn with_slow_core(mut self) -> Self {
-        self.use_fast_core = false;
-        self
-    }
-
     /// Overrides the iteration budget.
     pub fn with_max_iterations(mut self, iterations: usize) -> Self {
         self.max_iterations = Some(iterations);
@@ -383,7 +377,10 @@ mod tests {
     fn slow_core_variant_is_deterministic_and_correct() {
         let (g, t, p) = setup_grid(6, 6);
         let (_, reference) = reference_parameters(&g, &t, &p);
-        let config = FindShortcutConfig::new(reference.congestion.max(1), 1).with_slow_core();
+        let config = FindShortcutConfig {
+            use_fast_core: false,
+            ..FindShortcutConfig::new(reference.congestion.max(1), 1)
+        };
         let a = run_all(config, &g, &t, &p).unwrap();
         let b = run_all(config, &g, &t, &p).unwrap();
         assert!(a.all_parts_good);

@@ -42,12 +42,6 @@ pub struct ShortcutQuality {
 }
 
 impl ShortcutQuality {
-    /// The paper's headline quantity `congestion + dilation`, which governs
-    /// the running time of shortcut-based algorithms.
-    pub fn congestion_plus_dilation(&self) -> u64 {
-        self.congestion as u64 + u64::from(self.dilation)
-    }
-
     /// Checks Lemma 1: `dilation ≤ block_parameter · (2 · depth + 1)` for a
     /// tree of the given depth. Returns `true` when the inequality holds
     /// (or when the block parameter was not measured).
@@ -918,7 +912,6 @@ mod tests {
         };
         assert!(q.satisfies_lemma1(4)); // 10 <= 2 * 9
         assert!(!q.satisfies_lemma1(1)); // 10 > 2 * 3
-        assert_eq!(q.congestion_plus_dilation(), 13);
         let unmeasured = ShortcutQuality {
             congestion: 1,
             dilation: 100,

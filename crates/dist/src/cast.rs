@@ -13,12 +13,34 @@
 //! aggregate — the intra-block agreement step that one Theorem 2 superstep
 //! performs — within `2L` rounds.
 
-use lcs_congest::{primitives::AggregateOp, SimConfig, SimStats};
+use lcs_congest::{SimConfig, SimStats};
 use lcs_graph::Graph;
 
 use crate::engine::{run_engine, EngineSpec, NodeProgram, NodeView};
 use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::{DistError, Result};
+
+/// Associative, commutative operators a block cast aggregates with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggregateOp {
+    /// Sum of the values.
+    Sum,
+    /// Minimum of the values.
+    Min,
+    /// Maximum of the values.
+    Max,
+}
+
+impl AggregateOp {
+    /// Applies the operator to two values.
+    pub fn combine(self, a: u64, b: u64) -> u64 {
+        match self {
+            AggregateOp::Sum => a + b,
+            AggregateOp::Min => a.min(b),
+            AggregateOp::Max => a.max(b),
+        }
+    }
+}
 
 /// Result of a family-wide cast.
 #[derive(Debug, Clone)]

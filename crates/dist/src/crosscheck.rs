@@ -17,14 +17,14 @@
 //! E8 of the experiment suite tabulates [`CheckedRun`]s across the
 //! generator families; the property tests re-run them on random instances.
 
-use lcs_congest::{primitives::AggregateOp, SimStats};
+use lcs_congest::SimStats;
 use lcs_core::construction::verification;
 use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
 use lcs_graph::{EdgeId, Graph, Partition, RootedTree};
 use lcs_obs::Obs;
 
-use crate::cast::block_convergecast;
+use crate::cast::{block_convergecast, AggregateOp};
 use crate::flood::{part_leaders, part_min_edges};
 use crate::knowledge::BlockFamily;
 use crate::verification::{counting_supersteps, verification_simulated, BlockCounting};
@@ -273,16 +273,6 @@ impl<'a> CrossCheck<'a> {
     pub fn theorem2_bound(&self) -> u64 {
         self.family.block_parameter().max(1) as u64 * (2 * self.family.schedule().rounds + 1)
     }
-
-    /// Per-node min-edge candidates for a weighted instance — the input of
-    /// a Boruvka phase on the current partition (delegates to
-    /// [`crate::min_edge_candidates`]).
-    pub fn boruvka_candidates(
-        &self,
-        weights: &lcs_graph::EdgeWeights,
-    ) -> Vec<Option<(u64, EdgeId)>> {
-        crate::min_edge_candidates(self.graph, self.partition, weights)
-    }
 }
 
 #[cfg(test)]
@@ -307,7 +297,7 @@ mod tests {
         assert!(leaders.executed <= leaders.bound);
 
         let w = EdgeWeights::random_permutation(&g, 5);
-        let candidates = check.boruvka_candidates(&w);
+        let candidates = crate::min_edge_candidates(&g, &p, &w);
         let min_edge = check.min_edge(&candidates).unwrap();
         assert!(min_edge.executed <= min_edge.bound);
 

@@ -64,7 +64,7 @@ mod flood;
 mod knowledge;
 mod verification;
 
-pub use cast::{block_convergecast, block_exchange, BlockCastOutcome};
+pub use cast::{block_convergecast, block_exchange, AggregateOp, BlockCastOutcome};
 pub use crosscheck::{CheckedRun, CrossCheck};
 pub use error::{DistError, Result};
 pub use flood::{

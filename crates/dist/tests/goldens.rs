@@ -7,11 +7,10 @@
 //! bit counts, and the computed results must all be byte-identical — the
 //! flat-memory hot paths change wall-clock speed, never semantics.
 
-use lcs_congest::primitives::AggregateOp;
 use lcs_core::existential::ancestor_shortcut;
 use lcs_dist::{
-    block_convergecast, part_flood_min, part_leaders, verification_simulated, BlockCounting,
-    BlockFamily,
+    block_convergecast, part_flood_min, part_leaders, verification_simulated, AggregateOp,
+    BlockCounting, BlockFamily,
 };
 use lcs_graph::{generators, NodeId, RootedTree};
 use lcs_obs::Obs;

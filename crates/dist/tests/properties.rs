@@ -6,12 +6,11 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use lcs_congest::primitives::AggregateOp;
 use lcs_core::construction::verification;
 use lcs_core::existential::{ancestor_shortcut, truncated_ancestor_shortcut};
 use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
-use lcs_dist::{part_leaders, part_min_edges, BlockFamily, CrossCheck};
+use lcs_dist::{part_leaders, part_min_edges, AggregateOp, BlockFamily, CrossCheck};
 use lcs_graph::{generators, EdgeWeights, Graph, NodeId, Partition, RootedTree};
 
 /// One of the generator families, with a `random_bfs_balls` partition.
@@ -101,7 +100,7 @@ proptest! {
         let shortcut = pick_shortcut(&graph, &tree, &partition, seed);
         let check = CrossCheck::new(&graph, &tree, &partition, &shortcut).unwrap();
         let weights = EdgeWeights::random_permutation(&graph, seed ^ 0x51);
-        let candidates = check.boruvka_candidates(&weights);
+        let candidates = lcs_dist::min_edge_candidates(&graph, &partition, &weights);
         let run = check.min_edge(&candidates).unwrap();
         prop_assert!(run.executed <= run.bound);
     }

@@ -39,11 +39,6 @@ impl GraphBuilder {
         Self::default()
     }
 
-    /// Creates a builder pre-populated with `node_count` isolated nodes.
-    pub fn with_nodes(node_count: usize) -> Self {
-        Self::with_capacity(node_count, 0)
-    }
-
     /// Creates a builder with `node_count` isolated nodes and room for
     /// `edge_capacity` edges. Generators that know their exact edge count
     /// use this to avoid reallocation during construction.
@@ -127,7 +122,7 @@ mod tests {
 
     #[test]
     fn duplicate_edges_are_ignored() {
-        let mut b = GraphBuilder::with_nodes(2);
+        let mut b = GraphBuilder::with_capacity(2, 2);
         b.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
         b.add_edge(NodeId::new(1), NodeId::new(0)).unwrap();
         assert_eq!(b.edge_count(), 1);
@@ -137,7 +132,7 @@ mod tests {
 
     #[test]
     fn self_loops_are_rejected() {
-        let mut b = GraphBuilder::with_nodes(1);
+        let mut b = GraphBuilder::with_capacity(1, 0);
         let err = b.add_edge(NodeId::new(0), NodeId::new(0)).unwrap_err();
         assert_eq!(
             err,
@@ -148,8 +143,8 @@ mod tests {
     }
 
     #[test]
-    fn with_nodes_creates_isolated_nodes() {
-        let g = GraphBuilder::with_nodes(5).build();
+    fn with_capacity_creates_isolated_nodes() {
+        let g = GraphBuilder::with_capacity(5, 3).build();
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 0);
     }

@@ -96,12 +96,6 @@ impl PartitionDelta {
         self
     }
 
-    /// Appends a [`DeltaOp::RemovePart`] op (builder style).
-    pub fn remove_part(mut self, part: PartId) -> Self {
-        self.ops.push(DeltaOp::RemovePart { part });
-        self
-    }
-
     /// Appends an op in place.
     pub fn push(&mut self, op: DeltaOp) {
         self.ops.push(op);
@@ -184,12 +178,6 @@ impl PartSet {
             .enumerate()
             .filter(|(_, &m)| m)
             .map(|(i, _)| PartId::new(i))
-    }
-
-    /// The set as a per-part boolean mask (the `active` shape the
-    /// construction and verification subroutines take).
-    pub fn as_mask(&self) -> &[bool] {
-        &self.member
     }
 }
 
@@ -592,7 +580,10 @@ mod tests {
     #[test]
     fn remove_unassigns_members_and_add_reclaims_them() {
         let (g, p) = columns();
-        let delta = PartitionDelta::new().remove_part(PartId::new(3));
+        let mut delta = PartitionDelta::new();
+        delta.push(DeltaOp::RemovePart {
+            part: PartId::new(3),
+        });
         let applied = p.apply_tracked(&g, &delta).unwrap();
         assert_eq!(applied.partition.part_count(), 3);
         assert_eq!(applied.partition.part_of(NodeId::new(3)), None);
@@ -654,6 +645,10 @@ mod tests {
     #[test]
     fn invalid_ops_are_typed_config_errors() {
         let (_, p) = columns();
+        let mut remove_missing = PartitionDelta::new();
+        remove_missing.push(DeltaOp::RemovePart {
+            part: PartId::new(4),
+        });
         for (delta, needle) in [
             (
                 PartitionDelta::new().move_nodes(vec![], PartId::new(0)),
@@ -692,10 +687,7 @@ mod tests {
                 "already belongs",
             ),
             (PartitionDelta::new().add_part(vec![]), "empty node list"),
-            (
-                PartitionDelta::new().remove_part(PartId::new(4)),
-                "removed part",
-            ),
+            (remove_missing, "removed part"),
         ] {
             assert_config(p.apply(&delta).unwrap_err(), needle);
         }
@@ -772,6 +764,5 @@ mod tests {
         assert!(!s.contains(PartId::new(99)));
         let ids: Vec<_> = s.iter().collect();
         assert_eq!(ids, vec![PartId::new(1), PartId::new(3)]);
-        assert_eq!(s.as_mask(), &[false, true, false, true, false]);
     }
 }

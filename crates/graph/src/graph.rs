@@ -65,6 +65,10 @@ pub struct Graph {
     neighbor: Vec<NodeId>,
     /// Flat incident-edge array, parallel to `neighbor`.
     edge_id: Vec<EdgeId>,
+    /// `reverse[p]`: for the CSR slot `p` of node `v` pointing at `w`, the
+    /// slot of `w` pointing back at `v`. An involution, parallel to
+    /// `neighbor`.
+    reverse: Vec<u32>,
 }
 
 impl Graph {
@@ -112,7 +116,9 @@ impl Graph {
     /// Builds the CSR arrays from a validated, duplicate-free edge list.
     /// The counting sort is stable in edge order, so every adjacency slice
     /// lists its `(neighbor, edge)` pairs in edge-insertion order — the
-    /// same order the previous adjacency-list representation produced.
+    /// same order the previous adjacency-list representation produced. It
+    /// places both slots of every edge at once, so it also records each
+    /// slot's reverse.
     pub(crate) fn from_deduped_edges(node_count: usize, edges: Vec<Edge>) -> Self {
         let total = 2 * edges.len();
         assert!(
@@ -130,22 +136,25 @@ impl Graph {
         let mut cursor: Vec<u32> = first_out[..node_count].to_vec();
         let mut neighbor = vec![NodeId::default(); total];
         let mut edge_id = vec![EdgeId::default(); total];
+        let mut reverse = vec![0u32; total];
         for (i, e) in edges.iter().enumerate() {
             let id = EdgeId::new(i);
-            let cu = &mut cursor[e.u.index()];
-            neighbor[*cu as usize] = e.v;
-            edge_id[*cu as usize] = id;
-            *cu += 1;
-            let cv = &mut cursor[e.v.index()];
-            neighbor[*cv as usize] = e.u;
-            edge_id[*cv as usize] = id;
-            *cv += 1;
+            let (su, sv) = (cursor[e.u.index()], cursor[e.v.index()]);
+            cursor[e.u.index()] += 1;
+            cursor[e.v.index()] += 1;
+            neighbor[su as usize] = e.v;
+            neighbor[sv as usize] = e.u;
+            edge_id[su as usize] = id;
+            edge_id[sv as usize] = id;
+            reverse[su as usize] = sv;
+            reverse[sv as usize] = su;
         }
         Graph {
             edges,
             first_out,
             neighbor,
             edge_id,
+            reverse,
         }
     }
 
@@ -259,6 +268,26 @@ impl Graph {
         self.edge_between(a, b).is_some()
     }
 
+    /// The CSR slot offsets: `slot_offsets()[v]..slot_offsets()[v + 1]`
+    /// are node `v`'s slots, one per incident edge in the order of
+    /// [`Graph::neighbor_ids`]. Length `node_count + 1`, ascending.
+    #[inline]
+    pub fn slot_offsets(&self) -> &[u32] {
+        &self.first_out
+    }
+
+    /// The reverse of a CSR slot: for slot `slot` of node `v`, the entry
+    /// `k` of `v`'s adjacency pointing at `w`, the slot of `w` whose entry
+    /// points back at `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not below `2 · edge_count`.
+    #[inline]
+    pub fn reverse_slot(&self, slot: usize) -> usize {
+        self.reverse[slot] as usize
+    }
+
     /// Maximum degree over all nodes (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
         self.first_out
@@ -334,6 +363,14 @@ mod tests {
                 assert_eq!(g.neighbor_ids(v)[k], n);
                 assert_eq!(g.incident_edge_ids(v)[k], e);
                 assert_eq!(g.edge(e).other(v), n);
+                // The reverse slot is `n`'s entry for the same edge back to
+                // `v`, and reversing it returns to `v`'s slot.
+                let slot = g.slot_offsets()[v.index()] as usize + k;
+                let back = g.reverse_slot(slot);
+                let start = g.slot_offsets()[n.index()] as usize;
+                assert_eq!(g.neighbor_ids(n)[back - start], v);
+                assert_eq!(g.incident_edge_ids(n)[back - start], e);
+                assert_eq!(g.reverse_slot(back), slot);
             }
         }
     }

@@ -192,30 +192,6 @@ impl RootedTree {
             edge.v
         }
     }
-
-    /// Height of each node: distance to the deepest leaf in its subtree.
-    /// Leaves have height zero. Used by the Lemma 2 routing analysis and by
-    /// tests.
-    pub fn heights(&self) -> Vec<u32> {
-        let mut height = vec![0u32; self.node_count()];
-        for &v in &self.bottom_up {
-            if let Some(p) = self.parent(v) {
-                height[p.index()] = height[p.index()].max(height[v.index()] + 1);
-            }
-        }
-        height
-    }
-
-    /// Size of the subtree rooted at each node (including the node itself).
-    pub fn subtree_sizes(&self) -> Vec<usize> {
-        let mut size = vec![1usize; self.node_count()];
-        for &v in &self.bottom_up {
-            if let Some(p) = self.parent(v) {
-                size[p.index()] += size[v.index()];
-            }
-        }
-        size
-    }
 }
 
 /// Counting sort of node ids into `buckets` buckets: every node `v` of
@@ -360,23 +336,6 @@ mod tests {
             assert_eq!(t.depth(lower), t.depth(upper) + 1);
             assert_eq!(t.parent(lower), Some(upper));
         }
-    }
-
-    #[test]
-    fn heights_and_subtree_sizes_are_consistent() {
-        let g = generators::grid(4, 5);
-        let t = RootedTree::bfs(&g, NodeId::new(0));
-        let heights = t.heights();
-        let sizes = t.subtree_sizes();
-        assert_eq!(sizes[t.root().index()], g.node_count());
-        assert_eq!(heights[t.root().index()], t.depth_of_tree());
-        // A leaf has height 0 and size 1.
-        let leaf = g
-            .nodes()
-            .find(|v| t.children(*v).is_empty())
-            .expect("finite trees have leaves");
-        assert_eq!(heights[leaf.index()], 0);
-        assert_eq!(sizes[leaf.index()], 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use lcs_congest::{RoundCost, SimConfig};
 use lcs_core::construction::{doubling_search, DoublingConfig, Verifier};
 use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
-use lcs_dist::{part_leaders, part_min_edges, BlockFamily};
+use lcs_dist::{min_edge_candidates, part_leaders, part_min_edges, BlockFamily};
 use lcs_graph::{EdgeId, EdgeWeights, Graph, NodeId, PartId, Partition, RootedTree, UnionFind};
 
 use crate::Result;
@@ -153,17 +153,7 @@ pub fn boruvka_mst<V: Verifier>(
         //    its neighbors' part ids (one round), computes its local
         //    candidate, and the candidates are convergecast to the leaders.
         cost.charge(label("exchange-part-ids"), 1);
-        let candidates: Vec<Option<(u64, EdgeId)>> = graph
-            .nodes()
-            .map(|v| {
-                let my_part = partition.part_of(v)?;
-                graph
-                    .neighbors(v)
-                    .filter(|&(u, _)| partition.part_of(u) != Some(my_part))
-                    .map(|(_, e)| (weights.weight(e), e))
-                    .min()
-            })
-            .collect();
+        let candidates = min_edge_candidates(graph, &partition, weights);
 
         let (min_outgoing, routing_rounds) = match (strategy, sim) {
             (ShortcutStrategy::NoShortcut, _) => {

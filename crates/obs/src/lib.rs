@@ -38,4 +38,4 @@ pub mod metrics;
 
 pub use export::MetricsSnapshot;
 pub use histogram::{bucket_bounds, bucket_index, LatencyHistogram};
-pub use metrics::{Metrics, NoopRecorder, Obs, Recorder, SpanBuffer, SpanGuard};
+pub use metrics::{Metrics, Obs, SpanBuffer, SpanGuard};

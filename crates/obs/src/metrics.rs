@@ -1,5 +1,5 @@
-//! The recorder trait, the in-memory metrics registry, and the cheap
-//! clonable [`Obs`] handle the rest of the workspace threads around.
+//! The in-memory metrics registry and the cheap clonable [`Obs`] handle
+//! the rest of the workspace threads around.
 //!
 //! Three metric kinds, split by determinism contract:
 //!
@@ -23,43 +23,6 @@ use std::time::Instant;
 
 use crate::export::MetricsSnapshot;
 use crate::histogram::LatencyHistogram;
-
-/// The sink interface every probe writes through.
-///
-/// Implementations must tolerate concurrent calls (`&self` receivers);
-/// the registry serializes internally, the noop does nothing at all.
-pub trait Recorder {
-    /// Adds `delta` to the counter `name` (creating it at 0).
-    fn counter_add(&self, name: &str, delta: u64);
-    /// Sets the gauge `name` to `value`, overwriting any previous value.
-    fn gauge_set(&self, name: &str, value: u64);
-    /// Folds `value` into the gauge `name` with max semantics.
-    fn gauge_max(&self, name: &str, value: u64);
-    /// Records one `nanos` sample into the timer `name`.
-    fn timer_record(&self, name: &str, nanos: u64);
-    /// Merges a whole pre-aggregated histogram into the timer `name` —
-    /// the phase-boundary path for per-thread buffers.
-    fn timer_merge(&self, name: &str, histogram: &LatencyHistogram);
-}
-
-/// A recorder that records nothing. Every method body is empty and
-/// `#[inline(always)]`, so probes against it compile to nothing — the
-/// "off" configuration costs exactly one `Option` branch in [`Obs`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline(always)]
-    fn counter_add(&self, _name: &str, _delta: u64) {}
-    #[inline(always)]
-    fn gauge_set(&self, _name: &str, _value: u64) {}
-    #[inline(always)]
-    fn gauge_max(&self, _name: &str, _value: u64) {}
-    #[inline(always)]
-    fn timer_record(&self, _name: &str, _nanos: u64) {}
-    #[inline(always)]
-    fn timer_merge(&self, _name: &str, _histogram: &LatencyHistogram) {}
-}
 
 #[derive(Debug, Default)]
 struct Registry {
@@ -105,10 +68,9 @@ impl Metrics {
                 .collect(),
         }
     }
-}
 
-impl Recorder for Metrics {
-    fn counter_add(&self, name: &str, delta: u64) {
+    /// Adds `delta` to the counter `name` (creating it at 0).
+    pub fn counter_add(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
         if let Some(slot) = inner.counters.get_mut(name) {
             *slot += delta;
@@ -117,12 +79,14 @@ impl Recorder for Metrics {
         }
     }
 
-    fn gauge_set(&self, name: &str, value: u64) {
+    /// Sets the gauge `name` to `value`, overwriting any previous value.
+    pub fn gauge_set(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
         inner.gauges.insert(name.to_string(), value);
     }
 
-    fn gauge_max(&self, name: &str, value: u64) {
+    /// Folds `value` into the gauge `name` with max semantics.
+    pub fn gauge_max(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
         if let Some(slot) = inner.gauges.get_mut(name) {
             *slot = (*slot).max(value);
@@ -131,7 +95,8 @@ impl Recorder for Metrics {
         }
     }
 
-    fn timer_record(&self, name: &str, nanos: u64) {
+    /// Records one `nanos` sample into the timer `name`.
+    pub fn timer_record(&self, name: &str, nanos: u64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
         if let Some(slot) = inner.timers.get_mut(name) {
             slot.record(nanos);
@@ -142,7 +107,9 @@ impl Recorder for Metrics {
         }
     }
 
-    fn timer_merge(&self, name: &str, histogram: &LatencyHistogram) {
+    /// Merges a whole pre-aggregated histogram into the timer `name` —
+    /// the phase-boundary path for per-thread buffers.
+    pub fn timer_merge(&self, name: &str, histogram: &LatencyHistogram) {
         if histogram.is_empty() {
             return;
         }
@@ -427,15 +394,5 @@ mod tests {
             first.counter_add("y", 4);
         }
         assert_eq!(a.snapshot().counters_text(), b.snapshot().counters_text());
-    }
-
-    #[test]
-    fn noop_recorder_is_callable_through_the_trait() {
-        let noop = NoopRecorder;
-        noop.counter_add("c", 1);
-        noop.gauge_set("g", 1);
-        noop.gauge_max("g", 1);
-        noop.timer_record("t", 1);
-        noop.timer_merge("t", &LatencyHistogram::new());
     }
 }

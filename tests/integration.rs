@@ -299,7 +299,7 @@ fn simulated_execution_pipeline_agrees_with_centralized_references() {
     let check = dist::CrossCheck::new(&graph, &tree, &partition, &shortcut).unwrap();
     check.leader_election().unwrap();
     let weights = EdgeWeights::random_permutation(&graph, 21);
-    let candidates = check.boruvka_candidates(&weights);
+    let candidates = dist::min_edge_candidates(&graph, &partition, &weights);
     check.min_edge(&candidates).unwrap();
     check
         .block_counts(3 * reference.block_parameter.max(1))
