@@ -436,7 +436,10 @@ impl<'g> Session<'g> {
     }
 
     /// Checks that `partition` is over the session's graph and, when a
-    /// shortcut comes with it, that the shortcut has one edge set per part.
+    /// shortcut comes with it, that the shortcut is over a graph with the
+    /// session graph's edge count and has one edge set per part. Both
+    /// checks are O(1); a shortcut over another graph with the same node,
+    /// edge and part counts passes them (DESIGN §2a).
     fn check_partition(
         &self,
         partition: &Partition,
@@ -451,7 +454,19 @@ impl<'g> Session<'g> {
                 ),
             });
         }
-        if let Some(shortcut) = shortcut.filter(|s| s.part_count() != partition.part_count()) {
+        let Some(shortcut) = shortcut else {
+            return Ok(());
+        };
+        if shortcut.edge_count() != self.graph.edge_count() {
+            return Err(LcsError::InconsistentInputs {
+                reason: format!(
+                    "shortcut defined over {} edges but the session's graph has {}",
+                    shortcut.edge_count(),
+                    self.graph.edge_count()
+                ),
+            });
+        }
+        if shortcut.part_count() != partition.part_count() {
             return Err(LcsError::InconsistentInputs {
                 reason: format!(
                     "shortcut built for {} parts but the partition has {}",
@@ -1031,6 +1046,34 @@ mod tests {
                 let err = session.verify(&shortcut, served, 3).unwrap_err();
                 assert!(matches!(err, LcsError::InconsistentInputs { .. }), "{err}");
             }
+        }
+    }
+
+    /// A shortcut answers only on the graph it was built over: the columns
+    /// shortcut of grid 6×6 served to a session on `path(36)` with six
+    /// parts (same node and part counts, 35 edges instead of 60) is a typed
+    /// error, not an out-of-range panic, in both execution modes.
+    #[test]
+    fn queries_reject_a_shortcut_built_over_another_graph() {
+        let grid = generators::grid(6, 6);
+        let columns = generators::partitions::grid_columns(6, 6);
+        let shortcut = Pipeline::on(&grid)
+            .build()
+            .unwrap()
+            .shortcut(&columns, Strategy::doubling())
+            .unwrap()
+            .shortcut;
+        let path = generators::path(36);
+        let runs =
+            Partition::from_assignment(36, (0..36).map(|v| Some(PartId::new(v / 6))).collect())
+                .unwrap();
+        assert_eq!(runs.part_count(), columns.part_count());
+        for execution in [ExecutionMode::Scheduled, ExecutionMode::Simulated] {
+            let session = Pipeline::on(&path).execution(execution).build().unwrap();
+            let err = session.quality(&shortcut, &runs).unwrap_err();
+            assert!(matches!(err, LcsError::InconsistentInputs { .. }), "{err}");
+            let err = session.verify(&shortcut, &runs, 3).unwrap_err();
+            assert!(matches!(err, LcsError::InconsistentInputs { .. }), "{err}");
         }
     }
 

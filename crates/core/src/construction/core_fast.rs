@@ -119,7 +119,7 @@ pub fn core_fast(
     // ------------------------------------------------------------------
     let mut unusable = vec![false; graph.edge_count()];
     let mut level_cost = vec![0u64; tree.depth_of_tree() as usize + 1];
-    IdArena::bottom_up(
+    let sampled_lists = IdArena::bottom_up(
         tree,
         partition,
         &mut unusable,
@@ -142,14 +142,24 @@ pub fn core_fast(
     // unusable edge (greedy forwarding, smallest id first). What each node
     // ends up knowing is fixed by the unusable edges alone, so the final
     // sets are computed first and the greedy only has to be timed.
+    //
+    // When every active part was sampled (always at p = 1), phase 1
+    // already built these sets: it took the same ids, and a node it kept
+    // read its children over the edges that stayed usable, which are the
+    // edges phase 2 reads, while a node it dropped has an unusable parent
+    // edge, which phase 2 skips. So its lists are reused as they are.
     // ------------------------------------------------------------------
-    let known = IdArena::bottom_up(
-        tree,
-        partition,
-        &mut unusable,
-        |p| active[p.index()],
-        |_, _| true,
-    );
+    let known = if sampled == active {
+        sampled_lists
+    } else {
+        IdArena::bottom_up(
+            tree,
+            partition,
+            &mut unusable,
+            |p| active[p.index()],
+            |_, _| true,
+        )
+    };
     let phase2_rounds = greedy_forwarding_rounds(tree, partition, active, &known);
 
     // Assignment: every id a node knows can use the node's parent edge,

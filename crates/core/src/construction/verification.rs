@@ -64,7 +64,7 @@ pub fn verification(
         .map(|(&count, &active)| active && count <= threshold)
         .collect();
 
-    let superstep = 2 * blocks.schedule().rounds;
+    let superstep = 2 * blocks.schedule(tree).rounds;
     let rounds = (threshold as u64 + 2) * superstep + u64::from(tree.depth_of_tree());
 
     VerificationOutcome {

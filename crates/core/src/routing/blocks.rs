@@ -28,7 +28,6 @@ pub struct MemberBlocks {
     /// block's root depth and number; a part's slots follow the previous
     /// part's.
     slots: Slots,
-    node_count: usize,
 }
 
 impl MemberBlocks {
@@ -96,7 +95,6 @@ impl MemberBlocks {
             counts,
             roots,
             slots,
-            node_count: graph.node_count(),
         }
     }
 
@@ -114,9 +112,12 @@ impl MemberBlocks {
         (self.slots.node(slot), self.slots.index(slot))
     }
 
-    /// The exact Lemma 2 convergecast schedule of the member blocks.
-    pub fn schedule(&self) -> RoutingSchedule {
-        self.slots.schedule(self.node_count)
+    /// The exact Lemma 2 convergecast schedule of the member blocks on
+    /// `tree`, the tree they were found in. One pass over its nodes,
+    /// deepest first, times every node's slots, which gives the rounds of
+    /// the synchronous greedy (see [`crate::routing::convergecast_rounds`]).
+    pub fn schedule(&self, tree: &RootedTree) -> RoutingSchedule {
+        self.slots.schedule(tree)
     }
 }
 

@@ -55,7 +55,7 @@ impl<'a> PartRouter<'a> {
         shortcut: &'a TreeShortcut,
     ) -> Self {
         let blocks = MemberBlocks::new(graph, tree, partition, shortcut, |_| true);
-        let schedule = blocks.schedule();
+        let schedule = blocks.schedule(tree);
         PartRouter {
             graph,
             tree,

@@ -4,9 +4,14 @@
 //! any tree edge is contained in at most `c` subtrees, a convergecast on all
 //! subtrees in parallel completes in `O(D + c)` rounds, provided messages
 //! contending for the same edge are forwarded in order of (smallest depth of
-//! the subtree root, smallest subtree id). This module simulates that
-//! schedule edge-by-edge and round-by-round, so the reported round count is
-//! the exact behaviour of the deterministic algorithm rather than the bound.
+//! the subtree root, smallest subtree id). This module computes the exact
+//! round count of that synchronous greedy schedule, not the bound, in one
+//! pass over the tree's nodes, deepest first: what a node sends in a round
+//! depends only on when its own messages become ready, and that depends
+//! only on when its children sent theirs, which the pass has already timed.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use lcs_graph::{NodeId, RootedTree};
 
@@ -92,7 +97,7 @@ pub struct RoutingSchedule {
     pub deliveries: u64,
 }
 
-/// Simulates a convergecast on every subtree of the family in parallel and
+/// Times a convergecast on every subtree of the family in parallel and
 /// returns the exact round count of the deterministic schedule.
 ///
 /// In each round, every node picks — among the subtrees for which it has
@@ -101,16 +106,19 @@ pub struct RoutingSchedule {
 /// its tree parent edge. The broadcast direction is symmetric, so the same
 /// count applies to broadcasts (Lemma 2 states both).
 ///
-/// The simulation is event-driven: every non-root node of every subtree is
-/// one *slot* that is forwarded exactly once, and becomes ready the moment
-/// its last in-subtree child is heard from. Each node's slots are ranked in
-/// priority order, and its ready slots are a bit set over those ranks, so
-/// picking the best ready slot takes the lowest set bit. Readiness gained
-/// during a round takes effect in the next round, which is exactly the
-/// synchronous-rounds semantics. Linking a node to its parent costs one
-/// binary search in the subtree's node list; scheduling costs one sort of
-/// each node's slots plus a scan of the node's ready words per send. The
-/// same scheduler times the member-block family of
+/// Every non-root node of every subtree is one *slot*, forwarded exactly
+/// once. A slot is ready one round after its last in-subtree child was
+/// sent, or in round 1 if it has none, and a node's choice in a round
+/// depends only on the ready rounds of its own slots. So one pass over the
+/// nodes, deepest first, times each node's slots on their own — one send
+/// per round, the ready slot of highest priority first — and passes every
+/// send round up to the parent's slot of the same subtree. The largest send
+/// round is the round count of the synchronous greedy, because each node
+/// makes the same choices as there, in the same rounds. Linking a node to
+/// its parent costs one binary search in the subtree's node list; timing
+/// costs one sort of each node's slots, plus a heap push and pop for each
+/// slot still unsent when slots of a later ready round join it.
+/// The same scheduler times the member-block family of
 /// [`crate::routing::MemberBlocks`], which verification,
 /// [`crate::routing::PartRouter`] and `lcs_dist::BlockFamily` build on;
 /// this entry point serves explicit subtree families (experiment E3).
@@ -129,7 +137,7 @@ pub fn convergecast_rounds(
         let key = priority.key(spec.root_depth, index);
         slots.push_subtree(tree, spec.root, &spec.nodes, key, index);
     }
-    slots.schedule(tree.node_count())
+    slots.schedule(tree)
 }
 
 /// Marks a slot whose parent is its subtree's root: forwarding it completes
@@ -221,17 +229,12 @@ impl Slots {
         }
     }
 
-    /// Runs the schedule over a tree of `node_count` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule stalls before every slot was forwarded, which
-    /// only a malformed family can cause.
-    pub(crate) fn schedule(&self, node_count: usize) -> RoutingSchedule {
+    /// Times the schedule on `tree`, the tree whose nodes the slots name.
+    pub(crate) fn schedule(&self, tree: &RootedTree) -> RoutingSchedule {
+        let node_count = tree.node_count();
         let total = self.len();
         // Group slots per node by counting sort; afterwards node v's slots
-        // are order[first[v]..first[v + 1]], sorted by key, and a slot's
-        // rank in its node's run is its bit.
+        // are order[first[v]..first[v + 1]].
         let mut first = vec![0u32; node_count + 1];
         for &v in &self.node {
             first[v as usize] += 1;
@@ -247,136 +250,65 @@ impl Slots {
             first[v as usize] -= 1;
             order[first[v as usize] as usize] = s as u32;
         }
-        let mut rank = vec![0u32; total];
-        for v in 0..node_count {
-            let run = &mut order[first[v] as usize..first[v + 1] as usize];
-            if run.len() > 1 {
-                run.sort_unstable_by_key(|&s| self.key[s as usize]);
-            }
-            for (r, &s) in run.iter().enumerate() {
-                rank[s as usize] = r as u32;
-            }
-        }
-        let mut ready = ReadySets::new(&first);
 
-        let mut waiting = vec![0u32; total];
-        for &p in &self.parent {
-            if p != NO_SLOT {
-                waiting[p as usize] += 1;
-            }
-        }
-        // A node with slots is queued at most once per round, and a round
-        // readies at most one parent slot per sender.
-        let senders = node_count.min(total);
-        let mut current: Vec<u32> = Vec::with_capacity(senders);
-        let mut next: Vec<u32> = Vec::with_capacity(senders);
-        let mut deferred: Vec<u32> = Vec::with_capacity(senders);
-        for s in 0..total {
-            if waiting[s] == 0 {
-                ready.insert(self.node[s], rank[s], &mut current);
-            }
-        }
-
-        let mut rounds = 0u64;
-        let mut sent = 0usize;
-        // Readiness earned during a round (`deferred`) only takes effect
-        // next round.
-        while sent < total {
-            rounds += 1;
-            if current.is_empty() {
-                panic!("routing schedule stalled before completion");
-            }
-            for &v in &current {
-                let s = order[(first[v as usize] + ready.pop(v)) as usize] as usize;
-                let p = self.parent[s];
-                if p != NO_SLOT {
-                    let w = &mut waiting[p as usize];
-                    *w = w.checked_sub(1).expect("no surplus child messages");
-                    if *w == 0 {
-                        deferred.push(p);
+        // The first round each slot may be sent in: one round after its
+        // last in-subtree child was sent, round 1 if it has none. Children
+        // are timed before their parents, so a node's ready rounds are
+        // final when the pass reaches it.
+        let mut ready = vec![1u32; total];
+        // One node's slots as (ready round, key, slot), and its unsent
+        // slots of earlier ready rounds by key.
+        let mut run: Vec<(u32, u64, u32)> = Vec::with_capacity(max_edge_load);
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::with_capacity(max_edge_load);
+        let mut rounds = 0u32;
+        for &v in tree.nodes_bottom_up() {
+            let slots = &order[first[v.index()] as usize..first[v.index() + 1] as usize];
+            run.clear();
+            run.extend(
+                slots
+                    .iter()
+                    .map(|&s| (ready[s as usize], self.key[s as usize], s)),
+            );
+            run.sort_unstable();
+            // One send per round: the ready slot of smallest key. Slots
+            // that became ready in the same round are in key order in the
+            // run, so it is consumed one such group at a time, and only the
+            // slots a newer group catches up with wait in the heap.
+            let (mut round, mut next, mut end) = (0u32, 0, 0);
+            while next < run.len() || !heap.is_empty() {
+                round += 1;
+                if next == end && heap.is_empty() {
+                    round = round.max(run[next].0);
+                }
+                if run.get(end).is_some_and(|slot| slot.0 <= round) {
+                    heap.extend(run[next..end].iter().map(|&(_, key, s)| Reverse((key, s))));
+                    next = end;
+                    while run.get(end).is_some_and(|slot| slot.0 == run[next].0) {
+                        end += 1;
                     }
                 }
-                sent += 1;
-            }
-            for &v in &current {
-                if ready.requeue(v) {
-                    next.push(v);
+                let head = run[next..end].first().map(|&(_, key, s)| (key, s));
+                let (_, s) = match (head, heap.peek()) {
+                    (Some(head), top) if top.is_none_or(|Reverse(top)| head < *top) => {
+                        next += 1;
+                        head
+                    }
+                    _ => heap.pop().expect("a slot is ready").0,
+                };
+                let p = self.parent[s as usize];
+                if p != NO_SLOT {
+                    debug_assert_eq!(Some(self.node(p as usize)), tree.parent(v));
+                    ready[p as usize] = ready[p as usize].max(round + 1);
                 }
             }
-            for p in deferred.drain(..) {
-                let p = p as usize;
-                ready.insert(self.node[p], rank[p], &mut next);
-            }
-            std::mem::swap(&mut current, &mut next);
-            next.clear();
+            rounds = rounds.max(round);
         }
 
         RoutingSchedule {
-            rounds,
+            rounds: u64::from(rounds),
             max_edge_load,
             deliveries: total as u64,
         }
-    }
-}
-
-/// Each node's ready slots as bit words over the node's slot ranks, plus
-/// whether the node is queued to send.
-struct ReadySets {
-    /// Node `v` owns words `word_start[v]..word_start[v + 1]`.
-    word_start: Vec<u32>,
-    words: Vec<u64>,
-    queued: Vec<bool>,
-}
-
-impl ReadySets {
-    /// Sized from the per-node slot offsets of the scheduler.
-    fn new(first: &[u32]) -> Self {
-        let node_count = first.len() - 1;
-        let mut word_start = Vec::with_capacity(node_count + 1);
-        word_start.push(0u32);
-        for v in 0..node_count {
-            word_start.push(word_start[v] + (first[v + 1] - first[v]).div_ceil(64));
-        }
-        ReadySets {
-            words: vec![0; word_start[node_count] as usize],
-            word_start,
-            queued: vec![false; node_count],
-        }
-    }
-
-    fn of(&mut self, v: u32) -> &mut [u64] {
-        let v = v as usize;
-        &mut self.words[self.word_start[v] as usize..self.word_start[v + 1] as usize]
-    }
-
-    /// Marks the slot of rank `rank` at `v` ready, queueing `v` if needed.
-    fn insert(&mut self, v: u32, rank: u32, queue: &mut Vec<u32>) {
-        let r = rank as usize;
-        self.of(v)[r / 64] |= 1 << (r % 64);
-        if !self.queued[v as usize] {
-            self.queued[v as usize] = true;
-            queue.push(v);
-        }
-    }
-
-    /// Takes the ready slot of lowest rank at `v`; returns its rank.
-    fn pop(&mut self, v: u32) -> u32 {
-        let (offset, word) = self
-            .of(v)
-            .iter_mut()
-            .enumerate()
-            .find(|(_, w)| **w != 0)
-            .expect("queued nodes have a ready slot");
-        let bit = word.trailing_zeros();
-        *word &= *word - 1;
-        offset as u32 * 64 + bit
-    }
-
-    /// After `v` sent: keeps it queued if it still has a ready slot.
-    fn requeue(&mut self, v: u32) -> bool {
-        let keep = self.of(v).iter().any(|&w| w != 0);
-        self.queued[v as usize] = keep;
-        keep
     }
 }
 
@@ -473,6 +405,30 @@ mod tests {
         let good = convergecast_rounds(&t, &family, RoutingPriority::BlockRootDepth);
         let bad = convergecast_rounds(&t, &family, RoutingPriority::ReverseDepth);
         assert!(bad.rounds >= good.rounds);
+    }
+
+    /// A slot that becomes ready later but has the smaller key overtakes
+    /// slots that were ready earlier. On the path 0-1-2-3 rooted at 0,
+    /// subtree A = {0, 1, 2, 3} (key depth 0) and B = C = {1, 2} (depth
+    /// 1, indices 1 and 2) meet at node 2. There B and C are ready in round
+    /// 1 and A only in round 2, after node 3 sent A in round 1. So node 2
+    /// sends B, then A, then C; node 1 sends A in round 3, and the
+    /// schedule takes 3 rounds. Sending B, C, A would take 4, which is what
+    /// the reverse priority does: B, C, then A, with node 1 in round 4.
+    #[test]
+    fn later_ready_slot_with_smaller_key_overtakes() {
+        let g = generators::path(4);
+        let t = RootedTree::bfs(&g, NodeId::new(0));
+        let family: Vec<SubtreeSpec> = [vec![0, 1, 2, 3], vec![1, 2], vec![1, 2]]
+            .into_iter()
+            .map(|nodes| SubtreeSpec::new(&t, nodes.into_iter().map(NodeId::new).collect()))
+            .collect();
+        let schedule = convergecast_rounds(&t, &family, RoutingPriority::BlockRootDepth);
+        assert_eq!(schedule.rounds, 3);
+        assert_eq!(schedule.max_edge_load, 3);
+        assert_eq!(schedule.deliveries, 5);
+        let reverse = convergecast_rounds(&t, &family, RoutingPriority::ReverseDepth);
+        assert_eq!(reverse.rounds, 4);
     }
 
     #[test]

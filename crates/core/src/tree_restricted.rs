@@ -126,6 +126,11 @@ impl TreeShortcut {
         self.part_start.len() - 1
     }
 
+    /// Number of edges of the graph the shortcut is defined over.
+    pub fn edge_count(&self) -> usize {
+        self.edge_start.len() - 1
+    }
+
     /// The parts assigned to tree edge `e` (sorted).
     ///
     /// # Panics

@@ -250,7 +250,7 @@ impl BlockFamily {
         // The flat Lemma 3 pass `PartRouter` and `verification` run, so
         // block numbers, schedule lengths and tie-breaks agree bit for bit.
         let pass = MemberBlocks::new(graph, tree, partition, shortcut, |p| active[p.index()]);
-        let schedule = pass.schedule();
+        let schedule = pass.schedule(tree);
         let block_parameter = pass.counts.iter().copied().max().unwrap_or(0);
 
         let n = graph.node_count();
