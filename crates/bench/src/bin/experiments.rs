@@ -27,18 +27,8 @@ use lcs_bench::{
     e10_scale_table, e11_serving_table, e13_workload_table, e14_obs_table, e15_faults_table,
     e16_repair_table, e17_server_table, e1_quality_table, e2_findshortcut_table, e3_routing_table,
     e4_mst_table, e5_core_table, e6_doubling_table, e7_guarantees_table, e8_dist_table,
-    e9_scale_table, render_table, tables_to_json, timed_table, timed_table_with_extra, Table,
-    TimedTable,
+    e9_scale_table, render_table, tables_to_json, timed_table, Table, TimedTable,
 };
-
-/// Most tables are plain; E13/E14 additionally return a JSON payload
-/// (latency histograms, metric snapshots) that `--json` embeds under
-/// `"extra"`.
-#[derive(Clone, Copy)]
-enum TableBuilder {
-    Plain(fn() -> Table),
-    WithExtra(fn() -> (Table, String)),
-}
 
 /// One registered experiment: id, one-line description, whether it only
 /// runs when asked for by name, and its builder.
@@ -46,7 +36,7 @@ struct Experiment {
     name: &'static str,
     description: &'static str,
     opt_in: bool,
-    build: TableBuilder,
+    build: fn() -> Table,
 }
 
 fn main() {
@@ -86,98 +76,98 @@ fn main() {
             name: "e1",
             description: "shortcut quality vs Theorem 1 bounds on planar / genus-g families",
             opt_in: false,
-            build: TableBuilder::Plain(e1_quality_table),
+            build: e1_quality_table,
         },
         Experiment {
             name: "e2",
             description: "FindShortcut (Theorem 3) scaling: rounds vs n, D and N",
             opt_in: false,
-            build: TableBuilder::Plain(e2_findshortcut_table),
+            build: e2_findshortcut_table,
         },
         Experiment {
             name: "e3",
             description: "tree-restricted routing and convergecast round counts",
             opt_in: false,
-            build: TableBuilder::Plain(e3_routing_table),
+            build: e3_routing_table,
         },
         Experiment {
             name: "e4",
             description: "MST via shortcut-accelerated Boruvka on planar instances",
             opt_in: false,
-            build: TableBuilder::Plain(e4_mst_table),
+            build: e4_mst_table,
         },
         Experiment {
             name: "e5",
             description:
                 "CoreSlow (Lemma 7) vs CoreFast (Lemma 5): rounds, good parts, max assignment",
             opt_in: false,
-            build: TableBuilder::Plain(e5_core_table),
+            build: e5_core_table,
         },
         Experiment {
             name: "e6",
             description: "doubling search trajectory for unknown quality parameters",
             opt_in: false,
-            build: TableBuilder::Plain(e6_doubling_table),
+            build: e6_doubling_table,
         },
         Experiment {
             name: "e7",
             description: "guarantee cross-check: measured quality vs paper formulas",
             opt_in: false,
-            build: TableBuilder::Plain(e7_guarantees_table),
+            build: e7_guarantees_table,
         },
         Experiment {
             name: "e8",
             description: "charged vs executed rounds of the four distributed primitives",
             opt_in: false,
-            build: TableBuilder::Plain(e8_dist_table),
+            build: e8_dist_table,
         },
         Experiment {
             name: "e9",
             description: "scale tier at n = 10^4..10^5 with wall-clock columns",
             opt_in: false,
-            build: TableBuilder::Plain(e9_scale_table),
+            build: e9_scale_table,
         },
         Experiment {
             name: "e10",
-            description: "the 10^6-node tier (heavy; minutes of wall-clock)",
+            description: "the 10^6-node tier (heavy: tens of seconds and over 1 GiB of memory)",
             opt_in: true,
-            build: TableBuilder::Plain(e10_scale_table),
+            build: e10_scale_table,
         },
         Experiment {
             name: "e11",
             description: "serving tier: per-query latency of a warm session",
             opt_in: false,
-            build: TableBuilder::Plain(e11_serving_table),
+            build: e11_serving_table,
         },
         Experiment {
             name: "e13",
             description: "workload tier: open/closed-loop Zipf traffic tail latencies",
             opt_in: false,
-            build: TableBuilder::WithExtra(e13_workload_table),
+            build: e13_workload_table,
         },
         Experiment {
             name: "e14",
             description: "instrumentation overhead: recorder off vs on, counter determinism",
             opt_in: false,
-            build: TableBuilder::WithExtra(e14_obs_table),
+            build: e14_obs_table,
         },
         Experiment {
             name: "e15",
             description: "robustness tier: fault-injected verification, loss x latency x crash",
             opt_in: false,
-            build: TableBuilder::WithExtra(e15_faults_table),
+            build: e15_faults_table,
         },
         Experiment {
             name: "e16",
             description: "incremental repair: repair_from vs full rebuild, digest-equal",
             opt_in: false,
-            build: TableBuilder::WithExtra(e16_repair_table),
+            build: e16_repair_table,
         },
         Experiment {
             name: "e17",
             description: "server tier: concurrent TCP serving over one shared warm session",
             opt_in: false,
-            build: TableBuilder::WithExtra(e17_server_table),
+            build: e17_server_table,
         },
     ];
     if list {
@@ -215,13 +205,7 @@ fn main() {
         };
         if selected {
             eprintln!("running {name}...");
-            let timed = match build {
-                TableBuilder::Plain(build) => timed_table(name, build),
-                TableBuilder::WithExtra(build) => timed_table_with_extra(name, || {
-                    let (table, extra) = build();
-                    (table, Some(extra))
-                }),
-            };
+            let timed = timed_table(name, build);
             println!("{}", render_table(&timed.table));
             eprintln!("{name} built in {:.1} ms", timed.millis);
             built.push(timed);

@@ -1,13 +1,13 @@
-//! The experiment tables E1–E11.
+//! The experiment tables E1–E17.
 //!
 //! Every table is produced through the `lcs_api` façade: one
 //! [`Pipeline`]-built [`Session`] per instance graph, queried for
-//! shortcuts, quality, verification and MST. The façade dispatches to the
-//! same underlying algorithms as the legacy entry points (the
-//! API-equivalence suite in `crates/api/tests` pins this), so the table
-//! values are unchanged; what changed is that per-graph state (tree,
-//! shard map, quality workspaces) is built once per session instead of
-//! once per measurement.
+//! shortcuts, quality, verification and MST, so per-graph state (tree,
+//! quality workspaces) is built once per session instead of once per
+//! measurement. A table names its wall-clock columns
+//! ([`Table::wall_clock`]); every other cell is a value, the same on every
+//! run and at every thread count, which `.github/scripts/values.py check`
+//! compares with the committed `.github/reference/values.json`.
 
 use lcs_api::dist::{min_edge_candidates, AggregateOp};
 use lcs_api::existential::reference_parameters;
@@ -20,7 +20,8 @@ use lcs_api::{
     Strategy,
 };
 
-/// A rendered experiment table: a title, column headers and string rows.
+/// A rendered experiment table: a title, column headers and string rows,
+/// plus what only the JSON artifact carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Experiment identifier and short description.
@@ -29,6 +30,18 @@ pub struct Table {
     pub headers: Vec<String>,
     /// One row per measurement.
     pub rows: Vec<Vec<String>>,
+    /// Headers of the columns that hold wall-clock measurements. Every
+    /// other cell is a value, identical across reruns and thread counts.
+    pub wall_clock: Vec<String>,
+    /// A JSON document written under the table's `"extra"` key of the
+    /// `--json` artifact and never printed: what the rows cannot hold,
+    /// such as latency histograms and metric snapshots, one entry per row.
+    pub extra: Option<String>,
+}
+
+/// Owned column names, for [`Table::headers`] and [`Table::wall_clock`].
+fn columns(names: &[&str]) -> Vec<String> {
+    names.iter().map(|s| s.to_string()).collect()
 }
 
 /// Renders a [`Table`] as aligned plain text.
@@ -127,7 +140,7 @@ pub fn e1_quality_table() -> Table {
     Table {
         title: "E1: shortcut quality on planar / genus-g families (doubling construction)"
             .to_string(),
-        headers: [
+        headers: columns(&[
             "family",
             "n",
             "D",
@@ -136,11 +149,10 @@ pub fn e1_quality_table() -> Table {
             "block",
             "dilation",
             "rounds",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
+        wall_clock: Vec::new(),
+        extra: None,
     }
 }
 
@@ -216,7 +228,7 @@ pub fn e2_findshortcut_table() -> Table {
     }
     Table {
         title: "E2: FindShortcut (Theorem 3) scaling — rounds vs n, D and N".to_string(),
-        headers: [
+        headers: columns(&[
             "instance",
             "n",
             "depth(T)",
@@ -227,11 +239,10 @@ pub fn e2_findshortcut_table() -> Table {
             "out congestion",
             "out block",
             "all good",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
+        wall_clock: Vec::new(),
+        extra: None,
     }
 }
 
@@ -277,11 +288,10 @@ pub fn e3_routing_table() -> Table {
     }
     Table {
         title: "E3: Lemma 2 tree routing — measured rounds vs the D + c bound (and the reverse-priority ablation)".to_string(),
-        headers: ["family", "D", "c", "rounds (Lemma 2 priority)", "D + c bound", "rounds (reverse priority)"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+        headers: columns(&["family", "D", "c", "rounds (Lemma 2 priority)", "D + c bound", "rounds (reverse priority)"]),
         rows,
+        wall_clock: Vec::new(),
+        extra: None,
     }
 }
 
@@ -349,14 +359,13 @@ pub fn e4_mst_table() -> Table {
     Table {
         title: "E4: distributed Boruvka MST (Lemma 4) — rounds by shortcut strategy (totals include per-phase construction; 'routing' columns isolate the per-part min-edge exchanges)"
             .to_string(),
-        headers: [
+        headers: columns(&[
             "family", "n", "D", "doubling total", "phases", "no-shortcut total",
             "whole-tree total", "shortcut routing", "baseline routing",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
+        wall_clock: Vec::new(),
+        extra: None,
     }
 }
 
@@ -402,7 +411,7 @@ pub fn e5_core_table() -> Table {
         title:
             "E5: CoreSlow (Lemma 7) vs CoreFast (Lemma 5) — rounds, good parts, max edge assignment"
                 .to_string(),
-        headers: [
+        headers: columns(&[
             "instance",
             "(c, b) ref",
             "slow rounds",
@@ -411,11 +420,10 @@ pub fn e5_core_table() -> Table {
             "fast good",
             "slow max/edge",
             "fast max/edge",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
+        wall_clock: Vec::new(),
+        extra: None,
     }
 }
 
@@ -455,7 +463,7 @@ pub fn e6_doubling_table() -> Table {
     }
     Table {
         title: "E6: Appendix A doubling search vs known parameters".to_string(),
-        headers: [
+        headers: columns(&[
             "instance",
             "(c, b) known",
             "rounds (known)",
@@ -463,11 +471,10 @@ pub fn e6_doubling_table() -> Table {
             "attempts",
             "rounds (doubling)",
             "overhead",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
+        wall_clock: Vec::new(),
+        extra: None,
     }
 }
 
@@ -531,7 +538,7 @@ pub fn e7_guarantees_table() -> Table {
 
     Table {
         title: "E7: Theorem 3 / Lemma 1 guarantee validation across families".to_string(),
-        headers: [
+        headers: columns(&[
             "family",
             "(c, b) ref",
             "all good",
@@ -540,11 +547,10 @@ pub fn e7_guarantees_table() -> Table {
             "congestion <= 8c*iter",
             "ok",
             "Lemma 1",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
+        wall_clock: Vec::new(),
+        extra: None,
     }
 }
 
@@ -630,7 +636,7 @@ pub fn e8_dist_table() -> Table {
     Table {
         title: "E8: charged vs executed rounds — scheduled accounting vs real message passing (cells are charged/executed; results asserted equal)"
             .to_string(),
-        headers: [
+        headers: columns(&[
             "family",
             "n",
             "D",
@@ -641,23 +647,31 @@ pub fn e8_dist_table() -> Table {
             "min edge",
             "verification",
             "results equal",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
+        wall_clock: Vec::new(),
+        extra: None,
     }
 }
 
-/// Builds the shared E9/E10 row shape: FindShortcut (scheduled) timed,
-/// then the Lemma 3 verification as real message passing timed, on one
-/// session per instance.
+/// One E9/E10 row: FindShortcut (scheduled) timed, then the Lemma 3
+/// verification as real message passing timed, on one session per
+/// instance. `cb` is the `(c, b)` guess; `None` takes the measured
+/// `reference_parameters`.
 fn scale_row(
-    session: &mut Session<'_>,
+    family: &str,
+    graph: &Graph,
     partition: &Partition,
-    (c, b): (usize, usize),
-) -> (Vec<String>, u64) {
-    let graph = session.graph();
+    cb: Option<(usize, usize)>,
+) -> Vec<String> {
+    let mut session = session_on(graph, 42);
+    let (c, b) = cb.unwrap_or_else(|| {
+        let (_, reference) = reference_parameters(graph, session.tree(), partition);
+        (
+            reference.congestion.max(1),
+            reference.block_parameter.max(1),
+        )
+    });
     let fs_start = std::time::Instant::now();
     let run = session
         .shortcut(
@@ -676,28 +690,48 @@ fn scale_row(
         .verify(&run.shortcut, partition, 3 * b)
         .expect("verification protocol respects the CONGEST constraints");
     let ver_ms = ver_start.elapsed().as_secs_f64() * 1e3;
-    session.set_execution(ExecutionMode::Scheduled);
     let stats = ver
         .report
         .sim
         .expect("simulated verification records stats");
     let good = ver.good.iter().filter(|&&g| g).count();
 
-    (
-        vec![
-            graph.node_count().to_string(),
-            graph.edge_count().to_string(),
-            partition.part_count().to_string(),
-            format!("({c}, {b})"),
-            run.total_rounds().to_string(),
-            format!("{fs_ms:.0}"),
-            stats.rounds.to_string(),
-            stats.messages.to_string(),
-            format!("{ver_ms:.0}"),
-            format!("{}/{}", good, partition.part_count()),
-        ],
-        stats.rounds,
-    )
+    vec![
+        family.to_string(),
+        graph.node_count().to_string(),
+        graph.edge_count().to_string(),
+        partition.part_count().to_string(),
+        format!("({c}, {b})"),
+        run.total_rounds().to_string(),
+        format!("{fs_ms:.0}"),
+        stats.rounds.to_string(),
+        stats.messages.to_string(),
+        format!("{ver_ms:.0}"),
+        format!("{}/{}", good, partition.part_count()),
+    ]
+}
+
+/// The E9/E10 table around its [`scale_row`]s.
+fn scale_table(title: String, rows: Vec<Vec<String>>) -> Table {
+    Table {
+        title,
+        headers: columns(&[
+            "family",
+            "n",
+            "m",
+            "N",
+            "(c, b)",
+            "fs rounds",
+            "fs ms",
+            "ver rounds",
+            "ver messages",
+            "ver ms",
+            "good",
+        ]),
+        rows,
+        wall_clock: columns(&["fs ms", "ver ms"]),
+        extra: None,
+    }
 }
 
 /// E9 — the scale tier: FindShortcut plus the Lemma 3 distributed
@@ -715,75 +749,46 @@ fn scale_row(
 /// the row's FindShortcut plus verification.
 pub fn e9_scale_table() -> Table {
     let mut rows = Vec::new();
-    let mut push_row =
-        |family: &str, graph: &Graph, partition: &Partition, cb: Option<(usize, usize)>| {
-            let mut session = session_on(graph, 42);
-            let (c, b) = cb.unwrap_or_else(|| {
-                let (_, reference) = reference_parameters(graph, session.tree(), partition);
-                (
-                    reference.congestion.max(1),
-                    reference.block_parameter.max(1),
-                )
-            });
-            let (cells, _) = scale_row(&mut session, partition, (c, b));
-            let mut row = vec![family.to_string()];
-            row.extend(cells);
-            rows.push(row);
-        };
-
     {
         let graph = generators::grid(100, 100);
         let partition = generators::partitions::grid_columns(100, 100);
-        push_row("grid 100x100, columns", &graph, &partition, None);
+        rows.push(scale_row("grid 100x100, columns", &graph, &partition, None));
     }
     {
         let graph = generators::torus(64, 64);
         let partition = generators::partitions::random_bfs_balls(&graph, 64, 11);
-        push_row("torus 64x64, 64 BFS balls", &graph, &partition, None);
+        rows.push(scale_row(
+            "torus 64x64, 64 BFS balls",
+            &graph,
+            &partition,
+            None,
+        ));
     }
     {
         let graph = generators::random_connected(100_000, 100_000, 13);
         let partition = generators::partitions::random_bfs_balls(&graph, 100, 7);
         let parts = partition.part_count();
-        push_row(
+        rows.push(scale_row(
             "random n=1e5 m=+1e5, 100 BFS balls",
             &graph,
             &partition,
             Some((parts, 1)),
-        );
+        ));
     }
-
-    Table {
-        title: "E9: scale tier — FindShortcut + distributed verification at n = 10^4..10^5 (wall-clock ms per step)"
+    scale_table(
+        "E9: scale tier — FindShortcut + distributed verification at n = 10^4..10^5 (wall-clock ms per step)"
             .to_string(),
-        headers: [
-            "family",
-            "n",
-            "m",
-            "N",
-            "(c, b)",
-            "fs rounds",
-            "fs ms",
-            "ver rounds",
-            "ver messages",
-            "ver ms",
-            "good",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
         rows,
-    }
+    )
 }
 
 /// E10 — the 10⁶-node tier: the E9 pipeline (FindShortcut + Lemma 3
 /// distributed verification as real message passing) one order of magnitude
 /// up, run on the shard count selected by `LCS_THREADS` / `--threads`
-/// (recorded in the `threads` column). The values of every row are
-/// byte-identical for every thread count — the round loop's determinism
-/// invariant —
-/// so this table doubles as the speedup-vs-threads measurement for
-/// `BENCH_SCALE.json`.
+/// (named in the title; the JSON document records it as `threads`). The
+/// values of every row are byte-identical for every thread count — the
+/// round loop's determinism invariant — so this table doubles as the
+/// speedup-vs-threads measurement for `BENCH_SCALE.json`.
 ///
 /// All rows use known-feasible parameters instead of
 /// `reference_parameters`. Grid columns admit `(side - 1, 1)` (the measured
@@ -795,71 +800,46 @@ pub fn e9_scale_table() -> Table {
 /// eccentricity is within one of the diameter, and only a BFS next to
 /// such a node can drop it.
 pub fn e10_scale_table() -> Table {
-    let mut threads = 0usize;
     let mut rows = Vec::new();
-    let mut push_row =
-        |family: &str, graph: &Graph, partition: &Partition, (c, b): (usize, usize)| {
-            let mut session = session_on(graph, 42);
-            threads = session.threads();
-            let (cells, _) = scale_row(&mut session, partition, (c, b));
-            let mut row = vec![family.to_string()];
-            row.extend(cells[..3].iter().cloned());
-            row.push(session.threads().to_string());
-            row.extend(cells[3..].iter().cloned());
-            rows.push(row);
-        };
-
     {
         let graph = generators::grid(320, 320);
         let partition = generators::partitions::grid_columns(320, 320);
-        push_row("grid 320x320, columns", &graph, &partition, (319, 1));
+        rows.push(scale_row(
+            "grid 320x320, columns",
+            &graph,
+            &partition,
+            Some((319, 1)),
+        ));
     }
     {
         let graph = generators::torus(256, 256);
         let partition = generators::partitions::random_bfs_balls(&graph, 256, 11);
         let parts = partition.part_count();
-        push_row(
+        rows.push(scale_row(
             "torus 256x256, 256 BFS balls",
             &graph,
             &partition,
-            (parts, 1),
-        );
+            Some((parts, 1)),
+        ));
     }
     {
         let graph = generators::random_connected(1_000_000, 1_000_000, 13);
         let partition = generators::partitions::random_bfs_balls(&graph, 128, 7);
         let parts = partition.part_count();
-        push_row(
+        rows.push(scale_row(
             "random n=1e6 m=+1e6, 128 BFS balls",
             &graph,
             &partition,
-            (parts, 1),
-        );
+            Some((parts, 1)),
+        ));
     }
-
-    Table {
-        title: format!(
-            "E10: 10^6-node tier — FindShortcut + distributed verification on the sharded engine ({threads} thread(s); values identical for every thread count)"
+    scale_table(
+        format!(
+            "E10: 10^6-node tier — FindShortcut + distributed verification on the sharded engine ({} thread(s); values identical for every thread count)",
+            lcs_api::graph::configured_threads()
         ),
-        headers: [
-            "family",
-            "n",
-            "m",
-            "N",
-            "threads",
-            "(c, b)",
-            "fs rounds",
-            "fs ms",
-            "ver rounds",
-            "ver messages",
-            "ver ms",
-            "good",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
         rows,
-    }
+    )
 }
 
 /// E11 — the serving tier: many queries over partitions of one graph,
@@ -1010,7 +990,7 @@ pub fn e11_serving_table() -> Table {
     Table {
         title: "E11: serving — warm Session reuse vs cold per-query pipeline setup (results asserted byte-identical; wall-clock ms per query)"
             .to_string(),
-        headers: [
+        headers: columns(&[
             "family",
             "shape",
             "n",
@@ -1019,11 +999,10 @@ pub fn e11_serving_table() -> Table {
             "cold ms/q",
             "cold/warm",
             "equal",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
+        wall_clock: columns(&["warm ms/q", "cold ms/q", "cold/warm"]),
+        extra: None,
     }
 }
 
@@ -1039,12 +1018,12 @@ pub fn e11_serving_table() -> Table {
 /// of a mixed trace pushes p99 far past p50; the closed loop reports pure
 /// service time for contrast. Every configuration is run twice and the
 /// `det` column asserts the two result-value digests are identical — the
-/// determinism contract the workload layer guarantees at any thread count.
+/// determinism contract the workload layer guarantees at any thread count;
+/// `digest` prints that result-value digest.
 ///
-/// Returns the table plus a JSON document with each row's *full* latency
-/// histogram (the `--json` output embeds it under `"extra"`), because
+/// The table's `extra` holds each row's *full* latency histogram, because
 /// p50/p95/p99 alone cannot show a bimodal service-time split.
-pub fn e13_workload_table() -> (Table, String) {
+pub fn e13_workload_table() -> Table {
     use lcs_workload::{run_workload, Corpus, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec};
 
     const QUERIES: usize = 160;
@@ -1079,7 +1058,7 @@ pub fn e13_workload_table() -> (Table, String) {
 
     let micros = |nanos: u64| format!("{:.1}", nanos as f64 / 1e3);
     let mut rows = Vec::new();
-    let mut extras = Vec::new();
+    let mut histograms = Vec::new();
     for corpus in &corpora {
         for &theta in &[0.0f64, 1.0] {
             for &mix in &[QueryMix::consume(), QueryMix::mixed()] {
@@ -1101,38 +1080,26 @@ pub fn e13_workload_table() -> (Table, String) {
                         micros(h.quantile(0.99)),
                         micros(h.max()),
                         format!("{:.0}", outcome.throughput_qps()),
+                        format!("{:016x}", outcome.digest),
                         deterministic.to_string(),
                     ]);
-                    extras.push(format!(
-                        "{{\"family\":\"{}\",\"mode\":\"{}\",\"theta\":{theta:.1},\"mix\":\"{}\",\"clients\":{},\"queries\":{},\"qps\":{:.1},\"deterministic\":{},\"digest\":{},\"histogram\":{}}}",
-                        corpus.label(),
-                        mode.label(),
-                        mix.label(),
-                        mode.clients(),
-                        outcome.queries,
-                        outcome.throughput_qps(),
-                        deterministic,
-                        outcome.digest,
-                        h.to_json(),
-                    ));
+                    histograms.push(h.to_json());
                 }
             }
         }
     }
 
-    let table = Table {
+    Table {
         title: "E13: workload serving — open/closed-loop clients, Zipf(theta) traffic over pre-built corpora (latency in microseconds; det = rerun digests identical)"
             .to_string(),
-        headers: [
+        headers: columns(&[
             "family", "mode", "theta", "mix", "queries", "clients", "p50 us", "p95 us", "p99 us",
-            "max us", "qps", "det",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+            "max us", "qps", "digest", "det",
+        ]),
         rows,
-    };
-    (table, format!("{{\"rows\":[{}]}}", extras.join(",")))
+        wall_clock: columns(&["p50 us", "p95 us", "p99 us", "max us", "qps"]),
+        extra: Some(format!("{{\"histograms\":[{}]}}", histograms.join(","))),
+    }
 }
 
 /// One E14 measurement: the operation timed with instrumentation off and
@@ -1194,15 +1161,15 @@ fn obs_row(label: &str, n: usize, mut run: impl FnMut(&lcs_obs::Obs)) -> ObsRow 
 /// gauges, timers, and spans. `det` asserts the counter half of the
 /// snapshot is byte-identical across two independent recording runs —
 /// counters are thread- and rerun-invariant facts, timers are
-/// measurements. The extra JSON payload carries each row's full
+/// measurements. The table's `extra` holds each row's full
 /// [`lcs_obs::MetricsSnapshot`].
-pub fn e14_obs_table() -> (Table, String) {
+pub fn e14_obs_table() -> Table {
     use lcs_workload::{
         run_workload_obs, Corpus, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec,
     };
 
     let mut rows = Vec::new();
-    let mut extras = Vec::new();
+    let mut snapshots = Vec::new();
     let mut push = |row: ObsRow| {
         rows.push(vec![
             row.label.clone(),
@@ -1214,17 +1181,7 @@ pub fn e14_obs_table() -> (Table, String) {
             format!("{:016x}", row.snapshot.counters_digest()),
             row.deterministic.to_string(),
         ]);
-        extras.push(format!(
-            "{{\"label\":\"{}\",\"n\":{},\"off_ms\":{:.3},\"on_ms\":{:.3},\"overhead_pct\":{:.2},\"counters_digest\":\"{:016x}\",\"deterministic\":{},\"snapshot\":{}}}",
-            lcs_obs::json::escape(&row.label),
-            row.n,
-            row.off_ms,
-            row.on_ms,
-            row.overhead_pct(),
-            row.snapshot.counters_digest(),
-            row.deterministic,
-            row.snapshot.to_json(),
-        ));
+        snapshots.push(row.snapshot.to_json());
     };
 
     // Simulated verification rows: the operation E9 times. The shortcut is
@@ -1293,10 +1250,10 @@ pub fn e14_obs_table() -> (Table, String) {
         ));
     }
 
-    let table = Table {
+    Table {
         title: "E14: instrumentation overhead — recorder off vs on (det = counter snapshots of two recording runs byte-identical)"
             .to_string(),
-        headers: [
+        headers: columns(&[
             "operation",
             "n",
             "off ms",
@@ -1305,13 +1262,11 @@ pub fn e14_obs_table() -> (Table, String) {
             "counters",
             "ctr digest",
             "det",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
-    };
-    (table, format!("{{\"rows\":[{}]}}", extras.join(",")))
+        wall_clock: columns(&["off ms", "on ms", "overhead %"]),
+        extra: Some(format!("{{\"snapshots\":[{}]}}", snapshots.join(","))),
+    }
 }
 
 /// E15 — robustness tier: fault-injected simulated verification across
@@ -1322,10 +1277,8 @@ pub fn e14_obs_table() -> (Table, String) {
 /// rounds) are byte-identical — fault draws are a pure function of the
 /// plan, never of thread count or rerun. `inflate` is the executed-round
 /// inflation over the fault-free simulated baseline; the verdict is
-/// asserted correct (all parts good, as fault-free) on every row. The
-/// extra JSON payload carries each row's digest for the cross-thread
-/// assertion CI performs on `BENCH_FAULTS_T{1,4}.json`.
-pub fn e15_faults_table() -> (Table, String) {
+/// asserted correct (all parts good, as fault-free) on every row.
+pub fn e15_faults_table() -> Table {
     use lcs_api::existential::ancestor_shortcut;
     use lcs_api::{FaultPlan, VerifyRun};
 
@@ -1364,85 +1317,71 @@ pub fn e15_faults_table() -> (Table, String) {
     }
 
     let mut rows = Vec::new();
-    let mut extras = Vec::new();
-    let mut instance = |label: &str,
-                        graph: &Graph,
-                        partition: &Partition,
-                        plans: &[(&str, FaultPlan)]| {
-        let setup = session_on(graph, 42);
-        let shortcut = ancestor_shortcut(graph, setup.tree(), partition);
-        // Two supersteps of flood slack above the exact block parameter,
-        // so the fault-free verdict is all-good with margin to spare.
-        let threshold = setup
-            .quality(&shortcut, partition)
-            .expect("partition matches the instance graph")
-            .block_parameter
-            + 2;
-        let plain_session = Pipeline::on(graph)
-            .seed(42)
-            .execution(ExecutionMode::Simulated)
-            .build()
-            .expect("E15 instances are nonempty and connected");
-        let plain = plain_session
-            .verify(&shortcut, partition, threshold)
-            .expect("fault-free verification runs");
-        assert!(
-            plain.good.iter().all(|&g| g),
-            "E15 baseline must verify all-good on {label}"
-        );
-        let plain_rounds = plain.report.rounds_executed.unwrap_or(0).max(1);
-        for (fault_label, plan) in plans {
-            let run_once = || {
-                let obs = lcs_obs::Obs::recording();
-                let session = Pipeline::on(graph)
-                    .seed(42)
-                    .execution(ExecutionMode::Simulated)
-                    .fault(*plan)
-                    .recorder(obs.clone())
-                    .build()
-                    .expect("E15 instances are nonempty and connected");
-                let run = session
-                    .verify(&shortcut, partition, threshold)
-                    .expect("E15 fault plans must heal to a decisive verdict");
-                (run, obs.snapshot().counters_digest())
-            };
-            let (run, counters) = run_once();
-            let (rerun, recounters) = run_once();
+    let mut instance =
+        |label: &str, graph: &Graph, partition: &Partition, plans: &[(&str, FaultPlan)]| {
+            let setup = session_on(graph, 42);
+            let shortcut = ancestor_shortcut(graph, setup.tree(), partition);
+            // Two supersteps of flood slack above the exact block parameter,
+            // so the fault-free verdict is all-good with margin to spare.
+            let threshold = setup
+                .quality(&shortcut, partition)
+                .expect("partition matches the instance graph")
+                .block_parameter
+                + 2;
+            let plain_session = Pipeline::on(graph)
+                .seed(42)
+                .execution(ExecutionMode::Simulated)
+                .build()
+                .expect("E15 instances are nonempty and connected");
+            let plain = plain_session
+                .verify(&shortcut, partition, threshold)
+                .expect("fault-free verification runs");
             assert!(
-                run.good.iter().all(|&g| g),
-                "E15 fault plan {fault_label} on {label} must heal to the all-good verdict"
+                plain.good.iter().all(|&g| g),
+                "E15 baseline must verify all-good on {label}"
             );
-            let digest = digest_of(&run, counters);
-            let deterministic = digest == digest_of(&rerun, recounters);
-            let rounds = run.report.rounds_executed.unwrap_or(0);
-            let epochs = metric(&run, "retry_epochs").unwrap_or(1);
-            let stalls = metric(&run, "retry_stalls").unwrap_or(0);
-            rows.push(vec![
-                label.to_string(),
-                graph.node_count().to_string(),
-                fault_label.to_string(),
-                plain_rounds.to_string(),
-                rounds.to_string(),
-                format!("{:.2}x", rounds as f64 / plain_rounds as f64),
-                epochs.to_string(),
-                stalls.to_string(),
-                run.good.iter().all(|&g| g).to_string(),
-                format!("{digest:016x}"),
-                deterministic.to_string(),
-            ]);
-            extras.push(format!(
-                    "{{\"instance\":\"{}\",\"fault\":\"{}\",\"plain_rounds\":{},\"rounds\":{},\"epochs\":{},\"stalls\":{},\"digest\":\"{:016x}\",\"deterministic\":{}}}",
-                    lcs_obs::json::escape(label),
-                    lcs_obs::json::escape(fault_label),
-                    plain_rounds,
-                    rounds,
-                    epochs,
-                    stalls,
-                    digest,
-                    deterministic,
-                ));
-        }
-    };
+            let plain_rounds = plain.report.rounds_executed.unwrap_or(0).max(1);
+            for (fault_label, plan) in plans {
+                let run_once = || {
+                    let obs = lcs_obs::Obs::recording();
+                    let session = Pipeline::on(graph)
+                        .seed(42)
+                        .execution(ExecutionMode::Simulated)
+                        .fault(*plan)
+                        .recorder(obs.clone())
+                        .build()
+                        .expect("E15 instances are nonempty and connected");
+                    let run = session
+                        .verify(&shortcut, partition, threshold)
+                        .expect("E15 fault plans must heal to a decisive verdict");
+                    (run, obs.snapshot().counters_digest())
+                };
+                let (run, counters) = run_once();
+                let (rerun, recounters) = run_once();
+                assert!(
+                    run.good.iter().all(|&g| g),
+                    "E15 fault plan {fault_label} on {label} must heal to the all-good verdict"
+                );
+                let digest = digest_of(&run, counters);
+                let deterministic = digest == digest_of(&rerun, recounters);
+                let rounds = run.report.rounds_executed.unwrap_or(0);
+                let epochs = metric(&run, "retry_epochs").unwrap_or(1);
+                let stalls = metric(&run, "retry_stalls").unwrap_or(0);
+                rows.push(vec![
+                    label.to_string(),
+                    graph.node_count().to_string(),
+                    fault_label.to_string(),
+                    plain_rounds.to_string(),
+                    rounds.to_string(),
+                    format!("{:.2}x", rounds as f64 / plain_rounds as f64),
+                    epochs.to_string(),
+                    stalls.to_string(),
+                    run.good.iter().all(|&g| g).to_string(),
+                    format!("{digest:016x}"),
+                    deterministic.to_string(),
+                ]);
+            }
+        };
 
     // The full fault matrix on the grid family; crash schedules always
     // restart (a permanent crash is the degraded-error path, exercised by
@@ -1509,10 +1448,10 @@ pub fn e15_faults_table() -> (Table, String) {
         );
     }
 
-    let table = Table {
+    Table {
         title: "E15: robustness — fault-injected verification (verdict asserted correct; det = digests of two same-plan runs identical)"
             .to_string(),
-        headers: [
+        headers: columns(&[
             "instance",
             "n",
             "fault plan",
@@ -1524,13 +1463,11 @@ pub fn e15_faults_table() -> (Table, String) {
             "good",
             "digest",
             "det",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
-    };
-    (table, format!("{{\"rows\":[{}]}}", extras.join(",")))
+        wall_clock: Vec::new(),
+        extra: None,
+    }
 }
 
 /// E16 — update-vs-rebuild tier: incremental decomposition repair
@@ -1543,10 +1480,8 @@ pub fn e15_faults_table() -> (Table, String) {
 /// edge sets, the quality record, per-part verdicts); `det` asserts the
 /// repaired and rebuilt digests are byte-identical — the part-scoped
 /// seeds are anchored at each part's minimum member, so reuse never
-/// changes a single byte. The extra JSON payload carries each row's
-/// digest for the cross-thread assertion CI performs on
-/// `BENCH_REPAIR_T{1,4}.json`.
-pub fn e16_repair_table() -> (Table, String) {
+/// changes a single byte.
+pub fn e16_repair_table() -> Table {
     use lcs_api::{PartitionDelta, RepairRun};
 
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1617,7 +1552,6 @@ pub fn e16_repair_table() -> (Table, String) {
     }
 
     let mut rows = Vec::new();
-    let mut extras = Vec::new();
     let mut instance = |label: &str, graph: &Graph, partition: &Partition, seed: u64| {
         let session = session_on(graph, seed);
         let baseline = session
@@ -1667,18 +1601,6 @@ pub fn e16_repair_table() -> (Table, String) {
                 format!("{digest:016x}"),
                 deterministic.to_string(),
             ]);
-            extras.push(format!(
-                "{{\"instance\":\"{}\",\"shape\":\"{}\",\"moved\":{},\"repaired_parts\":{},\"reused_parts\":{},\"repair_ms\":{:.3},\"rebuild_ms\":{:.3},\"digest\":\"{:016x}\",\"deterministic\":{}}}",
-                lcs_obs::json::escape(label),
-                lcs_obs::json::escape(shape),
-                moved,
-                repaired.repaired_parts,
-                repaired.reused_parts,
-                repair_ms,
-                rebuild_ms,
-                digest,
-                deterministic,
-            ));
         }
     };
 
@@ -1697,10 +1619,10 @@ pub fn e16_repair_table() -> (Table, String) {
         instance("random n=10^4 bfs balls", &graph, &partition, 33);
     }
 
-    let table = Table {
+    Table {
         title: "E16: incremental repair — repair_from vs full rebuild (det = repaired and rebuilt digests identical)"
             .to_string(),
-        headers: [
+        headers: columns(&[
             "instance",
             "n",
             "parts",
@@ -1713,78 +1635,73 @@ pub fn e16_repair_table() -> (Table, String) {
             "speedup",
             "digest",
             "det",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
-    };
-    (table, format!("{{\"rows\":[{}]}}", extras.join(",")))
+        wall_clock: columns(&["repair ms", "rebuild ms", "speedup"]),
+        extra: None,
+    }
 }
 
 /// A built table together with the wall-clock time it took to build — the
 /// quantity the bench trajectory (`BENCH_SCALE.json`) tracks across PRs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedTable {
-    /// Experiment id (`"e1"` … `"e13"`).
+    /// Experiment id (`"e1"` … `"e17"`).
     pub id: String,
     /// The rendered table.
     pub table: Table,
     /// Wall-clock build time in milliseconds.
     pub millis: f64,
-    /// Optional pre-serialized JSON payload the table builder wants
-    /// embedded verbatim in the `--json` output (E13 ships its full
-    /// latency histograms this way).
-    pub extra_json: Option<String>,
 }
 
 /// Builds a table through `build`, measuring the wall-clock time.
 pub fn timed_table(id: &str, build: impl FnOnce() -> Table) -> TimedTable {
-    timed_table_with_extra(id, || (build(), None))
-}
-
-/// [`timed_table`] for builders that also produce an extra JSON payload
-/// (`Some` to embed it under the table's `"extra"` key).
-pub fn timed_table_with_extra(
-    id: &str,
-    build: impl FnOnce() -> (Table, Option<String>),
-) -> TimedTable {
     let start = std::time::Instant::now();
-    let (table, extra_json) = build();
+    let table = build();
     let millis = start.elapsed().as_secs_f64() * 1e3;
     TimedTable {
         id: id.to_string(),
         table,
         millis,
-        extra_json,
     }
 }
 
 /// Renders a list of tables as a single machine-readable JSON document
 /// (hand-rolled writer: the build environment has no serde). Each table
-/// entry carries its wall-clock build time in milliseconds; the document
-/// records the engine thread count the run used (`--threads` /
+/// entry carries its wall-clock build time in milliseconds, its
+/// `wall_clock` column names and, verbatim, its `extra` document; the
+/// document records the engine thread count the run used (`--threads` /
 /// `LCS_THREADS`), so downstream consumers (the `BENCH_SCALE.json`
 /// trajectory, CI artifacts) can attribute timings to an engine.
+///
+/// # Panics
+///
+/// If a table names a wall-clock column that is not one of its headers.
 pub fn tables_to_json(tables: &[TimedTable], threads: usize) -> String {
     use lcs_obs::json::{escape as esc, string_array};
 
     let mut entries = Vec::new();
     for timed in tables {
         let table = &timed.table;
+        for name in &table.wall_clock {
+            assert!(
+                table.headers.contains(name),
+                "table {} declares wall-clock column {name:?}, which is not one of its headers",
+                timed.id
+            );
+        }
         let rows: Vec<String> = table.rows.iter().map(|r| string_array(r)).collect();
-        // `extra` is a pre-serialized JSON document from the table builder
-        // (e.g. E13's full histograms) and is embedded verbatim.
-        let extra = match &timed.extra_json {
+        let extra = match &table.extra {
             Some(extra) => format!(",\"extra\":{extra}"),
             None => String::new(),
         };
         entries.push(format!(
-            "{{\"id\":\"{}\",\"title\":\"{}\",\"millis\":{:.3},\"headers\":{},\"rows\":[{}]{}}}",
+            "{{\"id\":\"{}\",\"title\":\"{}\",\"millis\":{:.3},\"headers\":{},\"wall_clock\":{},\"rows\":[{}]{}}}",
             esc(&timed.id),
             esc(&table.title),
             timed.millis,
             string_array(&table.headers),
+            string_array(&table.wall_clock),
             rows.join(","),
             extra
         ));
@@ -1807,11 +1724,11 @@ pub fn tables_to_json(tables: &[TimedTable], threads: usize) -> String {
 /// for each mix, the trace is first replayed by one in-process client on
 /// both engines (`Threads::Fixed(1)` and `Fixed(4)`), and the `det` column
 /// asserts the TCP replay's digest multiset equals both baselines — the
-/// wire and the worker interleaving add latency, never values. Each row's
-/// extras record the FNV-1a fold of the *sorted* digest multiset
-/// (order-independent, so byte-comparable across `--threads` runs in CI)
-/// plus the full latency histogram and its p99.9 tail.
-pub fn e17_server_table() -> (Table, String) {
+/// wire and the worker interleaving add latency, never values. The
+/// `digest` column is the FNV-1a fold of the *sorted* digest multiset
+/// (order-independent, so the same for every client count and thread
+/// count); the table's `extra` holds each row's full latency histogram.
+pub fn e17_server_table() -> Table {
     use lcs_api::{Threads, ValueDigest};
     use lcs_obs::Obs;
     use lcs_server::{client, ServerConfig, ServerHandle};
@@ -1861,7 +1778,7 @@ pub fn e17_server_table() -> (Table, String) {
 
     let micros = |nanos: u64| format!("{:.1}", nanos as f64 / 1e3);
     let mut rows = Vec::new();
-    let mut extras = Vec::new();
+    let mut histograms = Vec::new();
     for &mix in &[QueryMix::consume(), QueryMix::mixed()] {
         // Client count does not enter trace generation, so every client
         // count replays the same event sequence.
@@ -1898,34 +1815,25 @@ pub fn e17_server_table() -> (Table, String) {
                 micros(h.quantile(0.95)),
                 micros(h.quantile(0.99)),
                 format!("{:.0}", outcome.throughput_qps()),
+                format!("{:016x}", fold(&served)),
                 deterministic.to_string(),
             ]);
-            extras.push(format!(
-                "{{\"mix\":\"{}\",\"clients\":{clients},\"queries\":{},\"qps\":{:.1},\"deterministic\":{deterministic},\"digest_multiset_fold\":{},\"p999_nanos\":{},\"histogram\":{}}}",
-                mix.label(),
-                outcome.queries,
-                outcome.throughput_qps(),
-                fold(&served),
-                h.p999(),
-                h.to_json(),
-            ));
+            histograms.push(h.to_json());
         }
     }
     client::shutdown(server.addr()).expect("server shuts down");
     server.join().expect("server drains");
 
-    let table = Table {
+    Table {
         title: "E17: concurrent TCP serving — one warm session, loopback clients (latency in microseconds; det = digest multiset equals sequential serve_shared on both engines)"
             .to_string(),
-        headers: [
-            "mix", "clients", "queries", "p50 us", "p95 us", "p99 us", "qps", "det",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        headers: columns(&[
+            "mix", "clients", "queries", "p50 us", "p95 us", "p99 us", "qps", "digest", "det",
+        ]),
         rows,
-    };
-    (table, format!("{{\"rows\":[{}]}}", extras.join(",")))
+        wall_clock: columns(&["p50 us", "p95 us", "p99 us", "qps"]),
+        extra: Some(format!("{{\"histograms\":[{}]}}", histograms.join(","))),
+    }
 }
 
 #[cfg(test)]
@@ -1938,6 +1846,8 @@ mod tests {
             title: "demo".to_string(),
             headers: vec!["a".to_string(), "long-header".to_string()],
             rows: vec![vec!["1".to_string(), "2".to_string()]],
+            wall_clock: Vec::new(),
+            extra: None,
         };
         let text = render_table(&table);
         assert!(text.contains("## demo"));
@@ -1970,15 +1880,16 @@ mod tests {
     fn json_writer_escapes_and_structures() {
         let table = Table {
             title: "with \"quotes\" and\nnewline".to_string(),
-            headers: vec!["a".to_string()],
-            rows: vec![vec!["x\\y".to_string()]],
+            headers: vec!["a".to_string(), "ms".to_string()],
+            rows: vec![vec!["x\\y".to_string(), "1.5".to_string()]],
+            wall_clock: vec!["ms".to_string()],
+            extra: None,
         };
         let json = tables_to_json(
             &[TimedTable {
                 id: "t1".to_string(),
                 table,
                 millis: 12.5,
-                extra_json: None,
             }],
             4,
         );
@@ -1987,6 +1898,7 @@ mod tests {
         assert!(json.contains("x\\\\y"));
         assert!(json.contains("\"millis\":12.500"));
         assert!(json.contains("\"threads\":4"));
+        assert!(json.contains("\"headers\":[\"a\",\"ms\"],\"wall_clock\":[\"ms\"],"));
         assert!(!json.contains("\"extra\""));
         assert!(json.starts_with("{\"generator\":\"experiments\""));
         assert!(json.trim_end().ends_with("]}"));
@@ -1998,22 +1910,32 @@ mod tests {
 
     #[test]
     fn json_writer_embeds_extra_payloads_verbatim() {
-        let timed = timed_table_with_extra("e13", || {
-            (
-                Table {
-                    title: "t".to_string(),
-                    headers: vec!["h".to_string()],
-                    rows: vec![vec!["1".to_string()]],
-                },
-                Some("{\"rows\":[{\"p99\":7}]}".to_string()),
-            )
+        let timed = timed_table("e13", || Table {
+            title: "t".to_string(),
+            headers: vec!["h".to_string()],
+            rows: vec![vec!["1".to_string()]],
+            wall_clock: Vec::new(),
+            extra: Some("{\"histograms\":[{\"p99\":7}]}".to_string()),
         });
         let json = tables_to_json(&[timed], 1);
         assert!(
-            json.contains(",\"extra\":{\"rows\":[{\"p99\":7}]}}"),
+            json.contains(",\"extra\":{\"histograms\":[{\"p99\":7}]}}"),
             "extra payload missing: {json}"
         );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    #[should_panic(expected = "table e9 declares wall-clock column \"fs ms\"")]
+    fn json_writer_rejects_a_wall_clock_column_that_is_not_a_header() {
+        let timed = timed_table("e9", || Table {
+            title: "t".to_string(),
+            headers: vec!["fs rounds".to_string()],
+            rows: vec![vec!["1".to_string()]],
+            wall_clock: vec!["fs ms".to_string()],
+            extra: None,
+        });
+        tables_to_json(&[timed], 1);
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub mod partitions;
 pub use basic::{binary_tree, caterpillar, complete, cycle, lollipop, path, star, wheel};
 pub use grids::{genus_handles, grid, grid_node, torus, triangulated_grid};
 pub use lower_bound::{lower_bound_graph, LowerBoundLayout};
-pub use random::{erdos_renyi_connected, random_connected, random_tree};
+pub use random::{random_connected, random_tree};

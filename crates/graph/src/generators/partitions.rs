@@ -55,46 +55,6 @@ pub fn grid_rows(rows: usize, cols: usize) -> Partition {
     b.build()
 }
 
-/// Partitions a `rows × cols` grid into `block_rows × block_cols` aligned
-/// rectangular blocks (the final blocks absorb any remainder).
-///
-/// # Panics
-///
-/// Panics if any dimension is zero or the block dimensions exceed the grid.
-pub fn grid_blocks(rows: usize, cols: usize, block_rows: usize, block_cols: usize) -> Partition {
-    assert!(rows >= 1 && cols >= 1, "grid dimensions must be positive");
-    assert!(
-        (1..=rows).contains(&block_rows) && (1..=cols).contains(&block_cols),
-        "block dimensions must be positive and at most the grid dimensions"
-    );
-    let row_blocks = rows / block_rows;
-    let col_blocks = cols / block_cols;
-    let mut b = PartitionBuilder::new(rows * cols);
-    for br in 0..row_blocks {
-        for bc in 0..col_blocks {
-            let row_end = if br + 1 == row_blocks {
-                rows
-            } else {
-                (br + 1) * block_rows
-            };
-            let col_end = if bc + 1 == col_blocks {
-                cols
-            } else {
-                (bc + 1) * block_cols
-            };
-            let mut members = Vec::new();
-            for r in br * block_rows..row_end {
-                for c in bc * block_cols..col_end {
-                    members.push(grid_node(rows, cols, r, c));
-                }
-            }
-            b.add_part(members)
-                .expect("blocks are disjoint and nonempty");
-        }
-    }
-    b.build()
-}
-
 /// The two interleaved "comb" parts of a `rows × cols` grid: part 0 is the
 /// top row plus every odd column's interior, part 1 is the bottom row plus
 /// every even column's interior. Both parts are connected and their
@@ -200,17 +160,6 @@ mod tests {
         assert_eq!(rows.part_count(), 6);
         rows.validate(&g).unwrap();
         assert_eq!(rows.part_diameter(&g, PartId::new(0)), 8);
-    }
-
-    #[test]
-    fn grid_blocks_cover_with_remainder() {
-        let g = generators::grid(7, 7);
-        let p = grid_blocks(7, 7, 3, 3);
-        // 2 x 2 blocks; the last block in each dimension absorbs the
-        // remainder, so every node is covered.
-        assert_eq!(p.part_count(), 4);
-        assert_eq!(p.assigned_count(), 49);
-        p.validate(&g).unwrap();
     }
 
     #[test]

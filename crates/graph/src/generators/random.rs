@@ -58,35 +58,6 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> Graph {
     b.build()
 }
 
-/// An Erdős–Rényi `G(n, p)` graph conditioned on connectivity: edges are
-/// sampled independently with probability `p`, and a random spanning tree is
-/// added afterwards so the result is always connected.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `p` is not in `[0, 1]`.
-pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Graph {
-    assert!(n >= 1, "graph needs at least one node");
-    assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let expected = (p * (n * (n - 1) / 2) as f64).ceil() as usize + n;
-    let mut b = GraphBuilder::with_capacity(n, expected);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.gen_bool(p) {
-                b.add_edge(NodeId::new(i), NodeId::new(j)).expect("i != j");
-            }
-        }
-    }
-    // Ensure connectivity with a random recursive tree overlay.
-    for i in 1..n {
-        let parent = rng.gen_range(0..i);
-        b.add_edge(NodeId::new(parent), NodeId::new(i))
-            .expect("parent < i");
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,20 +90,8 @@ mod tests {
     }
 
     #[test]
-    fn erdos_renyi_connected_is_connected_at_any_density() {
-        for &p in &[0.0, 0.05, 0.5, 1.0] {
-            let g = erdos_renyi_connected(25, p, 3);
-            assert!(is_connected(&g), "p = {p}");
-        }
-        // p = 1 gives the complete graph.
-        let g = erdos_renyi_connected(10, 1.0, 0);
-        assert_eq!(g.edge_count(), 45);
-    }
-
-    #[test]
     fn single_node_graphs() {
         assert_eq!(random_tree(1, 0).edge_count(), 0);
         assert_eq!(random_connected(1, 10, 0).edge_count(), 0);
-        assert_eq!(erdos_renyi_connected(1, 0.5, 0).edge_count(), 0);
     }
 }

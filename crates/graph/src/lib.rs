@@ -68,7 +68,7 @@ pub use ids::{EdgeId, NodeId, PartId};
 pub use mst::{kruskal_mst, mst_weight, prim_mst};
 pub use partition::{Partition, PartitionBuilder};
 pub use sharding::{configured_threads, ShardMap, Threads};
-pub use traversal::{bfs_distances, bfs_order, connected_components, is_connected, BfsResult};
+pub use traversal::{bfs_distances, connected_components, is_connected, BfsResult};
 pub use tree::RootedTree;
 pub use unified_error::{LcsError, LcsResult};
 pub use union_find::UnionFind;

@@ -86,15 +86,6 @@ where
     }
 }
 
-/// Returns the nodes of the graph in BFS order from `source`.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range.
-pub fn bfs_order(graph: &Graph, source: NodeId) -> Vec<NodeId> {
-    bfs_distances(graph, source).order
-}
-
 /// Returns `true` if the graph is connected. The empty graph counts as
 /// connected.
 pub fn is_connected(graph: &Graph) -> bool {
