@@ -16,11 +16,12 @@ use std::time::Instant;
 use lcs_congest::{FaultPlan, RoundCost, RoundTrace, SimConfig};
 use lcs_core::construction::{
     build_corpus, core_fast, core_slow, doubling_search, repair_corpus, verification,
-    CoreFastConfig, CoreOutcome, DoublingConfig, RepairStats, ShortcutCorpus, Verifier,
+    CoreFastConfig, CoreOutcome, DoublingConfig, RepairStats, ShortcutCorpus, VerificationOutcome,
+    Verifier,
 };
 use lcs_core::routing::ExecutionMode;
 use lcs_core::{QualityPool, ShortcutQuality, TreeShortcut};
-use lcs_dist::{verification_simulated, BlockCounting};
+use lcs_dist::{verification_simulated, BlockCounting, DistVerificationOutcome};
 use lcs_graph::{
     is_connected, EdgeId, EdgeWeights, Graph, GraphError, LcsError, Partition, PartitionDelta,
     RootedTree, Threads,
@@ -125,13 +126,14 @@ impl<'g> Pipeline<'g> {
         self
     }
 
-    /// Injects a deterministic fault plan into `Simulated` verification
-    /// queries: per-edge latency, message loss/duplication, stragglers, and
-    /// crash schedules, all a pure function of the plan's seed. Only
-    /// [`Session::verify`] runs under the plan (it retries stalled epochs);
-    /// construction and MST queries run fault-free so their exact round
-    /// accounting stays meaningful. An inactive plan (all knobs zero) is
-    /// identical to no plan at all.
+    /// Injects a deterministic fault plan into `Simulated` queries:
+    /// per-edge latency, message loss/duplication, stragglers, and crash
+    /// schedules, all a pure function of the plan's seed. Every query that
+    /// passes messages runs under the plan and answers exactly as without
+    /// it — the same shortcut, repair corpus, MST edges, verdicts and block
+    /// counts — or returns [`LcsError::Degraded`]; only rounds and traffic
+    /// grow. An inactive plan (all knobs zero) is identical to no plan at
+    /// all.
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -478,40 +480,51 @@ impl<'g> Session<'g> {
         Ok(())
     }
 
-    /// The verification subroutine every construction of the session runs
-    /// with — shortcut queries, repair builds and every Boruvka phase:
-    /// `Scheduled` uses the centralized Lemma 3 verification, `Simulated`
-    /// the message-passing block counting with the session's simulator
-    /// configuration (threads and tracing included) and recorder.
-    ///
-    /// Construction attempts run fault-free even when the session injects
-    /// faults into `verify`: the doubling search interprets a failed
-    /// verification as "guess too small", which a fault-induced stall
-    /// would corrupt.
+    /// The session's one Lemma 3 verification, behind [`Session::verify`]
+    /// and every construction's verifier: `Scheduled` runs the centralized
+    /// schedule, `Simulated` the message-passing block counting with the
+    /// session's simulator configuration (threads, tracing and fault plan
+    /// included) and recorder, whose run comes back beside the outcome.
+    fn classify(
+        &self,
+        graph: &Graph,
+        tree: &RootedTree,
+        partition: &Partition,
+        shortcut: &TreeShortcut,
+        threshold: usize,
+        active: &[bool],
+    ) -> lcs_dist::Result<(VerificationOutcome, Option<DistVerificationOutcome>)> {
+        if self.execution == ExecutionMode::Scheduled {
+            let outcome = verification(graph, tree, partition, shortcut, threshold, active);
+            return Ok((outcome, None));
+        }
+        let question = BlockCounting {
+            graph,
+            tree,
+            partition,
+            shortcut,
+            threshold,
+            active,
+        };
+        let run = verification_simulated(&question, Some(self.sim_config), &self.obs)?;
+        Ok((run.outcome.clone(), Some(run)))
+    }
+
+    /// The verifier every construction of the session runs with — shortcut
+    /// queries, repair builds and every Boruvka phase: [`Session::classify`].
+    /// Under a fault plan its outcome is the fault-free one or a typed
+    /// `Degraded` error, never a failed verification the doubling search
+    /// would read as "guess too small".
     fn verifier(&self) -> impl Verifier + '_ {
-        let sim_config = self.sim_config.without_fault();
         move |graph: &Graph,
               tree: &RootedTree,
               partition: &Partition,
               shortcut: &TreeShortcut,
               threshold: usize,
-              active: &[bool]| match self.execution {
-            ExecutionMode::Scheduled => Ok(verification(
-                graph, tree, partition, shortcut, threshold, active,
-            )),
-            ExecutionMode::Simulated => {
-                let question = BlockCounting {
-                    graph,
-                    tree,
-                    partition,
-                    shortcut,
-                    threshold,
-                    active,
-                };
-                verification_simulated(&question, Some(sim_config), &self.obs)
-                    .map(|run| run.outcome)
-                    .map_err(lcs_core::CoreError::from)
-            }
+              active: &[bool]| {
+            Ok(self
+                .classify(graph, tree, partition, shortcut, threshold, active)?
+                .0)
         }
     }
 
@@ -525,7 +538,8 @@ impl<'g> Session<'g> {
     /// node count, [`LcsError::BudgetExhausted`] when a doubling search
     /// ([`Strategy::Doubling`] / [`Strategy::SlowCore`]) exhausts its
     /// doubling budget (`remaining_bad` counts the parts its last attempt
-    /// left bad), and simulation errors from `Simulated` execution. A
+    /// left bad), and simulation errors from `Simulated` execution
+    /// ([`LcsError::Degraded`] when a fault plan stalls every epoch). A
     /// [`Strategy::Fixed`] run — the loop with zero doublings — whose
     /// parameters turn out too small is *not* an error: it returns `Ok`
     /// with [`Report::all_parts_good`] `false` and the partial shortcut.
@@ -599,10 +613,11 @@ impl<'g> Session<'g> {
     /// counting protocol and fills [`Report::sim`] /
     /// [`Report::rounds_executed`].
     ///
-    /// With a [`Pipeline::fault`] plan and `Simulated` execution, stalled
-    /// epochs are retried (see [`lcs_dist::verification_simulated`]), the
-    /// report's rounds and traffic cover every epoch, and it gains
-    /// `retry_epochs` / `retry_stalls` metrics.
+    /// With a [`Pipeline::fault`] plan and `Simulated` execution, incomplete
+    /// epochs are retried (see [`lcs_dist::verification_simulated`]), so the
+    /// verdicts and counts are the fault-free ones; the report's rounds and
+    /// traffic cover every epoch, and it gains `retry_epochs` /
+    /// `retry_stalls` metrics.
     ///
     /// # Errors
     ///
@@ -620,36 +635,22 @@ impl<'g> Session<'g> {
         let start = Instant::now();
         let mut report = Report::new("verify");
         let active = vec![true; partition.part_count()];
-        let (outcome, trace) = match self.execution {
-            ExecutionMode::Scheduled => (
-                verification(
-                    self.graph, &self.tree, partition, shortcut, threshold, &active,
-                ),
-                Vec::new(),
-            ),
-            ExecutionMode::Simulated => {
-                let question = BlockCounting {
-                    graph: self.graph,
-                    tree: &self.tree,
-                    partition,
-                    shortcut,
-                    threshold,
-                    active: &active,
-                };
-                let ver = verification_simulated(&question, Some(self.sim_config), &self.obs)?;
-                if self.sim_config.active_fault().is_some() {
-                    report
-                        .metrics
-                        .push(("retry_epochs".to_string(), u64::from(ver.epochs)));
-                    report
-                        .metrics
-                        .push(("retry_stalls".to_string(), u64::from(ver.stalls)));
-                }
-                report.rounds_executed = Some(ver.stats.rounds);
-                report.sim = Some(ver.stats);
-                (ver.outcome, ver.trace)
+        let (graph, tree) = (self.graph, &self.tree);
+        let (outcome, run) = self.classify(graph, tree, partition, shortcut, threshold, &active)?;
+        let mut trace = Vec::new();
+        if let Some(run) = run {
+            if self.sim_config.active_fault().is_some() {
+                report
+                    .metrics
+                    .push(("retry_epochs".to_string(), u64::from(run.epochs)));
+                report
+                    .metrics
+                    .push(("retry_stalls".to_string(), u64::from(run.stalls)));
             }
-        };
+            report.rounds_executed = Some(run.stats.rounds);
+            report.sim = Some(run.stats);
+            trace = run.trace;
+        }
         report.all_parts_good = outcome.good.iter().all(|&g| g);
         report.rounds_charged = outcome.rounds;
         report.wall_millis = start.elapsed().as_secs_f64() * 1e3;
@@ -693,18 +694,20 @@ impl<'g> Session<'g> {
     /// with the given per-phase shortcut strategy. Every phase routes over
     /// the session's tree and constructs its shortcut with the session's
     /// seed and verifier; `Simulated` sessions also route by message
-    /// passing with the session's (fault-free) simulator configuration.
+    /// passing with the session's simulator configuration, fault plan
+    /// included: the edges are the fault-free ones, and only rounds grow.
     ///
     /// # Errors
     ///
     /// Propagates construction errors and reports
     /// [`LcsError::BudgetExhausted`] if a doubling phase exhausts its
-    /// doublings or the phase cap is hit.
+    /// doublings or the phase cap is hit; [`LcsError::Degraded`] when a
+    /// fault plan stalls every epoch of a phase's verification or flood.
     pub fn mst(&self, weights: &EdgeWeights, strategy: ShortcutStrategy) -> Result<MstRun> {
         let start = Instant::now();
         let sim = match self.execution {
             ExecutionMode::Scheduled => None,
-            ExecutionMode::Simulated => Some(self.sim_config.without_fault()),
+            ExecutionMode::Simulated => Some(self.sim_config),
         };
         let outcome = lcs_mst::boruvka_mst(
             self.graph,
@@ -820,7 +823,8 @@ impl<'g> Session<'g> {
     /// node count; [`LcsError::BudgetExhausted`] when a doubling strategy
     /// exhausts its budget on some part (a [`Strategy::Fixed`] run whose
     /// parameters are too small is not an error, mirroring
-    /// [`Session::shortcut`]); simulation errors in `Simulated` mode.
+    /// [`Session::shortcut`]); simulation errors in `Simulated` mode,
+    /// [`LcsError::Degraded`] among them.
     pub fn track_partition(&self, partition: &Partition, strategy: Strategy) -> Result<RepairRun> {
         self.check_partition(partition, None)?;
         let start = Instant::now();
@@ -868,7 +872,8 @@ impl<'g> Session<'g> {
     /// node count; [`LcsError::Config`] if the delta is structurally
     /// invalid (including any op that would empty a part);
     /// [`LcsError::BudgetExhausted`] when a doubling strategy exhausts its
-    /// budget on a rebuilt part; simulation errors in `Simulated` mode.
+    /// budget on a rebuilt part; simulation errors in `Simulated` mode,
+    /// [`LcsError::Degraded`] among them.
     pub fn repair_from(
         &self,
         baseline: &RepairBaseline,
@@ -1273,10 +1278,70 @@ mod tests {
             .metrics
             .iter()
             .any(|(k, _)| k == "retry_epochs"));
-        // The construction itself ran fault-free: identical to the plain
-        // session's result because `shortcut` strips the plan.
+        // The construction runs under the plan too, and its verifier
+        // returns the fault-free verdicts, so the shortcut is the plain
+        // session's.
         let run_faulty = faulty.shortcut(&p, Strategy::doubling()).unwrap();
         assert_eq!(run_faulty.shortcut, run.shortcut);
+    }
+
+    /// `Ok(answer)` passes `check`; the only error allowed is `Degraded`.
+    fn exact_or_degraded<T>(result: Result<T>, check: impl FnOnce(T)) {
+        match result {
+            Ok(answer) => check(answer),
+            Err(LcsError::Degraded { .. }) => {}
+            Err(other) => panic!("a fault plan may only degrade a query, got: {other}"),
+        }
+    }
+
+    /// Under a fault plan every query that passes messages answers as the
+    /// fault-free session does — the shortcut, the tracked and repaired
+    /// corpus, the MST — or returns `Degraded`; only rounds grow.
+    #[test]
+    fn faulty_sessions_answer_exactly_or_degrade() {
+        let g = generators::grid(6, 6);
+        let p = generators::partitions::grid_columns(6, 6);
+        let w = EdgeWeights::random_permutation(&g, 2);
+        let delta = PartitionDelta::new().move_nodes(vec![NodeId::new(1)], PartId::new(0));
+        let session = |plan: FaultPlan| {
+            Pipeline::on(&g)
+                .seed(3)
+                .execution(ExecutionMode::Simulated)
+                .fault(plan)
+                .build()
+                .unwrap()
+        };
+        let clean = session(FaultPlan::new(0));
+        let shortcut = clean.shortcut(&p, Strategy::doubling()).unwrap();
+        let tracked = clean.track_partition(&p, Strategy::doubling()).unwrap();
+        let repaired = clean.repair_from(&tracked.baseline, &delta).unwrap();
+        let mst = clean.mst(&w, ShortcutStrategy::Doubling).unwrap();
+        assert_eq!(mst.edges, lcs_graph::kruskal_mst(&g, &w));
+        for loss in [10_000, 250_000] {
+            let plan = FaultPlan::new(11)
+                .with_loss_ppm(loss)
+                .with_dup_ppm(50_000)
+                .with_latency(1);
+            let faulty = session(plan);
+            exact_or_degraded(faulty.shortcut(&p, Strategy::doubling()), |run| {
+                assert_eq!(run.shortcut, shortcut.shortcut, "loss {loss}");
+                assert!(run.total_rounds() > shortcut.total_rounds(), "loss {loss}");
+            });
+            let track = faulty.track_partition(&p, Strategy::doubling());
+            exact_or_degraded(track, |run| {
+                assert_eq!(run.shortcut, tracked.shortcut, "loss {loss}");
+                assert_eq!(run.good, tracked.good, "loss {loss}");
+                exact_or_degraded(faulty.repair_from(&run.baseline, &delta), |run| {
+                    assert_eq!(run.shortcut, repaired.shortcut, "loss {loss}");
+                    assert_eq!(run.quality, repaired.quality, "loss {loss}");
+                    assert_eq!(run.good, repaired.good, "loss {loss}");
+                });
+            });
+            exact_or_degraded(faulty.mst(&w, ShortcutStrategy::Doubling), |run| {
+                assert_eq!(run.edges, mst.edges, "loss {loss}");
+                assert_eq!(run.phases, mst.phases, "loss {loss}");
+            });
+        }
     }
 
     #[test]
@@ -1347,6 +1412,29 @@ mod tests {
             ),
             "a permanent crash must degrade, got: {err}"
         );
+        // Construction, repair and MST verify under the same plan, and the
+        // `Degraded` reaches the caller typed.
+        let degraded = |err: LcsError| matches!(err, LcsError::Degraded { .. });
+        let doubling = Strategy::doubling();
+        assert!(degraded(session.shortcut(&p, doubling).unwrap_err()));
+        assert!(degraded(session.track_partition(&p, doubling).unwrap_err()));
+        let clean = Pipeline::on(&g).execution(ExecutionMode::Simulated);
+        let tracked = clean
+            .build()
+            .unwrap()
+            .track_partition(&p, doubling)
+            .unwrap();
+        // Column `c + 1`'s top node joins column `c`: every part is dirty.
+        let shift = (0..4).fold(PartitionDelta::new(), |delta, c| {
+            delta.move_nodes(vec![NodeId::new(c + 1)], PartId::new(c))
+        });
+        assert!(degraded(
+            session.repair_from(&tracked.baseline, &shift).unwrap_err()
+        ));
+        let w = EdgeWeights::random_permutation(&g, 2);
+        assert!(degraded(
+            session.mst(&w, ShortcutStrategy::Doubling).unwrap_err()
+        ));
     }
 
     #[test]

@@ -1271,26 +1271,19 @@ pub fn e14_obs_table() -> Table {
 
 /// E15 — robustness tier: fault-injected simulated verification across
 /// loss × latency × crash plans on the generator families. Every row runs
-/// the self-healing verify query ([`lcs_api::Session::verify`] with a
+/// the verify query ([`lcs_api::Session::verify`] with a
 /// [`lcs_api::FaultPlan`]) twice with the same seeded plan; `det` asserts
 /// the two runs' digests (goods, counts, retry epochs/stalls, executed
-/// rounds) are byte-identical — fault draws are a pure function of the
-/// plan, never of thread count or rerun. `inflate` is the executed-round
-/// inflation over the fault-free simulated baseline; the verdict is
-/// asserted correct (all parts good, as fault-free) on every row.
+/// rounds, counters) are byte-identical — fault draws are a pure function
+/// of the plan, never of thread count or rerun. `inflate` is the
+/// executed-round inflation over the fault-free simulated baseline.
+/// `wrong` counts the parts whose verdict or count differs from the
+/// fault-free run and is asserted 0 on every row: a faulty query answers
+/// exactly or ends `Degraded`, which its row then says.
 pub fn e15_faults_table() -> Table {
     use lcs_api::existential::ancestor_shortcut;
-    use lcs_api::{FaultPlan, VerifyRun};
+    use lcs_api::{FaultPlan, LcsError, ValueDigest, VerifyRun};
 
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn mix(mut h: u64, v: u64) -> u64 {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
     fn metric(run: &VerifyRun, key: &str) -> Option<u64> {
         run.report
             .metrics
@@ -1299,21 +1292,32 @@ pub fn e15_faults_table() -> Table {
             .map(|(_, v)| *v)
     }
     // The digest covers the outcome (goods, counts, retry shape, executed
-    // rounds) and the recorded counter half of the metrics snapshot, which
-    // includes the `fault/*` event counters — drops, duplicates, delays,
-    // crash drops, restarts are thread-invariant facts of the plan.
-    fn digest_of(run: &VerifyRun, counters_digest: u64) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &g in &run.good {
-            h = mix(h, u64::from(g));
+    // rounds) or the `Degraded` epochs and stalls, and the recorded counter
+    // half of the metrics snapshot, which includes the `fault/*` event
+    // counters — drops, duplicates, delays, crash drops, restarts are
+    // thread-invariant facts of the plan.
+    fn digest_of(run: &Result<VerifyRun, LcsError>, counters_digest: u64) -> u64 {
+        let mut h = ValueDigest::new();
+        match run {
+            Ok(run) => {
+                for &g in &run.good {
+                    h.push(u64::from(g));
+                }
+                for &c in &run.block_counts {
+                    h.push(c as u64);
+                }
+                h.push(metric(run, "retry_epochs").unwrap_or(1));
+                h.push(metric(run, "retry_stalls").unwrap_or(0));
+                h.push(run.report.rounds_executed.unwrap_or(0));
+            }
+            Err(LcsError::Degraded { epochs, stalls, .. }) => {
+                h.push(u64::from(*epochs));
+                h.push(u64::from(*stalls));
+            }
+            Err(other) => panic!("E15 fault plans may only degrade a query: {other}"),
         }
-        for &c in &run.block_counts {
-            h = mix(h, c as u64);
-        }
-        h = mix(h, metric(run, "retry_epochs").unwrap_or(1));
-        h = mix(h, metric(run, "retry_stalls").unwrap_or(0));
-        h = mix(h, run.report.rounds_executed.unwrap_or(0));
-        mix(h, counters_digest)
+        h.push(counters_digest);
+        h.value()
     }
 
     let mut rows = Vec::new();
@@ -1351,35 +1355,53 @@ pub fn e15_faults_table() -> Table {
                         .recorder(obs.clone())
                         .build()
                         .expect("E15 instances are nonempty and connected");
-                    let run = session
-                        .verify(&shortcut, partition, threshold)
-                        .expect("E15 fault plans must heal to a decisive verdict");
+                    let run = session.verify(&shortcut, partition, threshold);
                     (run, obs.snapshot().counters_digest())
                 };
                 let (run, counters) = run_once();
                 let (rerun, recounters) = run_once();
-                assert!(
-                    run.good.iter().all(|&g| g),
-                    "E15 fault plan {fault_label} on {label} must heal to the all-good verdict"
-                );
                 let digest = digest_of(&run, counters);
                 let deterministic = digest == digest_of(&rerun, recounters);
-                let rounds = run.report.rounds_executed.unwrap_or(0);
-                let epochs = metric(&run, "retry_epochs").unwrap_or(1);
-                let stalls = metric(&run, "retry_stalls").unwrap_or(0);
-                rows.push(vec![
+                let mut row = vec![
                     label.to_string(),
                     graph.node_count().to_string(),
                     fault_label.to_string(),
                     plain_rounds.to_string(),
-                    rounds.to_string(),
-                    format!("{:.2}x", rounds as f64 / plain_rounds as f64),
-                    epochs.to_string(),
-                    stalls.to_string(),
-                    run.good.iter().all(|&g| g).to_string(),
-                    format!("{digest:016x}"),
-                    deterministic.to_string(),
-                ]);
+                ];
+                match &run {
+                    Ok(run) => {
+                        let wrong = (0..plain.good.len())
+                            .filter(|&p| {
+                                run.good[p] != plain.good[p]
+                                    || run.block_counts[p] != plain.block_counts[p]
+                            })
+                            .count();
+                        assert_eq!(
+                            wrong, 0,
+                            "E15 fault plan {fault_label} on {label} must answer exactly"
+                        );
+                        let rounds = run.report.rounds_executed.unwrap_or(0);
+                        row.extend([
+                            rounds.to_string(),
+                            format!("{:.2}x", rounds as f64 / plain_rounds as f64),
+                            metric(run, "retry_epochs").unwrap_or(1).to_string(),
+                            metric(run, "retry_stalls").unwrap_or(0).to_string(),
+                            run.good.iter().all(|&g| g).to_string(),
+                            wrong.to_string(),
+                        ]);
+                    }
+                    Err(LcsError::Degraded { epochs, stalls, .. }) => row.extend([
+                        "-".to_string(),
+                        "-".to_string(),
+                        epochs.to_string(),
+                        stalls.to_string(),
+                        "degraded".to_string(),
+                        "-".to_string(),
+                    ]),
+                    Err(other) => panic!("E15 fault plans may only degrade a query: {other}"),
+                }
+                row.extend([format!("{digest:016x}"), deterministic.to_string()]);
+                rows.push(row);
             }
         };
 
@@ -1398,6 +1420,8 @@ pub fn e15_faults_table() -> Table {
                     .with_loss_ppm(50_000)
                     .with_dup_ppm(10_000),
             ),
+            ("loss 25%", FaultPlan::new(21).with_loss_ppm(250_000)),
+            ("loss 40%", FaultPlan::new(21).with_loss_ppm(400_000)),
             ("crash 1@10 +40", FaultPlan::new(21).with_crashes(1, 10, 40)),
             (
                 "lat1 loss1% strag crash",
@@ -1449,7 +1473,7 @@ pub fn e15_faults_table() -> Table {
     }
 
     Table {
-        title: "E15: robustness — fault-injected verification (verdict asserted correct; det = digests of two same-plan runs identical)"
+        title: "E15: robustness — fault-injected verification (wrong = parts whose verdict or count differs from the fault-free run, asserted 0; det = digests of two same-plan runs identical)"
             .to_string(),
         headers: columns(&[
             "instance",
@@ -1461,6 +1485,7 @@ pub fn e15_faults_table() -> Table {
             "epochs",
             "stalls",
             "good",
+            "wrong",
             "digest",
             "det",
         ]),
@@ -1482,33 +1507,24 @@ pub fn e15_faults_table() -> Table {
 /// seeds are anchored at each part's minimum member, so reuse never
 /// changes a single byte.
 pub fn e16_repair_table() -> Table {
-    use lcs_api::{PartitionDelta, RepairRun};
+    use lcs_api::{PartitionDelta, RepairRun, ValueDigest};
 
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn mix(mut h: u64, v: u64) -> u64 {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
     fn digest_of(run: &RepairRun) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = ValueDigest::new();
         for p in 0..run.shortcut.part_count() {
             let edges = run.shortcut.edges_of(lcs_api::graph::PartId::new(p));
-            h = mix(h, edges.len() as u64);
+            h.push(edges.len() as u64);
             for &e in edges {
-                h = mix(h, e.index() as u64);
+                h.push(e.index() as u64);
             }
         }
-        h = mix(h, run.quality.congestion as u64);
-        h = mix(h, run.quality.dilation as u64);
-        h = mix(h, run.quality.block_parameter as u64);
+        h.push(run.quality.congestion as u64);
+        h.push(run.quality.dilation as u64);
+        h.push(run.quality.block_parameter as u64);
         for &g in &run.good {
-            h = mix(h, u64::from(g));
+            h.push(u64::from(g));
         }
-        h
+        h.value()
     }
 
     /// A churn delta moving `moved_target` boundary nodes into adjacent

@@ -14,8 +14,8 @@
 //! Rounds are counted on two clocks. The *local* round is the engine's
 //! round counter for one run; the *global* round adds the plan's
 //! [`round_offset`](FaultPlan::with_round_offset). A retrying caller (the
-//! verification epoch loop) advances the offset between epochs, so a
-//! re-run experiences a different fault timeline from the same plan
+//! epoch loop of `lcs_dist`'s engine) advances the offset between epochs,
+//! so a re-run experiences a different fault timeline from the same plan
 //! without reseeding — and a crash window that has passed on the global
 //! clock stays healed in later epochs.
 

@@ -119,12 +119,6 @@ impl SimConfig {
         self
     }
 
-    /// Removes any fault schedule: the run executes fault-free.
-    pub fn without_fault(mut self) -> Self {
-        self.fault = None;
-        self
-    }
-
     /// The active fault plan, if any: `Some` only when a plan is attached
     /// *and* at least one of its knobs is raised (an all-zero plan is
     /// indistinguishable from no plan).

@@ -29,9 +29,12 @@ use crate::{Result, TreeShortcut};
 /// replay repeated iterations instead of running them (see
 /// [`FindShortcut::run`]), so it may call a verifier fewer times than it
 /// charges verification rounds. The scheduled
-/// [`verification`](fn@super::verification) and `lcs_dist`'s fault-free
-/// message-passing verification both meet the contract; a verifier that
-/// injects faults or counts its own calls as part of its answer does not.
+/// [`verification`](fn@super::verification) and `lcs_dist`'s
+/// message-passing verification both meet the contract, the latter under
+/// a seeded fault plan too: the plan's draws are a pure function of its
+/// seed and round offset, so equal arguments replay the same faults, the
+/// same epochs and the same rounds. A verifier that counts its own calls
+/// as part of its answer does not.
 pub trait Verifier:
     FnMut(&Graph, &RootedTree, &Partition, &TreeShortcut, usize, &[bool]) -> Result<VerificationOutcome>
 {

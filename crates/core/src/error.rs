@@ -38,6 +38,14 @@ pub enum CoreError {
         /// Human readable description.
         reason: String,
     },
+    /// A fault-injected simulation stalled in every retry epoch, so it
+    /// withheld its answer (surfaces as `LcsError::Degraded`).
+    Degraded {
+        /// Number of retry epochs executed.
+        epochs: u32,
+        /// Number of epochs that stalled.
+        stalls: u32,
+    },
     /// The graph, tree and partition passed to an algorithm are mutually
     /// inconsistent (for example differing node counts).
     InconsistentInputs {
@@ -60,6 +68,9 @@ impl fmt::Display for CoreError {
                 "construction stopped after {iterations} iterations with {remaining_bad} parts still bad"
             ),
             CoreError::Simulation { reason } => write!(f, "simulation error: {reason}"),
+            CoreError::Degraded { epochs, .. } => {
+                write!(f, "fault-injected verification stayed indecisive after {epochs} epochs")
+            }
             CoreError::InconsistentInputs { reason } => write!(f, "inconsistent inputs: {reason}"),
         }
     }
@@ -88,6 +99,11 @@ impl From<CoreError> for lcs_graph::LcsError {
             },
             CoreError::InconsistentInputs { reason } => LcsError::InconsistentInputs { reason },
             CoreError::Simulation { reason } => LcsError::Simulation { reason },
+            CoreError::Degraded { epochs, stalls } => LcsError::Degraded {
+                epochs,
+                stalls,
+                reason: err.to_string(),
+            },
             other => LcsError::Construction {
                 reason: other.to_string(),
             },

@@ -130,6 +130,7 @@ fn run_cast(
     let spec = EngineSpec {
         steps: 1,
         broadcast_down,
+        stretch: 1,
     };
     let obs = lcs_obs::Obs::off();
     let outcome = run_engine(graph, family, spec, config, &obs, |info: &NodeInfo<'_>| {

@@ -28,16 +28,23 @@
 //! intra-block and what is exchanged across part edges; the engine turns it
 //! into a [`NodeProtocol`] and runs it in the CONGEST simulator with the
 //! per-edge bandwidth enforced on every message.
+//!
+//! Under a fault plan the windows stretch and every superstep is checked
+//! after the fact: a same-part edge the program is silent on carries a
+//! beat, and a node that lacks its own block's agreed value or heard
+//! nothing from some same-part neighbor missed the superstep
+//! ([`NodeProgram::missed`]). [`run_epochs`], the one epoch loop, repeats
+//! a run with wider windows until the protocol accepts it as complete.
 
 use lcs_congest::{
     bits_for_count, Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing, SimConfig,
-    SimOutcome, Simulator,
+    SimError, SimOutcome, SimStats, Simulator,
 };
 use lcs_graph::{EdgeId, Graph, NodeId};
 use lcs_obs::Obs;
 
 use crate::knowledge::{BlockFamily, NodeInfo};
-use crate::Result;
+use crate::{DistError, Result};
 
 /// The per-node logic of a superstep protocol. One instance runs per node;
 /// it may only consult the node's [`NodeInfo`] and the messages the engine
@@ -83,6 +90,12 @@ pub(crate) trait NodeProgram: Send {
     fn cross_message(&mut self, to: NodeId, step: u64) -> Option<Self::Cross>;
     /// A cross message from `from`, sent after superstep `step`.
     fn on_cross(&mut self, view: NodeView<'_>, from: NodeId, msg: Self::Cross, step: u64);
+    /// Under a fault plan, the node missed part of superstep `step`: it
+    /// never learned its own block's agreed value, or some same-part
+    /// neighbor's cross slot reached it with no copy at all. Called once
+    /// per such superstep; a program whose answer needs every superstep
+    /// whole treats the node as undecided.
+    fn missed(&mut self, _step: u64) {}
     /// Declared encoded size of a block value in bits.
     fn val_bits(&self) -> usize;
     /// Declared encoded size of a cross payload in bits.
@@ -105,7 +118,7 @@ impl<'a> NodeView<'a> {
     }
 }
 
-/// Engine message: two tag bits distinguish the three payload kinds; block
+/// Engine message: two tag bits distinguish the four payload kinds; block
 /// ids are `⌈log₂ |family|⌉` bits. In fault mode every message also
 /// carries its sender's superstep (`⌈log₂ steps⌉` extra bits) so that a
 /// duplicated copy straggling across a window boundary is recognized as
@@ -138,6 +151,8 @@ enum Payload<V, C> {
         val: V,
     },
     Cross(C),
+    /// Fault mode: a same-part neighbor with nothing to say this superstep.
+    Beat,
 }
 
 impl<V: Clone, C: Clone> MessageBits for EngineMsg<V, C> {
@@ -233,6 +248,10 @@ struct FaultRun {
     /// Which children have received their first downward copy (indexed
     /// like `Membership::children`).
     downs_sent: Vec<bool>,
+    /// Own membership only (crosses run over the own part's edges): which
+    /// same-part neighbors, in the node's part-neighbor order, a cross
+    /// payload or beat of this superstep came from.
+    crossed: Vec<bool>,
 }
 
 /// The constants of one engine run, shared by every node of it.
@@ -250,17 +269,22 @@ struct Shape {
     /// and emissions are driven by observed progress with per-poll resends
     /// instead of the exact mirror schedule.
     faulty: bool,
-    /// The cross-slot length `s` (the plan's worst-case per-hop stretch);
-    /// 1 in fault-free runs.
+    /// The cross-slot length `s` (the plan's worst-case per-hop stretch
+    /// times the epoch's [`EngineSpec::stretch`]); 1 in fault-free runs.
     cross_span: u64,
+    /// Fault mode: the width of a beat (tag and step bits).
+    beat_bits: u32,
 }
 
-/// How many supersteps to run and whether block values are broadcast back
-/// down (single-shot convergecasts skip the broadcast half).
+/// How many supersteps to run, whether block values are broadcast back
+/// down (single-shot convergecasts skip the broadcast half), and the
+/// factor by which a fault-mode run widens its windows ([`run_epochs`]
+/// sets it; 1 otherwise).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EngineSpec {
     pub steps: u64,
     pub broadcast_down: bool,
+    pub stretch: u64,
 }
 
 /// Fault mode sends every cross payload at each poll of the cross slot,
@@ -437,11 +461,13 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         rows: NodeRows<'a, P::Val>,
         (up_bits, cross_msg_bits): (u32, u32),
     ) -> Self {
-        let fault = if shape.faulty {
-            vec![FaultRun::default(); info.memberships.len()]
-        } else {
-            Vec::new()
-        };
+        let mut fault = Vec::new();
+        if shape.faulty {
+            fault.resize(info.memberships.len(), FaultRun::default());
+            if let Some(own) = info.own_membership {
+                fault[own].crossed = vec![false; info.part_neighbors.len()];
+            }
+        }
         EngineNode {
             program,
             family,
@@ -492,6 +518,7 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
                 fault.heard.clear();
                 fault.downs_sent.clear();
                 fault.downs_sent.resize(run.children as usize, false);
+                fault.crossed.fill(false);
             }
             if run.children == 0 {
                 if run.is_root() {
@@ -598,19 +625,51 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
     }
 
     /// The cross messages of superstep `step` to every same-part neighbor.
+    /// In fault mode an edge the program is silent on carries a beat, so
+    /// that silence never reads as "every copy was lost".
     fn send_crosses(&mut self, out: &mut Outbox<P>) {
         let step = self.step;
         for &(to, _) in self.family.part_neighbors(self.node) {
-            if let Some(msg) = self.program.cross_message(to, step) {
-                out.push(Outgoing::new(
-                    to,
-                    EngineMsg {
-                        payload: Payload::Cross(msg),
-                        bits: self.cross_msg_bits,
-                        step: step as u32,
-                    },
-                ));
-            }
+            let (payload, bits) = match self.program.cross_message(to, step) {
+                Some(msg) => (Payload::Cross(msg), self.cross_msg_bits),
+                None if self.shape.faulty => (Payload::Beat, self.shape.beat_bits),
+                None => continue,
+            };
+            let step = step as u32;
+            out.push(Outgoing::new(
+                to,
+                EngineMsg {
+                    payload,
+                    bits,
+                    step,
+                },
+            ));
+        }
+    }
+
+    /// Fault mode: marks a cross payload or beat of this superstep from
+    /// `from` as heard.
+    fn hear(&mut self, from: NodeId) {
+        let neighbors = self.family.part_neighbors(self.node);
+        let i = neighbors.iter().position(|&(u, _)| u == from);
+        if let (Some(own), Some(i)) = (self.runs.iter().position(|run| run.own), i) {
+            self.fault[own].crossed[i] = true;
+        }
+    }
+
+    /// Fault mode: checks the superstep that ends. The node missed it if it
+    /// lacks its own block's agreed value or heard nothing from some
+    /// same-part neighbor in a superstep that has a cross slot — the
+    /// safety condition of Awerbuch's α-synchronizer ("Complexity of
+    /// network synchronization", J. ACM 1985), checked after the fact.
+    fn close_superstep(&mut self) {
+        let shape = self.shape;
+        let Some(own) = self.runs.iter().position(|run| run.own) else {
+            return;
+        };
+        let crosses = self.step + 1 < shape.steps && self.fault[own].crossed.contains(&false);
+        if shape.broadcast_down && (self.runs[own].agreed.is_none() || crosses) {
+            self.program.missed(self.step);
         }
     }
 
@@ -810,6 +869,7 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
             // crosses are in-window under the guard band, and anything
             // tagged with another step is a stale duplicate.
             while self.step + 1 < shape.steps && round >= (self.step + 1) * shape.window {
+                self.close_superstep();
                 self.step += 1;
                 self.start_superstep();
             }
@@ -826,10 +886,15 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
                         ref val,
                     } => self.handle_up(msg.from, member as usize, from_member, val, round),
                     &Payload::Down { member, ref val } => self.handle_down(member as usize, val),
-                    Payload::Cross(c) => self.program.on_cross(view, msg.from, c.clone(), step),
+                    Payload::Cross(c) => {
+                        self.hear(msg.from);
+                        self.program.on_cross(view, msg.from, c.clone(), step);
+                    }
+                    Payload::Beat => self.hear(msg.from),
                 }
             }
-            if round >= shape.total_rounds {
+            if round >= shape.total_rounds && !self.finished {
+                self.close_superstep();
                 self.finished = true;
             }
             self.emissions_faulty(round, out);
@@ -845,7 +910,7 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
                     ref val,
                 } => self.handle_up(msg.from, member as usize, from_member, val, round),
                 &Payload::Down { member, ref val } => self.handle_down(member as usize, val),
-                Payload::Cross(_) => {}
+                Payload::Cross(_) | Payload::Beat => {}
             }
         }
         // Window boundary: fold in the crosses (in arrival order), then
@@ -977,18 +1042,24 @@ where
 {
     let l = family.schedule().rounds;
     // Fault mode stretches the whole schedule by the plan's worst per-hop
-    // cost `s = (1 + max latency) · straggler period`: the tree slot gets
-    // `2·(l+1)·s` rounds, the cross slot `3·s` rounds, and a final
-    // `s`-round guard band keeps every delivery inside its window. This is also
-    // where the round budget scales with the plan — callers' caps are
-    // raised below, so latency inflation alone can never produce a
-    // spurious `RoundLimitExceeded`.
+    // cost `s = (1 + max latency) · straggler period`, times the epoch's
+    // stretch: the tree slot gets `2·(l+1)·s` rounds, the cross slot `3·s`
+    // rounds, and a final `s`-round guard band keeps every delivery inside
+    // its window. This is also where the round budget scales with the
+    // plan — callers' caps are raised below, so latency inflation alone
+    // can never produce a spurious `RoundLimitExceeded`.
     let plan = config.as_ref().and_then(|c| c.active_fault());
     let faulty = plan.is_some();
     let spares = plan.is_some_and(|p| p.crash_count() > 0 && p.restart_after() > 0);
+    let step_bits = if faulty {
+        bits_for_count((spec.steps as usize).max(2))
+    } else {
+        0
+    };
+    let bits = |width: usize| u32::try_from(width).expect("message widths fit in 32 bits");
     let shape = match plan {
         Some(p) => {
-            let s = p.round_stretch().max(1);
+            let s = p.round_stretch().max(1) * spec.stretch;
             let lf = (l + 1) * s;
             let w = faulty_window(lf, s);
             Shape {
@@ -999,6 +1070,7 @@ where
                 broadcast_down: spec.broadcast_down,
                 faulty,
                 cross_span: s,
+                beat_bits: bits(2 + step_bits),
             }
         }
         None => Shape {
@@ -1009,6 +1081,7 @@ where
             broadcast_down: spec.broadcast_down,
             faulty,
             cross_span: 1,
+            beat_bits: 0,
         },
     };
     let total_rounds = shape.total_rounds;
@@ -1028,12 +1101,6 @@ where
         obs.counter_add("dist/engine/supersteps", spec.steps);
         obs.gauge_set("dist/engine/window", shape.window);
     }
-    let step_bits = if faulty {
-        bits_for_count((spec.steps as usize).max(2))
-    } else {
-        0
-    };
-    let bits = |width: usize| u32::try_from(width).expect("message widths fit in 32 bits");
     let mut arenas = Arenas::new(family, spares);
     let (runs, spare_runs) = arenas.runs.split_at_mut(family.membership_count());
     let (ready, spare_ready) = arenas.ready.split_at_mut(family.membership_count());
@@ -1070,6 +1137,107 @@ where
         nodes: outcome.nodes.into_iter().map(|node| node.program).collect(),
         stats: outcome.stats,
         trace: outcome.trace,
+    })
+}
+
+/// Epochs a run under a fault plan takes before it reports
+/// [`DistError::Degraded`].
+const MAX_EPOCHS: u32 = 5;
+/// The first epoch's round budget is its exact fault-mode schedule times
+/// this factor, so transient queue build-up cannot trip the cap.
+const TIMEOUT_FACTOR: u64 = 2;
+/// Every further epoch multiplies the window stretch, and with it the
+/// round budget, by this factor again.
+const BACKOFF: u64 = 2;
+
+/// One run of a protocol inside [`run_epochs`]: its answer, its traffic,
+/// and whether the answer is complete — under a fault plan, that it equals
+/// the fault-free one.
+pub(crate) struct Epoch<T> {
+    pub answer: T,
+    pub stats: SimStats,
+    pub complete: bool,
+}
+
+/// The one epoch loop: runs a protocol of `steps` full supersteps over
+/// `family` with `run` (which forwards the spec and configuration it is
+/// given to [`run_engine`]), and returns the answer of the epoch it kept,
+/// the traffic of every epoch it ran, and how many it ran. An epoch cut
+/// off at its round cap adds its cap to the rounds and no traffic, which
+/// the simulator does not return.
+///
+/// Without an active fault plan on `config` this is one run, returned
+/// whether complete or not (the protocol judges its own answer then).
+/// With one, the run is repeated in *epochs* until one is complete. Epoch
+/// `e` widens the windows by `BACKOFF^e` and gets a round budget of
+/// `TIMEOUT_FACTOR` times its exact schedule; a run that hits the budget
+/// stalls like an incomplete one. Each epoch advances the plan's round
+/// offset by the previous budget, so the retry sees the same deterministic
+/// fault world later in global time (restartable crash windows are behind
+/// it, loss draws are fresh). Under `obs`, every epoch adds 1 to
+/// `{label}/epochs` and every stalled one to `{label}/stalls`.
+///
+/// # Errors
+///
+/// Propagates `run`'s errors other than a round-cap hit;
+/// [`DistError::Degraded`] when all `MAX_EPOCHS` epochs stall.
+pub(crate) fn run_epochs<T>(
+    family: &BlockFamily,
+    steps: u64,
+    config: Option<SimConfig>,
+    obs: &Obs,
+    label: &str,
+    mut run: impl FnMut(EngineSpec, Option<SimConfig>) -> Result<Epoch<T>>,
+) -> Result<(T, SimStats, u32)> {
+    let spec = |stretch| EngineSpec {
+        steps,
+        broadcast_down: true,
+        stretch,
+    };
+    let Some((config, plan)) = config.and_then(|c| c.active_fault().map(|plan| (c, plan))) else {
+        let epoch = run(spec(1), config)?;
+        return Ok((epoch.answer, epoch.stats, 1));
+    };
+    // The first epoch's exact fault-mode schedule (the formula of
+    // `run_engine`) plus its two closing rounds.
+    let s = plan.round_stretch().max(1);
+    let schedule = steps * faulty_window((family.schedule().rounds + 1) * s, s) + 2;
+    let mut offset = plan.round_offset();
+    let mut spent = SimStats::default();
+    for epoch in 0..MAX_EPOCHS {
+        let stretch = BACKOFF.pow(epoch);
+        let budget = schedule * TIMEOUT_FACTOR * stretch;
+        let config = config
+            .with_fault(plan.with_round_offset(offset))
+            .with_max_rounds(budget);
+        if obs.is_on() {
+            obs.counter_add(&format!("{label}/epochs"), 1);
+        }
+        match run(spec(stretch), Some(config)) {
+            Ok(run) => {
+                spent.rounds += run.stats.rounds;
+                spent.messages += run.stats.messages;
+                spent.total_bits += run.stats.total_bits;
+                spent.max_message_bits = spent.max_message_bits.max(run.stats.max_message_bits);
+                if run.complete {
+                    return Ok((run.answer, spent, epoch + 1));
+                }
+            }
+            // A run cut off at its cap returns no traffic: only its
+            // rounds are known.
+            Err(DistError::Simulation(SimError::RoundLimitExceeded { limit })) => {
+                spent.rounds += limit;
+            }
+            Err(other) => return Err(other),
+        }
+        if obs.is_on() {
+            obs.counter_add(&format!("{label}/stalls"), 1);
+        }
+        offset = offset.saturating_add(budget);
+    }
+    Err(DistError::Degraded {
+        epochs: MAX_EPOCHS,
+        stalls: MAX_EPOCHS,
     })
 }
 

@@ -12,9 +12,11 @@ pub enum DistError {
     /// The underlying CONGEST simulation failed (bandwidth violation,
     /// round-cap overflow, malformed send).
     Simulation(SimError),
-    /// The distributed execution reached a state that violates a protocol
-    /// invariant (for example part members disagreeing on a flooded
-    /// minimum). This always indicates a protocol bug, never bad input.
+    /// A fault-free distributed execution reached a state that violates a
+    /// protocol invariant (for example part members disagreeing on a
+    /// flooded minimum). This indicates a protocol bug, never bad input;
+    /// under a fault plan the same state is a stalled epoch, retried and
+    /// at worst reported as [`DistError::Degraded`].
     ProtocolInvariant {
         /// Human readable description.
         reason: String,
@@ -31,21 +33,15 @@ pub enum DistError {
         /// Human readable description.
         reason: String,
     },
-    /// Every epoch of a fault-injected verification stalled: some part's
-    /// members never all decided (a permanent crash, for example). The
-    /// classification is withheld rather than returned incomplete.
+    /// Every epoch of a fault-injected run stalled: some part's members
+    /// never all decided or never agreed (a permanent crash, for
+    /// example). The answer is withheld rather than returned incomplete.
     Degraded {
         /// Number of epochs executed.
         epochs: u32,
         /// Number of epochs that stalled (indecisive or round-cap hit).
         stalls: u32,
     },
-}
-
-impl DistError {
-    fn indecision(epochs: u32) -> String {
-        format!("fault-injected verification stayed indecisive after {epochs} epochs")
-    }
 }
 
 impl fmt::Display for DistError {
@@ -59,8 +55,9 @@ impl fmt::Display for DistError {
                 write!(f, "distributed/centralized mismatch: {reason}")
             }
             DistError::BoundViolation { reason } => write!(f, "round bound violated: {reason}"),
-            DistError::Degraded { epochs, stalls } => {
-                write!(f, "{} ({stalls} stalled)", Self::indecision(*epochs))
+            &DistError::Degraded { epochs, stalls } => {
+                let indecision = lcs_core::CoreError::Degraded { epochs, stalls };
+                write!(f, "{indecision} ({stalls} stalled)")
             }
         }
     }
@@ -76,8 +73,12 @@ impl From<SimError> for DistError {
 
 impl From<DistError> for lcs_core::CoreError {
     fn from(err: DistError) -> Self {
-        lcs_core::CoreError::Simulation {
-            reason: err.to_string(),
+        use lcs_core::CoreError;
+        match err {
+            DistError::Degraded { epochs, stalls } => CoreError::Degraded { epochs, stalls },
+            other => CoreError::Simulation {
+                reason: other.to_string(),
+            },
         }
     }
 }
@@ -87,11 +88,9 @@ impl From<DistError> for lcs_graph::LcsError {
         use lcs_graph::LcsError;
         match err {
             DistError::Simulation(sim) => sim.into(),
-            DistError::Degraded { epochs, stalls } => LcsError::Degraded {
-                epochs,
-                stalls,
-                reason: DistError::indecision(epochs),
-            },
+            DistError::Degraded { epochs, stalls } => {
+                lcs_core::CoreError::Degraded { epochs, stalls }.into()
+            }
             other => LcsError::Protocol {
                 reason: other.to_string(),
             },

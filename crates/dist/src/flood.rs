@@ -19,7 +19,7 @@
 use lcs_congest::{bits_for_count, SimConfig, SimStats};
 use lcs_graph::{EdgeId, Graph, NodeId, Partition};
 
-use crate::engine::{run_engine, EngineSpec, NodeProgram, NodeView};
+use crate::engine::{run_engine, run_epochs, Epoch, NodeProgram, NodeView};
 use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::{DistError, Result};
 
@@ -37,7 +37,8 @@ pub struct PartFloodOutcome {
     pub per_node: Vec<Option<(u64, u64)>>,
     /// Number of supersteps executed (`b`).
     pub supersteps: u64,
-    /// Simulation statistics of the executed protocol.
+    /// Simulation statistics of the executed protocol, summed over every
+    /// epoch under a fault plan.
     pub stats: SimStats,
 }
 
@@ -109,10 +110,18 @@ impl NodeProgram for FloodProgram {
 /// candidates; the simulator rejects the run if a message exceeds the
 /// CONGEST bandwidth, so undersized declarations fail loudly.
 ///
+/// Under an active fault plan on `config` the flood runs in the engine's
+/// epochs until every member of every active part agrees. Agreement is
+/// enough: the member holding its part's minimum never raises its value,
+/// so members that agree hold the true minimum. The returned statistics
+/// cover every epoch.
+///
 /// # Errors
 ///
-/// Propagates simulator errors; reports a protocol invariant violation if
-/// part members end up disagreeing (which would indicate an engine bug).
+/// Propagates simulator errors; [`DistError::Degraded`] when every epoch
+/// of a fault-injected flood ends with some part's members disagreeing;
+/// without a plan, a protocol invariant violation if they disagree (which
+/// would indicate an engine bug).
 ///
 /// # Panics
 ///
@@ -131,20 +140,40 @@ pub fn part_flood_min(
         "one optional value per node is required"
     );
     let supersteps = family.block_parameter().max(1) as u64;
-    let spec = EngineSpec {
-        steps: supersteps,
-        broadcast_down: true,
-    };
     let obs = lcs_obs::Obs::off();
-    let outcome = run_engine(graph, family, spec, config, &obs, |info: &NodeInfo<'_>| {
-        FloodProgram {
-            current: values[info.node.index()],
-            value_bits,
-        }
-    })?;
+    let flood = |spec, config| -> Result<Epoch<_>> {
+        let outcome = run_engine(graph, family, spec, config, &obs, |info: &NodeInfo<'_>| {
+            FloodProgram {
+                current: values[info.node.index()],
+                value_bits,
+            }
+        })?;
+        let per_node: Vec<_> = outcome.nodes.iter().map(|n| n.current).collect();
+        let per_part = agreed(partition, family, &per_node);
+        Ok(Epoch {
+            complete: per_part.is_ok(),
+            stats: outcome.stats,
+            answer: (per_node, per_part),
+        })
+    };
+    let ((per_node, per_part), stats, _) =
+        run_epochs(family, supersteps, config, &obs, "dist/flood", flood)?;
+    Ok(PartFloodOutcome {
+        per_part: per_part.map_err(|reason| DistError::ProtocolInvariant { reason })?,
+        per_node,
+        supersteps,
+        stats,
+    })
+}
 
-    let per_node: Vec<Option<(u64, u64)>> = outcome.nodes.iter().map(|n| n.current).collect();
-    let mut per_part: Vec<Option<(u64, u64)>> = vec![None; partition.part_count()];
+/// The value every member of each active part holds, or how two members
+/// of a part disagree.
+fn agreed(
+    partition: &Partition,
+    family: &BlockFamily,
+    per_node: &[Option<(u64, u64)>],
+) -> std::result::Result<Vec<Option<(u64, u64)>>, String> {
+    let mut per_part = vec![None; partition.part_count()];
     for p in partition.parts() {
         let members = partition.members(p);
         // Skip parts outside the family's view (inactive parts).
@@ -152,25 +181,15 @@ pub fn part_flood_min(
             continue;
         }
         let first = per_node[members[0].index()];
-        for &v in members {
-            if per_node[v.index()] != first {
-                return Err(DistError::ProtocolInvariant {
-                    reason: format!(
-                        "members of part {p} disagree after flooding: {:?} vs {:?} at {v}",
-                        first,
-                        per_node[v.index()]
-                    ),
-                });
-            }
+        if let Some(&v) = members.iter().find(|v| per_node[v.index()] != first) {
+            return Err(format!(
+                "members of part {p} disagree after flooding: {first:?} vs {:?} at {v}",
+                per_node[v.index()]
+            ));
         }
         per_part[p.index()] = first;
     }
-    Ok(PartFloodOutcome {
-        per_part,
-        per_node,
-        supersteps,
-        stats: outcome.stats,
-    })
+    Ok(per_part)
 }
 
 /// Elects every part's leader (its minimum member id) by distributed

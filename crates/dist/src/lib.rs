@@ -23,8 +23,9 @@
 //! * [`verification_simulated`] — Lemma 3 as message passing: distributed
 //!   block-component counting of one [`BlockCounting`] question, a sound
 //!   and complete drop-in for `lcs_core::construction::verification`. Under
-//!   an active fault plan the same call retries stalled runs in epochs and
-//!   reports [`DistError::Degraded`] when every epoch stalls. Wrapped in a
+//!   an active fault plan it and the floods retry incomplete runs in one
+//!   epoch loop, so they return the fault-free answer or
+//!   [`DistError::Degraded`] when every epoch stalls. Wrapped in a
 //!   closure, it is the `Simulated` [`lcs_core::construction::Verifier`]
 //!   the Theorem 3 driver and the Appendix A loop run with (`lcs_api`'s
 //!   session does this for every construction query, repair and Boruvka

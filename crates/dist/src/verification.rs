@@ -34,14 +34,13 @@
 //! verification anyway; its `depth(T)` rounds are charged on top of the
 //! executed protocol rounds, mirroring the scheduled version.
 
-use lcs_congest::{bits_for_node_count, SimConfig, SimError, SimStats};
+use lcs_congest::{bits_for_node_count, SimConfig, SimStats};
 use lcs_core::construction::VerificationOutcome;
 use lcs_core::TreeShortcut;
 use lcs_graph::{Graph, NodeId, Partition, RootedTree};
 use lcs_obs::Obs;
 
-use crate::engine::{run_engine, EngineSpec, NodeProgram, NodeView};
-use crate::error::DistError;
+use crate::engine::{run_engine, run_epochs, EngineSpec, Epoch, NodeProgram, NodeView};
 use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::Result;
 
@@ -187,9 +186,9 @@ struct CountProgram {
     id_bits: usize,
     edge_bits: usize,
     /// Fault mode: the engine polls `cross_message` at every round of the
-    /// cross slot, so one-shot gates (`announce_sent`, `count_sent`) are
-    /// disabled and receivers rely on their own deduplication. A lost copy
-    /// is then healed by the next resend.
+    /// cross slot, so the one-shot Report gate (`count_sent`) is disabled
+    /// and receivers rely on their own deduplication. A lost copy is then
+    /// healed by the next resend.
     resend: bool,
     /// The root id of the node's own-part block ([`NONE`] outside every
     /// active part): the block's identity in every cross message.
@@ -204,13 +203,14 @@ struct CountProgram {
     block_poisoned: bool,
     my_count: Option<(u32, bool)>,
     count_sent: bool,
-    announce_sent: bool,
     verdict: Option<(bool, u32)>,
     member_bad: bool,
+    /// Under a fault plan, the engine reported a superstep this node
+    /// missed: it stays undecided.
+    missed: bool,
     // Stored observations, each list sized once (see [`observe`]).
     nbr: Vec<NbrInfo>,
-    /// Every child block announced (or reported, which implies the
-    /// announcement) to this node.
+    /// Every child block announced to this node.
     children: Vec<ChildBlock>,
 }
 
@@ -237,9 +237,9 @@ impl CountProgram {
             block_poisoned: false,
             my_count: None,
             count_sent: false,
-            announce_sent: false,
             verdict: None,
             member_bad: false,
+            missed: false,
             nbr: Vec::new(),
             children: Vec::new(),
         }
@@ -261,8 +261,11 @@ impl CountProgram {
     }
 
     /// The node's final classification: `Some((good, total))` only when it
-    /// ended clean with a decided verdict.
+    /// ended clean with a decided verdict, `None` while undecided.
     fn final_verdict(&self) -> Option<(bool, u64)> {
+        if self.missed {
+            return None;
+        }
         if self.suspect() {
             return Some((false, 0));
         }
@@ -418,17 +421,10 @@ impl NodeProgram for CountProgram {
                 Some(CCross::Info(own_root, leader, hops))
             }
             Phase::Parent => None,
-            Phase::Port => {
-                if self.is_reporter
-                    && self.reporter_to == Some(to)
-                    && (self.resend || !self.announce_sent)
-                {
-                    self.announce_sent = true;
-                    Some(CCross::Announce(own_root))
-                } else {
-                    None
-                }
-            }
+            // One superstep long, so a fault-free run asks once per
+            // neighbor and a faulty one resends at every poll.
+            Phase::Port => (self.is_reporter && self.reporter_to == Some(to))
+                .then_some(CCross::Announce(own_root)),
             Phase::Count => {
                 if self.suspect() {
                     return Some(CCross::Broken);
@@ -439,13 +435,6 @@ impl NodeProgram for CountProgram {
                             self.count_sent = true;
                             return Some(CCross::Report(own_root, count, poison));
                         }
-                    } else if self.resend {
-                        // Until the subtree count completes, keep
-                        // re-announcing: a Port-phase Announce whose every
-                        // copy was lost would otherwise leave the parent's
-                        // `reported == announced` gate free to fire without
-                        // this child.
-                        return Some(CCross::Announce(own_root));
                     }
                 }
                 None
@@ -484,20 +473,10 @@ impl NodeProgram for CountProgram {
                 }
             }
             CCross::Report(root, count, poison) => {
-                // A Report implies the sender's Announce: healing the
-                // announced set here keeps the `reported == announced`
-                // completion gate honest when every copy of the Announce
-                // itself was lost. A no-op in fault-free runs, where the
-                // Announce always precedes the Report.
-                let report = (count, poison);
-                match self.children.iter_mut().find(|child| child.root == root) {
-                    Some(child) => {
-                        child.report.get_or_insert(report);
-                    }
-                    None => {
-                        let report = Some(report);
-                        observe(&mut self.children, view, ChildBlock { root, report });
-                    }
+                // The Announce came first: under a fault plan, an epoch
+                // that lost its every copy missed the Port superstep.
+                if let Some(child) = self.children.iter_mut().find(|child| child.root == root) {
+                    child.report.get_or_insert((count, poison));
                 }
             }
             CCross::Broken => {
@@ -507,6 +486,10 @@ impl NodeProgram for CountProgram {
                 self.verdict.get_or_insert((good, total));
             }
         }
+    }
+
+    fn missed(&mut self, _step: u64) {
+        self.missed = true;
     }
 
     fn val_bits(&self) -> usize {
@@ -600,15 +583,6 @@ pub struct DistVerificationOutcome {
     pub stalls: u32,
 }
 
-/// Epochs a fault-injected verification runs before it reports
-/// [`DistError::Degraded`].
-const MAX_EPOCHS: u32 = 5;
-/// The first epoch's round budget is the engine's exact fault-mode schedule
-/// times this factor, so transient queue build-up cannot trip the cap.
-const TIMEOUT_FACTOR: u64 = 2;
-/// Every further epoch multiplies the budget by this factor again.
-const BACKOFF: u64 = 2;
-
 /// Runs the Lemma 3 block counting as real message passing and classifies
 /// every active part of `question` against its threshold.
 ///
@@ -619,15 +593,14 @@ const BACKOFF: u64 = 2;
 /// and complete drop-in for `lcs_core::construction::verification`.
 ///
 /// Without an active fault plan on `config` this is one run of the
-/// protocol. With one, the run is repeated in *epochs* until one is
-/// decisive: an epoch stalls when some part's members never all decide (a
-/// crash, heavy loss) or its round budget runs out. Each epoch advances the
-/// plan's round offset by the previous budget, so the retry sees the same
-/// deterministic fault world later in global time (restartable crash
-/// windows are behind it, loss draws are fresh), and doubles the budget.
-/// The whole procedure is deterministic at every shard count. The returned
-/// statistics and charged rounds cover every epoch, the stalled ones
-/// included (see [`DistVerificationOutcome::stats`]).
+/// protocol. With one, it runs in the engine's epochs until an epoch is
+/// decisive with every member complete: a member that missed any superstep
+/// (no agreed value of its own block, or no copy from some same-part
+/// neighbor) counts as undecided, so an epoch's verdicts and counts are
+/// either the fault-free ones or retried. The whole procedure is
+/// deterministic at every shard count. The returned statistics and charged
+/// rounds cover every epoch, the stalled ones included (see
+/// [`DistVerificationOutcome::stats`]).
 ///
 /// Reports the protocol shape (`dist/verification/*` counters, including
 /// the superstep-per-phase split, and `epochs` / `stalls` under a fault
@@ -637,8 +610,8 @@ const BACKOFF: u64 = 2;
 ///
 /// # Errors
 ///
-/// Propagates simulator errors; [`DistError::Degraded`] when every epoch
-/// of a fault-injected run stalls.
+/// Propagates simulator errors; [`crate::DistError::Degraded`] when every
+/// epoch of a fault-injected run stalls.
 ///
 /// # Panics
 ///
@@ -649,105 +622,47 @@ pub fn verification_simulated(
     config: Option<SimConfig>,
     obs: &Obs,
 ) -> Result<DistVerificationOutcome> {
-    let Some((config, plan)) = config.and_then(|c| c.active_fault().map(|plan| (c, plan))) else {
-        let _span = lcs_obs::span!(obs, "dist/verification");
-        return count_blocks(question, &question.family(), config, obs);
-    };
-    // The family's schedule gives the engine's exact fault-mode round count
-    // for this instance (the formula `run_engine` uses), so no epoch's
-    // budget is ever spuriously tight.
     let family = question.family();
-    let l = family.schedule().rounds;
-    let s = plan.round_stretch().max(1);
-    let base_budget = counting_supersteps(question.threshold)
-        .saturating_mul(crate::engine::faulty_window((l + 1) * s, s))
-        .saturating_add(2);
-    let depth_check = u64::from(question.tree.depth_of_tree());
-    let mut offset = plan.round_offset();
-    let mut stalls = 0u32;
-    // Every epoch's cost so far: the traffic of the completed ones, and
-    // rounds plus one `depth(T)` check for each.
-    let mut spent = SimStats::default();
-    let mut charged = 0u64;
-    for epoch in 0..MAX_EPOCHS {
-        let budget = base_budget
-            .saturating_mul(TIMEOUT_FACTOR)
-            .saturating_mul(BACKOFF.saturating_pow(epoch));
-        let epoch_config = config
-            .with_fault(plan.with_round_offset(offset))
-            .with_max_rounds(budget);
-        if obs.is_on() {
-            obs.counter_add("dist/verification/epochs", 1);
-        }
-        let run = {
-            let _span = lcs_obs::span!(obs, "dist/verification");
-            count_blocks(question, &family, Some(epoch_config), obs)
-        };
-        match run {
-            Ok(out) => {
-                spent.rounds += out.stats.rounds;
-                spent.messages += out.stats.messages;
-                spent.total_bits += out.stats.total_bits;
-                spent.max_message_bits = spent.max_message_bits.max(out.stats.max_message_bits);
-                charged += out.outcome.rounds;
-                if out.decisive {
-                    return Ok(DistVerificationOutcome {
-                        outcome: VerificationOutcome {
-                            rounds: charged,
-                            ..out.outcome
-                        },
-                        stats: spent,
-                        epochs: epoch + 1,
-                        stalls,
-                        ..out
-                    });
-                }
-            }
-            // A run cut off at its cap returns no traffic: only its rounds
-            // are known. Caps saturate like the budgets they come from.
-            Err(DistError::Simulation(SimError::RoundLimitExceeded { limit })) => {
-                spent.rounds = spent.rounds.saturating_add(limit);
-                charged = charged.saturating_add(limit).saturating_add(depth_check);
-            }
-            Err(other) => return Err(other),
-        }
-        stalls += 1;
-        if obs.is_on() {
-            obs.counter_add("dist/verification/stalls", 1);
-        }
-        offset = offset.saturating_add(budget);
-    }
-    Err(DistError::Degraded {
-        epochs: MAX_EPOCHS,
-        stalls,
-    })
+    let steps = counting_supersteps(question.threshold);
+    let count = |spec, config| -> Result<Epoch<DistVerificationOutcome>> {
+        let _span = lcs_obs::span!(obs, "dist/verification");
+        let answer = count_blocks(question, &family, spec, config, obs)?;
+        Ok(Epoch {
+            complete: answer.decisive,
+            stats: answer.stats,
+            answer,
+        })
+    };
+    let (mut out, stats, epochs) =
+        run_epochs(&family, steps, config, obs, "dist/verification", count)?;
+    // Every epoch ran one `depth(T)` check after its protocol rounds.
+    let checks = u64::from(epochs) * u64::from(question.tree.depth_of_tree());
+    out.outcome.rounds = stats.rounds + checks;
+    (out.stats, out.epochs, out.stalls) = (stats, epochs, epochs - 1);
+    Ok(out)
 }
 
 /// One run of the counting protocol over an already built `family`.
 fn count_blocks(
     question: &BlockCounting<'_>,
     family: &BlockFamily,
+    spec: EngineSpec,
     config: Option<SimConfig>,
     obs: &Obs,
 ) -> Result<DistVerificationOutcome> {
     let BlockCounting {
         graph,
-        tree,
         partition,
         threshold,
         active,
         ..
     } = *question;
-    let supersteps = counting_supersteps(threshold);
+    let supersteps = spec.steps;
     if obs.is_on() {
         obs.counter_add("dist/verification/runs", 1);
         obs.counter_add("dist/verification/supersteps", supersteps);
         record_phase_split(obs, supersteps, threshold as u64);
     }
-    let spec = EngineSpec {
-        steps: supersteps,
-        broadcast_down: true,
-    };
     let id_bits = bits_for_node_count(graph.node_count());
     let edge_bits = lcs_congest::bits_for_count(graph.edge_count().max(2));
     let resend = config.as_ref().and_then(|c| c.active_fault()).is_some();
@@ -789,12 +704,13 @@ fn count_blocks(
         }
     }
 
-    let rounds = outcome.stats.rounds + u64::from(tree.depth_of_tree());
+    // The charged rounds and the epoch counts cover the whole epoch loop:
+    // `verification_simulated` fills them in.
     Ok(DistVerificationOutcome {
         outcome: VerificationOutcome {
             good,
             block_counts,
-            rounds,
+            rounds: 0,
         },
         stats: outcome.stats,
         trace: outcome.trace,

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use lcs_congest::{FaultPlan, SimConfig};
-use lcs_core::existential::ancestor_shortcut;
+use lcs_core::existential::{ancestor_shortcut, truncated_ancestor_shortcut};
 use lcs_core::TreeShortcut;
 use lcs_dist::{verification_simulated, BlockCounting, DistError};
 use lcs_graph::{generators, Graph, NodeId, Partition, RootedTree};
@@ -115,6 +115,85 @@ fn crash_with_restart_heals_across_epochs() {
     assert_eq!(healed.outcome.block_counts, plain.outcome.block_counts);
 }
 
+/// One cell of the fault sweep: `random_bfs_balls(g, 10, balls)` on grid
+/// 10×10 or torus 8×8 (BFS tree from node 0), the ancestor shortcut
+/// truncated at `levels`, and plan `k·7919 + loss` with 5 % duplication and
+/// latency 1. The run must return the fault-free verdicts and counts, or
+/// `Degraded`; the fault-free outcome is returned for further checks.
+fn exact_or_degraded(
+    torus: bool,
+    balls: u64,
+    levels: u32,
+    threshold: usize,
+    k: u64,
+    loss: u32,
+) -> lcs_core::construction::VerificationOutcome {
+    let graph = if torus {
+        generators::torus(8, 8)
+    } else {
+        generators::grid(10, 10)
+    };
+    let tree = RootedTree::bfs(&graph, NodeId::new(0));
+    let partition = generators::partitions::random_bfs_balls(&graph, 10, balls);
+    let shortcut = truncated_ancestor_shortcut(&graph, &tree, &partition, levels);
+    let active = vec![true; partition.part_count()];
+    let question = BlockCounting {
+        graph: &graph,
+        tree: &tree,
+        partition: &partition,
+        shortcut: &shortcut,
+        threshold,
+        active: &active,
+    };
+    let plain = verification_simulated(&question, None, &Obs::off()).unwrap();
+    let plan = FaultPlan::new(k * 7919 + u64::from(loss))
+        .with_loss_ppm(loss)
+        .with_dup_ppm(50_000)
+        .with_latency(1);
+    let cell =
+        format!("torus {torus}, balls {balls}, levels {levels}, threshold {threshold}, k {k}");
+    let cfg = SimConfig::for_graph(&graph).with_fault(plan);
+    match verification_simulated(&question, Some(cfg), &Obs::off()) {
+        Ok(out) => {
+            assert_eq!(out.outcome.good, plain.outcome.good, "verdicts, {cell}");
+            assert_eq!(
+                out.outcome.block_counts, plain.outcome.block_counts,
+                "block counts, {cell}"
+            );
+        }
+        Err(DistError::Degraded { .. }) => {}
+        Err(other) => panic!("{cell}: {other}"),
+    }
+    plain.outcome
+}
+
+/// Under heavy loss a bad part must never be undercounted into a good
+/// one: grid 10×10's part 1 has more than 3 blocks, and at 40 % loss this
+/// plan, without the engine's completion checks, counts it at 3 blocks
+/// and reports it good.
+#[test]
+fn heavy_loss_never_certifies_an_undercount() {
+    let plain = exact_or_degraded(false, 2, 2, 3, 4, 400_000);
+    assert!(!plain.good[1], "part 1 is bad without faults");
+}
+
+/// Sweep cells at 25 % and 40 % loss that come back wrong without the
+/// engine's completion checks: a good part reported bad, a bad part
+/// reported good, or right verdicts with wrong counts.
+#[test]
+fn lossy_sweep_cells_are_exact_or_degraded() {
+    let cells = [
+        (false, 0, 2, 2, 4, 250_000),
+        (true, 1, 2, 3, 8, 250_000),
+        (true, 0, 2, 3, 6, 250_000),
+        (false, 1, 1, 2, 6, 400_000),
+        (false, 1, 2, 2, 8, 400_000),
+    ];
+    for (torus, balls, levels, threshold, k, loss) in cells {
+        exact_or_degraded(torus, balls, levels, threshold, k, loss);
+    }
+}
+
 /// A permanent crash (no restart) can never decide its part: every epoch
 /// stalls and the call reports `Degraded` instead of a wrong verdict.
 #[test]
@@ -149,8 +228,7 @@ fn a_permanent_crash_reports_indecision() {
 /// charged rounds are the executed rounds plus one `depth(T)` check per
 /// epoch. The poll count and the counter digest pin the fault-mode
 /// schedule itself, so a change that kept the traffic totals but moved one
-/// poll still fails here. The verdicts are not pinned: at 30 % loss some
-/// parts come back bad that are good without faults.
+/// poll still fails here. The verdicts and counts are the fault-free ones.
 #[test]
 fn every_epoch_is_reported() {
     let (graph, tree, partition, shortcut) = grid_instance(8);
@@ -168,11 +246,14 @@ fn every_epoch_is_reported() {
         .with_fault(FaultPlan::new(7).with_loss_ppm(300_000));
     let obs = Obs::recording();
     let out = verification_simulated(&question, Some(cfg), &obs).unwrap();
+    let plain = verification_simulated(&question, None, &Obs::off()).unwrap();
+    assert_eq!(out.outcome.good, plain.outcome.good);
+    assert_eq!(out.outcome.block_counts, plain.outcome.block_counts);
     let snap = obs.snapshot();
-    assert_eq!((out.epochs, out.stalls), (4, 3));
-    assert_eq!(snap.counter("engine/runs"), Some(4));
-    assert_eq!(snap.counter("engine/polls"), Some(81_607));
-    assert_eq!(snap.counters_digest(), 10324054420097124864);
+    assert_eq!((out.epochs, out.stalls), (3, 2));
+    assert_eq!(snap.counter("engine/runs"), Some(3));
+    assert_eq!(snap.counter("engine/polls"), Some(154_441));
+    assert_eq!(snap.counters_digest(), 11617945478228810269);
 
     assert_eq!(Some(out.stats.rounds), snap.counter("engine/rounds"));
     assert_eq!(Some(out.stats.messages), snap.counter("engine/messages"));

@@ -67,12 +67,12 @@ pub enum LcsError {
         /// Number of parts still bad when the budget ran out.
         remaining_bad: usize,
     },
-    /// A fault-injected query exhausted its retry epochs without reaching
-    /// a decisive result. This is a *degraded* outcome, not a wrong one:
-    /// the partial classification stayed sound, but at least one part's
-    /// members never all decided (for example because a node crashed
-    /// permanently), so the caller gets this typed error instead of a
-    /// silently incomplete answer.
+    /// A fault-injected query exhausted its retry epochs without one
+    /// complete run. This is a *degraded* outcome, not a wrong one: every
+    /// epoch had some part whose members missed a superstep, never all
+    /// decided or never agreed (for example because a node crashed
+    /// permanently), so the caller gets this typed error instead of an
+    /// answer that could differ from the fault-free one.
     Degraded {
         /// Number of retry epochs executed.
         epochs: u32,

@@ -1,15 +1,17 @@
-//! Verification under injected faults: a deterministic fault plan on a
-//! 32×32 grid — 1% message loss plus one node that crashes mid-run and
-//! restarts with cleared state — served through the self-healing verify
-//! query.
+//! Construction and verification under injected faults: a deterministic
+//! fault plan on a 32×32 grid — 1% message loss plus one node that
+//! crashes mid-run and restarts with cleared state — applied to a
+//! `Simulated` session's shortcut and verify queries.
 //!
 //! The plan is a pure function of its seed: every loss draw, every delay,
 //! and the crash schedule are keyed by (plan, edge, round), so reruns and
 //! every `LCS_THREADS` value produce byte-identical results. The session
-//! detects stalled epochs (members that never decide) and retries with a
-//! fresh round budget; the example prints the retry shape, the fault
-//! event counters the recording [`Obs`] collected, and the final verdict,
-//! which matches the fault-free classification exactly.
+//! detects stalled epochs (a member that missed a superstep or never
+//! decided) and retries with wider windows and a fresh round budget; the
+//! example asserts that the shortcut built under the plan is the
+//! fault-free one, and prints the retry shape, the fault event counters
+//! the recording [`Obs`] collected, and the final verdict, which matches
+//! the fault-free classification exactly.
 //!
 //! Run with: `cargo run --release --example faulty_verify`
 
@@ -22,22 +24,17 @@ fn main() {
     let graph = generators::grid(side, side);
     let partition = generators::partitions::grid_columns(side, side);
 
-    // Build the shortcut once, fault-free (construction interprets a
-    // failed verification as "guess too small", so faults are injected
-    // into the verify query only).
+    let strategy = Strategy::Fixed {
+        congestion: side - 1,
+        block: 1,
+    };
     let clean = Pipeline::on(&graph)
         .seed(42)
         .execution(ExecutionMode::Simulated)
         .build()
         .expect("the grid is connected");
     let run = clean
-        .shortcut(
-            &partition,
-            Strategy::Fixed {
-                congestion: side - 1,
-                block: 1,
-            },
-        )
+        .shortcut(&partition, strategy)
         .expect("grid columns admit shortcuts");
     let want = clean
         .verify(&run.shortcut, &partition, 3)
@@ -56,6 +53,20 @@ fn main() {
         .recorder(obs.clone())
         .build()
         .expect("the grid is connected");
+    // Construction verifies under the plan too, and every verification
+    // answers exactly or not at all: the shortcut is the fault-free one.
+    let built = session
+        .shortcut(&partition, strategy)
+        .expect("a restarting crash under light loss heals");
+    assert_eq!(
+        built.shortcut, run.shortcut,
+        "the same shortcut as without faults"
+    );
+    println!(
+        "shortcut built under the plan: identical to the fault-free one ({} rounds, {} without faults)",
+        built.total_rounds(),
+        run.total_rounds()
+    );
     let healed = session
         .verify(&run.shortcut, &partition, 3)
         .expect("a restarting crash under light loss heals");
