@@ -484,7 +484,8 @@ impl<'g> Session<'g> {
     /// and every construction's verifier: `Scheduled` runs the centralized
     /// schedule, `Simulated` the message-passing block counting with the
     /// session's simulator configuration (threads, tracing and fault plan
-    /// included) and recorder, whose run comes back beside the outcome.
+    /// included) and recorder; the run comes back beside the outcome, which
+    /// is moved out of it.
     fn classify(
         &self,
         graph: &Graph,
@@ -506,8 +507,8 @@ impl<'g> Session<'g> {
             threshold,
             active,
         };
-        let run = verification_simulated(&question, Some(self.sim_config), &self.obs)?;
-        Ok((run.outcome.clone(), Some(run)))
+        let mut run = verification_simulated(&question, Some(self.sim_config), &self.obs)?;
+        Ok((std::mem::take(&mut run.outcome), Some(run)))
     }
 
     /// The verifier every construction of the session runs with — shortcut
@@ -640,12 +641,9 @@ impl<'g> Session<'g> {
         let mut trace = Vec::new();
         if let Some(run) = run {
             if self.sim_config.active_fault().is_some() {
-                report
-                    .metrics
-                    .push(("retry_epochs".to_string(), u64::from(run.epochs)));
-                report
-                    .metrics
-                    .push(("retry_stalls".to_string(), u64::from(run.stalls)));
+                let retries = [("retry_epochs", run.epochs), ("retry_stalls", run.stalls)];
+                let retries = retries.map(|(name, count)| (name.to_string(), u64::from(count)));
+                report.metrics.extend(retries);
             }
             report.rounds_executed = Some(run.stats.rounds);
             report.sim = Some(run.stats);
@@ -1285,20 +1283,12 @@ mod tests {
         assert_eq!(run_faulty.shortcut, run.shortcut);
     }
 
-    /// `Ok(answer)` passes `check`; the only error allowed is `Degraded`.
-    fn exact_or_degraded<T>(result: Result<T>, check: impl FnOnce(T)) {
-        match result {
-            Ok(answer) => check(answer),
-            Err(LcsError::Degraded { .. }) => {}
-            Err(other) => panic!("a fault plan may only degrade a query, got: {other}"),
-        }
-    }
-
     /// Under a fault plan every query that passes messages answers as the
     /// fault-free session does — the shortcut, the tracked and repaired
-    /// corpus, the MST — or returns `Degraded`; only rounds grow.
+    /// corpus, the MST — and only rounds grow. These plans complete within
+    /// the epoch budget, so a `Degraded` answer fails here too.
     #[test]
-    fn faulty_sessions_answer_exactly_or_degrade() {
+    fn faulty_sessions_answer_exactly() {
         let g = generators::grid(6, 6);
         let p = generators::partitions::grid_columns(6, 6);
         let w = EdgeWeights::random_permutation(&g, 2);
@@ -1323,24 +1313,19 @@ mod tests {
                 .with_dup_ppm(50_000)
                 .with_latency(1);
             let faulty = session(plan);
-            exact_or_degraded(faulty.shortcut(&p, Strategy::doubling()), |run| {
-                assert_eq!(run.shortcut, shortcut.shortcut, "loss {loss}");
-                assert!(run.total_rounds() > shortcut.total_rounds(), "loss {loss}");
-            });
-            let track = faulty.track_partition(&p, Strategy::doubling());
-            exact_or_degraded(track, |run| {
-                assert_eq!(run.shortcut, tracked.shortcut, "loss {loss}");
-                assert_eq!(run.good, tracked.good, "loss {loss}");
-                exact_or_degraded(faulty.repair_from(&run.baseline, &delta), |run| {
-                    assert_eq!(run.shortcut, repaired.shortcut, "loss {loss}");
-                    assert_eq!(run.quality, repaired.quality, "loss {loss}");
-                    assert_eq!(run.good, repaired.good, "loss {loss}");
-                });
-            });
-            exact_or_degraded(faulty.mst(&w, ShortcutStrategy::Doubling), |run| {
-                assert_eq!(run.edges, mst.edges, "loss {loss}");
-                assert_eq!(run.phases, mst.phases, "loss {loss}");
-            });
+            let run = faulty.shortcut(&p, Strategy::doubling()).unwrap();
+            assert_eq!(run.shortcut, shortcut.shortcut, "loss {loss}");
+            assert!(run.total_rounds() > shortcut.total_rounds(), "loss {loss}");
+            let track = faulty.track_partition(&p, Strategy::doubling()).unwrap();
+            assert_eq!(track.shortcut, tracked.shortcut, "loss {loss}");
+            assert_eq!(track.good, tracked.good, "loss {loss}");
+            let run = faulty.repair_from(&track.baseline, &delta).unwrap();
+            assert_eq!(run.shortcut, repaired.shortcut, "loss {loss}");
+            assert_eq!(run.quality, repaired.quality, "loss {loss}");
+            assert_eq!(run.good, repaired.good, "loss {loss}");
+            let run = faulty.mst(&w, ShortcutStrategy::Doubling).unwrap();
+            assert_eq!(run.edges, mst.edges, "loss {loss}");
+            assert_eq!(run.phases, mst.phases, "loss {loss}");
         }
     }
 

@@ -1390,14 +1390,10 @@ pub fn e15_faults_table() -> Table {
                             wrong.to_string(),
                         ]);
                     }
-                    Err(LcsError::Degraded { epochs, stalls, .. }) => row.extend([
-                        "-".to_string(),
-                        "-".to_string(),
-                        epochs.to_string(),
-                        stalls.to_string(),
-                        "degraded".to_string(),
-                        "-".to_string(),
-                    ]),
+                    Err(LcsError::Degraded { epochs, stalls, .. }) => {
+                        let (epochs, stalls) = (epochs.to_string(), stalls.to_string());
+                        row.extend(["-", "-", &epochs, &stalls, "degraded", "-"].map(String::from));
+                    }
                     Err(other) => panic!("E15 fault plans may only degrade a query: {other}"),
                 }
                 row.extend([format!("{digest:016x}"), deterministic.to_string()]);

@@ -16,7 +16,7 @@ use crate::routing::MemberBlocks;
 use crate::TreeShortcut;
 
 /// Result of the verification subroutine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerificationOutcome {
     /// `good[p]` is `true` if part `p` was active and its subgraph has at
     /// most the threshold number of block components.

@@ -69,7 +69,7 @@ impl fmt::Display for CoreError {
             ),
             CoreError::Simulation { reason } => write!(f, "simulation error: {reason}"),
             CoreError::Degraded { epochs, .. } => {
-                write!(f, "fault-injected verification stayed indecisive after {epochs} epochs")
+                write!(f, "fault-injected run stayed incomplete after {epochs} epochs")
             }
             CoreError::InconsistentInputs { reason } => write!(f, "inconsistent inputs: {reason}"),
         }

@@ -30,15 +30,16 @@
 //! per-edge bandwidth enforced on every message.
 //!
 //! Under a fault plan the windows stretch and every superstep is checked
-//! after the fact: a same-part edge the program is silent on carries a
+//! after the fact: a node sends no cross copy before its own block's agreed
+//! value arrives, a same-part edge the program is silent on carries a
 //! beat, and a node that lacks its own block's agreed value or heard
 //! nothing from some same-part neighbor missed the superstep
 //! ([`NodeProgram::missed`]). [`run_epochs`], the one epoch loop, repeats
 //! a run with wider windows until the protocol accepts it as complete.
 
 use lcs_congest::{
-    bits_for_count, Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing, SimConfig,
-    SimError, SimOutcome, SimStats, Simulator,
+    bits_for_count, FaultPlan, Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing,
+    SimConfig, SimError, SimOutcome, SimStats, Simulator,
 };
 use lcs_graph::{EdgeId, Graph, NodeId};
 use lcs_obs::Obs;
@@ -272,8 +273,39 @@ struct Shape {
     /// The cross-slot length `s` (the plan's worst-case per-hop stretch
     /// times the epoch's [`EngineSpec::stretch`]); 1 in fault-free runs.
     cross_span: u64,
-    /// Fault mode: the width of a beat (tag and step bits).
-    beat_bits: u32,
+    /// Fault mode: the width of the superstep tag every message carries;
+    /// 0 in fault-free runs.
+    step_bits: u32,
+}
+
+impl Shape {
+    /// The layout of a run of `spec` over a family whose schedule length
+    /// is `l`. Fault mode stretches the whole schedule by the plan's worst
+    /// per-hop cost `s = (1 + max latency) · straggler period`, times the
+    /// epoch's stretch: the tree slot gets `2·(l+1)·s` rounds, the cross
+    /// slot `3·s` rounds, and a final `s`-round guard band keeps every
+    /// delivery inside its window.
+    fn new(l: u64, spec: EngineSpec, plan: Option<FaultPlan>) -> Shape {
+        let mut shape = Shape {
+            l,
+            window: 2 * l + 1,
+            steps: spec.steps,
+            total_rounds: engine_rounds(l, spec),
+            broadcast_down: spec.broadcast_down,
+            faulty: plan.is_some(),
+            cross_span: 1,
+            step_bits: 0,
+        };
+        if let Some(plan) = plan {
+            let s = plan.round_stretch().max(1) * spec.stretch;
+            shape.l = (l + 1) * s;
+            shape.window = faulty_window(shape.l, s);
+            shape.total_rounds = spec.steps * shape.window;
+            shape.cross_span = s;
+            shape.step_bits = bits_for_count((spec.steps as usize).max(2)) as u32;
+        }
+        shape
+    }
 }
 
 /// How many supersteps to run, whether block values are broadcast back
@@ -632,7 +664,7 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         for &(to, _) in self.family.part_neighbors(self.node) {
             let (payload, bits) = match self.program.cross_message(to, step) {
                 Some(msg) => (Payload::Cross(msg), self.cross_msg_bits),
-                None if self.shape.faulty => (Payload::Beat, self.shape.beat_bits),
+                None if self.shape.faulty => (Payload::Beat, 2 + self.shape.step_bits),
                 None => continue,
             };
             let step = step as u32;
@@ -822,11 +854,15 @@ impl<'a, P: NodeProgram> EngineNode<'a, P> {
         }
 
         // Cross slot: resend at every poll (the program decides per call
-        // what to send; receivers deduplicate).
+        // what to send; receivers deduplicate). A late Down can land inside
+        // the slot, and a copy sent before it would carry the previous
+        // superstep's state: nothing goes out before the own block's value,
+        // so any copy a neighbor hears reflects this superstep's.
         if shape.broadcast_down
             && round >= tree_end
             && round < tree_end + CROSS_REDUNDANCY * shape.cross_span
             && self.step + 1 < shape.steps
+            && self.runs.iter().any(|run| run.own && run.agreed.is_some())
         {
             self.send_crosses(out);
         }
@@ -1040,50 +1076,14 @@ where
     P: NodeProgram,
     F: FnMut(&NodeInfo<'_>) -> P,
 {
-    let l = family.schedule().rounds;
-    // Fault mode stretches the whole schedule by the plan's worst per-hop
-    // cost `s = (1 + max latency) · straggler period`, times the epoch's
-    // stretch: the tree slot gets `2·(l+1)·s` rounds, the cross slot `3·s`
-    // rounds, and a final `s`-round guard band keeps every delivery inside
-    // its window. This is also where the round budget scales with the
-    // plan — callers' caps are raised below, so latency inflation alone
-    // can never produce a spurious `RoundLimitExceeded`.
+    // The round budget scales with the plan here: callers' caps are raised
+    // below, so latency inflation alone can never produce a spurious
+    // `RoundLimitExceeded`.
     let plan = config.as_ref().and_then(|c| c.active_fault());
-    let faulty = plan.is_some();
     let spares = plan.is_some_and(|p| p.crash_count() > 0 && p.restart_after() > 0);
-    let step_bits = if faulty {
-        bits_for_count((spec.steps as usize).max(2))
-    } else {
-        0
-    };
     let bits = |width: usize| u32::try_from(width).expect("message widths fit in 32 bits");
-    let shape = match plan {
-        Some(p) => {
-            let s = p.round_stretch().max(1) * spec.stretch;
-            let lf = (l + 1) * s;
-            let w = faulty_window(lf, s);
-            Shape {
-                l: lf,
-                window: w,
-                steps: spec.steps,
-                total_rounds: spec.steps * w,
-                broadcast_down: spec.broadcast_down,
-                faulty,
-                cross_span: s,
-                beat_bits: bits(2 + step_bits),
-            }
-        }
-        None => Shape {
-            l,
-            window: 2 * l + 1,
-            steps: spec.steps,
-            total_rounds: engine_rounds(l, spec),
-            broadcast_down: spec.broadcast_down,
-            faulty,
-            cross_span: 1,
-            beat_bits: 0,
-        },
-    };
+    let shape = Shape::new(family.schedule().rounds, spec, plan);
+    let (faulty, step_bits) = (shape.faulty, shape.step_bits as usize);
     let total_rounds = shape.total_rounds;
     // A caller-supplied config customizes bandwidth, tracing and the engine
     // thread count, but the round cap is this entry point's responsibility:
@@ -1159,12 +1159,32 @@ pub(crate) struct Epoch<T> {
     pub complete: bool,
 }
 
+/// One epoch of [`run_epochs`], as the loop hands it to the protocol: the
+/// epoch's spec and configuration are sealed inside, so the only way to
+/// run it is [`EpochRun::run`].
+pub(crate) struct EpochRun {
+    spec: EngineSpec,
+    config: Option<SimConfig>,
+}
+
+impl EpochRun {
+    /// Runs the epoch: [`run_engine`] with the programs `make` builds.
+    pub(crate) fn run<P: NodeProgram>(
+        self,
+        graph: &Graph,
+        family: &BlockFamily,
+        obs: &Obs,
+        make: impl FnMut(&NodeInfo<'_>) -> P,
+    ) -> Result<SimOutcome<P>> {
+        run_engine(graph, family, self.spec, self.config, obs, make)
+    }
+}
+
 /// The one epoch loop: runs a protocol of `steps` full supersteps over
-/// `family` with `run` (which forwards the spec and configuration it is
-/// given to [`run_engine`]), and returns the answer of the epoch it kept,
-/// the traffic of every epoch it ran, and how many it ran. An epoch cut
-/// off at its round cap adds its cap to the rounds and no traffic, which
-/// the simulator does not return.
+/// `family` with `run`, and returns the answer of the epoch it kept, the
+/// traffic of every epoch it ran, and how many it ran. An epoch cut off at
+/// its round cap adds its cap to the rounds and no traffic, which the
+/// simulator does not return.
 ///
 /// Without an active fault plan on `config` this is one run, returned
 /// whether complete or not (the protocol judges its own answer then).
@@ -1187,25 +1207,28 @@ pub(crate) fn run_epochs<T>(
     config: Option<SimConfig>,
     obs: &Obs,
     label: &str,
-    mut run: impl FnMut(EngineSpec, Option<SimConfig>) -> Result<Epoch<T>>,
+    mut run: impl FnMut(EpochRun) -> Result<Epoch<T>>,
 ) -> Result<(T, SimStats, u32)> {
-    let spec = |stretch| EngineSpec {
-        steps,
-        broadcast_down: true,
-        stretch,
+    let epoch = |stretch, config| EpochRun {
+        spec: EngineSpec {
+            steps,
+            broadcast_down: true,
+            stretch,
+        },
+        config,
     };
     let Some((config, plan)) = config.and_then(|c| c.active_fault().map(|plan| (c, plan))) else {
-        let epoch = run(spec(1), config)?;
+        let epoch = run(epoch(1, config))?;
         return Ok((epoch.answer, epoch.stats, 1));
     };
-    // The first epoch's exact fault-mode schedule (the formula of
-    // `run_engine`) plus its two closing rounds.
-    let s = plan.round_stretch().max(1);
-    let schedule = steps * faulty_window((family.schedule().rounds + 1) * s, s) + 2;
+    // The first epoch's exact fault-mode schedule plus its two closing
+    // rounds.
+    let first = epoch(1, None).spec;
+    let schedule = Shape::new(family.schedule().rounds, first, Some(plan)).total_rounds + 2;
     let mut offset = plan.round_offset();
     let mut spent = SimStats::default();
-    for epoch in 0..MAX_EPOCHS {
-        let stretch = BACKOFF.pow(epoch);
+    for e in 0..MAX_EPOCHS {
+        let stretch = BACKOFF.pow(e);
         let budget = schedule * TIMEOUT_FACTOR * stretch;
         let config = config
             .with_fault(plan.with_round_offset(offset))
@@ -1213,14 +1236,14 @@ pub(crate) fn run_epochs<T>(
         if obs.is_on() {
             obs.counter_add(&format!("{label}/epochs"), 1);
         }
-        match run(spec(stretch), Some(config)) {
+        match run(epoch(stretch, Some(config))) {
             Ok(run) => {
                 spent.rounds += run.stats.rounds;
                 spent.messages += run.stats.messages;
                 spent.total_bits += run.stats.total_bits;
                 spent.max_message_bits = spent.max_message_bits.max(run.stats.max_message_bits);
                 if run.complete {
-                    return Ok((run.answer, spent, epoch + 1));
+                    return Ok((run.answer, spent, e + 1));
                 }
             }
             // A run cut off at its cap returns no traffic: only its
@@ -1364,5 +1387,81 @@ mod tests {
         rest.sort_unstable();
         expected.extend(rest);
         assert_eq!(popped, expected);
+    }
+
+    /// Sends, as its cross payload, the superstep of the last agreed value
+    /// of its own block, and counts the copies it hears that name another
+    /// superstep than the one they were sent after.
+    #[derive(Debug, Default)]
+    struct Echo {
+        agreed_at: Option<u64>,
+        stale: u64,
+    }
+
+    impl NodeProgram for Echo {
+        type Val = u64;
+        type Cross = Option<u64>;
+
+        fn contribution(&mut self, view: NodeView<'_>, _own: bool, step: u64) -> u64 {
+            view.node.index() as u64 + step
+        }
+        fn combine(&self, _step: u64, a: &u64, b: &u64) -> u64 {
+            *a.min(b)
+        }
+        fn on_agreed(&mut self, _: NodeView<'_>, _: usize, own: bool, _: &u64, step: u64) {
+            if own {
+                self.agreed_at = Some(step);
+            }
+        }
+        fn cross_message(&mut self, _to: NodeId, _step: u64) -> Option<Option<u64>> {
+            Some(self.agreed_at)
+        }
+        fn on_cross(&mut self, _: NodeView<'_>, _: NodeId, msg: Option<u64>, step: u64) {
+            if msg != Some(step) {
+                self.stale += 1;
+            }
+        }
+        fn val_bits(&self) -> usize {
+            16
+        }
+        fn cross_bits(&self) -> usize {
+            16
+        }
+    }
+
+    /// Under latency and heavy loss a member's own block value can land
+    /// inside the cross slot. Every cross copy a neighbor hears must still
+    /// carry the sender's state after this superstep's value: a copy sent
+    /// before it would satisfy the neighbor's completion check with the
+    /// previous superstep's payload.
+    #[test]
+    fn no_cross_copy_precedes_the_own_block_value() {
+        let graph = generators::grid(8, 8);
+        let tree = RootedTree::bfs(&graph, NodeId::new(0));
+        let partition = generators::partitions::random_bfs_balls(&graph, 6, 3);
+        let shortcut = ancestor_shortcut(&graph, &tree, &partition);
+        let family = BlockFamily::new(&graph, &tree, &partition, &shortcut);
+        let spec = EngineSpec {
+            steps: 6,
+            broadcast_down: true,
+            stretch: 1,
+        };
+        let mut configs = vec![None];
+        for seed in 0..4 {
+            let plan = lcs_congest::FaultPlan::new(seed)
+                .with_latency(1)
+                .with_loss_ppm(400_000)
+                .with_dup_ppm(50_000);
+            configs.push(Some(SimConfig::for_graph(&graph).with_fault(plan)));
+        }
+        for config in configs {
+            let faulty = config.is_some();
+            let out = run_engine(&graph, &family, spec, config, &Obs::off(), |_| {
+                Echo::default()
+            })
+            .unwrap();
+            let stale: u64 = out.nodes.iter().map(|node| node.stale).sum();
+            assert_eq!(stale, 0, "faulty: {faulty}");
+        }
     }
 }

@@ -56,8 +56,8 @@ impl fmt::Display for DistError {
             }
             DistError::BoundViolation { reason } => write!(f, "round bound violated: {reason}"),
             &DistError::Degraded { epochs, stalls } => {
-                let indecision = lcs_core::CoreError::Degraded { epochs, stalls };
-                write!(f, "{indecision} ({stalls} stalled)")
+                let stall = lcs_core::CoreError::Degraded { epochs, stalls };
+                write!(f, "{stall} ({stalls} stalled)")
             }
         }
     }
@@ -122,8 +122,8 @@ mod tests {
         .into();
         assert_eq!(
             lcs.to_string(),
-            "degraded result after 5 epochs (5 stalled): fault-injected verification stayed \
-             indecisive after 5 epochs"
+            "degraded result after 5 epochs (5 stalled): fault-injected run stayed incomplete \
+             after 5 epochs"
         );
     }
 }

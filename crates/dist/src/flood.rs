@@ -19,7 +19,7 @@
 use lcs_congest::{bits_for_count, SimConfig, SimStats};
 use lcs_graph::{EdgeId, Graph, NodeId, Partition};
 
-use crate::engine::{run_engine, run_epochs, Epoch, NodeProgram, NodeView};
+use crate::engine::{run_epochs, Epoch, EpochRun, NodeProgram, NodeView};
 use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::{DistError, Result};
 
@@ -141,12 +141,10 @@ pub fn part_flood_min(
     );
     let supersteps = family.block_parameter().max(1) as u64;
     let obs = lcs_obs::Obs::off();
-    let flood = |spec, config| -> Result<Epoch<_>> {
-        let outcome = run_engine(graph, family, spec, config, &obs, |info: &NodeInfo<'_>| {
-            FloodProgram {
-                current: values[info.node.index()],
-                value_bits,
-            }
+    let flood = |epoch: EpochRun| -> Result<Epoch<_>> {
+        let outcome = epoch.run(graph, family, &obs, |info: &NodeInfo<'_>| FloodProgram {
+            current: values[info.node.index()],
+            value_bits,
         })?;
         let per_node: Vec<_> = outcome.nodes.iter().map(|n| n.current).collect();
         let per_part = agreed(partition, family, &per_node);

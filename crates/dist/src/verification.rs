@@ -40,7 +40,7 @@ use lcs_core::TreeShortcut;
 use lcs_graph::{Graph, NodeId, Partition, RootedTree};
 use lcs_obs::Obs;
 
-use crate::engine::{run_engine, run_epochs, EngineSpec, Epoch, NodeProgram, NodeView};
+use crate::engine::{run_epochs, Epoch, EpochRun, NodeProgram, NodeView};
 use crate::knowledge::{BlockFamily, NodeInfo};
 use crate::Result;
 
@@ -624,9 +624,10 @@ pub fn verification_simulated(
 ) -> Result<DistVerificationOutcome> {
     let family = question.family();
     let steps = counting_supersteps(question.threshold);
-    let count = |spec, config| -> Result<Epoch<DistVerificationOutcome>> {
+    let resend = config.as_ref().and_then(|c| c.active_fault()).is_some();
+    let count = |epoch: EpochRun| -> Result<Epoch<DistVerificationOutcome>> {
         let _span = lcs_obs::span!(obs, "dist/verification");
-        let answer = count_blocks(question, &family, spec, config, obs)?;
+        let answer = count_blocks(question, &family, steps, resend, epoch, obs)?;
         Ok(Epoch {
             complete: answer.decisive,
             stats: answer.stats,
@@ -642,12 +643,14 @@ pub fn verification_simulated(
     Ok(out)
 }
 
-/// One run of the counting protocol over an already built `family`.
+/// One run of the counting protocol over an already built `family`, of
+/// `supersteps` supersteps, in `epoch`; `resend` under a fault plan.
 fn count_blocks(
     question: &BlockCounting<'_>,
     family: &BlockFamily,
-    spec: EngineSpec,
-    config: Option<SimConfig>,
+    supersteps: u64,
+    resend: bool,
+    epoch: EpochRun,
     obs: &Obs,
 ) -> Result<DistVerificationOutcome> {
     let BlockCounting {
@@ -657,7 +660,6 @@ fn count_blocks(
         active,
         ..
     } = *question;
-    let supersteps = spec.steps;
     if obs.is_on() {
         obs.counter_add("dist/verification/runs", 1);
         obs.counter_add("dist/verification/supersteps", supersteps);
@@ -665,8 +667,7 @@ fn count_blocks(
     }
     let id_bits = bits_for_node_count(graph.node_count());
     let edge_bits = lcs_congest::bits_for_count(graph.edge_count().max(2));
-    let resend = config.as_ref().and_then(|c| c.active_fault()).is_some();
-    let outcome = run_engine(graph, family, spec, config, obs, |info: &NodeInfo<'_>| {
+    let outcome = epoch.run(graph, family, obs, |info: &NodeInfo<'_>| {
         CountProgram::new(threshold as u64, id_bits, edge_bits, resend, info)
     })?;
 

@@ -118,9 +118,10 @@ fn crash_with_restart_heals_across_epochs() {
 /// One cell of the fault sweep: `random_bfs_balls(g, 10, balls)` on grid
 /// 10×10 or torus 8×8 (BFS tree from node 0), the ancestor shortcut
 /// truncated at `levels`, and plan `k·7919 + loss` with 5 % duplication and
-/// latency 1. The run must return the fault-free verdicts and counts, or
-/// `Degraded`; the fault-free outcome is returned for further checks.
-fn exact_or_degraded(
+/// latency 1. The run must return the fault-free verdicts and counts: the
+/// cells below complete within the epoch budget, so `Degraded` fails too.
+/// The fault-free outcome is returned for further checks.
+fn assert_exact(
     torus: bool,
     balls: u64,
     levels: u32,
@@ -153,17 +154,13 @@ fn exact_or_degraded(
     let cell =
         format!("torus {torus}, balls {balls}, levels {levels}, threshold {threshold}, k {k}");
     let cfg = SimConfig::for_graph(&graph).with_fault(plan);
-    match verification_simulated(&question, Some(cfg), &Obs::off()) {
-        Ok(out) => {
-            assert_eq!(out.outcome.good, plain.outcome.good, "verdicts, {cell}");
-            assert_eq!(
-                out.outcome.block_counts, plain.outcome.block_counts,
-                "block counts, {cell}"
-            );
-        }
-        Err(DistError::Degraded { .. }) => {}
-        Err(other) => panic!("{cell}: {other}"),
-    }
+    let out = verification_simulated(&question, Some(cfg), &Obs::off())
+        .unwrap_or_else(|err| panic!("{cell}: {err}"));
+    assert_eq!(out.outcome.good, plain.outcome.good, "verdicts, {cell}");
+    assert_eq!(
+        out.outcome.block_counts, plain.outcome.block_counts,
+        "block counts, {cell}"
+    );
     plain.outcome
 }
 
@@ -173,7 +170,7 @@ fn exact_or_degraded(
 /// and reports it good.
 #[test]
 fn heavy_loss_never_certifies_an_undercount() {
-    let plain = exact_or_degraded(false, 2, 2, 3, 4, 400_000);
+    let plain = assert_exact(false, 2, 2, 3, 4, 400_000);
     assert!(!plain.good[1], "part 1 is bad without faults");
 }
 
@@ -181,7 +178,7 @@ fn heavy_loss_never_certifies_an_undercount() {
 /// engine's completion checks: a good part reported bad, a bad part
 /// reported good, or right verdicts with wrong counts.
 #[test]
-fn lossy_sweep_cells_are_exact_or_degraded() {
+fn lossy_sweep_cells_are_exact() {
     let cells = [
         (false, 0, 2, 2, 4, 250_000),
         (true, 1, 2, 3, 8, 250_000),
@@ -190,7 +187,7 @@ fn lossy_sweep_cells_are_exact_or_degraded() {
         (false, 1, 2, 2, 8, 400_000),
     ];
     for (torus, balls, levels, threshold, k, loss) in cells {
-        exact_or_degraded(torus, balls, levels, threshold, k, loss);
+        assert_exact(torus, balls, levels, threshold, k, loss);
     }
 }
 
@@ -252,8 +249,8 @@ fn every_epoch_is_reported() {
     let snap = obs.snapshot();
     assert_eq!((out.epochs, out.stalls), (3, 2));
     assert_eq!(snap.counter("engine/runs"), Some(3));
-    assert_eq!(snap.counter("engine/polls"), Some(154_441));
-    assert_eq!(snap.counters_digest(), 11617945478228810269);
+    assert_eq!(snap.counter("engine/polls"), Some(154_139));
+    assert_eq!(snap.counters_digest(), 15283790585610660878);
 
     assert_eq!(Some(out.stats.rounds), snap.counter("engine/rounds"));
     assert_eq!(Some(out.stats.messages), snap.counter("engine/messages"));
