@@ -1,20 +1,23 @@
 """Counts the non-test code lines of every workspace crate.
 
-Usage, from the repository root (or with the root as the only argument):
+Usage, from the repository root (or with the root as the first argument):
 
-    python3 .github/scripts/src_lines.py [ROOT]
+    python3 .github/scripts/src_lines.py [ROOT] [--base DIR]
 
 Prints one line per crate under `crates/` (by its package name) and a total.
+With `--base DIR`, a checkout of another commit (say the parent), every line
+shows the base count, the count under ROOT and their difference; a crate
+present on one side only counts 0 on the other.
 A line of `crates/*/src/**/*.rs` counts when it is not blank, not a comment
 (`//`, `///`, `//!` or inside `/* */`), and not part of an item marked
 `#[cfg(test)]` (the attribute, the item's lines through its closing brace or
 semicolon). Braces inside string and character literals are ignored. Reported,
-not gated: run it at two commits to compare their sizes.
+not gated: the script always exits 0.
 """
 
+import argparse
 import pathlib
 import re
-import sys
 
 
 def strip_literals(line, in_block):
@@ -90,16 +93,33 @@ def count_file(path):
     return sum(1 for _, _, code in non_test_lines(path) if code)
 
 
-def main():
-    root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".")
-    total = 0
+def crate_lines(root):
+    """Maps each crate's package name under `root` to its counted lines."""
+    counts = {}
     for manifest in sorted(root.glob("crates/*/Cargo.toml")):
         name = re.search(r'^name\s*=\s*"([^"]+)"', manifest.read_text(), re.M).group(1)
         src = manifest.parent / "src"
-        lines = sum(count_file(path) for path in sorted(src.rglob("*.rs")))
-        total += lines
-        print(f"{name:<14} {lines:>6}")
-    print(f"{'total':<14} {total:>6}")
+        counts[name] = sum(count_file(path) for path in sorted(src.rglob("*.rs")))
+    return counts
+
+
+def main():
+    parser = argparse.ArgumentParser(description="Non-test code lines per crate.")
+    parser.add_argument("root", nargs="?", default=".", help="checkout to count")
+    parser.add_argument("--base", help="checkout to compare with (base, head, delta)")
+    args = parser.parse_args()
+    head = crate_lines(pathlib.Path(args.root))
+    if args.base is None:
+        for name, lines in head.items():
+            print(f"{name:<14} {lines:>6}")
+        print(f"{'total':<14} {sum(head.values()):>6}")
+        return
+    base = crate_lines(pathlib.Path(args.base))
+    print(f"{'crate':<14} {'base':>6} {'head':>6} {'delta':>6}")
+    rows = [(name, base.get(name, 0), head.get(name, 0)) for name in sorted(base | head)]
+    rows.append(("total", sum(base.values()), sum(head.values())))
+    for name, before, after in rows:
+        print(f"{name:<14} {before:>6} {after:>6} {after - before:>+6}")
 
 
 if __name__ == "__main__":

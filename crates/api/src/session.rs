@@ -145,7 +145,8 @@ impl<'g> Pipeline<'g> {
     /// # Errors
     ///
     /// [`LcsError::InconsistentInputs`] for an empty or disconnected graph
-    /// or a provided tree over a different node count;
+    /// or a provided tree that is not a spanning tree of the graph
+    /// ([`RootedTree::spans`]);
     /// [`LcsError::Graph`] for a BFS root out of range;
     /// [`LcsError::Config`] for a fixed thread count of zero.
     pub fn build(self) -> Result<Session<'g>> {
@@ -182,12 +183,14 @@ impl<'g> Pipeline<'g> {
                 node_count: graph.node_count(),
             }))?,
             TreeSpec::Provided(tree) => {
-                if tree.node_count() != graph.node_count() {
+                if !tree.spans(graph) {
                     return Err(LcsError::InconsistentInputs {
                         reason: format!(
-                            "provided tree spans {} nodes but the graph has {}",
+                            "provided tree ({} nodes) is not a spanning tree of the graph \
+                             ({} nodes, {} edges)",
                             tree.node_count(),
-                            graph.node_count()
+                            graph.node_count(),
+                            graph.edge_count()
                         ),
                     });
                 }
@@ -494,7 +497,7 @@ impl<'g> Session<'g> {
         shortcut: &TreeShortcut,
         threshold: usize,
         active: &[bool],
-    ) -> lcs_dist::Result<(VerificationOutcome, Option<DistVerificationOutcome>)> {
+    ) -> Result<(VerificationOutcome, Option<DistVerificationOutcome>)> {
         if self.execution == ExecutionMode::Scheduled {
             let outcome = verification(graph, tree, partition, shortcut, threshold, active);
             return Ok((outcome, None));
@@ -623,9 +626,10 @@ impl<'g> Session<'g> {
     /// # Errors
     ///
     /// [`LcsError::InconsistentInputs`] for a mismatched partition or a
-    /// shortcut built for a different part count; simulation errors in
-    /// `Simulated` mode; [`LcsError::Degraded`] when an injected fault plan
-    /// stalls every epoch.
+    /// shortcut built for a different part count; [`LcsError::Config`] for
+    /// a threshold of 0, which no part meets (every part has a block);
+    /// simulation errors in `Simulated` mode; [`LcsError::Degraded`] when an
+    /// injected fault plan stalls every epoch.
     pub fn verify(
         &self,
         shortcut: &TreeShortcut,
@@ -633,6 +637,11 @@ impl<'g> Session<'g> {
         threshold: usize,
     ) -> Result<VerifyRun> {
         self.check_partition(partition, Some(shortcut))?;
+        if threshold == 0 {
+            return Err(LcsError::Config {
+                reason: "the block threshold must be at least 1 (got 0)".to_string(),
+            });
+        }
         let start = Instant::now();
         let mut report = Report::new("verify");
         let active = vec![true; partition.part_count()];
@@ -781,9 +790,7 @@ impl<'g> Session<'g> {
         start: Instant,
     ) -> Result<RepairRun> {
         let corpus = &baseline.corpus;
-        let shortcut = corpus
-            .assemble(self.graph, &self.tree, &baseline.partition)
-            .map_err(LcsError::from)?;
+        let shortcut = corpus.assemble(self.graph, &self.tree, &baseline.partition)?;
         let quality = corpus.quality();
         let good: Vec<bool> = corpus.parts().iter().map(|p| p.good).collect();
         let mut report = Report::new(operation);
@@ -999,6 +1006,27 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, LcsError::InconsistentInputs { .. }));
 
+        // A provided tree must span the session's graph, not only match
+        // its node count: BFS trees of `random_connected(36, 32, 0)` (60
+        // edges, as grid 6×6 has) and of `path(36)` are rejected.
+        let grid = generators::grid(6, 6);
+        let own = RootedTree::bfs(&grid, NodeId::new(14));
+        assert!(Pipeline::on(&grid)
+            .tree(TreeSpec::Provided(own))
+            .build()
+            .is_ok());
+        for other in [
+            generators::random_connected(36, 32, 0),
+            generators::path(36),
+        ] {
+            let tree = RootedTree::bfs(&other, NodeId::new(0));
+            let err = Pipeline::on(&grid)
+                .tree(TreeSpec::Provided(tree))
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, LcsError::InconsistentInputs { .. }), "{err}");
+        }
+
         let disconnected = Graph::from_edges(3, &[(NodeId::new(0), NodeId::new(1))]).unwrap();
         let err = Pipeline::on(&disconnected).build().unwrap_err();
         assert!(matches!(err, LcsError::InconsistentInputs { .. }));
@@ -1080,6 +1108,29 @@ mod tests {
         }
     }
 
+    /// Every part has at least one block, so a threshold of 0 classifies
+    /// nothing: it is a typed configuration error in both execution modes,
+    /// through `verify` and through a served `Query::Verify`.
+    #[test]
+    fn verify_rejects_a_zero_threshold() {
+        let g = generators::grid(6, 6);
+        let p = generators::partitions::grid_columns(6, 6);
+        for execution in [ExecutionMode::Scheduled, ExecutionMode::Simulated] {
+            let session = Pipeline::on(&g).execution(execution).build().unwrap();
+            let shortcut = session.shortcut(&p, Strategy::doubling()).unwrap().shortcut;
+            let err = session.verify(&shortcut, &p, 0).unwrap_err();
+            assert!(matches!(err, LcsError::Config { .. }), "{err}");
+            let query = crate::Query::Verify {
+                shortcut: &shortcut,
+                partition: &p,
+                threshold: 0,
+            };
+            let err = session.serve_shared(query).unwrap_err();
+            assert!(matches!(err, LcsError::Config { .. }), "{err}");
+            assert!(session.verify(&shortcut, &p, 1).is_ok());
+        }
+    }
+
     #[test]
     fn doubling_budget_exhaustion_maps_to_the_unified_error() {
         let (g, layout) = generators::lower_bound_graph(8, 16);
@@ -1122,6 +1173,10 @@ mod tests {
                 }
             ),
             "got: {err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "construction stopped after 1 iterations with 6 parts still bad"
         );
     }
 
@@ -1396,6 +1451,11 @@ mod tests {
                 }
             ),
             "a permanent crash must degrade, got: {err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "degraded result after 5 epochs (5 stalled): fault-injected run stayed incomplete \
+             after 5 epochs"
         );
         // Construction, repair and MST verify under the same plan, and the
         // `Degraded` reaches the caller typed.

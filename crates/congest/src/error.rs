@@ -106,4 +106,16 @@ mod tests {
         fn assert_error<E: Error + Send + Sync + 'static>() {}
         assert_error::<SimError>();
     }
+
+    /// A simulator failure reaches the pipeline's one error as
+    /// `Simulation`, its text prefixed once.
+    #[test]
+    fn sim_error_converts() {
+        let err = lcs_graph::LcsError::from(SimError::RoundLimitExceeded { limit: 3 });
+        assert!(matches!(err, lcs_graph::LcsError::Simulation { .. }));
+        assert_eq!(
+            err.to_string(),
+            "simulation error: protocol did not terminate within 3 rounds"
+        );
+    }
 }

@@ -17,10 +17,10 @@
 //! verifier. A fixed-parameter construction is the loop with zero
 //! doublings.
 
-use lcs_graph::{Graph, Partition, RootedTree};
+use lcs_graph::{Graph, LcsResult, Partition, RootedTree};
 
 use super::find_shortcut::{FindShortcut, FindShortcutConfig, Verifier};
-use crate::{Result, TreeShortcut};
+use crate::TreeShortcut;
 
 /// Configuration of the doubling loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +123,7 @@ pub fn doubling_search<V: Verifier>(
     config: &DoublingConfig,
     max_iterations: Option<usize>,
     mut verifier: V,
-) -> Result<DoublingResult> {
+) -> LcsResult<DoublingResult> {
     let mut congestion = config.congestion.max(1);
     let mut block = config.block.max(1);
     let mut attempts = Vec::new();
@@ -168,7 +168,7 @@ mod tests {
         t: &RootedTree,
         p: &Partition,
         config: &DoublingConfig,
-    ) -> Result<DoublingResult> {
+    ) -> LcsResult<DoublingResult> {
         doubling_search(
             g,
             t,

@@ -11,12 +11,12 @@
 use std::ops::Range;
 
 use lcs_congest::RoundCost;
-use lcs_graph::{EdgeId, Graph, PartId, Partition, RootedTree};
+use lcs_graph::{EdgeId, Graph, LcsError, LcsResult, PartId, Partition, RootedTree};
 
 use super::core_fast::{core_fast, CoreFastConfig};
 use super::core_slow::core_slow;
 use super::verification::VerificationOutcome;
-use crate::{Result, TreeShortcut};
+use crate::TreeShortcut;
 
 /// A verification subroutine the [`FindShortcut`] driver can drop in:
 /// given the graph, tree, partition, an iteration's tentative shortcut,
@@ -36,7 +36,14 @@ use crate::{Result, TreeShortcut};
 /// same epochs and the same rounds. A verifier that counts its own calls
 /// as part of its answer does not.
 pub trait Verifier:
-    FnMut(&Graph, &RootedTree, &Partition, &TreeShortcut, usize, &[bool]) -> Result<VerificationOutcome>
+    FnMut(
+    &Graph,
+    &RootedTree,
+    &Partition,
+    &TreeShortcut,
+    usize,
+    &[bool],
+) -> LcsResult<VerificationOutcome>
 {
 }
 
@@ -48,7 +55,7 @@ impl<V> Verifier for V where
         &TreeShortcut,
         usize,
         &[bool],
-    ) -> Result<VerificationOutcome>
+    ) -> LcsResult<VerificationOutcome>
 {
 }
 
@@ -192,7 +199,7 @@ impl FindShortcut {
     /// # Errors
     ///
     /// Propagates verifier errors; returns
-    /// [`crate::CoreError::InconsistentInputs`] if the tree does not span
+    /// [`LcsError::InconsistentInputs`] if the tree does not span
     /// the graph, the partition was built for a different node count, or
     /// the mask length differs from the part count.
     pub fn run<V: Verifier>(
@@ -202,9 +209,9 @@ impl FindShortcut {
         partition: &Partition,
         initial_active: &[bool],
         mut verifier: V,
-    ) -> Result<FindShortcutResult> {
+    ) -> LcsResult<FindShortcutResult> {
         if initial_active.len() != partition.part_count() {
-            return Err(crate::CoreError::InconsistentInputs {
+            return Err(LcsError::InconsistentInputs {
                 reason: format!(
                     "active mask covers {} parts but the partition has {}",
                     initial_active.len(),
@@ -213,7 +220,7 @@ impl FindShortcut {
             });
         }
         if tree.node_count() != graph.node_count() {
-            return Err(crate::CoreError::InconsistentInputs {
+            return Err(LcsError::InconsistentInputs {
                 reason: format!(
                     "tree spans {} nodes but the graph has {}",
                     tree.node_count(),
@@ -222,7 +229,7 @@ impl FindShortcut {
             });
         }
         if partition.node_count() != graph.node_count() {
-            return Err(crate::CoreError::InconsistentInputs {
+            return Err(LcsError::InconsistentInputs {
                 reason: format!(
                     "partition defined over {} nodes but the graph has {}",
                     partition.node_count(),
@@ -340,7 +347,7 @@ mod tests {
         g: &Graph,
         t: &RootedTree,
         p: &Partition,
-    ) -> Result<FindShortcutResult> {
+    ) -> LcsResult<FindShortcutResult> {
         FindShortcut::new(config).run(g, t, p, &vec![true; p.part_count()], scheduled)
     }
 
@@ -457,11 +464,11 @@ mod tests {
         let other = generators::grid(3, 3);
         let p_other = generators::partitions::grid_columns(3, 3);
         let err = run_all(FindShortcutConfig::new(1, 1), &g, &t, &p_other).unwrap_err();
-        assert!(matches!(err, crate::CoreError::InconsistentInputs { .. }));
+        assert!(matches!(err, LcsError::InconsistentInputs { .. }));
         let t_other = RootedTree::bfs(&other, NodeId::new(0));
         let p = generators::partitions::grid_columns(4, 4);
         let err = run_all(FindShortcutConfig::new(1, 1), &g, &t_other, &p).unwrap_err();
-        assert!(matches!(err, crate::CoreError::InconsistentInputs { .. }));
+        assert!(matches!(err, LcsError::InconsistentInputs { .. }));
     }
 
     #[test]

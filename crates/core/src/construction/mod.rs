@@ -49,7 +49,7 @@ pub(crate) fn scheduled(
     s: &TreeShortcut,
     threshold: usize,
     active: &[bool],
-) -> crate::Result<VerificationOutcome> {
+) -> lcs_graph::LcsResult<VerificationOutcome> {
     Ok(verification(g, t, p, s, threshold, active))
 }
 

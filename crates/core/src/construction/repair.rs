@@ -18,12 +18,12 @@
 //! renumbered) keep their cached state verbatim, dirty parts are rebuilt,
 //! and the result is byte-identical to rebuilding every part from scratch.
 
-use lcs_graph::{EdgeId, Graph, PartId, PartSet, Partition, RootedTree};
+use lcs_graph::{EdgeId, Graph, LcsError, LcsResult, PartId, PartSet, Partition, RootedTree};
 
 use super::doubling::{doubling_search, DoublingConfig};
 use super::find_shortcut::Verifier;
 use crate::quality::QualityPool;
-use crate::{Result, ShortcutQuality, TreeShortcut};
+use crate::{ShortcutQuality, TreeShortcut};
 
 /// Golden-ratio odd multiplier used to spread the min-member node id into
 /// the per-part seed space.
@@ -103,7 +103,7 @@ impl ShortcutCorpus {
         graph: &Graph,
         tree: &RootedTree,
         partition: &Partition,
-    ) -> Result<TreeShortcut> {
+    ) -> LcsResult<TreeShortcut> {
         let edge_sets = self.parts.iter().map(|part| part.edges.iter().copied());
         TreeShortcut::from_edge_sets(graph, tree, partition, edge_sets)
     }
@@ -139,7 +139,7 @@ fn build_part<V: Verifier>(
     config: &DoublingConfig,
     pool: &mut QualityPool,
     verifier: &mut V,
-) -> Result<PartState> {
+) -> LcsResult<PartState> {
     let members = partition.members(part);
     let min_member = members
         .iter()
@@ -217,11 +217,11 @@ pub fn build_corpus<V: Verifier>(
     config: &DoublingConfig,
     pool: &mut QualityPool,
     mut verifier: V,
-) -> Result<ShortcutCorpus> {
+) -> LcsResult<ShortcutCorpus> {
     let parts = partition
         .parts()
         .map(|p| build_part(graph, tree, partition, p, config, pool, &mut verifier))
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<LcsResult<Vec<_>>>()?;
     let edge_load = aggregate_load(graph.edge_count(), &parts);
     Ok(ShortcutCorpus { parts, edge_load })
 }
@@ -235,7 +235,7 @@ pub fn build_corpus<V: Verifier>(
 ///
 /// # Errors
 ///
-/// [`crate::CoreError::InconsistentInputs`] if `origin`/`dirty` do not
+/// [`LcsError::InconsistentInputs`] if `origin`/`dirty` do not
 /// match `partition`'s part count, a clean slot points outside `prev`, or
 /// a dirty slot claims an origin; plus the scoped-run errors.
 #[allow(clippy::too_many_arguments)]
@@ -249,10 +249,10 @@ pub fn repair_corpus<V: Verifier>(
     config: &DoublingConfig,
     pool: &mut QualityPool,
     mut verifier: V,
-) -> Result<(ShortcutCorpus, RepairStats)> {
+) -> LcsResult<(ShortcutCorpus, RepairStats)> {
     let part_count = partition.part_count();
     if origin.len() != part_count || dirty.universe() != part_count {
-        return Err(crate::CoreError::InconsistentInputs {
+        return Err(LcsError::InconsistentInputs {
             reason: format!(
                 "origin map covers {} parts and dirty set {}, but the partition has {part_count}",
                 origin.len(),
@@ -266,12 +266,12 @@ pub fn repair_corpus<V: Verifier>(
         match o {
             Some(old) => {
                 if dirty.contains(p) {
-                    return Err(crate::CoreError::InconsistentInputs {
+                    return Err(LcsError::InconsistentInputs {
                         reason: format!("part {p} is dirty but claims origin {old}"),
                     });
                 }
                 if old.index() >= prev.parts.len() {
-                    return Err(crate::CoreError::InconsistentInputs {
+                    return Err(LcsError::InconsistentInputs {
                         reason: format!(
                             "part {p} claims origin {old} but the previous corpus has {} parts",
                             prev.parts.len()
@@ -282,7 +282,7 @@ pub fn repair_corpus<V: Verifier>(
             }
             None => {
                 if !dirty.contains(p) {
-                    return Err(crate::CoreError::InconsistentInputs {
+                    return Err(LcsError::InconsistentInputs {
                         reason: format!("part {p} has no origin but is not in the dirty set"),
                     });
                 }
@@ -417,6 +417,6 @@ mod tests {
             scheduled,
         )
         .unwrap_err();
-        assert!(matches!(err, crate::CoreError::InconsistentInputs { .. }));
+        assert!(matches!(err, LcsError::InconsistentInputs { .. }));
     }
 }

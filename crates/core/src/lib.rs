@@ -51,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod error;
 mod quality;
 mod tree_restricted;
 
@@ -59,9 +58,5 @@ pub mod construction;
 pub mod existential;
 pub mod routing;
 
-pub use error::CoreError;
 pub use quality::{QualityPool, ShortcutQuality};
 pub use tree_restricted::TreeShortcut;
-
-/// Convenience result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, CoreError>;

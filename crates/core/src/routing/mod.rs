@@ -6,8 +6,8 @@
 //!   rounds when messages are forwarded with the priority "smallest depth of
 //!   the subtree root, ties by smallest subtree id".
 //! * [`PartRouter`] — the Theorem 2 part-parallel primitives built on top:
-//!   leader election, convergecast to the leaders, broadcast from the
-//!   leaders, plus the Lemma 3 block-component counting used by the
+//!   leader election, convergecast to the leaders and the cost of the
+//!   broadcast back, plus the Lemma 3 block-component counting used by the
 //!   verification subroutine. Each primitive reports the exact number of
 //!   CONGEST rounds it would take, computed from the actually scheduled
 //!   intra-block routings and the supergraph steps it performs.

@@ -151,31 +151,6 @@ impl<'a> PartRouter<'a> {
         }
     }
 
-    /// Theorem 2(iii): broadcasts one value per part from the part's leader
-    /// to every member. Returns the value received by every node (`None`
-    /// for nodes outside every part).
-    pub fn broadcast_from_leaders<T: Clone>(
-        &self,
-        per_part: &[T],
-    ) -> PartRouterOutcome<Vec<Option<T>>> {
-        assert_eq!(
-            per_part.len(),
-            self.partition.part_count(),
-            "one value per part is required"
-        );
-        let mut per_node: Vec<Option<T>> = vec![None; self.graph.node_count()];
-        for p in self.partition.parts() {
-            for &v in self.partition.members(p) {
-                per_node[v.index()] = Some(per_part[p.index()].clone());
-            }
-        }
-        let b = self.block_parameter() as u64;
-        PartRouterOutcome {
-            values: per_node,
-            rounds: b * self.superstep_rounds(),
-        }
-    }
-
     /// Returns `true` if every part's supergraph is connected — a structural
     /// invariant that must hold whenever the partition is valid (used by
     /// tests and debug assertions). The supergraph's supernodes are the
@@ -276,16 +251,8 @@ mod tests {
             );
         }
 
-        // Broadcast the aggregates back: every member sees its part's value.
-        let flat: Vec<u64> = agg.values.iter().map(|v| v.unwrap()).collect();
-        let bc = router.broadcast_from_leaders(&flat);
-        for v in g.nodes() {
-            match p.part_of(v) {
-                Some(part) => assert_eq!(bc.values[v.index()], Some(flat[part.index()])),
-                None => assert_eq!(bc.values[v.index()], None),
-            }
-        }
-        assert_eq!(agg.rounds, bc.rounds);
+        // Broadcasting the aggregates back costs as much again.
+        assert_eq!(2 * agg.rounds, router.exchange_rounds());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Tree-restricted shortcuts (Definitions 2 and 3 of the paper).
 
-use lcs_graph::{EdgeId, Graph, PartId, Partition, RootedTree, UnionFind};
+use lcs_graph::{EdgeId, Graph, LcsError, LcsResult, PartId, Partition, RootedTree, UnionFind};
 
 use crate::quality::{self, ShortcutQuality};
-use crate::{CoreError, Result};
 
 /// A `T`-restricted shortcut (Definition 2): every shortcut subgraph `H_i`
 /// consists solely of edges of the fixed rooted spanning tree `T`.
@@ -49,10 +48,9 @@ impl TreeShortcut {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NotATreeEdge`] for the first edge, in part
-    /// order, that is not an edge of `tree`, and
-    /// [`CoreError::PartOutOfRange`] if there are more sets than
-    /// `partition` has parts.
+    /// Returns [`LcsError::Construction`] naming the first edge, in part
+    /// order, that is not an edge of `tree`, or naming the first part out
+    /// of range if there are more sets than `partition` has parts.
     ///
     /// # Panics
     ///
@@ -62,7 +60,7 @@ impl TreeShortcut {
         tree: &RootedTree,
         partition: &Partition,
         edge_sets: impl IntoIterator<Item = impl IntoIterator<Item = EdgeId>>,
-    ) -> Result<Self> {
+    ) -> LcsResult<Self> {
         let part_count = partition.part_count();
         let mut part_start = Vec::with_capacity(part_count + 1);
         part_start.push(0);
@@ -70,12 +68,16 @@ impl TreeShortcut {
         for (i, set) in edge_sets.into_iter().enumerate() {
             let part = PartId::new(i);
             if i >= part_count {
-                return Err(CoreError::PartOutOfRange { part, part_count });
+                return Err(LcsError::Construction {
+                    reason: format!(
+                        "part {part} out of range for a partition with {part_count} parts"
+                    ),
+                });
             }
             let start = part_edge.len();
             for edge in set {
                 if !tree.is_tree_edge(edge) {
-                    return Err(CoreError::NotATreeEdge { edge, part });
+                    return Err(not_a_tree_edge(edge, part));
                 }
                 part_edge.push(edge);
             }
@@ -167,9 +169,9 @@ impl TreeShortcut {
     /// # Errors
     ///
     /// Returns the first violation found.
-    pub fn validate(&self, tree: &RootedTree, partition: &Partition) -> Result<()> {
+    pub fn validate(&self, tree: &RootedTree, partition: &Partition) -> LcsResult<()> {
         if self.part_count() != partition.part_count() {
-            return Err(CoreError::InconsistentInputs {
+            return Err(LcsError::InconsistentInputs {
                 reason: format!(
                     "shortcut built for {} parts but partition has {}",
                     self.part_count(),
@@ -179,7 +181,7 @@ impl TreeShortcut {
         }
         for p in partition.parts() {
             if let Some(&e) = self.edges_of(p).iter().find(|&&e| !tree.is_tree_edge(e)) {
-                return Err(CoreError::NotATreeEdge { edge: e, part: p });
+                return Err(not_a_tree_edge(e, p));
             }
         }
         Ok(())
@@ -295,6 +297,14 @@ impl TreeShortcut {
     }
 }
 
+/// The error of a tree-restricted shortcut that assigns `edge`, not an edge
+/// of the spanning tree, to `part`.
+fn not_a_tree_edge(edge: EdgeId, part: PartId) -> LcsError {
+    LcsError::Construction {
+        reason: format!("edge {edge} assigned to part {part} is not an edge of the spanning tree"),
+    }
+}
+
 /// Transposes a CSR relation: row `r` lists `items[start[r]..start[r + 1]]`,
 /// and the result lists, for every column below `width`, the rows that name
 /// it. Rows are visited in order, so every column's list comes out sorted.
@@ -396,23 +406,21 @@ mod tests {
         let tree_edge = t.tree_edges().next().unwrap();
         let err = TreeShortcut::from_edge_sets(&g, &t, &p, [vec![tree_edge], vec![non_tree]])
             .unwrap_err();
+        assert!(matches!(err, LcsError::Construction { .. }), "{err}");
         assert_eq!(
-            err,
-            CoreError::NotATreeEdge {
-                edge: non_tree,
-                part: PartId::new(1)
-            }
+            err.to_string(),
+            format!(
+                "construction error: edge {non_tree} assigned to part P1 is not an edge of the \
+                 spanning tree"
+            )
         );
 
         let mut sets = vec![Vec::new(); 5];
         sets[4].push(tree_edge);
         let err = TreeShortcut::from_edge_sets(&g, &t, &p, sets).unwrap_err();
         assert_eq!(
-            err,
-            CoreError::PartOutOfRange {
-                part: PartId::new(4),
-                part_count: 4
-            }
+            err.to_string(),
+            "construction error: part P4 out of range for a partition with 4 parts"
         );
     }
 
@@ -491,7 +499,7 @@ mod tests {
         // Partition over a different graph/size: part count differs.
         assert!(matches!(
             s.validate(&t, &tiny),
-            Err(CoreError::InconsistentInputs { .. })
+            Err(LcsError::InconsistentInputs { .. })
         ));
     }
 }

@@ -138,7 +138,7 @@ fn construction_allocations_do_not_grow_with_parts_or_output() {
                      s: &TreeShortcut,
                      threshold: usize,
                      active: &[bool]|
-     -> lcs_core::Result<VerificationOutcome> {
+     -> lcs_graph::LcsResult<VerificationOutcome> {
         Ok(verification(g, t, p, s, threshold, active))
     };
     let config = DoublingConfig::default();

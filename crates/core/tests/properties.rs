@@ -25,7 +25,7 @@ fn scheduled(
     s: &TreeShortcut,
     threshold: usize,
     active: &[bool],
-) -> lcs_core::Result<VerificationOutcome> {
+) -> lcs_graph::LcsResult<VerificationOutcome> {
     Ok(verification(g, t, p, s, threshold, active))
 }
 

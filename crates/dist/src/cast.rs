@@ -1,5 +1,5 @@
-//! Lemma 2 as message passing: part-parallel block convergecast and
-//! convergecast + broadcast ("exchange") over a tree-restricted shortcut.
+//! Lemma 2 as message passing: part-parallel block convergecast over a
+//! tree-restricted shortcut.
 //!
 //! [`block_convergecast`] aggregates one optional value per part member up
 //! to each block's root, every block of the family in parallel, forwarding
@@ -7,18 +7,13 @@
 //! the schedule `lcs_core`'s Lemma 2 scheduler simulates centrally
 //! ([`BlockFamily::schedule`]), the executed round count *equals* the
 //! scheduled one (and is therefore within the Lemma 2 bound `D + c`).
-//!
-//! [`block_exchange`] follows the convergecast with its time-reversed
-//! broadcast, leaving every block node in possession of the block's
-//! aggregate — the intra-block agreement step that one Theorem 2 superstep
-//! performs — within `2L` rounds.
 
 use lcs_congest::{SimConfig, SimStats};
-use lcs_graph::Graph;
+use lcs_graph::{Graph, LcsResult};
 
 use crate::engine::{run_engine, EngineSpec, NodeProgram, NodeView};
+use crate::invariant_violated;
 use crate::knowledge::{BlockFamily, NodeInfo};
-use crate::{DistError, Result};
 
 /// Associative, commutative operators a block cast aggregates with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,14 +37,11 @@ impl AggregateOp {
     }
 }
 
-/// Result of a family-wide cast.
+/// Result of a family-wide convergecast.
 #[derive(Debug, Clone)]
 pub struct BlockCastOutcome {
     /// Aggregate per family block (`None` when no member carried a value).
     pub per_block: Vec<Option<u64>>,
-    /// What each node's own-part block agreed on (`None` for nodes outside
-    /// every active part, and for pure convergecasts at non-root nodes).
-    pub member_view: Vec<Option<u64>>,
     /// Simulation statistics of the executed protocol.
     pub stats: SimStats,
 }
@@ -62,7 +54,6 @@ struct CastProgram {
     op: AggregateOp,
     /// `(membership index, agreed)` pairs recorded by this node.
     agreed: Vec<(usize, Option<u64>)>,
-    own_agreed: Option<u64>,
 }
 
 impl NodeProgram for CastProgram {
@@ -89,14 +80,11 @@ impl NodeProgram for CastProgram {
         &mut self,
         _view: NodeView<'_>,
         member: usize,
-        own: bool,
+        _own: bool,
         val: &Option<u64>,
         _step: u64,
     ) {
         self.agreed.push((member, *val));
-        if own {
-            self.own_agreed = *val;
-        }
     }
 
     fn cross_message(&mut self, _to: lcs_graph::NodeId, _step: u64) -> Option<()> {
@@ -114,14 +102,29 @@ impl NodeProgram for CastProgram {
     }
 }
 
-fn run_cast(
+/// Runs the Lemma 2 parallel convergecast as real message passing: one
+/// optional `u64` per node, combined with `op` within each node's own-part
+/// block, aggregate delivered to every block root.
+///
+/// The executed round count equals the exact centralized schedule length
+/// ([`BlockFamily::schedule`]) and therefore respects `D + c`.
+///
+/// # Errors
+///
+/// Simulator errors as [`lcs_graph::LcsError::Simulation`]; a protocol
+/// invariant violation ([`lcs_graph::LcsError::Protocol`]) if a block root
+/// ends without an aggregate.
+///
+/// # Panics
+///
+/// Panics if `values.len()` differs from the graph's node count.
+pub fn block_convergecast(
     graph: &Graph,
     family: &BlockFamily,
     values: &[Option<u64>],
     op: AggregateOp,
-    broadcast_down: bool,
     config: Option<SimConfig>,
-) -> Result<BlockCastOutcome> {
+) -> LcsResult<BlockCastOutcome> {
     assert_eq!(
         values.len(),
         graph.node_count(),
@@ -129,7 +132,7 @@ fn run_cast(
     );
     let spec = EngineSpec {
         steps: 1,
-        broadcast_down,
+        broadcast_down: false,
         stretch: 1,
     };
     let obs = lcs_obs::Obs::off();
@@ -138,7 +141,6 @@ fn run_cast(
             value: values[info.node.index()],
             op,
             agreed: Vec::new(),
-            own_agreed: None,
         }
     })?;
 
@@ -150,71 +152,21 @@ fn run_cast(
                 .memberships
                 .iter()
                 .position(|m| m.block == b_idx)
-                .ok_or_else(|| DistError::ProtocolInvariant {
-                    reason: format!("block {b_idx} root lacks a membership"),
+                .ok_or_else(|| {
+                    invariant_violated(format!("block {b_idx} root lacks a membership"))
                 })?;
             let agreed = outcome.nodes[root.index()]
                 .agreed
                 .iter()
                 .find(|(i, _)| *i == m_idx)
-                .ok_or_else(|| DistError::ProtocolInvariant {
-                    reason: format!("block {b_idx} root never agreed"),
-                })?;
+                .ok_or_else(|| invariant_violated(format!("block {b_idx} root never agreed")))?;
             Ok(agreed.1)
         })
-        .collect::<Result<Vec<_>>>()?;
-    let member_view = outcome.nodes.iter().map(|n| n.own_agreed).collect();
+        .collect::<LcsResult<Vec<_>>>()?;
     Ok(BlockCastOutcome {
         per_block,
-        member_view,
         stats: outcome.stats,
     })
-}
-
-/// Runs the Lemma 2 parallel convergecast as real message passing: one
-/// optional `u64` per node, combined with `op` within each node's own-part
-/// block, aggregate delivered to every block root.
-///
-/// The executed round count equals the exact centralized schedule length
-/// ([`BlockFamily::schedule`]) and therefore respects `D + c`.
-///
-/// # Errors
-///
-/// Propagates simulator errors; reports a protocol invariant violation if
-/// a block root ends without an aggregate.
-///
-/// # Panics
-///
-/// Panics if `values.len()` differs from the graph's node count.
-pub fn block_convergecast(
-    graph: &Graph,
-    family: &BlockFamily,
-    values: &[Option<u64>],
-    op: AggregateOp,
-    config: Option<SimConfig>,
-) -> Result<BlockCastOutcome> {
-    run_cast(graph, family, values, op, false, config)
-}
-
-/// Runs a full intra-block exchange — convergecast plus time-reversed
-/// broadcast — leaving every node of every block with the block's
-/// aggregate in `member_view`. Takes at most `2L ≤ 2(D + c)` rounds.
-///
-/// # Errors
-///
-/// Same as [`block_convergecast`].
-///
-/// # Panics
-///
-/// Panics if `values.len()` differs from the graph's node count.
-pub fn block_exchange(
-    graph: &Graph,
-    family: &BlockFamily,
-    values: &[Option<u64>],
-    op: AggregateOp,
-    config: Option<SimConfig>,
-) -> Result<BlockCastOutcome> {
-    run_cast(graph, family, values, op, true, config)
 }
 
 #[cfg(test)]
@@ -246,28 +198,6 @@ mod tests {
         for b_idx in 0..family.block_count() {
             let part = family.block(b_idx).part;
             assert_eq!(outcome.per_block[b_idx], Some(p.members(part).len() as u64));
-        }
-    }
-
-    #[test]
-    fn exchange_disseminates_the_aggregate_to_all_members() {
-        let (g, t, p) = grid_setup(5);
-        let s = ancestor_shortcut(&g, &t, &p);
-        let family = BlockFamily::new(&g, &t, &p, &s);
-        let ids: Vec<Option<u64>> = g
-            .nodes()
-            .map(|v| p.part_of(v).map(|_| v.index() as u64))
-            .collect();
-        let outcome = block_exchange(&g, &family, &ids, AggregateOp::Max, None).unwrap();
-        assert!(outcome.stats.rounds <= 2 * family.schedule().rounds);
-        // Each part is one block here, so every member agrees on its
-        // part's largest id.
-        assert_eq!(family.block_parameter(), 1);
-        for v in g.nodes() {
-            if let Some(part) = p.part_of(v) {
-                let expected = p.members(part).iter().max().map(|u| u.index() as u64);
-                assert_eq!(outcome.member_view[v.index()], expected);
-            }
         }
     }
 

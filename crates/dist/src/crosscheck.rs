@@ -8,27 +8,42 @@
 //!    what the centralized code computes;
 //! 2. **round bounds** — the executed [`lcs_congest::SimStats::rounds`]
 //!    respects the paper's bound for the primitive: the exact schedule
-//!    length (and hence `D + c`) for the Lemma 2 convergecast, `2L` for a
-//!    full intra-block exchange, `b·(2L + 1)` (the operational
-//!    `O(b(D + c))` of Theorem 2) for part flooding, and
+//!    length (and hence `D + c`) for the Lemma 2 convergecast,
+//!    `b·(2L + 1)` (the operational `O(b(D + c))` of Theorem 2) for part
+//!    flooding, and
 //!    `(3·threshold + 2)·(2L + 1)` (the operational `O(threshold·(D + c))`
 //!    of Lemma 3) for the distributed verification.
 //!
-//! E8 of the experiment suite tabulates [`CheckedRun`]s across the
-//! generator families; the property tests re-run them on random instances.
+//! A failed check is an [`LcsError::Protocol`] whose reason starts with
+//! `distributed/centralized mismatch:` or `round bound violated:`. E8 of
+//! the experiment suite tabulates [`CheckedRun`]s across the generator
+//! families; the property tests re-run them on random instances.
 
 use lcs_congest::SimStats;
 use lcs_core::construction::verification;
 use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
-use lcs_graph::{EdgeId, Graph, Partition, RootedTree};
+use lcs_graph::{EdgeId, Graph, LcsError, LcsResult, Partition, RootedTree};
 use lcs_obs::Obs;
 
 use crate::cast::{block_convergecast, AggregateOp};
 use crate::flood::{part_leaders, part_min_edges};
 use crate::knowledge::BlockFamily;
 use crate::verification::{counting_supersteps, verification_simulated, BlockCounting};
-use crate::{DistError, Result};
+
+/// The error of a distributed result that differs from the centralized one.
+fn mismatch(reason: String) -> LcsError {
+    LcsError::Protocol {
+        reason: format!("distributed/centralized mismatch: {reason}"),
+    }
+}
+
+/// The error of a round count above the bound it must respect.
+fn bound_violated(reason: String) -> LcsError {
+    LcsError::Protocol {
+        reason: format!("round bound violated: {reason}"),
+    }
+}
 
 /// One charged-vs-executed comparison that passed its checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,14 +81,14 @@ impl<'a> CrossCheck<'a> {
         tree: &'a RootedTree,
         partition: &'a Partition,
         shortcut: &'a TreeShortcut,
-    ) -> Result<Self> {
+    ) -> LcsResult<Self> {
         let family = BlockFamily::new(graph, tree, partition, shortcut);
         let l = family.schedule().rounds;
         let bound = family.lemma2_bound();
         if l > bound {
-            return Err(DistError::BoundViolation {
-                reason: format!("schedule length {l} exceeds the Lemma 2 bound {bound}"),
-            });
+            return Err(bound_violated(format!(
+                "schedule length {l} exceeds the Lemma 2 bound {bound}"
+            )));
         }
         Ok(CrossCheck {
             graph,
@@ -89,11 +104,12 @@ impl<'a> CrossCheck<'a> {
         &self.family
     }
 
-    fn check_bound(stats: SimStats, bound: u64, what: &str) -> Result<()> {
+    fn check_bound(stats: SimStats, bound: u64, what: &str) -> LcsResult<()> {
         if stats.rounds > bound {
-            return Err(DistError::BoundViolation {
-                reason: format!("{what}: executed {} > bound {bound}", stats.rounds),
-            });
+            return Err(bound_violated(format!(
+                "{what}: executed {} > bound {bound}",
+                stats.rounds
+            )));
         }
         Ok(())
     }
@@ -109,16 +125,14 @@ impl<'a> CrossCheck<'a> {
     /// # Panics
     ///
     /// Panics if `values.len()` differs from the graph's node count.
-    pub fn convergecast(&self, values: &[Option<u64>], op: AggregateOp) -> Result<CheckedRun> {
+    pub fn convergecast(&self, values: &[Option<u64>], op: AggregateOp) -> LcsResult<CheckedRun> {
         let outcome = block_convergecast(self.graph, &self.family, values, op, None)?;
         let schedule = self.family.schedule();
         if outcome.stats.rounds != schedule.rounds {
-            return Err(DistError::BoundViolation {
-                reason: format!(
-                    "convergecast executed {} rounds, schedule says {}",
-                    outcome.stats.rounds, schedule.rounds
-                ),
-            });
+            return Err(bound_violated(format!(
+                "convergecast executed {} rounds, schedule says {}",
+                outcome.stats.rounds, schedule.rounds
+            )));
         }
         Self::check_bound(outcome.stats, self.family.lemma2_bound(), "convergecast")?;
         // Centralized reference: fold each member's value into its
@@ -132,12 +146,10 @@ impl<'a> CrossCheck<'a> {
         }
         for (b_idx, &expected) in per_block.iter().enumerate() {
             if outcome.per_block[b_idx] != expected {
-                return Err(DistError::Mismatch {
-                    reason: format!(
-                        "block {b_idx}: distributed {:?} vs centralized {expected:?}",
-                        outcome.per_block[b_idx]
-                    ),
-                });
+                return Err(mismatch(format!(
+                    "block {b_idx}: distributed {:?} vs centralized {expected:?}",
+                    outcome.per_block[b_idx]
+                )));
             }
         }
         Ok(CheckedRun {
@@ -154,17 +166,15 @@ impl<'a> CrossCheck<'a> {
     /// # Errors
     ///
     /// Reports mismatches and bound violations.
-    pub fn leader_election(&self) -> Result<CheckedRun> {
+    pub fn leader_election(&self) -> LcsResult<CheckedRun> {
         let router = PartRouter::new(self.graph, self.tree, self.partition, self.shortcut);
         let scheduled = router.elect_leaders();
         let (leaders, stats) = part_leaders(self.graph, self.partition, &self.family, None)?;
         if leaders != scheduled.values {
-            return Err(DistError::Mismatch {
-                reason: format!(
-                    "distributed leaders {leaders:?} vs scheduled {:?}",
-                    scheduled.values
-                ),
-            });
+            return Err(mismatch(format!(
+                "distributed leaders {leaders:?} vs scheduled {:?}",
+                scheduled.values
+            )));
         }
         let bound = self.theorem2_bound();
         Self::check_bound(stats, bound, "leader election")?;
@@ -188,18 +198,16 @@ impl<'a> CrossCheck<'a> {
     /// # Panics
     ///
     /// Panics if `candidates.len()` differs from the graph's node count.
-    pub fn min_edge(&self, candidates: &[Option<(u64, EdgeId)>]) -> Result<CheckedRun> {
+    pub fn min_edge(&self, candidates: &[Option<(u64, EdgeId)>]) -> LcsResult<CheckedRun> {
         let router = PartRouter::new(self.graph, self.tree, self.partition, self.shortcut);
         let scheduled = router.aggregate_to_leaders(candidates, |a, b| *a.min(b));
         let (per_part, stats) =
             part_min_edges(self.graph, self.partition, &self.family, candidates, None)?;
         if per_part != scheduled.values {
-            return Err(DistError::Mismatch {
-                reason: format!(
-                    "distributed min edges {per_part:?} vs scheduled {:?}",
-                    scheduled.values
-                ),
-            });
+            return Err(mismatch(format!(
+                "distributed min edges {per_part:?} vs scheduled {:?}",
+                scheduled.values
+            )));
         }
         let bound = self.theorem2_bound();
         Self::check_bound(stats, bound, "min-edge aggregation")?;
@@ -218,7 +226,7 @@ impl<'a> CrossCheck<'a> {
     /// # Errors
     ///
     /// Reports mismatches and bound violations.
-    pub fn block_counts(&self, threshold: usize) -> Result<CheckedRun> {
+    pub fn block_counts(&self, threshold: usize) -> LcsResult<CheckedRun> {
         let active = vec![true; self.partition.part_count()];
         let scheduled = verification(
             self.graph,
@@ -238,24 +246,20 @@ impl<'a> CrossCheck<'a> {
         };
         let simulated = verification_simulated(&question, None, &Obs::off())?;
         if simulated.outcome.good != scheduled.good {
-            return Err(DistError::Mismatch {
-                reason: format!(
-                    "verification flags {:?} vs scheduled {:?} (threshold {threshold})",
-                    simulated.outcome.good, scheduled.good
-                ),
-            });
+            return Err(mismatch(format!(
+                "verification flags {:?} vs scheduled {:?} (threshold {threshold})",
+                simulated.outcome.good, scheduled.good
+            )));
         }
         for p in self.partition.parts() {
             if scheduled.good[p.index()]
                 && simulated.outcome.block_counts[p.index()] != scheduled.block_counts[p.index()]
             {
-                return Err(DistError::Mismatch {
-                    reason: format!(
-                        "part {p} count {} vs scheduled {}",
-                        simulated.outcome.block_counts[p.index()],
-                        scheduled.block_counts[p.index()]
-                    ),
-                });
+                return Err(mismatch(format!(
+                    "part {p} count {} vs scheduled {}",
+                    simulated.outcome.block_counts[p.index()],
+                    scheduled.block_counts[p.index()]
+                )));
             }
         }
         let window = 2 * self.family.schedule().rounds + 1;

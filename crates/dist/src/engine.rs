@@ -41,11 +41,10 @@ use lcs_congest::{
     bits_for_count, FaultPlan, Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing,
     SimConfig, SimError, SimOutcome, SimStats, Simulator,
 };
-use lcs_graph::{EdgeId, Graph, NodeId};
+use lcs_graph::{EdgeId, Graph, LcsError, LcsResult, NodeId};
 use lcs_obs::Obs;
 
 use crate::knowledge::{BlockFamily, NodeInfo};
-use crate::{DistError, Result};
 
 /// The per-node logic of a superstep protocol. One instance runs per node;
 /// it may only consult the node's [`NodeInfo`] and the messages the engine
@@ -1071,7 +1070,7 @@ pub(crate) fn run_engine<P, F>(
     config: Option<SimConfig>,
     obs: &Obs,
     mut make: F,
-) -> Result<SimOutcome<P>>
+) -> lcs_congest::Result<SimOutcome<P>>
 where
     P: NodeProgram,
     F: FnMut(&NodeInfo<'_>) -> P,
@@ -1141,7 +1140,7 @@ where
 }
 
 /// Epochs a run under a fault plan takes before it reports
-/// [`DistError::Degraded`].
+/// [`LcsError::Degraded`].
 const MAX_EPOCHS: u32 = 5;
 /// The first epoch's round budget is its exact fault-mode schedule times
 /// this factor, so transient queue build-up cannot trip the cap.
@@ -1175,7 +1174,7 @@ impl EpochRun {
         family: &BlockFamily,
         obs: &Obs,
         make: impl FnMut(&NodeInfo<'_>) -> P,
-    ) -> Result<SimOutcome<P>> {
+    ) -> lcs_congest::Result<SimOutcome<P>> {
         run_engine(graph, family, self.spec, self.config, obs, make)
     }
 }
@@ -1199,16 +1198,17 @@ impl EpochRun {
 ///
 /// # Errors
 ///
-/// Propagates `run`'s errors other than a round-cap hit;
-/// [`DistError::Degraded`] when all `MAX_EPOCHS` epochs stall.
+/// Propagates `run`'s simulator errors other than a round-cap hit as
+/// [`LcsError::Simulation`]; [`LcsError::Degraded`] when all `MAX_EPOCHS`
+/// epochs stall.
 pub(crate) fn run_epochs<T>(
     family: &BlockFamily,
     steps: u64,
     config: Option<SimConfig>,
     obs: &Obs,
     label: &str,
-    mut run: impl FnMut(EpochRun) -> Result<Epoch<T>>,
-) -> Result<(T, SimStats, u32)> {
+    mut run: impl FnMut(EpochRun) -> lcs_congest::Result<Epoch<T>>,
+) -> LcsResult<(T, SimStats, u32)> {
     let epoch = |stretch, config| EpochRun {
         spec: EngineSpec {
             steps,
@@ -1248,19 +1248,20 @@ pub(crate) fn run_epochs<T>(
             }
             // A run cut off at its cap returns no traffic: only its
             // rounds are known.
-            Err(DistError::Simulation(SimError::RoundLimitExceeded { limit })) => {
+            Err(SimError::RoundLimitExceeded { limit }) => {
                 spent.rounds += limit;
             }
-            Err(other) => return Err(other),
+            Err(other) => return Err(other.into()),
         }
         if obs.is_on() {
             obs.counter_add(&format!("{label}/stalls"), 1);
         }
         offset = offset.saturating_add(budget);
     }
-    Err(DistError::Degraded {
+    Err(LcsError::Degraded {
         epochs: MAX_EPOCHS,
         stalls: MAX_EPOCHS,
+        reason: format!("fault-injected run stayed incomplete after {MAX_EPOCHS} epochs"),
     })
 }
 

@@ -17,11 +17,11 @@
 //! Lemma 2 schedule length).
 
 use lcs_congest::{bits_for_count, SimConfig, SimStats};
-use lcs_graph::{EdgeId, Graph, NodeId, Partition};
+use lcs_graph::{EdgeId, Graph, LcsResult, NodeId, Partition};
 
 use crate::engine::{run_epochs, Epoch, EpochRun, NodeProgram, NodeView};
+use crate::invariant_violated;
 use crate::knowledge::{BlockFamily, NodeInfo};
-use crate::{DistError, Result};
 
 /// Per-part minimum-outgoing-edge candidates, as returned by
 /// [`part_min_edges`].
@@ -118,10 +118,11 @@ impl NodeProgram for FloodProgram {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors; [`DistError::Degraded`] when every epoch
-/// of a fault-injected flood ends with some part's members disagreeing;
-/// without a plan, a protocol invariant violation if they disagree (which
-/// would indicate an engine bug).
+/// Simulator errors as [`lcs_graph::LcsError::Simulation`];
+/// [`lcs_graph::LcsError::Degraded`] when every epoch of a fault-injected
+/// flood ends with some part's members disagreeing; without a plan, a
+/// protocol invariant violation ([`lcs_graph::LcsError::Protocol`]) if they
+/// disagree (which would indicate an engine bug).
 ///
 /// # Panics
 ///
@@ -133,7 +134,7 @@ pub fn part_flood_min(
     values: &[Option<(u64, u64)>],
     value_bits: usize,
     config: Option<SimConfig>,
-) -> Result<PartFloodOutcome> {
+) -> LcsResult<PartFloodOutcome> {
     assert_eq!(
         values.len(),
         graph.node_count(),
@@ -141,7 +142,7 @@ pub fn part_flood_min(
     );
     let supersteps = family.block_parameter().max(1) as u64;
     let obs = lcs_obs::Obs::off();
-    let flood = |epoch: EpochRun| -> Result<Epoch<_>> {
+    let flood = |epoch: EpochRun| -> lcs_congest::Result<Epoch<_>> {
         let outcome = epoch.run(graph, family, &obs, |info: &NodeInfo<'_>| FloodProgram {
             current: values[info.node.index()],
             value_bits,
@@ -157,7 +158,7 @@ pub fn part_flood_min(
     let ((per_node, per_part), stats, _) =
         run_epochs(family, supersteps, config, &obs, "dist/flood", flood)?;
     Ok(PartFloodOutcome {
-        per_part: per_part.map_err(|reason| DistError::ProtocolInvariant { reason })?,
+        per_part: per_part.map_err(invariant_violated)?,
         per_node,
         supersteps,
         stats,
@@ -201,7 +202,7 @@ pub fn part_leaders(
     partition: &Partition,
     family: &BlockFamily,
     config: Option<SimConfig>,
-) -> Result<(Vec<NodeId>, SimStats)> {
+) -> LcsResult<(Vec<NodeId>, SimStats)> {
     let values: Vec<Option<(u64, u64)>> = graph
         .nodes()
         .map(|v| partition.part_of(v).map(|_| (v.index() as u64, 0)))
@@ -210,9 +211,8 @@ pub fn part_leaders(
     let outcome = part_flood_min(graph, partition, family, &values, value_bits, config)?;
     let mut leaders = Vec::with_capacity(partition.part_count());
     for p in partition.parts() {
-        let (id, _) = outcome.per_part[p.index()].ok_or_else(|| DistError::ProtocolInvariant {
-            reason: format!("part {p} elected no leader"),
-        })?;
+        let (id, _) = outcome.per_part[p.index()]
+            .ok_or_else(|| invariant_violated(format!("part {p} elected no leader")))?;
         leaders.push(NodeId::new(id as usize));
     }
     Ok((leaders, outcome.stats))
@@ -236,7 +236,7 @@ pub fn part_min_edges(
     family: &BlockFamily,
     candidates: &[Option<(u64, EdgeId)>],
     config: Option<SimConfig>,
-) -> Result<(PartMinEdges, SimStats)> {
+) -> LcsResult<(PartMinEdges, SimStats)> {
     let values: Vec<Option<(u64, u64)>> = candidates
         .iter()
         .map(|c| c.map(|(w, e)| (w, e.index() as u64)))

@@ -12,10 +12,9 @@
 //! * [`BlockFamily`] — per-node local knowledge over a tree-restricted
 //!   shortcut's block components (the paper's Section 4.1 distributed
 //!   representation plus its `O(D)` preprocessing);
-//! * [`block_convergecast`] / [`block_exchange`] — Lemma 2 as message
-//!   passing: part-parallel tree convergecast under the `BlockRootDepth`
-//!   priority, and its time-reversed broadcast; the executed round count
-//!   equals the exact centralized schedule;
+//! * [`block_convergecast`] — Lemma 2 as message passing: part-parallel
+//!   tree convergecast under the `BlockRootDepth` priority; the executed
+//!   round count equals the exact centralized schedule;
 //! * [`part_leaders`] / [`part_min_edges`] / [`part_flood_min`] —
 //!   Theorem 2 as message passing: part-wise leader election and the
 //!   Boruvka minimum-outgoing-edge primitive via `b` supersteps of
@@ -25,7 +24,7 @@
 //!   and complete drop-in for `lcs_core::construction::verification`. Under
 //!   an active fault plan it and the floods retry incomplete runs in one
 //!   epoch loop, so they return the fault-free answer or
-//!   [`DistError::Degraded`] when every epoch stalls. Wrapped in a
+//!   [`LcsError::Degraded`] when every epoch stalls. Wrapped in a
 //!   closure, it is the `Simulated` [`lcs_core::construction::Verifier`]
 //!   the Theorem 3 driver and the Appendix A loop run with (`lcs_api`'s
 //!   session does this for every construction query, repair and Boruvka
@@ -33,6 +32,12 @@
 //! * [`CrossCheck`] — the harness asserting, per primitive, that the
 //!   distributed execution equals the centralized result and respects the
 //!   paper's round bounds (tabulated by experiment E8).
+//!
+//! Every fallible function returns [`lcs_graph::LcsResult`], the pipeline's
+//! one error: a simulator failure is [`LcsError::Simulation`], a violated
+//! protocol invariant or a failed cross-check is [`LcsError::Protocol`],
+//! and a fault-injected run that stalls in every epoch is
+//! [`LcsError::Degraded`].
 //!
 //! # Example
 //!
@@ -60,14 +65,12 @@
 mod cast;
 mod crosscheck;
 mod engine;
-mod error;
 mod flood;
 mod knowledge;
 mod verification;
 
-pub use cast::{block_convergecast, block_exchange, AggregateOp, BlockCastOutcome};
+pub use cast::{block_convergecast, AggregateOp, BlockCastOutcome};
 pub use crosscheck::{CheckedRun, CrossCheck};
-pub use error::{DistError, Result};
 pub use flood::{
     min_edge_candidates, part_flood_min, part_leaders, part_min_edges, PartFloodOutcome,
     PartMinEdges,
@@ -76,3 +79,14 @@ pub use knowledge::{BlockFamily, MemberBlock, Membership, NodeInfo};
 pub use verification::{
     counting_supersteps, verification_simulated, BlockCounting, DistVerificationOutcome,
 };
+
+use lcs_graph::LcsError;
+
+/// The error of a protocol run that ends in a state only an engine bug
+/// reaches (for example, without a fault plan, part members disagreeing on
+/// a flooded minimum).
+fn invariant_violated(reason: String) -> LcsError {
+    LcsError::Protocol {
+        reason: format!("protocol invariant violated: {reason}"),
+    }
+}

@@ -37,12 +37,11 @@
 use lcs_congest::{bits_for_node_count, SimConfig, SimStats};
 use lcs_core::construction::VerificationOutcome;
 use lcs_core::TreeShortcut;
-use lcs_graph::{Graph, NodeId, Partition, RootedTree};
+use lcs_graph::{Graph, LcsResult, NodeId, Partition, RootedTree};
 use lcs_obs::Obs;
 
 use crate::engine::{run_epochs, Epoch, EpochRun, NodeProgram, NodeView};
 use crate::knowledge::{BlockFamily, NodeInfo};
-use crate::Result;
 
 /// The protocol's values are 32-bit words: every one is a node, edge or
 /// block-root id (all `u32`-backed), a hop count or a block count (at most
@@ -610,8 +609,9 @@ pub struct DistVerificationOutcome {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors; [`crate::DistError::Degraded`] when every
-/// epoch of a fault-injected run stalls.
+/// Simulator errors as [`lcs_graph::LcsError::Simulation`];
+/// [`lcs_graph::LcsError::Degraded`] when every epoch of a fault-injected
+/// run stalls.
 ///
 /// # Panics
 ///
@@ -621,11 +621,11 @@ pub fn verification_simulated(
     question: &BlockCounting<'_>,
     config: Option<SimConfig>,
     obs: &Obs,
-) -> Result<DistVerificationOutcome> {
+) -> LcsResult<DistVerificationOutcome> {
     let family = question.family();
     let steps = counting_supersteps(question.threshold);
     let resend = config.as_ref().and_then(|c| c.active_fault()).is_some();
-    let count = |epoch: EpochRun| -> Result<Epoch<DistVerificationOutcome>> {
+    let count = |epoch: EpochRun| -> lcs_congest::Result<Epoch<DistVerificationOutcome>> {
         let _span = lcs_obs::span!(obs, "dist/verification");
         let answer = count_blocks(question, &family, steps, resend, epoch, obs)?;
         Ok(Epoch {
@@ -652,7 +652,7 @@ fn count_blocks(
     resend: bool,
     epoch: EpochRun,
     obs: &Obs,
-) -> Result<DistVerificationOutcome> {
+) -> lcs_congest::Result<DistVerificationOutcome> {
     let BlockCounting {
         graph,
         partition,

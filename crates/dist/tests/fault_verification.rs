@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use lcs_congest::{FaultPlan, SimConfig};
 use lcs_core::existential::{ancestor_shortcut, truncated_ancestor_shortcut};
 use lcs_core::TreeShortcut;
-use lcs_dist::{verification_simulated, BlockCounting, DistError};
-use lcs_graph::{generators, Graph, NodeId, Partition, RootedTree};
+use lcs_dist::{verification_simulated, BlockCounting};
+use lcs_graph::{generators, Graph, LcsError, NodeId, Partition, RootedTree};
 use lcs_obs::Obs;
 
 fn grid_instance(n: usize) -> (Graph, RootedTree, Partition, TreeShortcut) {
@@ -210,9 +210,10 @@ fn a_permanent_crash_reports_indecision() {
     let err = verification_simulated(&question, Some(cfg), &obs).unwrap_err();
     assert_eq!(
         err,
-        DistError::Degraded {
+        LcsError::Degraded {
             epochs: 5,
-            stalls: 5
+            stalls: 5,
+            reason: "fault-injected run stayed incomplete after 5 epochs".to_string(),
         }
     );
     let snap = obs.snapshot();

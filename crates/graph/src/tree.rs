@@ -8,7 +8,7 @@
 //! (deepest first), which is the schedule both `CoreSlow` and `CoreFast`
 //! follow.
 
-use crate::{EdgeId, Graph, GraphError, NodeId, Result};
+use crate::{Edge, EdgeId, Graph, GraphError, NodeId, Result};
 
 /// A rooted spanning tree of a connected graph.
 #[derive(Debug, Clone)]
@@ -175,6 +175,21 @@ impl RootedTree {
             tree: self,
             current: Some(v),
         }
+    }
+
+    /// Returns `true` if this is a spanning tree of `graph`: it has one node
+    /// per node of `graph`, one edge slot per edge of `graph`, and every
+    /// node's parent edge is an edge of `graph` joining the node and its
+    /// parent. One pass over the nodes.
+    pub fn spans(&self, graph: &Graph) -> bool {
+        self.node_count() == graph.node_count()
+            && self.is_tree_edge.len() == graph.edge_count()
+            && graph
+                .nodes()
+                .all(|v| match (self.parent(v), self.parent_edge(v)) {
+                    (Some(p), Some(e)) => graph.edge(e) == Edge::new(v, p),
+                    _ => true, // the root
+                })
     }
 
     /// The child endpoint (lower endpoint) of a tree edge: the endpoint whose

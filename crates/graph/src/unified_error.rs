@@ -1,14 +1,13 @@
-//! The workspace-wide unified error type.
+//! The workspace-wide error of the shortcut pipeline.
 //!
-//! Every crate of the workspace keeps its own precise error enum
-//! ([`GraphError`] here, `SimError` in `lcs_congest`, `CoreError` in
-//! `lcs_core`, `DistError` in `lcs_dist`) — those are the types the
-//! algorithms match on internally. [`LcsError`] is the *façade* error: the
-//! single type that crosses the public boundary of the `lcs_api` crate, so
-//! a caller running the whole pipeline handles one enum instead of four.
-//! Each crate provides the `From` impl for its own error (the unified type
-//! lives here, at the bottom of the dependency graph, so every layer can
-//! name it), which is what lets `?` flow through the façade unchanged.
+//! [`LcsError`] is the one error the pipeline raises: `lcs_core`,
+//! `lcs_dist` and `lcs_mst` return it directly, and it is the only error
+//! that crosses the public boundary of the `lcs_api` façade. It lives here,
+//! at the bottom of the dependency graph, so every layer can name it, and
+//! each raise site picks its variant and text once. Two structured errors
+//! stay beneath it: [`GraphError`] (wrapped by [`LcsError::Graph`]) and the
+//! simulator's `SimError` in `lcs_congest`, which converts into
+//! [`LcsError::Simulation`].
 
 use std::error::Error;
 use std::fmt;
@@ -20,9 +19,8 @@ use crate::GraphError;
 ///
 /// The variants mirror the *stages* of the pipeline rather than the crates
 /// that implement them: input validation, configuration, simulation,
-/// construction, distributed protocol, and budget exhaustion. Lower-level
-/// errors convert into these via the `From` impls each crate defines for
-/// its own enum.
+/// construction, distributed protocol, budget exhaustion, and a degraded
+/// fault-injected run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LcsError {
@@ -53,8 +51,8 @@ pub enum LcsError {
         /// Human readable description.
         reason: String,
     },
-    /// A distributed protocol violated one of its invariants or disagreed
-    /// with its centralized reference.
+    /// A distributed protocol violated one of its invariants, disagreed
+    /// with its centralized reference, or exceeded its round bound.
     Protocol {
         /// Human readable description.
         reason: String,

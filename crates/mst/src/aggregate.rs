@@ -1,7 +1,7 @@
-//! Generic part-wise aggregation and broadcast.
+//! Generic part-wise aggregation.
 //!
-//! These are thin, documented wrappers over the Theorem 2 routing primitives
-//! of `lcs-core`; they exist so that applications (and downstream users) can
+//! A thin, documented wrapper over the Theorem 2 routing primitives of
+//! `lcs-core`; it exists so that applications (and downstream users) can
 //! run "every part computes a function of its members' values" without
 //! touching the routing internals. Connectivity labeling, partwise counting
 //! and the minimum-outgoing-edge step of Boruvka are all instances.
@@ -10,10 +10,10 @@ use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
 use lcs_graph::{Graph, NodeId, Partition, RootedTree};
 
-/// Result of a part-wise aggregation or broadcast.
+/// Result of a part-wise aggregation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartAggregateOutcome<T> {
-    /// The output values (per part for aggregation, per node for broadcast).
+    /// The output values, one per part.
     pub values: Vec<T>,
     /// Leader node of every part (the smallest member id).
     pub leaders: Vec<NodeId>,
@@ -50,30 +50,6 @@ where
         values: aggregated.values,
         leaders: leaders.values,
         rounds: leaders.rounds + aggregated.rounds,
-    }
-}
-
-/// Broadcasts one value per part to all of that part's members, using the
-/// given tree-restricted shortcut for intra-part communication. Returns one
-/// `Option<T>` per node (`None` for nodes outside every part).
-///
-/// # Panics
-///
-/// Panics if `per_part.len()` differs from the partition's part count.
-pub fn part_broadcast<T: Clone>(
-    graph: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    shortcut: &TreeShortcut,
-    per_part: &[T],
-) -> PartAggregateOutcome<Option<T>> {
-    let router = PartRouter::new(graph, tree, partition, shortcut);
-    let leaders = router.elect_leaders();
-    let broadcast = router.broadcast_from_leaders(per_part);
-    PartAggregateOutcome {
-        values: broadcast.values,
-        leaders: leaders.values,
-        rounds: leaders.rounds + broadcast.rounds,
     }
 }
 
@@ -124,21 +100,6 @@ mod tests {
                 outcome.leaders[part.index()],
                 *p.members(part).iter().min().unwrap()
             );
-        }
-    }
-
-    #[test]
-    fn broadcast_reaches_only_part_members() {
-        let (g, t, p, s) = setup();
-        let per_part: Vec<u64> = (0..p.part_count() as u64).map(|i| 100 + i).collect();
-        let outcome = part_broadcast(&g, &t, &p, &s, &per_part);
-        for v in g.nodes() {
-            match p.part_of(v) {
-                Some(part) => {
-                    assert_eq!(outcome.values[v.index()], Some(100 + part.index() as u64))
-                }
-                None => assert_eq!(outcome.values[v.index()], None),
-            }
         }
     }
 

@@ -30,9 +30,10 @@ use lcs_core::construction::{doubling_search, DoublingConfig, Verifier};
 use lcs_core::routing::PartRouter;
 use lcs_core::TreeShortcut;
 use lcs_dist::{min_edge_candidates, part_leaders, part_min_edges, BlockFamily};
-use lcs_graph::{EdgeId, EdgeWeights, Graph, NodeId, PartId, Partition, RootedTree, UnionFind};
-
-use crate::Result;
+use lcs_graph::{
+    EdgeId, EdgeWeights, Graph, LcsError, LcsResult, NodeId, PartId, Partition, RootedTree,
+    UnionFind,
+};
 
 /// How each Boruvka phase obtains the shortcut it routes over.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,8 +99,8 @@ impl MstOutcome {
 ///
 /// # Errors
 ///
-/// Propagates shortcut-construction errors; reports
-/// [`lcs_core::CoreError::IterationBudgetExhausted`] when a
+/// Propagates shortcut-construction and routing errors; reports
+/// [`LcsError::BudgetExhausted`] when a
 /// [`ShortcutStrategy::Doubling`] phase leaves parts bad after its
 /// doublings, or when the phase cap is hit before the partition collapses
 /// to a single part.
@@ -115,7 +116,7 @@ pub fn boruvka_mst<V: Verifier>(
     seed: u64,
     sim: Option<SimConfig>,
     mut verifier: V,
-) -> Result<MstOutcome> {
+) -> LcsResult<MstOutcome> {
     assert!(graph.node_count() > 0, "the graph must be nonempty");
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut cost = RoundCost::new();
@@ -129,7 +130,7 @@ pub fn boruvka_mst<V: Verifier>(
 
     while partition.part_count() > 1 {
         if phases >= MAX_PHASES {
-            return Err(lcs_core::CoreError::IterationBudgetExhausted {
+            return Err(LcsError::BudgetExhausted {
                 iterations: phases,
                 remaining_bad: partition.part_count(),
             });
@@ -247,7 +248,7 @@ fn build_shortcut<V: Verifier>(
     cost: &mut RoundCost,
     label: &str,
     verifier: &mut V,
-) -> Result<TreeShortcut> {
+) -> LcsResult<TreeShortcut> {
     let (config, budget_is_error) = match strategy {
         // Known parameters: the loop with no doublings; a part still bad
         // after the driver's iteration budget routes over its partial
@@ -290,7 +291,7 @@ fn build_shortcut<V: Verifier>(
     let active = vec![true; partition.part_count()];
     let result = doubling_search(graph, tree, partition, &active, &config, None, verifier)?;
     if budget_is_error && !result.all_parts_good {
-        return Err(lcs_core::CoreError::IterationBudgetExhausted {
+        return Err(LcsError::BudgetExhausted {
             iterations: result.attempts.len(),
             remaining_bad: result.remaining_bad,
         });
@@ -359,7 +360,7 @@ mod tests {
         weights: &EdgeWeights,
         strategy: ShortcutStrategy,
         seed: u64,
-    ) -> Result<MstOutcome> {
+    ) -> LcsResult<MstOutcome> {
         let tree = RootedTree::bfs(graph, NodeId::new(0));
         boruvka_mst(graph, &tree, weights, strategy, seed, None, scheduled)
     }
@@ -449,7 +450,6 @@ mod tests {
             };
             lcs_dist::verification_simulated(&question, sim, &lcs_obs::Obs::off())
                 .map(|run| run.outcome)
-                .map_err(lcs_core::CoreError::from)
         };
         let doubling = ShortcutStrategy::Doubling;
         let outcome = boruvka_mst(&g, &t, &w, doubling, 5, sim, simulated_verifier).unwrap();

@@ -15,9 +15,9 @@
 //!   baseline (communication restricted to `G[P_i]`, the slow algorithm the
 //!   introduction argues against), or the *whole-tree* baseline (every part
 //!   uses all of `T`, demonstrating why congestion must be controlled),
-//! * [`part_aggregate`] / [`part_broadcast`] — the generic part-wise
-//!   aggregation primitives other applications (connectivity, partwise
-//!   statistics) are built from,
+//! * [`part_aggregate`] — the generic part-wise aggregation primitive
+//!   other applications (connectivity, partwise statistics) are built
+//!   from,
 //! * [`verify`] — cross-checks of the distributed outputs against the
 //!   centralized references from `lcs-graph`.
 //!
@@ -56,11 +56,8 @@ mod aggregate;
 mod boruvka;
 pub mod verify;
 
-pub use aggregate::{part_aggregate, part_broadcast, PartAggregateOutcome};
+pub use aggregate::{part_aggregate, PartAggregateOutcome};
 pub use boruvka::{boruvka_mst, MstOutcome, ShortcutStrategy};
-
-/// Convenience result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, lcs_core::CoreError>;
 
 /// The scheduled Lemma 3 verification as a verifier, for unit tests.
 #[cfg(test)]
@@ -71,7 +68,7 @@ fn scheduled(
     s: &lcs_core::TreeShortcut,
     threshold: usize,
     active: &[bool],
-) -> Result<lcs_core::construction::VerificationOutcome> {
+) -> lcs_graph::LcsResult<lcs_core::construction::VerificationOutcome> {
     Ok(lcs_core::construction::verification(
         g, t, p, s, threshold, active,
     ))

@@ -29,7 +29,7 @@ fn scheduled(
     s: &TreeShortcut,
     threshold: usize,
     active: &[bool],
-) -> low_congestion_shortcuts::core::Result<VerificationOutcome> {
+) -> low_congestion_shortcuts::graph::LcsResult<VerificationOutcome> {
     Ok(verification(g, t, p, s, threshold, active))
 }
 
@@ -398,4 +398,64 @@ fn unified_error_spans_the_pipeline_layers() {
         .shortcut(&other, api::Strategy::doubling())
         .unwrap_err();
     assert!(matches!(err, LcsError::InconsistentInputs { .. }));
+
+    // Simulation: one bandwidth violation renders once whichever layer it
+    // crosses — the verification directly, the doubling search through
+    // its verifier, a flood directly, and Borůvka through its flood.
+    use low_congestion_shortcuts::congest::SimConfig;
+    use low_congestion_shortcuts::core::existential::ancestor_shortcut;
+    use low_congestion_shortcuts::dist::{
+        part_leaders, verification_simulated, BlockCounting, BlockFamily,
+    };
+    use low_congestion_shortcuts::obs::Obs;
+
+    let graph = generators::grid(6, 6);
+    let tree = RootedTree::bfs(&graph, NodeId::new(0));
+    let partition = generators::partitions::grid_columns(6, 6);
+    let shortcut = ancestor_shortcut(&graph, &tree, &partition);
+    let sim = SimConfig {
+        bandwidth_bits: 4,
+        ..SimConfig::for_graph(&graph)
+    };
+    let simulated = |g: &Graph,
+                     t: &RootedTree,
+                     p: &Partition,
+                     s: &TreeShortcut,
+                     threshold: usize,
+                     active: &[bool]| {
+        let question = BlockCounting {
+            graph: g,
+            tree: t,
+            partition: p,
+            shortcut: s,
+            threshold,
+            active,
+        };
+        verification_simulated(&question, Some(sim), &Obs::off()).map(|run| run.outcome)
+    };
+    let active = vec![true; partition.part_count()];
+    let family = BlockFamily::new(&graph, &tree, &partition, &shortcut);
+    let weights = EdgeWeights::random_permutation(&graph, 1);
+    let config = DoublingConfig::default();
+    let errors = [
+        simulated(&graph, &tree, &partition, &shortcut, 3, &active).unwrap_err(),
+        doubling_search(&graph, &tree, &partition, &active, &config, None, simulated).unwrap_err(),
+        part_leaders(&graph, &partition, &family, Some(sim)).unwrap_err(),
+        boruvka_mst(
+            &graph,
+            &tree,
+            &weights,
+            ShortcutStrategy::Doubling,
+            0,
+            Some(sim),
+            scheduled,
+        )
+        .unwrap_err(),
+    ];
+    for err in errors {
+        assert!(matches!(err, LcsError::Simulation { .. }), "{err}");
+        let text = err.to_string();
+        assert_eq!(text.matches("simulation error:").count(), 1, "{text}");
+        assert!(text.contains("-bit bandwidth"), "{text}");
+    }
 }
