@@ -65,17 +65,15 @@ mod session;
 pub use config::{CoreKind, DoublingSpec, Strategy, TreeSpec};
 pub use report::{Attempt, Report};
 pub use serve::{Query, QueryValue, Served, ValueDigest};
-pub use session::{
-    MstRun, Pipeline, RepairBaseline, RepairRun, Result, Session, ShortcutRun, VerifyRun,
-};
+pub use session::{MstRun, Pipeline, RepairBaseline, RepairRun, Session, ShortcutRun, VerifyRun};
 
 // The unified error and the thread-count value type live at the bottom of
 // the dependency graph; the façade is their primary surface.
-pub use lcs_graph::{LcsError, Threads};
+pub use lcs_graph::{LcsError, LcsResult, Threads};
 
 // The partition-edit vocabulary of the incremental repair path
 // (`Session::track_partition` / `Session::repair_from`).
-pub use lcs_graph::{AppliedDelta, DeltaOp, PartSet, PartitionDelta};
+pub use lcs_graph::{AppliedDelta, DeltaOp, PartitionDelta};
 
 // The execution-mode switch is shared with the legacy entry points.
 pub use lcs_core::routing::ExecutionMode;

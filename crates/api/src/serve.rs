@@ -21,10 +21,10 @@
 use std::time::Instant;
 
 use lcs_core::{ShortcutQuality, TreeShortcut};
-use lcs_graph::{EdgeId, EdgeWeights, Partition, PartitionDelta};
+use lcs_graph::{EdgeId, EdgeWeights, LcsResult, Partition, PartitionDelta};
 use lcs_mst::ShortcutStrategy;
 
-use crate::{RepairBaseline, Result, Session, Strategy};
+use crate::{RepairBaseline, Session, Strategy};
 
 /// One serving query, borrowing its inputs from a caller-owned corpus.
 /// Dispatched by [`Session::serve_shared`] / [`Session::serve_shared_full`].
@@ -293,7 +293,7 @@ impl Session<'_> {
     /// Exactly the errors of the underlying query method
     /// ([`Session::shortcut`], [`Session::verify`], [`Session::quality`],
     /// [`Session::mst`], [`Session::repair_from`]).
-    pub fn serve_shared(&self, query: Query<'_>) -> Result<Served> {
+    pub fn serve_shared(&self, query: Query<'_>) -> LcsResult<Served> {
         self.serve_shared_full(query).map(|(served, _)| served)
     }
 
@@ -305,7 +305,7 @@ impl Session<'_> {
     /// # Errors
     ///
     /// Same as [`Session::serve_shared`].
-    pub fn serve_shared_full(&self, query: Query<'_>) -> Result<(Served, QueryValue)> {
+    pub fn serve_shared_full(&self, query: Query<'_>) -> LcsResult<(Served, QueryValue)> {
         let probe_paths = self.obs.is_on().then(|| query.probe_paths());
         let start = Instant::now();
         let (wall_nanos, rounds_charged, all_good, value) = match query {

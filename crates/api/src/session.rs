@@ -23,16 +23,13 @@ use lcs_core::routing::ExecutionMode;
 use lcs_core::{QualityPool, ShortcutQuality, TreeShortcut};
 use lcs_dist::{verification_simulated, BlockCounting, DistVerificationOutcome};
 use lcs_graph::{
-    is_connected, EdgeId, EdgeWeights, Graph, GraphError, LcsError, Partition, PartitionDelta,
-    RootedTree, Threads,
+    is_connected, EdgeId, EdgeWeights, Graph, GraphError, LcsError, LcsResult, Partition,
+    PartitionDelta, RootedTree, Threads,
 };
 use lcs_mst::ShortcutStrategy;
 use lcs_obs::Obs;
 
 use crate::{CoreKind, Report, Strategy, TreeSpec};
-
-/// Convenience result alias of the façade.
-pub type Result<T> = std::result::Result<T, LcsError>;
 
 /// The entry point of the façade: a builder that fixes the per-graph
 /// choices (tree, thread count, execution mode, seed, tracing) and
@@ -149,7 +146,7 @@ impl<'g> Pipeline<'g> {
     /// ([`RootedTree::spans`]);
     /// [`LcsError::Graph`] for a BFS root out of range;
     /// [`LcsError::Config`] for a fixed thread count of zero.
-    pub fn build(self) -> Result<Session<'g>> {
+    pub fn build(self) -> LcsResult<Session<'g>> {
         let graph = self.graph;
         if graph.node_count() == 0 {
             return Err(LcsError::InconsistentInputs {
@@ -449,7 +446,7 @@ impl<'g> Session<'g> {
         &self,
         partition: &Partition,
         shortcut: Option<&TreeShortcut>,
-    ) -> Result<()> {
+    ) -> LcsResult<()> {
         if partition.node_count() != self.graph.node_count() {
             return Err(LcsError::InconsistentInputs {
                 reason: format!(
@@ -497,7 +494,7 @@ impl<'g> Session<'g> {
         shortcut: &TreeShortcut,
         threshold: usize,
         active: &[bool],
-    ) -> Result<(VerificationOutcome, Option<DistVerificationOutcome>)> {
+    ) -> LcsResult<(VerificationOutcome, Option<DistVerificationOutcome>)> {
         if self.execution == ExecutionMode::Scheduled {
             let outcome = verification(graph, tree, partition, shortcut, threshold, active);
             return Ok((outcome, None));
@@ -547,7 +544,7 @@ impl<'g> Session<'g> {
     /// [`Strategy::Fixed`] run — the loop with zero doublings — whose
     /// parameters turn out too small is *not* an error: it returns `Ok`
     /// with [`Report::all_parts_good`] `false` and the partial shortcut.
-    pub fn shortcut(&self, partition: &Partition, strategy: Strategy) -> Result<ShortcutRun> {
+    pub fn shortcut(&self, partition: &Partition, strategy: Strategy) -> LcsResult<ShortcutRun> {
         self.check_partition(partition, None)?;
         let start = Instant::now();
         let (config, budget_is_error) = strategy.doubling_config(self.seed);
@@ -594,7 +591,7 @@ impl<'g> Session<'g> {
         &self,
         shortcut: &TreeShortcut,
         partition: &Partition,
-    ) -> Result<ShortcutQuality> {
+    ) -> LcsResult<ShortcutQuality> {
         self.check_partition(partition, Some(shortcut))?;
         Ok(self.with_pool(|pool| shortcut.quality_with(self.graph, partition, pool)))
     }
@@ -635,7 +632,7 @@ impl<'g> Session<'g> {
         shortcut: &TreeShortcut,
         partition: &Partition,
         threshold: usize,
-    ) -> Result<VerifyRun> {
+    ) -> LcsResult<VerifyRun> {
         self.check_partition(partition, Some(shortcut))?;
         if threshold == 0 {
             return Err(LcsError::Config {
@@ -682,7 +679,7 @@ impl<'g> Session<'g> {
         partition: &Partition,
         kind: CoreKind,
         congestion: usize,
-    ) -> Result<CoreOutcome> {
+    ) -> LcsResult<CoreOutcome> {
         self.check_partition(partition, None)?;
         let active = vec![true; partition.part_count()];
         Ok(match kind {
@@ -710,7 +707,7 @@ impl<'g> Session<'g> {
     /// [`LcsError::BudgetExhausted`] if a doubling phase exhausts its
     /// doublings or the phase cap is hit; [`LcsError::Degraded`] when a
     /// fault plan stalls every epoch of a phase's verification or flood.
-    pub fn mst(&self, weights: &EdgeWeights, strategy: ShortcutStrategy) -> Result<MstRun> {
+    pub fn mst(&self, weights: &EdgeWeights, strategy: ShortcutStrategy) -> LcsResult<MstRun> {
         let start = Instant::now();
         let sim = match self.execution {
             ExecutionMode::Scheduled => None,
@@ -757,7 +754,11 @@ impl<'g> Session<'g> {
     /// caller bug, and surfacing it beats silently returning an empty
     /// `Vec`. Otherwise fails on the first query that fails, with that
     /// query's error.
-    pub fn batch(&self, partitions: &[&Partition], strategy: Strategy) -> Result<Vec<ShortcutRun>> {
+    pub fn batch(
+        &self,
+        partitions: &[&Partition],
+        strategy: Strategy,
+    ) -> LcsResult<Vec<ShortcutRun>> {
         if partitions.is_empty() {
             return Err(LcsError::Config {
                 reason: "batch requires at least one partition (got an empty query list)"
@@ -788,7 +789,7 @@ impl<'g> Session<'g> {
         stats: RepairStats,
         operation: &str,
         start: Instant,
-    ) -> Result<RepairRun> {
+    ) -> LcsResult<RepairRun> {
         let corpus = &baseline.corpus;
         let shortcut = corpus.assemble(self.graph, &self.tree, &baseline.partition)?;
         let quality = corpus.quality();
@@ -830,7 +831,11 @@ impl<'g> Session<'g> {
     /// parameters are too small is not an error, mirroring
     /// [`Session::shortcut`]); simulation errors in `Simulated` mode,
     /// [`LcsError::Degraded`] among them.
-    pub fn track_partition(&self, partition: &Partition, strategy: Strategy) -> Result<RepairRun> {
+    pub fn track_partition(
+        &self,
+        partition: &Partition,
+        strategy: Strategy,
+    ) -> LcsResult<RepairRun> {
         self.check_partition(partition, None)?;
         let start = Instant::now();
         let (config, budget_is_error) = strategy.doubling_config(self.seed);
@@ -860,11 +865,12 @@ impl<'g> Session<'g> {
     }
 
     /// Applies `delta` to `baseline`'s partition and repairs its corpus:
-    /// clean parts keep their block assignments, routing state and quality
-    /// verbatim; only the delta's dirty closure is rebuilt, and congestion
-    /// is re-aggregated by exact subtraction. The result is byte-identical
-    /// to [`Session::track_partition`] on the post-delta partition — at the
-    /// cost of the dirty volume, not `n` — and its
+    /// parts whose member set the delta left unchanged keep their block
+    /// assignments, routing state and quality verbatim; only the parts it
+    /// edited or created are rebuilt, and congestion is re-aggregated by
+    /// exact subtraction. The result is byte-identical to
+    /// [`Session::track_partition`] on the post-delta partition — at the
+    /// cost of the edited parts' volume, not `n` — and its
     /// [`RepairRun::baseline`] is the post-delta baseline the next delta
     /// repairs from. A pure function of `(baseline, delta)`: this is the
     /// entry behind [`crate::Query::Repair`], so a workload driver can
@@ -875,7 +881,8 @@ impl<'g> Session<'g> {
     ///
     /// [`LcsError::InconsistentInputs`] for a baseline over a different
     /// node count; [`LcsError::Config`] if the delta is structurally
-    /// invalid (including any op that would empty a part);
+    /// invalid (including any op that would empty a part) or leaves an
+    /// edited part disconnected;
     /// [`LcsError::BudgetExhausted`] when a doubling strategy exhausts its
     /// budget on a rebuilt part; simulation errors in `Simulated` mode,
     /// [`LcsError::Degraded`] among them.
@@ -883,14 +890,14 @@ impl<'g> Session<'g> {
         &self,
         baseline: &RepairBaseline,
         delta: &PartitionDelta,
-    ) -> Result<RepairRun> {
+    ) -> LcsResult<RepairRun> {
         self.check_partition(&baseline.partition, None)?;
         let obs = self.obs.clone();
         let _span = lcs_obs::span!(obs, "session/repair");
         let start = Instant::now();
         let applied = baseline.partition.apply_tracked(self.graph, delta)?;
-        // Dirty parts of the delta closure are rebuilt with the session's
-        // tree and verifier; everything else is reused.
+        // Parts without an origin are rebuilt with the session's tree and
+        // verifier; everything else is reused.
         let (corpus, stats) = self.with_pool(|pool| {
             repair_corpus(
                 self.graph,
@@ -898,7 +905,6 @@ impl<'g> Session<'g> {
                 &applied.partition,
                 &baseline.corpus,
                 &applied.origin,
-                &applied.dirty,
                 &baseline.config,
                 pool,
                 self.verifier(),
@@ -924,7 +930,7 @@ impl<'g> Session<'g> {
 }
 
 /// The typed error of a doubling strategy that ended with bad parts.
-fn check_budget(corpus: &ShortcutCorpus, budget_is_error: bool) -> Result<()> {
+fn check_budget(corpus: &ShortcutCorpus, budget_is_error: bool) -> LcsResult<()> {
     if budget_is_error && !corpus.all_good() {
         return Err(LcsError::BudgetExhausted {
             iterations: corpus.parts().iter().map(|p| p.attempts).max().unwrap_or(0),
@@ -1469,10 +1475,13 @@ mod tests {
             .unwrap()
             .track_partition(&p, doubling)
             .unwrap();
-        // Column `c + 1`'s top node joins column `c`: every part is dirty.
-        let shift = (0..4).fold(PartitionDelta::new(), |delta, c| {
-            delta.move_nodes(vec![NodeId::new(c + 1)], PartId::new(c))
-        });
+        // Nodes 1, 3 and 23 join columns 0, 2 and 4: every column is
+        // edited and stays connected.
+        let shift = [(1, 0), (3, 2), (23, 4)]
+            .into_iter()
+            .fold(PartitionDelta::new(), |delta, (v, c)| {
+                delta.move_nodes(vec![NodeId::new(v)], PartId::new(c))
+            });
         assert!(degraded(
             session.repair_from(&tracked.baseline, &shift).unwrap_err()
         ));
@@ -1526,6 +1535,14 @@ mod tests {
             .move_nodes((0..6).map(|r| NodeId::new(6 * r)).collect(), PartId::new(1));
         let err = session.repair_from(&tracked.baseline, &drain).unwrap_err();
         assert!(matches!(err, LcsError::Config { .. }));
+        // So must moving node 7, column 1's only link between node 1 and
+        // the rest of the column.
+        let split = PartitionDelta::new().move_nodes(vec![NodeId::new(7)], PartId::new(0));
+        let err = session.repair_from(&tracked.baseline, &split).unwrap_err();
+        assert!(
+            matches!(&err, LcsError::Config { reason } if reason.contains("part P1")),
+            "a disconnecting delta must be a typed Config error, got: {err}"
+        );
         let ok = session
             .repair_from(
                 &tracked.baseline,

@@ -14,11 +14,11 @@
 //! id — and the iteration budget is pinned to the graph's node count, so a
 //! part's construction is a pure function of `(graph, tree, member set,
 //! config)`. That invariance is what makes repair exact: after a
-//! [`lcs_graph::PartitionDelta`], clean parts (same member set, possibly
-//! renumbered) keep their cached state verbatim, dirty parts are rebuilt,
+//! [`lcs_graph::PartitionDelta`], reused parts (same member set, possibly
+//! renumbered) keep their cached state verbatim, edited parts are rebuilt,
 //! and the result is byte-identical to rebuilding every part from scratch.
 
-use lcs_graph::{EdgeId, Graph, LcsError, LcsResult, PartId, PartSet, Partition, RootedTree};
+use lcs_graph::{EdgeId, Graph, LcsError, LcsResult, PartId, Partition, RootedTree};
 
 use super::doubling::{doubling_search, DoublingConfig};
 use super::find_shortcut::Verifier;
@@ -47,11 +47,6 @@ pub struct PartState {
     pub rounds: u64,
     /// Number of doubling attempts consumed.
     pub attempts: usize,
-    /// The congestion guess of the last attempt (the successful one when
-    /// `good`).
-    pub congestion_guess: usize,
-    /// The block guess of the last attempt.
-    pub block_guess: usize,
 }
 
 /// Outcome counters of a corpus build or repair.
@@ -161,7 +156,6 @@ fn build_part<V: Verifier>(
         Some(scoped_iteration_budget(graph)),
         &mut *verifier,
     )?;
-    let last = *result.attempts.last().expect("at least one attempt runs");
     let edges = result.shortcut.edges_of(part).to_vec();
     let blocks = result
         .shortcut
@@ -189,8 +183,6 @@ fn build_part<V: Verifier>(
         good: result.all_parts_good,
         rounds: result.total_rounds(),
         attempts: result.attempts.len(),
-        congestion_guess: last.congestion_guess,
-        block_guess: last.block_guess,
     })
 }
 
@@ -227,17 +219,23 @@ pub fn build_corpus<V: Verifier>(
 }
 
 /// Repairs `prev` (built for the pre-delta partition) into a corpus for
-/// `partition` (the post-delta one): clean parts — `origin[p] = Some(old)`
-/// — reuse `prev`'s state for `old` verbatim; dirty parts are rebuilt by
-/// scoped runs. Congestion is re-aggregated exactly: the edge loads of old
-/// parts with no surviving slot are subtracted, those of rebuilt parts
-/// added — no full recount.
+/// `partition` (the post-delta one): reused parts — `origin[p] =
+/// Some(old)` — take `prev`'s state for `old` verbatim; parts with no
+/// origin are rebuilt by scoped runs. Congestion is re-aggregated
+/// exactly: the edge loads of old parts with no surviving slot are
+/// subtracted, those of rebuilt parts added — no full recount.
+///
+/// `origin` must be the map [`Partition::apply_tracked`] returned for the
+/// delta on `prev`'s partition. This function never sees that partition,
+/// so it cannot check that a reused part's member set is unchanged; any
+/// other origin map yields a corpus whose cached measurements do not
+/// describe `partition`.
 ///
 /// # Errors
 ///
-/// [`LcsError::InconsistentInputs`] if `origin`/`dirty` do not
-/// match `partition`'s part count, a clean slot points outside `prev`, or
-/// a dirty slot claims an origin; plus the scoped-run errors.
+/// [`LcsError::InconsistentInputs`] if `origin` does not cover
+/// `partition`'s part count or a reused part points outside `prev`; plus
+/// the scoped-run errors.
 #[allow(clippy::too_many_arguments)]
 pub fn repair_corpus<V: Verifier>(
     graph: &Graph,
@@ -245,49 +243,32 @@ pub fn repair_corpus<V: Verifier>(
     partition: &Partition,
     prev: &ShortcutCorpus,
     origin: &[Option<PartId>],
-    dirty: &PartSet,
     config: &DoublingConfig,
     pool: &mut QualityPool,
     mut verifier: V,
 ) -> LcsResult<(ShortcutCorpus, RepairStats)> {
     let part_count = partition.part_count();
-    if origin.len() != part_count || dirty.universe() != part_count {
+    if origin.len() != part_count {
         return Err(LcsError::InconsistentInputs {
             reason: format!(
-                "origin map covers {} parts and dirty set {}, but the partition has {part_count}",
-                origin.len(),
-                dirty.universe()
+                "origin map covers {} parts, but the partition has {part_count}",
+                origin.len()
             ),
         });
     }
     let mut survived = vec![false; prev.parts.len()];
-    for (i, o) in origin.iter().enumerate() {
-        let p = PartId::new(i);
-        match o {
-            Some(old) => {
-                if dirty.contains(p) {
-                    return Err(LcsError::InconsistentInputs {
-                        reason: format!("part {p} is dirty but claims origin {old}"),
-                    });
-                }
-                if old.index() >= prev.parts.len() {
-                    return Err(LcsError::InconsistentInputs {
-                        reason: format!(
-                            "part {p} claims origin {old} but the previous corpus has {} parts",
-                            prev.parts.len()
-                        ),
-                    });
-                }
-                survived[old.index()] = true;
-            }
-            None => {
-                if !dirty.contains(p) {
-                    return Err(LcsError::InconsistentInputs {
-                        reason: format!("part {p} has no origin but is not in the dirty set"),
-                    });
-                }
-            }
+    for (i, &old) in origin.iter().enumerate() {
+        let Some(old) = old else { continue };
+        if old.index() >= prev.parts.len() {
+            return Err(LcsError::InconsistentInputs {
+                reason: format!(
+                    "part {} claims origin {old} but the previous corpus has {} parts",
+                    PartId::new(i),
+                    prev.parts.len()
+                ),
+            });
         }
+        survived[old.index()] = true;
     }
 
     let mut edge_load = prev.edge_load.clone();
@@ -384,7 +365,6 @@ mod tests {
             &applied.partition,
             &corpus,
             &applied.origin,
-            &applied.dirty,
             &cfg,
             &mut pool,
             scheduled,
@@ -392,10 +372,11 @@ mod tests {
         .unwrap();
         let rebuilt = build_corpus(&g, &t, &applied.partition, &cfg, &mut pool, scheduled).unwrap();
         assert_eq!(repaired, rebuilt);
-        assert_eq!(stats.repaired_parts, applied.dirty.len());
+        let rebuilt_parts = applied.origin.iter().filter(|o| o.is_none()).count();
+        assert_eq!(stats.repaired_parts, rebuilt_parts);
         assert_eq!(
             stats.reused_parts,
-            applied.partition.part_count() - applied.dirty.len()
+            applied.partition.part_count() - rebuilt_parts
         );
     }
 
@@ -405,18 +386,11 @@ mod tests {
         let mut pool = QualityPool::new(&g, 1);
         let cfg = config();
         let corpus = build_corpus(&g, &t, &p, &cfg, &mut pool, scheduled).unwrap();
-        let err = repair_corpus(
-            &g,
-            &t,
-            &p,
-            &corpus,
-            &[None; 2],
-            &PartSet::new(2),
-            &cfg,
-            &mut pool,
-            scheduled,
-        )
-        .unwrap_err();
-        assert!(matches!(err, LcsError::InconsistentInputs { .. }));
+        let out_of_range = [Some(PartId::new(9)), None, None, None];
+        for origin in [&[None; 2][..], &out_of_range] {
+            let err =
+                repair_corpus(&g, &t, &p, &corpus, origin, &cfg, &mut pool, scheduled).unwrap_err();
+            assert!(matches!(err, LcsError::InconsistentInputs { .. }));
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Property pins of the incremental repair path (DESIGN.md §1d).
 //!
-//! Two contracts:
+//! Three contracts:
 //!
 //! 1. **Repair ≡ rebuild** — `Session::repair_from(baseline, delta)` on
 //!    a tracked baseline yields a byte-identical shortcut, quality record,
@@ -8,12 +8,14 @@
 //!    scratch, and so does a second delta repaired from the first
 //!    repair's returned baseline — across generator families, delta
 //!    shapes, engine thread counts {1, 4}, and both execution modes.
-//! 2. **Dirty-closure soundness** — `Partition::apply_tracked` marks
-//!    every part whose member set *or* induced edge set changes as dirty;
-//!    a clean part keeps both verbatim (up to renumbering via its origin
-//!    id), which is exactly the precondition the corpus reuse relies on.
+//! 2. **Reused parts are verbatim** — every part to which
+//!    `Partition::apply_tracked` assigns an origin keeps that old part's
+//!    member set and induced edge set (up to renumbering), which is
+//!    exactly the precondition the corpus reuse relies on.
+//! 3. **Disconnecting deltas are rejected** — `apply_tracked` accepts a
+//!    single-node move exactly when the moved partition validates.
 
-use lcs_api::graph::{generators, EdgeId, Graph, NodeId, Partition};
+use lcs_api::graph::{generators, EdgeId, Graph, NodeId, PartId, Partition};
 use lcs_api::{ExecutionMode, PartitionDelta, Pipeline, Strategy, Threads};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -229,11 +231,11 @@ proptest! {
         check_repair_equals_rebuild(family, shape, seed, ExecutionMode::Scheduled, threads);
     }
 
-    /// Contract 2: a clean (non-dirty) part keeps its member set and its
+    /// Contract 2: a part with an origin keeps its member set and its
     /// induced edge set verbatim, located in the new partition via its
     /// origin map — the precondition for reusing its cached state.
     #[test]
-    fn dirty_closure_is_sound(
+    fn reused_parts_are_verbatim(
         family in 0usize..4,
         shape in 0usize..4,
         seed in 0u64..10_000,
@@ -242,26 +244,46 @@ proptest! {
         let delta = valid_delta(&graph, &partition, shape, seed ^ 0xC105);
         let applied = partition.apply_tracked(&graph, &delta).unwrap();
         for p in applied.partition.parts() {
-            if applied.dirty.contains(p) {
+            let Some(origin) = applied.origin[p.index()] else {
                 continue;
-            }
-            let origin = applied.origin[p.index()]
-                .expect("a clean part always has an origin");
+            };
             let old_members = partition.members(origin);
             let new_members = applied.partition.members(p);
             prop_assert_eq!(
                 old_members, new_members,
-                "clean part changed members"
+                "reused part changed members"
             );
             prop_assert_eq!(
                 induced_edges(&graph, old_members),
                 induced_edges(&graph, new_members),
-                "clean part changed induced edges"
+                "reused part changed induced edges"
             );
         }
-        // And the closure is tight enough to be useful: a pure merge of
-        // two parts never dirties unrelated parts.
-        prop_assert!(applied.dirty.len() <= partition.part_count());
+    }
+
+    /// Contract 3: a random single-node move, to a neighbor's part or to
+    /// any part, passes `apply_tracked` iff `apply` succeeds and the
+    /// result validates.
+    #[test]
+    fn tracked_moves_are_accepted_iff_the_result_validates(
+        family in 0usize..4,
+        seed in 0u64..10_000,
+        to_neighbor in 0u8..2,
+    ) {
+        let (graph, partition) = family_instance(family, seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x30E5);
+        let v = NodeId::new(rng.gen_range(0..graph.node_count()));
+        let to = if to_neighbor == 1 {
+            let (u, _) = graph.neighbors(v).nth(rng.gen_range(0..graph.degree(v))).unwrap();
+            partition.part_of(u).unwrap()
+        } else {
+            PartId::new(rng.gen_range(0..partition.part_count()))
+        };
+        let delta = PartitionDelta::new().move_nodes(vec![v], to);
+        let valid = partition
+            .apply(&delta)
+            .is_ok_and(|p| p.validate(&graph).is_ok());
+        prop_assert_eq!(partition.apply_tracked(&graph, &delta).is_ok(), valid);
     }
 }
 

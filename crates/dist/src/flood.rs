@@ -32,9 +32,6 @@ pub type PartMinEdges = Vec<Option<(u64, EdgeId)>>;
 pub struct PartFloodOutcome {
     /// The agreed minimum per part (`None` when no member carried a value).
     pub per_part: Vec<Option<(u64, u64)>>,
-    /// Each member's final view (equals its part's entry; `None` outside
-    /// every part).
-    pub per_node: Vec<Option<(u64, u64)>>,
     /// Number of supersteps executed (`b`).
     pub supersteps: u64,
     /// Simulation statistics of the executed protocol, summed over every
@@ -152,14 +149,12 @@ pub fn part_flood_min(
         Ok(Epoch {
             complete: per_part.is_ok(),
             stats: outcome.stats,
-            answer: (per_node, per_part),
+            answer: per_part,
         })
     };
-    let ((per_node, per_part), stats, _) =
-        run_epochs(family, supersteps, config, &obs, "dist/flood", flood)?;
+    let (per_part, stats, _) = run_epochs(family, supersteps, config, &obs, "dist/flood", flood)?;
     Ok(PartFloodOutcome {
         per_part: per_part.map_err(invariant_violated)?,
-        per_node,
         supersteps,
         stats,
     })

@@ -60,7 +60,7 @@ mod weights;
 pub mod generators;
 
 pub use builder::GraphBuilder;
-pub use delta::{AppliedDelta, DeltaOp, PartSet, PartitionDelta};
+pub use delta::{AppliedDelta, DeltaOp, PartitionDelta};
 pub use diameter::{diameter_exact, diameter_lower_bound_double_sweep, eccentricity};
 pub use error::GraphError;
 pub use graph::{Edge, Graph};

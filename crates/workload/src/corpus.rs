@@ -12,7 +12,7 @@
 
 use lcs_api::graph::{generators, EdgeWeights, Graph, NodeId, Partition};
 use lcs_api::{
-    LcsError, PartitionDelta, Pipeline, RepairBaseline, Result, Session, Strategy, TreeShortcut,
+    LcsError, LcsResult, PartitionDelta, Pipeline, RepairBaseline, Session, Strategy, TreeShortcut,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -122,7 +122,7 @@ impl Corpus {
     ///
     /// [`LcsError::Config`] for a degenerate spec (`entries == 0` or
     /// `size < 3`); otherwise whatever the construction session reports.
-    pub fn build(spec: &CorpusSpec) -> Result<Corpus> {
+    pub fn build(spec: &CorpusSpec) -> LcsResult<Corpus> {
         Corpus::build_inner(spec, false)
     }
 
@@ -134,11 +134,11 @@ impl Corpus {
     /// # Errors
     ///
     /// Same as [`Corpus::build`].
-    pub fn build_with_repair(spec: &CorpusSpec) -> Result<Corpus> {
+    pub fn build_with_repair(spec: &CorpusSpec) -> LcsResult<Corpus> {
         Corpus::build_inner(spec, true)
     }
 
-    fn build_inner(spec: &CorpusSpec, with_repair: bool) -> Result<Corpus> {
+    fn build_inner(spec: &CorpusSpec, with_repair: bool) -> LcsResult<Corpus> {
         if spec.entries == 0 {
             return Err(LcsError::Config {
                 reason: "corpus needs at least one entry (spec.entries = 0)".to_string(),
@@ -239,7 +239,7 @@ fn repair_case(
     partition: &Partition,
     spec: &CorpusSpec,
     entry_index: usize,
-) -> Result<RepairCase> {
+) -> LcsResult<RepairCase> {
     // The corpus holds this baseline for its whole life: the clone sizes
     // every buffer to its length, dropping the slack the build grew.
     let baseline = session
@@ -259,7 +259,7 @@ fn repair_case(
 /// in another part, accepted only if the edited parts stay connected),
 /// falling back to merging the first adjacent part pair — always valid
 /// when the partition has >= 2 parts.
-fn repair_delta(graph: &Graph, partition: &Partition, seed: u64) -> Result<PartitionDelta> {
+fn repair_delta(graph: &Graph, partition: &Partition, seed: u64) -> LcsResult<PartitionDelta> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = graph.node_count();
     for _ in 0..64 {

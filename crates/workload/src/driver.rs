@@ -31,7 +31,8 @@
 use std::time::{Duration, Instant};
 
 use lcs_api::{
-    LcsError, Query, QueryValue, Result, Served, Session, ShortcutStrategy, Strategy, ValueDigest,
+    LcsError, LcsResult, Query, QueryValue, Served, Session, ShortcutStrategy, Strategy,
+    ValueDigest,
 };
 use lcs_obs::{LatencyHistogram, Obs};
 
@@ -57,7 +58,7 @@ pub trait Transport: Sync {
     /// # Errors
     ///
     /// Whatever opening the connection fails with.
-    fn connect(&self) -> std::result::Result<Self::Client, Self::Error>;
+    fn connect(&self) -> Result<Self::Client, Self::Error>;
 
     /// Serves one trace event on `client`. The returned
     /// [`Served::wall_nanos`] is the service time this transport's client
@@ -72,7 +73,7 @@ pub trait Transport: Sync {
         &self,
         client: &mut Self::Client,
         event: &QueryEvent,
-    ) -> std::result::Result<(Served, Option<QueryValue>), Self::Error>;
+    ) -> Result<(Served, Option<QueryValue>), Self::Error>;
 }
 
 /// What one client measured: its sub-histogram, query count, and the
@@ -188,7 +189,7 @@ impl<'c> Transport for InProcess<'c> {
     type Client = Session<'c>;
     type Error = LcsError;
 
-    fn connect(&self) -> Result<Session<'c>> {
+    fn connect(&self) -> LcsResult<Session<'c>> {
         lcs_api::Pipeline::on(self.corpus.graph())
             .seed(self.spec.seed)
             .execution(self.spec.execution)
@@ -201,7 +202,7 @@ impl<'c> Transport for InProcess<'c> {
         &self,
         session: &mut Session<'c>,
         event: &QueryEvent,
-    ) -> Result<(Served, Option<QueryValue>)> {
+    ) -> LcsResult<(Served, Option<QueryValue>)> {
         let query = query_of(self.corpus, event);
         if self.spec.keep_results {
             let (served, value) = session.serve_shared_full(query)?;
@@ -221,7 +222,7 @@ impl<'c> Transport for InProcess<'c> {
 /// queries, all-zero mix, zero clients — see
 /// [`generate_trace`]); otherwise the first
 /// query error a session reports.
-pub fn run_workload(corpus: &Corpus, spec: &WorkloadSpec) -> Result<WorkloadOutcome> {
+pub fn run_workload(corpus: &Corpus, spec: &WorkloadSpec) -> LcsResult<WorkloadOutcome> {
     run_workload_obs(corpus, spec, &Obs::off())
 }
 
@@ -232,7 +233,7 @@ pub fn run_workload_obs(
     corpus: &Corpus,
     spec: &WorkloadSpec,
     obs: &Obs,
-) -> Result<WorkloadOutcome> {
+) -> LcsResult<WorkloadOutcome> {
     let trace = generate_trace(spec, corpus.len())?;
     if trace.iter().any(|e| e.kind == QueryKind::Repair)
         && corpus.entries().iter().any(|e| e.repair.is_none())
@@ -268,7 +269,7 @@ pub fn replay<T: Transport>(
     trace: &[QueryEvent],
     mode: Mode,
     obs: &Obs,
-) -> std::result::Result<WorkloadOutcome, T::Error> {
+) -> Result<WorkloadOutcome, T::Error> {
     check_clients(mode)?;
     if obs.is_on() {
         obs.counter_add("workload/runs", 1);
@@ -307,7 +308,7 @@ fn serve_events<'t, T: Transport>(
     mut pace: impl FnMut(usize, &QueryEvent),
     mut latency_of: impl FnMut(&QueryEvent, &Served) -> u64,
     think_nanos: u64,
-) -> std::result::Result<ClientRun, T::Error> {
+) -> Result<ClientRun, T::Error> {
     let mut run = ClientRun::default();
     for (slot, event) in events {
         pace(slot, event);
@@ -372,7 +373,7 @@ fn open_loop<T: Transport>(
     transport: &T,
     trace: &[QueryEvent],
     obs: &Obs,
-) -> std::result::Result<WorkloadOutcome, T::Error> {
+) -> Result<WorkloadOutcome, T::Error> {
     let mut client = transport.connect()?;
     // Driver probes accumulate into plain locals on the serving path (a
     // histogram of start lags and a queue-depth high-water mark) and hit
@@ -425,7 +426,7 @@ fn closed_loop<T: Transport>(
     clients: usize,
     think_nanos: u64,
     obs: &Obs,
-) -> std::result::Result<WorkloadOutcome, T::Error> {
+) -> Result<WorkloadOutcome, T::Error> {
     if obs.is_on() {
         obs.gauge_set("workload/clients", clients as u64);
     }
@@ -433,7 +434,7 @@ fn closed_loop<T: Transport>(
     // Each client serves its round-robin share on its own connection.
     // `thread::scope` lets every client borrow the transport and the
     // trace.
-    let runs: Vec<std::result::Result<ClientRun, T::Error>> = std::thread::scope(|scope| {
+    let runs: Vec<Result<ClientRun, T::Error>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 scope.spawn(move || {
@@ -455,9 +456,7 @@ fn closed_loop<T: Transport>(
             .collect()
     });
     let wall_nanos = start.elapsed().as_nanos() as u64;
-    let runs = runs
-        .into_iter()
-        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(finish(runs, trace, wall_nanos))
 }
 

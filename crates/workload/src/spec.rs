@@ -1,7 +1,7 @@
 //! The traffic knobs: query-mix weights, open/closed-loop mode, and the
 //! full [`WorkloadSpec`] a driver run is a pure function of.
 
-use lcs_api::{ExecutionMode, LcsError, Result, Threads};
+use lcs_api::{ExecutionMode, LcsError, LcsResult, Threads};
 
 /// Integer weights of the five query kinds in a trace. The trace
 /// generator apportions the total query count *exactly* (largest-remainder
@@ -176,7 +176,7 @@ impl Mode {
 
 /// The one zero-client check of trace generation and of every transport's
 /// replay: a closed loop needs at least one client.
-pub(crate) fn check_clients(mode: Mode) -> Result<()> {
+pub(crate) fn check_clients(mode: Mode) -> LcsResult<()> {
     if let Mode::Closed { clients: 0, .. } = mode {
         return Err(LcsError::Config {
             reason: "closed-loop workload needs at least one client".to_string(),

@@ -19,7 +19,7 @@
 //! data-dependent draw counts, no platform floats beyond IEEE-754
 //! `powf`/`ln` on fixed inputs.
 
-use lcs_api::{LcsError, Result};
+use lcs_api::{LcsError, LcsResult};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -100,7 +100,7 @@ pub struct QueryEvent {
 /// [`LcsError::Config`] when the workload cannot possibly run: an empty
 /// corpus, zero queries, an all-zero query mix, a bad Zipf θ, or a
 /// closed-loop client count of zero.
-pub fn generate_trace(spec: &WorkloadSpec, corpus_entries: usize) -> Result<Vec<QueryEvent>> {
+pub fn generate_trace(spec: &WorkloadSpec, corpus_entries: usize) -> LcsResult<Vec<QueryEvent>> {
     if corpus_entries == 0 {
         return Err(LcsError::Config {
             reason: "workload needs a nonempty corpus".to_string(),

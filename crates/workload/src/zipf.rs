@@ -8,7 +8,7 @@
 //! `O(log n)` — and, crucially for the workload determinism contract,
 //! consumes *exactly one* RNG word regardless of the outcome.
 
-use lcs_api::{LcsError, Result};
+use lcs_api::{LcsError, LcsResult};
 use rand::RngCore;
 
 /// Converts one RNG word into a uniform `f64` in `[0, 1)` using 53
@@ -34,7 +34,7 @@ impl ZipfSampler {
     ///
     /// [`LcsError::Config`] if `n == 0` or `theta` is negative or
     /// non-finite — an empty or ill-skewed corpus can never be sampled.
-    pub fn new(n: usize, theta: f64) -> Result<ZipfSampler> {
+    pub fn new(n: usize, theta: f64) -> LcsResult<ZipfSampler> {
         if n == 0 {
             return Err(LcsError::Config {
                 reason: "Zipf sampler needs a nonempty corpus (n = 0)".to_string(),
